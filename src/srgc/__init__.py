@@ -45,7 +45,6 @@ from .spectral import (
     EigenBasis,
     Laplacian,
     LocalGraph,
-    build_local_graph,
     coarsen,
     eigendecompose,
     laplacian,
@@ -53,7 +52,6 @@ from .spectral import (
     uncoarsen_signal,
 )
 from .transform import (
-    CoefficientVector,
     QuantizedVector,
     dct1d,
     dequantize,

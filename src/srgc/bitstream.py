@@ -14,6 +14,7 @@ entropy-coded integer stream.  Section ids: 1 segmentation, 2 disparity,
 3 structure, 4 coefficients, 5 groups, 6 residuals.
 """
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -86,6 +87,20 @@ class StreamHeader:
             self.bin_width,
         )
 
+    def check(self):
+        """Reject values no encoder writes (CorruptStreamError)."""
+        steps = (self.q_gft, self.q_dct, self.bin_width)
+        for ok, what in (
+            (0 not in self.angular_dims + self.spatial_dims, "has a zero dimension"),
+            (self.bit_depth in (8, 10, 16), f"bit depth {self.bit_depth}"),
+            (self.channels in (1, 3), f"channel count {self.channels}"),
+            (self.n_target > 0, "n_target 0"),
+            (all(math.isfinite(q) and q > 0 for q in steps),
+             f"q_gft/q_dct/bin_width {steps} not finite and positive"),
+        ):
+            if not ok:
+                raise CorruptStreamError(f"corrupt stream: header {what}")
+
     @classmethod
     def unpack(cls, data):
         s, t, w, h, depth, channels, flags, labels, n_target, max_v, q_switch, q_gft, q_dct, bw = struct.unpack(
@@ -115,12 +130,6 @@ class Bitstream:
 
     header: StreamHeader
     sections: dict = field(default_factory=dict)
-
-    def byte_size(self):
-        return len(serialize(self))
-
-    def bit_count(self):
-        return 8 * self.byte_size()
 
 
 def pack_section(symbol_count, payload):
@@ -160,21 +169,27 @@ def deserialize(data: bytes) -> Bitstream:
     if len(data) < pos + header_size + 1:
         raise CorruptStreamError("corrupt stream: truncated header")
     header = StreamHeader.unpack(data[pos : pos + header_size])
+    header.check()
     pos += header_size
     n_sections = data[pos]
     pos += 1
-    table = []
+    table = {}
     for _ in range(n_sections):
         if len(data) < pos + 9:
             raise CorruptStreamError("corrupt stream: truncated section table")
         sid, length = struct.unpack("<BQ", data[pos : pos + 9])
-        table.append((sid, length))
+        if sid not in SECTION_NAMES or sid in table:
+            raise CorruptStreamError(f"corrupt stream: unknown or repeated section id {sid}")
+        table[sid] = length
         pos += 9
     sections = {}
-    for sid, length in table:
+    for sid, length in table.items():
         if len(data) < pos + length:
-            name = SECTION_NAMES.get(sid, str(sid))
-            raise CorruptStreamError(f"corrupt stream: truncated section '{name}'")
+            raise CorruptStreamError(
+                f"corrupt stream: truncated section '{SECTION_NAMES[sid]}'"
+            )
         sections[sid] = data[pos : pos + length]
         pos += length
+    if pos != len(data):
+        raise CorruptStreamError(f"corrupt stream: {len(data) - pos} trailing bytes")
     return Bitstream(header=header, sections=sections)

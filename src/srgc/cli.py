@@ -38,7 +38,6 @@ _CONFIG_FIELDS = {
     "slic_k": int,
     "compactness": float,
     "bin_width": float,
-    "seed": int,
     "residual_mode": str,
     "channels": str,
     "threads": int,
@@ -64,7 +63,6 @@ def _add_config_flags(p):
     p.add_argument("--slic-k", type=int, dest="slic_k")
     p.add_argument("--compactness", type=float, dest="compactness")
     p.add_argument("--bin-width", type=float, dest="bin_width")
-    p.add_argument("--seed", type=int, dest="seed")
     p.add_argument("--residual-mode", choices=("raw", "dct"), dest="residual_mode")
     p.add_argument("--channels", choices=("y", "all"), dest="channels")
     p.add_argument("--threads", type=int, dest="threads")

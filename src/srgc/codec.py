@@ -34,13 +34,13 @@ from .grouping import (
     SuperRayGroup,
     derive_group_members,
     predict_and_residual,
-    select_main,
+    run_grouping,
 )
 from .lightfield import DisparityMap, LightField, View, _sample_dtype
 from .segmentation import (
     SegmentationMap,
     assemble_super_rays,
-    median_disparity,
+    label_disparities,
     project_labels,
     slic_segment,
 )
@@ -53,6 +53,7 @@ from .spectral import (
     laplacian,
     partition_super_ray,
     partition_with_tree,
+    uncoarsen_signal,
 )
 from .transform import (
     QuantizedVector,
@@ -63,7 +64,7 @@ from .transform import (
     predict_signal,
     quantize,
 )
-from .util import quantize_eighth, round_half_away, round_half_away_int
+from .util import round_half_away, round_half_away_int
 
 
 @dataclass
@@ -77,7 +78,6 @@ class CodecConfig:
     compactness: float = 10.0
     bin_width: float = 5.0
     explicit_groups: bool = False
-    seed: int = 0
     residual_mode: str = "raw"   # 'raw' (exact) | 'dct' (lossy, for RD sweeps)
     grouping: bool = True
     channels: str = "y"          # 'y' | 'all'
@@ -402,10 +402,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     ref_luma = lf.luma_planes()[0]
 
     seg_ref = slic_segment(ref_luma, cfg.slic_k, cfg.compactness)
-    disparities = {}
-    for label in range(seg_ref.label_count):
-        region = np.argwhere(seg_ref.reference == label)
-        disparities[label] = quantize_eighth(median_disparity(region, dmap))
+    disparities = label_disparities(seg_ref, dmap)
     watch.lap("segmentation")
 
     seg_all = project_labels(seg_ref, disparities, lf.angular_dims)
@@ -423,7 +420,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         basis = eigendecompose(laplacian(unit.graph))
         levels, deq = [], []
         for c in range(n_channels):
-            coeffs = gft(basis, unit.signals[c].astype(np.float64)).coeffs
+            coeffs = gft(basis, unit.signals[c])
             lv = _quantize_unit(coeffs, cfg.q_gft)
             levels.append(lv)
             deq.append(_dequantize_unit(lv, cfg.q_gft))
@@ -437,21 +434,12 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     watch.lap("eigen_transform")
 
     groupable = _groupable_positions(units, cfg.n_target, cfg.grouping)
-    merged, threshold = derive_group_members(
-        [deq[u][0] for u in groupable], cfg.bin_width
+    group_set = run_grouping(
+        [deq[u][0] for u in groupable],
+        [units[u].signals[0] for u in groupable],
+        cfg.bin_width,
     )
-    signals_luma = {pos: units[groupable[pos]].signals[0] for pos in
-                    {i for g in merged for i in g}}
-    groups = [
-        SuperRayGroup(members=m, main_index=select_main(m, signals_luma))
-        for m in merged
-    ]
-    grouped_positions = {i for g in groups for i in g.members}
-    group_set = GroupSet(
-        groups=groups,
-        ungrouped=tuple(i for i in range(len(groupable)) if i not in grouped_positions),
-        mse_threshold=threshold,
-    )
+    groups = group_set.groups
     watch.lap("grouping")
 
     residual_syms = []
@@ -541,7 +529,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         coarsened_count=coarsened,
         partitioned_count=len(units) - coarsened,
         pair_count=m * (m - 1) // 2,
-        mse_threshold=threshold,
+        mse_threshold=group_set.mse_threshold,
         group_count=len(groups),
         grouped_count=grouped,
         coarsened_ratio=grouped / coarsened if coarsened else 0.0,
@@ -569,25 +557,29 @@ def decode(stream: Bitstream, threads=1, debug=False):
     w, h = hdr.spatial_dims
     maxval = (1 << hdr.bit_depth) - 1
 
-    def section_symbols(sid, category):
+    def section_symbols(sid, category, expected, at_most=False):
+        """Entropy-decode a section whose declared symbol count is
+        ``expected`` (or at most that, with ``at_most``); the count is
+        checked first, so a lying count costs no decoding work."""
+        name = bs.SECTION_NAMES[sid]
         if sid not in stream.sections:
-            raise CorruptStreamError(
-                f"corrupt stream: missing section '{bs.SECTION_NAMES[sid]}'"
-            )
+            raise CorruptStreamError(f"corrupt stream: missing section '{name}'")
         count, payload = bs.unpack_section(stream.sections[sid], sid)
+        if count > expected or (count < expected and not at_most):
+            bound = "at most " if at_most else ""
+            raise CorruptStreamError(
+                f"corrupt stream: section '{name}' declares {count} symbols, "
+                f"expected {bound}{expected}"
+            )
         return entropy_decode(payload, count, category)
 
-    seg_syms = section_symbols(bs.SEC_SEGMENTATION, "labels")
-    if seg_syms.size != w * h:
-        raise CorruptStreamError("corrupt stream: segmentation symbol count")
+    seg_syms = section_symbols(bs.SEC_SEGMENTATION, "labels", w * h)
     ref_labels = _segmentation_from_symbols(seg_syms, w, h, hdr.label_count)
     present = np.unique(ref_labels)
     if present.size != hdr.label_count:
         raise CorruptStreamError("corrupt stream: reference view misses labels")
 
-    disp_syms = section_symbols(bs.SEC_DISPARITY, "disparities")
-    if disp_syms.size != hdr.label_count:
-        raise CorruptStreamError("corrupt stream: disparity count mismatch")
+    disp_syms = section_symbols(bs.SEC_DISPARITY, "disparities", hdr.label_count)
     disparities = {l: float(disp_syms[l]) / 8.0 for l in range(hdr.label_count)}
     watch.lap("segmentation")
 
@@ -596,7 +588,9 @@ def decode(stream: Bitstream, threads=1, debug=False):
     srs = assemble_super_rays(seg_all, disparities)
     watch.lap("projection")
 
-    struct_syms = section_symbols(bs.SEC_STRUCTURE, "structure")
+    # one flag per label plus 2P - 1 tree nodes for P parts, and every part
+    # keeps at least one reference pixel
+    struct_syms = section_symbols(bs.SEC_STRUCTURE, "structure", 2 * w * h, at_most=True)
     flags, trees = _parse_structure(struct_syms, hdr.label_count)
     if any(f != flags[0] for f in flags):
         raise CorruptStreamError("corrupt stream: mixed structure modes")
@@ -611,12 +605,9 @@ def decode(stream: Bitstream, threads=1, debug=False):
     watch.lap("units")
 
     n_channels = hdr.channels
-    coeff_syms = section_symbols(bs.SEC_COEFFICIENTS, "gft")
-    expected = sum(u.n for u in units) * n_channels
-    if coeff_syms.size != expected:
-        raise CorruptStreamError(
-            f"corrupt stream: {coeff_syms.size} coefficients, expected {expected}"
-        )
+    coeff_syms = section_symbols(
+        bs.SEC_COEFFICIENTS, "gft", sum(u.n for u in units) * n_channels
+    )
     deq = []
     pos = 0
     for u in units:
@@ -629,25 +620,25 @@ def decode(stream: Bitstream, threads=1, debug=False):
     watch.lap("dequantize")
 
     groupable = _groupable_positions(units, hdr.n_target, hdr.grouping)
-    group_syms = section_symbols(bs.SEC_GROUPS, "group")
     groups = []
     threshold = 0.0
-    if hdr.grouping:
-        if hdr.explicit_groups:
-            groups = _parse_explicit_groups(group_syms, len(groupable))
-        else:
-            merged, threshold = derive_group_members(
-                [deq[u][0] for u in groupable], hdr.bin_width
-            )
-            if group_syms.size != len(merged):
-                raise CorruptStreamError(
-                    f"corrupt stream: {group_syms.size} group mains for "
-                    f"{len(merged)} derived groups"
-                )
-            for m, main in zip(merged, group_syms):
-                if int(main) not in m:
-                    raise CorruptStreamError("corrupt stream: main outside its group")
-                groups.append(SuperRayGroup(members=m, main_index=int(main)))
+    if not hdr.grouping:
+        section_symbols(bs.SEC_GROUPS, "group", 0)
+    elif hdr.explicit_groups:
+        # the count, then per disjoint group of k >= 2: main, k, k members
+        group_syms = section_symbols(
+            bs.SEC_GROUPS, "group", 1 + 2 * len(groupable), at_most=True
+        )
+        groups = _parse_explicit_groups(group_syms, len(groupable))
+    else:
+        merged, threshold = derive_group_members(
+            [deq[u][0] for u in groupable], hdr.bin_width
+        )
+        group_syms = section_symbols(bs.SEC_GROUPS, "group", len(merged))
+        for m, main in zip(merged, group_syms):
+            if int(main) not in m:
+                raise CorruptStreamError("corrupt stream: main outside its group")
+            groups.append(SuperRayGroup(members=m, main_index=int(main)))
     grouped_members = {}
     for gi, g in enumerate(groups):
         for posn in g.members:
@@ -665,24 +656,21 @@ def decode(stream: Bitstream, threads=1, debug=False):
     eig_count = len(to_decompose)
     watch.lap("eigen")
 
-    resid_syms = section_symbols(bs.SEC_RESIDUALS, "residual")
+    predicted_units = [
+        groupable[posn] for g in groups for posn in g.members if posn != g.main_index
+    ]
+    resid_syms = section_symbols(
+        bs.SEC_RESIDUALS, "residual",
+        sum(units[u].n for u in predicted_units) * n_channels,
+    )
     residuals = {}
     pos = 0
-    for g in groups:
-        for posn in g.members:
-            if posn == g.main_index:
-                continue
-            uidx = groupable[posn]
-            per_channel = []
-            for _ in range(n_channels):
-                n = units[uidx].n
-                if pos + n > resid_syms.size:
-                    raise CorruptStreamError("corrupt stream: residual section short")
-                per_channel.append(resid_syms[pos : pos + n])
-                pos += n
-            residuals[uidx] = per_channel
-    if pos != resid_syms.size:
-        raise CorruptStreamError("corrupt stream: trailing residual symbols")
+    for uidx in predicted_units:
+        n = units[uidx].n
+        residuals[uidx] = [
+            resid_syms[pos + c * n : pos + (c + 1) * n] for c in range(n_channels)
+        ]
+        pos += n * n_channels
 
     planes = [
         [np.zeros((h, w), dtype=np.int64) for _ in range(s_count * t_count)]
@@ -707,7 +695,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
             else:
                 rec = predict_signal(decomposed[u.index], deq[u.index][c], maxval)
             per_channel.append(rec)
-            fine = rec[u.cmap.fine_to_coarse] if u.cmap is not None else rec
+            fine = uncoarsen_signal(rec, u.cmap) if u.cmap is not None else rec
             v = u.fine_vertices
             for vi in np.unique(v[:, 0]):
                 sel = v[:, 0] == vi
@@ -765,9 +753,3 @@ def _parse_explicit_groups(syms, groupable_count):
     if pos != len(syms):
         raise CorruptStreamError("corrupt stream: trailing group symbols")
     return groups
-
-
-# Re-exported container helpers: the codec's serialize/deserialize are the
-# bitstream module's, bound here for API completeness.
-serialize = bs.serialize
-deserialize = bs.deserialize

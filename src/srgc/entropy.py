@@ -98,20 +98,7 @@ class BinaryEncoder:
         self.pending = 0
         self.out = _BitWriter()
 
-    def encode(self, ctx, bit):
-        c0, c1 = ctx
-        total = c0 + c1
-        low, high = self.low, self.high
-        split = low + ((high - low + 1) * c0) // total - 1
-        if bit:
-            low = split + 1
-            ctx[1] = c1 + 1
-        else:
-            high = split
-            ctx[0] = c0 + 1
-        if total + 1 >= _COUNT_CAP:
-            ctx[0] = (ctx[0] + 1) >> 1
-            ctx[1] = (ctx[1] + 1) >> 1
+    def _renorm(self, low, high):
         w = self.out.write
         while (low ^ high) & _TOP == 0:
             b = low >> (_STATE_BITS - 1)
@@ -128,6 +115,22 @@ class BinaryEncoder:
             high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
         self.low, self.high = low, high
 
+    def encode(self, ctx, bit):
+        c0, c1 = ctx
+        total = c0 + c1
+        low, high = self.low, self.high
+        split = low + ((high - low + 1) * c0) // total - 1
+        if bit:
+            low = split + 1
+            ctx[1] = c1 + 1
+        else:
+            high = split
+            ctx[0] = c0 + 1
+        if total + 1 >= _COUNT_CAP:
+            ctx[0] = (ctx[0] + 1) >> 1
+            ctx[1] = (ctx[1] + 1) >> 1
+        self._renorm(low, high)
+
     def encode_bypass(self, bit):
         low, high = self.low, self.high
         split = low + ((high - low + 1) >> 1) - 1
@@ -135,21 +138,7 @@ class BinaryEncoder:
             low = split + 1
         else:
             high = split
-        w = self.out.write
-        while (low ^ high) & _TOP == 0:
-            b = low >> (_STATE_BITS - 1)
-            w(b)
-            nb = b ^ 1
-            for _ in range(self.pending):
-                w(nb)
-            self.pending = 0
-            low = (low << 1) & _MASK
-            high = ((high << 1) & _MASK) | 1
-        while low & ~high & _SECOND:
-            self.pending += 1
-            low = (low << 1) & (_MASK >> 1)
-            high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
-        self.low, self.high = low, high
+        self._renorm(low, high)
 
     def finish(self):
         self.out.write(1)

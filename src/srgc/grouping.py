@@ -45,14 +45,6 @@ class PairWeights:
             i, j = j, i
         return i * self.m - i * (i + 1) // 2 + (j - i - 1)
 
-    def __getitem__(self, pair):
-        return float(self.condensed[self.index(*pair)])
-
-    def pairs(self):
-        for i in range(self.m):
-            for j in range(i + 1, self.m):
-                yield (i, j), float(self.condensed[self.index(i, j)])
-
 
 @dataclass
 class SuperRayGroup:
@@ -73,7 +65,7 @@ class GroupSet:
 
 def pairwise_mse(coeff_vectors) -> PairWeights:
     """MSE between every pair of equal-length coefficient vectors."""
-    arrays = [np.asarray(getattr(c, "coeffs", c), dtype=np.float64) for c in coeff_vectors]
+    arrays = [np.asarray(c, dtype=np.float64) for c in coeff_vectors]
     m = len(arrays)
     if m == 0:
         return PairWeights(m=0, condensed=np.zeros(0))
@@ -172,7 +164,7 @@ def predict_and_residual(main_basis, member_coeffs, member_signal, sample_max):
 
     predicted = clamp(round(U_main @ coeffs)); residual = signal - predicted.
     """
-    coeffs = np.asarray(getattr(member_coeffs, "coeffs", member_coeffs), dtype=np.float64)
+    coeffs = np.asarray(member_coeffs, dtype=np.float64)
     signal = np.asarray(member_signal)
     n = main_basis.vectors.shape[0]
     if coeffs.shape != (n,) or signal.shape != (n,):

@@ -221,6 +221,20 @@ def median_disparity(region, dmap):
     return lower_median(vals)
 
 
+def label_disparities(seg, dmap):
+    """Each label's median reference-view disparity, quantized to 1/8 px
+    (the transmission precision); a label absent from the reference view
+    is an orphan."""
+    ref = seg.reference
+    disparities = {}
+    for l in range(seg.label_count):
+        region = np.argwhere(ref == l)
+        if region.shape[0] == 0:
+            raise OrphanLabelError(f"orphan label {l}: absent from reference view")
+        disparities[l] = quantize_eighth(median_disparity(region, dmap))
+    return disparities
+
+
 def label_shift(disparity, s, t):
     """Integer (dy, dx) shift of a label's pixels in view (s, t)."""
     return round_half_away(disparity * s), round_half_away(disparity * t)
@@ -260,41 +274,41 @@ def project_labels(ref_map, disparities, angular_dims):
                 ty, tx = ys - dy, xs - dx
                 ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
                 view[ty[ok], tx[ok]] = l
-            _fill_holes(view, ref)
+            fill_holes(view, ref)
             out.append(view)
     return SegmentationMap(labels=out, label_count=count)
 
 
-def _fill_holes(view, fallback):
-    """In-place majority-of-4-neighbors fill of -1 entries, one synchronous
-    round at a time; stalls (fully unlabeled view) fall back to `fallback`."""
-    if not (view == -1).any():
-        return
-    if (view == -1).all():
-        view[:] = fallback
-        return
-    h, w = view.shape
+def fill_holes(grid, fallback):
+    """In-place majority fill of the -1 cells of a label grid.
+
+    Each synchronous round gives every hole the most frequent label among
+    its labeled (>= 0) 4-neighbors, ties to the smallest label.  Cells
+    below -1 are outside the region: never filled, never counted.  When a
+    round assigns nothing, the remaining holes take ``fallback`` (a scalar
+    or a grid-shaped array).
+    """
+    h, w = grid.shape
     while True:
-        holes = np.argwhere(view == -1)
+        holes = np.argwhere(grid == -1)
         if holes.size == 0:
             return
         assignments = []
         for y, x in holes:
             counts = {}
             for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                if 0 <= ny < h and 0 <= nx < w and view[ny, nx] >= 0:
-                    lbl = int(view[ny, nx])
+                if 0 <= ny < h and 0 <= nx < w and grid[ny, nx] >= 0:
+                    lbl = int(grid[ny, nx])
                     counts[lbl] = counts.get(lbl, 0) + 1
             if counts:
                 best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
                 assignments.append((y, x, best))
         if not assignments:
-            # unreachable enclave: copy from the reference map
-            mask = view == -1
-            view[mask] = fallback[mask]
+            mask = grid == -1
+            grid[mask] = np.broadcast_to(fallback, grid.shape)[mask]
             return
         for y, x, lbl in assignments:
-            view[y, x] = lbl
+            grid[y, x] = lbl
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +335,5 @@ def assemble_super_rays(seg, disparities):
 
 
 def build_super_rays(seg, dmap):
-    """One SuperRay per label with the median reference disparity
-    (quantized to 1/8 px, the transmission precision)."""
-    count = seg.label_count
-    ref = seg.reference
-    disparities = {}
-    for l in range(count):
-        region = np.argwhere(ref == l)
-        if region.shape[0] == 0:
-            raise OrphanLabelError(f"orphan label {l}: absent from reference view")
-        disparities[l] = quantize_eighth(median_disparity(region, dmap))
-    return assemble_super_rays(seg, disparities)
+    """One SuperRay per label with its :func:`label_disparities` value."""
+    return assemble_super_rays(seg, label_disparities(seg, dmap))

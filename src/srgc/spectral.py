@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError
-from .segmentation import SuperRay, label_shift
+from .segmentation import SuperRay, fill_holes, label_shift
 
 _EIG_RECON_TOL = 1e-8
 _EIG_ORTHO_TOL = 1e-8
@@ -37,7 +37,7 @@ _EIG_CLUSTER_TOL = 1e-9
 
 @dataclass
 class LocalGraph:
-    """Undirected unweighted graph with a per-vertex signal.
+    """Undirected unweighted graph.
 
     ``edges`` is an (E, 2) int array with i < j per row, lexicographically
     sorted and duplicate-free.  ``vertices`` carries (view, y, x) per vertex
@@ -46,7 +46,6 @@ class LocalGraph:
 
     n: int
     edges: np.ndarray
-    signal: np.ndarray
     vertices: np.ndarray = None
 
     def adjacency(self):
@@ -104,7 +103,7 @@ def _canonical_edges(pairs):
 
 
 def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
-    """Assemble a super-ray's local graph topology (zero signal).
+    """Assemble a super-ray's local graph topology.
 
     Spatial edges: 4-neighbor pairs inside each per-view pixel set.
     Angular edges: reference pixel -> its disparity-projected pixel in each
@@ -144,19 +143,7 @@ def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
                 pairs.append((i, j))
 
     vertices = np.array(vertex_rows, dtype=np.int64).reshape(-1, 3)
-    return LocalGraph(
-        n=len(vertex_rows),
-        edges=_canonical_edges(pairs),
-        signal=np.zeros(len(vertex_rows), dtype=np.float64),
-        vertices=vertices,
-    )
-
-
-def build_local_graph(sr: SuperRay, lf) -> LocalGraph:
-    """Local graph of a super-ray with the light field's luma as signal."""
-    g = graph_structure(sr, lf.angular_dims)
-    g.signal = graph_signal(g, lf.luma_planes())
-    return g
+    return LocalGraph(n=len(vertex_rows), edges=_canonical_edges(pairs), vertices=vertices)
 
 
 def graph_signal(graph, planes):
@@ -261,8 +248,7 @@ def coarsen(g: LocalGraph, n_target: int):
     """Reduce ``g`` to exactly min(n_target, n) supernodes.
 
     Returns (coarse LocalGraph, CoarseningMap).  Coarse adjacency has an
-    edge between supernodes iff any fine edge crosses them; the coarse
-    signal is the arithmetic mean of member fine signals.
+    edge between supernodes iff any fine edge crosses them.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
@@ -324,11 +310,7 @@ def coarsen(g: LocalGraph, n_target: int):
     for p, mem in enumerate(members):
         for i in mem:
             fine_to_coarse[i] = p
-    coarse_signal = np.array(
-        [g.signal[mem].mean() for mem in members], dtype=np.float64
-    )
-    coarse_edges = _canonical_edges(list(weights.keys()))
-    coarse = LocalGraph(n=k, edges=coarse_edges, signal=coarse_signal, vertices=None)
+    coarse = LocalGraph(n=k, edges=_canonical_edges(list(weights.keys())))
     cmap = CoarseningMap(
         supernodes=[np.array(m, dtype=np.int64) for m in members],
         fine_to_coarse=fine_to_coarse,
@@ -337,7 +319,7 @@ def coarsen(g: LocalGraph, n_target: int):
 
 
 def coarse_mean_signal(cmap: CoarseningMap, fine_signal):
-    """Per-supernode mean of a fine signal (for channels beyond luma)."""
+    """Per-supernode mean of a fine signal: the coarse graph's signal."""
     f = np.asarray(fine_signal, dtype=np.float64)
     return np.array([f[mem].mean() for mem in cmap.supernodes])
 
@@ -382,59 +364,37 @@ def _split_reference(ref):
 
 def _reproject_children(sr, child_refs, t_count):
     """Distribute the parent's per-view pixels among child reference
-    regions: same-shift scatter (conflict-free), then majority hole fill
-    among children, stalled holes to child 0."""
+    regions: same-shift scatter (conflict-free), then :func:`fill_holes`
+    among children on a grid over the parent's bounding box (-1 a hole,
+    -2 outside the parent), stalled holes to child 0."""
     n_views = len(sr.per_view_pixels)
     children = [[None] * n_views for _ in child_refs]
-    for v in range(n_views):
+    for c, ref in enumerate(child_refs):
+        children[c][0] = ref
+    for v in range(1, n_views):
         parent = sr.per_view_pixels[v]
-        if v == 0:
-            for c, ref in enumerate(child_refs):
-                children[c][0] = ref
-            continue
         if parent.shape[0] == 0:
             for c in range(len(child_refs)):
                 children[c][v] = np.zeros((0, 2), dtype=np.int64)
             continue
+        origin = parent.min(axis=0)
+        grid = np.full(parent.max(axis=0) - origin + 1, -2, dtype=np.int64)
+        grid[parent[:, 0] - origin[0], parent[:, 1] - origin[1]] = -1
         s, t = divmod(v, t_count)
-        dy, dx = label_shift(sr.disparity, s, t)
-        owner = {(int(y), int(x)): -1 for y, x in parent}
+        shift = np.array(label_shift(sr.disparity, s, t)) + origin
         for c, ref in enumerate(child_refs):
-            for y, x in ref:
-                key = (int(y) - dy, int(x) - dx)
-                if key in owner:
-                    owner[key] = c
-        _fill_part_holes(owner)
+            ty, tx = (ref - shift).T
+            ok = (ty >= 0) & (ty < grid.shape[0]) & (tx >= 0) & (tx < grid.shape[1])
+            ty, tx = ty[ok], tx[ok]
+            inside = grid[ty, tx] != -2
+            grid[ty[inside], tx[inside]] = c
+        fill_holes(grid, 0)
         for c in range(len(child_refs)):
-            pix = sorted(k for k, o in owner.items() if o == c)
-            children[c][v] = np.array(pix, dtype=np.int64).reshape(-1, 2)
+            children[c][v] = np.argwhere(grid == c) + origin
     return [
         SuperRay(label=sr.label, per_view_pixels=pv, disparity=sr.disparity)
         for pv in children
     ]
-
-
-def _fill_part_holes(owner):
-    while True:
-        holes = [k for k, o in sorted(owner.items()) if o < 0]
-        if not holes:
-            return
-        assignments = []
-        for y, x in holes:
-            counts = {}
-            for nb in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                o = owner.get(nb, -1)
-                if o >= 0:
-                    counts[o] = counts.get(o, 0) + 1
-            if counts:
-                best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-                assignments.append(((y, x), best))
-        if not assignments:
-            for k in holes:
-                owner[k] = 0
-            return
-        for k, c in assignments:
-            owner[k] = c
 
 
 def _partition_recurse(sr, t_count, tree, parts, should_split, warned):
@@ -490,27 +450,3 @@ def partition_with_tree(sr: SuperRay, tree, angular_dims) -> list:
     if pos[0] != len(tree):
         raise ValueError("split tree has trailing bits")
     return parts
-
-
-def connected_components(n, edges):
-    """Flood-fill component labels (0-based, by smallest vertex); used as
-    the reference count for zero-eigenvalue multiplicity checks."""
-    adj = [[] for _ in range(n)]
-    for a, b in edges:
-        adj[int(a)].append(int(b))
-        adj[int(b)].append(int(a))
-    comp = np.full(n, -1, dtype=np.int64)
-    cid = 0
-    for start in range(n):
-        if comp[start] >= 0:
-            continue
-        stack = [start]
-        comp[start] = cid
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if comp[u] < 0:
-                    comp[u] = cid
-                    stack.append(u)
-        cid += 1
-    return comp, cid

@@ -13,29 +13,23 @@ from .util import round_half_away
 
 
 @dataclass
-class CoefficientVector:
-    coeffs: np.ndarray
-    basis_dim: int
-
-
-@dataclass
 class QuantizedVector:
     levels: np.ndarray
     step: float
 
 
-def gft(basis, f) -> CoefficientVector:
+def gft(basis, f) -> np.ndarray:
     """Forward transform: project a graph signal onto the eigenbasis."""
     f = np.asarray(f, dtype=np.float64)
     n = basis.vectors.shape[0]
     if f.shape != (n,):
         raise ValueError(f"signal length {f.shape} does not match basis dim {n}")
-    return CoefficientVector(coeffs=basis.vectors.T @ f, basis_dim=n)
+    return basis.vectors.T @ f
 
 
-def igft(basis, c: CoefficientVector) -> np.ndarray:
+def igft(basis, coeffs) -> np.ndarray:
     """Inverse transform: synthesize a signal from coefficients."""
-    coeffs = np.asarray(c.coeffs, dtype=np.float64)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
     n = basis.vectors.shape[0]
     if coeffs.shape != (n,):
         raise ValueError(f"coefficient length {coeffs.shape} does not match basis dim {n}")
@@ -73,5 +67,4 @@ def dequantize(qv: QuantizedVector) -> np.ndarray:
 
 def predict_signal(basis, coeffs, sample_max):
     """Round-and-clamp inverse transform used on both codec sides."""
-    raw = basis.vectors @ np.asarray(coeffs, dtype=np.float64)
-    return np.clip(round_half_away(raw), 0, sample_max).astype(np.int64)
+    return np.clip(round_half_away(igft(basis, coeffs)), 0, sample_max).astype(np.int64)

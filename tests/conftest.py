@@ -49,6 +49,30 @@ def four_patch_scene(size=64, views=3, patch=16, seed=11):
     return synthesize_light_field(spec)
 
 
+def connected_components(n, edges):
+    """Oracle: flood-fill component labels (0-based, by smallest vertex),
+    the reference count for zero-eigenvalue multiplicity checks."""
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[int(a)].append(int(b))
+        adj[int(b)].append(int(a))
+    comp = np.full(n, -1, dtype=np.int64)
+    cid = 0
+    for start in range(n):
+        if comp[start] >= 0:
+            continue
+        stack = [start]
+        comp[start] = cid
+        while stack:
+            v = stack.pop()
+            for u in adj[v]:
+                if comp[u] < 0:
+                    comp[u] = cid
+                    stack.append(u)
+        cid += 1
+    return comp, cid
+
+
 @pytest.fixture
 def flat_dmap():
     def _make(w, h, value=0.0):

@@ -1,10 +1,16 @@
 """CLI contract: subcommands, exit codes, reports, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from srgc.bitstream import Bitstream, serialize
 from srgc.cli import main
-from srgc.lightfield import lf_equal, load_light_field
+from srgc.codec import CodecConfig, encode
+from srgc.lightfield import DisparityMap, lf_equal, load_light_field
+
+from conftest import random_lf
 
 SCENE = """
 angular 3 3
@@ -61,6 +67,16 @@ class TestPipeline:
         )
         assert code == 2
         assert capsys.readouterr().err.strip()
+
+    def test_zero_view_grid_stream_exit_2(self, tmp_path, capsys):
+        stream, _ = encode(random_lf(2, 2, 8, 8, seed=5),
+                           DisparityMap(values=np.zeros((8, 8))),
+                           CodecConfig(slic_k=4, n_target=8))
+        header = dataclasses.replace(stream.header, angular_dims=(0, 2))
+        path = tmp_path / "s0.srgc"
+        path.write_bytes(serialize(Bitstream(header=header, sections=stream.sections)))
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
     def test_unknown_flag_exit_1(self, capsys):
         assert main(["encode", "x", "--bogus"]) == 1

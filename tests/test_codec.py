@@ -1,12 +1,17 @@
 """End-to-end codec behavior: exactness, counts, determinism, robustness."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
 
+import srgc.codec as codec
 from srgc.bitstream import (
+    MAGIC,
     SEC_RESIDUALS,
+    SECTION_NAMES,
+    VERSION,
     Bitstream,
     deserialize,
     pack_section,
@@ -293,3 +298,69 @@ class TestCorruptPayloads:
         bad_header = dataclasses.replace(stream.header, label_count=stream.header.label_count + 3)
         with pytest.raises(CorruptStreamError):
             decode(Bitstream(header=bad_header, sections=stream.sections))
+
+
+@pytest.fixture(scope="module")
+def grouped_stream():
+    lf, dmap = small_scene()
+    stream, report = encode(lf, dmap, CFG)
+    assert report.group_count > 0
+    return stream
+
+
+def _container(header, table):
+    """Serialize a section table as given: ids in any order, repeats kept."""
+    out = bytearray(MAGIC) + bytes([VERSION]) + header.pack() + bytes([len(table)])
+    for sid, payload in table:
+        out += struct.pack("<BQ", sid, len(payload))
+    for _, payload in table:
+        out += payload
+    return bytes(out)
+
+
+class TestStreamValidation:
+    @pytest.mark.parametrize("change", [
+        {"angular_dims": (0, 3)}, {"angular_dims": (3, 0)},
+        {"spatial_dims": (0, 32)}, {"spatial_dims": (32, 0)},
+        {"bit_depth": 0}, {"bit_depth": 12}, {"bit_depth": 32},
+        {"channels": 0}, {"channels": 2}, {"channels": 4},
+        {"n_target": 0},
+        {"q_gft": 0.0}, {"q_gft": -1.0}, {"q_gft": float("nan")},
+        {"q_dct": 0.0}, {"q_dct": float("inf")},
+        {"bin_width": -5.0}, {"bin_width": float("nan")},
+    ])
+    def test_header_out_of_range_rejected(self, grouped_stream, change):
+        header = dataclasses.replace(grouped_stream.header, **change)
+        with pytest.raises(SrgcError):
+            deserialize(serialize(Bitstream(header=header, sections=grouped_stream.sections)))
+
+    def test_section_table_rejections(self, grouped_stream):
+        header, sections = grouped_stream.header, grouped_stream.sections
+        table = sorted(sections.items())
+        data = _container(header, table)
+        assert data == serialize(grouped_stream)
+        assert deserialize(data).sections == sections
+        for bad in (
+            _container(header, table + [table[0]]),          # repeated id
+            _container(header, table + [(7, b"\0\0\0\0")]),  # unknown id
+            data + b"\0",                                    # trailing byte
+        ):
+            with pytest.raises(SrgcError):
+                deserialize(bad)
+
+    @pytest.mark.parametrize("sid", sorted(SECTION_NAMES))
+    @pytest.mark.parametrize("lie", [300_000, 2**32 - 1])
+    def test_lying_symbol_count_is_never_decoded(self, grouped_stream, monkeypatch, sid, lie):
+        seen = []
+        real = codec.entropy_decode
+
+        def spy(data, count, category):
+            seen.append(count)
+            return real(data, count, category)
+
+        monkeypatch.setattr(codec, "entropy_decode", spy)
+        sections = dict(grouped_stream.sections)
+        sections[sid] = pack_section(lie, sections[sid][4:])
+        with pytest.raises(CorruptStreamError):
+            decode(Bitstream(header=grouped_stream.header, sections=sections))
+        assert lie not in seen

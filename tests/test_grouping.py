@@ -38,13 +38,15 @@ class TestPairwiseMse:
     def test_values(self):
         vecs = [np.array([0.0, 0.0]), np.array([2.0, 4.0])]
         pw = pairwise_mse(vecs)
-        assert pw[(0, 1)] == pytest.approx((4.0 + 16.0) / 2)
-        assert pw[(1, 0)] == pw[(0, 1)]
+        assert pw.condensed[pw.index(0, 1)] == pytest.approx((4.0 + 16.0) / 2)
+        assert pw.index(1, 0) == pw.index(0, 1)
 
     def test_identical_vectors_zero(self):
         v = np.array([1.0, 2.0, 3.0])
         pw = pairwise_mse([v, v.copy(), v.copy()])
-        assert all(w == 0.0 for _, w in pw.pairs())
+        assert all(
+            pw.condensed[pw.index(i, j)] == 0.0 for i in range(3) for j in range(i + 1, 3)
+        )
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -156,9 +158,7 @@ class TestPredictAndResidual:
             {(int(a), int(b)) for a, b in rng.integers(0, n, size=(3 * n, 2)) if a != b}
         )
         edges = [(min(a, b), max(a, b)) for a, b in edges]
-        g = LocalGraph(
-            n=n, edges=np.array(sorted(set(edges)), dtype=np.int64), signal=np.zeros(n)
-        )
+        g = LocalGraph(n=n, edges=np.array(sorted(set(edges)), dtype=np.int64))
         return eigendecompose(laplacian(g))
 
     def test_self_prediction_zero_residual(self):

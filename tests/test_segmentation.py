@@ -8,6 +8,8 @@ from srgc.lightfield import DisparityMap, Patch, SceneSpec, synthesize_light_fie
 from srgc.segmentation import (
     SegmentationMap,
     build_super_rays,
+    fill_holes,
+    label_disparities,
     median_disparity,
     project_labels,
     slic_segment,
@@ -171,6 +173,20 @@ class TestProjection:
         for va, vb in zip(a.labels, b.labels):
             assert np.array_equal(va, vb)
 
+    def test_fill_skips_cells_outside_the_region(self):
+        # -2 cells are neither filled nor counted as neighbors
+        grid = np.array([[0, -1, -2], [-2, -1, 1], [-2, -2, -1]])
+        fill_holes(grid, 9)
+        assert grid.tolist() == [[0, 0, -2], [-2, 1, 1], [-2, -2, 1]]
+
+    def test_fill_stall_takes_fallback(self):
+        grid = np.array([[-1, -2, 3]])
+        fill_holes(grid, 7)
+        assert grid.tolist() == [[7, -2, 3]]
+        view = np.full((2, 2), -1)
+        fill_holes(view, np.arange(4).reshape(2, 2))
+        assert view.tolist() == [[0, 1], [2, 3]]
+
     def test_missing_disparity_rejected(self):
         seg = SegmentationMap(labels=[np.zeros((4, 4), dtype=np.int64)], label_count=1)
         with pytest.raises(ValueError):
@@ -226,6 +242,8 @@ class TestSuperRays:
         seg = SegmentationMap(labels=[ref], label_count=2)  # label 1 nowhere
         with pytest.raises(OrphanLabelError):
             build_super_rays(seg, flat_dmap(4, 4))
+        with pytest.raises(OrphanLabelError):
+            label_disparities(seg, flat_dmap(4, 4))
 
     def test_disparity_is_quantized_median(self, flat_dmap):
         ref = np.zeros((2, 2), dtype=np.int64)
@@ -234,3 +252,4 @@ class TestSuperRays:
         rays = build_super_rays(seg, dmap)
         # lower median of {0.3,0.3,0.9,0.9} = 0.3, eighth-quantized
         assert rays[0].disparity == pytest.approx(0.25)
+        assert label_disparities(seg, dmap) == {0: 0.25}

@@ -4,14 +4,16 @@ import numpy as np
 import pytest
 
 from srgc.errors import DecompositionError
-from srgc.segmentation import SuperRay
+from srgc.segmentation import SuperRay, label_shift
 from srgc.spectral import (
     CoarseningMap,
+    _reproject_children,
+    _split_reference,
     LocalGraph,
-    build_local_graph,
+    coarse_mean_signal,
     coarsen,
-    connected_components,
     eigendecompose,
+    graph_signal,
     graph_structure,
     laplacian,
     partition_super_ray,
@@ -19,7 +21,7 @@ from srgc.spectral import (
     uncoarsen_signal,
 )
 
-from conftest import make_lf
+from conftest import connected_components, make_lf
 
 
 def enumerate_edges_oracle(per_view_pixels, disparity, angular_dims):
@@ -49,10 +51,9 @@ def enumerate_edges_oracle(per_view_pixels, disparity, angular_dims):
     return edges
 
 
-def path_graph(n, signal=None):
+def path_graph(n):
     edges = np.array([[i, i + 1] for i in range(n - 1)], dtype=np.int64)
-    sig = np.zeros(n) if signal is None else np.asarray(signal, dtype=np.float64)
-    return LocalGraph(n=n, edges=edges.reshape(-1, 2), signal=sig)
+    return LocalGraph(n=n, edges=edges.reshape(-1, 2))
 
 
 def random_connected_graph(rng, n):
@@ -65,31 +66,28 @@ def random_connected_graph(rng, n):
         if a != b:
             edges.add((min(int(a), int(b)), max(int(a), int(b))))
     e = np.array(sorted(edges), dtype=np.int64)
-    return LocalGraph(n=n, edges=e, signal=rng.normal(size=n))
+    return LocalGraph(n=n, edges=e)
 
 
 class TestLocalGraph:
     def test_two_views_2x2_edge_count(self):
         pix = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
         sr = SuperRay(label=0, per_view_pixels=[pix, pix], disparity=0.0)
-        lf = make_lf([np.zeros((2, 2)), np.zeros((2, 2))], (1, 2))
-        g = build_local_graph(sr, lf)
+        g = graph_structure(sr, (1, 2))
         assert g.n == 8
         assert g.edges.shape[0] == 2 * 4 + 4  # spatial per view + angular
 
     def test_single_pixel_no_edges(self):
         pix = np.array([[0, 0]], dtype=np.int64)
         sr = SuperRay(label=0, per_view_pixels=[pix], disparity=0.0)
-        lf = make_lf([np.zeros((1, 1))], (1, 1))
-        g = build_local_graph(sr, lf)
+        g = graph_structure(sr, (1, 1))
         assert g.n == 1 and g.edges.shape[0] == 0
 
     def test_strip_matches_enumeration_oracle(self):
         pix = np.array([[0, 0], [0, 1], [0, 2]], dtype=np.int64)
         per_view = [pix, pix, pix]
         sr = SuperRay(label=0, per_view_pixels=per_view, disparity=0.0)
-        lf = make_lf([np.zeros((1, 3))] * 3, (1, 3))
-        g = build_local_graph(sr, lf)
+        g = graph_structure(sr, (1, 3))
         assert g.n == 9
         oracle = enumerate_edges_oracle(per_view, 0.0, (1, 3))
         assert len(oracle) == 12  # 3*2 spatial + 3*2 angular
@@ -113,8 +111,8 @@ class TestLocalGraph:
         lf = make_lf(
             [np.array([[10, 20]]), np.array([[30, 40]])], (1, 2)
         )
-        g = build_local_graph(sr, lf)
-        assert g.signal.tolist() == [10.0, 20.0, 30.0, 40.0]
+        g = graph_structure(sr, lf.angular_dims)
+        assert graph_signal(g, lf.luma_planes()).tolist() == [10.0, 20.0, 30.0, 40.0]
 
 
 class TestLaplacian:
@@ -123,12 +121,12 @@ class TestLaplacian:
         assert np.array_equal(l, np.array([[1.0, -1.0], [-1.0, 1.0]]))
 
     def test_edgeless(self):
-        g = LocalGraph(n=3, edges=np.zeros((0, 2), dtype=np.int64), signal=np.zeros(3))
+        g = LocalGraph(n=3, edges=np.zeros((0, 2), dtype=np.int64))
         assert np.array_equal(laplacian(g).matrix, np.zeros((3, 3)))
 
     def test_four_cycle(self):
         edges = np.array([[0, 1], [0, 3], [1, 2], [2, 3]], dtype=np.int64)
-        g = LocalGraph(n=4, edges=edges, signal=np.zeros(4))
+        g = LocalGraph(n=4, edges=edges)
         l = laplacian(g).matrix
         assert np.array_equal(np.diag(l), np.full(4, 2.0))
         assert l.sum(axis=1).tolist() == [0.0] * 4
@@ -175,11 +173,7 @@ class TestEigendecompose:
             edges = sorted(
                 (i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]
             )
-            g = LocalGraph(
-                n=n,
-                edges=np.array(edges, dtype=np.int64).reshape(-1, 2),
-                signal=np.zeros(n),
-            )
+            g = LocalGraph(n=n, edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
             _, n_comp = connected_components(n, g.edges)
             basis = eigendecompose(laplacian(g))
             assert int((np.abs(basis.eigenvalues) < 1e-7).sum()) == n_comp
@@ -187,7 +181,7 @@ class TestEigendecompose:
     def test_disconnected_zero_basis_is_component_indicators(self):
         # two components {0,1,2} path and {3,4} edge
         edges = np.array([[0, 1], [1, 2], [3, 4]], dtype=np.int64)
-        g = LocalGraph(n=5, edges=edges, signal=np.zeros(5))
+        g = LocalGraph(n=5, edges=edges)
         basis = eigendecompose(laplacian(g))
         v0, v1 = basis.vectors[:, 0], basis.vectors[:, 1]
         assert v0 == pytest.approx([1 / np.sqrt(3)] * 3 + [0, 0], abs=1e-9)
@@ -202,46 +196,41 @@ class TestEigendecompose:
 
 class TestCoarsen:
     def test_identity_when_target_large(self):
-        g = path_graph(4, [1, 2, 3, 4])
-        coarse, cmap = coarsen(g, 10)
+        coarse, cmap = coarsen(path_graph(4), 10)
         assert coarse.n == 4
         assert [m.tolist() for m in cmap.supernodes] == [[0], [1], [2], [3]]
 
     def test_four_cycle_constant(self):
         edges = np.array([[0, 1], [0, 3], [1, 2], [2, 3]], dtype=np.int64)
-        g = LocalGraph(n=4, edges=edges, signal=np.full(4, 7.0))
-        coarse, cmap = coarsen(g, 2)
+        coarse, cmap = coarsen(LocalGraph(n=4, edges=edges), 2)
         assert coarse.n == 2
-        assert coarse.signal.tolist() == [7.0, 7.0]
+        assert coarse_mean_signal(cmap, np.full(4, 7.0)).tolist() == [7.0, 7.0]
 
     def test_six_path_heavy_edge_matching(self):
         """Frozen expected value from the tie-break rule: greedy index-order
         matching on unit weights pairs (0,1), (2,3), (4,5)."""
-        g = path_graph(6, [0, 0, 2, 2, 4, 4])
-        coarse, cmap = coarsen(g, 3)
+        coarse, cmap = coarsen(path_graph(6), 3)
         assert [m.tolist() for m in cmap.supernodes] == [[0, 1], [2, 3], [4, 5]]
-        assert coarse.signal.tolist() == [0.0, 2.0, 4.0]
+        assert coarse_mean_signal(cmap, [0, 0, 2, 2, 4, 4]).tolist() == [0.0, 2.0, 4.0]
         # chain 0-1-2 on the coarse graph
         assert coarse.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_exact_target_reached_on_disconnected(self):
         # 3 isolated vertices + an edge: forced smallest-component merges
         edges = np.array([[0, 1]], dtype=np.int64)
-        g = LocalGraph(n=5, edges=edges, signal=np.arange(5, dtype=np.float64))
-        coarse, cmap = coarsen(g, 2)
+        coarse, cmap = coarsen(LocalGraph(n=5, edges=edges), 2)
         assert coarse.n == 2
         assert sorted(len(m) for m in cmap.supernodes) == [2, 3]
 
     def test_signal_mass_conserved_for_equal_supernodes(self):
-        g = path_graph(6, [1, 3, 5, 7, 9, 11])
-        coarse, cmap = coarsen(g, 3)
+        f = np.array([1.0, 3.0, 5.0, 7.0, 9.0, 11.0])
+        _, cmap = coarsen(path_graph(6), 3)
         sizes = np.array([len(m) for m in cmap.supernodes])
-        assert float((coarse.signal * sizes).sum()) == float(g.signal.sum())
+        assert float((coarse_mean_signal(cmap, f) * sizes).sum()) == float(f.sum())
 
     def test_uncoarsen_roundtrips(self):
-        g = path_graph(6, [0, 0, 2, 2, 4, 4])
-        coarse, cmap = coarsen(g, 3)
-        lifted = uncoarsen_signal(coarse.signal, cmap)
+        _, cmap = coarsen(path_graph(6), 3)
+        lifted = uncoarsen_signal(coarse_mean_signal(cmap, [0, 0, 2, 2, 4, 4]), cmap)
         assert lifted.tolist() == [0.0, 0.0, 2.0, 2.0, 4.0, 4.0]
 
     def test_uncoarsen_identity_map(self):
@@ -253,9 +242,9 @@ class TestCoarsen:
         assert np.array_equal(uncoarsen_signal(f, cmap), f)
 
     def test_uncoarsen_constant_invariance(self):
-        g = path_graph(8, np.full(8, 3.0))
-        coarse, cmap = coarsen(g, 3)
-        assert np.array_equal(uncoarsen_signal(coarse.signal, cmap), g.signal)
+        f = np.full(8, 3.0)
+        _, cmap = coarsen(path_graph(8), 3)
+        assert np.array_equal(uncoarsen_signal(coarse_mean_signal(cmap, f), cmap), f)
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
@@ -328,3 +317,74 @@ class TestPartition:
         assert not res.warned
         for p in res.parts:
             assert p.total_pixels <= 100
+
+
+def _reproject_children_oracle(sr, child_refs, t_count):
+    """Reference: the dict-based reprojection the grid version replaced.
+    Returns (children's per-view pixel lists, hole seen, stall seen)."""
+    n_views = len(sr.per_view_pixels)
+    children = [[ref] + [None] * (n_views - 1) for ref in child_refs]
+    saw_hole = saw_stall = False
+    for v in range(1, n_views):
+        s, t = divmod(v, t_count)
+        dy, dx = label_shift(sr.disparity, s, t)
+        owner = {(int(y), int(x)): -1 for y, x in sr.per_view_pixels[v]}
+        for c, ref in enumerate(child_refs):
+            for y, x in ref:
+                key = (int(y) - dy, int(x) - dx)
+                if key in owner:
+                    owner[key] = c
+        while True:
+            holes = [k for k, o in sorted(owner.items()) if o < 0]
+            if not holes:
+                break
+            saw_hole = True
+            assignments = []
+            for y, x in holes:
+                counts = {}
+                for nb in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                    o = owner.get(nb, -1)
+                    if o >= 0:
+                        counts[o] = counts.get(o, 0) + 1
+                if counts:
+                    best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+                    assignments.append(((y, x), best))
+            if not assignments:
+                saw_stall = True
+                for k in holes:
+                    owner[k] = 0
+                break
+            for k, c in assignments:
+                owner[k] = c
+        for c in range(len(child_refs)):
+            pix = sorted(k for k, o in owner.items() if o == c)
+            children[c][v] = np.array(pix, dtype=np.int64).reshape(-1, 2)
+    return children, saw_hole, saw_stall
+
+
+class TestReprojection:
+    def test_grid_fill_matches_dict_oracle(self):
+        # independent random masks per view leave holes the projection
+        # cannot reach, and isolated ones that stall
+        rng = np.random.default_rng(12)
+        holes = stalls = 0
+        for case in range(60):
+            angular = (2, 3) if case % 2 else (3, 3)
+            n_views = angular[0] * angular[1]
+            disparity = (0.5, 1.0, 1.5)[case % 3]
+            per_view = []
+            for v in range(n_views):
+                mask = rng.random((9, 11)) < (0.8 if v == 0 else 0.6)
+                per_view.append(np.argwhere(mask).astype(np.int64))
+            sr = SuperRay(label=3, per_view_pixels=per_view, disparity=disparity)
+            split = _split_reference(per_view[0])
+            assert split is not None
+            want, hole, stall = _reproject_children_oracle(sr, split, angular[1])
+            got = _reproject_children(sr, split, angular[1])
+            holes += hole
+            stalls += stall
+            for child, pixels in zip(got, want):
+                assert child.label == 3 and child.disparity == disparity
+                for a, b in zip(child.per_view_pixels, pixels):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert holes > 0 and stalls > 0
