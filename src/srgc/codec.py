@@ -738,6 +738,7 @@ def _parse_explicit_groups(syms, groupable_count):
     count = syms[pos]
     pos += 1
     groups = []
+    seen = set()
     for _ in range(count):
         if pos + 2 > len(syms):
             raise CorruptStreamError("corrupt stream: explicit group header short")
@@ -749,6 +750,9 @@ def _parse_explicit_groups(syms, groupable_count):
             m < 0 or m >= groupable_count for m in members
         ) or main not in members:
             raise CorruptStreamError("corrupt stream: explicit group malformed")
+        if len(set(members)) != n or seen.intersection(members):
+            raise CorruptStreamError("corrupt stream: explicit group member repeated")
+        seen.update(members)
         groups.append(SuperRayGroup(members=members, main_index=main))
     if pos != len(syms):
         raise CorruptStreamError("corrupt stream: trailing group symbols")

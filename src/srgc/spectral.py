@@ -16,11 +16,18 @@ zero-eigenvalue basis the set of normalized component indicators.
 
 Coarsening reduces a graph to an exact target vertex count by repeated
 heavy-edge matching (unit weights initially, merged-edge multiplicity as
-weight, ties to the smallest vertex index pair); each round applies its
-matches in vertex-scan order, capped at the remaining budget, so the final
-round may merge as little as one pair.  Graphs whose components run out of
-edges fall back to merging the smallest supernodes, so the target count is
-always reached.
+weight).  Each round scans vertices in index order; an unmatched vertex
+takes its unmatched neighbor of largest weight, ties to the smallest
+neighbor index, and the scan stops once the remaining budget of pairs is
+matched, so the final round may merge as little as one pair.  Graphs whose
+components run out of edges fall back to merging the two smallest
+supernodes (ties to the smaller first member), so the target count is
+always reached.  Supernodes are always ordered by their smallest fine
+member.  The graph is held as int arrays throughout: weighted edge lists,
+a CSR adjacency rebuilt per round for the scan, and ``fine_to_coarse``,
+which each contraction composes with its old-to-new id map; only the
+matching scan itself is a Python loop, because its order defines the
+result.
 """
 
 from dataclasses import dataclass
@@ -95,13 +102,6 @@ class CoarseningMap:
         return len(self.supernodes)
 
 
-def _canonical_edges(pairs):
-    if not pairs:
-        return np.zeros((0, 2), dtype=np.int64)
-    e = np.array(sorted({(min(a, b), max(a, b)) for a, b in pairs}), dtype=np.int64)
-    return e
-
-
 def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
     """Assemble a super-ray's local graph topology.
 
@@ -110,40 +110,49 @@ def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
     other view, when that pixel belongs to this super-ray.  Depends only on
     pixel lists and the quantized disparity, so encoder and decoder build
     identical graphs from transmitted data.
+
+    All views are built in one pass: vertex ids are scattered into one
+    (views, H + 1, W + 1) index volume over the union bounding box of the
+    super-ray's pixels, whose padding row and column read -1.  Spatial
+    edges are one right and one down lookup in that volume; angular edges
+    are one (views - 1, n_ref) lookup at the per-view label shifts, -1
+    where the shifted pixel leaves the box.  One sort of the keys
+    min * n + max gives the canonical edge list.
     """
-    s_count, t_count = angular_dims
-    vertex_rows = []
-    index_maps = []
-    offset = 0
-    for v in range(s_count * t_count):
-        pix = sr.per_view_pixels[v]
-        index_maps.append(
-            {(int(y), int(x)): offset + i for i, (y, x) in enumerate(pix)}
-        )
-        for y, x in pix:
-            vertex_rows.append((v, int(y), int(x)))
-        offset += pix.shape[0]
+    _, t_count = angular_dims
+    counts = [p.shape[0] for p in sr.per_view_pixels]
+    n, n_views, n_ref = sum(counts), len(counts), counts[0]
+    view = np.repeat(np.arange(n_views), counts)
+    yx = np.concatenate(sr.per_view_pixels)
+    origin = yx.min(axis=0)
+    h, w = yx.max(axis=0) - origin + 1
+    y, x = (yx - origin).T
+    ids = np.arange(n)
+    index = np.full((n_views, h + 1, w + 1), -1, dtype=np.int64)
+    index[view, y, x] = ids
 
-    pairs = []
-    for v in range(s_count * t_count):
-        imap = index_maps[v]
-        for (y, x), i in imap.items():
-            for ny, nx in ((y, x + 1), (y + 1, x)):
-                j = imap.get((ny, nx))
-                if j is not None:
-                    pairs.append((i, j))
-    ref_map = index_maps[0]
-    for v in range(1, s_count * t_count):
-        s, t = divmod(v, t_count)
-        dy, dx = label_shift(sr.disparity, s, t)
-        imap = index_maps[v]
-        for (y, x), i in ref_map.items():
-            j = imap.get((y - dy, x - dx))
-            if j is not None:
-                pairs.append((i, j))
+    shifts = np.array(
+        [label_shift(sr.disparity, *divmod(v, t_count)) for v in range(1, n_views)],
+        dtype=np.int64,
+    ).reshape(-1, 2)
+    ty = y[:n_ref] - shifts[:, :1]
+    tx = x[:n_ref] - shifts[:, 1:]
+    inside = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
+    # targets outside the box read cell (0, 0) and are masked to -1
+    angular = np.where(
+        inside, index[np.arange(1, n_views)[:, None], ty * inside, tx * inside], -1
+    )
 
-    vertices = np.array(vertex_rows, dtype=np.int64).reshape(-1, 3)
-    return LocalGraph(n=len(vertex_rows), edges=_canonical_edges(pairs), vertices=vertices)
+    a = np.concatenate([ids, ids, np.broadcast_to(ids[:n_ref], angular.shape).ravel()])
+    b = np.concatenate([index[view, y, x + 1], index[view, y + 1, x], angular.ravel()])
+    linked = b >= 0
+    a, b = a[linked], b[linked]
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    return LocalGraph(
+        n=n,
+        edges=np.column_stack(np.divmod(keys, n)),
+        vertices=np.column_stack([view, yx]),
+    )
 
 
 def graph_signal(graph, planes):
@@ -244,78 +253,93 @@ def eigendecompose(l: Laplacian) -> EigenBasis:
 # Coarsening
 # ---------------------------------------------------------------------------
 
+def _merge_edges(a, b, w, old_to_new, k):
+    """Map weighted edges through ``old_to_new`` onto ``k`` vertices, drop
+    the ones that fall inside a supernode and sum parallel weights.
+    Returns (a, b, w) sorted by (a, b) with a < b."""
+    na, nb = old_to_new[a], old_to_new[b]
+    cross = na != nb
+    na, nb = na[cross], nb[cross]
+    keys, inverse = np.unique(
+        np.minimum(na, nb) * k + np.maximum(na, nb), return_inverse=True
+    )
+    w = np.bincount(inverse, weights=w[cross], minlength=keys.size).astype(np.int64)
+    a, b = np.divmod(keys, k)
+    return a, b, w
+
+
+def _heavy_edge_matching(a, b, w, k, budget):
+    """Greedy matching in vertex-scan order: each unmatched vertex takes
+    its unmatched neighbor of largest weight, ties to the smallest
+    neighbor index; stops after ``budget`` pairs.  Returns (roots, merged)
+    int arrays with roots < merged pairwise."""
+    src = np.concatenate([a, b])
+    dst = np.concatenate([b, a])
+    order = np.lexsort((dst, src))
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=k))]).tolist()
+    nbr = dst[order].tolist()
+    wt = np.concatenate([w, w])[order].tolist()
+    matched = [False] * k
+    roots, merged = [], []
+    for v in range(k):
+        if matched[v]:
+            continue
+        best_u, best_w = -1, -1
+        for i in range(ptr[v], ptr[v + 1]):
+            u = nbr[i]
+            if not matched[u] and wt[i] > best_w:
+                best_u, best_w = u, wt[i]
+        if best_u >= 0:
+            # best_u > v: a smaller unmatched neighbor would have taken v
+            matched[v] = matched[best_u] = True
+            roots.append(v)
+            merged.append(best_u)
+            if len(roots) == budget:
+                break
+    return np.array(roots, dtype=np.int64), np.array(merged, dtype=np.int64)
+
+
 def coarsen(g: LocalGraph, n_target: int):
     """Reduce ``g`` to exactly min(n_target, n) supernodes.
 
     Returns (coarse LocalGraph, CoarseningMap).  Coarse adjacency has an
     edge between supernodes iff any fine edge crosses them.
+
+    The graph lives in int arrays: weighted edges (a, b, w) with a < b and
+    ``fine_to_coarse``.  Each round builds a CSR adjacency (neighbors
+    ascending), runs the greedy heavy-edge scan over it and contracts in
+    numpy.  Supernodes stay ordered by their smallest fine member and each
+    pair's root is its smaller index, which keeps the smaller first member,
+    so the new ids are ``cumsum(keep) - 1`` and ``fine_to_coarse`` composes
+    with them.  The supernode lists come from one stable argsort of
+    ``fine_to_coarse`` at the end.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
-    n = g.n
-    members = [[i] for i in range(n)]
-    weights = {}
-    for a, b in g.edges:
-        weights[(int(a), int(b))] = weights.get((int(a), int(b)), 0) + 1
+    k = g.n
+    a, b = g.edges[:, 0], g.edges[:, 1]
+    w = np.ones(a.size, dtype=np.int64)
+    fine_to_coarse = np.arange(k)
 
-    k = n
     while k > n_target:
-        budget = k - n_target
-        adj = [dict() for _ in range(k)]
-        for (a, b), w in weights.items():
-            adj[a][b] = w
-            adj[b][a] = w
-        matched = [False] * k
-        pairs = []
-        for v in range(k):
-            if matched[v] or not adj[v]:
-                continue
-            best_u, best_w = -1, -1
-            for u in sorted(adj[v]):
-                if matched[u]:
-                    continue
-                if adj[v][u] > best_w:
-                    best_u, best_w = u, adj[v][u]
-            if best_u >= 0:
-                matched[v] = matched[best_u] = True
-                pairs.append((min(v, best_u), max(v, best_u)))
-                if len(pairs) == budget:
-                    break
-        if not pairs:
-            # edgeless residue: merge the two smallest supernodes
-            order = sorted(range(k), key=lambda s: (len(members[s]), members[s][0]))
-            pairs = [tuple(sorted(order[:2]))]
+        roots, merged = _heavy_edge_matching(a, b, w, k, k - n_target)
+        if not roots.size:
+            # edgeless residue: merge the two smallest supernodes; a stable
+            # sort sends size ties to the smaller index, i.e. first member
+            sizes = np.bincount(fine_to_coarse, minlength=k)
+            roots, merged = np.sort(np.argsort(sizes, kind="stable")[:2]).reshape(2, 1)
+        keep = np.ones(k, dtype=bool)
+        keep[merged] = False
+        old_to_new = np.cumsum(keep) - 1
+        old_to_new[merged] = old_to_new[roots]
+        k -= merged.size
+        fine_to_coarse = old_to_new[fine_to_coarse]
+        a, b, w = _merge_edges(a, b, w, old_to_new, k)
 
-        merge_into = {b: a for a, b in pairs}  # pairs are disjoint (matching)
-        root_of = [merge_into.get(i, i) for i in range(k)]
-        groups = {}
-        for old in range(k):
-            groups.setdefault(root_of[old], []).extend(members[old])
-        roots_sorted = sorted(groups, key=lambda r: min(groups[r]))
-        new_id_of_root = {root: i for i, root in enumerate(roots_sorted)}
-        old_to_new = {old: new_id_of_root[root_of[old]] for old in range(k)}
-        new_members = [sorted(groups[root]) for root in roots_sorted]
-        new_weights = {}
-        for (a, b), w in weights.items():
-            na, nb = old_to_new[a], old_to_new[b]
-            if na == nb:
-                continue
-            key = (min(na, nb), max(na, nb))
-            new_weights[key] = new_weights.get(key, 0) + w
-        members = new_members
-        weights = new_weights
-        k = len(members)
-
-    fine_to_coarse = np.zeros(n, dtype=np.int64)
-    for p, mem in enumerate(members):
-        for i in mem:
-            fine_to_coarse[i] = p
-    coarse = LocalGraph(n=k, edges=_canonical_edges(list(weights.keys())))
-    cmap = CoarseningMap(
-        supernodes=[np.array(m, dtype=np.int64) for m in members],
-        fine_to_coarse=fine_to_coarse,
-    )
-    return coarse, cmap
+    members = np.argsort(fine_to_coarse, kind="stable")
+    supernodes = np.split(members, np.cumsum(np.bincount(fine_to_coarse, minlength=k))[:-1])
+    coarse = LocalGraph(n=k, edges=np.column_stack([a, b]))
+    return coarse, CoarseningMap(supernodes=supernodes, fine_to_coarse=fine_to_coarse)
 
 
 def coarse_mean_signal(cmap: CoarseningMap, fine_signal):

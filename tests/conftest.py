@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from srgc.lightfield import DisparityMap, LightField, View, SceneSpec, Patch, synthesize_light_field
+from srgc.segmentation import label_shift
+from srgc.spectral import CoarseningMap, LocalGraph
 
 
 def make_lf(arrays, angular_dims, bit_depth=8):
@@ -71,6 +73,122 @@ def connected_components(n, edges):
                     stack.append(u)
         cid += 1
     return comp, cid
+
+
+def _canonical_edges(pairs):
+    if not pairs:
+        return np.zeros((0, 2), dtype=np.int64)
+    e = np.array(sorted({(min(a, b), max(a, b)) for a, b in pairs}), dtype=np.int64)
+    return e
+
+
+def graph_structure_oracle(sr, angular_dims):
+    """Oracle: the dict-keyed, view-by-view graph builder that
+    ``spectral.graph_structure`` replaced; identical output required."""
+    s_count, t_count = angular_dims
+    vertex_rows = []
+    index_maps = []
+    offset = 0
+    for v in range(s_count * t_count):
+        pix = sr.per_view_pixels[v]
+        index_maps.append(
+            {(int(y), int(x)): offset + i for i, (y, x) in enumerate(pix)}
+        )
+        for y, x in pix:
+            vertex_rows.append((v, int(y), int(x)))
+        offset += pix.shape[0]
+
+    pairs = []
+    for v in range(s_count * t_count):
+        imap = index_maps[v]
+        for (y, x), i in imap.items():
+            for ny, nx in ((y, x + 1), (y + 1, x)):
+                j = imap.get((ny, nx))
+                if j is not None:
+                    pairs.append((i, j))
+    ref_map = index_maps[0]
+    for v in range(1, s_count * t_count):
+        s, t = divmod(v, t_count)
+        dy, dx = label_shift(sr.disparity, s, t)
+        imap = index_maps[v]
+        for (y, x), i in ref_map.items():
+            j = imap.get((y - dy, x - dx))
+            if j is not None:
+                pairs.append((i, j))
+
+    vertices = np.array(vertex_rows, dtype=np.int64).reshape(-1, 3)
+    return LocalGraph(n=len(vertex_rows), edges=_canonical_edges(pairs), vertices=vertices)
+
+
+def coarsen_oracle(g, n_target):
+    """Oracle: the dict-adjacency heavy-edge coarsener that
+    ``spectral.coarsen`` replaced; identical output required."""
+    if n_target < 1:
+        raise ValueError("n_target must be >= 1")
+    n = g.n
+    members = [[i] for i in range(n)]
+    weights = {}
+    for a, b in g.edges:
+        weights[(int(a), int(b))] = weights.get((int(a), int(b)), 0) + 1
+
+    k = n
+    while k > n_target:
+        budget = k - n_target
+        adj = [dict() for _ in range(k)]
+        for (a, b), w in weights.items():
+            adj[a][b] = w
+            adj[b][a] = w
+        matched = [False] * k
+        pairs = []
+        for v in range(k):
+            if matched[v] or not adj[v]:
+                continue
+            best_u, best_w = -1, -1
+            for u in sorted(adj[v]):
+                if matched[u]:
+                    continue
+                if adj[v][u] > best_w:
+                    best_u, best_w = u, adj[v][u]
+            if best_u >= 0:
+                matched[v] = matched[best_u] = True
+                pairs.append((min(v, best_u), max(v, best_u)))
+                if len(pairs) == budget:
+                    break
+        if not pairs:
+            # edgeless residue: merge the two smallest supernodes
+            order = sorted(range(k), key=lambda s: (len(members[s]), members[s][0]))
+            pairs = [tuple(sorted(order[:2]))]
+
+        merge_into = {b: a for a, b in pairs}  # pairs are disjoint (matching)
+        root_of = [merge_into.get(i, i) for i in range(k)]
+        groups = {}
+        for old in range(k):
+            groups.setdefault(root_of[old], []).extend(members[old])
+        roots_sorted = sorted(groups, key=lambda r: min(groups[r]))
+        new_id_of_root = {root: i for i, root in enumerate(roots_sorted)}
+        old_to_new = {old: new_id_of_root[root_of[old]] for old in range(k)}
+        new_members = [sorted(groups[root]) for root in roots_sorted]
+        new_weights = {}
+        for (a, b), w in weights.items():
+            na, nb = old_to_new[a], old_to_new[b]
+            if na == nb:
+                continue
+            key = (min(na, nb), max(na, nb))
+            new_weights[key] = new_weights.get(key, 0) + w
+        members = new_members
+        weights = new_weights
+        k = len(members)
+
+    fine_to_coarse = np.zeros(n, dtype=np.int64)
+    for p, mem in enumerate(members):
+        for i in mem:
+            fine_to_coarse[i] = p
+    coarse = LocalGraph(n=k, edges=_canonical_edges(list(weights.keys())))
+    cmap = CoarseningMap(
+        supernodes=[np.array(m, dtype=np.int64) for m in members],
+        fine_to_coarse=fine_to_coarse,
+    )
+    return coarse, cmap
 
 
 @pytest.fixture

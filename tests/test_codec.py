@@ -9,6 +9,7 @@ import pytest
 import srgc.codec as codec
 from srgc.bitstream import (
     MAGIC,
+    SEC_GROUPS,
     SEC_RESIDUALS,
     SECTION_NAMES,
     VERSION,
@@ -17,7 +18,9 @@ from srgc.bitstream import (
     pack_section,
     serialize,
 )
+from srgc.cli import main
 from srgc.codec import CodecConfig, decode, encode
+from srgc.entropy import entropy_encode
 from srgc.errors import CorruptStreamError, SrgcError, UnsupportedStreamError
 from srgc.lightfield import (
     DisparityMap,
@@ -27,7 +30,7 @@ from srgc.lightfield import (
     synthesize_light_field,
 )
 
-from conftest import four_patch_scene, random_lf
+from conftest import coarsen_oracle, four_patch_scene, graph_structure_oracle, random_lf
 
 
 def small_scene(seed=1, disparity=0.5):
@@ -281,6 +284,37 @@ class TestModes:
             encode(lf, DisparityMap(values=np.zeros((4, 4))), CFG)
 
 
+@pytest.fixture(scope="module")
+def regroup():
+    """Rewrites the groups section of an explicit_groups stream of
+    small_scene() (7 groupable units), with a residual section of the
+    matching (zero) symbol count."""
+    lf, dmap = small_scene()
+    stream, report = encode(
+        lf, dmap, dataclasses.replace(CFG, explicit_groups=True), debug=True
+    )
+    units, groupable = report.debug.units, report.debug.groupable
+    assert len(groupable) == 7
+
+    def rewritten(groups):
+        syms = [len(groups)]
+        for main_pos, members in groups:
+            syms += [main_pos, len(members), *members]
+        count = sum(
+            units[groupable[m]].n
+            for main_pos, members in groups for m in members if m != main_pos
+        )
+        sections = dict(stream.sections)
+        sections[SEC_GROUPS] = pack_section(len(syms), entropy_encode(syms, "group"))
+        sections[SEC_RESIDUALS] = pack_section(
+            count, entropy_encode([0] * count, "residual")
+        )
+        return Bitstream(header=stream.header, sections=sections)
+
+    decode(rewritten([(3, tuple(range(7)))]))  # the rewrite itself is valid
+    return rewritten
+
+
 class TestCorruptPayloads:
     def test_residual_count_lie(self):
         lf, dmap = small_scene()
@@ -291,6 +325,19 @@ class TestCorruptPayloads:
         broken.sections[SEC_RESIDUALS] = pack_section(1, old[4:])
         with pytest.raises((CorruptStreamError, SrgcError)):
             decode(broken)
+
+    @pytest.mark.parametrize("groups", [
+        [(3, (0, 1, 2, 3, 4, 5)), (5, (5, 6))],
+        [(3, (0, 1, 2, 3, 4, 5)), (6, (6, 4))],
+        [(3, (0, 1, 2, 3, 3, 4))],
+    ], ids=["member_is_another_main", "member_in_two_groups", "member_twice_in_one"])
+    def test_explicit_group_member_repeated(self, regroup, groups, tmp_path):
+        broken = regroup(groups)
+        with pytest.raises(SrgcError):
+            decode(broken)
+        path = tmp_path / "overlap.srgc"
+        path.write_bytes(serialize(broken))
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
 
     def test_header_label_count_lie(self):
         lf, dmap = small_scene()
@@ -364,3 +411,53 @@ class TestStreamValidation:
         with pytest.raises(CorruptStreamError):
             decode(Bitstream(header=grouped_stream.header, sections=sections))
         assert lie not in seen
+
+
+def _round_trip(lf, dmap, cfg):
+    data = serialize(encode(lf, dmap, cfg)[0])
+    rec, _ = decode(deserialize(data))
+    return data, rec
+
+
+def _no_disparity(lf):
+    h, w = lf.spatial_dims
+    return lf, DisparityMap(values=np.zeros((h, w)))
+
+
+ORACLE_CASES = {
+    "gate": lambda: (*four_patch_scene(32, 3), CodecConfig(slic_k=16, q_gft=16.0, n_target=64)),
+    "small": lambda: (*small_scene(seed=9), CFG),
+    "partition": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, q_gft=2.0)),
+    "explicit": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, explicit_groups=True)),
+    "dct": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, residual_mode="dct", q_dct=4.0)),
+    "no_grouping": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, grouping=False)),
+    "rgb_all": lambda: (
+        *_no_disparity(random_lf(2, 2, 16, 16, seed=31, channels=3)),
+        CodecConfig(slic_k=4, q_gft=16.0, n_target=64, channels="all"),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_graph_builders_match_oracles_end_to_end(case, monkeypatch):
+    """The array graph builder and coarsener leave every stream byte and
+    decoded sample as the loop versions they replaced produce them."""
+    lf, dmap, cfg = ORACLE_CASES[case]()
+    # eigendecompose is a pure function of the Laplacian: solve each one
+    # once for both runs, so the test times the graph stages only
+    bases = {}
+    real = codec.eigendecompose
+
+    def cached(lap):
+        key = (lap.matrix.shape, lap.matrix.tobytes())
+        if key not in bases:
+            bases[key] = real(lap)
+        return bases[key]
+
+    monkeypatch.setattr(codec, "eigendecompose", cached)
+    data, rec = _round_trip(lf, dmap, cfg)
+    monkeypatch.setattr(codec, "graph_structure", graph_structure_oracle)
+    monkeypatch.setattr(codec, "coarsen", coarsen_oracle)
+    want_data, want_rec = _round_trip(lf, dmap, cfg)
+    assert data == want_data
+    assert lf_equal(rec, want_rec)

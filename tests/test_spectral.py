@@ -1,8 +1,12 @@
 """Local graphs, Laplacians, eigenbases, coarsening and partitioning."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import srgc.codec as codec
 from srgc.errors import DecompositionError
 from srgc.segmentation import SuperRay, label_shift
 from srgc.spectral import (
@@ -21,7 +25,12 @@ from srgc.spectral import (
     uncoarsen_signal,
 )
 
-from conftest import connected_components, make_lf
+from conftest import (
+    coarsen_oracle,
+    connected_components,
+    graph_structure_oracle,
+    make_lf,
+)
 
 
 def enumerate_edges_oracle(per_view_pixels, disparity, angular_dims):
@@ -69,6 +78,99 @@ def random_connected_graph(rng, n):
     return LocalGraph(n=n, edges=e)
 
 
+def _random_super_ray(rng, angular, disparity, single=False):
+    """Random per-view masks (holes), each non-reference view placed at its
+    label shift give or take a pixel (angular hits and misses), some views
+    empty; ``single`` keeps one pixel per view."""
+    s_count, t_count = angular
+    h, w = (1, 1) if single else rng.integers(1, 8, size=2)
+    per_view = []
+    for v in range(s_count * t_count):
+        mask = rng.random((h, w)) < rng.uniform(0.4, 1.0)
+        if v == 0:
+            mask.flat[rng.integers(mask.size)] = True
+        elif rng.random() < 0.2:
+            mask[:] = False
+        origin = np.array([5, 5])
+        if v:
+            origin -= label_shift(disparity, *divmod(v, t_count))
+            if rng.random() < 0.5:
+                origin += rng.integers(-1, 2, size=2)
+        per_view.append(np.argwhere(mask).astype(np.int64) + origin)
+    return SuperRay(label=0, per_view_pixels=per_view, disparity=disparity)
+
+
+def _count_features(sr, angular, g, seen):
+    """Tally the edge cases a random super-ray exercises."""
+    pix = sr.per_view_pixels
+    seen["empty_view"] += any(p.shape[0] == 0 for p in pix[1:])
+    seen["single"] += all(p.shape[0] == 1 for p in pix)
+    seen["hole"] += any(
+        p.shape[0] and p.shape[0] < np.prod(p.max(axis=0) - p.min(axis=0) + 1)
+        for p in pix
+    )
+    lo, hi = np.concatenate(pix).min(axis=0), np.concatenate(pix).max(axis=0)
+    for v in range(1, len(pix)):
+        target = pix[0] - np.array(label_shift(sr.disparity, *divmod(v, angular[1])))
+        if ((target < lo) | (target > hi)).any():
+            seen["outside"] += 1
+            break
+    seen["angular"] += bool((g.vertices[g.edges[:, 1], 0] != g.vertices[g.edges[:, 0], 0]).any())
+
+
+def _random_graph(rng, case):
+    """Connected, disconnected (components plus isolated vertices),
+    edgeless and single-vertex graphs."""
+    n = 1 if case % 10 == 0 else int(rng.integers(2, 50))
+    kind = case % 3
+    if kind == 0 or n == 1:
+        return LocalGraph(n=n, edges=np.zeros((0, 2), dtype=np.int64))
+    g = random_connected_graph(rng, n)
+    if kind == 2:
+        # cut into blocks: keep only the edges inside them
+        block = rng.integers(0, 1 + n // 5, size=n)
+        inside = block[g.edges[:, 0]] == block[g.edges[:, 1]]
+        g = LocalGraph(n=n, edges=g.edges[inside])
+    return g
+
+
+def _assert_same_graph(got, want):
+    """Equal n, edges and vertices (None on coarse graphs), dtypes included."""
+    assert got.n == want.n
+    assert (got.vertices is None) == (want.vertices is None)
+    pairs = [(got.edges, want.edges)]
+    if got.vertices is not None:
+        pairs.append((got.vertices, want.vertices))
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def _assert_same_coarsening(g, n_target):
+    want, want_map = coarsen_oracle(g, n_target)
+    got, got_map = coarsen(g, n_target)
+    assert got.n == min(n_target, g.n)
+    _assert_same_graph(got, want)
+    assert got_map.fine_to_coarse.dtype == want_map.fine_to_coarse.dtype
+    assert np.array_equal(got_map.fine_to_coarse, want_map.fine_to_coarse)
+    assert len(got_map.supernodes) == len(want_map.supernodes)
+    for a, b in zip(got_map.supernodes, want_map.supernodes):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+class _UnitsBuilt(Exception):
+    pass
+
+
+def _bench_workloads():
+    """The benchmark's scene generators and settings (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
 class TestLocalGraph:
     def test_two_views_2x2_edge_count(self):
         pix = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
@@ -104,6 +206,20 @@ class TestLocalGraph:
             g = graph_structure(sr, (2, 2))
             oracle = enumerate_edges_oracle(per_view, 1.0, (2, 2))
             assert {(int(a), int(b)) for a, b in g.edges} == oracle
+
+    def test_matches_loop_oracle_on_random_super_rays(self):
+        """The one-shot index-volume builder gives the view-by-view oracle's
+        vertices and edges, dtype and order included."""
+        rng = np.random.default_rng(21)
+        seen = dict(empty_view=0, hole=0, single=0, outside=0, angular=0)
+        for case in range(240):
+            angular = ((1, 1), (1, 3), (3, 3), (5, 5))[case % 4]
+            disparity = (0.0, 0.5, 1.0, 1.5, 2.0)[case % 5]
+            sr = _random_super_ray(rng, angular, disparity, single=case % 9 == 0)
+            got = graph_structure(sr, angular)
+            _assert_same_graph(got, graph_structure_oracle(sr, angular))
+            _count_features(sr, angular, got, seen)
+        assert min(seen.values()) > 0, seen
 
     def test_signal_is_luma_in_vertex_order(self):
         pix = np.array([[0, 0], [0, 1]], dtype=np.int64)
@@ -249,6 +365,41 @@ class TestCoarsen:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             coarsen(path_graph(3), 0)
+
+    def test_matches_loop_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(5)
+        for case in range(150):
+            g = _random_graph(rng, case)
+            for n_target in sorted({1, 2, max(1, g.n // 4), g.n - 1, g.n, g.n + 3}):
+                if n_target >= 1:
+                    _assert_same_coarsening(g, n_target)
+
+    @pytest.mark.parametrize("name", ["gate", "parallax", "partition"])
+    def test_matches_loop_oracle_on_bench_units(self, name, monkeypatch):
+        """Every super-ray (or part) graph the bench scenes build, coarsened
+        to the workload's target (parts, which partition mode never
+        coarsens, to a third of their size)."""
+        workload = _bench_workloads()[name]
+        lf, dmap = workload.scene(1)
+        graphs = []
+
+        def record(sr, angular_dims):
+            got = graph_structure(sr, angular_dims)
+            _assert_same_graph(got, graph_structure_oracle(sr, angular_dims))
+            graphs.append(got)
+            return got
+
+        def stop(graph):
+            raise _UnitsBuilt
+
+        monkeypatch.setattr(codec, "graph_structure", record)
+        monkeypatch.setattr(codec, "laplacian", stop)  # the encoder's eigen stage
+        with pytest.raises(_UnitsBuilt):
+            codec.encode(lf, dmap, workload.config)
+        assert graphs
+        for g in graphs:
+            target = workload.config.n_target if workload.grouped else max(1, g.n // 3)
+            _assert_same_coarsening(g, target)
 
 
 def _rect_sr(w, h, views=1, disparity=0.0):
