@@ -24,6 +24,8 @@ from .errors import OrphanLabelError, TooManySuperpixelsError
 from .util import lower_median, quantize_eighth, round_half_away
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# fill_holes: four distinct stand-ins for unlabeled neighbors, above any label
+_UNLABELED = np.iinfo(np.int64).max - 4 + np.arange(4)
 
 
 @dataclass
@@ -287,28 +289,39 @@ def fill_holes(grid, fallback):
     below -1 are outside the region: never filled, never counted.  When a
     round assigns nothing, the remaining holes take ``fallback`` (a scalar
     or a grid-shaped array).
+
+    A round gathers the four neighbors of every hole at once from a copy
+    of the grid padded with outside cells, as a (holes, 4) array in which
+    each unlabeled neighbor becomes a distinct value above every label.
+    In a sorted row s0 <= s1 <= s2 <= s3 the majority, ties to the
+    smallest, is s1 when s1 == s2 (no other value can then reach its
+    count), else s2 when s2 == s3 and s0 != s1, else s0; it is an
+    unlabeled value exactly when the hole has no labeled neighbor.
     """
+    cells = np.flatnonzero(grid == -1)
+    if not cells.size:
+        return
     h, w = grid.shape
-    while True:
-        holes = np.argwhere(grid == -1)
-        if holes.size == 0:
-            return
-        assignments = []
-        for y, x in holes:
-            counts = {}
-            for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-                if 0 <= ny < h and 0 <= nx < w and grid[ny, nx] >= 0:
-                    lbl = int(grid[ny, nx])
-                    counts[lbl] = counts.get(lbl, 0) + 1
-            if counts:
-                best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
-                assignments.append((y, x, best))
-        if not assignments:
-            mask = grid == -1
-            grid[mask] = np.broadcast_to(fallback, grid.shape)[mask]
-            return
-        for y, x, lbl in assignments:
-            grid[y, x] = lbl
+    work = np.full((h + 2, w + 2), -2, dtype=grid.dtype)
+    work[1:-1, 1:-1] = grid
+    flat = work.ravel()
+    cells += (cells // w) * 2 + w + 3  # grid index -> padded index
+    steps = np.array([-(w + 2), w + 2, -1, 1])
+    while cells.size:
+        near = flat[cells[:, None] + steps]
+        near = np.where(near >= 0, near, _UNLABELED)
+        near.sort(axis=1)
+        s0, s1, s2, s3 = near.T
+        label = np.where(s1 == s2, s1, np.where((s2 == s3) & (s0 != s1), s2, s0))
+        filled = label < _UNLABELED[0]
+        if not filled.any():
+            inner = work[1:-1, 1:-1]
+            mask = inner == -1
+            inner[mask] = np.broadcast_to(fallback, grid.shape)[mask]
+            break
+        flat[cells[filled]] = label[filled]
+        cells = cells[~filled]
+    grid[...] = work[1:-1, 1:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,12 @@ from identical labels and disparities.
 Eigendecomposition is deterministic: eigenvalues ascending, near-repeated
 eigenvalue subspaces re-based by Gram-Schmidt against coordinate axes in
 index order, and every column's largest-magnitude entry made positive
-(ties to the lowest index).  For a disconnected graph this makes the
-zero-eigenvalue basis the set of normalized component indicators.
+(ties to the lowest index).  The re-basing runs as right-looking modified
+Gram-Schmidt on the rows of each cluster block, one step per picked axis:
+the pivots are the axes the per-axis projection would pick, in the same
+order and under the same 1e-7 tolerance.  For a disconnected graph this
+makes the zero-eigenvalue basis the set of normalized component
+indicators.
 
 Coarsening reduces a graph to an exact target vertex count by repeated
 heavy-edge matching (unit weights initially, merged-edge multiplicity as
@@ -40,6 +44,7 @@ from .segmentation import SuperRay, fill_holes, label_shift
 _EIG_RECON_TOL = 1e-8
 _EIG_ORTHO_TOL = 1e-8
 _EIG_CLUSTER_TOL = 1e-9
+_EIG_PICK_TOL = 1e-7
 
 
 @dataclass
@@ -170,50 +175,56 @@ def laplacian(g: LocalGraph) -> Laplacian:
     return Laplacian(matrix=l)
 
 
-def _cluster_eigenvalues(vals, tol=_EIG_CLUSTER_TOL):
-    clusters = [[0]]
-    for i in range(1, len(vals)):
-        if vals[i] - vals[clusters[-1][-1]] < tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return clusters
+def _cluster_bounds(vals, tol=_EIG_CLUSTER_TOL):
+    """(starts, stops) of the eigenvalue clusters: runs of ascending
+    eigenvalues whose consecutive gaps stay below ``tol``."""
+    cuts = np.flatnonzero(np.diff(vals) >= tol) + 1
+    return np.concatenate([[0], cuts]), np.concatenate([cuts, [len(vals)]])
 
 
-def _gram_schmidt_against_axes(v):
-    """Deterministic orthonormal basis of span(v): project coordinate axes
-    in index order, Gram-Schmidt, skip near-zero residuals."""
-    n, m = v.shape
-    picked = []
-    for a in range(n):
-        p = v @ v[a, :]
-        for b in picked:
-            p = p - (p @ b) * b
-        nrm = np.linalg.norm(p)
-        if nrm > 1e-7:
-            picked.append(p / nrm)
-            if len(picked) == m:
-                break
-    if len(picked) < m:
-        # extreme degeneracy: keep original columns orthogonalized
-        for c in range(m):
-            p = v[:, c].copy()
-            for b in picked:
-                p = p - (p @ b) * b
-            nrm = np.linalg.norm(p)
-            if nrm > 1e-12:
-                picked.append(p / nrm)
-            if len(picked) == m:
-                break
-    return np.column_stack(picked)
+def _canonical_cluster_basis(v):
+    """Deterministic orthonormal basis of span(v), for an n x m block ``v``
+    with orthonormal columns.
+
+    The basis is the Gram-Schmidt sequence of the coordinate axes'
+    projections in index order, skipping residuals of norm <= 1e-7.  Since
+    v^T v = I, the projection of axis a is v @ v[a] and inner products of
+    projections are inner products of rows, so the process runs on the rows
+    of ``v`` in R^m: right-looking modified Gram-Schmidt, one step per
+    picked direction, each step taking the first row after the last pick
+    whose residual is above the tolerance and removing that direction from
+    every later row with one outer product.  The block is ``v @ B`` for the
+    m x m matrix B of picked directions.
+    """
+    m = v.shape[1]
+    rows = v.copy()
+    picks = np.empty((m, m))
+    a = 0
+    for k in range(m):
+        rest = rows[a:]
+        norms = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+        above = norms > _EIG_PICK_TOL
+        if not above.any():
+            # unreachable for orthonormal v: the residuals left after k < m
+            # picks have squared norms summing to m - k >= 1, so some row's
+            # residual exceeds the 1e-7 tolerance unless n >= 1e14
+            raise DecompositionError(
+                f"degenerate eigenspace of dimension {m} spans only {k} axes"
+            )
+        first = int(np.argmax(above))
+        c = rest[first] / norms[first]
+        picks[:, k] = c
+        a += first + 1
+        rest = rows[a:]
+        rest -= (rest @ c)[:, None] * c
+    return v @ picks
 
 
 def _apply_sign_convention(vecs):
-    for c in range(vecs.shape[1]):
-        col = vecs[:, c]
-        idx = int(np.argmax(np.abs(col)))  # first max wins ties
-        if col[idx] < 0:
-            vecs[:, c] = -col
+    """Make each column's largest-magnitude entry positive, first max
+    winning ties."""
+    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs[:, lead < 0] *= -1.0
     return vecs
 
 
@@ -232,10 +243,9 @@ def eigendecompose(l: Laplacian) -> EigenBasis:
     except np.linalg.LinAlgError as e:
         raise DecompositionError(f"decomposition failure for {n}x{n} matrix: {e}") from e
     vecs = vecs.copy()
-    for cluster in _cluster_eigenvalues(vals):
-        if len(cluster) > 1:
-            sub = vecs[:, cluster[0] : cluster[-1] + 1]
-            vecs[:, cluster[0] : cluster[-1] + 1] = _gram_schmidt_against_axes(sub)
+    for lo, hi in zip(*_cluster_bounds(vals)):
+        if hi - lo > 1:
+            vecs[:, lo:hi] = _canonical_cluster_basis(vecs[:, lo:hi])
     vecs = _apply_sign_convention(vecs)
 
     scale = max(1.0, float(np.abs(m).max()))

@@ -5,7 +5,7 @@ import pytest
 
 from srgc.lightfield import DisparityMap, LightField, View, SceneSpec, Patch, synthesize_light_field
 from srgc.segmentation import label_shift
-from srgc.spectral import CoarseningMap, LocalGraph
+from srgc.spectral import CoarseningMap, EigenBasis, LocalGraph
 
 
 def make_lf(arrays, angular_dims, bit_depth=8):
@@ -189,6 +189,85 @@ def coarsen_oracle(g, n_target):
         fine_to_coarse=fine_to_coarse,
     )
     return coarse, cmap
+
+
+def cluster_eigenvalues_oracle(vals, tol=1e-9):
+    """Oracle: eigenvalue clusters as index lists, grown while the gap to
+    the cluster's last member stays below ``tol``."""
+    clusters = [[0]]
+    for i in range(1, len(vals)):
+        if vals[i] - vals[clusters[-1][-1]] < tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return clusters
+
+
+def gram_schmidt_against_axes_oracle(v):
+    """Oracle: the per-axis loop ``spectral._canonical_cluster_basis``
+    replaced.  Project coordinate axes onto span(v) in index order,
+    Gram-Schmidt each against every earlier pick, skip residuals of norm
+    <= 1e-7.  Returns fewer than m columns when fewer axes pass."""
+    n, m = v.shape
+    picked = []
+    for a in range(n):
+        p = v @ v[a, :]
+        for b in picked:
+            p = p - (p @ b) * b
+        nrm = np.linalg.norm(p)
+        if nrm > 1e-7:
+            picked.append(p / nrm)
+            if len(picked) == m:
+                break
+    return np.column_stack(picked)
+
+
+def apply_sign_convention_oracle(vecs):
+    """Oracle: column by column, make the first largest-magnitude entry
+    positive."""
+    for c in range(vecs.shape[1]):
+        col = vecs[:, c]
+        if col[int(np.argmax(np.abs(col)))] < 0:
+            vecs[:, c] = -col
+    return vecs
+
+
+def eigendecompose_oracle(lap):
+    """Oracle: ``spectral.eigendecompose`` with the loop canonicalization
+    (same LAPACK call, no tolerance checks)."""
+    vals, vecs = np.linalg.eigh(lap.matrix)
+    vecs = vecs.copy()
+    for cluster in cluster_eigenvalues_oracle(vals):
+        if len(cluster) > 1:
+            lo, hi = cluster[0], cluster[-1] + 1
+            vecs[:, lo:hi] = gram_schmidt_against_axes_oracle(vecs[:, lo:hi])
+    return EigenBasis(eigenvalues=vals, vectors=apply_sign_convention_oracle(vecs))
+
+
+def fill_holes_oracle(grid, fallback):
+    """Oracle: the hole-by-hole loop ``segmentation.fill_holes`` replaced;
+    identical output required."""
+    h, w = grid.shape
+    while True:
+        holes = np.argwhere(grid == -1)
+        if holes.size == 0:
+            return
+        assignments = []
+        for y, x in holes:
+            counts = {}
+            for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+                if 0 <= ny < h and 0 <= nx < w and grid[ny, nx] >= 0:
+                    lbl = int(grid[ny, nx])
+                    counts[lbl] = counts.get(lbl, 0) + 1
+            if counts:
+                best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0]
+                assignments.append((y, x, best))
+        if not assignments:
+            mask = grid == -1
+            grid[mask] = np.broadcast_to(fallback, grid.shape)[mask]
+            return
+        for y, x, lbl in assignments:
+            grid[y, x] = lbl
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from srgc.segmentation import (
 )
 from srgc.util import round_half_away
 
-from conftest import four_patch_scene
+from conftest import fill_holes_oracle, four_patch_scene
 
 
 def flood_fill_components(mask):
@@ -187,6 +187,38 @@ class TestProjection:
         fill_holes(view, np.arange(4).reshape(2, 2))
         assert view.tolist() == [[0, 1], [2, 3]]
 
+    def test_fill_matches_loop_oracle_on_random_grids(self):
+        """Random grids of labels 0-3, holes and outside cells (-2, -3);
+        the fallback is the scalar 9 or a grid of labels >= 10, so a
+        result above 3 marks a stall."""
+        rng = np.random.default_rng(17)
+        seen = dict(outside=0, tie=0, stall=0, scalar=0, array=0, multi_round=0)
+        for case in range(300):
+            h, w = (int(x) for x in rng.integers(1, 9, size=2))
+            p = rng.dirichlet([1.0, 1.0, 1.0])
+            kind = rng.choice(3, size=(h, w), p=p)
+            grid = np.where(
+                kind == 0,
+                rng.integers(0, 4, size=(h, w)),
+                np.where(kind == 1, -1, -2 - rng.integers(0, 2, size=(h, w))),
+            )
+            fallback = 9 if case % 2 else 10 + np.arange(h * w).reshape(h, w)
+            want = grid.copy()
+            fill_holes_oracle(want, fallback)
+            got = grid.copy()
+            fill_holes(got, fallback)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+            seen["outside"] += bool((grid < -1).any())
+            seen["tie"] += _first_round_has_tie(grid)
+            stalled = bool((want > 3).any())
+            seen["stall"] += stalled
+            seen["scalar" if case % 2 else "array"] += stalled
+            seen["multi_round"] += any(
+                not _labeled_neighbors(grid, y, x) and 0 <= want[y, x] <= 3
+                for y, x in np.argwhere(grid == -1)
+            )
+        assert min(seen.values()) > 0, seen
+
     def test_missing_disparity_rejected(self):
         seg = SegmentationMap(labels=[np.zeros((4, 4), dtype=np.int64)], label_count=1)
         with pytest.raises(ValueError):
@@ -253,3 +285,23 @@ class TestSuperRays:
         # lower median of {0.3,0.3,0.9,0.9} = 0.3, eighth-quantized
         assert rays[0].disparity == pytest.approx(0.25)
         assert label_disparities(seg, dmap) == {0: 0.25}
+
+
+def _labeled_neighbors(grid, y, x):
+    h, w = grid.shape
+    return [
+        int(grid[ny, nx])
+        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1))
+        if 0 <= ny < h and 0 <= nx < w and grid[ny, nx] >= 0
+    ]
+
+
+def _first_round_has_tie(grid):
+    """Some hole's top neighbor count is shared by two labels."""
+    for y, x in np.argwhere(grid == -1):
+        labels = _labeled_neighbors(grid, y, x)
+        if labels:
+            counts = np.bincount(labels)
+            if (counts == counts.max()).sum() > 1:
+                return True
+    return False

@@ -11,6 +11,10 @@ from srgc.errors import DecompositionError
 from srgc.segmentation import SuperRay, label_shift
 from srgc.spectral import (
     CoarseningMap,
+    Laplacian,
+    _apply_sign_convention,
+    _canonical_cluster_basis,
+    _cluster_bounds,
     _reproject_children,
     _split_reference,
     LocalGraph,
@@ -26,8 +30,11 @@ from srgc.spectral import (
 )
 
 from conftest import (
+    apply_sign_convention_oracle,
+    cluster_eigenvalues_oracle,
     coarsen_oracle,
     connected_components,
+    eigendecompose_oracle,
     graph_structure_oracle,
     make_lf,
 )
@@ -304,10 +311,118 @@ class TestEigendecompose:
         assert v1 == pytest.approx([0, 0, 0, 1 / np.sqrt(2), 1 / np.sqrt(2)], abs=1e-9)
 
     def test_empty_matrix_rejected(self):
-        from srgc.spectral import Laplacian
-
         with pytest.raises(ValueError):
             eigendecompose(Laplacian(matrix=np.zeros((0, 0))))
+
+
+def _pairs_graph(n, pairs):
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs})
+    return LocalGraph(n=n, edges=np.array(edges, dtype=np.int64).reshape(-1, 2))
+
+
+def _degenerate_graph(rng, case):
+    """Graphs with repeated Laplacian eigenvalues: paths, cycles, grids,
+    stars, complete graphs and disjoint unions of identical pieces, the
+    union's vertices shuffled half of the time."""
+    kind = case % 6
+    if kind == 0:
+        n = int(rng.integers(1, 30))
+        return _pairs_graph(n, [(i, i + 1) for i in range(n - 1)])
+    if kind == 1:
+        n = int(rng.integers(3, 30))
+        return _pairs_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    if kind == 2:
+        r, c = (int(x) for x in rng.integers(1, 7, size=2))
+        right = [(y * c + x, y * c + x + 1) for y in range(r) for x in range(c - 1)]
+        down = [(y * c + x, (y + 1) * c + x) for y in range(r - 1) for x in range(c)]
+        return _pairs_graph(r * c, right + down)
+    if kind == 3:
+        n = int(rng.integers(2, 25))
+        return _pairs_graph(n, [(0, i) for i in range(1, n)])
+    if kind == 4:
+        n = int(rng.integers(2, 20))
+        return _pairs_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    piece = _degenerate_graph(rng, int(rng.integers(0, 5)))
+    copies = int(rng.integers(2, 5))
+    n = piece.n * copies
+    perm = rng.permutation(n) if case % 12 == 5 else np.arange(n)
+    pairs = [
+        (int(perm[a + k * piece.n]), int(perm[b + k * piece.n]))
+        for k in range(copies)
+        for a, b in piece.edges
+    ]
+    return _pairs_graph(n, pairs)
+
+
+def _assert_matches_eigen_oracle(lap):
+    """Same eigenvalues and clusters as the loop oracle, and the same
+    columns up to sign within 1e-9; returns the largest cluster size."""
+    got = eigendecompose(lap)
+    want = eigendecompose_oracle(lap)
+    assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    clusters = cluster_eigenvalues_oracle(want.eigenvalues)
+    starts, stops = _cluster_bounds(got.eigenvalues)
+    assert [list(range(a, b)) for a, b in zip(starts, stops)] == clusters
+    flip = np.where((got.vectors * want.vectors).sum(axis=0) < 0, -1.0, 1.0)
+    assert np.abs(got.vectors - want.vectors * flip).max() < 1e-9
+    return max(len(c) for c in clusters)
+
+
+class TestCanonicalization:
+    def test_matches_loop_oracle_on_degenerate_graphs(self):
+        rng = np.random.default_rng(41)
+        largest = [_assert_matches_eigen_oracle(laplacian(_degenerate_graph(rng, case)))
+                   for case in range(120)]
+        assert sum(m > 1 for m in largest) > 60 and max(largest) > 10
+
+    @pytest.mark.parametrize("name", ["gate", "parallax", "partition"])
+    def test_matches_loop_oracle_on_bench_laplacians(self, name, monkeypatch):
+        """Every Laplacian the encoder eigendecomposes on the bench scene."""
+        workload = _bench_workloads()[name]
+        lf, dmap = workload.scene(1)
+        laps = []
+
+        def record(lap):
+            laps.append(lap)
+            return eigendecompose(lap)
+
+        monkeypatch.setattr(codec, "eigendecompose", record)
+        codec.encode(lf, dmap, workload.config)
+        assert laps
+        largest = [_assert_matches_eigen_oracle(lap) for lap in laps]
+        assert max(largest) > 1
+
+    def test_rotation_invariant(self):
+        """The basis depends on the cluster's span only: rotating a block
+        by a random orthogonal matrix leaves its canonical basis."""
+        rng = np.random.default_rng(42)
+        blocks = 0
+        for case in range(60):
+            vals, vecs = np.linalg.eigh(laplacian(_degenerate_graph(rng, case)).matrix)
+            for lo, hi in zip(*_cluster_bounds(vals)):
+                if hi - lo < 2:
+                    continue
+                v = vecs[:, lo:hi]
+                q, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+                want = _canonical_cluster_basis(v)
+                got = _canonical_cluster_basis(v @ q)
+                flip = np.where((got * want).sum(axis=0) < 0, -1.0, 1.0)
+                assert np.abs(got - want * flip).max() < 1e-9
+                blocks += 1
+        assert blocks > 30
+
+    def test_rank_deficient_block_rejected(self):
+        u = np.full(6, 1 / np.sqrt(6))
+        with pytest.raises(DecompositionError):
+            _canonical_cluster_basis(np.column_stack([u, u]))
+
+    def test_sign_convention_matches_loop_oracle(self):
+        # entries drawn from a few magnitudes make exact ties common
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            vecs = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=(7, 5))
+            want = apply_sign_convention_oracle(vecs.copy())
+            assert np.array_equal(_apply_sign_convention(vecs), want)
 
 
 class TestCoarsen:
