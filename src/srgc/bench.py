@@ -73,12 +73,7 @@ def bpp(stream, lf_dims):
 
 def grouping_ratios(report):
     """Exact grouped/coarsened and grouped/total quotients from a report."""
-    if report.grouped_count == 0:
-        return (0.0, 0.0)
-    return (
-        report.grouped_count / report.coarsened_count,
-        report.grouped_count / report.unit_count,
-    )
+    return report.coarsened_ratio, report.overall_ratio
 
 
 def _fmt(x):

@@ -39,6 +39,16 @@ SECTION_NAMES = {
     SEC_RESIDUALS: "residuals",
 }
 
+# the entropy context category each section's symbols are coded under
+SECTION_CONTEXTS = {
+    SEC_SEGMENTATION: "labels",
+    SEC_DISPARITY: "disparities",
+    SEC_STRUCTURE: "structure",
+    SEC_COEFFICIENTS: "gft",
+    SEC_GROUPS: "group",
+    SEC_RESIDUALS: "residual",
+}
+
 _FLAG_GROUPING = 1
 _FLAG_EXPLICIT_GROUPS = 2
 _FLAG_RESIDUAL_DCT = 4

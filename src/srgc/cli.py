@@ -162,8 +162,9 @@ def _cmd_encode(args):
     lf = load_light_field(args.input)
     dmap = load_disparity(args.disparity)
     stream, report = encode(lf, dmap, cfg)
+    data = serialize(stream)
     with open(args.out, "wb") as f:
-        f.write(serialize(stream))
+        f.write(data)
     _emit(report.to_lines(), args.report)
     return EXIT_OK
 

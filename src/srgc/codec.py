@@ -66,6 +66,8 @@ from .transform import (
 )
 from .util import round_half_away, round_half_away_int
 
+_U32_MAX = (1 << 32) - 1
+
 
 @dataclass
 class CodecConfig:
@@ -88,6 +90,8 @@ class CodecConfig:
             raise ValueError("quantizer steps must be positive")
         if self.n_target < 1 or self.max_vertices < 1 or self.q_switch < 0:
             raise ValueError("size thresholds must be positive")
+        if max(self.n_target, self.max_vertices, self.q_switch) > _U32_MAX:
+            raise ValueError("n_target, max_vertices and q_switch must fit in 32 bits")
         if self.slic_k < 1 or self.compactness <= 0 or self.bin_width <= 0:
             raise ValueError("segmentation/grouping parameters must be positive")
         if self.residual_mode not in ("raw", "dct"):
@@ -100,15 +104,15 @@ class CodecConfig:
 
 @dataclass
 class CodingUnit:
-    """One coded graph: a coarsened super-ray or a partitioned part."""
+    """One coded graph: a coarsened super-ray (``cmap`` set) or a
+    partitioned part (``graph`` is its own pixel graph ``fine``)."""
 
     index: int
     label: int
     part: int
-    kind: str                 # 'coarse' | 'part'
     graph: object
     cmap: object
-    fine_vertices: np.ndarray
+    fine: object              # the pixel graph the unit covers
     signals: list = None      # per-channel int vectors (encoder side only)
 
     @property
@@ -126,12 +130,20 @@ class EncodeReport:
     mse_threshold: float = 0.0
     group_count: int = 0
     grouped_count: int = 0
-    coarsened_ratio: float = 0.0
-    overall_ratio: float = 0.0
     eig_count: int = 0
     worker_count: int = 1
     times: dict = field(default_factory=dict)
     debug: object = None
+
+    @property
+    def coarsened_ratio(self):
+        """Grouped units over coarsened units (0 with nothing grouped)."""
+        return self.grouped_count / self.coarsened_count if self.grouped_count else 0.0
+
+    @property
+    def overall_ratio(self):
+        """Grouped units over all coding units (0 with nothing grouped)."""
+        return self.grouped_count / self.unit_count if self.grouped_count else 0.0
 
     def to_lines(self):
         out = [
@@ -198,66 +210,35 @@ class _Stopwatch:
 # Shared structure pipeline
 # ---------------------------------------------------------------------------
 
-def _coded_planes(lf, mode):
-    """Per-channel per-view int planes the codec transforms."""
+def _coded_volumes(lf, mode):
+    """One (views, H, W) int64 sample volume per coded channel."""
     if mode == "all" and lf.channels == 3:
-        return [lf.channel_planes(c) for c in range(3)]
-    return [lf.luma_planes()]
+        return [np.stack(lf.channel_planes(c)) for c in range(3)]
+    return [np.stack(lf.luma_planes())]
 
 
-def _build_units(srs, angular_dims, cfg_mode, n_target, max_vertices,
-                 planes_by_channel, maxval, trees=None):
-    """Turn super-rays into coding units.
+def _build_units(srs, angular_dims, mode, n_target, split):
+    """Turn super-rays into coding units, in super-ray order.
 
-    ``cfg_mode`` is 'coarse' or 'part'.  With ``planes_by_channel`` None
-    (decoder) signals stay unset.  ``trees`` replays transmitted split
-    trees; otherwise they are derived from ``max_vertices`` and returned.
+    In 'coarse' mode each super-ray's pixel graph is coarsened to
+    ``n_target`` vertices; otherwise each part that ``split(sr)`` returns
+    is a unit on its own pixel graph.  The encoder's ``split`` records the
+    split trees it derives, the decoder's replays the transmitted ones.
     """
     units = []
-    out_trees = {}
     for sr in srs:
-        structure = graph_structure(sr, angular_dims)
-        if cfg_mode == "coarse":
-            coarse, cmap = coarsen(structure, n_target)
-            signals = None
-            if planes_by_channel is not None:
-                signals = []
-                for planes in planes_by_channel:
-                    fine = graph_signal(structure, planes)
-                    means = coarse_mean_signal(cmap, fine)
-                    signals.append(
-                        np.clip(round_half_away_int(means), 0, maxval)
-                    )
-            units.append(
-                CodingUnit(
-                    index=len(units), label=sr.label, part=0, kind="coarse",
-                    graph=coarse, cmap=cmap, fine_vertices=structure.vertices,
-                    signals=signals,
-                )
-            )
+        if mode == "coarse":
+            fine = graph_structure(sr, angular_dims)
+            pieces = [(*coarsen(fine, n_target), fine)]
         else:
-            if trees is not None:
-                parts = partition_with_tree(sr, trees[sr.label], angular_dims)
-            else:
-                res = partition_super_ray(sr, max_vertices, angular_dims)
-                parts = res.parts
-                out_trees[sr.label] = res.tree
-            for pi, part in enumerate(parts):
-                pg = graph_structure(part, angular_dims)
-                signals = None
-                if planes_by_channel is not None:
-                    signals = [
-                        graph_signal(pg, planes).astype(np.int64)
-                        for planes in planes_by_channel
-                    ]
-                units.append(
-                    CodingUnit(
-                        index=len(units), label=sr.label, part=pi, kind="part",
-                        graph=pg, cmap=None, fine_vertices=pg.vertices,
-                        signals=signals,
-                    )
-                )
-    return units, (trees if trees is not None else out_trees)
+            graphs = [graph_structure(part, angular_dims) for part in split(sr)]
+            pieces = [(g, None, g) for g in graphs]
+        for part, (graph, cmap, fine) in enumerate(pieces):
+            units.append(CodingUnit(
+                index=len(units), label=sr.label, part=part, graph=graph, cmap=cmap,
+                fine=fine,
+            ))
+    return units
 
 
 def _quantize_unit(coeffs, q_gft):
@@ -290,7 +271,7 @@ def _pool_map(fn, items, threads):
 def _groupable_positions(units, n_target, grouping):
     if not grouping:
         return []
-    return [u.index for u in units if u.kind == "coarse" and u.n == n_target]
+    return [u.index for u in units if u.cmap is not None and u.n == n_target]
 
 
 # ---------------------------------------------------------------------------
@@ -341,14 +322,15 @@ def _segmentation_from_symbols(syms, w, h, label_count):
     return labels
 
 
-def _structure_symbols(srs, mode, trees):
+def _structure_symbols(srs, trees):
+    """Per super-ray a 0 flag (coarsened) or a 1 flag and its split tree."""
     syms = []
     for sr in srs:
-        if mode == "coarse":
-            syms.append(0)
-        else:
+        if sr.label in trees:
             syms.append(1)
             syms.extend(trees[sr.label])
+        else:
+            syms.append(0)
     return syms
 
 
@@ -397,11 +379,10 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         )
     watch = _Stopwatch()
     maxval = lf.max_value
-    planes_by_channel = _coded_planes(lf, cfg.channels)
-    n_channels = len(planes_by_channel)
-    ref_luma = lf.luma_planes()[0]
+    volumes = _coded_volumes(lf, cfg.channels)
+    n_channels = len(volumes)
 
-    seg_ref = slic_segment(ref_luma, cfg.slic_k, cfg.compactness)
+    seg_ref = slic_segment(lf.luma_planes()[0], cfg.slic_k, cfg.compactness)
     disparities = label_disparities(seg_ref, dmap)
     watch.lap("segmentation")
 
@@ -410,10 +391,20 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     watch.lap("projection")
 
     mode = "coarse" if cfg.q_gft >= cfg.q_switch else "part"
-    units, trees = _build_units(
-        srs, lf.angular_dims, mode, cfg.n_target, cfg.max_vertices,
-        planes_by_channel, maxval,
-    )
+    trees = {}
+
+    def split(sr):
+        res = partition_super_ray(sr, cfg.max_vertices, lf.angular_dims)
+        trees[sr.label] = res.tree
+        return res.parts
+
+    units = _build_units(srs, lf.angular_dims, mode, cfg.n_target, split)
+    for u in units:
+        fine = [graph_signal(u.fine, volume) for volume in volumes]
+        u.signals = fine if u.cmap is None else [
+            np.clip(round_half_away_int(coarse_mean_signal(u.cmap, f)), 0, maxval)
+            for f in fine
+        ]
     watch.lap("units")
 
     def _transform_unit(unit):
@@ -475,31 +466,19 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         else:
             group_syms.extend(g.main_index for g in groups)
 
-    disp_syms = [
-        round_half_away(disparities[l] * 8) for l in range(seg_ref.label_count)
-    ]
-    seg_syms = _segmentation_symbols(seg_ref.reference)
-    struct_syms = _structure_symbols(srs, mode, trees)
-
+    symbols = {
+        bs.SEC_SEGMENTATION: _segmentation_symbols(seg_ref.reference),
+        bs.SEC_DISPARITY: [
+            round_half_away(disparities[l] * 8) for l in range(seg_ref.label_count)
+        ],
+        bs.SEC_STRUCTURE: _structure_symbols(srs, trees),
+        bs.SEC_COEFFICIENTS: coeff_syms,
+        bs.SEC_GROUPS: group_syms,
+        bs.SEC_RESIDUALS: residual_syms,
+    }
     sections = {
-        bs.SEC_SEGMENTATION: bs.pack_section(
-            len(seg_syms), entropy_encode(seg_syms, "labels")
-        ),
-        bs.SEC_DISPARITY: bs.pack_section(
-            len(disp_syms), entropy_encode(disp_syms, "disparities")
-        ),
-        bs.SEC_STRUCTURE: bs.pack_section(
-            len(struct_syms), entropy_encode(struct_syms, "structure")
-        ),
-        bs.SEC_COEFFICIENTS: bs.pack_section(
-            len(coeff_syms), entropy_encode(coeff_syms, "gft")
-        ),
-        bs.SEC_GROUPS: bs.pack_section(
-            len(group_syms), entropy_encode(group_syms, "group")
-        ),
-        bs.SEC_RESIDUALS: bs.pack_section(
-            len(residual_syms), entropy_encode(residual_syms, "residual")
-        ),
+        sid: bs.pack_section(len(syms), entropy_encode(syms, bs.SECTION_CONTEXTS[sid]))
+        for sid, syms in symbols.items()
     }
     header = StreamHeader(
         angular_dims=lf.angular_dims,
@@ -520,9 +499,8 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     stream = Bitstream(header=header, sections=sections)
     watch.lap("entropy")
 
-    coarsened = sum(1 for u in units if u.kind == "coarse")
+    coarsened = sum(1 for u in units if u.cmap is not None)
     m = len(groupable)
-    grouped = group_set.grouped_count
     report = EncodeReport(
         super_ray_count=seg_ref.label_count,
         unit_count=len(units),
@@ -531,9 +509,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         pair_count=m * (m - 1) // 2,
         mse_threshold=group_set.mse_threshold,
         group_count=len(groups),
-        grouped_count=grouped,
-        coarsened_ratio=grouped / coarsened if coarsened else 0.0,
-        overall_ratio=grouped / len(units) if units else 0.0,
+        grouped_count=group_set.grouped_count,
         eig_count=eig_count,
         worker_count=cfg.threads,
         times=watch.times,
@@ -557,7 +533,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
     w, h = hdr.spatial_dims
     maxval = (1 << hdr.bit_depth) - 1
 
-    def section_symbols(sid, category, expected, at_most=False):
+    def section_symbols(sid, expected, at_most=False):
         """Entropy-decode a section whose declared symbol count is
         ``expected`` (or at most that, with ``at_most``); the count is
         checked first, so a lying count costs no decoding work."""
@@ -571,15 +547,15 @@ def decode(stream: Bitstream, threads=1, debug=False):
                 f"corrupt stream: section '{name}' declares {count} symbols, "
                 f"expected {bound}{expected}"
             )
-        return entropy_decode(payload, count, category)
+        return entropy_decode(payload, count, bs.SECTION_CONTEXTS[sid])
 
-    seg_syms = section_symbols(bs.SEC_SEGMENTATION, "labels", w * h)
+    seg_syms = section_symbols(bs.SEC_SEGMENTATION, w * h)
     ref_labels = _segmentation_from_symbols(seg_syms, w, h, hdr.label_count)
     present = np.unique(ref_labels)
     if present.size != hdr.label_count:
         raise CorruptStreamError("corrupt stream: reference view misses labels")
 
-    disp_syms = section_symbols(bs.SEC_DISPARITY, "disparities", hdr.label_count)
+    disp_syms = section_symbols(bs.SEC_DISPARITY, hdr.label_count)
     disparities = {l: float(disp_syms[l]) / 8.0 for l in range(hdr.label_count)}
     watch.lap("segmentation")
 
@@ -590,15 +566,15 @@ def decode(stream: Bitstream, threads=1, debug=False):
 
     # one flag per label plus 2P - 1 tree nodes for P parts, and every part
     # keeps at least one reference pixel
-    struct_syms = section_symbols(bs.SEC_STRUCTURE, "structure", 2 * w * h, at_most=True)
+    struct_syms = section_symbols(bs.SEC_STRUCTURE, 2 * w * h, at_most=True)
     flags, trees = _parse_structure(struct_syms, hdr.label_count)
     if any(f != flags[0] for f in flags):
         raise CorruptStreamError("corrupt stream: mixed structure modes")
     mode = "part" if flags and flags[0] == 1 else "coarse"
     try:
-        units, _ = _build_units(
-            srs, hdr.angular_dims, mode, hdr.n_target, hdr.max_vertices,
-            None, maxval, trees=trees if mode == "part" else None,
+        units = _build_units(
+            srs, hdr.angular_dims, mode, hdr.n_target,
+            lambda sr: partition_with_tree(sr, trees[sr.label], hdr.angular_dims),
         )
     except ValueError as e:
         raise CorruptStreamError(f"corrupt stream: {e}") from e
@@ -606,7 +582,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
 
     n_channels = hdr.channels
     coeff_syms = section_symbols(
-        bs.SEC_COEFFICIENTS, "gft", sum(u.n for u in units) * n_channels
+        bs.SEC_COEFFICIENTS, sum(u.n for u in units) * n_channels
     )
     deq = []
     pos = 0
@@ -623,18 +599,18 @@ def decode(stream: Bitstream, threads=1, debug=False):
     groups = []
     threshold = 0.0
     if not hdr.grouping:
-        section_symbols(bs.SEC_GROUPS, "group", 0)
+        section_symbols(bs.SEC_GROUPS, 0)
     elif hdr.explicit_groups:
         # the count, then per disjoint group of k >= 2: main, k, k members
         group_syms = section_symbols(
-            bs.SEC_GROUPS, "group", 1 + 2 * len(groupable), at_most=True
+            bs.SEC_GROUPS, 1 + 2 * len(groupable), at_most=True
         )
         groups = _parse_explicit_groups(group_syms, len(groupable))
     else:
         merged, threshold = derive_group_members(
             [deq[u][0] for u in groupable], hdr.bin_width
         )
-        group_syms = section_symbols(bs.SEC_GROUPS, "group", len(merged))
+        group_syms = section_symbols(bs.SEC_GROUPS, len(merged))
         for m, main in zip(merged, group_syms):
             if int(main) not in m:
                 raise CorruptStreamError("corrupt stream: main outside its group")
@@ -660,7 +636,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
         groupable[posn] for g in groups for posn in g.members if posn != g.main_index
     ]
     resid_syms = section_symbols(
-        bs.SEC_RESIDUALS, "residual",
+        bs.SEC_RESIDUALS,
         sum(units[u].n for u in predicted_units) * n_channels,
     )
     residuals = {}
@@ -672,10 +648,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
         ]
         pos += n * n_channels
 
-    planes = [
-        [np.zeros((h, w), dtype=np.int64) for _ in range(s_count * t_count)]
-        for _ in range(n_channels)
-    ]
+    volumes = np.zeros((n_channels, s_count * t_count, h, w), dtype=np.int64)
     recon_units = []
     for u in units:
         per_channel = []
@@ -696,18 +669,12 @@ def decode(stream: Bitstream, threads=1, debug=False):
                 rec = predict_signal(decomposed[u.index], deq[u.index][c], maxval)
             per_channel.append(rec)
             fine = uncoarsen_signal(rec, u.cmap) if u.cmap is not None else rec
-            v = u.fine_vertices
-            for vi in np.unique(v[:, 0]):
-                sel = v[:, 0] == vi
-                planes[c][vi][v[sel, 1], v[sel, 2]] = fine[sel]
+            volumes[c][tuple(u.fine.vertices.T)] = fine
         recon_units.append(per_channel)
     watch.lap("reconstruct")
 
-    dtype = _sample_dtype(hdr.bit_depth)
-    views = [
-        View(planes=[planes[c][v].astype(dtype) for c in range(n_channels)])
-        for v in range(s_count * t_count)
-    ]
+    samples = volumes.astype(_sample_dtype(hdr.bit_depth))
+    views = [View(planes=list(samples[:, v])) for v in range(s_count * t_count)]
     lf = LightField(views=views, angular_dims=hdr.angular_dims, bit_depth=hdr.bit_depth)
     watch.lap("assembly")
 

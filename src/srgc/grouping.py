@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .transform import predict_signal
-from .util import round_half_away
+from .util import round_half_away_int
 
 
 @dataclass
@@ -170,7 +170,7 @@ def predict_and_residual(main_basis, member_coeffs, member_signal, sample_max):
     if coeffs.shape != (n,) or signal.shape != (n,):
         raise ValueError("prediction dimension mismatch")
     predicted = predict_signal(main_basis, coeffs, sample_max)
-    residual = np.asarray(round_half_away(signal.astype(np.float64)), dtype=np.int64) - predicted
+    residual = round_half_away_int(signal) - predicted
     return predicted, residual
 
 

@@ -425,8 +425,7 @@ def _patch_texture(patch, bw, bh, maxval):
     if kind == "gradient":
         _, v0, dvx, dvy = patch.texture
         ys, xs = np.mgrid[0:bh, 0:bw]
-        vals = round_half_away(v0 + dvx * xs + dvy * ys)
-        return np.clip(vals, 0, maxval).astype(np.int64)
+        return np.clip(round_half_away_int(v0 + dvx * xs + dvy * ys), 0, maxval)
     _, lo, hi, seed = patch.texture
     rng = np.random.default_rng(seed)
     return rng.integers(max(0, lo), min(maxval, hi), size=(bh, bw), endpoint=True)

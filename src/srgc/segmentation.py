@@ -131,30 +131,19 @@ def _enforce_connectivity(labels, w, h, k):
         sizes[target] += sizes[frag]
         sizes[frag] = 0
     # compact ids in raster first-appearance order
-    order = {}
-    flat = comp.ravel()
+    ids, first = np.unique(comp, return_index=True)
     remap = np.full(next_id, -1, dtype=np.int64)
-    for v in flat:
-        if remap[v] < 0:
-            remap[v] = len(order)
-            order[v] = True
-    return remap[comp], len(order)
+    remap[ids[np.argsort(first)]] = np.arange(ids.size)
+    return remap[comp], ids.size
 
 
 def slic_segment(image, k, compactness=10.0, iterations=10):
-    """Segment a 2D luma image (or a View) into approximately k super-pixels.
+    """Segment a 2D luma image into approximately k super-pixels.
 
     Standard SLIC with grid seeding, gradient-based seed perturbation and a
     connectivity post-pass; the distance is D^2 = d_int^2 + m^2 * d_xy^2/S^2
     with S = sqrt(W*H/k).  Returns a reference-view-only SegmentationMap.
     """
-    if hasattr(image, "planes"):
-        planes = image.planes
-        if len(planes) == 1:
-            image = planes[0]
-        else:
-            r, g, b = (p.astype(np.float64) for p in planes)
-            image = 0.2126 * r + 0.7152 * g + 0.0722 * b
     image = np.asarray(image)
     if image.ndim != 2:
         raise ValueError("slic_segment expects a 2D image")
@@ -223,14 +212,22 @@ def median_disparity(region, dmap):
     return lower_median(vals)
 
 
+def label_regions(labels, count):
+    """Raster-ordered (N_l, 2) (y, x) pixel arrays of labels 0..count-1 in
+    a 2-D label map, from one stable sort; other values are skipped."""
+    flat = labels.ravel()
+    order = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(flat[order], np.arange(count + 1))
+    yx = np.column_stack(np.divmod(order, labels.shape[1])).astype(np.int64, copy=False)
+    return [yx[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
 def label_disparities(seg, dmap):
     """Each label's median reference-view disparity, quantized to 1/8 px
     (the transmission precision); a label absent from the reference view
     is an orphan."""
-    ref = seg.reference
     disparities = {}
-    for l in range(seg.label_count):
-        region = np.argwhere(ref == l)
+    for l, region in enumerate(label_regions(seg.reference, seg.label_count)):
         if region.shape[0] == 0:
             raise OrphanLabelError(f"orphan label {l}: absent from reference view")
         disparities[l] = quantize_eighth(median_disparity(region, dmap))
@@ -262,7 +259,7 @@ def project_labels(ref_map, disparities, angular_dims):
     # scatter order: ascending disparity, then descending label, so the
     # last write is the largest disparity / smallest label
     order = sorted(range(count), key=lambda l: (disparities[l], -l))
-    regions = [np.nonzero(ref == l) for l in range(count)]
+    regions = label_regions(ref, count)
     out = []
     for s in range(s_count):
         for t in range(t_count):
@@ -272,7 +269,7 @@ def project_labels(ref_map, disparities, angular_dims):
             view = np.full((h, w), -1, dtype=np.int64)
             for l in order:
                 dy, dx = label_shift(disparities[l], s, t)
-                ys, xs = regions[l]
+                ys, xs = regions[l].T
                 ty, tx = ys - dy, xs - dx
                 ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
                 view[ty[ok], tx[ok]] = l
@@ -331,18 +328,13 @@ def fill_holes(grid, fallback):
 def assemble_super_rays(seg, disparities):
     """Build SuperRays from an all-view segmentation and known per-label
     disparities (the decoder-side path)."""
-    count = seg.label_count
+    per_view = [label_regions(view_labels, seg.label_count) for view_labels in seg.labels]
     rays = []
-    per_label = [[] for _ in range(count)]
-    for view_labels in seg.labels:
-        for l in range(count):
-            ys, xs = np.nonzero(view_labels == l)
-            per_label[l].append(np.column_stack([ys, xs]).astype(np.int64))
-    for l in range(count):
-        if per_label[l][0].shape[0] == 0:
+    for l, pixels in enumerate(zip(*per_view)):
+        if pixels[0].shape[0] == 0:
             raise OrphanLabelError(f"orphan label {l}: absent from reference view")
         rays.append(
-            SuperRay(label=l, per_view_pixels=per_label[l], disparity=disparities[l])
+            SuperRay(label=l, per_view_pixels=list(pixels), disparity=disparities[l])
         )
     return rays
 

@@ -160,14 +160,10 @@ def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
     )
 
 
-def graph_signal(graph, planes):
-    """Extract a per-vertex signal from per-view planes."""
-    v, y, x = graph.vertices[:, 0], graph.vertices[:, 1], graph.vertices[:, 2]
-    out = np.empty(graph.n, dtype=np.float64)
-    for vi in np.unique(v):
-        sel = v == vi
-        out[sel] = planes[vi][y[sel], x[sel]]
-    return out
+def graph_signal(graph, volume):
+    """Per-vertex samples of a pixel graph from a (views, H, W) volume (or
+    a list of per-view planes)."""
+    return np.asarray(volume)[tuple(graph.vertices.T)]
 
 
 def laplacian(g: LocalGraph) -> Laplacian:
@@ -372,12 +368,11 @@ def uncoarsen_signal(coarse_f, cmap: CoarseningMap):
 
 @dataclass
 class PartitionResult:
-    """Leaves of the recursive split, the DFS split tree (1 = internal,
-    0 = leaf) and a flag set when the vertex bound could not be met."""
+    """Leaves of the recursive split and the DFS split tree (1 = internal,
+    0 = leaf)."""
 
     parts: list
     tree: list
-    warned: bool
 
 
 def _split_reference(ref):
@@ -431,56 +426,43 @@ def _reproject_children(sr, child_refs, t_count):
     ]
 
 
-def _partition_recurse(sr, t_count, tree, parts, should_split, warned):
-    if not should_split(sr):
-        tree.append(0)
-        parts.append(sr)
-        return warned
-    split = _split_reference(sr.per_view_pixels[0])
-    if split is None:
-        tree.append(0)
-        parts.append(sr)
-        return True
-    tree.append(1)
-    for child in _reproject_children(sr, split, t_count):
-        warned = _partition_recurse(child, t_count, tree, parts, should_split, warned)
-    return warned
+def _split_walk(sr, t_count, split_here):
+    """The split recursion both codec sides run: depth first from ``sr``,
+    bisect each node for which ``split_here(node)`` holds and whose
+    reference region :func:`_split_reference` can split.  Returns (leaves,
+    tree bits in DFS order: 1 for a node that split, 0 for a leaf)."""
+    parts, tree = [], []
+
+    def walk(node):
+        split = _split_reference(node.per_view_pixels[0]) if split_here(node) else None
+        tree.append(int(split is not None))
+        if split is None:
+            parts.append(node)
+            return
+        for child in _reproject_children(node, split, t_count):
+            walk(child)
+
+    walk(sr)
+    return parts, tree
 
 
 def partition_super_ray(sr: SuperRay, max_vertices: int, angular_dims) -> PartitionResult:
     """Recursively split a super-ray until every part has at most
-    ``max_vertices`` total vertices."""
+    ``max_vertices`` total vertices or an unsplittable reference region."""
     s_count, t_count = angular_dims
     if max_vertices < s_count * t_count:
         raise ValueError("max_vertices must be at least the view count")
-    tree, parts = [], []
-    warned = _partition_recurse(
-        sr, t_count, tree, parts, lambda r: r.total_pixels > max_vertices, warned=False
-    )
-    return PartitionResult(parts=parts, tree=tree, warned=warned)
+    parts, tree = _split_walk(sr, t_count, lambda node: node.total_pixels > max_vertices)
+    return PartitionResult(parts=parts, tree=tree)
 
 
 def partition_with_tree(sr: SuperRay, tree, angular_dims) -> list:
-    """Replay a transmitted split tree (decoder side); no size checks."""
-    _, t_count = angular_dims
-    pos = [0]
-
-    def walk(node):
-        if pos[0] >= len(tree):
-            raise ValueError("split tree truncated")
-        bit = tree[pos[0]]
-        pos[0] += 1
-        if bit == 0:
-            return [node]
-        split = _split_reference(node.per_view_pixels[0])
-        if split is None:
-            raise ValueError("split tree does not match super-ray geometry")
-        out = []
-        for child in _reproject_children(node, split, t_count):
-            out.extend(walk(child))
-        return out
-
-    parts = walk(sr)
-    if pos[0] != len(tree):
-        raise ValueError("split tree has trailing bits")
+    """Replay a transmitted split tree (decoder side): split where the next
+    bit is 1, no size checks.  Raises ValueError unless the walk reproduces
+    ``tree`` exactly, which rejects a truncated tree, trailing bits and a 1
+    on an unsplittable node."""
+    bits = iter(tree)
+    parts, walked = _split_walk(sr, angular_dims[1], lambda node: next(bits, 0) == 1)
+    if walked != list(tree):
+        raise ValueError("split tree does not match super-ray geometry")
     return parts

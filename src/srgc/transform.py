@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dct as _scipy_dct, idct as _scipy_idct
 
-from .util import round_half_away
+from .util import round_half_away_int
 
 
 @dataclass
@@ -57,8 +57,7 @@ def quantize(x, q) -> QuantizedVector:
     if q <= 0:
         raise ValueError("quantizer step must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    levels = (np.sign(x) * np.floor(np.abs(x) / q + 0.5)).astype(np.int64)
-    return QuantizedVector(levels=levels, step=float(q))
+    return QuantizedVector(levels=round_half_away_int(x / q), step=float(q))
 
 
 def dequantize(qv: QuantizedVector) -> np.ndarray:
@@ -67,4 +66,4 @@ def dequantize(qv: QuantizedVector) -> np.ndarray:
 
 def predict_signal(basis, coeffs, sample_max):
     """Round-and-clamp inverse transform used on both codec sides."""
-    return np.clip(round_half_away(igft(basis, coeffs)), 0, sample_max).astype(np.int64)
+    return np.clip(round_half_away_int(igft(basis, coeffs)), 0, sample_max)

@@ -11,13 +11,7 @@ import numpy as np
 
 
 def round_half_away(x):
-    """Round to nearest integer, halves away from zero.
-
-    Works on scalars and numpy arrays; returns the same kind (float dtype
-    for arrays, int for Python scalars).
-    """
-    if isinstance(x, np.ndarray):
-        return np.sign(x) * np.floor(np.abs(x) + 0.5)
+    """Round a scalar to the nearest int, halves away from zero."""
     return int(math.copysign(math.floor(abs(x) + 0.5), x))
 
 

@@ -4,8 +4,17 @@ import numpy as np
 import pytest
 
 from srgc.lightfield import DisparityMap, LightField, View, SceneSpec, Patch, synthesize_light_field
-from srgc.segmentation import label_shift
-from srgc.spectral import CoarseningMap, EigenBasis, LocalGraph
+from srgc.errors import OrphanLabelError
+from srgc.segmentation import SuperRay, label_shift, median_disparity
+from srgc.spectral import (
+    CoarseningMap,
+    EigenBasis,
+    LocalGraph,
+    PartitionResult,
+    _reproject_children,
+    _split_reference,
+)
+from srgc.util import quantize_eighth
 
 
 def make_lf(arrays, angular_dims, bit_depth=8):
@@ -268,6 +277,95 @@ def fill_holes_oracle(grid, fallback):
             return
         for y, x, lbl in assignments:
             grid[y, x] = lbl
+
+
+def _partition_recurse_oracle(sr, t_count, tree, parts, should_split, warned):
+    if not should_split(sr):
+        tree.append(0)
+        parts.append(sr)
+        return warned
+    split = _split_reference(sr.per_view_pixels[0])
+    if split is None:
+        tree.append(0)
+        parts.append(sr)
+        return True
+    tree.append(1)
+    for child in _reproject_children(sr, split, t_count):
+        warned = _partition_recurse_oracle(child, t_count, tree, parts, should_split, warned)
+    return warned
+
+
+def partition_super_ray_oracle(sr, max_vertices, angular_dims):
+    """Oracle: the encoder's own split recursion ``spectral._split_walk``
+    replaced.  Returns (PartitionResult, warned), warned when a part over
+    the bound could not be split."""
+    s_count, t_count = angular_dims
+    if max_vertices < s_count * t_count:
+        raise ValueError("max_vertices must be at least the view count")
+    tree, parts = [], []
+    warned = _partition_recurse_oracle(
+        sr, t_count, tree, parts, lambda r: r.total_pixels > max_vertices, warned=False
+    )
+    return PartitionResult(parts=parts, tree=tree), warned
+
+
+def partition_with_tree_oracle(sr, tree, angular_dims):
+    """Oracle: the decoder's own split recursion ``spectral._split_walk``
+    replaced, with its three ValueError messages."""
+    _, t_count = angular_dims
+    pos = [0]
+
+    def walk(node):
+        if pos[0] >= len(tree):
+            raise ValueError("split tree truncated")
+        bit = tree[pos[0]]
+        pos[0] += 1
+        if bit == 0:
+            return [node]
+        split = _split_reference(node.per_view_pixels[0])
+        if split is None:
+            raise ValueError("split tree does not match super-ray geometry")
+        out = []
+        for child in _reproject_children(node, split, t_count):
+            out.extend(walk(child))
+        return out
+
+    parts = walk(sr)
+    if pos[0] != len(tree):
+        raise ValueError("split tree has trailing bits")
+    return parts
+
+
+def label_disparities_oracle(seg, dmap):
+    """Oracle: ``segmentation.label_disparities`` with one ``== l`` scan of
+    the reference map per label, as before ``label_regions``."""
+    ref = seg.reference
+    disparities = {}
+    for l in range(seg.label_count):
+        region = np.argwhere(ref == l)
+        if region.shape[0] == 0:
+            raise OrphanLabelError(f"orphan label {l}: absent from reference view")
+        disparities[l] = quantize_eighth(median_disparity(region, dmap))
+    return disparities
+
+
+def assemble_super_rays_oracle(seg, disparities):
+    """Oracle: ``segmentation.assemble_super_rays`` with one ``== l`` scan
+    per label and view, as before ``label_regions``."""
+    count = seg.label_count
+    rays = []
+    per_label = [[] for _ in range(count)]
+    for view_labels in seg.labels:
+        for l in range(count):
+            ys, xs = np.nonzero(view_labels == l)
+            per_label[l].append(np.column_stack([ys, xs]).astype(np.int64))
+    for l in range(count):
+        if per_label[l][0].shape[0] == 0:
+            raise OrphanLabelError(f"orphan label {l}: absent from reference view")
+        rays.append(
+            SuperRay(label=l, per_view_pixels=per_label[l], disparity=disparities[l])
+        )
+    return rays
 
 
 @pytest.fixture

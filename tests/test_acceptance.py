@@ -227,7 +227,7 @@ def test_criterion_6_eigen_count_gate():
     for u in dbg.units:
         if u.index not in dbg.groupable:
             continue
-        ref = u.fine_vertices[u.fine_vertices[:, 0] == 0]
+        ref = u.fine.vertices[u.fine.vertices[:, 0] == 0]
         ys, xs = ref[:, 1], ref[:, 2]
         corner = (ys.max() < 16 or ys.min() >= 48) and (xs.max() < 16 or xs.min() >= 48)
         if corner and u.signals[0].astype(float).std() > 2:

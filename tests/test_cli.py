@@ -84,6 +84,16 @@ class TestPipeline:
     def test_missing_subcommand_exit_1(self):
         assert main([]) == 1
 
+    @pytest.mark.parametrize("flag", ["--n-target", "--max-vertices", "--q-switch"])
+    def test_u32_overflow_exit_2_without_output(self, scene_dir, tmp_path, capsys, flag):
+        out = tmp_path / "a.srgc"
+        code = main([
+            "encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+            flag, str(2**32), "--out", str(out),
+        ])
+        assert code == 2 and not out.exists()
+        assert "32 bits" in capsys.readouterr().err
+
     def test_bad_scene_spec_exit_2(self, tmp_path):
         spec = tmp_path / "bad.txt"
         spec.write_text("patch blob 0 0 1 1 0 const 3")

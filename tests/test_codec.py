@@ -11,16 +11,18 @@ from srgc.bitstream import (
     MAGIC,
     SEC_GROUPS,
     SEC_RESIDUALS,
+    SEC_STRUCTURE,
     SECTION_NAMES,
     VERSION,
     Bitstream,
     deserialize,
     pack_section,
     serialize,
+    unpack_section,
 )
 from srgc.cli import main
 from srgc.codec import CodecConfig, decode, encode
-from srgc.entropy import entropy_encode
+from srgc.entropy import entropy_decode, entropy_encode
 from srgc.errors import CorruptStreamError, SrgcError, UnsupportedStreamError
 from srgc.lightfield import (
     DisparityMap,
@@ -31,10 +33,14 @@ from srgc.lightfield import (
 )
 
 from conftest import (
+    assemble_super_rays_oracle,
     coarsen_oracle,
     eigendecompose_oracle,
     four_patch_scene,
     graph_structure_oracle,
+    label_disparities_oracle,
+    partition_super_ray_oracle,
+    partition_with_tree_oracle,
     random_lf,
 )
 
@@ -129,7 +135,7 @@ class TestGrouping:
         groupable = report.debug.groupable
         patch_units = set()
         for u in units:
-            v = u.fine_vertices
+            v = u.fine.vertices
             ref_pix = v[v[:, 0] == 0]
             # patch units are entirely inside one 16x16 corner cell
             ys, xs = ref_pix[:, 1], ref_pix[:, 2]
@@ -289,6 +295,20 @@ class TestModes:
         with pytest.raises(SrgcError):
             encode(lf, DisparityMap(values=np.zeros((4, 4))), CFG)
 
+    @pytest.mark.parametrize("name", ["n_target", "max_vertices", "q_switch"])
+    def test_u32_header_fields_bounded(self, name, monkeypatch):
+        """Values the u32 header fields cannot hold are rejected before any
+        codec work; the largest one that fits is accepted."""
+        dataclasses.replace(CFG, **{name: 2**32 - 1}).validate()
+
+        def no_work(*args):
+            raise AssertionError("encode started before validation")
+
+        monkeypatch.setattr(codec, "slic_segment", no_work)
+        lf, dmap = small_scene()
+        with pytest.raises(ValueError, match="32 bits"):
+            encode(lf, dmap, dataclasses.replace(CFG, **{name: 2**32}))
+
 
 @pytest.fixture(scope="module")
 def regroup():
@@ -351,6 +371,47 @@ class TestCorruptPayloads:
         bad_header = dataclasses.replace(stream.header, label_count=stream.header.label_count + 3)
         with pytest.raises(CorruptStreamError):
             decode(Bitstream(header=bad_header, sections=stream.sections))
+
+    @pytest.mark.parametrize("rewrite, message", [
+        (lambda syms: syms[:-1], "split tree truncated"),
+        (lambda syms: syms + [0], "trailing structure symbols"),
+        # label 0's tree replaced by a chain of 64 splits down the first
+        # child, which reaches a single-pixel (unsplittable) reference
+        (lambda syms: [1] + [1] * 64 + [0] * 65 + syms[1 + _tree_length(syms[1:]):],
+         "split tree does not match"),
+    ], ids=["truncated", "trailing_bits", "split_unsplittable"])
+    def test_split_tree_rejected(self, split_stream, rewrite, message, tmp_path):
+        count, payload = unpack_section(split_stream.sections[SEC_STRUCTURE], SEC_STRUCTURE)
+        syms = [int(v) for v in entropy_decode(payload, count, "structure")]
+        bad = rewrite(syms)
+        sections = dict(split_stream.sections)
+        sections[SEC_STRUCTURE] = pack_section(len(bad), entropy_encode(bad, "structure"))
+        broken = Bitstream(header=split_stream.header, sections=sections)
+        with pytest.raises(CorruptStreamError, match=message):
+            decode(broken)
+        path = tmp_path / "tree.srgc"
+        path.write_bytes(serialize(broken))
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
+
+def _tree_length(bits):
+    """Length of the DFS split tree at the start of ``bits``."""
+    depth = pos = 0
+    while True:
+        depth += 1 if bits[pos] else -1
+        pos += 1
+        if depth < 0:
+            return pos
+
+
+@pytest.fixture(scope="module")
+def split_stream():
+    """A partition-mode stream of a small noise light field."""
+    lf = random_lf(2, 2, 12, 12, seed=5)
+    stream, report = encode(lf, DisparityMap(values=np.zeros((12, 12))),
+                            CodecConfig(slic_k=2, q_gft=2.0, max_vertices=32))
+    assert report.partitioned_count > report.super_ray_count
+    return stream
 
 
 @pytest.fixture(scope="module")
@@ -444,23 +505,27 @@ ORACLE_CASES = {
 }
 
 
+def _solve_once(monkeypatch, solve):
+    """Memoize the codec's eigendecompose as ``solve`` by Laplacian bytes:
+    it is a pure function of the Laplacian, so every run of a test shares
+    one set of solves and the test times the stages it compares."""
+    bases = {}
+
+    def cached(lap):
+        key = (lap.matrix.shape, lap.matrix.tobytes())
+        if key not in bases:
+            bases[key] = solve(lap)
+        return bases[key]
+
+    monkeypatch.setattr(codec, "eigendecompose", cached)
+
+
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_graph_builders_match_oracles_end_to_end(case, monkeypatch):
     """The array graph builder and coarsener leave every stream byte and
     decoded sample as the loop versions they replaced produce them."""
     lf, dmap, cfg = ORACLE_CASES[case]()
-    # eigendecompose is a pure function of the Laplacian: solve each one
-    # once for both runs, so the test times the graph stages only
-    bases = {}
-    real = codec.eigendecompose
-
-    def cached(lap):
-        key = (lap.matrix.shape, lap.matrix.tobytes())
-        if key not in bases:
-            bases[key] = real(lap)
-        return bases[key]
-
-    monkeypatch.setattr(codec, "eigendecompose", cached)
+    _solve_once(monkeypatch, codec.eigendecompose)
     data, rec = _round_trip(lf, dmap, cfg)
     monkeypatch.setattr(codec, "graph_structure", graph_structure_oracle)
     monkeypatch.setattr(codec, "coarsen", coarsen_oracle)
@@ -482,17 +547,26 @@ def test_canonicalization_matches_oracle_end_to_end(case, monkeypatch):
         return rec, enc.eig_count, dec.eig_count
 
     rec, eig_enc, eig_dec = run()
-    # the oracle is a pure function of the Laplacian: the decoder reuses
-    # the encoder's solves
-    bases = {}
-
-    def oracle(lap):
-        key = (lap.matrix.shape, lap.matrix.tobytes())
-        if key not in bases:
-            bases[key] = eigendecompose_oracle(lap)
-        return bases[key]
-
-    monkeypatch.setattr(codec, "eigendecompose", oracle)
+    _solve_once(monkeypatch, eigendecompose_oracle)
     want_rec, want_enc, want_dec = run()
     assert lf_equal(rec, want_rec)
     assert (eig_enc, eig_dec) == (want_enc, want_dec)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_structure_pipeline_matches_oracles_end_to_end(case, monkeypatch):
+    """The one split walk and the one label->pixels pass leave every stream
+    byte and decoded sample as the per-side recursions and per-label scans
+    they replaced produce them."""
+    lf, dmap, cfg = ORACLE_CASES[case]()
+    _solve_once(monkeypatch, codec.eigendecompose)
+    data, rec = _round_trip(lf, dmap, cfg)
+    monkeypatch.setattr(codec, "label_disparities", label_disparities_oracle)
+    monkeypatch.setattr(codec, "assemble_super_rays", assemble_super_rays_oracle)
+    monkeypatch.setattr(
+        codec, "partition_super_ray", lambda *args: partition_super_ray_oracle(*args)[0]
+    )
+    monkeypatch.setattr(codec, "partition_with_tree", partition_with_tree_oracle)
+    want_data, want_rec = _round_trip(lf, dmap, cfg)
+    assert data == want_data
+    assert lf_equal(rec, want_rec)

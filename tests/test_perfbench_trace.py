@@ -1,0 +1,35 @@
+"""The benchmark's tracer on a partition-mode round trip.
+
+The benchmark's own tests trace only a coarse-mode workload, so a change
+that breaks a partition-mode layer counter (such as ``len(r.parts)`` on
+``partition_super_ray``'s result) would otherwise show only in traced
+benchmark runs.
+"""
+
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from harness import round_trip  # noqa: E402
+from spans import Tracer, layer_totals  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def test_traced_partition_round_trip():
+    workload = WORKLOADS["partition"]
+    lf, dmap = workload.scene(1)
+    tracer = Tracer()
+    round_trip(lf, dmap, workload.config, {}, tracer)
+    totals = layer_totals(tracer.spans, 1)
+    assert totals["enc.spectral.partition_super_ray.calls"] > 0
+    assert totals["dec.spectral.partition_with_tree.calls"] > 0
+    # partition mode builds the parts' graphs only, one per part
+    parts = totals["enc.spectral.partition_super_ray.parts"]
+    assert totals["enc.spectral.graph_structure.calls"] == parts
+    assert totals["dec.spectral.graph_structure.calls"] == parts
+    # the parts cover every pixel of every view once
+    assert totals["enc.spectral.graph_structure.vertices"] == sum(
+        p.size for p in lf.luma_planes()
+    )

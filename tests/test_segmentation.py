@@ -7,16 +7,23 @@ from srgc.errors import OrphanLabelError, TooManySuperpixelsError
 from srgc.lightfield import DisparityMap, Patch, SceneSpec, synthesize_light_field
 from srgc.segmentation import (
     SegmentationMap,
+    assemble_super_rays,
     build_super_rays,
     fill_holes,
     label_disparities,
+    label_regions,
     median_disparity,
     project_labels,
     slic_segment,
 )
 from srgc.util import round_half_away
 
-from conftest import fill_holes_oracle, four_patch_scene
+from conftest import (
+    assemble_super_rays_oracle,
+    fill_holes_oracle,
+    four_patch_scene,
+    label_disparities_oracle,
+)
 
 
 def flood_fill_components(mask):
@@ -285,6 +292,45 @@ class TestSuperRays:
         # lower median of {0.3,0.3,0.9,0.9} = 0.3, eighth-quantized
         assert rays[0].disparity == pytest.approx(0.25)
         assert label_disparities(seg, dmap) == {0: 0.25}
+
+
+class TestLabelRegions:
+    def test_matches_per_label_nonzero_on_random_maps(self):
+        """Values outside 0..count-1 are skipped and absent labels get
+        empty regions, as with one ``== l`` scan per label."""
+        rng = np.random.default_rng(8)
+        absent = skipped = 0
+        for _ in range(200):
+            h, w = rng.integers(1, 14, size=2)
+            count = int(rng.integers(1, 12))
+            labels = rng.integers(-2, count + 3, size=(h, w))
+            regions = label_regions(labels, count)
+            assert len(regions) == count
+            for l, region in enumerate(regions):
+                want = np.column_stack(np.nonzero(labels == l))
+                assert region.dtype == np.int64 and np.array_equal(region, want)
+                absent += region.shape[0] == 0
+            skipped += bool(((labels < 0) | (labels >= count)).any())
+        assert absent > 0 and skipped > 0
+
+    def test_consumers_match_per_label_scan_oracles(self):
+        rng = np.random.default_rng(9)
+        for case in range(40):
+            count = int(rng.integers(1, 9))
+            ref = rng.integers(0, count, size=(12, 10))
+            ref.flat[:count] = np.arange(count)  # no orphan
+            dmap = DisparityMap(values=rng.uniform(0.0, 2.0, size=(12, 10)))
+            seg = SegmentationMap(labels=[ref], label_count=count)
+            disparities = label_disparities(seg, dmap)
+            assert disparities == label_disparities_oracle(seg, dmap)
+            views = project_labels(seg, disparities, (2, 3))
+            got = assemble_super_rays(views, disparities)
+            want = assemble_super_rays_oracle(views, disparities)
+            assert len(got) == len(want) == count
+            for a, b in zip(got, want):
+                assert (a.label, a.disparity) == (b.label, b.disparity)
+                for pa, pb in zip(a.per_view_pixels, b.per_view_pixels):
+                    assert pa.dtype == pb.dtype and np.array_equal(pa, pb)
 
 
 def _labeled_neighbors(grid, y, x):

@@ -37,6 +37,8 @@ from conftest import (
     eigendecompose_oracle,
     graph_structure_oracle,
     make_lf,
+    partition_super_ray_oracle,
+    partition_with_tree_oracle,
 )
 
 
@@ -527,7 +529,8 @@ class TestPartition:
     def test_identity_under_bound(self):
         sr = _rect_sr(4, 4)
         res = partition_super_ray(sr, 64, (1, 1))
-        assert len(res.parts) == 1 and res.tree == [0] and not res.warned
+        assert len(res.parts) == 1 and res.tree == [0]
+        assert res.parts[0].total_pixels == sr.total_pixels <= 64
 
     def test_8x8_split_in_two(self):
         sr = _rect_sr(8, 8)
@@ -566,7 +569,9 @@ class TestPartition:
         )
         sr = SuperRay(label=0, per_view_pixels=[ref, fat], disparity=0.0)
         res = partition_super_ray(sr, 4, (1, 2))
-        assert len(res.parts) == 1 and res.warned
+        # the bound cannot be met: the one part keeps all 9 vertices
+        assert len(res.parts) == 1 and res.tree == [0]
+        assert res.parts[0].total_pixels == 9 > 4
 
     def test_tree_replay_matches(self):
         sr = _rect_sr(12, 10, views=2, disparity=0.5)
@@ -580,9 +585,96 @@ class TestPartition:
     def test_max_vertices_respected(self):
         sr = _rect_sr(20, 20, views=3)
         res = partition_super_ray(sr, 100, (1, 3))
-        assert not res.warned
+        assert len(res.parts) == res.tree.count(0) > 1
+        assert sum(p.total_pixels for p in res.parts) == sr.total_pixels
         for p in res.parts:
             assert p.total_pixels <= 100
+
+
+    def test_tree_replay_rejects_mismatched_trees(self):
+        sr = _rect_sr(8, 8, views=2, disparity=0.5)
+        assert len(partition_with_tree(sr, [1, 0, 0], (1, 2))) == 2
+        for bad in ([], [1, 0], [1, 0, 0, 0], [0, 0]):
+            with pytest.raises(ValueError, match="split tree"):
+                partition_with_tree(sr, bad, (1, 2))
+        # a 1 on a single-pixel reference, which cannot be bisected
+        dot = SuperRay(label=0, per_view_pixels=[sr.per_view_pixels[0][:1]] * 2,
+                       disparity=0.0)
+        with pytest.raises(ValueError, match="split tree"):
+            partition_with_tree(dot, [1, 0, 0], (1, 2))
+
+
+def _random_partition_case(rng, case):
+    """A random super-ray with holes, its grid and a vertex bound between
+    the view count and its size.  Fat views over thin references leave
+    single-pixel references above the bound (unsplittable nodes)."""
+    angular = ((1, 2), (2, 2), (2, 3), (3, 3))[case % 4]
+    n_views = angular[0] * angular[1]
+    disparity = (0.0, 0.5, 1.0, 1.5)[case // 4 % 4]
+    h, w = rng.integers(1, 10, size=2)
+    per_view = []
+    for v in range(n_views):
+        mask = rng.random((h, w)) < rng.uniform(0.3, 1.0)
+        if v == 0:
+            mask.flat[rng.integers(mask.size)] = True
+        per_view.append(np.argwhere(mask).astype(np.int64))
+    sr = SuperRay(label=case, per_view_pixels=per_view, disparity=disparity)
+    max_vertices = int(rng.integers(n_views, max(n_views, sr.total_pixels) + 1))
+    return sr, angular, max_vertices
+
+
+def _assert_same_parts(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.label, a.disparity) == (b.label, b.disparity)
+        assert len(a.per_view_pixels) == len(b.per_view_pixels)
+        for pa, pb in zip(a.per_view_pixels, b.per_view_pixels):
+            assert pa.dtype == pb.dtype and np.array_equal(pa, pb)
+
+
+class TestSplitWalk:
+    def test_matches_recursion_oracles_on_random_super_rays(self):
+        rng = np.random.default_rng(21)
+        unsplittable = split = 0
+        for case in range(300):
+            sr, angular, max_vertices = _random_partition_case(rng, case)
+            got = partition_super_ray(sr, max_vertices, angular)
+            want, warned = partition_super_ray_oracle(sr, max_vertices, angular)
+            assert got.tree == want.tree
+            _assert_same_parts(got.parts, want.parts)
+            _assert_same_parts(
+                partition_with_tree(sr, got.tree, angular),
+                partition_with_tree_oracle(sr, want.tree, angular),
+            )
+            unsplittable += warned
+            split += len(got.parts) > 1
+        assert unsplittable > 0 and split > 0
+
+    def test_replay_rejects_what_the_oracle_rejects(self):
+        """Truncated trees, trailing bits and flipped bits (a 1 on an
+        unsplittable node among them): the walk raises exactly when the old
+        replay did, and otherwise returns the same parts."""
+        rng = np.random.default_rng(22)
+        reasons = {}
+        for case in range(200):
+            sr, angular, max_vertices = _random_partition_case(rng, case)
+            tree = partition_super_ray(sr, max_vertices, angular).tree
+            flipped = list(tree)
+            flipped[rng.integers(len(tree))] ^= 1
+            for bad in (tree[:-1], tree + [0], tree + [1, 0, 0], flipped):
+                try:
+                    want = partition_with_tree_oracle(sr, bad, angular)
+                except ValueError as e:
+                    reasons[str(e)] = reasons.get(str(e), 0) + 1
+                    with pytest.raises(ValueError, match="split tree"):
+                        partition_with_tree(sr, bad, angular)
+                    continue
+                _assert_same_parts(partition_with_tree(sr, bad, angular), want)
+        assert set(reasons) == {
+            "split tree truncated",
+            "split tree has trailing bits",
+            "split tree does not match super-ray geometry",
+        }, reasons
 
 
 def _reproject_children_oracle(sr, child_refs, t_count):
