@@ -1,13 +1,12 @@
-"""Versioned bitstream container (magic ``SRGC``, version 1).
+"""Versioned bitstream container (magic ``SRGC``, version 2).
 
 Layout (all little-endian, no padding; see docs/bitstream.md):
 
-    magic      4s   b"SRGC"
-    version    u8   1
-    header     fixed struct (dims, depth, channels, flags, quantizers, ...)
-    n_sections u8
-    table      n_sections x (u8 section id, u64 payload byte length)
-    payloads   concatenated section bytes
+    magic     4s    b"SRGC"
+    version   u8    2
+    header    fixed 47-byte struct (dims, depth, channels, flags, quantizers, ...)
+    lengths   6 x u32, payload byte length of sections 1..6 in id order
+    payloads  the six section payloads, concatenated in id order
 
 Every section payload starts with a u32 symbol count followed by one
 entropy-coded integer stream.  Section ids: 1 segmentation, 2 disparity,
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import CorruptStreamError, UnsupportedStreamError
 
 MAGIC = b"SRGC"
-VERSION = 1
+VERSION = 2
 
 SEC_SEGMENTATION = 1
 SEC_DISPARITY = 2
@@ -52,8 +51,12 @@ SECTION_CONTEXTS = {
 _FLAG_GROUPING = 1
 _FLAG_EXPLICIT_GROUPS = 2
 _FLAG_RESIDUAL_DCT = 4
+_FLAGS_KNOWN = _FLAG_GROUPING | _FLAG_EXPLICIT_GROUPS | _FLAG_RESIDUAL_DCT
 
-_HEADER_FMT = "<HHIIBBBIIIIddd"
+_HEADER_FMT = "<HHIIBBBIIddd"
+_HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+_LENGTHS_FMT = f"<{len(SECTION_NAMES)}I"
+_LENGTHS_SIZE = struct.calcsize(_LENGTHS_FMT)
 
 
 @dataclass
@@ -67,8 +70,6 @@ class StreamHeader:
     residual_mode: str
     label_count: int
     n_target: int
-    max_vertices: int
-    q_switch: int
     q_gft: float
     q_dct: float
     bin_width: float
@@ -90,8 +91,6 @@ class StreamHeader:
             flags,
             self.label_count,
             self.n_target,
-            self.max_vertices,
-            self.q_switch,
             self.q_gft,
             self.q_dct,
             self.bin_width,
@@ -113,9 +112,11 @@ class StreamHeader:
 
     @classmethod
     def unpack(cls, data):
-        s, t, w, h, depth, channels, flags, labels, n_target, max_v, q_switch, q_gft, q_dct, bw = struct.unpack(
+        s, t, w, h, depth, channels, flags, labels, n_target, q_gft, q_dct, bw = struct.unpack(
             _HEADER_FMT, data
         )
+        if flags & ~_FLAGS_KNOWN:
+            raise CorruptStreamError(f"corrupt stream: header flags {flags:#04x} set unknown bits")
         return cls(
             angular_dims=(s, t),
             spatial_dims=(w, h),
@@ -126,8 +127,6 @@ class StreamHeader:
             residual_mode="dct" if flags & _FLAG_RESIDUAL_DCT else "raw",
             label_count=labels,
             n_target=n_target,
-            max_vertices=max_v,
-            q_switch=q_switch,
             q_gft=q_gft,
             q_dct=q_dct,
             bin_width=bw,
@@ -156,17 +155,15 @@ def unpack_section(data, section_id):
 
 
 def serialize(bs: Bitstream) -> bytes:
-    out = bytearray()
-    out += MAGIC
-    out.append(VERSION)
-    out += bs.header.pack()
-    ids = sorted(bs.sections)
-    out.append(len(ids))
-    for sid in ids:
-        out += struct.pack("<BQ", sid, len(bs.sections[sid]))
-    for sid in ids:
-        out += bs.sections[sid]
-    return bytes(out)
+    """The v2 container; every one of the six sections must be present."""
+    payloads = [bs.sections[sid] for sid in SECTION_NAMES]
+    return b"".join([
+        MAGIC,
+        bytes([VERSION]),
+        bs.header.pack(),
+        struct.pack(_LENGTHS_FMT, *map(len, payloads)),
+        *payloads,
+    ])
 
 
 def deserialize(data: bytes) -> Bitstream:
@@ -175,25 +172,17 @@ def deserialize(data: bytes) -> Bitstream:
     if data[4] != VERSION:
         raise UnsupportedStreamError(f"unsupported stream: version {data[4]}")
     pos = 5
-    header_size = struct.calcsize(_HEADER_FMT)
-    if len(data) < pos + header_size + 1:
+    if len(data) < pos + _HEADER_SIZE:
         raise CorruptStreamError("corrupt stream: truncated header")
-    header = StreamHeader.unpack(data[pos : pos + header_size])
+    header = StreamHeader.unpack(data[pos : pos + _HEADER_SIZE])
     header.check()
-    pos += header_size
-    n_sections = data[pos]
-    pos += 1
-    table = {}
-    for _ in range(n_sections):
-        if len(data) < pos + 9:
-            raise CorruptStreamError("corrupt stream: truncated section table")
-        sid, length = struct.unpack("<BQ", data[pos : pos + 9])
-        if sid not in SECTION_NAMES or sid in table:
-            raise CorruptStreamError(f"corrupt stream: unknown or repeated section id {sid}")
-        table[sid] = length
-        pos += 9
+    pos += _HEADER_SIZE
+    if len(data) < pos + _LENGTHS_SIZE:
+        raise CorruptStreamError("corrupt stream: truncated section length table")
+    lengths = struct.unpack_from(_LENGTHS_FMT, data, pos)
+    pos += _LENGTHS_SIZE
     sections = {}
-    for sid, length in table.items():
+    for sid, length in zip(SECTION_NAMES, lengths):
         if len(data) < pos + length:
             raise CorruptStreamError(
                 f"corrupt stream: truncated section '{SECTION_NAMES[sid]}'"

@@ -12,7 +12,14 @@ import os
 import sys
 
 from . import bench
-from .bitstream import SECTION_NAMES, deserialize, serialize
+from .bitstream import (
+    SEC_STRUCTURE,
+    SECTION_NAMES,
+    VERSION,
+    deserialize,
+    serialize,
+    unpack_section,
+)
 from .codec import CodecConfig, decode, encode
 from .errors import SrgcError
 from .lightfield import (
@@ -185,6 +192,7 @@ def _cmd_analyze(args):
             data = f.read()
         stream = deserialize(data)
         hdr = stream.header
+        structure_count, _ = unpack_section(stream.sections[SEC_STRUCTURE], SEC_STRUCTURE)
         lines += [
             f"magic=SRGC",
             f"bytes={len(data)}",
@@ -200,8 +208,8 @@ def _cmd_analyze(args):
             f"q_dct={hdr.q_dct}",
             f"bin_width={hdr.bin_width}",
             f"n_target={hdr.n_target}",
-            f"max_vertices={hdr.max_vertices}",
-            f"q_switch={hdr.q_switch}",
+            f"version={VERSION}",
+            f"mode={'partition' if structure_count else 'coarse'}",
             "bpp=%.6f" % bench.bpp(stream, (hdr.angular_dims, hdr.spatial_dims)),
         ]
         for sid in sorted(stream.sections):

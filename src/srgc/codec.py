@@ -7,8 +7,8 @@ group coarsened units on dequantized coefficients -> select main members
 -> cross-basis prediction and integer residuals -> entropy-coded sections.
 
 Decoder: rebuilds segmentation, projection, units, coarsening and groups
-from transmitted data (labels, disparities, structure flags, split trees,
-dequantized coefficients), reads each group's main index from the stream,
+from transmitted data (labels, disparities, split trees, dequantized
+coefficients), reads each group's main index from the stream,
 and eigendecomposes only ungrouped units plus one main per group.  Grouped
 members are reconstructed as rounded cross-basis prediction plus residual,
 which with raw residuals reproduces the coded unit signal exactly.
@@ -90,8 +90,8 @@ class CodecConfig:
             raise ValueError("quantizer steps must be positive")
         if self.n_target < 1 or self.max_vertices < 1 or self.q_switch < 0:
             raise ValueError("size thresholds must be positive")
-        if max(self.n_target, self.max_vertices, self.q_switch) > _U32_MAX:
-            raise ValueError("n_target, max_vertices and q_switch must fit in 32 bits")
+        if self.n_target > _U32_MAX:
+            raise ValueError("n_target must fit in 32 bits")
         if self.slic_k < 1 or self.compactness <= 0 or self.bin_width <= 0:
             raise ValueError("segmentation/grouping parameters must be positive")
         if self.residual_mode not in ("raw", "dct"):
@@ -279,88 +279,69 @@ def _groupable_positions(units, n_target, grouping):
 # ---------------------------------------------------------------------------
 
 def _segmentation_symbols(labels):
-    h, w = labels.shape
-    syms = np.empty(h * w, dtype=np.int64)
-    pos = 0
-    for y in range(h):
-        row = labels[y]
-        up = labels[y - 1] if y > 0 else None
-        for x in range(w):
-            v = row[x]
-            if x > 0 and row[x - 1] == v:
-                syms[pos] = 0
-            elif up is not None and up[x] == v:
-                syms[pos] = 1
-            else:
-                syms[pos] = v + 2
-            pos += 1
-    return syms
+    """Raster-order symbols of a label map: 0 copies the left neighbour,
+    1 the upper one, ``v + 2`` is label ``v``; left wins over up."""
+    left = np.zeros(labels.shape, dtype=bool)
+    left[:, 1:] = labels[:, 1:] == labels[:, :-1]
+    up = np.zeros(labels.shape, dtype=bool)
+    up[1:] = labels[1:] == labels[:-1]
+    return np.where(left, 0, np.where(up, 1, labels.astype(np.int64) + 2)).ravel()
 
 
 def _segmentation_from_symbols(syms, w, h, label_count):
-    labels = np.zeros((h, w), dtype=np.int64)
-    pos = 0
+    """Inverse of ``_segmentation_symbols``; the first invalid symbol in
+    raster order raises CorruptStreamError."""
+    grid = np.asarray(syms, dtype=np.int64).reshape(h, w)
+    cols = np.arange(w)
+    bad = ((grid == 0) & (cols == 0)) | (grid < 0) | (grid >= label_count + 2)
+    bad[0] |= grid[0] == 1
+    if bad.any():
+        y, x = divmod(int(np.argmax(bad)), w)
+        s = int(grid[y, x])
+        if s == 0:
+            raise CorruptStreamError("corrupt stream: copy-left at row start")
+        if s == 1:
+            raise CorruptStreamError("corrupt stream: copy-up in first row")
+        raise CorruptStreamError(f"corrupt stream: label {s - 2} out of range at ({y},{x})")
+    labels = grid - 2
     for y in range(h):
-        for x in range(w):
-            s = int(syms[pos])
-            pos += 1
-            if s == 0:
-                if x == 0:
-                    raise CorruptStreamError("corrupt stream: copy-left at row start")
-                labels[y, x] = labels[y, x - 1]
-            elif s == 1:
-                if y == 0:
-                    raise CorruptStreamError("corrupt stream: copy-up in first row")
-                labels[y, x] = labels[y - 1, x]
-            else:
-                v = s - 2
-                if v < 0 or v >= label_count:
-                    raise CorruptStreamError(
-                        f"corrupt stream: label {v} out of range at ({y},{x})"
-                    )
-                labels[y, x] = v
+        row = labels[y]
+        if y:
+            np.copyto(row, labels[y - 1], where=grid[y] == 1)
+        # each copy-left pixel takes the label of the last explicit or
+        # copy-up pixel to its left
+        src = np.where(grid[y] == 0, 0, cols)
+        labels[y] = row[np.maximum.accumulate(src)]
     return labels
 
 
-def _structure_symbols(srs, trees):
-    """Per super-ray a 0 flag (coarsened) or a 1 flag and its split tree."""
-    syms = []
-    for sr in srs:
-        if sr.label in trees:
-            syms.append(1)
-            syms.extend(trees[sr.label])
-        else:
-            syms.append(0)
-    return syms
-
-
 def _parse_structure(syms, label_count):
-    flags, trees = [], {}
+    """Split trees of labels 0..label_count-1, back to back in DFS preorder
+    (``1`` internal node, ``0`` leaf).  No symbols at all means every label
+    is coarsened: ``{}``."""
+    syms = [int(v) for v in syms]
+    trees = {}
     pos = 0
-    for label in range(label_count):
+    for label in range(label_count if syms else 0):
         if pos >= len(syms):
-            raise CorruptStreamError("corrupt stream: structure section short")
-        flag = int(syms[pos])
-        pos += 1
-        if flag not in (0, 1):
-            raise CorruptStreamError(f"corrupt stream: structure flag {flag}")
-        flags.append(flag)
-        if flag == 1:
-            tree = []
-            depth = 1
-            while depth > 0:
-                if pos >= len(syms):
-                    raise CorruptStreamError("corrupt stream: split tree truncated")
-                bit = int(syms[pos])
-                pos += 1
-                if bit not in (0, 1):
-                    raise CorruptStreamError(f"corrupt stream: tree bit {bit}")
-                tree.append(bit)
-                depth += 1 if bit else -1
-            trees[label] = tree
+            raise CorruptStreamError(
+                f"corrupt stream: structure holds {label} of {label_count} split trees"
+            )
+        tree = []
+        depth = 1
+        while depth > 0:
+            if pos >= len(syms):
+                raise CorruptStreamError("corrupt stream: split tree truncated")
+            bit = syms[pos]
+            pos += 1
+            if bit not in (0, 1):
+                raise CorruptStreamError(f"corrupt stream: tree bit {bit}")
+            tree.append(bit)
+            depth += 1 if bit else -1
+        trees[label] = tree
     if pos != len(syms):
         raise CorruptStreamError("corrupt stream: trailing structure symbols")
-    return flags, trees
+    return trees
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +452,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         bs.SEC_DISPARITY: [
             round_half_away(disparities[l] * 8) for l in range(seg_ref.label_count)
         ],
-        bs.SEC_STRUCTURE: _structure_symbols(srs, trees),
+        bs.SEC_STRUCTURE: [bit for label in sorted(trees) for bit in trees[label]],
         bs.SEC_COEFFICIENTS: coeff_syms,
         bs.SEC_GROUPS: group_syms,
         bs.SEC_RESIDUALS: residual_syms,
@@ -490,8 +471,6 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         residual_mode=cfg.residual_mode,
         label_count=seg_ref.label_count,
         n_target=cfg.n_target,
-        max_vertices=cfg.max_vertices,
-        q_switch=cfg.q_switch,
         q_gft=cfg.q_gft,
         q_dct=cfg.q_dct,
         bin_width=cfg.bin_width,
@@ -564,13 +543,11 @@ def decode(stream: Bitstream, threads=1, debug=False):
     srs = assemble_super_rays(seg_all, disparities)
     watch.lap("projection")
 
-    # one flag per label plus 2P - 1 tree nodes for P parts, and every part
-    # keeps at least one reference pixel
+    # 2P - 1 tree nodes for P parts, and every part keeps at least one
+    # reference pixel; an empty section codes every label coarsened
     struct_syms = section_symbols(bs.SEC_STRUCTURE, 2 * w * h, at_most=True)
-    flags, trees = _parse_structure(struct_syms, hdr.label_count)
-    if any(f != flags[0] for f in flags):
-        raise CorruptStreamError("corrupt stream: mixed structure modes")
-    mode = "part" if flags and flags[0] == 1 else "coarse"
+    trees = _parse_structure(struct_syms, hdr.label_count)
+    mode = "part" if trees else "coarse"
     try:
         units = _build_units(
             srs, hdr.angular_dims, mode, hdr.n_target,

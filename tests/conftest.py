@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from srgc.lightfield import DisparityMap, LightField, View, SceneSpec, Patch, synthesize_light_field
-from srgc.errors import OrphanLabelError
+from srgc.errors import CorruptStreamError, OrphanLabelError
 from srgc.segmentation import SuperRay, label_shift, median_disparity
 from srgc.spectral import (
     CoarseningMap,
@@ -366,6 +366,53 @@ def assemble_super_rays_oracle(seg, disparities):
             SuperRay(label=l, per_view_pixels=per_label[l], disparity=disparities[l])
         )
     return rays
+
+
+def segmentation_symbols_oracle(labels):
+    """Oracle: ``codec._segmentation_symbols`` as a per-pixel loop."""
+    h, w = labels.shape
+    syms = np.empty(h * w, dtype=np.int64)
+    pos = 0
+    for y in range(h):
+        row = labels[y]
+        up = labels[y - 1] if y > 0 else None
+        for x in range(w):
+            v = row[x]
+            if x > 0 and row[x - 1] == v:
+                syms[pos] = 0
+            elif up is not None and up[x] == v:
+                syms[pos] = 1
+            else:
+                syms[pos] = v + 2
+            pos += 1
+    return syms
+
+
+def segmentation_from_symbols_oracle(syms, w, h, label_count):
+    """Oracle: ``codec._segmentation_from_symbols`` as a per-pixel loop,
+    raising at the first invalid symbol in raster order."""
+    labels = np.zeros((h, w), dtype=np.int64)
+    pos = 0
+    for y in range(h):
+        for x in range(w):
+            s = int(syms[pos])
+            pos += 1
+            if s == 0:
+                if x == 0:
+                    raise CorruptStreamError("corrupt stream: copy-left at row start")
+                labels[y, x] = labels[y, x - 1]
+            elif s == 1:
+                if y == 0:
+                    raise CorruptStreamError("corrupt stream: copy-up in first row")
+                labels[y, x] = labels[y - 1, x]
+            else:
+                v = s - 2
+                if v < 0 or v >= label_count:
+                    raise CorruptStreamError(
+                        f"corrupt stream: label {v} out of range at ({y},{x})"
+                    )
+                labels[y, x] = v
+    return labels
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """CLI contract: subcommands, exit codes, reports, determinism."""
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from srgc.cli import main
 from srgc.codec import CodecConfig, encode
 from srgc.lightfield import DisparityMap, lf_equal, load_light_field
 
-from conftest import random_lf
+from conftest import four_patch_scene, random_lf
 
 SCENE = """
 angular 3 3
@@ -84,7 +85,7 @@ class TestPipeline:
     def test_missing_subcommand_exit_1(self):
         assert main([]) == 1
 
-    @pytest.mark.parametrize("flag", ["--n-target", "--max-vertices", "--q-switch"])
+    @pytest.mark.parametrize("flag", ["--n-target"])
     def test_u32_overflow_exit_2_without_output(self, scene_dir, tmp_path, capsys, flag):
         out = tmp_path / "a.srgc"
         code = main([
@@ -93,6 +94,25 @@ class TestPipeline:
         ])
         assert code == 2 and not out.exists()
         assert "32 bits" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-vertices", "--q-switch"])
+    def test_encoder_only_flags_unbounded(self, scene_dir, tmp_path, flag):
+        out = tmp_path / "a.srgc"
+        assert main([
+            "encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+            "--q-gft", "8", "--slic-k", "8", flag, str(2**32), "--out", str(out),
+        ]) == 0
+        assert main(["decode", str(out), "--out", str(tmp_path / "rec")]) == 0
+
+    def test_unknown_header_flag_bits_exit_2(self, tmp_path, capsys):
+        stream, _ = encode(*four_patch_scene(32, 3), CodecConfig(slic_k=16, n_target=64))
+        data = bytearray(serialize(stream))
+        data[5 + struct.calcsize("<HHIIBB")] = 0xF9
+        path = tmp_path / "flags.srgc"
+        path.write_bytes(bytes(data))
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+        assert main(["analyze", str(path)]) == 2
+        assert "flags" in capsys.readouterr().err
 
     def test_bad_scene_spec_exit_2(self, tmp_path):
         spec = tmp_path / "bad.txt"
@@ -197,6 +217,17 @@ class TestAnalyze:
         assert "magic=SRGC" in out
         assert "bpp=" in out
         assert "section_coefficients_bytes=" in out
+        assert "version=2" in out and "mode=coarse" in out
+        assert "max_vertices=" not in out and "q_switch=" not in out
+
+    def test_stream_info_partition_mode(self, scene_dir, tmp_path, capsys):
+        stream = tmp_path / "a.srgc"
+        assert main(
+            ["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+             "--q-gft", "8", "--slic-k", "8", "--out", str(stream)]
+        ) == 0
+        assert main(["analyze", str(stream)]) == 0
+        assert "mode=partition" in capsys.readouterr().out.splitlines()
 
     def test_psnr_mode(self, scene_dir, tmp_path, capsys):
         assert main(["analyze", "--ref", str(scene_dir), "--rec", str(scene_dir)]) == 0

@@ -42,6 +42,8 @@ from conftest import (
     partition_super_ray_oracle,
     partition_with_tree_oracle,
     random_lf,
+    segmentation_from_symbols_oracle,
+    segmentation_symbols_oracle,
 )
 
 
@@ -115,12 +117,80 @@ class TestSerializeRoundtrip:
         with pytest.raises(UnsupportedStreamError):
             deserialize(bytes(data))
 
+    def test_version_1_stream_rejected(self, tmp_path):
+        """A stream in the version-1 layout (55-byte header with
+        max_vertices and q_switch, then a u8 section count and (u8 id, u64
+        length) pairs) is unsupported, not corrupt."""
+        lf, dmap = small_scene()
+        stream = encode(lf, dmap, CFG)[0]
+        hdr = stream.header
+        flags = int(hdr.grouping) | 2 * int(hdr.explicit_groups)
+        data = MAGIC + bytes([1]) + struct.pack(
+            "<HHIIBBBIIIIddd", *hdr.angular_dims, *hdr.spatial_dims, hdr.bit_depth,
+            hdr.channels, flags, hdr.label_count, hdr.n_target, CFG.max_vertices,
+            CFG.q_switch, hdr.q_gft, hdr.q_dct, hdr.bin_width,
+        ) + bytes([len(stream.sections)])
+        for sid in sorted(stream.sections):
+            data += struct.pack("<BQ", sid, len(stream.sections[sid]))
+        data += b"".join(stream.sections[sid] for sid in sorted(stream.sections))
+        with pytest.raises(UnsupportedStreamError, match="version 1"):
+            deserialize(data)
+        path = tmp_path / "v1.srgc"
+        path.write_bytes(data)
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
     def test_truncated_section_named(self):
         lf, dmap = small_scene()
         data = serialize(encode(lf, dmap, CFG)[0])
         with pytest.raises(CorruptStreamError) as err:
             deserialize(data[:-2])
         assert "residuals" in str(err.value)
+
+
+def _random_label_map(rng):
+    """A small blocky label map with speckle, so runs, copy-left and
+    copy-up symbols all occur; returns (labels, label_count)."""
+    h, w, bh, bw = (int(v) for v in rng.integers(1, [13, 13, 4, 4]))
+    k = int(rng.integers(1, 7))
+    blocks = rng.integers(0, k, size=(-(-h // bh), -(-w // bw)))
+    labels = np.repeat(np.repeat(blocks, bh, 0), bw, 1)[:h, :w].copy()
+    speckle = rng.random((h, w)) < 0.1
+    labels[speckle] = rng.integers(0, k, size=int(speckle.sum()))
+    return labels.astype(np.int64), k
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args).tolist()
+    except CorruptStreamError as e:
+        return "error", str(e)
+
+
+class TestSegmentationSymbols:
+    def test_random_maps_match_oracle(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            labels, k = _random_label_map(rng)
+            h, w = labels.shape
+            syms = codec._segmentation_symbols(labels)
+            assert syms.dtype == np.int64
+            assert np.array_equal(syms, segmentation_symbols_oracle(labels))
+            assert np.array_equal(codec._segmentation_from_symbols(syms, w, h, k), labels)
+
+    def test_corrupt_symbols_match_oracle(self):
+        """Same labels, or the same first error in raster order."""
+        rng = np.random.default_rng(7)
+        seen = set()
+        for _ in range(400):
+            labels, k = _random_label_map(rng)
+            h, w = labels.shape
+            syms = segmentation_symbols_oracle(labels)
+            hits = rng.integers(0, h * w, size=int(rng.integers(1, 4)))
+            syms[hits] = rng.choice([-3, -1, 0, 1, k + 1, k + 2, k + 40], size=hits.size)
+            want = _outcome(segmentation_from_symbols_oracle, syms, w, h, k)
+            assert _outcome(codec._segmentation_from_symbols, syms, w, h, k) == want
+            seen.add(want[0] if want[0] == "ok" else want[1].split()[2])
+        assert seen == {"ok", "copy-left", "copy-up", "label"}
 
 
 class TestGrouping:
@@ -295,7 +365,7 @@ class TestModes:
         with pytest.raises(SrgcError):
             encode(lf, DisparityMap(values=np.zeros((4, 4))), CFG)
 
-    @pytest.mark.parametrize("name", ["n_target", "max_vertices", "q_switch"])
+    @pytest.mark.parametrize("name", ["n_target"])
     def test_u32_header_fields_bounded(self, name, monkeypatch):
         """Values the u32 header fields cannot hold are rejected before any
         codec work; the largest one that fits is accepted."""
@@ -308,6 +378,20 @@ class TestModes:
         lf, dmap = small_scene()
         with pytest.raises(ValueError, match="32 bits"):
             encode(lf, dmap, dataclasses.replace(CFG, **{name: 2**32}))
+
+    @pytest.mark.parametrize("name", ["max_vertices", "q_switch"])
+    def test_encoder_only_fields_unbounded(self, name):
+        """max_vertices and q_switch steer the encoder only and are not in
+        the header, so 2**32 encodes, serializes and decodes."""
+        lf, dmap = small_scene()
+        cfg = dataclasses.replace(CFG, q_gft=2.0, **{name: 2**32})
+        stream, report = encode(lf, dmap, cfg)
+        assert report.partitioned_count == report.unit_count
+        if name == "max_vertices":
+            assert report.unit_count == report.super_ray_count
+        rec, dec_rep = decode(deserialize(serialize(stream)))
+        assert dec_rep.eig_count == report.unit_count
+        assert rec.spatial_dims == lf.spatial_dims
 
 
 @pytest.fixture(scope="module")
@@ -377,10 +461,13 @@ class TestCorruptPayloads:
         (lambda syms: syms + [0], "trailing structure symbols"),
         # label 0's tree replaced by a chain of 64 splits down the first
         # child, which reaches a single-pixel (unsplittable) reference
-        (lambda syms: [1] + [1] * 64 + [0] * 65 + syms[1 + _tree_length(syms[1:]):],
+        (lambda syms: [1] * 64 + [0] * 65 + syms[_tree_length(syms):],
          "split tree does not match"),
-    ], ids=["truncated", "trailing_bits", "split_unsplittable"])
+        # label 0's tree alone: a partition-mode section with too few trees
+        (lambda syms: syms[:_tree_length(syms)], "holds 1 of 2 split trees"),
+    ], ids=["truncated", "trailing_bits", "split_unsplittable", "fewer_trees_than_labels"])
     def test_split_tree_rejected(self, split_stream, rewrite, message, tmp_path):
+        assert split_stream.header.label_count == 2
         count, payload = unpack_section(split_stream.sections[SEC_STRUCTURE], SEC_STRUCTURE)
         syms = [int(v) for v in entropy_decode(payload, count, "structure")]
         bad = rewrite(syms)
@@ -422,14 +509,11 @@ def grouped_stream():
     return stream
 
 
-def _container(header, table):
-    """Serialize a section table as given: ids in any order, repeats kept."""
-    out = bytearray(MAGIC) + bytes([VERSION]) + header.pack() + bytes([len(table)])
-    for sid, payload in table:
-        out += struct.pack("<BQ", sid, len(payload))
-    for _, payload in table:
-        out += payload
-    return bytes(out)
+def _container(header, payloads):
+    """The version-2 layout written out by hand: magic, version, header,
+    six u32 payload lengths, payloads."""
+    lengths = struct.pack("<6I", *map(len, payloads))
+    return MAGIC + bytes([VERSION]) + header.pack() + lengths + b"".join(payloads)
 
 
 class TestStreamValidation:
@@ -450,17 +534,28 @@ class TestStreamValidation:
 
     def test_section_table_rejections(self, grouped_stream):
         header, sections = grouped_stream.header, grouped_stream.sections
-        table = sorted(sections.items())
-        data = _container(header, table)
+        payloads = [sections[sid] for sid in sorted(SECTION_NAMES)]
+        data = _container(header, payloads)
         assert data == serialize(grouped_stream)
         assert deserialize(data).sections == sections
-        for bad in (
-            _container(header, table + [table[0]]),          # repeated id
-            _container(header, table + [(7, b"\0\0\0\0")]),  # unknown id
-            data + b"\0",                                    # trailing byte
-        ):
-            with pytest.raises(SrgcError):
-                deserialize(bad)
+        with pytest.raises(CorruptStreamError, match="trailing"):
+            deserialize(data + b"\0")
+        table_start = 5 + len(header.pack())
+        for end in range(table_start, table_start + 24):
+            with pytest.raises(CorruptStreamError, match="section length table"):
+                deserialize(data[:end])
+
+    @pytest.mark.parametrize("flags", [0xF9, 0x08, 0x80])
+    def test_unknown_header_flag_bits_rejected(self, flags):
+        """Flag bits beyond grouping, explicit groups and DCT residuals are
+        corrupt, not ignored."""
+        stream, _ = encode(*four_patch_scene(32, 3), CodecConfig(slic_k=16, n_target=64))
+        data = bytearray(serialize(stream))
+        flags_at = 5 + struct.calcsize("<HHIIBB")
+        assert data[flags_at] == 1  # grouping only
+        data[flags_at] = flags
+        with pytest.raises(CorruptStreamError, match="flags"):
+            deserialize(bytes(data))
 
     @pytest.mark.parametrize("sid", sorted(SECTION_NAMES))
     @pytest.mark.parametrize("lie", [300_000, 2**32 - 1])
