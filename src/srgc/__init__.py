@@ -47,6 +47,7 @@ from .spectral import (
     LocalGraph,
     coarsen,
     eigendecompose,
+    eigendecompose_all,
     laplacian,
     partition_super_ray,
     uncoarsen_signal,

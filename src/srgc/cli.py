@@ -72,7 +72,8 @@ def _add_config_flags(p):
     p.add_argument("--bin-width", type=float, dest="bin_width")
     p.add_argument("--residual-mode", choices=("raw", "dct"), dest="residual_mode")
     p.add_argument("--channels", choices=("y", "all"), dest="channels")
-    p.add_argument("--threads", type=int, dest="threads")
+    p.add_argument("--threads", type=int, dest="threads",
+                   help="accepted (>= 1) but no effect: no thread pool")
     p.add_argument("--no-grouping", action="store_true",
                    help="baseline mode: disable super-ray grouping")
     p.add_argument("--explicit-groups", action="store_true",
@@ -100,7 +101,8 @@ def _build_parser():
     p.add_argument("input", help=".srgc stream path")
     p.add_argument("--out", required=True, help="output view directory")
     p.add_argument("--report", help="write the decode report here")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted (>= 1) but no effect: no thread pool")
 
     p = sub.add_parser("analyze", help="inspect a stream or compare two LFs")
     p.add_argument("input", nargs="?", help=".srgc stream path")

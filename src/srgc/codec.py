@@ -13,14 +13,15 @@ and eigendecomposes only ungrouped units plus one main per group.  Grouped
 members are reconstructed as rounded cross-basis prediction plus residual,
 which with raw residuals reproduces the coded unit signal exactly.
 
+Each side runs its eigen stage once per stream, as one batched
+:func:`spectral.eigendecompose_all` call over every unit it decomposes.
 Everything outside wall-clock timings is a deterministic function of
 (light field, disparity map, config): canonical orderings throughout, and
-worker pools only ever map pure functions whose results are collected in
-unit order.
+no thread pool.  ``threads`` (config field, ``decode`` argument) is still
+validated but has no effect.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,7 +48,8 @@ from .segmentation import (
 from .spectral import (
     coarse_mean_signal,
     coarsen,
-    eigendecompose,
+    eigendecompose,  # not called here; perfbench/spans.py traces this name
+    eigendecompose_all,
     graph_signal,
     graph_structure,
     laplacian,
@@ -56,9 +58,7 @@ from .spectral import (
     uncoarsen_signal,
 )
 from .transform import (
-    QuantizedVector,
     dct1d,
-    dequantize,
     gft,
     idct1d,
     predict_signal,
@@ -131,7 +131,6 @@ class EncodeReport:
     group_count: int = 0
     grouped_count: int = 0
     eig_count: int = 0
-    worker_count: int = 1
     times: dict = field(default_factory=dict)
     debug: object = None
 
@@ -158,7 +157,6 @@ class EncodeReport:
             f"ratio_coarsened={self.coarsened_ratio:.6f}",
             f"ratio_overall={self.overall_ratio:.6f}",
             f"eig_encoder={self.eig_count}",
-            f"workers={self.worker_count}",
         ]
         out += [f"t_{k}_s={v:.6f}" for k, v in self.times.items()]
         return out
@@ -170,7 +168,6 @@ class DecodeReport:
     group_count: int = 0
     grouped_count: int = 0
     eig_count: int = 0
-    worker_count: int = 1
     times: dict = field(default_factory=dict)
     debug: object = None
 
@@ -180,7 +177,6 @@ class DecodeReport:
             f"groups={self.group_count}",
             f"grouped={self.grouped_count}",
             f"eig_decoder={self.eig_count}",
-            f"workers={self.worker_count}",
         ]
         out += [f"t_{k}_s={v:.6f}" for k, v in self.times.items()]
         return out
@@ -252,20 +248,17 @@ def _quantize_unit(coeffs, q_gft):
     return levels
 
 
-def _dequantize_unit(levels, q_gft):
-    dc_step = min(q_gft, 1.0)
-    out = np.empty(levels.shape[0], dtype=np.float64)
-    out[:1] = dequantize(QuantizedVector(levels=levels[:1], step=dc_step))
-    if levels.shape[0] > 1:
-        out[1:] = dequantize(QuantizedVector(levels=levels[1:], step=q_gft))
-    return out
-
-
-def _pool_map(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+def _dequantize_units(levels, units, n_channels, q_gft):
+    """Dequantize the coefficient levels of every unit and channel, laid
+    out back to back (unit-major, channel-minor), in one multiply by a step
+    array that holds min(q_gft, 1) at each vector's DC index (as
+    :func:`_quantize_unit`) and q_gft elsewhere.  Returns deq[unit][channel]."""
+    sizes = np.repeat([u.n for u in units], n_channels)
+    starts = np.cumsum(sizes) - sizes
+    steps = np.full(sizes.sum(), float(q_gft))
+    steps[starts] = min(q_gft, 1.0)
+    flat = np.split(levels.astype(np.float64) * steps, starts[1:])
+    return [flat[i : i + n_channels] for i in range(0, len(flat), n_channels)]
 
 
 def _groupable_positions(units, n_target, grouping):
@@ -388,20 +381,13 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         ]
     watch.lap("units")
 
-    def _transform_unit(unit):
-        basis = eigendecompose(laplacian(unit.graph))
-        levels, deq = [], []
-        for c in range(n_channels):
-            coeffs = gft(basis, unit.signals[c])
-            lv = _quantize_unit(coeffs, cfg.q_gft)
-            levels.append(lv)
-            deq.append(_dequantize_unit(lv, cfg.q_gft))
-        return basis, levels, deq
-
-    results = _pool_map(_transform_unit, units, cfg.threads)
-    bases = [r[0] for r in results]
-    levels = [r[1] for r in results]
-    deq = [r[2] for r in results]
+    bases = eigendecompose_all(laplacian(u.graph) for u in units)
+    levels = np.concatenate([
+        _quantize_unit(gft(basis, signal), cfg.q_gft)
+        for basis, u in zip(bases, units)
+        for signal in u.signals
+    ])
+    deq = _dequantize_units(levels, units, n_channels, cfg.q_gft)
     eig_count = len(units)
     watch.lap("eigen_transform")
 
@@ -432,10 +418,6 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
                     residual_syms.extend(int(r) for r in lv)
     watch.lap("residuals")
 
-    coeff_syms = []
-    for u in range(len(units)):
-        for c in range(n_channels):
-            coeff_syms.extend(int(v) for v in levels[u][c])
     group_syms = []
     if cfg.grouping:
         if cfg.explicit_groups:
@@ -453,7 +435,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
             round_half_away(disparities[l] * 8) for l in range(seg_ref.label_count)
         ],
         bs.SEC_STRUCTURE: [bit for label in sorted(trees) for bit in trees[label]],
-        bs.SEC_COEFFICIENTS: coeff_syms,
+        bs.SEC_COEFFICIENTS: levels.tolist(),
         bs.SEC_GROUPS: group_syms,
         bs.SEC_RESIDUALS: residual_syms,
     }
@@ -490,7 +472,6 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         group_count=len(groups),
         grouped_count=group_set.grouped_count,
         eig_count=eig_count,
-        worker_count=cfg.threads,
         times=watch.times,
     )
     if debug:
@@ -505,7 +486,10 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
 # ---------------------------------------------------------------------------
 
 def decode(stream: Bitstream, threads=1, debug=False):
-    """Decode a bitstream; returns (LightField, DecodeReport)."""
+    """Decode a bitstream; returns (LightField, DecodeReport).  ``threads``
+    must be >= 1 and has no other effect."""
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     watch = _Stopwatch()
     hdr = stream.header
     s_count, t_count = hdr.angular_dims
@@ -561,15 +545,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
     coeff_syms = section_symbols(
         bs.SEC_COEFFICIENTS, sum(u.n for u in units) * n_channels
     )
-    deq = []
-    pos = 0
-    for u in units:
-        per_channel = []
-        for _ in range(n_channels):
-            lv = coeff_syms[pos : pos + u.n]
-            pos += u.n
-            per_channel.append(_dequantize_unit(lv, hdr.q_gft))
-        deq.append(per_channel)
+    deq = _dequantize_units(coeff_syms, units, n_channels, hdr.q_gft)
     watch.lap("dequantize")
 
     groupable = _groupable_positions(units, hdr.n_target, hdr.grouping)
@@ -599,13 +575,10 @@ def decode(stream: Bitstream, threads=1, debug=False):
                 grouped_members[groupable[posn]] = gi
     watch.lap("grouping")
 
-    to_decompose = [
-        u.index for u in units if u.index not in grouped_members
-    ]
-    def _decompose(idx):
-        return eigendecompose(laplacian(units[idx].graph))
-
-    decomposed = dict(zip(to_decompose, _pool_map(_decompose, to_decompose, threads)))
+    to_decompose = [u.index for u in units if u.index not in grouped_members]
+    decomposed = dict(zip(to_decompose, eigendecompose_all(
+        laplacian(units[i].graph) for i in to_decompose
+    )))
     eig_count = len(to_decompose)
     watch.lap("eigen")
 
@@ -660,7 +633,6 @@ def decode(stream: Bitstream, threads=1, debug=False):
         group_count=len(groups),
         grouped_count=sum(len(g.members) for g in groups),
         eig_count=eig_count,
-        worker_count=threads,
         times=watch.times,
     )
     if debug:

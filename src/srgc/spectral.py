@@ -16,7 +16,10 @@ Gram-Schmidt on the rows of each cluster block, one step per picked axis:
 the pivots are the axes the per-axis projection would pick, in the same
 order and under the same 1e-7 tolerance.  For a disconnected graph this
 makes the zero-eigenvalue basis the set of normalized component
-indicators.
+indicators.  :func:`eigendecompose_all` runs the whole stage batched: one
+stacked LAPACK call per size n (per 256 KiB of matrices), and one stacked
+Gram-Schmidt per stack and cluster size over all such clusters, with
+results bit-equal to diagonalizing each Laplacian alone.
 
 Coarsening reduces a graph to an exact target vertex count by repeated
 heavy-edge matching (unit weights initially, merged-edge multiplicity as
@@ -45,6 +48,7 @@ _EIG_RECON_TOL = 1e-8
 _EIG_ORTHO_TOL = 1e-8
 _EIG_CLUSTER_TOL = 1e-9
 _EIG_PICK_TOL = 1e-7
+_EIG_STACK_BYTES = 1 << 18  # matrices per stacked call: bounds the scratch memory
 
 
 @dataclass
@@ -172,87 +176,133 @@ def laplacian(g: LocalGraph) -> Laplacian:
 
 
 def _cluster_bounds(vals, tol=_EIG_CLUSTER_TOL):
-    """(starts, stops) of the eigenvalue clusters: runs of ascending
-    eigenvalues whose consecutive gaps stay below ``tol``."""
-    cuts = np.flatnonzero(np.diff(vals) >= tol) + 1
-    return np.concatenate([[0], cuts]), np.concatenate([cuts, [len(vals)]])
+    """(rows, starts, stops) of the eigenvalue clusters of every row of a
+    (B, n) array: runs of ascending eigenvalues whose consecutive gaps stay
+    below ``tol``, listed row by row."""
+    cut = np.ones((vals.shape[0], vals.shape[1] + 1), dtype=bool)
+    cut[:, 1:-1] = np.diff(vals, axis=1) >= tol
+    rows, pos = np.nonzero(cut)
+    same = rows[:-1] == rows[1:]
+    return rows[:-1][same], pos[:-1][same], pos[1:][same]
 
 
-def _canonical_cluster_basis(v):
-    """Deterministic orthonormal basis of span(v), for an n x m block ``v``
-    with orthonormal columns.
+def _canonical_cluster_bases(v):
+    """Deterministic orthonormal basis of span(v[b]) for every block of a
+    (B, n, m) stack ``v`` of n x m blocks with orthonormal columns.
 
     The basis is the Gram-Schmidt sequence of the coordinate axes'
     projections in index order, skipping residuals of norm <= 1e-7.  Since
     v^T v = I, the projection of axis a is v @ v[a] and inner products of
     projections are inner products of rows, so the process runs on the rows
-    of ``v`` in R^m: right-looking modified Gram-Schmidt, one step per
-    picked direction, each step taking the first row after the last pick
-    whose residual is above the tolerance and removing that direction from
-    every later row with one outer product.  The block is ``v @ B`` for the
-    m x m matrix B of picked directions.
+    of each block in R^m: right-looking modified Gram-Schmidt, one step per
+    pick index for the whole stack.  Step k takes in every block the first
+    row after that block's last pick whose residual is above the tolerance
+    and removes that direction from every row with one batched outer
+    product; rows up to the pick are never read again.  The result is
+    ``v @ B`` for the m x m matrices B of picked directions.
     """
-    m = v.shape[1]
+    count, n, m = v.shape
     rows = v.copy()
-    picks = np.empty((m, m))
-    a = 0
+    picks = np.empty((count, m, m))
+    blocks = np.arange(count)
+    after = np.zeros((count, 1), dtype=np.int64)  # each block's next row
     for k in range(m):
-        rest = rows[a:]
-        norms = np.sqrt(np.einsum("ij,ij->i", rest, rest))
-        above = norms > _EIG_PICK_TOL
-        if not above.any():
+        norms = np.sqrt(np.einsum("bij,bij->bi", rows, rows))
+        above = (norms > _EIG_PICK_TOL) & (np.arange(n) >= after)
+        if not above.any(axis=1).all():
             # unreachable for orthonormal v: the residuals left after k < m
             # picks have squared norms summing to m - k >= 1, so some row's
             # residual exceeds the 1e-7 tolerance unless n >= 1e14
             raise DecompositionError(
                 f"degenerate eigenspace of dimension {m} spans only {k} axes"
             )
-        first = int(np.argmax(above))
-        c = rest[first] / norms[first]
-        picks[:, k] = c
-        a += first + 1
-        rest = rows[a:]
-        rest -= (rest @ c)[:, None] * c
+        first = np.argmax(above, axis=1)
+        c = rows[blocks, first] / norms[blocks, first][:, None]
+        picks[:, :, k] = c
+        after[:, 0] = first + 1
+        rows -= (rows @ c[:, :, None]) * c[:, None, :]
     return v @ picks
 
 
 def _apply_sign_convention(vecs):
     """Make each column's largest-magnitude entry positive, first max
-    winning ties."""
-    lead = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
-    vecs[:, lead < 0] *= -1.0
+    winning ties; ``vecs`` is one n x m matrix or a stack of them."""
+    top = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    lead = np.take_along_axis(vecs, top, axis=-2)
+    vecs *= np.where(lead < 0, -1.0, 1.0)
     return vecs
 
 
-def eigendecompose(l: Laplacian) -> EigenBasis:
-    """Diagonalize a Laplacian into an EigenBasis.
-
-    Raises DecompositionError if LAPACK fails or the reconstruction /
-    orthonormality tolerances are violated.
-    """
-    m = l.matrix
-    n = m.shape[0]
-    if n < 1:
-        raise ValueError("empty Laplacian")
+def _eigendecompose_stack(mats):
+    """Diagonalize a (B, n, n) stack of Laplacians; returns the (B, n)
+    eigenvalues and the (B, n, n) eigenvectors in the convention above."""
+    n = mats.shape[1]
     try:
-        vals, vecs = np.linalg.eigh(m)
+        vals, vecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as e:
         raise DecompositionError(f"decomposition failure for {n}x{n} matrix: {e}") from e
-    vecs = vecs.copy()
-    for lo, hi in zip(*_cluster_bounds(vals)):
-        if hi - lo > 1:
-            vecs[:, lo:hi] = _canonical_cluster_basis(vecs[:, lo:hi])
+    rows, starts, stops = _cluster_bounds(vals)
+    sizes = stops - starts
+    for m in np.unique(sizes[sizes > 1]):
+        sel = sizes == m
+        index = (rows[sel, None], slice(None), starts[sel, None] + np.arange(m))
+        # advanced indices around a slice put the block axis first: (K, m, n)
+        blocks = np.ascontiguousarray(vecs[index].transpose(0, 2, 1))
+        vecs[index] = _canonical_cluster_bases(blocks).transpose(0, 2, 1)
     vecs = _apply_sign_convention(vecs)
 
-    scale = max(1.0, float(np.abs(m).max()))
-    recon = np.abs(m - (vecs * vals) @ vecs.T).max()
-    ortho = np.abs(vecs.T @ vecs - np.eye(n)).max()
-    if recon > _EIG_RECON_TOL * scale or ortho > _EIG_ORTHO_TOL:
+    scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    vecs_t = vecs.transpose(0, 2, 1)
+    recon = np.abs(mats - (vecs * vals[:, None, :]) @ vecs_t).max(axis=(1, 2))
+    ortho = np.abs(vecs_t @ vecs - np.eye(n)).max(axis=(1, 2))
+    bad = (recon > _EIG_RECON_TOL * scale) | (ortho > _EIG_ORTHO_TOL)
+    if bad.any():
+        b = int(np.argmax(bad))
         raise DecompositionError(
             f"decomposition failure for {n}x{n} matrix: "
-            f"residual {recon:.3e}, orthogonality {ortho:.3e}"
+            f"residual {recon[b]:.3e}, orthogonality {ortho[b]:.3e}"
         )
-    return EigenBasis(eigenvalues=vals, vectors=vecs)
+    return vals, vecs
+
+
+def eigendecompose_all(laplacians) -> list:
+    """Diagonalize an iterable of Laplacians into EigenBases, returned in
+    input order.
+
+    Laplacians of one size n are stacked, up to 256 KiB of matrices per
+    stack, so scratch memory does not grow with the stream, and each
+    matrix is released once stacked.  Each stack takes one LAPACK call
+    and, per cluster size m, one canonicalization of all its degenerate
+    clusters of size m.  Each basis is bit-equal to the one its Laplacian
+    gets alone.  Raises ValueError for an empty Laplacian and
+    DecompositionError if LAPACK fails or a basis violates the
+    reconstruction / orthonormality tolerances.
+    """
+    mats = [l.matrix for l in laplacians]
+    by_size = {}
+    for i, m in enumerate(mats):
+        if m.shape[0] < 1:
+            raise ValueError("empty Laplacian")
+        by_size.setdefault(m.shape[0], []).append(i)
+    bases = [None] * len(mats)
+    for n, idx in by_size.items():
+        per_stack = max(1, _EIG_STACK_BYTES // (8 * n * n))
+        for lo in range(0, len(idx), per_stack):
+            part = idx[lo : lo + per_stack]
+            stack = np.stack([mats[i] for i in part])
+            for i in part:
+                mats[i] = None
+            vals, vecs = _eigendecompose_stack(stack)
+            # own arrays, laid out as a lone call returns them, so later BLAS
+            # calls on a basis see the same layout and no basis pins the stack
+            for i, w, v in zip(part, vals, vecs):
+                bases[i] = EigenBasis(eigenvalues=w.copy(), vectors=v.copy())
+    return bases
+
+
+def eigendecompose(l: Laplacian) -> EigenBasis:
+    """Diagonalize one Laplacian: ``eigendecompose_all([l])[0]``."""
+    return eigendecompose_all([l])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +399,13 @@ def coarsen(g: LocalGraph, n_target: int):
 
 
 def coarse_mean_signal(cmap: CoarseningMap, fine_signal):
-    """Per-supernode mean of a fine signal: the coarse graph's signal."""
+    """Per-supernode mean of a fine signal: the coarse graph's signal.
+    One ``bincount`` sum over ``fine_to_coarse`` divided by the supernode
+    sizes; exact (and equal to each member mean) for integer signals."""
+    k = cmap.coarse_count
     f = np.asarray(fine_signal, dtype=np.float64)
-    return np.array([f[mem].mean() for mem in cmap.supernodes])
+    sums = np.bincount(cmap.fine_to_coarse, weights=f, minlength=k)
+    return sums / np.bincount(cmap.fine_to_coarse, minlength=k)
 
 
 def uncoarsen_signal(coarse_f, cmap: CoarseningMap):
@@ -394,32 +448,46 @@ def _split_reference(ref):
 def _reproject_children(sr, child_refs, t_count):
     """Distribute the parent's per-view pixels among child reference
     regions: same-shift scatter (conflict-free), then :func:`fill_holes`
-    among children on a grid over the parent's bounding box (-1 a hole,
-    -2 outside the parent), stalled holes to child 0."""
+    among children, stalled holes to child 0.
+
+    All non-reference views share one fill: a (views - 1, H + 1, W) grid
+    over the union bounding box of their pixels (-1 a hole, -2 outside the
+    parent), filled as one (views - 1) * (H + 1) x W plane.  The -2 row
+    under each view keeps 4-neighbour fills inside their own view, and a
+    view whose fill stalls never changes again, so the one stall fallback
+    gives its holes the same child 0 as a fill of that view alone.  Each
+    child's pixels are one ``argwhere``, split by view."""
     n_views = len(sr.per_view_pixels)
-    children = [[None] * n_views for _ in child_refs]
-    for c, ref in enumerate(child_refs):
-        children[c][0] = ref
-    for v in range(1, n_views):
-        parent = sr.per_view_pixels[v]
-        if parent.shape[0] == 0:
-            for c in range(len(child_refs)):
-                children[c][v] = np.zeros((0, 2), dtype=np.int64)
-            continue
-        origin = parent.min(axis=0)
-        grid = np.full(parent.max(axis=0) - origin + 1, -2, dtype=np.int64)
-        grid[parent[:, 0] - origin[0], parent[:, 1] - origin[1]] = -1
-        s, t = divmod(v, t_count)
-        shift = np.array(label_shift(sr.disparity, s, t)) + origin
+    others = sr.per_view_pixels[1:]
+    if not any(p.shape[0] for p in others):
+        empty = [np.zeros((0, 2), dtype=np.int64) for _ in others]
+        children = [[ref, *empty] for ref in child_refs]
+    else:
+        view = np.repeat(np.arange(n_views - 1), [p.shape[0] for p in others])
+        yx = np.concatenate(others)
+        origin = yx.min(axis=0)
+        h, w = yx.max(axis=0) - origin + 1
+        y, x = (yx - origin).T
+        grid = np.full((n_views - 1, h + 1, w), -2, dtype=np.int64)
+        grid[view, y, x] = -1
+        shifts = origin + np.array(
+            [label_shift(sr.disparity, *divmod(v, t_count)) for v in range(1, n_views)],
+            dtype=np.int64,
+        )
+        views = np.arange(n_views - 1)[:, None]
         for c, ref in enumerate(child_refs):
-            ty, tx = (ref - shift).T
-            ok = (ty >= 0) & (ty < grid.shape[0]) & (tx >= 0) & (tx < grid.shape[1])
-            ty, tx = ty[ok], tx[ok]
-            inside = grid[ty, tx] != -2
-            grid[ty[inside], tx[inside]] = c
-        fill_holes(grid, 0)
-        for c in range(len(child_refs)):
-            children[c][v] = np.argwhere(grid == c) + origin
+            ty = ref[:, 0] - shifts[:, :1]
+            tx = ref[:, 1] - shifts[:, 1:]
+            ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
+            tv, ty, tx = np.broadcast_to(views, ok.shape)[ok], ty[ok], tx[ok]
+            inside = grid[tv, ty, tx] != -2
+            grid[tv[inside], ty[inside], tx[inside]] = c
+        fill_holes(grid.reshape(-1, w), 0)
+        children = []
+        for c, ref in enumerate(child_refs):
+            hits = np.argwhere(grid == c)
+            cuts = np.searchsorted(hits[:, 0], np.arange(1, n_views - 1))
+            children.append([ref, *np.split(hits[:, 1:] + origin, cuts)])
     return [
         SuperRay(label=sr.label, per_view_pixels=pv, disparity=sr.disparity)
         for pv in children

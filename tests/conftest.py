@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from srgc.lightfield import DisparityMap, LightField, View, SceneSpec, Patch, synthesize_light_field
-from srgc.errors import CorruptStreamError, OrphanLabelError
-from srgc.segmentation import SuperRay, label_shift, median_disparity
+from srgc.errors import CorruptStreamError, DecompositionError, OrphanLabelError
+from srgc.segmentation import SuperRay, fill_holes, label_shift, median_disparity
 from srgc.spectral import (
     CoarseningMap,
     EigenBasis,
     LocalGraph,
     PartitionResult,
-    _reproject_children,
     _split_reference,
 )
 from srgc.util import quantize_eighth
@@ -213,10 +212,10 @@ def cluster_eigenvalues_oracle(vals, tol=1e-9):
 
 
 def gram_schmidt_against_axes_oracle(v):
-    """Oracle: the per-axis loop ``spectral._canonical_cluster_basis``
-    replaced.  Project coordinate axes onto span(v) in index order,
-    Gram-Schmidt each against every earlier pick, skip residuals of norm
-    <= 1e-7.  Returns fewer than m columns when fewer axes pass."""
+    """Oracle: the per-axis loop the row-wise Gram-Schmidt replaced.
+    Project coordinate axes onto span(v) in index order, Gram-Schmidt each
+    against every earlier pick, skip residuals of norm <= 1e-7.  Returns
+    fewer than m columns when fewer axes pass."""
     n, m = v.shape
     picked = []
     for a in range(n):
@@ -241,16 +240,64 @@ def apply_sign_convention_oracle(vecs):
     return vecs
 
 
-def eigendecompose_oracle(lap):
-    """Oracle: ``spectral.eigendecompose`` with the loop canonicalization
-    (same LAPACK call, no tolerance checks)."""
+def _eigendecompose_by_cluster(lap, canonicalize):
+    """One LAPACK call, ``canonicalize`` on every degenerate cluster block,
+    the sign rule; no tolerance checks."""
     vals, vecs = np.linalg.eigh(lap.matrix)
     vecs = vecs.copy()
     for cluster in cluster_eigenvalues_oracle(vals):
         if len(cluster) > 1:
             lo, hi = cluster[0], cluster[-1] + 1
-            vecs[:, lo:hi] = gram_schmidt_against_axes_oracle(vecs[:, lo:hi])
+            vecs[:, lo:hi] = canonicalize(vecs[:, lo:hi])
     return EigenBasis(eigenvalues=vals, vectors=apply_sign_convention_oracle(vecs))
+
+
+def eigendecompose_oracle(lap):
+    """Oracle: ``spectral.eigendecompose`` with the per-axis loop
+    canonicalization; equal to it within rounding, not bit for bit."""
+    return _eigendecompose_by_cluster(lap, gram_schmidt_against_axes_oracle)
+
+
+def canonical_cluster_basis_oracle(v):
+    """Oracle: the one-block row-wise Gram-Schmidt that
+    ``spectral._canonical_cluster_bases`` runs as a stack: for an n x m
+    block with orthonormal columns, each step picks the first row after
+    the last pick whose residual is above 1e-7 and removes its direction
+    from every later row.  Returns ``v @ picks``."""
+    m = v.shape[1]
+    rows = v.copy()
+    picks = np.empty((m, m))
+    a = 0
+    for k in range(m):
+        rest = rows[a:]
+        norms = np.sqrt(np.einsum("ij,ij->i", rest, rest))
+        above = norms > 1e-7
+        if not above.any():
+            raise DecompositionError(
+                f"degenerate eigenspace of dimension {m} spans only {k} axes"
+            )
+        first = int(np.argmax(above))
+        c = rest[first] / norms[first]
+        picks[:, k] = c
+        a += first + 1
+        rest = rows[a:]
+        rest -= (rest @ c)[:, None] * c
+    return v @ picks
+
+
+def eigendecompose_unbatched_oracle(lap):
+    """Oracle: the per-Laplacian, per-cluster eigen stage that
+    ``spectral.eigendecompose_all`` replaced.  Bit-equal to it on the bench
+    scenes' Laplacians; elsewhere equal within rounding, because the loop
+    projects only the rows after the last pick and BLAS rounds a
+    matrix-vector product row by its position in the call."""
+    return _eigendecompose_by_cluster(lap, canonical_cluster_basis_oracle)
+
+
+def coarse_mean_signal_oracle(cmap, fine_signal):
+    """Oracle: ``spectral.coarse_mean_signal`` as one mean per supernode."""
+    f = np.asarray(fine_signal, dtype=np.float64)
+    return np.array([f[mem].mean() for mem in cmap.supernodes])
 
 
 def fill_holes_oracle(grid, fallback):
@@ -279,6 +326,41 @@ def fill_holes_oracle(grid, fallback):
             grid[y, x] = lbl
 
 
+def reproject_children_oracle(sr, child_refs, t_count):
+    """Oracle: the view-by-view reprojection that
+    ``spectral._reproject_children`` replaced, one grid over each view's
+    own bounding box and one :func:`fill_holes` per view; identical
+    output required."""
+    n_views = len(sr.per_view_pixels)
+    children = [[None] * n_views for _ in child_refs]
+    for c, ref in enumerate(child_refs):
+        children[c][0] = ref
+    for v in range(1, n_views):
+        parent = sr.per_view_pixels[v]
+        if parent.shape[0] == 0:
+            for c in range(len(child_refs)):
+                children[c][v] = np.zeros((0, 2), dtype=np.int64)
+            continue
+        origin = parent.min(axis=0)
+        grid = np.full(parent.max(axis=0) - origin + 1, -2, dtype=np.int64)
+        grid[parent[:, 0] - origin[0], parent[:, 1] - origin[1]] = -1
+        s, t = divmod(v, t_count)
+        shift = np.array(label_shift(sr.disparity, s, t)) + origin
+        for c, ref in enumerate(child_refs):
+            ty, tx = (ref - shift).T
+            ok = (ty >= 0) & (ty < grid.shape[0]) & (tx >= 0) & (tx < grid.shape[1])
+            ty, tx = ty[ok], tx[ok]
+            inside = grid[ty, tx] != -2
+            grid[ty[inside], tx[inside]] = c
+        fill_holes(grid, 0)
+        for c in range(len(child_refs)):
+            children[c][v] = np.argwhere(grid == c) + origin
+    return [
+        SuperRay(label=sr.label, per_view_pixels=pv, disparity=sr.disparity)
+        for pv in children
+    ]
+
+
 def _partition_recurse_oracle(sr, t_count, tree, parts, should_split, warned):
     if not should_split(sr):
         tree.append(0)
@@ -290,7 +372,7 @@ def _partition_recurse_oracle(sr, t_count, tree, parts, should_split, warned):
         parts.append(sr)
         return True
     tree.append(1)
-    for child in _reproject_children(sr, split, t_count):
+    for child in reproject_children_oracle(sr, split, t_count):
         warned = _partition_recurse_oracle(child, t_count, tree, parts, should_split, warned)
     return warned
 
@@ -326,7 +408,7 @@ def partition_with_tree_oracle(sr, tree, angular_dims):
         if split is None:
             raise ValueError("split tree does not match super-ray geometry")
         out = []
-        for child in _reproject_children(node, split, t_count):
+        for child in reproject_children_oracle(node, split, t_count):
             out.extend(walk(child))
         return out
 

@@ -183,6 +183,23 @@ class TestDeterminism:
         assert blobs[0] == blobs[1]
 
 
+    def test_threads_below_one_exit_2(self, tmp_path, capsys):
+        """``decode --threads`` is validated as ``encode --threads`` is."""
+        lf, dmap = four_patch_scene(32, 3)
+        stream, _ = encode(lf, dmap, CodecConfig(slic_k=16, q_gft=16.0, n_target=64))
+        path = tmp_path / "gate.srgc"
+        path.write_bytes(serialize(stream))
+        for threads in ("0", "-3"):
+            rec = tmp_path / f"rec{threads}"
+            assert main(["decode", str(path), "--out", str(rec), "--threads", threads]) == 2
+            assert "threads must be >= 1" in capsys.readouterr().err
+            assert not rec.exists()
+        report = tmp_path / "dec.txt"
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec"),
+                     "--report", str(report)]) == 0
+        assert "workers" not in _report_dict(report)
+
+
 class TestConfigPrecedence:
     def test_file_then_flags(self, scene_dir, tmp_path):
         cfgfile = tmp_path / "cfg.txt"

@@ -315,6 +315,21 @@ class TestDeterminism:
         rec8, _ = decode(stream, threads=8)
         assert lf_equal(rec1, rec8)
 
+    def test_decode_rejects_threads_below_one(self):
+        """``decode`` validates ``threads`` as ``CodecConfig`` does, and no
+        report mentions workers."""
+        lf, dmap = four_patch_scene(32, 3)
+        cfg = CodecConfig(slic_k=16, q_gft=16.0, n_target=64)
+        stream, enc_rep = encode(lf, dmap, cfg)
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                decode(stream, threads=threads)
+            with pytest.raises(ValueError, match="threads must be >= 1"):
+                encode(lf, dmap, dataclasses.replace(cfg, threads=threads))
+        _, dec_rep = decode(stream)
+        for rep in (enc_rep, dec_rep):
+            assert not any(line.startswith("workers=") for line in rep.to_lines())
+
 
 class TestModes:
     def test_partition_mode_roundtrip(self):
@@ -600,19 +615,28 @@ ORACLE_CASES = {
 }
 
 
-def _solve_once(monkeypatch, solve):
-    """Memoize the codec's eigendecompose as ``solve`` by Laplacian bytes:
-    it is a pure function of the Laplacian, so every run of a test shares
-    one set of solves and the test times the stages it compares."""
+def _solve_once(monkeypatch, solve=None):
+    """Memoize the codec's eigen stage ``eigendecompose_all`` by Laplacian
+    bytes, solving the misses of each call with ``solve`` one Laplacian at
+    a time (default: one ``eigendecompose_all`` call).  A basis is a pure
+    function of its Laplacian, so every run of a test shares one set of
+    solves and the test times the stages it compares.  Returns the memo,
+    which the test asserts non-empty: a codec that stopped calling
+    ``codec.eigendecompose_all`` would otherwise bypass the hook."""
     bases = {}
+    solve_all = codec.eigendecompose_all if solve is None else (
+        lambda laps: [solve(lap) for lap in laps]
+    )
 
-    def cached(lap):
-        key = (lap.matrix.shape, lap.matrix.tobytes())
-        if key not in bases:
-            bases[key] = solve(lap)
-        return bases[key]
+    def cached(laps):
+        laps = list(laps)
+        keys = [(lap.matrix.shape, lap.matrix.tobytes()) for lap in laps]
+        missing = {k: lap for k, lap in zip(keys, laps) if k not in bases}
+        bases.update(zip(missing, solve_all(list(missing.values()))))
+        return [bases[k] for k in keys]
 
-    monkeypatch.setattr(codec, "eigendecompose", cached)
+    monkeypatch.setattr(codec, "eigendecompose_all", cached)
+    return bases
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
@@ -620,11 +644,12 @@ def test_graph_builders_match_oracles_end_to_end(case, monkeypatch):
     """The array graph builder and coarsener leave every stream byte and
     decoded sample as the loop versions they replaced produce them."""
     lf, dmap, cfg = ORACLE_CASES[case]()
-    _solve_once(monkeypatch, codec.eigendecompose)
+    solved = _solve_once(monkeypatch)
     data, rec = _round_trip(lf, dmap, cfg)
     monkeypatch.setattr(codec, "graph_structure", graph_structure_oracle)
     monkeypatch.setattr(codec, "coarsen", coarsen_oracle)
     want_data, want_rec = _round_trip(lf, dmap, cfg)
+    assert solved
     assert data == want_data
     assert lf_equal(rec, want_rec)
 
@@ -642,8 +667,9 @@ def test_canonicalization_matches_oracle_end_to_end(case, monkeypatch):
         return rec, enc.eig_count, dec.eig_count
 
     rec, eig_enc, eig_dec = run()
-    _solve_once(monkeypatch, eigendecompose_oracle)
+    solved = _solve_once(monkeypatch, eigendecompose_oracle)
     want_rec, want_enc, want_dec = run()
+    assert solved
     assert lf_equal(rec, want_rec)
     assert (eig_enc, eig_dec) == (want_enc, want_dec)
 
@@ -654,7 +680,7 @@ def test_structure_pipeline_matches_oracles_end_to_end(case, monkeypatch):
     byte and decoded sample as the per-side recursions and per-label scans
     they replaced produce them."""
     lf, dmap, cfg = ORACLE_CASES[case]()
-    _solve_once(monkeypatch, codec.eigendecompose)
+    solved = _solve_once(monkeypatch)
     data, rec = _round_trip(lf, dmap, cfg)
     monkeypatch.setattr(codec, "label_disparities", label_disparities_oracle)
     monkeypatch.setattr(codec, "assemble_super_rays", assemble_super_rays_oracle)
@@ -663,5 +689,6 @@ def test_structure_pipeline_matches_oracles_end_to_end(case, monkeypatch):
     )
     monkeypatch.setattr(codec, "partition_with_tree", partition_with_tree_oracle)
     want_data, want_rec = _round_trip(lf, dmap, cfg)
+    assert solved
     assert data == want_data
     assert lf_equal(rec, want_rec)

@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 import srgc.codec as codec
+import srgc.spectral as spectral
 from srgc.errors import DecompositionError
 from srgc.segmentation import SuperRay, label_shift
 from srgc.spectral import (
     CoarseningMap,
     Laplacian,
     _apply_sign_convention,
-    _canonical_cluster_basis,
+    _canonical_cluster_bases,
     _cluster_bounds,
     _reproject_children,
     _split_reference,
@@ -21,6 +22,7 @@ from srgc.spectral import (
     coarse_mean_signal,
     coarsen,
     eigendecompose,
+    eigendecompose_all,
     graph_signal,
     graph_structure,
     laplacian,
@@ -29,16 +31,22 @@ from srgc.spectral import (
     uncoarsen_signal,
 )
 
+import conftest
 from conftest import (
     apply_sign_convention_oracle,
+    canonical_cluster_basis_oracle,
     cluster_eigenvalues_oracle,
+    coarse_mean_signal_oracle,
     coarsen_oracle,
     connected_components,
     eigendecompose_oracle,
+    eigendecompose_unbatched_oracle,
+    fill_holes_oracle,
     graph_structure_oracle,
     make_lf,
     partition_super_ray_oracle,
     partition_with_tree_oracle,
+    reproject_children_oracle,
 )
 
 
@@ -178,6 +186,25 @@ def _bench_workloads():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.WORKLOADS
+
+
+def _bench_laplacians(name, monkeypatch):
+    """Every Laplacian the encoder eigendecomposes on a bench scene (seed 1),
+    recorded at ``codec.eigendecompose_all``."""
+    workload = _bench_workloads()[name]
+    lf, dmap = workload.scene(1)
+    laps = []
+
+    def record(batch):
+        batch = list(batch)
+        laps.extend(batch)
+        return eigendecompose_all(batch)
+
+    with monkeypatch.context() as m:
+        m.setattr(codec, "eigendecompose_all", record)
+        codec.encode(lf, dmap, workload.config)
+    assert laps, "the encoder no longer calls codec.eigendecompose_all"
+    return laps
 
 
 class TestLocalGraph:
@@ -363,7 +390,7 @@ def _assert_matches_eigen_oracle(lap):
     want = eigendecompose_oracle(lap)
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     clusters = cluster_eigenvalues_oracle(want.eigenvalues)
-    starts, stops = _cluster_bounds(got.eigenvalues)
+    _, starts, stops = _cluster_bounds(got.eigenvalues[None])
     assert [list(range(a, b)) for a, b in zip(starts, stops)] == clusters
     flip = np.where((got.vectors * want.vectors).sum(axis=0) < 0, -1.0, 1.0)
     assert np.abs(got.vectors - want.vectors * flip).max() < 1e-9
@@ -380,18 +407,8 @@ class TestCanonicalization:
     @pytest.mark.parametrize("name", ["gate", "parallax", "partition"])
     def test_matches_loop_oracle_on_bench_laplacians(self, name, monkeypatch):
         """Every Laplacian the encoder eigendecomposes on the bench scene."""
-        workload = _bench_workloads()[name]
-        lf, dmap = workload.scene(1)
-        laps = []
-
-        def record(lap):
-            laps.append(lap)
-            return eigendecompose(lap)
-
-        monkeypatch.setattr(codec, "eigendecompose", record)
-        codec.encode(lf, dmap, workload.config)
-        assert laps
-        largest = [_assert_matches_eigen_oracle(lap) for lap in laps]
+        largest = [_assert_matches_eigen_oracle(lap)
+                   for lap in _bench_laplacians(name, monkeypatch)]
         assert max(largest) > 1
 
     def test_rotation_invariant(self):
@@ -401,22 +418,47 @@ class TestCanonicalization:
         blocks = 0
         for case in range(60):
             vals, vecs = np.linalg.eigh(laplacian(_degenerate_graph(rng, case)).matrix)
-            for lo, hi in zip(*_cluster_bounds(vals)):
+            for _, lo, hi in zip(*_cluster_bounds(vals[None])):
                 if hi - lo < 2:
                     continue
                 v = vecs[:, lo:hi]
                 q, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
-                want = _canonical_cluster_basis(v)
-                got = _canonical_cluster_basis(v @ q)
+                want, got = _canonical_cluster_bases(np.stack([v, v @ q]))
                 flip = np.where((got * want).sum(axis=0) < 0, -1.0, 1.0)
                 assert np.abs(got - want * flip).max() < 1e-9
                 blocks += 1
         assert blocks > 30
 
+    def test_stack_matches_single_blocks_and_one_block_loop(self):
+        """Every block of a stack of equal-size clusters gets the bits it
+        gets alone, and the one-block loop's basis within rounding: the
+        loop projects only the rows after the last pick, and BLAS
+        matrix-vector products round a row differently by its position."""
+        rng = np.random.default_rng(44)
+        stacks = {}
+        for case in range(120):
+            vals, vecs = np.linalg.eigh(laplacian(_degenerate_graph(rng, case)).matrix)
+            for _, lo, hi in zip(*_cluster_bounds(vals[None])):
+                if hi - lo > 1:
+                    stacks.setdefault((vecs.shape[0], hi - lo), []).append(vecs[:, lo:hi])
+        assert sum(len(b) > 1 for b in stacks.values()) > 10
+        for blocks in stacks.values():
+            got = _canonical_cluster_bases(np.stack(blocks))
+            for g, v in zip(got, blocks):
+                assert np.array_equal(g, _canonical_cluster_bases(v[None])[0])
+                assert np.abs(g - canonical_cluster_basis_oracle(v)).max() < 1e-14
+
     def test_rank_deficient_block_rejected(self):
         u = np.full(6, 1 / np.sqrt(6))
+        deficient = np.column_stack([u, u])
         with pytest.raises(DecompositionError):
-            _canonical_cluster_basis(np.column_stack([u, u]))
+            canonical_cluster_basis_oracle(deficient)
+        with pytest.raises(DecompositionError, match="dimension 2 spans only 1 axes"):
+            _canonical_cluster_bases(deficient[None])
+        # one bad block fails the whole stack, wherever it sits
+        good = np.linalg.qr(np.random.default_rng(45).standard_normal((6, 2)))[0]
+        with pytest.raises(DecompositionError):
+            _canonical_cluster_bases(np.stack([good, deficient, good]))
 
     def test_sign_convention_matches_loop_oracle(self):
         # entries drawn from a few magnitudes make exact ties common
@@ -425,6 +467,78 @@ class TestCanonicalization:
             vecs = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0], size=(7, 5))
             want = apply_sign_convention_oracle(vecs.copy())
             assert np.array_equal(_apply_sign_convention(vecs), want)
+
+
+class TestEigendecomposeAll:
+    def test_bit_equal_to_single_calls(self, monkeypatch):
+        """Batches of mixed sizes, in order and shuffled: n = 1, repeated
+        sizes, degenerate graphs and the partition scene's Laplacians.
+        Every basis has the bits a call of its own gives it, and matches
+        the per-axis oracle within rounding."""
+        rng = np.random.default_rng(46)
+        single = laplacian(LocalGraph(n=1, edges=np.zeros((0, 2), dtype=np.int64)))
+        laps = [single, laplacian(path_graph(5)), single, laplacian(path_graph(5))]
+        laps += [laplacian(_degenerate_graph(rng, case)) for case in range(60)]
+        laps += _bench_laplacians("partition", monkeypatch)
+        sizes = [lap.matrix.shape[0] for lap in laps]
+        assert 1 in sizes and len(set(sizes)) < len(sizes) / 2
+        want = {id(lap): eigendecompose(lap) for lap in laps}
+        for batch in (laps, [laps[i] for i in rng.permutation(len(laps))]):
+            got = eigendecompose_all(batch)
+            assert len(got) == len(batch)
+            for basis, lap in zip(got, batch):
+                assert np.array_equal(basis.eigenvalues, want[id(lap)].eigenvalues)
+                assert np.array_equal(basis.vectors, want[id(lap)].vectors)
+        for lap in laps[:64]:
+            _assert_matches_eigen_oracle(lap)
+
+    @pytest.mark.parametrize("name", ["gate", "parallax", "partition"])
+    def test_bit_equal_to_unbatched_oracle_on_bench_laplacians(self, name, monkeypatch):
+        """On every Laplacian a bench scene builds, the batched stage has the
+        bits of the per-Laplacian, per-cluster loop it replaced."""
+        laps = _bench_laplacians(name, monkeypatch)
+        for basis, lap in zip(eigendecompose_all(laps), laps):
+            want = eigendecompose_unbatched_oracle(lap)
+            assert np.array_equal(basis.eigenvalues, want.eigenvalues)
+            assert np.array_equal(basis.vectors, want.vectors)
+
+    @pytest.mark.parametrize("cap", [1 << 30, 3 * 8 * 12 * 12])
+    def test_one_lapack_call_per_full_stack(self, cap, monkeypatch):
+        """Each size takes the fewest LAPACK calls whose stacks stay within
+        the byte cap (one per size under a large cap), same bits."""
+        rng = np.random.default_rng(47)
+        laps = [laplacian(_degenerate_graph(rng, case)) for case in range(30)]
+        laps += [laplacian(path_graph(12))] * 7
+        want = [eigendecompose(lap) for lap in laps]
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            calls.append(a.shape[:2])
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        monkeypatch.setattr(spectral, "_EIG_STACK_BYTES", cap)
+        got = eigendecompose_all(laps)
+        counts = {}
+        for lap in laps:
+            counts[lap.matrix.shape[0]] = counts.get(lap.matrix.shape[0], 0) + 1
+        expected = {}
+        for n, k in counts.items():
+            per_stack = max(1, cap // (8 * n * n))
+            expected[n] = [per_stack] * (k // per_stack) + [k % per_stack] * (k % per_stack > 0)
+        assert sorted(calls) == sorted((b, n) for n, bs in expected.items() for b in bs)
+        assert len(calls) > len(counts) if cap < 1 << 30 else len(calls) == len(counts)
+        for g, w in zip(got, want):
+            assert np.array_equal(g.eigenvalues, w.eigenvalues)
+            assert np.array_equal(g.vectors, w.vectors)
+
+    def test_empty_batch(self):
+        assert eigendecompose_all([]) == []
+
+    def test_empty_laplacian_rejected_in_batch(self):
+        with pytest.raises(ValueError, match="empty Laplacian"):
+            eigendecompose_all([laplacian(path_graph(3)), Laplacian(matrix=np.zeros((0, 0)))])
 
 
 class TestCoarsen:
@@ -482,6 +596,24 @@ class TestCoarsen:
     def test_bad_target(self):
         with pytest.raises(ValueError):
             coarsen(path_graph(3), 0)
+
+    @pytest.mark.parametrize("name", ["gate", "parallax"])
+    def test_mean_signal_matches_oracle_on_bench_units(self, name, monkeypatch):
+        """Every coarse signal the encoder computes on the bench scene is
+        bit-equal to the per-supernode mean."""
+        workload = _bench_workloads()[name]
+        lf, dmap = workload.scene(1)
+        calls = []
+
+        def checked(cmap, fine_signal):
+            got = coarse_mean_signal(cmap, fine_signal)
+            assert np.array_equal(got, coarse_mean_signal_oracle(cmap, fine_signal))
+            calls.append(cmap.coarse_count)
+            return got
+
+        monkeypatch.setattr(codec, "coarse_mean_signal", checked)
+        codec.encode(lf, dmap, workload.config)
+        assert calls and max(calls) == workload.config.n_target
 
     def test_matches_loop_oracle_on_random_graphs(self):
         rng = np.random.default_rng(5)
@@ -720,29 +852,78 @@ def _reproject_children_oracle(sr, child_refs, t_count):
     return children, saw_hole, saw_stall
 
 
+def _random_reprojection_case(rng, case):
+    """A split super-ray whose independent random per-view masks leave holes
+    the projection cannot reach, and isolated ones that stall."""
+    angular = (2, 3) if case % 2 else (3, 3)
+    n_views = angular[0] * angular[1]
+    disparity = (0.5, 1.0, 1.5)[case % 3]
+    per_view = []
+    for v in range(n_views):
+        mask = rng.random((9, 11)) < (0.8 if v == 0 else 0.6)
+        per_view.append(np.argwhere(mask).astype(np.int64))
+    sr = SuperRay(label=3, per_view_pixels=per_view, disparity=disparity)
+    split = _split_reference(per_view[0])
+    assert split is not None
+    return sr, split, angular
+
+
+def _fill_rounds(grid):
+    """(rounds in which :func:`fill_holes` assigns labels on ``grid``,
+    whether it then stalls): a hole fills in the round after one of its
+    4-neighbours holds a label, whichever label that is."""
+    labeled = np.pad(grid >= 0, 1)
+    holes = np.pad(grid == -1, 1)
+    rounds = 0
+    while True:
+        near = np.zeros_like(labeled)
+        near[1:] |= labeled[:-1]
+        near[:-1] |= labeled[1:]
+        near[:, 1:] |= labeled[:, :-1]
+        near[:, :-1] |= labeled[:, 1:]
+        fill = holes & near
+        if not fill.any():
+            return rounds, bool(holes.any())
+        rounds += 1
+        labeled |= fill
+        holes &= ~fill
+
+
 class TestReprojection:
     def test_grid_fill_matches_dict_oracle(self):
-        # independent random masks per view leave holes the projection
-        # cannot reach, and isolated ones that stall
         rng = np.random.default_rng(12)
         holes = stalls = 0
         for case in range(60):
-            angular = (2, 3) if case % 2 else (3, 3)
-            n_views = angular[0] * angular[1]
-            disparity = (0.5, 1.0, 1.5)[case % 3]
-            per_view = []
-            for v in range(n_views):
-                mask = rng.random((9, 11)) < (0.8 if v == 0 else 0.6)
-                per_view.append(np.argwhere(mask).astype(np.int64))
-            sr = SuperRay(label=3, per_view_pixels=per_view, disparity=disparity)
-            split = _split_reference(per_view[0])
-            assert split is not None
+            sr, split, angular = _random_reprojection_case(rng, case)
             want, hole, stall = _reproject_children_oracle(sr, split, angular[1])
             got = _reproject_children(sr, split, angular[1])
             holes += hole
             stalls += stall
             for child, pixels in zip(got, want):
-                assert child.label == 3 and child.disparity == disparity
+                assert child.label == 3 and child.disparity == sr.disparity
                 for a, b in zip(child.per_view_pixels, pixels):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
         assert holes > 0 and stalls > 0
+
+    def test_stacked_fill_matches_view_by_view_oracle(self, monkeypatch):
+        """One fill over all views stacked gives every child the pixels the
+        fill of each view alone gives, also on splits where one view
+        stalls while another still fills."""
+        rng = np.random.default_rng(12)
+        fills = []
+
+        def record(grid, fallback):
+            fills[-1].append(_fill_rounds(grid))
+            fill_holes_oracle(grid, fallback)
+
+        monkeypatch.setattr(conftest, "fill_holes", record)
+        for case in range(60):
+            sr, split, angular = _random_reprojection_case(rng, case)
+            fills.append([])
+            want = reproject_children_oracle(sr, split, angular[1])
+            _assert_same_parts(_reproject_children(sr, split, angular[1]), want)
+        early = [
+            views for views in fills
+            if any(stall and any(r > rounds for r, _ in views) for rounds, stall in views)
+        ]
+        assert len(early) > 5
