@@ -131,6 +131,8 @@ class EncodeReport:
     group_count: int = 0
     grouped_count: int = 0
     eig_count: int = 0
+    # seconds per stage in pipeline order; "graphs" builds (and partitions)
+    # the pixel graphs, "coarsen" coarsens them and takes the unit signals
     times: dict = field(default_factory=dict)
     debug: object = None
 
@@ -168,6 +170,8 @@ class DecodeReport:
     group_count: int = 0
     grouped_count: int = 0
     eig_count: int = 0
+    # seconds per stage in pipeline order; "graphs" and "coarsen" as in
+    # EncodeReport, without the unit signals
     times: dict = field(default_factory=dict)
     debug: object = None
 
@@ -213,23 +217,27 @@ def _coded_volumes(lf, mode):
     return [np.stack(lf.luma_planes())]
 
 
-def _build_units(srs, angular_dims, mode, n_target, split):
+def _build_units(srs, angular_dims, mode, n_target, split, watch):
     """Turn super-rays into coding units, in super-ray order.
 
     In 'coarse' mode each super-ray's pixel graph is coarsened to
     ``n_target`` vertices; otherwise each part that ``split(sr)`` returns
     is a unit on its own pixel graph.  The encoder's ``split`` records the
     split trees it derives, the decoder's replays the transmitted ones.
+    Every graph is built before any is coarsened, and ``watch`` laps
+    ``graphs`` in between; the caller laps ``coarsen``.
     """
+    if mode == "coarse":
+        fines = [graph_structure(sr, angular_dims) for sr in srs]
+        watch.lap("graphs")
+        pieces = [[(*coarsen(fine, n_target), fine)] for fine in fines]
+    else:
+        graphs = [[graph_structure(p, angular_dims) for p in split(sr)] for sr in srs]
+        watch.lap("graphs")
+        pieces = [[(g, None, g) for g in parts] for parts in graphs]
     units = []
-    for sr in srs:
-        if mode == "coarse":
-            fine = graph_structure(sr, angular_dims)
-            pieces = [(*coarsen(fine, n_target), fine)]
-        else:
-            graphs = [graph_structure(part, angular_dims) for part in split(sr)]
-            pieces = [(g, None, g) for g in graphs]
-        for part, (graph, cmap, fine) in enumerate(pieces):
+    for sr, sr_pieces in zip(srs, pieces):
+        for part, (graph, cmap, fine) in enumerate(sr_pieces):
             units.append(CodingUnit(
                 index=len(units), label=sr.label, part=part, graph=graph, cmap=cmap,
                 fine=fine,
@@ -372,14 +380,14 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         trees[sr.label] = res.tree
         return res.parts
 
-    units = _build_units(srs, lf.angular_dims, mode, cfg.n_target, split)
+    units = _build_units(srs, lf.angular_dims, mode, cfg.n_target, split, watch)
     for u in units:
         fine = [graph_signal(u.fine, volume) for volume in volumes]
         u.signals = fine if u.cmap is None else [
             np.clip(round_half_away_int(coarse_mean_signal(u.cmap, f)), 0, maxval)
             for f in fine
         ]
-    watch.lap("units")
+    watch.lap("coarsen")
 
     bases = eigendecompose_all(laplacian(u.graph) for u in units)
     levels = np.concatenate([
@@ -514,8 +522,11 @@ def decode(stream: Bitstream, threads=1, debug=False):
 
     seg_syms = section_symbols(bs.SEC_SEGMENTATION, w * h)
     ref_labels = _segmentation_from_symbols(seg_syms, w, h, hdr.label_count)
-    present = np.unique(ref_labels)
-    if present.size != hdr.label_count:
+    # every label holds a reference pixel; the count is checked against
+    # W*H first, so a lying header never sizes the bincount
+    if hdr.label_count > w * h or np.count_nonzero(
+        np.bincount(ref_labels.ravel(), minlength=hdr.label_count)
+    ) != hdr.label_count:
         raise CorruptStreamError("corrupt stream: reference view misses labels")
 
     disp_syms = section_symbols(bs.SEC_DISPARITY, hdr.label_count)
@@ -536,10 +547,11 @@ def decode(stream: Bitstream, threads=1, debug=False):
         units = _build_units(
             srs, hdr.angular_dims, mode, hdr.n_target,
             lambda sr: partition_with_tree(sr, trees[sr.label], hdr.angular_dims),
+            watch,
         )
     except ValueError as e:
         raise CorruptStreamError(f"corrupt stream: {e}") from e
-    watch.lap("units")
+    watch.lap("coarsen")
 
     n_channels = hdr.channels
     coeff_syms = section_symbols(
@@ -660,6 +672,10 @@ def _parse_explicit_groups(syms, groupable_count):
             raise CorruptStreamError("corrupt stream: explicit group header short")
         main, n = syms[pos], syms[pos + 1]
         pos += 2
+        if n < 2:
+            raise CorruptStreamError(
+                "corrupt stream: explicit group of fewer than 2 members"
+            )
         members = tuple(syms[pos : pos + n])
         pos += n
         if len(members) != n or any(

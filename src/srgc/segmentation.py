@@ -21,7 +21,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import OrphanLabelError, TooManySuperpixelsError
-from .util import lower_median, quantize_eighth, round_half_away
+from .util import lower_median, quantize_eighth, round_half_away, round_half_away_int
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # fill_holes: four distinct stand-ins for unlabeled neighbors, above any label
@@ -237,6 +237,14 @@ def label_disparities(seg, dmap):
 def label_shift(disparity, s, t):
     """Integer (dy, dx) shift of a label's pixels in view (s, t)."""
     return round_half_away(disparity * s), round_half_away(disparity * t)
+
+
+def label_shifts(disparity, view_count, t_count):
+    """:func:`label_shift` for views 1 .. view_count - 1 of a grid
+    ``t_count`` views wide, as one (view_count - 1, 2) int64 array: the
+    same float64 products and the same rounding, so the same integers."""
+    st = np.divmod(np.arange(1, view_count), t_count)
+    return round_half_away_int(disparity * np.column_stack(st))
 
 
 def project_labels(ref_map, disparities, angular_dims):

@@ -30,11 +30,14 @@ matched, so the final round may merge as little as one pair.  Graphs whose
 components run out of edges fall back to merging the two smallest
 supernodes (ties to the smaller first member), so the target count is
 always reached.  Supernodes are always ordered by their smallest fine
-member.  The graph is held as int arrays throughout: weighted edge lists,
-a CSR adjacency rebuilt per round for the scan, and ``fine_to_coarse``,
-which each contraction composes with its old-to-new id map; only the
-matching scan itself is a Python loop, because its order defines the
-result.
+member.  The graph is held as int arrays throughout: sorted weighted
+edge lists and ``fine_to_coarse``, which each contraction composes with
+its old-to-new id map.  Only the matching scan itself is a Python loop,
+because its order defines the result.  It reads only each vertex's
+higher neighbors, in preference order (weight descending, then index),
+and takes the first unmatched one: every lower neighbor of a vertex is
+already matched when the scan reaches it, so this is exactly the scan
+over all neighbors, run as one forward walk over the edge list.
 """
 
 from dataclasses import dataclass
@@ -42,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError
-from .segmentation import SuperRay, fill_holes, label_shift
+from .segmentation import SuperRay, fill_holes, label_shifts
 
 _EIG_RECON_TOL = 1e-8
 _EIG_ORTHO_TOL = 1e-8
@@ -126,7 +129,11 @@ def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
     edges are one right and one down lookup in that volume; angular edges
     are one (views - 1, n_ref) lookup at the per-view label shifts, -1
     where the shifted pixel leaves the box.  One sort of the keys
-    min * n + max gives the canonical edge list.
+    min * n + max gives the canonical edge list.  No pair repeats, so
+    nothing is deduplicated (``np.unique`` would hash every key): spatial
+    pairs stay inside a view and angular pairs join the reference view to
+    another, and a vertex has one right, one down and, per view, one
+    angular partner.
     """
     _, t_count = angular_dims
     counts = [p.shape[0] for p in sr.per_view_pixels]
@@ -140,10 +147,7 @@ def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
     index = np.full((n_views, h + 1, w + 1), -1, dtype=np.int64)
     index[view, y, x] = ids
 
-    shifts = np.array(
-        [label_shift(sr.disparity, *divmod(v, t_count)) for v in range(1, n_views)],
-        dtype=np.int64,
-    ).reshape(-1, 2)
+    shifts = label_shifts(sr.disparity, n_views, t_count)
     ty = y[:n_ref] - shifts[:, :1]
     tx = x[:n_ref] - shifts[:, 1:]
     inside = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
@@ -156,7 +160,7 @@ def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
     b = np.concatenate([index[view, y, x + 1], index[view, y + 1, x], angular.ravel()])
     linked = b >= 0
     a, b = a[linked], b[linked]
-    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
     return LocalGraph(
         n=n,
         edges=np.column_stack(np.divmod(keys, n)),
@@ -328,29 +332,28 @@ def _heavy_edge_matching(a, b, w, k, budget):
     """Greedy matching in vertex-scan order: each unmatched vertex takes
     its unmatched neighbor of largest weight, ties to the smallest
     neighbor index; stops after ``budget`` pairs.  Returns (roots, merged)
-    int arrays with roots < merged pairwise."""
-    src = np.concatenate([a, b])
-    dst = np.concatenate([b, a])
-    order = np.lexsort((dst, src))
-    ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=k))]).tolist()
-    nbr = dst[order].tolist()
-    wt = np.concatenate([w, w])[order].tolist()
-    matched = [False] * k
+    int arrays with roots < merged pairwise.
+
+    Only higher neighbors are scanned: when v's turn comes, every lower
+    neighbor u is matched, since u, unmatched at its own turn, would have
+    taken v or another neighbor.  So the scan is one walk over the edges
+    (a < b) sorted by a, then weight descending, then b: an edge whose
+    ends are both free is v's first choice.  Unit weights (every first
+    round) leave the sorted edge list in that order already.
+    """
+    wmax = int(w.max()) if w.size else 1
+    if wmax > 1:
+        b = b[np.argsort(a * (wmax + 1) + (wmax - w), kind="stable")]
+    free = [True] * k
     roots, merged = [], []
-    for v in range(k):
-        if matched[v]:
-            continue
-        best_u, best_w = -1, -1
-        for i in range(ptr[v], ptr[v + 1]):
-            u = nbr[i]
-            if not matched[u] and wt[i] > best_w:
-                best_u, best_w = u, wt[i]
-        if best_u >= 0:
-            # best_u > v: a smaller unmatched neighbor would have taken v
-            matched[v] = matched[best_u] = True
+    left = budget
+    for v, u in zip(a.tolist(), b.tolist()):
+        if free[v] and free[u]:
+            free[v] = free[u] = False
             roots.append(v)
-            merged.append(best_u)
-            if len(roots) == budget:
+            merged.append(u)
+            left -= 1
+            if not left:
                 break
     return np.array(roots, dtype=np.int64), np.array(merged, dtype=np.int64)
 
@@ -361,13 +364,14 @@ def coarsen(g: LocalGraph, n_target: int):
     Returns (coarse LocalGraph, CoarseningMap).  Coarse adjacency has an
     edge between supernodes iff any fine edge crosses them.
 
-    The graph lives in int arrays: weighted edges (a, b, w) with a < b and
-    ``fine_to_coarse``.  Each round builds a CSR adjacency (neighbors
-    ascending), runs the greedy heavy-edge scan over it and contracts in
-    numpy.  Supernodes stay ordered by their smallest fine member and each
-    pair's root is its smaller index, which keeps the smaller first member,
-    so the new ids are ``cumsum(keep) - 1`` and ``fine_to_coarse`` composes
-    with them.  The supernode lists come from one stable argsort of
+    The graph lives in int arrays: weighted edges (a, b, w) with a < b,
+    sorted, and ``fine_to_coarse``.  Each round runs the greedy heavy-edge
+    scan as one forward walk over the edges (each vertex's row re-sorted
+    by weight once weights exceed 1) and contracts in numpy.  Supernodes
+    stay ordered by their smallest fine member and each pair's root is
+    its smaller index, which keeps the smaller first member, so the new
+    ids are ``cumsum(keep) - 1`` and ``fine_to_coarse`` composes with
+    them.  The supernode lists come from one stable argsort of
     ``fine_to_coarse`` at the end.
     """
     if n_target < 1:
@@ -470,10 +474,7 @@ def _reproject_children(sr, child_refs, t_count):
         y, x = (yx - origin).T
         grid = np.full((n_views - 1, h + 1, w), -2, dtype=np.int64)
         grid[view, y, x] = -1
-        shifts = origin + np.array(
-            [label_shift(sr.disparity, *divmod(v, t_count)) for v in range(1, n_views)],
-            dtype=np.int64,
-        )
+        shifts = origin + label_shifts(sr.disparity, n_views, t_count)
         views = np.arange(n_views - 1)[:, None]
         for c, ref in enumerate(child_refs):
             ty = ref[:, 0] - shifts[:, :1]

@@ -128,6 +128,36 @@ def graph_structure_oracle(sr, angular_dims):
     return LocalGraph(n=len(vertex_rows), edges=_canonical_edges(pairs), vertices=vertices)
 
 
+def heavy_edge_matching_oracle(a, b, w, k, budget):
+    """Oracle: the two-direction scan that ``spectral._heavy_edge_matching``
+    replaced.  Every vertex's full neighbor list, ascending, is scanned for
+    the unmatched neighbor of largest weight (ties to the smallest index);
+    stops after ``budget`` pairs.  Identical (roots, merged) required."""
+    src = np.concatenate([a, b])
+    dst = np.concatenate([b, a])
+    order = np.lexsort((dst, src))
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=k))]).tolist()
+    nbr = dst[order].tolist()
+    wt = np.concatenate([w, w])[order].tolist()
+    matched = [False] * k
+    roots, merged = [], []
+    for v in range(k):
+        if matched[v]:
+            continue
+        best_u, best_w = -1, -1
+        for i in range(ptr[v], ptr[v + 1]):
+            u = nbr[i]
+            if not matched[u] and wt[i] > best_w:
+                best_u, best_w = u, wt[i]
+        if best_u >= 0:
+            matched[v] = matched[best_u] = True
+            roots.append(v)
+            merged.append(best_u)
+            if len(roots) == budget:
+                break
+    return np.array(roots, dtype=np.int64), np.array(merged, dtype=np.int64)
+
+
 def coarsen_oracle(g, n_target):
     """Oracle: the dict-adjacency heavy-edge coarsener that
     ``spectral.coarsen`` replaced; identical output required."""

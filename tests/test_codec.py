@@ -332,6 +332,25 @@ class TestDeterminism:
 
 
 class TestModes:
+    @pytest.mark.parametrize("q_gft", [16.0, 2.0], ids=["coarse", "partition"])
+    def test_stage_times_split_graphs_and_coarsen(self, q_gft):
+        lf, dmap = small_scene()
+        stream, enc_rep = encode(lf, dmap, dataclasses.replace(CFG, q_gft=q_gft))
+        _, dec_rep = decode(stream)
+        assert list(enc_rep.times) == [
+            "segmentation", "projection", "graphs", "coarsen", "eigen_transform",
+            "grouping", "residuals", "entropy",
+        ]
+        assert list(dec_rep.times) == [
+            "segmentation", "projection", "graphs", "coarsen", "dequantize",
+            "grouping", "eigen", "reconstruct", "assembly",
+        ]
+        for rep in (enc_rep, dec_rep):
+            assert all(t >= 0.0 for t in rep.times.values())
+            assert {"t_graphs_s", "t_coarsen_s"} <= {
+                line.split("=")[0] for line in rep.to_lines()
+            }
+
     def test_partition_mode_roundtrip(self):
         lf, dmap = small_scene()
         cfg = dataclasses.replace(CFG, q_gft=2.0)  # below q_switch
@@ -463,6 +482,24 @@ class TestCorruptPayloads:
         path = tmp_path / "overlap.srgc"
         path.write_bytes(serialize(broken))
         assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
+    def test_explicit_group_of_one_member(self, regroup):
+        """A one-member group (no encoder writes one) is corrupt."""
+        with pytest.raises(CorruptStreamError, match="fewer than 2 members"):
+            decode(regroup([(3, (0, 1, 2, 3, 4, 5)), (6, (6,))]))
+
+    def test_explicit_group_of_one_member_cli_exit_2(self, regroup, tmp_path):
+        path = tmp_path / "single.srgc"
+        path.write_bytes(serialize(regroup([(3, (0, 1, 2, 3, 4, 5)), (6, (6,))])))
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
+    def test_header_label_count_beyond_pixels(self):
+        """A label count above W*H is rejected before it sizes any array."""
+        lf, dmap = small_scene()
+        stream, _ = encode(lf, dmap, CFG)
+        bad_header = dataclasses.replace(stream.header, label_count=2**32 - 1)
+        with pytest.raises(CorruptStreamError, match="misses labels"):
+            decode(Bitstream(header=bad_header, sections=stream.sections))
 
     def test_header_label_count_lie(self):
         lf, dmap = small_scene()

@@ -12,6 +12,8 @@ from srgc.segmentation import (
     fill_holes,
     label_disparities,
     label_regions,
+    label_shift,
+    label_shifts,
     median_disparity,
     project_labels,
     slic_segment,
@@ -131,6 +133,24 @@ class TestMedianDisparity:
         dmap = DisparityMap(values=np.zeros((2, 2)))
         with pytest.raises(ValueError):
             median_disparity(np.zeros((0, 2), dtype=int), dmap)
+
+
+class TestLabelShifts:
+    @pytest.mark.parametrize("angular", [(1, 1), (1, 3), (3, 3), (5, 5), (9, 9)])
+    def test_matches_per_view_label_shift(self, angular):
+        """Every 1/8-px disparity in [-4, 4], exact-half products such as
+        0.125 * 4, 0.5 * 1 and -1.5 * 1 included."""
+        s_count, t_count = angular
+        views = s_count * t_count
+        for d in np.arange(-32, 33) / 8.0:
+            d = float(d)
+            want = np.array(
+                [label_shift(d, *divmod(v, t_count)) for v in range(1, views)],
+                dtype=np.int64,
+            ).reshape(-1, 2)
+            got = label_shifts(d, views, t_count)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), d
 
 
 class TestProjection:

@@ -43,6 +43,7 @@ from conftest import (
     eigendecompose_unbatched_oracle,
     fill_holes_oracle,
     graph_structure_oracle,
+    heavy_edge_matching_oracle,
     make_lf,
     partition_super_ray_oracle,
     partition_with_tree_oracle,
@@ -649,6 +650,62 @@ class TestCoarsen:
         for g in graphs:
             target = workload.config.n_target if workload.grouped else max(1, g.n // 3)
             _assert_same_coarsening(g, target)
+
+
+def _random_weighted_edges(rng, case):
+    """(a, b, w, k) of a weighted graph in coarsening form: a < b, sorted,
+    duplicate-free, weights in {1, 2, 3} so ties are common.  Covers n = 1,
+    edgeless graphs and graphs with isolated vertices."""
+    k = 1 if case % 20 == 0 else int(rng.integers(2, 60))
+    if case % 7 == 0 or k == 1:
+        a = b = w = np.zeros(0, dtype=np.int64)
+        return a, b, w, k
+    used = rng.choice(k, size=int(rng.integers(2, k + 1)), replace=False)
+    x, y = rng.choice(used, size=(2, int(rng.integers(1, 4 * k))))
+    keys = np.unique(np.minimum(x, y)[x != y] * k + np.maximum(x, y)[x != y])
+    a, b = np.divmod(keys, k)
+    return a, b, rng.integers(1, 4, size=a.size), k
+
+
+def _assert_same_matching(a, b, w, k, budget):
+    got = spectral._heavy_edge_matching(a, b, w, k, budget)
+    want = heavy_edge_matching_oracle(a, b, w, k, budget)
+    for g, o in zip(got, want):
+        assert g.dtype == o.dtype and np.array_equal(g, o)
+
+
+class TestHeavyEdgeMatching:
+    def test_matches_two_direction_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(8)
+        seen = {"edgeless": 0, "single": 0, "isolated": 0, "tie": 0}
+        for case in range(200):
+            a, b, w, k = _random_weighted_edges(rng, case)
+            seen["edgeless"] += a.size == 0
+            seen["single"] += k == 1
+            seen["isolated"] += 0 < np.union1d(a, b).size < k
+            seen["tie"] += np.bincount(a * 4 + w).max(initial=0) > 1
+            for budget in sorted({1, max(1, k // 4), max(1, k - 1), k}):
+                _assert_same_matching(a, b, w, k, budget)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("name", ["gate", "parallax"])
+    def test_matches_two_direction_oracle_on_bench_calls(self, name, monkeypatch):
+        """Every matching call the encoder makes on the bench scene."""
+        workload = _bench_workloads()[name]
+        lf, dmap = workload.scene(1)
+        calls = []
+
+        def record(a, b, w, k, budget):
+            calls.append((a.copy(), b.copy(), w.copy(), k, budget))
+            return heavy_edge_matching(a, b, w, k, budget)
+
+        heavy_edge_matching = spectral._heavy_edge_matching
+        monkeypatch.setattr(spectral, "_heavy_edge_matching", record)
+        codec.encode(lf, dmap, workload.config)
+        monkeypatch.undo()
+        assert any(w.max(initial=1) > 1 for _, _, w, _, _ in calls)
+        for call in calls:
+            _assert_same_matching(*call)
 
 
 def _rect_sr(w, h, views=1, disparity=0.0):
