@@ -7,7 +7,7 @@ groups spectrally similar coarsened super-rays so the decoder runs one
 eigendecomposition per group instead of one per super-ray.
 """
 
-from .bench import RDPoint, bpp, grouping_ratios, psnr, rd_sweep
+from .bench import RDPoint, bpp, psnr, rd_sweep
 from .bitstream import Bitstream, deserialize, serialize
 from .codec import CodecConfig, DecodeReport, EncodeReport, decode, encode
 from .errors import SrgcError
@@ -35,7 +35,6 @@ from .lightfield import (
 from .segmentation import (
     SegmentationMap,
     SuperRay,
-    build_super_rays,
     median_disparity,
     project_labels,
     slic_segment,

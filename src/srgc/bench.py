@@ -71,11 +71,6 @@ def bpp(stream, lf_dims):
     return 8.0 * len(serialize(stream)) / (s * t * w * h)
 
 
-def grouping_ratios(report):
-    """Exact grouped/coarsened and grouped/total quotients from a report."""
-    return report.coarsened_ratio, report.overall_ratio
-
-
 def _fmt(x):
     if isinstance(x, float):
         if math.isinf(x):

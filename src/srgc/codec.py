@@ -108,8 +108,6 @@ class CodingUnit:
     partitioned part (``graph`` is its own pixel graph ``fine``)."""
 
     index: int
-    label: int
-    part: int
     graph: object
     cmap: object
     fine: object              # the pixel graph the unit covers
@@ -230,19 +228,15 @@ def _build_units(srs, angular_dims, mode, n_target, split, watch):
     if mode == "coarse":
         fines = [graph_structure(sr, angular_dims) for sr in srs]
         watch.lap("graphs")
-        pieces = [[(*coarsen(fine, n_target), fine)] for fine in fines]
+        pieces = [(*coarsen(fine, n_target), fine) for fine in fines]
     else:
-        graphs = [[graph_structure(p, angular_dims) for p in split(sr)] for sr in srs]
+        graphs = [graph_structure(p, angular_dims) for sr in srs for p in split(sr)]
         watch.lap("graphs")
-        pieces = [[(g, None, g) for g in parts] for parts in graphs]
-    units = []
-    for sr, sr_pieces in zip(srs, pieces):
-        for part, (graph, cmap, fine) in enumerate(sr_pieces):
-            units.append(CodingUnit(
-                index=len(units), label=sr.label, part=part, graph=graph, cmap=cmap,
-                fine=fine,
-            ))
-    return units
+        pieces = [(g, None, g) for g in graphs]
+    return [
+        CodingUnit(index=i, graph=graph, cmap=cmap, fine=fine)
+        for i, (graph, cmap, fine) in enumerate(pieces)
+    ]
 
 
 def _quantize_unit(coeffs, q_gft):
@@ -650,7 +644,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
     if debug:
         report.debug = _DebugInfo(
             units=units,
-            group_set=GroupSet(groups=groups, ungrouped=(), mse_threshold=threshold),
+            group_set=GroupSet.over(groups, len(groupable), threshold),
             groupable=groupable,
             dequantized=deq,
             reconstructed=recon_units,

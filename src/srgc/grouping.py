@@ -58,6 +58,14 @@ class GroupSet:
     ungrouped: tuple
     mse_threshold: float
 
+    @classmethod
+    def over(cls, groups, m, threshold):
+        """The GroupSet of ``groups`` over positions 0..m-1: ``ungrouped``
+        lists, ascending, the positions that belong to no group."""
+        grouped = {i for g in groups for i in g.members}
+        ungrouped = tuple(i for i in range(m) if i not in grouped)
+        return cls(groups=groups, ungrouped=ungrouped, mse_threshold=threshold)
+
     @property
     def grouped_count(self):
         return sum(len(g.members) for g in self.groups)
@@ -194,14 +202,9 @@ def run_grouping(coeffs, signals, bin_width=5.0) -> GroupSet:
     ``coeffs`` and ``signals`` are parallel sequences indexed 0..m-1.
     With fewer than 2 vectors no groups form.
     """
-    m = len(coeffs)
     merged, threshold = derive_group_members(coeffs, bin_width)
     groups = [
         SuperRayGroup(members=members, main_index=select_main(members, signals))
         for members in merged
     ]
-    grouped = set()
-    for g in groups:
-        grouped.update(g.members)
-    ungrouped = tuple(i for i in range(m) if i not in grouped)
-    return GroupSet(groups=groups, ungrouped=ungrouped, mse_threshold=threshold)
+    return GroupSet.over(groups, len(coeffs), threshold)

@@ -153,22 +153,6 @@ def _sample_dtype(bit_depth):
     return np.uint8 if bit_depth == 8 else np.uint16
 
 
-def lf_equal(a, b):
-    """Bit-exact equality of two light fields."""
-    if (a.angular_dims, a.bit_depth, a.channels, a.spatial_dims) != (
-        b.angular_dims,
-        b.bit_depth,
-        b.channels,
-        b.spatial_dims,
-    ):
-        return False
-    for va, vb in zip(a.views, b.views):
-        for pa, pb in zip(va.planes, vb.planes):
-            if not np.array_equal(pa, pb):
-                return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # PGM / PPM view files
 # ---------------------------------------------------------------------------

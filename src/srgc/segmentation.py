@@ -13,6 +13,11 @@ vote of labeled 4-neighbors with ties to the smallest label.  Projection
 shifts are rounded once per label (round-half-away-from-zero on d*t, d*s),
 so a view's label map is a pure function of the reference map and the
 disparities.
+
+One helper, :func:`project_regions`, projects reference regions into all
+non-reference views as one stacked grid and fills its holes in one pass.
+It serves both the frame labels (:func:`project_labels`) and the children
+of a partition split (``spectral._reproject_children``).
 """
 
 from dataclasses import dataclass
@@ -21,7 +26,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import OrphanLabelError, TooManySuperpixelsError
-from .util import lower_median, quantize_eighth, round_half_away, round_half_away_int
+from .util import lower_median, quantize_eighth, round_half_away_int
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # fill_holes: four distinct stand-ins for unlabeled neighbors, above any label
@@ -234,17 +239,44 @@ def label_disparities(seg, dmap):
     return disparities
 
 
-def label_shift(disparity, s, t):
-    """Integer (dy, dx) shift of a label's pixels in view (s, t)."""
-    return round_half_away(disparity * s), round_half_away(disparity * t)
-
-
 def label_shifts(disparity, view_count, t_count):
-    """:func:`label_shift` for views 1 .. view_count - 1 of a grid
-    ``t_count`` views wide, as one (view_count - 1, 2) int64 array: the
-    same float64 products and the same rounding, so the same integers."""
+    """Integer (dy, dx) shifts of a label's pixels in views 1 ..
+    view_count - 1 of a grid ``t_count`` views wide, as one
+    (view_count - 1, 2) int64 array: round-half-away-from-zero of
+    disparity * (s, t) for view s * t_count + t."""
     st = np.divmod(np.arange(1, view_count), t_count)
     return round_half_away_int(disparity * np.column_stack(st))
+
+
+def project_regions(grid, origin, regions, fallback):
+    """Project reference regions into every non-reference view, then fill.
+
+    ``grid`` is a (views - 1, H + 1, W) label stack over the views' common
+    box at ``origin`` (the box's (y, x) in view coordinates): -1 a hole,
+    -2 outside the region being labeled or the pad row under each view.
+    ``regions`` yields (value, (N, 2) reference (y, x) pixels,
+    :func:`label_shifts` array) in write order.  Each region is written
+    into all views in one scatter, skipping -2 cells and targets off the
+    box; later regions overwrite earlier ones.  Inside one region no two
+    writes hit one cell, but the order between regions decides conflicts,
+    so regions are written one after another.  Then one :func:`fill_holes`
+    runs on the (views - 1) * (H + 1) x W plane with ``fallback`` (a
+    scalar or an array of that plane's shape).  The pad rows keep
+    4-neighbour fills inside their own view, and a view whose fill stalls
+    never changes again, so the one stall fallback gives its holes what a
+    fill of that view alone would give them.
+    """
+    n, h, w = grid.shape[0], grid.shape[1] - 1, grid.shape[2]
+    views = np.arange(n)[:, None]
+    for value, yx, shifts in regions:
+        shifts = origin + shifts
+        ty = yx[:, 0] - shifts[:, :1]
+        tx = yx[:, 1] - shifts[:, 1:]
+        ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
+        tv, ty, tx = np.broadcast_to(views, ok.shape)[ok], ty[ok], tx[ok]
+        inside = grid[tv, ty, tx] != -2
+        grid[tv[inside], ty[inside], tx[inside]] = value
+    fill_holes(grid.reshape(-1, w), fallback)
 
 
 def project_labels(ref_map, disparities, angular_dims):
@@ -255,7 +287,7 @@ def project_labels(ref_map, disparities, angular_dims):
     disparity wins, ties to the smaller label.  Unlabeled target pixels are
     filled by iterated majority vote over labeled 4-neighbors (ties to the
     smallest label); a view left entirely unlabeled falls back to the
-    reference map.
+    reference map.  All views are one :func:`project_regions` stack.
     """
     ref = ref_map.reference
     count = ref_map.label_count
@@ -264,26 +296,21 @@ def project_labels(ref_map, disparities, angular_dims):
         raise ValueError(f"labels without disparity: {missing}")
     h, w = ref.shape
     s_count, t_count = angular_dims
+    n_views = s_count * t_count
     # scatter order: ascending disparity, then descending label, so the
     # last write is the largest disparity / smallest label
     order = sorted(range(count), key=lambda l: (disparities[l], -l))
     regions = label_regions(ref, count)
-    out = []
-    for s in range(s_count):
-        for t in range(t_count):
-            if s == 0 and t == 0:
-                out.append(ref.copy())
-                continue
-            view = np.full((h, w), -1, dtype=np.int64)
-            for l in order:
-                dy, dx = label_shift(disparities[l], s, t)
-                ys, xs = regions[l].T
-                ty, tx = ys - dy, xs - dx
-                ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
-                view[ty[ok], tx[ok]] = l
-            fill_holes(view, ref)
-            out.append(view)
-    return SegmentationMap(labels=out, label_count=count)
+    grid = np.full((n_views - 1, h + 1, w), -1, dtype=np.int64)
+    grid[:, h] = -2
+    padded = np.vstack([ref, np.full((1, w), -2, dtype=np.int64)])
+    project_regions(
+        grid,
+        0,
+        ((l, regions[l], label_shifts(disparities[l], n_views, t_count)) for l in order),
+        np.tile(padded, (n_views - 1, 1)),
+    )
+    return SegmentationMap(labels=[ref.copy(), *grid[:, :h]], label_count=count)
 
 
 def fill_holes(grid, fallback):
@@ -346,7 +373,3 @@ def assemble_super_rays(seg, disparities):
         )
     return rays
 
-
-def build_super_rays(seg, dmap):
-    """One SuperRay per label with its :func:`label_disparities` value."""
-    return assemble_super_rays(seg, label_disparities(seg, dmap))

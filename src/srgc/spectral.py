@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError
-from .segmentation import SuperRay, fill_holes, label_shifts
+from .segmentation import SuperRay, label_shifts, project_regions
 
 _EIG_RECON_TOL = 1e-8
 _EIG_ORTHO_TOL = 1e-8
@@ -66,20 +66,6 @@ class LocalGraph:
     n: int
     edges: np.ndarray
     vertices: np.ndarray = None
-
-    def adjacency(self):
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        if self.edges.size:
-            a[self.edges[:, 0], self.edges[:, 1]] = 1.0
-            a[self.edges[:, 1], self.edges[:, 0]] = 1.0
-        return a
-
-    def degrees(self):
-        d = np.zeros(self.n, dtype=np.float64)
-        if self.edges.size:
-            np.add.at(d, self.edges[:, 0], 1.0)
-            np.add.at(d, self.edges[:, 1], 1.0)
-        return d
 
 
 @dataclass
@@ -175,7 +161,12 @@ def graph_signal(graph, volume):
 
 
 def laplacian(g: LocalGraph) -> Laplacian:
-    l = np.diag(g.degrees()) - g.adjacency()
+    """L = D - A from the edge list: the degrees on the diagonal (one
+    ``bincount``), -1 at both (i, j) and (j, i) of every edge."""
+    a, b = g.edges[:, 0], g.edges[:, 1]
+    l = np.zeros((g.n, g.n))
+    l[np.diag_indices(g.n)] = np.bincount(g.edges.ravel(), minlength=g.n)
+    l[np.concatenate([a, b]), np.concatenate([b, a])] = -1.0
     return Laplacian(matrix=l)
 
 
@@ -451,16 +442,11 @@ def _split_reference(ref):
 
 def _reproject_children(sr, child_refs, t_count):
     """Distribute the parent's per-view pixels among child reference
-    regions: same-shift scatter (conflict-free), then :func:`fill_holes`
-    among children, stalled holes to child 0.
-
-    All non-reference views share one fill: a (views - 1, H + 1, W) grid
-    over the union bounding box of their pixels (-1 a hole, -2 outside the
-    parent), filled as one (views - 1) * (H + 1) x W plane.  The -2 row
-    under each view keeps 4-neighbour fills inside their own view, and a
-    view whose fill stalls never changes again, so the one stall fallback
-    gives its holes the same child 0 as a fill of that view alone.  Each
-    child's pixels are one ``argwhere``, split by view."""
+    regions: one :func:`project_regions` over the non-reference views,
+    whose (views - 1, H + 1, W) grid spans the union bounding box of their
+    pixels (-1 a hole, -2 outside the parent), stalled holes to child 0.
+    The children share the parent's shifts, so their writes never
+    conflict.  Each child's pixels are one ``argwhere``, split by view."""
     n_views = len(sr.per_view_pixels)
     others = sr.per_view_pixels[1:]
     if not any(p.shape[0] for p in others):
@@ -474,16 +460,10 @@ def _reproject_children(sr, child_refs, t_count):
         y, x = (yx - origin).T
         grid = np.full((n_views - 1, h + 1, w), -2, dtype=np.int64)
         grid[view, y, x] = -1
-        shifts = origin + label_shifts(sr.disparity, n_views, t_count)
-        views = np.arange(n_views - 1)[:, None]
-        for c, ref in enumerate(child_refs):
-            ty = ref[:, 0] - shifts[:, :1]
-            tx = ref[:, 1] - shifts[:, 1:]
-            ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
-            tv, ty, tx = np.broadcast_to(views, ok.shape)[ok], ty[ok], tx[ok]
-            inside = grid[tv, ty, tx] != -2
-            grid[tv[inside], ty[inside], tx[inside]] = c
-        fill_holes(grid.reshape(-1, w), 0)
+        shifts = label_shifts(sr.disparity, n_views, t_count)
+        project_regions(
+            grid, origin, ((c, ref, shifts) for c, ref in enumerate(child_refs)), 0
+        )
         children = []
         for c, ref in enumerate(child_refs):
             hits = np.argwhere(grid == c)

@@ -1,19 +1,31 @@
 """Shared scene builders for codec tests."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from srgc.lightfield import DisparityMap, LightField, View, SceneSpec, Patch, synthesize_light_field
 from srgc.errors import CorruptStreamError, DecompositionError, OrphanLabelError
-from srgc.segmentation import SuperRay, fill_holes, label_shift, median_disparity
+from srgc.segmentation import (
+    SegmentationMap,
+    SuperRay,
+    assemble_super_rays,
+    fill_holes,
+    label_disparities,
+    label_regions,
+    median_disparity,
+)
 from srgc.spectral import (
     CoarseningMap,
     EigenBasis,
+    Laplacian,
     LocalGraph,
     PartitionResult,
     _split_reference,
 )
-from srgc.util import quantize_eighth
+from srgc.util import quantize_eighth, round_half_away
 
 
 def make_lf(arrays, angular_dims, bit_depth=8):
@@ -57,6 +69,92 @@ def four_patch_scene(size=64, views=3, patch=16, seed=11):
             )
         )
     return synthesize_light_field(spec)
+
+
+def bench_workloads():
+    """The benchmark's scene generators and settings (perfbench/workloads.py)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+def lf_equal(a, b):
+    """Bit-exact equality of two light fields."""
+    if (a.angular_dims, a.bit_depth, a.channels, a.spatial_dims) != (
+        b.angular_dims,
+        b.bit_depth,
+        b.channels,
+        b.spatial_dims,
+    ):
+        return False
+    for va, vb in zip(a.views, b.views):
+        for pa, pb in zip(va.planes, vb.planes):
+            if not np.array_equal(pa, pb):
+                return False
+    return True
+
+
+def grouping_ratios(report):
+    """Grouped/coarsened and grouped/total quotients from an EncodeReport."""
+    return report.coarsened_ratio, report.overall_ratio
+
+
+def build_super_rays(seg, dmap):
+    """One SuperRay per label with its ``label_disparities`` value."""
+    return assemble_super_rays(seg, label_disparities(seg, dmap))
+
+
+def label_shift(disparity, s, t):
+    """Oracle: the integer (dy, dx) shift of a label's pixels in view
+    (s, t), one view at a time, as ``segmentation.label_shifts`` must
+    give it for every view at once."""
+    return round_half_away(disparity * s), round_half_away(disparity * t)
+
+
+def laplacian_oracle(g):
+    """Oracle: ``spectral.laplacian`` as D - A from dense degree and
+    adjacency matrices; integer entries, so identical bits required."""
+    a = np.zeros((g.n, g.n), dtype=np.float64)
+    d = np.zeros(g.n, dtype=np.float64)
+    if g.edges.size:
+        a[g.edges[:, 0], g.edges[:, 1]] = 1.0
+        a[g.edges[:, 1], g.edges[:, 0]] = 1.0
+        np.add.at(d, g.edges[:, 0], 1.0)
+        np.add.at(d, g.edges[:, 1], 1.0)
+    return Laplacian(matrix=np.diag(d) - a)
+
+
+def project_labels_oracle(ref_map, disparities, angular_dims):
+    """Oracle: the view-by-view, label-by-label projection that
+    ``segmentation.project_labels`` replaced, one :func:`fill_holes` per
+    view with the reference map as fallback; identical output required."""
+    ref = ref_map.reference
+    count = ref_map.label_count
+    missing = [l for l in range(count) if l not in disparities]
+    if missing:
+        raise ValueError(f"labels without disparity: {missing}")
+    h, w = ref.shape
+    s_count, t_count = angular_dims
+    order = sorted(range(count), key=lambda l: (disparities[l], -l))
+    regions = label_regions(ref, count)
+    out = []
+    for s in range(s_count):
+        for t in range(t_count):
+            if s == 0 and t == 0:
+                out.append(ref.copy())
+                continue
+            view = np.full((h, w), -1, dtype=np.int64)
+            for l in order:
+                dy, dx = label_shift(disparities[l], s, t)
+                ys, xs = regions[l].T
+                ty, tx = ys - dy, xs - dx
+                ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
+                view[ty[ok], tx[ok]] = l
+            fill_holes(view, ref)
+            out.append(view)
+    return SegmentationMap(labels=out, label_count=count)
 
 
 def connected_components(n, edges):

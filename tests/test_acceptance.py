@@ -11,16 +11,16 @@ import time
 import numpy as np
 import pytest
 
-from srgc.bench import bpp, grouping_ratios, psnr
+from srgc.bench import bpp, psnr
 from srgc.bitstream import serialize
 from srgc.codec import CodecConfig, EncodeReport, decode, encode
 from srgc.entropy import entropy_decode, entropy_encode
 from srgc.grouping import pairwise_mse, run_grouping
-from srgc.lightfield import SceneSpec, lf_equal, synthesize_light_field
+from srgc.lightfield import SceneSpec, synthesize_light_field
 from srgc.spectral import LocalGraph, eigendecompose, laplacian
 from srgc.transform import dct1d, dequantize, gft, idct1d, igft, quantize
 
-from conftest import connected_components, four_patch_scene
+from conftest import connected_components, four_patch_scene, grouping_ratios, lf_equal
 from test_codec import small_scene
 
 

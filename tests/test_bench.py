@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from srgc.bench import CSV_COLUMNS, bpp, grouping_ratios, psnr, rd_sweep, render_csv
+from srgc.bench import CSV_COLUMNS, bpp, psnr, rd_sweep, render_csv
 from srgc.codec import CodecConfig, EncodeReport, encode
 from srgc.lightfield import Patch, SceneSpec, synthesize_light_field
 
-from conftest import make_lf, random_lf
+from conftest import grouping_ratios, make_lf, random_lf
 
 
 class TestPsnr:

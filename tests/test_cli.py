@@ -9,9 +9,9 @@ import pytest
 from srgc.bitstream import Bitstream, serialize
 from srgc.cli import main
 from srgc.codec import CodecConfig, encode
-from srgc.lightfield import DisparityMap, lf_equal, load_light_field
+from srgc.lightfield import DisparityMap, load_light_field
 
-from conftest import four_patch_scene, random_lf
+from conftest import four_patch_scene, lf_equal, random_lf
 
 SCENE = """
 angular 3 3

@@ -28,19 +28,21 @@ from srgc.lightfield import (
     DisparityMap,
     Patch,
     SceneSpec,
-    lf_equal,
     synthesize_light_field,
 )
 
 from conftest import (
     assemble_super_rays_oracle,
+    bench_workloads,
     coarsen_oracle,
     eigendecompose_oracle,
     four_patch_scene,
     graph_structure_oracle,
     label_disparities_oracle,
+    lf_equal,
     partition_super_ray_oracle,
     partition_with_tree_oracle,
+    project_labels_oracle,
     random_lf,
     segmentation_from_symbols_oracle,
     segmentation_symbols_oracle,
@@ -276,6 +278,20 @@ class TestGrouping:
             want = enc_units[uid].signals[0]
             got = dec_rep.debug.reconstructed[uid][0]
             assert np.array_equal(want, got)
+
+    @pytest.mark.parametrize("explicit", [False, True])
+    def test_decoder_group_set_matches_encoder(self, explicit):
+        """The decoder's debug GroupSet holds the encoder's groups and its
+        ungrouped positions, on a scene that leaves some ungrouped."""
+        workload = bench_workloads()["parallax"]
+        lf, dmap = workload.scene(1)
+        cfg = dataclasses.replace(workload.config, explicit_groups=explicit)
+        stream, enc_rep = encode(lf, dmap, cfg, debug=True)
+        _, dec_rep = decode(deserialize(serialize(stream)), debug=True)
+        want, got = enc_rep.debug.group_set, dec_rep.debug.group_set
+        assert want.groups and want.ungrouped
+        assert got.groups == want.groups
+        assert got.ungrouped == want.ungrouped
 
     def test_ungrouped_error_bound(self):
         """Per-unit L2 error <= sqrt(n) * q / 2 for non-grouped units."""
@@ -713,13 +729,15 @@ def test_canonicalization_matches_oracle_end_to_end(case, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_structure_pipeline_matches_oracles_end_to_end(case, monkeypatch):
-    """The one split walk and the one label->pixels pass leave every stream
-    byte and decoded sample as the per-side recursions and per-label scans
-    they replaced produce them."""
+    """The one split walk, the one label->pixels pass and the one stacked
+    label projection leave every stream byte and decoded sample as the
+    per-side recursions, per-label scans and per-view projection they
+    replaced produce them."""
     lf, dmap, cfg = ORACLE_CASES[case]()
     solved = _solve_once(monkeypatch)
     data, rec = _round_trip(lf, dmap, cfg)
     monkeypatch.setattr(codec, "label_disparities", label_disparities_oracle)
+    monkeypatch.setattr(codec, "project_labels", project_labels_oracle)
     monkeypatch.setattr(codec, "assemble_super_rays", assemble_super_rays_oracle)
     monkeypatch.setattr(
         codec, "partition_super_ray", lambda *args: partition_super_ray_oracle(*args)[0]

@@ -16,7 +16,6 @@ from srgc.lightfield import (
     Patch,
     SceneSpec,
     View,
-    lf_equal,
     load_disparity,
     load_light_field,
     parse_scene_spec,
@@ -27,7 +26,7 @@ from srgc.lightfield import (
 )
 from srgc.util import round_half_away
 
-from conftest import make_lf, random_lf
+from conftest import lf_equal, make_lf, random_lf
 
 
 class TestViewIO:

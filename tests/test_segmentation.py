@@ -8,11 +8,9 @@ from srgc.lightfield import DisparityMap, Patch, SceneSpec, synthesize_light_fie
 from srgc.segmentation import (
     SegmentationMap,
     assemble_super_rays,
-    build_super_rays,
     fill_holes,
     label_disparities,
     label_regions,
-    label_shift,
     label_shifts,
     median_disparity,
     project_labels,
@@ -22,9 +20,12 @@ from srgc.util import round_half_away
 
 from conftest import (
     assemble_super_rays_oracle,
+    build_super_rays,
     fill_holes_oracle,
     four_patch_scene,
     label_disparities_oracle,
+    label_shift,
+    project_labels_oracle,
 )
 
 
@@ -250,6 +251,48 @@ class TestProjection:
         seg = SegmentationMap(labels=[np.zeros((4, 4), dtype=np.int64)], label_count=1)
         with pytest.raises(ValueError):
             project_labels(seg, {}, (1, 2))
+        with pytest.raises(ValueError):
+            project_labels_oracle(seg, {}, (1, 2))
+
+    def test_matches_per_view_oracle_on_random_maps(self):
+        """Random reference maps with 1/8-px disparities in [-20, 20]:
+        labels that overlap in a view (conflicts), negative shifts, and
+        shifts that carry every label off a view, which then takes the
+        reference map as fallback; 1 x N and N x 1 maps included."""
+        rng = np.random.default_rng(29)
+        seen = dict(conflict=0, negative=0, unlabeled_view=0, row=0, column=0)
+        for case in range(300):
+            h, w = (int(x) for x in rng.integers(1, 13, size=2))
+            if case % 10 == 1:
+                h = 1
+            elif case % 10 == 2:
+                w = 1
+            count = int(rng.integers(1, min(h * w, 8) + 1))
+            ref = rng.integers(0, count, size=(h, w))
+            ref.flat[rng.permutation(h * w)[:count]] = np.arange(count)  # no orphan
+            scale = 20 if case % 4 == 0 else 3
+            disparities = {
+                l: float(rng.integers(-8 * scale, 8 * scale + 1)) / 8.0
+                for l in range(count)
+            }
+            angular = ((1, 1), (1, 3), (2, 3), (3, 3))[case % 4]
+            seg = SegmentationMap(labels=[ref], label_count=count)
+            got = project_labels(seg, disparities, angular)
+            want = project_labels_oracle(seg, disparities, angular)
+            assert got.label_count == want.label_count == count
+            assert len(got.labels) == len(want.labels) == angular[0] * angular[1]
+            for a, b in zip(got.labels, want.labels):
+                assert a.dtype == b.dtype and a.shape == b.shape
+                assert np.array_equal(a, b)
+            seen["row"] += h == 1
+            seen["column"] += w == 1
+            seen["negative"] += any(d < 0 for d in disparities.values())
+            for v in range(1, angular[0] * angular[1]):
+                s, t = divmod(v, angular[1])
+                direct = brute_force_projection(ref, disparities, s, t)
+                seen["unlabeled_view"] += bool((direct < 0).all())
+                seen["conflict"] += _has_conflict(ref, disparities, s, t)
+        assert min(seen.values()) > 0, seen
 
 
 class TestSuperRays:
@@ -351,6 +394,21 @@ class TestLabelRegions:
                 assert (a.label, a.disparity) == (b.label, b.disparity)
                 for pa, pb in zip(a.per_view_pixels, b.per_view_pixels):
                     assert pa.dtype == pb.dtype and np.array_equal(pa, pb)
+
+
+def _has_conflict(ref, disparities, s, t):
+    """Whether two labels' reference pixels land on one pixel of view
+    (s, t)."""
+    h, w = ref.shape
+    owner = {}
+    for y in range(h):
+        for x in range(w):
+            d = disparities[int(ref[y, x])]
+            key = (y - round_half_away(d * s), x - round_half_away(d * t))
+            if 0 <= key[0] < h and 0 <= key[1] < w:
+                if owner.setdefault(key, ref[y, x]) != ref[y, x]:
+                    return True
+    return False
 
 
 def _labeled_neighbors(grid, y, x):

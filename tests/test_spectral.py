@@ -1,15 +1,12 @@
 """Local graphs, Laplacians, eigenbases, coarsening and partitioning."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 import srgc.codec as codec
 import srgc.spectral as spectral
 from srgc.errors import DecompositionError
-from srgc.segmentation import SuperRay, label_shift
+from srgc.segmentation import SuperRay
 from srgc.spectral import (
     CoarseningMap,
     Laplacian,
@@ -34,6 +31,7 @@ from srgc.spectral import (
 import conftest
 from conftest import (
     apply_sign_convention_oracle,
+    bench_workloads,
     canonical_cluster_basis_oracle,
     cluster_eigenvalues_oracle,
     coarse_mean_signal_oracle,
@@ -44,6 +42,8 @@ from conftest import (
     fill_holes_oracle,
     graph_structure_oracle,
     heavy_edge_matching_oracle,
+    label_shift,
+    laplacian_oracle,
     make_lf,
     partition_super_ray_oracle,
     partition_with_tree_oracle,
@@ -180,19 +180,10 @@ class _UnitsBuilt(Exception):
     pass
 
 
-def _bench_workloads():
-    """The benchmark's scene generators and settings (perfbench/workloads.py)."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.WORKLOADS
-
-
 def _bench_laplacians(name, monkeypatch):
     """Every Laplacian the encoder eigendecomposes on a bench scene (seed 1),
     recorded at ``codec.eigendecompose_all``."""
-    workload = _bench_workloads()[name]
+    workload = bench_workloads()[name]
     lf, dmap = workload.scene(1)
     laps = []
 
@@ -283,6 +274,34 @@ class TestLaplacian:
         l = laplacian(g).matrix
         assert np.array_equal(np.diag(l), np.full(4, 2.0))
         assert l.sum(axis=1).tolist() == [0.0] * 4
+
+    @staticmethod
+    def _assert_same_bits(g):
+        got, want = laplacian(g).matrix, laplacian_oracle(g).matrix
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    def test_matches_dense_oracle_on_random_graphs(self):
+        rng = np.random.default_rng(5)
+        for case in range(60):
+            self._assert_same_bits(_random_graph(rng, case))
+
+    @pytest.mark.parametrize("name", ["gate", "parallax", "partition"])
+    def test_matches_dense_oracle_on_bench_graphs(self, name, monkeypatch):
+        """Every graph whose Laplacian the encoder builds on a bench scene
+        (seed 1), checked as it is built."""
+        workload = bench_workloads()[name]
+        lf, dmap = workload.scene(1)
+        checked = []
+
+        def check(g):
+            self._assert_same_bits(g)
+            checked.append(g.n)
+            return laplacian(g)
+
+        monkeypatch.setattr(codec, "laplacian", check)
+        codec.encode(lf, dmap, workload.config)
+        assert checked, "the encoder no longer calls codec.laplacian"
 
 
 class TestEigendecompose:
@@ -602,7 +621,7 @@ class TestCoarsen:
     def test_mean_signal_matches_oracle_on_bench_units(self, name, monkeypatch):
         """Every coarse signal the encoder computes on the bench scene is
         bit-equal to the per-supernode mean."""
-        workload = _bench_workloads()[name]
+        workload = bench_workloads()[name]
         lf, dmap = workload.scene(1)
         calls = []
 
@@ -629,7 +648,7 @@ class TestCoarsen:
         """Every super-ray (or part) graph the bench scenes build, coarsened
         to the workload's target (parts, which partition mode never
         coarsens, to a third of their size)."""
-        workload = _bench_workloads()[name]
+        workload = bench_workloads()[name]
         lf, dmap = workload.scene(1)
         graphs = []
 
@@ -691,7 +710,7 @@ class TestHeavyEdgeMatching:
     @pytest.mark.parametrize("name", ["gate", "parallax"])
     def test_matches_two_direction_oracle_on_bench_calls(self, name, monkeypatch):
         """Every matching call the encoder makes on the bench scene."""
-        workload = _bench_workloads()[name]
+        workload = bench_workloads()[name]
         lf, dmap = workload.scene(1)
         calls = []
 
