@@ -13,8 +13,6 @@ from .codec import CodecConfig, DecodeReport, EncodeReport, decode, encode
 from .errors import SrgcError
 from .grouping import (
     GroupSet,
-    merge_groups,
-    one_level_groups,
     pairwise_mse,
     predict_and_residual,
     run_grouping,

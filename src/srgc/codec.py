@@ -239,26 +239,23 @@ def _build_units(srs, angular_dims, mode, n_target, split, watch):
     ]
 
 
-def _quantize_unit(coeffs, q_gft):
-    """Quantize one coefficient vector; index 0 (DC) uses min(q_gft, 1) so a
-    constant signal survives any q_gft >= 1."""
-    dc_step = min(q_gft, 1.0)
-    levels = np.empty(coeffs.shape[0], dtype=np.int64)
-    levels[:1] = quantize(coeffs[:1], dc_step).levels
-    if coeffs.shape[0] > 1:
-        levels[1:] = quantize(coeffs[1:], q_gft).levels
-    return levels
-
-
-def _dequantize_units(levels, units, n_channels, q_gft):
-    """Dequantize the coefficient levels of every unit and channel, laid
-    out back to back (unit-major, channel-minor), in one multiply by a step
-    array that holds min(q_gft, 1) at each vector's DC index (as
-    :func:`_quantize_unit`) and q_gft elsewhere.  Returns deq[unit][channel]."""
+def _coefficient_steps(units, n_channels, q_gft):
+    """Quantizer step of every coefficient of every unit and channel, laid
+    out back to back (unit-major, channel-minor): min(q_gft, 1) at each
+    vector's DC index, so a constant signal survives any q_gft >= 1, and
+    q_gft elsewhere.  Returns (steps, start of each vector)."""
     sizes = np.repeat([u.n for u in units], n_channels)
     starts = np.cumsum(sizes) - sizes
     steps = np.full(sizes.sum(), float(q_gft))
     steps[starts] = min(q_gft, 1.0)
+    return steps, starts
+
+
+def _dequantize_units(levels, units, n_channels, q_gft):
+    """Dequantize the back-to-back coefficient levels of every unit and
+    channel in one multiply by :func:`_coefficient_steps`.  Returns
+    deq[unit][channel]."""
+    steps, starts = _coefficient_steps(units, n_channels, q_gft)
     flat = np.split(levels.astype(np.float64) * steps, starts[1:])
     return [flat[i : i + n_channels] for i in range(0, len(flat), n_channels)]
 
@@ -267,6 +264,18 @@ def _groupable_positions(units, n_target, grouping):
     if not grouping:
         return []
     return [u.index for u in units if u.cmap is not None and u.n == n_target]
+
+
+def _predicted_members(groups, groupable):
+    """{member unit: main unit} over every grouped unit but the mains, in
+    the residual section's order: groups in order, each group's members in
+    its order, the main skipped."""
+    return {
+        groupable[pos]: groupable[g.main_index]
+        for g in groups
+        for pos in g.members
+        if pos != g.main_index
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +393,10 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     watch.lap("coarsen")
 
     bases = eigendecompose_all(laplacian(u.graph) for u in units)
-    levels = np.concatenate([
-        _quantize_unit(gft(basis, signal), cfg.q_gft)
-        for basis, u in zip(bases, units)
-        for signal in u.signals
+    coeffs = np.concatenate([
+        gft(basis, signal) for basis, u in zip(bases, units) for signal in u.signals
     ])
+    levels = quantize(coeffs, _coefficient_steps(units, n_channels, cfg.q_gft)[0]).levels
     deq = _dequantize_units(levels, units, n_channels, cfg.q_gft)
     eig_count = len(units)
     watch.lap("eigen_transform")
@@ -403,21 +411,16 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     watch.lap("grouping")
 
     residual_syms = []
-    for g in groups:
-        main_unit = groupable[g.main_index]
-        for pos in g.members:
-            if pos == g.main_index:
-                continue
-            unit = units[groupable[pos]]
-            for c in range(n_channels):
-                _, residual = predict_and_residual(
-                    bases[main_unit], deq[groupable[pos]][c], unit.signals[c], maxval
-                )
-                if cfg.residual_mode == "raw":
-                    residual_syms.extend(int(r) for r in residual)
-                else:
-                    lv = quantize(dct1d(residual.astype(np.float64)), cfg.q_dct).levels
-                    residual_syms.extend(int(r) for r in lv)
+    for member, main in _predicted_members(groups, groupable).items():
+        for c in range(n_channels):
+            _, residual = predict_and_residual(
+                bases[main], deq[member][c], units[member].signals[c], maxval
+            )
+            if cfg.residual_mode == "raw":
+                residual_syms.extend(int(r) for r in residual)
+            else:
+                lv = quantize(dct1d(residual.astype(np.float64)), cfg.q_dct).levels
+                residual_syms.extend(int(r) for r in lv)
     watch.lap("residuals")
 
     group_syms = []
@@ -574,30 +577,23 @@ def decode(stream: Bitstream, threads=1, debug=False):
             if int(main) not in m:
                 raise CorruptStreamError("corrupt stream: main outside its group")
             groups.append(SuperRayGroup(members=m, main_index=int(main)))
-    grouped_members = {}
-    for gi, g in enumerate(groups):
-        for posn in g.members:
-            if posn != g.main_index:
-                grouped_members[groupable[posn]] = gi
+    predicted = _predicted_members(groups, groupable)
     watch.lap("grouping")
 
-    to_decompose = [u.index for u in units if u.index not in grouped_members]
+    to_decompose = [u.index for u in units if u.index not in predicted]
     decomposed = dict(zip(to_decompose, eigendecompose_all(
         laplacian(units[i].graph) for i in to_decompose
     )))
     eig_count = len(to_decompose)
     watch.lap("eigen")
 
-    predicted_units = [
-        groupable[posn] for g in groups for posn in g.members if posn != g.main_index
-    ]
     resid_syms = section_symbols(
         bs.SEC_RESIDUALS,
-        sum(units[u].n for u in predicted_units) * n_channels,
+        sum(units[u].n for u in predicted) * n_channels,
     )
     residuals = {}
     pos = 0
-    for uidx in predicted_units:
+    for uidx in predicted:
         n = units[uidx].n
         residuals[uidx] = [
             resid_syms[pos + c * n : pos + (c + 1) * n] for c in range(n_channels)
@@ -609,18 +605,14 @@ def decode(stream: Bitstream, threads=1, debug=False):
     for u in units:
         per_channel = []
         for c in range(n_channels):
-            if u.index in grouped_members:
-                g = groups[grouped_members[u.index]]
-                main_basis = decomposed[groupable[g.main_index]]
-                predicted = predict_signal(main_basis, deq[u.index][c], maxval)
-                if hdr.residual_mode == "raw":
-                    rec = predicted + residuals[u.index][c]
-                else:
-                    r = round_half_away_int(
-                        idct1d(residuals[u.index][c].astype(np.float64) * hdr.q_dct)
-                    )
-                    rec = predicted + r
-                rec = np.clip(rec, 0, maxval)
+            if u.index in predicted:
+                r = residuals[u.index][c]
+                if hdr.residual_mode == "dct":
+                    r = round_half_away_int(idct1d(r.astype(np.float64) * hdr.q_dct))
+                main_basis = decomposed[predicted[u.index]]
+                rec = np.clip(
+                    predict_signal(main_basis, deq[u.index][c], maxval) + r, 0, maxval
+                )
             else:
                 rec = predict_signal(decomposed[u.index], deq[u.index][c], maxval)
             per_channel.append(rec)

@@ -1,5 +1,5 @@
 """Coarsened super-ray grouping: pairwise coefficient MSE, histogram
-threshold, 1-level groups, transitive merge, main selection, prediction.
+threshold, threshold-graph components, main selection, prediction.
 
 The grouping walk:
 
@@ -7,10 +7,11 @@ The grouping walk:
    (mean over the common dimension).
 2. A fixed-width histogram of the weights picks the threshold: the upper
    edge of the lowest bin attaining the maximum pair count.
-3. Each index i forms a 1-level set {i} u {j : mse(i,j) <= threshold};
-   singletons are discarded.
-4. Intersecting 1-level sets merge transitively into final groups
-   (connected components of the overlap relation).
+3. Pairs with mse <= threshold are the edges of a graph over the m
+   indices; each index's 1-level set is its closed neighbourhood.
+4. The groups are the connected components of that graph (1-level sets
+   merged transitively), isolated indices dropped: listed by smallest
+   member, members ascending.
 5. Each group's main member is the one nearest (L2) to the elementwise
    lower-median signal, ties to the smallest index.
 
@@ -29,7 +30,8 @@ from .util import round_half_away_int
 
 @dataclass
 class PairWeights:
-    """Condensed upper-triangle MSE weights over C(m, 2) index pairs."""
+    """Condensed upper-triangle MSE weights over C(m, 2) index pairs: the
+    pair i < j sits at i*m - i*(i+1)/2 + (j - i - 1)."""
 
     m: int
     condensed: np.ndarray
@@ -37,13 +39,6 @@ class PairWeights:
     @property
     def count(self):
         return self.m * (self.m - 1) // 2
-
-    def index(self, i, j):
-        if i == j:
-            raise KeyError("no self-pair weight")
-        if i > j:
-            i, j = j, i
-        return i * self.m - i * (i + 1) // 2 + (j - i - 1)
 
 
 @dataclass
@@ -107,53 +102,6 @@ def select_threshold(pw: PairWeights, bin_width) -> float:
     return float((best + 1) * bin_width)
 
 
-def one_level_groups(pw: PairWeights, threshold) -> list:
-    """Per-index similarity sets {i} u {j : mse(i,j) <= threshold};
-    singletons dropped."""
-    if threshold < 0:
-        raise ValueError("threshold must be non-negative")
-    sets = []
-    for i in range(pw.m):
-        members = {i}
-        for j in range(pw.m):
-            if j != i and pw.condensed[pw.index(i, j)] <= threshold:
-                members.add(j)
-        if len(members) >= 2:
-            sets.append(tuple(sorted(members)))
-    return sets
-
-
-def merge_groups(subs) -> list:
-    """Union intersecting sets transitively (connected components of the
-    overlap relation); output ordered by smallest member."""
-    parent = {}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for s in subs:
-        it = iter(s)
-        first = next(it, None)
-        if first is None:
-            continue
-        parent.setdefault(first, first)
-        ra = find(first)
-        for b in it:
-            parent.setdefault(b, b)
-            rb = find(b)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-    components = {}
-    for a in parent:
-        components.setdefault(find(a), set()).add(a)
-    return [tuple(sorted(c)) for c in sorted(components.values(), key=min)]
-
-
 def select_main(group, signals) -> int:
     """Member whose signal is L2-nearest to the elementwise lower median of
     the group's signals; ties to the smallest index."""
@@ -182,18 +130,57 @@ def predict_and_residual(main_basis, member_coeffs, member_signal, sample_max):
     return predicted, residual
 
 
-def derive_group_members(coeffs, bin_width=5.0):
-    """Membership half of the grouping pass: (merged member sets, threshold).
+def _component_roots(m, i, j):
+    """Smallest vertex of every vertex's connected component in the graph
+    on 0..m-1 with edges (i[k], j[k]).
 
-    Depends only on the coefficient vectors, so an encoder and a decoder
-    holding identical dequantized coefficients derive identical sets.
+    A pointer forest in which every parent is smaller than its child: each
+    round hooks the larger root of every edge that still joins two trees
+    onto the smallest root it meets, then compresses every path to its
+    root.  Each tree with such an edge merges in a round, so the trees of
+    a component at least halve per round.
+    """
+    root = np.arange(m)
+    while True:
+        ri, rj = root[i], root[j]
+        if np.array_equal(ri, rj):
+            return root
+        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+
+
+def derive_group_members(coeffs, bin_width=5.0):
+    """Membership half of the grouping pass: (groups, threshold).
+
+    The groups are the connected components of the graph whose edges are
+    the pairs with mse <= threshold, isolated indices dropped, ordered by
+    smallest member with members ascending.  Only the linked condensed
+    indices become edges: index k lies in row i of the upper triangle,
+    whose row starts at i*m - i*(i+1)/2.  Depends only on the coefficient
+    vectors, so an encoder and a decoder holding identical dequantized
+    coefficients derive identical groups.
     """
     m = len(coeffs)
     if m < 2:
         return [], 0.0
     pw = pairwise_mse(coeffs)
     threshold = select_threshold(pw, bin_width)
-    return merge_groups(one_level_groups(pw, threshold)), threshold
+    k = np.flatnonzero(pw.condensed <= threshold)
+    rows = np.arange(m)
+    starts = rows * m - rows * (rows + 1) // 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    j = k - starts[i] + i + 1
+    linked = np.flatnonzero(np.bincount(np.concatenate([i, j]), minlength=m))
+    if not linked.size:
+        return [], threshold
+    # a stable sort of the ascending linked indices by their component's
+    # smallest member lists the groups in order, members ascending
+    key = _component_roots(m, i, j)[linked]
+    order = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[order])) + 1
+    return [tuple(g.tolist()) for g in np.split(linked[order], cuts)], threshold
 
 
 def run_grouping(coeffs, signals, bin_width=5.0) -> GroupSet:

@@ -8,10 +8,10 @@ codec transforms.
 
 All operations here are deterministic: ties in the SLIC assignment go to
 the earlier seed, projection conflicts go to the larger disparity (nearer
-surface) then the smaller label, and holes are filled by iterated majority
-vote of labeled 4-neighbors with ties to the smallest label.  Projection
-shifts are rounded once per label (round-half-away-from-zero on d*t, d*s),
-so a view's label map is a pure function of the reference map and the
+surface), and holes are filled by iterated majority vote of labeled
+4-neighbors with ties to the smallest label.  Projection shifts are
+rounded once per label (round-half-away-from-zero on d*t, d*s), so a
+view's label map is a pure function of the reference map and the
 disparities.
 
 One helper, :func:`project_regions`, projects reference regions into all
@@ -284,7 +284,8 @@ def project_labels(ref_map, disparities, angular_dims):
 
     For view (s, t) every reference pixel of label l lands at
     (x - round(d_l * t), y - round(d_l * s)).  Conflicts: the larger
-    disparity wins, ties to the smaller label.  Unlabeled target pixels are
+    disparity wins; labels of equal disparity share one shift, so their
+    pixels never meet.  Unlabeled target pixels are
     filled by iterated majority vote over labeled 4-neighbors (ties to the
     smallest label); a view left entirely unlabeled falls back to the
     reference map.  All views are one :func:`project_regions` stack.
@@ -297,9 +298,8 @@ def project_labels(ref_map, disparities, angular_dims):
     h, w = ref.shape
     s_count, t_count = angular_dims
     n_views = s_count * t_count
-    # scatter order: ascending disparity, then descending label, so the
-    # last write is the largest disparity / smallest label
-    order = sorted(range(count), key=lambda l: (disparities[l], -l))
+    # scatter order: ascending disparity, so the last write is the largest
+    order = sorted(range(count), key=disparities.__getitem__)
     regions = label_regions(ref, count)
     grid = np.full((n_views - 1, h + 1, w), -1, dtype=np.int64)
     grid[:, h] = -2

@@ -86,18 +86,12 @@ class EigenBasis:
 
 @dataclass
 class CoarseningMap:
-    """Partition of fine vertices into supernodes.
+    """Partition of fine vertices into ``coarse_count`` supernodes:
+    ``fine_to_coarse[i]`` is the supernode of fine vertex i, and supernodes
+    are numbered in the order of their smallest fine member."""
 
-    ``supernodes[p]`` lists the fine indices merged into coarse vertex p
-    (sorted); supernodes are ordered by their smallest fine member.
-    """
-
-    supernodes: list
     fine_to_coarse: np.ndarray
-
-    @property
-    def coarse_count(self):
-        return len(self.supernodes)
+    coarse_count: int
 
 
 def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
@@ -362,8 +356,7 @@ def coarsen(g: LocalGraph, n_target: int):
     stay ordered by their smallest fine member and each pair's root is
     its smaller index, which keeps the smaller first member, so the new
     ids are ``cumsum(keep) - 1`` and ``fine_to_coarse`` composes with
-    them.  The supernode lists come from one stable argsort of
-    ``fine_to_coarse`` at the end.
+    them.
     """
     if n_target < 1:
         raise ValueError("n_target must be >= 1")
@@ -387,10 +380,8 @@ def coarsen(g: LocalGraph, n_target: int):
         fine_to_coarse = old_to_new[fine_to_coarse]
         a, b, w = _merge_edges(a, b, w, old_to_new, k)
 
-    members = np.argsort(fine_to_coarse, kind="stable")
-    supernodes = np.split(members, np.cumsum(np.bincount(fine_to_coarse, minlength=k))[:-1])
     coarse = LocalGraph(n=k, edges=np.column_stack([a, b]))
-    return coarse, CoarseningMap(supernodes=supernodes, fine_to_coarse=fine_to_coarse)
+    return coarse, CoarseningMap(fine_to_coarse=fine_to_coarse, coarse_count=k)
 
 
 def coarse_mean_signal(cmap: CoarseningMap, fine_signal):

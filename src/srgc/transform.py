@@ -15,7 +15,7 @@ from .util import round_half_away_int
 @dataclass
 class QuantizedVector:
     levels: np.ndarray
-    step: float
+    step: object  # float, or an array of per-entry steps
 
 
 def gft(basis, f) -> np.ndarray:
@@ -53,11 +53,13 @@ def idct1d(x) -> np.ndarray:
 
 
 def quantize(x, q) -> QuantizedVector:
-    """Uniform scalar quantization, levels = round-half-away(x / q)."""
-    if q <= 0:
+    """Uniform scalar quantization, levels = round-half-away(x / q); ``q``
+    is one step or an array of per-entry steps."""
+    q = np.asarray(q, dtype=np.float64)
+    if (q <= 0).any():
         raise ValueError("quantizer step must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return QuantizedVector(levels=round_half_away_int(x / q), step=float(q))
+    return QuantizedVector(levels=round_half_away_int(x / q), step=q if q.ndim else float(q))
 
 
 def dequantize(qv: QuantizedVector) -> np.ndarray:

@@ -8,6 +8,7 @@ import pytest
 
 from srgc.lightfield import DisparityMap, LightField, View, SceneSpec, Patch, synthesize_light_field
 from srgc.errors import CorruptStreamError, DecompositionError, OrphanLabelError
+from srgc.grouping import pairwise_mse, select_threshold
 from srgc.segmentation import (
     SegmentationMap,
     SuperRay,
@@ -111,6 +112,73 @@ def label_shift(disparity, s, t):
     (s, t), one view at a time, as ``segmentation.label_shifts`` must
     give it for every view at once."""
     return round_half_away(disparity * s), round_half_away(disparity * t)
+
+
+def pair_index(m, i, j):
+    """Position of the pair {i, j} in a condensed ``PairWeights`` array."""
+    if i == j:
+        raise KeyError("no self-pair weight")
+    i, j = min(i, j), max(i, j)
+    return i * m - i * (i + 1) // 2 + (j - i - 1)
+
+
+def one_level_groups_oracle(pw, threshold):
+    """Oracle: the per-index similarity sets {i} u {j : mse(i,j) <= threshold}
+    that ``grouping.derive_group_members`` once built pair by pair;
+    singletons dropped."""
+    if threshold < 0:
+        raise ValueError("threshold must be non-negative")
+    sets = []
+    for i in range(pw.m):
+        members = {i}
+        for j in range(pw.m):
+            if j != i and pw.condensed[pair_index(pw.m, i, j)] <= threshold:
+                members.add(j)
+        if len(members) >= 2:
+            sets.append(tuple(sorted(members)))
+    return sets
+
+
+def merge_groups_oracle(subs):
+    """Oracle: union of intersecting sets by a dict union-find (connected
+    components of the overlap relation); output ordered by smallest member,
+    members ascending."""
+    parent = {}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for s in subs:
+        it = iter(s)
+        first = next(it, None)
+        if first is None:
+            continue
+        parent.setdefault(first, first)
+        ra = find(first)
+        for b in it:
+            parent.setdefault(b, b)
+            rb = find(b)
+            if ra != rb:
+                if rb < ra:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+    components = {}
+    for a in parent:
+        components.setdefault(find(a), set()).add(a)
+    return [tuple(sorted(c)) for c in sorted(components.values(), key=min)]
+
+
+def derive_group_members_oracle(coeffs, bin_width=5.0):
+    """Oracle: ``grouping.derive_group_members`` as 1-level sets merged
+    transitively; identical groups and threshold required."""
+    if len(coeffs) < 2:
+        return [], 0.0
+    pw = pairwise_mse(coeffs)
+    threshold = select_threshold(pw, bin_width)
+    return merge_groups_oracle(one_level_groups_oracle(pw, threshold)), threshold
 
 
 def laplacian_oracle(g):
@@ -320,11 +388,13 @@ def coarsen_oracle(g, n_target):
         for i in mem:
             fine_to_coarse[i] = p
     coarse = LocalGraph(n=k, edges=_canonical_edges(list(weights.keys())))
-    cmap = CoarseningMap(
-        supernodes=[np.array(m, dtype=np.int64) for m in members],
-        fine_to_coarse=fine_to_coarse,
-    )
-    return coarse, cmap
+    return coarse, CoarseningMap(fine_to_coarse=fine_to_coarse, coarse_count=k)
+
+
+def supernodes(cmap):
+    """The supernode lists of a coarsening: ``[p]`` holds the fine indices
+    of coarse vertex p, ascending."""
+    return [np.flatnonzero(cmap.fine_to_coarse == p) for p in range(cmap.coarse_count)]
 
 
 def cluster_eigenvalues_oracle(vals, tol=1e-9):
@@ -425,7 +495,7 @@ def eigendecompose_unbatched_oracle(lap):
 def coarse_mean_signal_oracle(cmap, fine_signal):
     """Oracle: ``spectral.coarse_mean_signal`` as one mean per supernode."""
     f = np.asarray(fine_signal, dtype=np.float64)
-    return np.array([f[mem].mean() for mem in cmap.supernodes])
+    return np.array([f[mem].mean() for mem in supernodes(cmap)])
 
 
 def fill_holes_oracle(grid, fallback):

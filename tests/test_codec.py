@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import srgc.codec as codec
+import srgc.grouping as grouping
 from srgc.bitstream import (
     MAGIC,
     SEC_GROUPS,
@@ -35,6 +36,7 @@ from conftest import (
     assemble_super_rays_oracle,
     bench_workloads,
     coarsen_oracle,
+    derive_group_members_oracle,
     eigendecompose_oracle,
     four_patch_scene,
     graph_structure_oracle,
@@ -703,6 +705,28 @@ def test_graph_builders_match_oracles_end_to_end(case, monkeypatch):
     monkeypatch.setattr(codec, "coarsen", coarsen_oracle)
     want_data, want_rec = _round_trip(lf, dmap, cfg)
     assert solved
+    assert data == want_data
+    assert lf_equal(rec, want_rec)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_group_membership_matches_oracle_end_to_end(case, monkeypatch):
+    """Threshold-graph components leave every stream byte and decoded
+    sample as the 1-level sets merged transitively produce them, with the
+    oracle patched into the encoder's and the decoder's grouping pass."""
+    lf, dmap, cfg = ORACLE_CASES[case]()
+    solved = _solve_once(monkeypatch)
+    data, rec = _round_trip(lf, dmap, cfg)
+    calls = []
+
+    def oracle(coeffs, bin_width):
+        calls.append(len(coeffs))
+        return derive_group_members_oracle(coeffs, bin_width)
+
+    monkeypatch.setattr(grouping, "derive_group_members", oracle)
+    monkeypatch.setattr(codec, "derive_group_members", oracle)
+    want_data, want_rec = _round_trip(lf, dmap, cfg)
+    assert solved and calls
     assert data == want_data
     assert lf_equal(rec, want_rec)
 

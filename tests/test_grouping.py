@@ -1,4 +1,4 @@
-"""Grouping scheme: pair weights, threshold, merging, main selection."""
+"""Grouping scheme: pair weights, threshold, membership, main selection."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srgc.grouping import (
-    merge_groups,
-    one_level_groups,
+    PairWeights,
+    _component_roots,
+    derive_group_members,
     pairwise_mse,
     predict_and_residual,
     run_grouping,
@@ -17,17 +18,22 @@ from srgc.grouping import (
 from srgc.spectral import LocalGraph, eigendecompose, laplacian
 from srgc.transform import gft
 
+from conftest import (
+    connected_components,
+    derive_group_members_oracle,
+    merge_groups_oracle,
+    one_level_groups_oracle,
+    pair_index,
+)
+
 
 def _pw(weights, m):
     """Build PairWeights from an explicit {(i,j): w} dict via vectors is
     awkward; construct the condensed array directly."""
-    from srgc.grouping import PairWeights
-
     condensed = np.zeros(m * (m - 1) // 2)
-    pw = PairWeights(m=m, condensed=condensed)
     for (i, j), w in weights.items():
-        condensed[pw.index(i, j)] = w
-    return pw
+        condensed[pair_index(m, i, j)] = w
+    return PairWeights(m=m, condensed=condensed)
 
 
 class TestPairwiseMse:
@@ -38,14 +44,14 @@ class TestPairwiseMse:
     def test_values(self):
         vecs = [np.array([0.0, 0.0]), np.array([2.0, 4.0])]
         pw = pairwise_mse(vecs)
-        assert pw.condensed[pw.index(0, 1)] == pytest.approx((4.0 + 16.0) / 2)
-        assert pw.index(1, 0) == pw.index(0, 1)
+        assert pw.condensed[pair_index(2, 0, 1)] == pytest.approx((4.0 + 16.0) / 2)
+        assert pair_index(2, 1, 0) == pair_index(2, 0, 1)
 
     def test_identical_vectors_zero(self):
         v = np.array([1.0, 2.0, 3.0])
         pw = pairwise_mse([v, v.copy(), v.copy()])
         assert all(
-            pw.condensed[pw.index(i, j)] == 0.0 for i in range(3) for j in range(i + 1, 3)
+            pw.condensed[pair_index(3, i, j)] == 0.0 for i in range(3) for j in range(i + 1, 3)
         )
 
     def test_length_mismatch_rejected(self):
@@ -79,24 +85,24 @@ class TestSelectThreshold:
 class TestOneLevelGroups:
     def test_none_under_threshold(self):
         pw = _pw({(0, 1): 9, (0, 2): 9, (1, 2): 9}, 3)
-        assert one_level_groups(pw, 1.0) == []
+        assert one_level_groups_oracle(pw, 1.0) == []
 
     def test_chain_case(self):
         # (A,B) and (B,C) under, (A,C) over
         pw = _pw({(0, 1): 1, (1, 2): 1, (0, 2): 9}, 3)
-        assert one_level_groups(pw, 2.0) == [(0, 1), (0, 1, 2), (1, 2)]
+        assert one_level_groups_oracle(pw, 2.0) == [(0, 1), (0, 1, 2), (1, 2)]
 
     def test_all_under(self):
         pw = _pw({(0, 1): 0, (0, 2): 0, (1, 2): 0}, 3)
-        assert one_level_groups(pw, 1.0) == [(0, 1, 2)] * 3
+        assert one_level_groups_oracle(pw, 1.0) == [(0, 1, 2)] * 3
 
 
 class TestMergeGroups:
     def test_transitive_closure(self):
-        assert merge_groups([(0, 1), (1, 2), (3, 4)]) == [(0, 1, 2), (3, 4)]
+        assert merge_groups_oracle([(0, 1), (1, 2), (3, 4)]) == [(0, 1, 2), (3, 4)]
 
     def test_disjoint_unchanged(self):
-        assert merge_groups([(0, 1), (2, 3)]) == [(0, 1), (2, 3)]
+        assert merge_groups_oracle([(0, 1), (2, 3)]) == [(0, 1), (2, 3)]
 
     def test_chain_matches_union_find_oracle(self):
         sets = [(i, i + 1) for i in range(1, 10)]
@@ -117,7 +123,7 @@ class TestMergeGroups:
                 (tuple(sorted(p)) for p in pools if p), key=lambda t: t[0]
             )
 
-        assert merge_groups(sets) == naive_merge(sets) == [tuple(range(1, 11))]
+        assert merge_groups_oracle(sets) == naive_merge(sets) == [tuple(range(1, 11))]
 
     @given(
         st.lists(
@@ -128,8 +134,83 @@ class TestMergeGroups:
     )
     @settings(max_examples=150, deadline=None)
     def test_permutation_invariance(self, sets):
-        base = merge_groups([tuple(s) for s in sets])
-        assert merge_groups([tuple(s) for s in reversed(sets)]) == base
+        base = merge_groups_oracle([tuple(s) for s in sets])
+        assert merge_groups_oracle([tuple(s) for s in reversed(sets)]) == base
+
+
+def _random_vectors(rng, kind, m):
+    """m coefficient vectors of one shared length drawn as ``kind``."""
+    n = int(rng.integers(1, 6))
+    if kind == "clustered":
+        centers = rng.normal(size=(int(rng.integers(1, 5)), n)) * 30
+        x = centers[rng.integers(0, len(centers), size=m)] + rng.normal(size=(m, n))
+    elif kind == "chain":
+        # small steps with rare jumps, shuffled: neighbours link, ends do not
+        steps = rng.normal(size=(m, n)) * 1.5 + (rng.random((m, 1)) < 0.2) * 40
+        x = np.cumsum(steps, axis=0)[rng.permutation(m)]
+    else:  # quantized: few distinct levels, so duplicates and MSEs on bin edges
+        x = rng.integers(-3, 4, size=(m, n)) * float(rng.choice([1.0, 2.0, 16.0]))
+    return list(x)
+
+
+class TestDeriveGroupMembers:
+    """Threshold-graph components equal the 1-level sets merged transitively."""
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_vectors(self, m):
+        assert derive_group_members([np.zeros(3)] * m) == ([], 0.0)
+
+    def test_two_vectors_always_link(self):
+        coeffs = [np.array([0.0, 1.0]), np.array([90.0, -40.0])]
+        assert derive_group_members(coeffs) == ([(0, 1)], 4895.0)
+        assert derive_group_members_oracle(coeffs) == ([(0, 1)], 4895.0)
+
+    def test_isolated_vertex_dropped(self):
+        coeffs = [np.full(4, 5.0)] * 4 + [np.array([500.0, -500.0, 500.0, -500.0])]
+        assert derive_group_members(coeffs) == ([(0, 1, 2, 3)], 5.0)
+
+    def test_chain_joins_through_third_member(self):
+        # mse(0,1) = mse(1,2) = 4 <= 5 < mse(0,2) = 16; index 3 stays alone
+        coeffs = [np.array([v]) for v in (0.0, 2.0, 4.0, 100.0)]
+        assert one_level_groups_oracle(pairwise_mse(coeffs), 5.0) == [
+            (0, 1), (0, 1, 2), (1, 2)
+        ]
+        assert derive_group_members(coeffs) == ([(0, 1, 2)], 5.0)
+
+    def test_interleaved_groups_ordered_by_smallest_member(self):
+        coeffs = [np.array([v]) for v in (0.0, 100.0, 2.0, 102.0)]
+        assert derive_group_members(coeffs) == ([(0, 2), (1, 3)], 5.0)
+
+    def test_component_roots_are_smallest_members(self):
+        """Scrambled long paths (many hooking rounds, deep pointer chains)
+        and random multigraphs against a flood fill."""
+        rng = np.random.default_rng(6)
+        for case in range(120):
+            m = int(rng.integers(1, 300))
+            if case % 2:
+                p = rng.permutation(m)
+                edges = np.column_stack([p[:-1], p[1:]])
+            else:
+                edges = rng.integers(0, m, size=(int(rng.integers(0, 2 * m)), 2))
+                edges = edges[edges[:, 0] != edges[:, 1]]
+            edges = np.sort(edges, axis=1).astype(np.int64)
+            comp, _ = connected_components(m, edges)
+            smallest = np.unique(comp, return_index=True)[1]
+            got = _component_roots(m, edges[:, 0], edges[:, 1])
+            assert np.array_equal(got, smallest[comp]), case
+
+    @pytest.mark.parametrize("kind", ["clustered", "chain", "quantized"])
+    def test_matches_oracle_on_random_cases(self, kind):
+        rng = np.random.default_rng({"clustered": 3, "chain": 4, "quantized": 5}[kind])
+        for case in range(200):
+            m = case % 31
+            coeffs = _random_vectors(rng, kind, m)
+            if m > 2 and case % 3 == 0:  # duplicate some vectors
+                for i in rng.integers(0, m, size=3):
+                    coeffs[int(rng.integers(0, m))] = coeffs[int(i)].copy()
+            bin_width = float(rng.choice([0.5, 2.0, 5.0, 20.0]))
+            got = derive_group_members(coeffs, bin_width)
+            assert got == derive_group_members_oracle(coeffs, bin_width), (kind, case)
 
 
 class TestSelectMain:
@@ -227,7 +308,7 @@ class TestRunGrouping:
         pw = pairwise_mse(vecs)
         prev = -1
         for thr in np.linspace(0, pw.condensed.max() * 1.1, 25):
-            merged = merge_groups(one_level_groups(pw, thr))
+            merged = merge_groups_oracle(one_level_groups_oracle(pw, thr))
             grouped = sum(len(m) for m in merged)
             assert grouped >= prev
             prev = grouped
@@ -238,6 +319,6 @@ class TestRunGrouping:
         vecs = [rng.normal(size=4) * 6 for _ in range(9)]
         pw = pairwise_mse(vecs)
         thr = select_threshold(pw, 5.0)
-        ones = one_level_groups(pw, thr)
-        merged = merge_groups(ones)
+        ones = one_level_groups_oracle(pw, thr)
+        merged = merge_groups_oracle(ones)
         assert len(merged) <= len(ones)
