@@ -13,15 +13,24 @@ and eigendecomposes only ungrouped units plus one main per group.  Grouped
 members are reconstructed as rounded cross-basis prediction plus residual,
 which with raw residuals reproduces the coded unit signal exactly.
 
-Each side runs its eigen stage once per stream, as one batched
-:func:`spectral.eigendecompose_all` call over every unit it decomposes.
+Units often repeat whole graphs, and vertex ids are local to a unit, so
+units with one vertex count and edge list share a Laplacian and a
+bit-equal basis.  Each side coarsens each distinct pixel graph once and
+runs its eigen stage once per stream, as one batched
+:func:`spectral.eigendecompose_all` call over the distinct graphs of the
+units it decomposes; every unit with that graph shares the result.  The
+reports' ``eig_count`` stays the paper's count (every unit on the
+encoder, ungrouped units plus one main per group on the decoder) and
+``eig_solved`` counts the distinct solves behind it.
 Everything outside wall-clock timings is a deterministic function of
 (light field, disparity map, config): canonical orderings throughout, and
 no thread pool.  ``threads`` (config field, ``decode`` argument) is still
 validated but has no effect.
 """
 
+import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,6 +95,9 @@ class CodecConfig:
     threads: int = 1
 
     def validate(self):
+        for name in ("q_gft", "q_dct", "compactness", "bin_width"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.q_gft <= 0 or self.q_dct <= 0:
             raise ValueError("quantizer steps must be positive")
         if self.n_target < 1 or self.max_vertices < 1 or self.q_switch < 0:
@@ -128,7 +140,8 @@ class EncodeReport:
     mse_threshold: float = 0.0
     group_count: int = 0
     grouped_count: int = 0
-    eig_count: int = 0
+    eig_count: int = 0        # the paper's count: one per unit
+    eig_solved: int = 0       # distinct graphs actually solved
     # seconds per stage in pipeline order; "graphs" builds (and partitions)
     # the pixel graphs, "coarsen" coarsens them and takes the unit signals
     times: dict = field(default_factory=dict)
@@ -157,6 +170,7 @@ class EncodeReport:
             f"ratio_coarsened={self.coarsened_ratio:.6f}",
             f"ratio_overall={self.overall_ratio:.6f}",
             f"eig_encoder={self.eig_count}",
+            f"eig_solved_encoder={self.eig_solved}",
         ]
         out += [f"t_{k}_s={v:.6f}" for k, v in self.times.items()]
         return out
@@ -167,7 +181,8 @@ class DecodeReport:
     unit_count: int = 0
     group_count: int = 0
     grouped_count: int = 0
-    eig_count: int = 0
+    eig_count: int = 0        # the paper's count: ungrouped units + groups
+    eig_solved: int = 0       # distinct graphs actually solved
     # seconds per stage in pipeline order; "graphs" and "coarsen" as in
     # EncodeReport, without the unit signals
     times: dict = field(default_factory=dict)
@@ -179,6 +194,7 @@ class DecodeReport:
             f"groups={self.group_count}",
             f"grouped={self.grouped_count}",
             f"eig_decoder={self.eig_count}",
+            f"eig_solved_decoder={self.eig_solved}",
         ]
         out += [f"t_{k}_s={v:.6f}" for k, v in self.times.items()]
         return out
@@ -215,6 +231,43 @@ def _coded_volumes(lf, mode):
     return [np.stack(lf.luma_planes())]
 
 
+def _distinct_graphs(graphs):
+    """(the distinct graphs in first-seen order, each graph's index among
+    them).  A graph is its vertex count and edge list: the edge list
+    alone does not show isolated vertices.  Edge bytes are compared only
+    among graphs of one vertex and edge count, so graphs that all differ
+    in size cost no copy of their edge lists."""
+    sizes = Counter((g.n, len(g.edges)) for g in graphs)
+    slot, distinct, which = {}, [], []
+    for g in graphs:
+        key = (g.n, len(g.edges))
+        if sizes[key] > 1:
+            key += (g.edges.tobytes(),)
+        if key not in slot:
+            slot[key] = len(distinct)
+            distinct.append(g)
+        which.append(slot[key])
+    return distinct, which
+
+
+def _coarsen_graphs(fines, n_target):
+    """(coarse graph, CoarseningMap) of every pixel graph, each distinct
+    graph coarsened once; units share the pair, which is only read."""
+    distinct, which = _distinct_graphs(fines)
+    coarse = [coarsen(g, n_target) for g in distinct]
+    return [coarse[i] for i in which]
+
+
+def _eigenbases(graphs):
+    """(the eigenbasis of every graph, the number of distinct graphs
+    solved).  Each distinct graph's Laplacian is built once and all of
+    them are solved in one :func:`eigendecompose_all` call; equal graphs
+    share one basis, which is only read."""
+    distinct, which = _distinct_graphs(graphs)
+    bases = eigendecompose_all(laplacian(g) for g in distinct)
+    return [bases[i] for i in which], len(distinct)
+
+
 def _build_units(srs, angular_dims, mode, n_target, split, watch):
     """Turn super-rays into coding units, in super-ray order.
 
@@ -228,7 +281,8 @@ def _build_units(srs, angular_dims, mode, n_target, split, watch):
     if mode == "coarse":
         fines = [graph_structure(sr, angular_dims) for sr in srs]
         watch.lap("graphs")
-        pieces = [(*coarsen(fine, n_target), fine) for fine in fines]
+        coarse = _coarsen_graphs(fines, n_target)
+        pieces = [(*pair, fine) for pair, fine in zip(coarse, fines)]
     else:
         graphs = [graph_structure(p, angular_dims) for sr in srs for p in split(sr)]
         watch.lap("graphs")
@@ -392,7 +446,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         ]
     watch.lap("coarsen")
 
-    bases = eigendecompose_all(laplacian(u.graph) for u in units)
+    bases, eig_solved = _eigenbases([u.graph for u in units])
     coeffs = np.concatenate([
         gft(basis, signal) for basis, u in zip(bases, units) for signal in u.signals
     ])
@@ -477,6 +531,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         group_count=len(groups),
         grouped_count=group_set.grouped_count,
         eig_count=eig_count,
+        eig_solved=eig_solved,
         times=watch.times,
     )
     if debug:
@@ -581,9 +636,8 @@ def decode(stream: Bitstream, threads=1, debug=False):
     watch.lap("grouping")
 
     to_decompose = [u.index for u in units if u.index not in predicted]
-    decomposed = dict(zip(to_decompose, eigendecompose_all(
-        laplacian(units[i].graph) for i in to_decompose
-    )))
+    bases, eig_solved = _eigenbases([units[i].graph for i in to_decompose])
+    decomposed = dict(zip(to_decompose, bases))
     eig_count = len(to_decompose)
     watch.lap("eigen")
 
@@ -631,6 +685,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
         group_count=len(groups),
         grouped_count=sum(len(g.members) for g in groups),
         eig_count=eig_count,
+        eig_solved=eig_solved,
         times=watch.times,
     )
     if debug:

@@ -25,6 +25,9 @@ from srgc.spectral import (
     LocalGraph,
     PartitionResult,
     _split_reference,
+    coarsen,
+    eigendecompose_all,
+    laplacian,
 )
 from srgc.util import quantize_eighth, round_half_away
 
@@ -490,6 +493,19 @@ def eigendecompose_unbatched_oracle(lap):
     projects only the rows after the last pick and BLAS rounds a
     matrix-vector product row by its position in the call."""
     return _eigendecompose_by_cluster(lap, canonical_cluster_basis_oracle)
+
+
+def coarsen_graphs_oracle(fines, n_target):
+    """Oracle: the per-unit coarsening ``codec._coarsen_graphs`` replaced,
+    one ``coarsen`` call per pixel graph, repeated graphs included."""
+    return [coarsen(g, n_target) for g in fines]
+
+
+def eigenbases_oracle(graphs):
+    """Oracle: the per-unit eigen stage ``codec._eigenbases`` replaced, one
+    Laplacian per graph, repeated graphs included, all solved in one
+    ``eigendecompose_all`` call; every graph counts as solved."""
+    return eigendecompose_all(laplacian(g) for g in graphs), len(graphs)
 
 
 def coarse_mean_signal_oracle(cmap, fine_signal):

@@ -199,6 +199,16 @@ class TestDeterminism:
                      "--report", str(report)]) == 0
         assert "workers" not in _report_dict(report)
 
+    def test_non_finite_quantizer_exit_2(self, scene_dir, tmp_path, capsys):
+        """``--q-gft nan`` is refused before a stream is written, not
+        written as a stream the decoder then refuses."""
+        out = tmp_path / "nan.srgc"
+        code = main(["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+                     "--q-gft", "nan", "--out", str(out)])
+        assert code == 2
+        assert "q_gft must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     def test_file_then_flags(self, scene_dir, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 
 import srgc.codec as codec
 import srgc.grouping as grouping
+import srgc.spectral as spectral
 from srgc.bitstream import (
     MAGIC,
     SEC_GROUPS,
@@ -31,12 +32,15 @@ from srgc.lightfield import (
     SceneSpec,
     synthesize_light_field,
 )
+from srgc.spectral import LocalGraph, eigendecompose, laplacian
 
 from conftest import (
     assemble_super_rays_oracle,
     bench_workloads,
+    coarsen_graphs_oracle,
     coarsen_oracle,
     derive_group_members_oracle,
+    eigenbases_oracle,
     eigendecompose_oracle,
     four_patch_scene,
     graph_structure_oracle,
@@ -431,6 +435,21 @@ class TestModes:
         with pytest.raises(ValueError, match="32 bits"):
             encode(lf, dmap, dataclasses.replace(CFG, **{name: 2**32}))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["q_gft", "q_dct", "bin_width", "compactness"])
+    def test_non_finite_floats_rejected(self, name, value, monkeypatch):
+        """NaN and infinities are rejected before any codec work: the
+        decoder refuses a header holding them, and SLIC would run on NaN
+        distances."""
+
+        def no_work(*args):
+            raise AssertionError("encode started before validation")
+
+        monkeypatch.setattr(codec, "slic_segment", no_work)
+        lf, dmap = small_scene()
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            encode(lf, dmap, dataclasses.replace(CFG, **{name: value}))
+
     @pytest.mark.parametrize("name", ["max_vertices", "q_switch"])
     def test_encoder_only_fields_unbounded(self, name):
         """max_vertices and q_switch steer the encoder only and are not in
@@ -707,6 +726,116 @@ def test_graph_builders_match_oracles_end_to_end(case, monkeypatch):
     assert solved
     assert data == want_data
     assert lf_equal(rec, want_rec)
+
+
+def _patch_per_unit_oracles(monkeypatch):
+    """Put the per-unit coarsening and eigen stage into ``codec``; returns
+    the names of the oracles as they are called."""
+    calls = []
+
+    def spy(oracle):
+        def run(*args):
+            calls.append(oracle.__name__)
+            return oracle(*args)
+        return run
+
+    monkeypatch.setattr(codec, "_coarsen_graphs", spy(coarsen_graphs_oracle))
+    monkeypatch.setattr(codec, "_eigenbases", spy(eigenbases_oracle))
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_distinct_graph_reuse_matches_per_unit_oracles_end_to_end(case, monkeypatch):
+    """Coarsening and solving each distinct graph once leaves every stream
+    byte and decoded sample as coarsening and solving every unit does."""
+    lf, dmap, cfg = ORACLE_CASES[case]()
+    data, rec = _round_trip(lf, dmap, cfg)
+    calls = _patch_per_unit_oracles(monkeypatch)
+    want_data, want_rec = _round_trip(lf, dmap, cfg)
+    assert calls.count("eigenbases_oracle") == 2
+    assert ("coarsen_graphs_oracle" in calls) == (case != "partition")
+    assert data == want_data
+    assert lf_equal(rec, want_rec)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
+    """Each solved unit's basis, shared or not, has the bits a lone
+    ``eigendecompose(laplacian(graph))`` of its graph gives, on both
+    sides: every unit on the encoder, and on the decoder every unit that
+    is not predicted from a group's main."""
+    lf, dmap, cfg = ORACLE_CASES[case]()
+    eigenbases = codec._eigenbases
+    solved = []
+
+    def spy(graphs):
+        bases, count = eigenbases(graphs)
+        solved.append((graphs, bases, count))
+        return bases, count
+
+    monkeypatch.setattr(codec, "_eigenbases", spy)
+    stream, enc = encode(lf, dmap, cfg, debug=True)
+    _, dec = decode(deserialize(serialize(stream)), debug=True)
+    predicted = codec._predicted_members(dec.debug.group_set.groups, dec.debug.groupable)
+    want_units = (
+        enc.debug.units,
+        [u for u in dec.debug.units if u.index not in predicted],
+    )
+    assert len(solved) == 2
+    for (graphs, bases, count), units, report in zip(solved, want_units, (enc, dec)):
+        assert len(units) == len(bases) == report.eig_count >= count == report.eig_solved
+        for u, graph, basis in zip(units, graphs, bases):
+            assert graph is u.graph
+            want = eigendecompose(laplacian(u.graph))
+            assert np.array_equal(basis.eigenvalues, want.eigenvalues)
+            assert np.array_equal(basis.vectors, want.vectors)
+
+
+@pytest.mark.parametrize("name, counts, solved, coarsened", [
+    ("gate", (16, 2), (9, 2), 9),
+    ("parallax", (9, 5), (9, 5), 9),
+    ("partition", (129, 129), (58, 58), 0),
+])
+def test_distinct_graphs_on_bench_scenes(name, counts, solved, coarsened, monkeypatch):
+    """On the bench scenes (seed 1) units repeat whole graphs: each side
+    coarsens and solves only the distinct ones, ``eig_count`` stays the
+    paper's count, and the bytes and samples are those of the per-unit
+    stages."""
+    workload = bench_workloads()[name]
+    lf, dmap = workload.scene(1)
+    coarsenings = []
+
+    def counted(g, n_target):
+        coarsenings.append(g.n)
+        return spectral.coarsen(g, n_target)
+
+    monkeypatch.setattr(codec, "coarsen", counted)
+    stream, enc = encode(lf, dmap, workload.config)
+    data = serialize(stream)
+    rec, dec = decode(deserialize(data))
+    assert (enc.eig_count, dec.eig_count) == counts
+    assert (enc.eig_solved, dec.eig_solved) == solved
+    assert len(coarsenings) == 2 * coarsened
+    assert f"eig_solved_encoder={solved[0]}" in enc.to_lines()
+    assert f"eig_solved_decoder={solved[1]}" in dec.to_lines()
+    _patch_per_unit_oracles(monkeypatch)
+    want_data, want_rec = _round_trip(lf, dmap, workload.config)
+    assert data == want_data
+    assert lf_equal(rec, want_rec)
+
+
+def test_distinct_graphs_keyed_by_vertex_count_and_edges():
+    """An edge list does not show isolated vertices, so graphs with equal
+    edges and different vertex counts are solved apart."""
+    edges = np.array([[0, 1]], dtype=np.int64)
+    a, b, c = (LocalGraph(n=n, edges=edges.copy()) for n in (2, 3, 2))
+    distinct, which = codec._distinct_graphs([a, b, c, b])
+    assert distinct[0] is a and distinct[1] is b and len(distinct) == 2
+    assert which == [0, 1, 0, 1]
+    bases, solved = codec._eigenbases([a, b, c])
+    assert solved == 2
+    assert [basis.vectors.shape[0] for basis in bases] == [2, 3, 2]
+    assert bases[0] is bases[2]
 
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))

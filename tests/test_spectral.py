@@ -184,7 +184,8 @@ class _UnitsBuilt(Exception):
 
 def _bench_laplacians(name, monkeypatch):
     """Every Laplacian the encoder eigendecomposes on a bench scene (seed 1),
-    recorded at ``codec.eigendecompose_all``."""
+    recorded at ``codec.eigendecompose_all``: one per distinct unit graph,
+    since units that repeat a graph share its basis."""
     workload = bench_workloads()[name]
     lf, dmap = workload.scene(1)
     laps = []
