@@ -50,9 +50,7 @@ from .spectral import (
     uncoarsen_signal,
 )
 from .transform import (
-    QuantizedVector,
     dct1d,
-    dequantize,
     gft,
     idct1d,
     igft,

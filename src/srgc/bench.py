@@ -9,17 +9,12 @@ nondeterministic columns.
 
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .bitstream import serialize
 from .codec import CodecConfig, decode, encode
-
-CSV_COLUMNS = (
-    "q_gft,q_dct,bpp,psnr_y,eig_enc,eig_dec,groups,grouped,"
-    "coarsened,total_sr,ratio_c,ratio_o,t_enc_s,t_dec_s"
-)
 
 
 @dataclass
@@ -41,6 +36,9 @@ class RDPoint:
     ratio_o: float
     t_enc_s: float
     t_dec_s: float
+
+
+CSV_COLUMNS = ",".join(f.name for f in fields(RDPoint))
 
 
 def psnr(a, b):

@@ -450,7 +450,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     coeffs = np.concatenate([
         gft(basis, signal) for basis, u in zip(bases, units) for signal in u.signals
     ])
-    levels = quantize(coeffs, _coefficient_steps(units, n_channels, cfg.q_gft)[0]).levels
+    levels = quantize(coeffs, _coefficient_steps(units, n_channels, cfg.q_gft)[0])
     deq = _dequantize_units(levels, units, n_channels, cfg.q_gft)
     eig_count = len(units)
     watch.lap("eigen_transform")
@@ -473,7 +473,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
             if cfg.residual_mode == "raw":
                 residual_syms.extend(int(r) for r in residual)
             else:
-                lv = quantize(dct1d(residual.astype(np.float64)), cfg.q_dct).levels
+                lv = quantize(dct1d(residual.astype(np.float64)), cfg.q_dct)
                 residual_syms.extend(int(r) for r in lv)
     watch.lap("residuals")
 

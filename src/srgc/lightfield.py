@@ -96,6 +96,10 @@ class LightField:
             if (v.width, v.height, v.channels) != (ref.width, ref.height, ref.channels):
                 raise InconsistentViewsError("inconsistent views: dimensions differ")
             for p in v.planes:
+                if not np.issubdtype(p.dtype, np.integer):
+                    raise InconsistentViewsError(f"samples of dtype {p.dtype} are not integers")
+                if p.min(initial=0) < 0:
+                    raise InconsistentViewsError("negative sample")
                 if p.max(initial=0) > maxval:
                     raise InconsistentViewsError(
                         f"sample exceeds bit depth {self.bit_depth}"

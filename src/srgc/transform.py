@@ -4,18 +4,10 @@ All transforms are orthonormal so one quantizer step means the same thing
 for GFT and DCT coefficients.  Rounding is half-away-from-zero.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.fft import dct as _scipy_dct, idct as _scipy_idct
 
 from .util import round_half_away_int
-
-
-@dataclass
-class QuantizedVector:
-    levels: np.ndarray
-    step: object  # float, or an array of per-entry steps
 
 
 def gft(basis, f) -> np.ndarray:
@@ -52,18 +44,14 @@ def idct1d(x) -> np.ndarray:
     return _scipy_idct(x, type=2, norm="ortho")
 
 
-def quantize(x, q) -> QuantizedVector:
-    """Uniform scalar quantization, levels = round-half-away(x / q); ``q``
-    is one step or an array of per-entry steps."""
+def quantize(x, q) -> np.ndarray:
+    """Uniform scalar quantization: the int64 levels round-half-away(x / q);
+    ``q`` is one step or an array of per-entry steps."""
     q = np.asarray(q, dtype=np.float64)
     if (q <= 0).any():
         raise ValueError("quantizer step must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return QuantizedVector(levels=round_half_away_int(x / q), step=q if q.ndim else float(q))
-
-
-def dequantize(qv: QuantizedVector) -> np.ndarray:
-    return qv.levels.astype(np.float64) * qv.step
+    return round_half_away_int(x / q)
 
 
 def predict_signal(basis, coeffs, sample_max):

@@ -210,6 +210,16 @@ class TestDeterminism:
         assert not out.exists()
 
 
+    def test_levels_beyond_coder_range_exit_2(self, scene_dir, tmp_path, capsys):
+        """``--q-gft 1e-12`` makes levels the entropy coder cannot carry;
+        encode exits 2 and writes no stream."""
+        out = tmp_path / "fine.srgc"
+        code = main(["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+                     "--q-gft", "1e-12", "--out", str(out)])
+        assert code == 2
+        assert "2**49" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestConfigPrecedence:
     def test_file_then_flags(self, scene_dir, tmp_path):
         cfgfile = tmp_path / "cfg.txt"

@@ -373,6 +373,14 @@ class TestModes:
                 line.split("=")[0] for line in rep.to_lines()
             }
 
+    def test_levels_beyond_coder_range_refused(self):
+        """At a step this fine the GFT levels reach 2**49 or more, whose
+        unary prefix the decoder rejects; encode refuses the stream."""
+        lf, dmap = four_patch_scene(32, 3)
+        cfg = CodecConfig(slic_k=16, n_target=64, q_gft=1e-12)
+        with pytest.raises(ValueError, match="2\\*\\*49"):
+            encode(lf, dmap, cfg)
+
     def test_partition_mode_roundtrip(self):
         lf, dmap = small_scene()
         cfg = dataclasses.replace(CFG, q_gft=2.0)  # below q_switch

@@ -84,6 +84,28 @@ class TestViewIO:
             load_light_field(tmp_path)
 
 
+class TestSampleRange:
+    """The codec clamps decoded samples to [0, maxval], so a plane it could
+    not return unchanged is refused on construction."""
+
+    def _lf(self, plane):
+        return LightField(views=[View(planes=[plane])], angular_dims=(1, 1), bit_depth=8)
+
+    def test_negative_sample_rejected(self):
+        plane = np.full((4, 4), 100, dtype=np.int64)
+        plane[2, 1] = -60
+        with pytest.raises(InconsistentViewsError, match="negative"):
+            self._lf(plane)
+
+    def test_float_samples_rejected(self):
+        with pytest.raises(InconsistentViewsError, match="not integers"):
+            self._lf(np.full((4, 4), 100.0))
+
+    def test_sample_above_maxval_rejected(self):
+        with pytest.raises(InconsistentViewsError, match="bit depth"):
+            self._lf(np.full((4, 4), 256, dtype=np.int64))
+
+
 class TestDisparityIO:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(0)
