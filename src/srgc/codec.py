@@ -30,7 +30,6 @@ validated but has no effect.
 
 import math
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -224,25 +223,13 @@ class _Stopwatch:
 # Shared structure pipeline
 # ---------------------------------------------------------------------------
 
-def _coded_volumes(lf, mode):
-    """One (views, H, W) int64 sample volume per coded channel."""
-    if mode == "all" and lf.channels == 3:
-        return [np.stack(lf.channel_planes(c)) for c in range(3)]
-    return [np.stack(lf.luma_planes())]
-
-
 def _distinct_graphs(graphs):
     """(the distinct graphs in first-seen order, each graph's index among
     them).  A graph is its vertex count and edge list: the edge list
-    alone does not show isolated vertices.  Edge bytes are compared only
-    among graphs of one vertex and edge count, so graphs that all differ
-    in size cost no copy of their edge lists."""
-    sizes = Counter((g.n, len(g.edges)) for g in graphs)
+    alone does not show isolated vertices."""
     slot, distinct, which = {}, [], []
     for g in graphs:
-        key = (g.n, len(g.edges))
-        if sizes[key] > 1:
-            key += (g.edges.tobytes(),)
+        key = (g.n, g.edges.tobytes())
         if key not in slot:
             slot[key] = len(distinct)
             distinct.append(g)
@@ -418,10 +405,14 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         )
     watch = _Stopwatch()
     maxval = lf.max_value
-    volumes = _coded_volumes(lf, cfg.channels)
+    # one (views, H, W) int64 sample volume per coded channel
+    luma = np.stack(lf.luma_planes())
+    volumes = [luma]
+    if cfg.channels == "all" and lf.channels == 3:
+        volumes = [np.stack(lf.channel_planes(c)) for c in range(3)]
     n_channels = len(volumes)
 
-    seg_ref = slic_segment(lf.luma_planes()[0], cfg.slic_k, cfg.compactness)
+    seg_ref = slic_segment(luma[0], cfg.slic_k, cfg.compactness)
     disparities = label_disparities(seg_ref, dmap)
     watch.lap("segmentation")
 
@@ -585,7 +576,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
     disparities = {l: float(disp_syms[l]) / 8.0 for l in range(hdr.label_count)}
     watch.lap("segmentation")
 
-    seg_ref = SegmentationMap(labels=[ref_labels], label_count=hdr.label_count)
+    seg_ref = SegmentationMap(labels=ref_labels[None], label_count=hdr.label_count)
     seg_all = project_labels(seg_ref, disparities, hdr.angular_dims)
     srs = assemble_super_rays(seg_all, disparities)
     watch.lap("projection")

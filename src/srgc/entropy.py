@@ -24,7 +24,7 @@ _TOP = 1 << (_STATE_BITS - 1)
 _SECOND = _TOP >> 1
 _COUNT_CAP = 1 << 12
 _MAX_PREFIX = 48  # longer unary prefixes can only be corruption
-_LIMIT = 1 << (_MAX_PREFIX + 1)  # |v| < _LIMIT has a prefix of at most 48
+SYMBOL_LIMIT = 1 << (_MAX_PREFIX + 1)  # |v| < SYMBOL_LIMIT has a prefix of at most 48
 _BYPASS = (1, 1)  # never adapts: its split is low + (range >> 1) - 1
 
 # number of unary-prefix contexts per symbol category
@@ -56,7 +56,7 @@ def _bins(symbols, category):
         if v == 0:
             yield zero, 0
             continue
-        if v >= _LIMIT or v <= -_LIMIT:
+        if v >= SYMBOL_LIMIT or v <= -SYMBOL_LIMIT:
             raise ValueError(f"symbol {v} has magnitude of 2**49 or more")
         yield zero, 1
         yield sign, int(v < 0)

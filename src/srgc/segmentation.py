@@ -3,8 +3,9 @@
 The reference (top-left) view is over-segmented into super-pixels; each
 super-pixel gets the median disparity of its pixels, and the labels are
 projected to every other view by that disparity.  A super-ray is the set of
-corresponding per-view pixel regions sharing one label; it is the unit the
-codec transforms.
+pixels of all views sharing one label; it is the unit the codec transforms.
+It stores them as (view, y, x) rows in its local graph's canonical vertex
+order, which is the raster order of the (views, H, W) label volume.
 
 All operations here are deterministic: ties in the SLIC assignment go to
 the earlier seed, projection conflicts go to the larger disparity (nearer
@@ -35,9 +36,10 @@ _UNLABELED = np.iinfo(np.int64).max - 4 + np.arange(4)
 
 @dataclass
 class SegmentationMap:
-    """Per-view label arrays; ``labels[0]`` is the reference view."""
+    """A (views, H, W) int64 label volume, (1, H, W) for the reference view
+    alone; ``labels[0]`` is the reference view."""
 
-    labels: list
+    labels: np.ndarray
     label_count: int
 
     @property
@@ -47,21 +49,26 @@ class SegmentationMap:
 
 @dataclass
 class SuperRay:
-    """One label's pixel lists across all views.
+    """One label's pixels across all views, in canonical vertex order.
 
-    ``per_view_pixels[v]`` is an (N_v, 2) int array of (y, x) coordinates in
-    raster order; view index v = s * T + t.  The reference list (v = 0) is
-    never empty.  ``disparity`` is the 1/8-px quantized median disparity of
-    the reference super-pixel.
+    ``pixels`` is an (N, 3) int64 array of (view, y, x) rows, view index
+    v = s * T + t, sorted by view and in raster order inside a view.  It
+    holds at least one reference-view (v = 0) row.  ``disparity`` is the
+    1/8-px quantized median disparity of the reference super-pixel.
     """
 
     label: int
-    per_view_pixels: list
+    pixels: np.ndarray
     disparity: float
 
     @property
     def total_pixels(self):
-        return int(sum(p.shape[0] for p in self.per_view_pixels))
+        return self.pixels.shape[0]
+
+    @property
+    def reference(self):
+        """The reference-view rows, a prefix of ``pixels``."""
+        return self.pixels[: np.searchsorted(self.pixels[:, 0], 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +205,7 @@ def slic_segment(image, k, compactness=10.0, iterations=10):
                 centers[ci] = (ys.mean(), xs.mean(), img[ys, xs].mean())
 
     labels, count = _enforce_connectivity(labels, w, h, len(seeds))
-    return SegmentationMap(labels=[labels], label_count=count)
+    return SegmentationMap(labels=labels[None], label_count=count)
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +225,15 @@ def median_disparity(region, dmap):
 
 
 def label_regions(labels, count):
-    """Raster-ordered (N_l, 2) (y, x) pixel arrays of labels 0..count-1 in
-    a 2-D label map, from one stable sort; other values are skipped."""
+    """Raster-ordered (N_l, labels.ndim) int64 index arrays of labels
+    0..count-1 in a label array, from one stable sort; other values are
+    skipped.  A 2-D map gives (y, x) rows, a (views, H, W) volume gives
+    (view, y, x) rows."""
     flat = labels.ravel()
     order = np.argsort(flat, kind="stable")
     bounds = np.searchsorted(flat[order], np.arange(count + 1))
-    yx = np.column_stack(np.divmod(order, labels.shape[1])).astype(np.int64, copy=False)
-    return [yx[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+    rows = np.column_stack(np.unravel_index(order, labels.shape)).astype(np.int64, copy=False)
+    return [rows[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def label_disparities(seg, dmap):
@@ -310,7 +319,7 @@ def project_labels(ref_map, disparities, angular_dims):
         ((l, regions[l], label_shifts(disparities[l], n_views, t_count)) for l in order),
         np.tile(padded, (n_views - 1, 1)),
     )
-    return SegmentationMap(labels=[ref.copy(), *grid[:, :h]], label_count=count)
+    return SegmentationMap(np.concatenate([ref[None], grid[:, :h]]), count)
 
 
 def fill_holes(grid, fallback):
@@ -362,14 +371,11 @@ def fill_holes(grid, fallback):
 
 def assemble_super_rays(seg, disparities):
     """Build SuperRays from an all-view segmentation and known per-label
-    disparities (the decoder-side path)."""
-    per_view = [label_regions(view_labels, seg.label_count) for view_labels in seg.labels]
+    disparities: each label's rows of the label volume, from one
+    :func:`label_regions` pass, are its pixels."""
     rays = []
-    for l, pixels in enumerate(zip(*per_view)):
-        if pixels[0].shape[0] == 0:
+    for l, pixels in enumerate(label_regions(seg.labels, seg.label_count)):
+        if pixels.shape[0] == 0 or pixels[0, 0] != 0:
             raise OrphanLabelError(f"orphan label {l}: absent from reference view")
-        rays.append(
-            SuperRay(label=l, per_view_pixels=list(pixels), disparity=disparities[l])
-        )
+        rays.append(SuperRay(label=l, pixels=pixels, disparity=disparities[l]))
     return rays
-

@@ -6,7 +6,9 @@ disparity-projected pixel in every other view (angular edges, a star over
 views).  Vertices are ordered canonically: views in raster (s, t) order,
 pixels in raster order inside a view.  That ordering is the contract the
 whole codec builds on; encoder and decoder must construct identical graphs
-from identical labels and disparities.
+from identical labels and disparities.  A ``SuperRay`` stores its pixels
+in that order, as (view, y, x) rows, and those rows are its graph's
+vertices; partition children keep it too.
 
 Eigendecomposition is deterministic: eigenvalues ascending, near-repeated
 eigenvalue subspaces re-based by Gram-Schmidt against coordinate axes in
@@ -97,11 +99,12 @@ class CoarseningMap:
 def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
     """Assemble a super-ray's local graph topology.
 
-    Spatial edges: 4-neighbor pairs inside each per-view pixel set.
-    Angular edges: reference pixel -> its disparity-projected pixel in each
-    other view, when that pixel belongs to this super-ray.  Depends only on
-    pixel lists and the quantized disparity, so encoder and decoder build
-    identical graphs from transmitted data.
+    Spatial edges: 4-neighbor pairs inside each view's pixels.  Angular
+    edges: reference pixel -> its disparity-projected pixel in each other
+    view, when that pixel belongs to this super-ray.  Depends only on the
+    pixel rows and the quantized disparity, so encoder and decoder build
+    identical graphs from transmitted data.  The rows are the vertices,
+    in their order, and become ``vertices`` as they are.
 
     All views are built in one pass: vertex ids are scattered into one
     (views, H + 1, W + 1) index volume over the union bounding box of the
@@ -115,11 +118,9 @@ def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
     another, and a vertex has one right, one down and, per view, one
     angular partner.
     """
-    _, t_count = angular_dims
-    counts = [p.shape[0] for p in sr.per_view_pixels]
-    n, n_views, n_ref = sum(counts), len(counts), counts[0]
-    view = np.repeat(np.arange(n_views), counts)
-    yx = np.concatenate(sr.per_view_pixels)
+    n_views, t_count = angular_dims[0] * angular_dims[1], angular_dims[1]
+    n, n_ref = sr.total_pixels, sr.reference.shape[0]
+    view, yx = sr.pixels[:, 0], sr.pixels[:, 1:]
     origin = yx.min(axis=0)
     h, w = yx.max(axis=0) - origin + 1
     y, x = (yx - origin).T
@@ -141,11 +142,7 @@ def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
     linked = b >= 0
     a, b = a[linked], b[linked]
     keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-    return LocalGraph(
-        n=n,
-        edges=np.column_stack(np.divmod(keys, n)),
-        vertices=np.column_stack([view, yx]),
-    )
+    return LocalGraph(n=n, edges=np.column_stack(np.divmod(keys, n)), vertices=sr.pixels)
 
 
 def graph_signal(graph, volume):
@@ -416,12 +413,13 @@ class PartitionResult:
 
 
 def _split_reference(ref):
-    """Bisect a reference region at the lower-median coordinate of its
-    longer bounding-box axis (ties to x); None if unsplittable."""
-    ys, xs = ref[:, 0], ref[:, 1]
+    """Bisect a reference region, rows ending in (y, x), at the lower-median
+    coordinate of its longer bounding-box axis (ties to x); None if
+    unsplittable."""
+    ys, xs = ref[:, -2], ref[:, -1]
     w_extent = int(xs.max() - xs.min())
     h_extent = int(ys.max() - ys.min())
-    axes = [1, 0] if w_extent >= h_extent else [0, 1]
+    axes = [-1, -2] if w_extent >= h_extent else [-2, -1]
     for axis in axes:
         coords = ref[:, axis]
         cut = np.sort(coords)[(coords.size - 1) // 2]
@@ -431,42 +429,34 @@ def _split_reference(ref):
     return None
 
 
-def _reproject_children(sr, child_refs, t_count):
-    """Distribute the parent's per-view pixels among child reference
+def _reproject_children(sr, child_refs, angular_dims):
+    """Distribute the parent's non-reference pixels among child reference
     regions: one :func:`project_regions` over the non-reference views,
-    whose (views - 1, H + 1, W) grid spans the union bounding box of their
-    pixels (-1 a hole, -2 outside the parent), stalled holes to child 0.
-    The children share the parent's shifts, so their writes never
-    conflict.  Each child's pixels are one ``argwhere``, split by view."""
-    n_views = len(sr.per_view_pixels)
-    others = sr.per_view_pixels[1:]
-    if not any(p.shape[0] for p in others):
-        empty = [np.zeros((0, 2), dtype=np.int64) for _ in others]
-        children = [[ref, *empty] for ref in child_refs]
-    else:
-        view = np.repeat(np.arange(n_views - 1), [p.shape[0] for p in others])
-        yx = np.concatenate(others)
-        origin = yx.min(axis=0)
-        h, w = yx.max(axis=0) - origin + 1
-        y, x = (yx - origin).T
-        grid = np.full((n_views - 1, h + 1, w), -2, dtype=np.int64)
-        grid[view, y, x] = -1
-        shifts = label_shifts(sr.disparity, n_views, t_count)
-        project_regions(
-            grid, origin, ((c, ref, shifts) for c, ref in enumerate(child_refs)), 0
-        )
-        children = []
-        for c, ref in enumerate(child_refs):
-            hits = np.argwhere(grid == c)
-            cuts = np.searchsorted(hits[:, 0], np.arange(1, n_views - 1))
-            children.append([ref, *np.split(hits[:, 1:] + origin, cuts)])
+    whose (views - 1, H + 1, W) grid spans the bounding box of all the
+    parent's pixels (-1 a hole, -2 outside the parent), stalled holes to
+    child 0.  The children share the parent's shifts, so their writes
+    never conflict.  Each child is its reference rows followed by one
+    ``argwhere`` of the grid, which lists the other views' rows in
+    canonical order."""
+    n_views = angular_dims[0] * angular_dims[1]
+    yx = sr.pixels[:, 1:]
+    origin = yx.min(axis=0)
+    h, w = yx.max(axis=0) - origin + 1
+    # grid cell of each row: view 1 is grid layer 0
+    offset = np.array([1, *origin])
+    grid = np.full((n_views - 1, h + 1, w), -2, dtype=np.int64)
+    grid[tuple((sr.pixels[sr.reference.shape[0] :] - offset).T)] = -1
+    shifts = label_shifts(sr.disparity, n_views, angular_dims[1])
+    project_regions(
+        grid, origin, ((c, ref[:, 1:], shifts) for c, ref in enumerate(child_refs)), 0
+    )
     return [
-        SuperRay(label=sr.label, per_view_pixels=pv, disparity=sr.disparity)
-        for pv in children
+        SuperRay(sr.label, np.concatenate([ref, np.argwhere(grid == c) + offset]), sr.disparity)
+        for c, ref in enumerate(child_refs)
     ]
 
 
-def _split_walk(sr, t_count, split_here):
+def _split_walk(sr, angular_dims, split_here):
     """The split recursion both codec sides run: depth first from ``sr``,
     bisect each node for which ``split_here(node)`` holds and whose
     reference region :func:`_split_reference` can split.  Returns (leaves,
@@ -474,12 +464,12 @@ def _split_walk(sr, t_count, split_here):
     parts, tree = [], []
 
     def walk(node):
-        split = _split_reference(node.per_view_pixels[0]) if split_here(node) else None
+        split = _split_reference(node.reference) if split_here(node) else None
         tree.append(int(split is not None))
         if split is None:
             parts.append(node)
             return
-        for child in _reproject_children(node, split, t_count):
+        for child in _reproject_children(node, split, angular_dims):
             walk(child)
 
     walk(sr)
@@ -492,7 +482,7 @@ def partition_super_ray(sr: SuperRay, max_vertices: int, angular_dims) -> Partit
     s_count, t_count = angular_dims
     if max_vertices < s_count * t_count:
         raise ValueError("max_vertices must be at least the view count")
-    parts, tree = _split_walk(sr, t_count, lambda node: node.total_pixels > max_vertices)
+    parts, tree = _split_walk(sr, angular_dims, lambda node: node.total_pixels > max_vertices)
     return PartitionResult(parts=parts, tree=tree)
 
 
@@ -502,7 +492,7 @@ def partition_with_tree(sr: SuperRay, tree, angular_dims) -> list:
     ``tree`` exactly, which rejects a truncated tree, trailing bits and a 1
     on an unsplittable node."""
     bits = iter(tree)
-    parts, walked = _split_walk(sr, angular_dims[1], lambda node: next(bits, 0) == 1)
+    parts, walked = _split_walk(sr, angular_dims, lambda node: next(bits, 0) == 1)
     if walked != list(tree):
         raise ValueError("split tree does not match super-ray geometry")
     return parts

@@ -7,6 +7,7 @@ for GFT and DCT coefficients.  Rounding is half-away-from-zero.
 import numpy as np
 from scipy.fft import dct as _scipy_dct, idct as _scipy_idct
 
+from .entropy import SYMBOL_LIMIT
 from .util import round_half_away_int
 
 
@@ -46,12 +47,21 @@ def idct1d(x) -> np.ndarray:
 
 def quantize(x, q) -> np.ndarray:
     """Uniform scalar quantization: the int64 levels round-half-away(x / q);
-    ``q`` is one step or an array of per-entry steps."""
+    ``q`` is one step or an array of per-entry steps.  Raises ValueError,
+    naming the step, before any level is cast when a level would not be
+    finite or would reach the entropy coder's limit of 2**49."""
     q = np.asarray(q, dtype=np.float64)
     if (q <= 0).any():
         raise ValueError("quantizer step must be positive")
     x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return round_half_away_int(x / q)
+    with np.errstate(over="ignore"):
+        ratio = x / q
+    # |ratio| >= limit - 0.5 rounds to a level of magnitude >= limit; NaN fails too
+    bad = ~(np.abs(ratio) < SYMBOL_LIMIT - 0.5)
+    if bad.any():
+        step = np.broadcast_to(q, ratio.shape)[bad][0]
+        raise ValueError(f"quantizer step {step:g} gives levels of magnitude 2**49 or more")
+    return round_half_away_int(ratio)
 
 
 def predict_signal(basis, coeffs, sample_max):

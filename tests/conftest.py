@@ -110,6 +110,22 @@ def build_super_rays(seg, dmap):
     return assemble_super_rays(seg, label_disparities(seg, dmap))
 
 
+def super_ray(per_view, disparity, label=0):
+    """A SuperRay from per-view (N_v, 2) (y, x) pixel arrays: their rows
+    stacked in view order behind a view column."""
+    pixels = np.concatenate([
+        np.column_stack([np.full(len(p), v), np.reshape(p, (-1, 2))])
+        for v, p in enumerate(per_view)
+    ]).astype(np.int64)
+    return SuperRay(label=label, pixels=pixels, disparity=disparity)
+
+
+def per_view(sr, n_views):
+    """A super-ray's pixels split back into per-view (N_v, 2) (y, x)
+    arrays, views 0..n_views-1."""
+    return [sr.pixels[sr.pixels[:, 0] == v, 1:] for v in range(n_views)]
+
+
 def label_shift(disparity, s, t):
     """Oracle: the integer (dy, dx) shift of a label's pixels in view
     (s, t), one view at a time, as ``segmentation.label_shifts`` must
@@ -225,7 +241,7 @@ def project_labels_oracle(ref_map, disparities, angular_dims):
                 view[ty[ok], tx[ok]] = l
             fill_holes(view, ref)
             out.append(view)
-    return SegmentationMap(labels=out, label_count=count)
+    return SegmentationMap(labels=np.stack(out), label_count=count)
 
 
 def connected_components(n, edges):
@@ -266,8 +282,7 @@ def graph_structure_oracle(sr, angular_dims):
     vertex_rows = []
     index_maps = []
     offset = 0
-    for v in range(s_count * t_count):
-        pix = sr.per_view_pixels[v]
+    for v, pix in enumerate(per_view(sr, s_count * t_count)):
         index_maps.append(
             {(int(y), int(x)): offset + i for i, (y, x) in enumerate(pix)}
         )
@@ -540,17 +555,18 @@ def fill_holes_oracle(grid, fallback):
             grid[y, x] = lbl
 
 
-def reproject_children_oracle(sr, child_refs, t_count):
+def reproject_children_oracle(sr, child_refs, angular_dims):
     """Oracle: the view-by-view reprojection that
     ``spectral._reproject_children`` replaced, one grid over each view's
     own bounding box and one :func:`fill_holes` per view; identical
-    output required."""
-    n_views = len(sr.per_view_pixels)
+    output required.  ``child_refs`` are rows ending in (y, x)."""
+    n_views, t_count = angular_dims[0] * angular_dims[1], angular_dims[1]
+    parents = per_view(sr, n_views)
     children = [[None] * n_views for _ in child_refs]
     for c, ref in enumerate(child_refs):
-        children[c][0] = ref
+        children[c][0] = ref[:, -2:]
     for v in range(1, n_views):
-        parent = sr.per_view_pixels[v]
+        parent = parents[v]
         if parent.shape[0] == 0:
             for c in range(len(child_refs)):
                 children[c][v] = np.zeros((0, 2), dtype=np.int64)
@@ -561,7 +577,7 @@ def reproject_children_oracle(sr, child_refs, t_count):
         s, t = divmod(v, t_count)
         shift = np.array(label_shift(sr.disparity, s, t)) + origin
         for c, ref in enumerate(child_refs):
-            ty, tx = (ref - shift).T
+            ty, tx = (ref[:, -2:] - shift).T
             ok = (ty >= 0) & (ty < grid.shape[0]) & (tx >= 0) & (tx < grid.shape[1])
             ty, tx = ty[ok], tx[ok]
             inside = grid[ty, tx] != -2
@@ -569,25 +585,24 @@ def reproject_children_oracle(sr, child_refs, t_count):
         fill_holes(grid, 0)
         for c in range(len(child_refs)):
             children[c][v] = np.argwhere(grid == c) + origin
-    return [
-        SuperRay(label=sr.label, per_view_pixels=pv, disparity=sr.disparity)
-        for pv in children
-    ]
+    return [super_ray(pv, sr.disparity, sr.label) for pv in children]
 
 
-def _partition_recurse_oracle(sr, t_count, tree, parts, should_split, warned):
+def _partition_recurse_oracle(sr, angular_dims, tree, parts, should_split, warned):
     if not should_split(sr):
         tree.append(0)
         parts.append(sr)
         return warned
-    split = _split_reference(sr.per_view_pixels[0])
+    split = _split_reference(per_view(sr, 1)[0])
     if split is None:
         tree.append(0)
         parts.append(sr)
         return True
     tree.append(1)
-    for child in reproject_children_oracle(sr, split, t_count):
-        warned = _partition_recurse_oracle(child, t_count, tree, parts, should_split, warned)
+    for child in reproject_children_oracle(sr, split, angular_dims):
+        warned = _partition_recurse_oracle(
+            child, angular_dims, tree, parts, should_split, warned
+        )
     return warned
 
 
@@ -600,7 +615,7 @@ def partition_super_ray_oracle(sr, max_vertices, angular_dims):
         raise ValueError("max_vertices must be at least the view count")
     tree, parts = [], []
     warned = _partition_recurse_oracle(
-        sr, t_count, tree, parts, lambda r: r.total_pixels > max_vertices, warned=False
+        sr, angular_dims, tree, parts, lambda r: r.total_pixels > max_vertices, warned=False
     )
     return PartitionResult(parts=parts, tree=tree), warned
 
@@ -608,7 +623,6 @@ def partition_super_ray_oracle(sr, max_vertices, angular_dims):
 def partition_with_tree_oracle(sr, tree, angular_dims):
     """Oracle: the decoder's own split recursion ``spectral._split_walk``
     replaced, with its three ValueError messages."""
-    _, t_count = angular_dims
     pos = [0]
 
     def walk(node):
@@ -618,11 +632,11 @@ def partition_with_tree_oracle(sr, tree, angular_dims):
         pos[0] += 1
         if bit == 0:
             return [node]
-        split = _split_reference(node.per_view_pixels[0])
+        split = _split_reference(per_view(node, 1)[0])
         if split is None:
             raise ValueError("split tree does not match super-ray geometry")
         out = []
-        for child in reproject_children_oracle(node, split, t_count):
+        for child in reproject_children_oracle(node, split, angular_dims):
             out.extend(walk(child))
         return out
 
@@ -658,9 +672,7 @@ def assemble_super_rays_oracle(seg, disparities):
     for l in range(count):
         if per_label[l][0].shape[0] == 0:
             raise OrphanLabelError(f"orphan label {l}: absent from reference view")
-        rays.append(
-            SuperRay(label=l, per_view_pixels=per_label[l], disparity=disparities[l])
-        )
+        rays.append(super_ray(per_label[l], disparities[l], label=l))
     return rays
 
 

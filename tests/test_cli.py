@@ -220,6 +220,17 @@ class TestDeterminism:
         assert "2**49" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_step_beyond_cast_range_exit_2(self, scene_dir, tmp_path, capsys):
+        """``--q-gft 1e-300`` gives levels beyond int64: encode exits 2 with
+        the quantizer's message, raising no numpy warning on the way."""
+        out = tmp_path / "finer.srgc"
+        code = main(["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+                     "--q-gft", "1e-300", "--out", str(out)])
+        assert code == 2
+        assert "quantizer step 1e-300" in capsys.readouterr().err
+        assert not out.exists()
+
 class TestConfigPrecedence:
     def test_file_then_flags(self, scene_dir, tmp_path):
         cfgfile = tmp_path / "cfg.txt"

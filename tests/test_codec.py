@@ -32,7 +32,8 @@ from srgc.lightfield import (
     SceneSpec,
     synthesize_light_field,
 )
-from srgc.spectral import LocalGraph, eigendecompose, laplacian
+from srgc.segmentation import assemble_super_rays
+from srgc.spectral import LocalGraph, eigendecompose, graph_structure, laplacian
 
 from conftest import (
     assemble_super_rays_oracle,
@@ -379,6 +380,16 @@ class TestModes:
         lf, dmap = four_patch_scene(32, 3)
         cfg = CodecConfig(slic_k=16, n_target=64, q_gft=1e-12)
         with pytest.raises(ValueError, match="2\\*\\*49"):
+            encode(lf, dmap, cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_step_beyond_cast_range_refused_without_warning(self):
+        """At ``q_gft=1e-300`` x / q does not fit an int64: ``quantize``
+        names the step in one ValueError before any level is cast, so numpy
+        warns of no invalid cast."""
+        lf, dmap = four_patch_scene(32, 3)
+        cfg = CodecConfig(slic_k=16, n_target=64, q_gft=1e-300)
+        with pytest.raises(ValueError, match="quantizer step 1e-300 .*2\\*\\*49"):
             encode(lf, dmap, cfg)
 
     def test_partition_mode_roundtrip(self):
@@ -908,3 +919,45 @@ def test_structure_pipeline_matches_oracles_end_to_end(case, monkeypatch):
     assert solved
     assert data == want_data
     assert lf_equal(rec, want_rec)
+
+
+@pytest.mark.parametrize("case", [*sorted(ORACLE_CASES), "bench_gate", "bench_parallax",
+                                  "bench_partition"])
+def test_super_ray_rows_are_the_graph_vertices(case, monkeypatch):
+    """On both sides, each pixel graph's ``vertices`` is the ``pixels``
+    array of the super-ray or part it was built from, and the rows
+    ``assemble_super_rays`` gives are the per-label, per-view scans of the
+    label volume stacked in view order behind a view column."""
+    if case in ORACLE_CASES:
+        lf, dmap, cfg = ORACLE_CASES[case]()
+    else:
+        workload = bench_workloads()[case.removeprefix("bench_")]
+        lf, dmap = workload.scene(1)
+        cfg = workload.config
+    built, assembled = [], []
+
+    def build(sr, angular_dims):
+        built.append((sr, graph_structure(sr, angular_dims)))
+        return built[-1][1]
+
+    def assemble(seg, disparities):
+        assembled.append((seg, disparities, assemble_super_rays(seg, disparities)))
+        return assembled[-1][2]
+
+    monkeypatch.setattr(codec, "graph_structure", build)
+    monkeypatch.setattr(codec, "assemble_super_rays", assemble)
+    stream, enc = encode(lf, dmap, cfg, debug=True)
+    n_enc = len(built)
+    _, dec = decode(deserialize(serialize(stream)), debug=True)
+    assert len(assembled) == 2 and len(built) == 2 * n_enc > 0
+    for side, report in ((built[:n_enc], enc), (built[n_enc:], dec)):
+        assert len(report.debug.units) == len(side)
+        for u, (sr, g) in zip(report.debug.units, side):
+            assert u.fine is g and g.vertices is sr.pixels
+    for seg, disparities, rays in assembled:
+        want = assemble_super_rays_oracle(seg, disparities)
+        assert len(rays) == len(want) == seg.label_count
+        for got, oracle in zip(rays, want):
+            assert (got.label, got.disparity) == (oracle.label, oracle.disparity)
+            assert got.pixels.dtype == oracle.pixels.dtype == np.int64
+            assert np.array_equal(got.pixels, oracle.pixels)

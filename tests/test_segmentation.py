@@ -25,6 +25,7 @@ from conftest import (
     four_patch_scene,
     label_disparities_oracle,
     label_shift,
+    per_view,
     project_labels_oracle,
 )
 
@@ -160,14 +161,14 @@ class TestProjection:
         ref = rng.integers(0, 4, size=(12, 12))
         for l in range(4):
             ref[l, l] = l  # ensure all labels present
-        seg = SegmentationMap(labels=[ref], label_count=4)
+        seg = SegmentationMap(labels=ref[None], label_count=4)
         out = project_labels(seg, {l: 0.0 for l in range(4)}, (3, 3))
         for view in out.labels:
             assert np.array_equal(view, ref)
 
     def test_single_label_shift_and_fill(self):
         ref = np.zeros((8, 8), dtype=np.int64)
-        seg = SegmentationMap(labels=[ref], label_count=1)
+        seg = SegmentationMap(labels=ref[None], label_count=1)
         out = project_labels(seg, {0: 1.0}, (1, 2))
         # single label: every pixel labeled 0 in all views
         for view in out.labels:
@@ -179,7 +180,7 @@ class TestProjection:
         ref = np.zeros((16, 16), dtype=np.int64)
         ref[:, 8:] = 1  # label 1 strip will slide over label 0
         disparities = {0: 0.0, 1: 2.0}
-        seg = SegmentationMap(labels=[ref], label_count=2)
+        seg = SegmentationMap(labels=ref[None], label_count=2)
         out = project_labels(seg, disparities, (2, 3))
         for s in range(2):
             for t in range(3):
@@ -194,7 +195,7 @@ class TestProjection:
         ref = rng.integers(0, 5, size=(20, 20))
         for l in range(5):
             ref[0, l] = l
-        seg = SegmentationMap(labels=[ref], label_count=5)
+        seg = SegmentationMap(labels=ref[None], label_count=5)
         d = {l: l * 0.625 for l in range(5)}
         a = project_labels(seg, d, (3, 3))
         b = project_labels(seg, d, (3, 3))
@@ -248,7 +249,7 @@ class TestProjection:
         assert min(seen.values()) > 0, seen
 
     def test_missing_disparity_rejected(self):
-        seg = SegmentationMap(labels=[np.zeros((4, 4), dtype=np.int64)], label_count=1)
+        seg = SegmentationMap(labels=np.zeros((1, 4, 4), dtype=np.int64), label_count=1)
         with pytest.raises(ValueError):
             project_labels(seg, {}, (1, 2))
         with pytest.raises(ValueError):
@@ -276,7 +277,7 @@ class TestProjection:
                 for l in range(count)
             }
             angular = ((1, 1), (1, 3), (2, 3), (3, 3))[case % 4]
-            seg = SegmentationMap(labels=[ref], label_count=count)
+            seg = SegmentationMap(labels=ref[None], label_count=count)
             got = project_labels(seg, disparities, angular)
             want = project_labels_oracle(seg, disparities, angular)
             assert got.label_count == want.label_count == count
@@ -298,7 +299,7 @@ class TestProjection:
 class TestSuperRays:
     def test_single_label_collects_everything(self, flat_dmap):
         ref = np.zeros((6, 6), dtype=np.int64)
-        seg = SegmentationMap(labels=[ref] * 4, label_count=1)
+        seg = SegmentationMap(labels=np.stack([ref] * 4), label_count=1)
         rays = build_super_rays(seg, flat_dmap(6, 6))
         assert len(rays) == 1
         assert rays[0].total_pixels == 4 * 36
@@ -308,11 +309,11 @@ class TestSuperRays:
         ref = rng.integers(0, 6, size=(18, 18))
         for l in range(6):
             ref[l, 0] = l
-        seg = SegmentationMap(labels=[ref], label_count=6)
+        seg = SegmentationMap(labels=ref[None], label_count=6)
         out = project_labels(seg, {l: float(l % 3) for l in range(6)}, (2, 2))
         rays = build_super_rays(out, flat_dmap(18, 18))
         for v in range(4):
-            total = sum(r.per_view_pixels[v].shape[0] for r in rays)
+            total = sum(per_view(r, 4)[v].shape[0] for r in rays)
             assert total == 18 * 18
 
     def test_two_patch_scene_masks(self):
@@ -331,7 +332,7 @@ class TestSuperRays:
         best = 0
         for r in rays:
             mask = np.zeros((32, 32), dtype=bool)
-            pix = r.per_view_pixels[0]
+            pix = per_view(r, 1)[0]
             mask[pix[:, 0], pix[:, 1]] = True
             overlap = (mask & patch_mask).sum()
             union = (mask | patch_mask).sum()
@@ -341,7 +342,7 @@ class TestSuperRays:
 
     def test_orphan_label(self, flat_dmap):
         ref = np.zeros((4, 4), dtype=np.int64)
-        seg = SegmentationMap(labels=[ref], label_count=2)  # label 1 nowhere
+        seg = SegmentationMap(labels=ref[None], label_count=2)  # label 1 nowhere
         with pytest.raises(OrphanLabelError):
             build_super_rays(seg, flat_dmap(4, 4))
         with pytest.raises(OrphanLabelError):
@@ -349,7 +350,7 @@ class TestSuperRays:
 
     def test_disparity_is_quantized_median(self, flat_dmap):
         ref = np.zeros((2, 2), dtype=np.int64)
-        seg = SegmentationMap(labels=[ref], label_count=1)
+        seg = SegmentationMap(labels=ref[None], label_count=1)
         dmap = DisparityMap(values=np.array([[0.3, 0.3], [0.9, 0.9]]))
         rays = build_super_rays(seg, dmap)
         # lower median of {0.3,0.3,0.9,0.9} = 0.3, eighth-quantized
@@ -383,7 +384,7 @@ class TestLabelRegions:
             ref = rng.integers(0, count, size=(12, 10))
             ref.flat[:count] = np.arange(count)  # no orphan
             dmap = DisparityMap(values=rng.uniform(0.0, 2.0, size=(12, 10)))
-            seg = SegmentationMap(labels=[ref], label_count=count)
+            seg = SegmentationMap(labels=ref[None], label_count=count)
             disparities = label_disparities(seg, dmap)
             assert disparities == label_disparities_oracle(seg, dmap)
             views = project_labels(seg, disparities, (2, 3))
@@ -392,8 +393,8 @@ class TestLabelRegions:
             assert len(got) == len(want) == count
             for a, b in zip(got, want):
                 assert (a.label, a.disparity) == (b.label, b.disparity)
-                for pa, pb in zip(a.per_view_pixels, b.per_view_pixels):
-                    assert pa.dtype == pb.dtype and np.array_equal(pa, pb)
+                assert a.pixels.dtype == b.pixels.dtype
+                assert np.array_equal(a.pixels, b.pixels)
 
 
 def _has_conflict(ref, disparities, s, t):

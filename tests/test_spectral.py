@@ -6,7 +6,6 @@ import pytest
 import srgc.codec as codec
 import srgc.spectral as spectral
 from srgc.errors import DecompositionError
-from srgc.segmentation import SuperRay
 from srgc.spectral import (
     CoarseningMap,
     Laplacian,
@@ -47,17 +46,20 @@ from conftest import (
     make_lf,
     partition_super_ray_oracle,
     partition_with_tree_oracle,
+    per_view,
     reproject_children_oracle,
+    super_ray,
     supernodes,
 )
 
 
-def enumerate_edges_oracle(per_view_pixels, disparity, angular_dims):
-    """Oracle: exhaustive neighbor enumeration over all vertex pairs."""
+def enumerate_edges_oracle(views, disparity, angular_dims):
+    """Oracle: exhaustive neighbor enumeration over all vertex pairs of
+    per-view (y, x) pixel arrays."""
     s_count, t_count = angular_dims
     verts = []
     for v in range(s_count * t_count):
-        for y, x in per_view_pixels[v]:
+        for y, x in views[v]:
             verts.append((v, int(y), int(x)))
     index = {vtx: i for i, vtx in enumerate(verts)}
     edges = set()
@@ -103,7 +105,7 @@ def _random_super_ray(rng, angular, disparity, single=False):
     empty; ``single`` keeps one pixel per view."""
     s_count, t_count = angular
     h, w = (1, 1) if single else rng.integers(1, 8, size=2)
-    per_view = []
+    views = []
     for v in range(s_count * t_count):
         mask = rng.random((h, w)) < rng.uniform(0.4, 1.0)
         if v == 0:
@@ -115,13 +117,13 @@ def _random_super_ray(rng, angular, disparity, single=False):
             origin -= label_shift(disparity, *divmod(v, t_count))
             if rng.random() < 0.5:
                 origin += rng.integers(-1, 2, size=2)
-        per_view.append(np.argwhere(mask).astype(np.int64) + origin)
-    return SuperRay(label=0, per_view_pixels=per_view, disparity=disparity)
+        views.append(np.argwhere(mask).astype(np.int64) + origin)
+    return super_ray(views, disparity)
 
 
 def _count_features(sr, angular, g, seen):
     """Tally the edge cases a random super-ray exercises."""
-    pix = sr.per_view_pixels
+    pix = per_view(sr, angular[0] * angular[1])
     seen["empty_view"] += any(p.shape[0] == 0 for p in pix[1:])
     seen["single"] += all(p.shape[0] == 1 for p in pix)
     seen["hole"] += any(
@@ -205,24 +207,24 @@ def _bench_laplacians(name, monkeypatch):
 class TestLocalGraph:
     def test_two_views_2x2_edge_count(self):
         pix = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
-        sr = SuperRay(label=0, per_view_pixels=[pix, pix], disparity=0.0)
+        sr = super_ray([pix, pix], 0.0)
         g = graph_structure(sr, (1, 2))
         assert g.n == 8
         assert g.edges.shape[0] == 2 * 4 + 4  # spatial per view + angular
 
     def test_single_pixel_no_edges(self):
         pix = np.array([[0, 0]], dtype=np.int64)
-        sr = SuperRay(label=0, per_view_pixels=[pix], disparity=0.0)
+        sr = super_ray([pix], 0.0)
         g = graph_structure(sr, (1, 1))
         assert g.n == 1 and g.edges.shape[0] == 0
 
     def test_strip_matches_enumeration_oracle(self):
         pix = np.array([[0, 0], [0, 1], [0, 2]], dtype=np.int64)
-        per_view = [pix, pix, pix]
-        sr = SuperRay(label=0, per_view_pixels=per_view, disparity=0.0)
+        views = [pix, pix, pix]
+        sr = super_ray(views, 0.0)
         g = graph_structure(sr, (1, 3))
         assert g.n == 9
-        oracle = enumerate_edges_oracle(per_view, 0.0, (1, 3))
+        oracle = enumerate_edges_oracle(views, 0.0, (1, 3))
         assert len(oracle) == 12  # 3*2 spatial + 3*2 angular
         assert {(int(a), int(b)) for a, b in g.edges} == oracle
 
@@ -232,10 +234,10 @@ class TestLocalGraph:
             mask = rng.random((5, 5)) < 0.7
             mask[2, 2] = True
             pix = np.argwhere(mask).astype(np.int64)
-            per_view = [pix, pix, pix, pix]
-            sr = SuperRay(label=0, per_view_pixels=per_view, disparity=1.0)
+            views = [pix, pix, pix, pix]
+            sr = super_ray(views, 1.0)
             g = graph_structure(sr, (2, 2))
-            oracle = enumerate_edges_oracle(per_view, 1.0, (2, 2))
+            oracle = enumerate_edges_oracle(views, 1.0, (2, 2))
             assert {(int(a), int(b)) for a, b in g.edges} == oracle
 
     def test_matches_loop_oracle_on_random_super_rays(self):
@@ -254,7 +256,7 @@ class TestLocalGraph:
 
     def test_signal_is_luma_in_vertex_order(self):
         pix = np.array([[0, 0], [0, 1]], dtype=np.int64)
-        sr = SuperRay(label=0, per_view_pixels=[pix, pix], disparity=0.0)
+        sr = super_ray([pix, pix], 0.0)
         lf = make_lf(
             [np.array([[10, 20]]), np.array([[30, 40]])], (1, 2)
         )
@@ -730,7 +732,7 @@ class TestHeavyEdgeMatching:
 def _rect_sr(w, h, views=1, disparity=0.0):
     ys, xs = np.mgrid[0:h, 0:w]
     pix = np.column_stack([ys.ravel(), xs.ravel()]).astype(np.int64)
-    return SuperRay(label=0, per_view_pixels=[pix] * views, disparity=disparity)
+    return super_ray([pix] * views, disparity)
 
 
 class TestPartition:
@@ -753,7 +755,7 @@ class TestPartition:
         res = partition_super_ray(sr, 16, (1, 1))
         assert len(res.parts) == 4
         for p in res.parts:
-            pix = p.per_view_pixels[0]
+            pix = per_view(p, 1)[0]
             assert pix.shape[0] == 16
             assert pix[:, 1].max() - pix[:, 1].min() == 3
             assert pix[:, 0].max() - pix[:, 0].min() == 3
@@ -762,10 +764,10 @@ class TestPartition:
         sr = _rect_sr(9, 7, views=2, disparity=1.0)
         res = partition_super_ray(sr, 40, (1, 2))
         for v in range(2):
-            parent = {tuple(p) for p in sr.per_view_pixels[v]}
+            parent = {tuple(p) for p in per_view(sr, 2)[v]}
             got = []
             for part in res.parts:
-                got.extend(tuple(p) for p in part.per_view_pixels[v])
+                got.extend(tuple(p) for p in per_view(part, 2)[v])
             assert len(got) == len(set(got)) == len(parent)
             assert set(got) == parent
 
@@ -775,7 +777,7 @@ class TestPartition:
         fat = np.column_stack(
             [np.zeros(8, dtype=np.int64), np.arange(8, dtype=np.int64)]
         )
-        sr = SuperRay(label=0, per_view_pixels=[ref, fat], disparity=0.0)
+        sr = super_ray([ref, fat], 0.0)
         res = partition_super_ray(sr, 4, (1, 2))
         # the bound cannot be met: the one part keeps all 9 vertices
         assert len(res.parts) == 1 and res.tree == [0]
@@ -787,8 +789,7 @@ class TestPartition:
         replay = partition_with_tree(sr, res.tree, (1, 2))
         assert len(replay) == len(res.parts)
         for a, b in zip(res.parts, replay):
-            for va, vb in zip(a.per_view_pixels, b.per_view_pixels):
-                assert np.array_equal(va, vb)
+            assert np.array_equal(a.pixels, b.pixels)
 
     def test_max_vertices_respected(self):
         sr = _rect_sr(20, 20, views=3)
@@ -806,8 +807,7 @@ class TestPartition:
             with pytest.raises(ValueError, match="split tree"):
                 partition_with_tree(sr, bad, (1, 2))
         # a 1 on a single-pixel reference, which cannot be bisected
-        dot = SuperRay(label=0, per_view_pixels=[sr.per_view_pixels[0][:1]] * 2,
-                       disparity=0.0)
+        dot = super_ray([per_view(sr, 1)[0][:1]] * 2, 0.0)
         with pytest.raises(ValueError, match="split tree"):
             partition_with_tree(dot, [1, 0, 0], (1, 2))
 
@@ -820,13 +820,13 @@ def _random_partition_case(rng, case):
     n_views = angular[0] * angular[1]
     disparity = (0.0, 0.5, 1.0, 1.5)[case // 4 % 4]
     h, w = rng.integers(1, 10, size=2)
-    per_view = []
+    views = []
     for v in range(n_views):
         mask = rng.random((h, w)) < rng.uniform(0.3, 1.0)
         if v == 0:
             mask.flat[rng.integers(mask.size)] = True
-        per_view.append(np.argwhere(mask).astype(np.int64))
-    sr = SuperRay(label=case, per_view_pixels=per_view, disparity=disparity)
+        views.append(np.argwhere(mask).astype(np.int64))
+    sr = super_ray(views, disparity, label=case)
     max_vertices = int(rng.integers(n_views, max(n_views, sr.total_pixels) + 1))
     return sr, angular, max_vertices
 
@@ -835,9 +835,7 @@ def _assert_same_parts(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.label, a.disparity) == (b.label, b.disparity)
-        assert len(a.per_view_pixels) == len(b.per_view_pixels)
-        for pa, pb in zip(a.per_view_pixels, b.per_view_pixels):
-            assert pa.dtype == pb.dtype and np.array_equal(pa, pb)
+        assert a.pixels.dtype == b.pixels.dtype and np.array_equal(a.pixels, b.pixels)
 
 
 class TestSplitWalk:
@@ -885,18 +883,19 @@ class TestSplitWalk:
         }, reasons
 
 
-def _reproject_children_oracle(sr, child_refs, t_count):
+def _reproject_children_oracle(sr, child_refs, angular_dims):
     """Reference: the dict-based reprojection the grid version replaced.
     Returns (children's per-view pixel lists, hole seen, stall seen)."""
-    n_views = len(sr.per_view_pixels)
-    children = [[ref] + [None] * (n_views - 1) for ref in child_refs]
+    n_views, t_count = angular_dims[0] * angular_dims[1], angular_dims[1]
+    parents = per_view(sr, n_views)
+    children = [[ref[:, 1:]] + [None] * (n_views - 1) for ref in child_refs]
     saw_hole = saw_stall = False
     for v in range(1, n_views):
         s, t = divmod(v, t_count)
         dy, dx = label_shift(sr.disparity, s, t)
-        owner = {(int(y), int(x)): -1 for y, x in sr.per_view_pixels[v]}
+        owner = {(int(y), int(x)): -1 for y, x in parents[v]}
         for c, ref in enumerate(child_refs):
-            for y, x in ref:
+            for _, y, x in ref:
                 key = (int(y) - dy, int(x) - dx)
                 if key in owner:
                     owner[key] = c
@@ -934,12 +933,12 @@ def _random_reprojection_case(rng, case):
     angular = (2, 3) if case % 2 else (3, 3)
     n_views = angular[0] * angular[1]
     disparity = (0.5, 1.0, 1.5)[case % 3]
-    per_view = []
+    views = []
     for v in range(n_views):
         mask = rng.random((9, 11)) < (0.8 if v == 0 else 0.6)
-        per_view.append(np.argwhere(mask).astype(np.int64))
-    sr = SuperRay(label=3, per_view_pixels=per_view, disparity=disparity)
-    split = _split_reference(per_view[0])
+        views.append(np.argwhere(mask).astype(np.int64))
+    sr = super_ray(views, disparity, label=3)
+    split = _split_reference(sr.reference)
     assert split is not None
     return sr, split, angular
 
@@ -971,13 +970,13 @@ class TestReprojection:
         holes = stalls = 0
         for case in range(60):
             sr, split, angular = _random_reprojection_case(rng, case)
-            want, hole, stall = _reproject_children_oracle(sr, split, angular[1])
-            got = _reproject_children(sr, split, angular[1])
+            want, hole, stall = _reproject_children_oracle(sr, split, angular)
+            got = _reproject_children(sr, split, angular)
             holes += hole
             stalls += stall
             for child, pixels in zip(got, want):
                 assert child.label == 3 and child.disparity == sr.disparity
-                for a, b in zip(child.per_view_pixels, pixels):
+                for a, b in zip(per_view(child, angular[0] * angular[1]), pixels):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
         assert holes > 0 and stalls > 0
 
@@ -996,8 +995,8 @@ class TestReprojection:
         for case in range(60):
             sr, split, angular = _random_reprojection_case(rng, case)
             fills.append([])
-            want = reproject_children_oracle(sr, split, angular[1])
-            _assert_same_parts(_reproject_children(sr, split, angular[1]), want)
+            want = reproject_children_oracle(sr, split, angular)
+            _assert_same_parts(_reproject_children(sr, split, angular), want)
         early = [
             views for views in fills
             if any(stall and any(r > rounds for r, _ in views) for rounds, stall in views)
