@@ -182,8 +182,9 @@ class DecodeReport:
     grouped_count: int = 0
     eig_count: int = 0        # the paper's count: ungrouped units + groups
     eig_solved: int = 0       # distinct graphs actually solved
-    # seconds per stage in pipeline order; "graphs" and "coarsen" as in
-    # EncodeReport, without the unit signals
+    # seconds per stage: "entropy" first, the entropy decoding of every
+    # section, then the rest in pipeline order without it; "graphs" and
+    # "coarsen" as in EncodeReport, without the unit signals
     times: dict = field(default_factory=dict)
     debug: object = None
 
@@ -217,6 +218,13 @@ class _Stopwatch:
         now = time.perf_counter()
         self.times[name] = now - self._last
         self._last = now
+
+    def aside(self, name, start):
+        """Add the time since ``start`` to stage ``name`` and leave it out
+        of the running lap, so the stages still sum to the wall time."""
+        spent = time.perf_counter() - start
+        self.times[name] = self.times.get(name, 0.0) + spent
+        self._last += spent
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +267,7 @@ def _build_units(srs, angular_dims, mode, n_target, split, watch):
     """Turn super-rays into coding units, in super-ray order.
 
     In 'coarse' mode each super-ray's pixel graph is coarsened to
-    ``n_target`` vertices; otherwise each part that ``split(sr)`` returns
+    ``n_target`` vertices; otherwise each part that ``split(srs)`` returns
     is a unit on its own pixel graph.  The encoder's ``split`` records the
     split trees it derives, the decoder's replays the transmitted ones.
     Every graph is built before any is coarsened, and ``watch`` laps
@@ -271,7 +279,7 @@ def _build_units(srs, angular_dims, mode, n_target, split, watch):
         coarse = _coarsen_graphs(fines, n_target)
         pieces = [(*pair, fine) for pair, fine in zip(coarse, fines)]
     else:
-        graphs = [graph_structure(p, angular_dims) for sr in srs for p in split(sr)]
+        graphs = [graph_structure(p, angular_dims) for p in split(srs)]
         watch.lap("graphs")
         pieces = [(g, None, g) for g in graphs]
     return [
@@ -362,10 +370,10 @@ def _segmentation_from_symbols(syms, w, h, label_count):
 
 def _parse_structure(syms, label_count):
     """Split trees of labels 0..label_count-1, back to back in DFS preorder
-    (``1`` internal node, ``0`` leaf).  No symbols at all means every label
-    is coarsened: ``{}``."""
+    (``1`` internal node, ``0`` leaf), as a list in label order.  No
+    symbols at all means every label is coarsened: ``[]``."""
     syms = [int(v) for v in syms]
-    trees = {}
+    trees = []
     pos = 0
     for label in range(label_count if syms else 0):
         if pos >= len(syms):
@@ -383,7 +391,7 @@ def _parse_structure(syms, label_count):
                 raise CorruptStreamError(f"corrupt stream: tree bit {bit}")
             tree.append(bit)
             depth += 1 if bit else -1
-        trees[label] = tree
+        trees.append(tree)
     if pos != len(syms):
         raise CorruptStreamError("corrupt stream: trailing structure symbols")
     return trees
@@ -421,11 +429,11 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     watch.lap("projection")
 
     mode = "coarse" if cfg.q_gft >= cfg.q_switch else "part"
-    trees = {}
+    trees = []
 
-    def split(sr):
-        res = partition_super_ray(sr, cfg.max_vertices, lf.angular_dims)
-        trees[sr.label] = res.tree
+    def split(srs):
+        res = partition_super_ray(srs, cfg.max_vertices, lf.angular_dims)
+        trees.extend(res.trees)
         return res.parts
 
     units = _build_units(srs, lf.angular_dims, mode, cfg.n_target, split, watch)
@@ -484,7 +492,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         bs.SEC_DISPARITY: [
             round_half_away(disparities[l] * 8) for l in range(seg_ref.label_count)
         ],
-        bs.SEC_STRUCTURE: [bit for label in sorted(trees) for bit in trees[label]],
+        bs.SEC_STRUCTURE: [bit for tree in trees for bit in tree],
         bs.SEC_COEFFICIENTS: levels.tolist(),
         bs.SEC_GROUPS: group_syms,
         bs.SEC_RESIDUALS: residual_syms,
@@ -561,7 +569,10 @@ def decode(stream: Bitstream, threads=1, debug=False):
                 f"corrupt stream: section '{name}' declares {count} symbols, "
                 f"expected {bound}{expected}"
             )
-        return entropy_decode(payload, count, bs.SECTION_CONTEXTS[sid])
+        start = time.perf_counter()
+        syms = entropy_decode(payload, count, bs.SECTION_CONTEXTS[sid])
+        watch.aside("entropy", start)
+        return syms
 
     seg_syms = section_symbols(bs.SEC_SEGMENTATION, w * h)
     ref_labels = _segmentation_from_symbols(seg_syms, w, h, hdr.label_count)
@@ -589,7 +600,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
     try:
         units = _build_units(
             srs, hdr.angular_dims, mode, hdr.n_target,
-            lambda sr: partition_with_tree(sr, trees[sr.label], hdr.angular_dims),
+            lambda srs: partition_with_tree(srs, trees, hdr.angular_dims),
             watch,
         )
     except ValueError as e:
@@ -615,9 +626,12 @@ def decode(stream: Bitstream, threads=1, debug=False):
         )
         groups = _parse_explicit_groups(group_syms, len(groupable))
     else:
-        merged, threshold = derive_group_members(
-            [deq[u][0] for u in groupable], hdr.bin_width
-        )
+        try:
+            merged, threshold = derive_group_members(
+                [deq[u][0] for u in groupable], hdr.bin_width
+            )
+        except ValueError as e:
+            raise CorruptStreamError(f"corrupt stream: {e}") from e
         group_syms = section_symbols(bs.SEC_GROUPS, len(merged))
         for m, main in zip(merged, group_syms):
             if int(main) not in m:

@@ -27,6 +27,8 @@ import numpy as np
 from .transform import predict_signal
 from .util import round_half_away_int
 
+_BIN_LIMIT = 2.0**62  # histogram bin indices stay well inside int64
+
 
 @dataclass
 class PairWeights:
@@ -91,12 +93,21 @@ def pairwise_mse(coeff_vectors) -> PairWeights:
 
 def select_threshold(pw: PairWeights, bin_width) -> float:
     """Histogram rule: fixed bins [k*w, (k+1)*w); the threshold is the
-    upper edge of the lowest-index bin with the maximum pair count."""
+    upper edge of the lowest-index bin with the maximum pair count.
+    Raises ValueError when a pair's bin index is not finite or reaches
+    2**62, before any index is cast to int64."""
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
     if pw.count == 0:
         raise ValueError("threshold needs at least one pair")
-    bins = np.floor(pw.condensed / bin_width).astype(np.int64)
+    with np.errstate(over="ignore"):
+        quotients = pw.condensed / bin_width
+    if not (quotients < _BIN_LIMIT).all():
+        raise ValueError(
+            f"bin width {bin_width:g} puts a pair MSE of {pw.condensed.max():.3g} "
+            "in a bin of index 2**62 or more"
+        )
+    bins = np.floor(quotients).astype(np.int64)
     occupied, counts = np.unique(bins, return_counts=True)
     best = int(occupied[counts == counts.max()].min())  # lowest bin wins ties
     return float((best + 1) * bin_width)

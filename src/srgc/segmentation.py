@@ -15,10 +15,11 @@ rounded once per label (round-half-away-from-zero on d*t, d*s), so a
 view's label map is a pure function of the reference map and the
 disparities.
 
-One helper, :func:`project_regions`, projects reference regions into all
-non-reference views as one stacked grid and fills its holes in one pass.
-It serves both the frame labels (:func:`project_labels`) and the children
-of a partition split (``spectral._reproject_children``).
+One fill, :func:`fill_cells`, runs the majority vote on a flat stack of
+label planes that -2 cells keep apart, whatever their widths.  It serves
+both the frame labels (:func:`project_labels`, all views in one stack)
+and the children of every split of one partition depth (``spectral``'s
+level walk, all splitting parents in one stack).
 """
 
 from dataclasses import dataclass
@@ -252,40 +253,10 @@ def label_shifts(disparity, view_count, t_count):
     """Integer (dy, dx) shifts of a label's pixels in views 1 ..
     view_count - 1 of a grid ``t_count`` views wide, as one
     (view_count - 1, 2) int64 array: round-half-away-from-zero of
-    disparity * (s, t) for view s * t_count + t."""
+    disparity * (s, t) for view s * t_count + t.  A (K, 1, 1) array of
+    disparities gives the (K, view_count - 1, 2) shifts of K labels."""
     st = np.divmod(np.arange(1, view_count), t_count)
     return round_half_away_int(disparity * np.column_stack(st))
-
-
-def project_regions(grid, origin, regions, fallback):
-    """Project reference regions into every non-reference view, then fill.
-
-    ``grid`` is a (views - 1, H + 1, W) label stack over the views' common
-    box at ``origin`` (the box's (y, x) in view coordinates): -1 a hole,
-    -2 outside the region being labeled or the pad row under each view.
-    ``regions`` yields (value, (N, 2) reference (y, x) pixels,
-    :func:`label_shifts` array) in write order.  Each region is written
-    into all views in one scatter, skipping -2 cells and targets off the
-    box; later regions overwrite earlier ones.  Inside one region no two
-    writes hit one cell, but the order between regions decides conflicts,
-    so regions are written one after another.  Then one :func:`fill_holes`
-    runs on the (views - 1) * (H + 1) x W plane with ``fallback`` (a
-    scalar or an array of that plane's shape).  The pad rows keep
-    4-neighbour fills inside their own view, and a view whose fill stalls
-    never changes again, so the one stall fallback gives its holes what a
-    fill of that view alone would give them.
-    """
-    n, h, w = grid.shape[0], grid.shape[1] - 1, grid.shape[2]
-    views = np.arange(n)[:, None]
-    for value, yx, shifts in regions:
-        shifts = origin + shifts
-        ty = yx[:, 0] - shifts[:, :1]
-        tx = yx[:, 1] - shifts[:, 1:]
-        ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
-        tv, ty, tx = np.broadcast_to(views, ok.shape)[ok], ty[ok], tx[ok]
-        inside = grid[tv, ty, tx] != -2
-        grid[tv[inside], ty[inside], tx[inside]] = value
-    fill_holes(grid.reshape(-1, w), fallback)
 
 
 def project_labels(ref_map, disparities, angular_dims):
@@ -297,7 +268,15 @@ def project_labels(ref_map, disparities, angular_dims):
     pixels never meet.  Unlabeled target pixels are
     filled by iterated majority vote over labeled 4-neighbors (ties to the
     smallest label); a view left entirely unlabeled falls back to the
-    reference map.  All views are one :func:`project_regions` stack.
+    reference map.
+
+    All non-reference views are one (views - 1, H + 1, W) stack whose pad
+    row under each view reads -2.  Each label is written into all views
+    in one scatter, in ascending disparity so that the last write is the
+    largest; then one :func:`fill_holes` runs on the stack.  The pad rows
+    keep 4-neighbour fills inside their own view, and a view whose fill
+    stalls never changes again, so the one stall fallback gives its holes
+    what a fill of that view alone would give them.
     """
     ref = ref_map.reference
     count = ref_map.label_count
@@ -307,47 +286,44 @@ def project_labels(ref_map, disparities, angular_dims):
     h, w = ref.shape
     s_count, t_count = angular_dims
     n_views = s_count * t_count
-    # scatter order: ascending disparity, so the last write is the largest
-    order = sorted(range(count), key=disparities.__getitem__)
     regions = label_regions(ref, count)
     grid = np.full((n_views - 1, h + 1, w), -1, dtype=np.int64)
     grid[:, h] = -2
+    views = np.arange(n_views - 1)[:, None]
+    for l in sorted(range(count), key=disparities.__getitem__):
+        shifts = label_shifts(disparities[l], n_views, t_count)
+        ty = regions[l][:, 0] - shifts[:, :1]
+        tx = regions[l][:, 1] - shifts[:, 1:]
+        ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
+        grid[np.broadcast_to(views, ok.shape)[ok], ty[ok], tx[ok]] = l
     padded = np.vstack([ref, np.full((1, w), -2, dtype=np.int64)])
-    project_regions(
-        grid,
-        0,
-        ((l, regions[l], label_shifts(disparities[l], n_views, t_count)) for l in order),
-        np.tile(padded, (n_views - 1, 1)),
-    )
+    fill_holes(grid.reshape(-1, w), np.tile(padded, (n_views - 1, 1)))
     return SegmentationMap(np.concatenate([ref[None], grid[:, :h]]), count)
 
 
-def fill_holes(grid, fallback):
-    """In-place majority fill of the -1 cells of a label grid.
+def fill_cells(flat, cells, stride):
+    """In-place majority fill of the -1 cells ``cells`` of a flat label
+    array whose 4-neighbours lie 1 and ``stride`` apart (a scalar, or one
+    stride per cell); every neighbour of a listed cell must lie inside
+    ``flat``.
 
     Each synchronous round gives every hole the most frequent label among
     its labeled (>= 0) 4-neighbors, ties to the smallest label.  Cells
-    below -1 are outside the region: never filled, never counted.  When a
-    round assigns nothing, the remaining holes take ``fallback`` (a scalar
-    or a grid-shaped array).
+    below -1 are outside the region: never filled, never counted.  The
+    first round that assigns nothing ends the fill and leaves the
+    remaining holes at -1.  Parts of the array that -2 cells keep apart
+    fill as each would alone: a part in which a round assigns nothing
+    never changes again, so its holes stay where its own fill stalls.
 
-    A round gathers the four neighbors of every hole at once from a copy
-    of the grid padded with outside cells, as a (holes, 4) array in which
-    each unlabeled neighbor becomes a distinct value above every label.
-    In a sorted row s0 <= s1 <= s2 <= s3 the majority, ties to the
-    smallest, is s1 when s1 == s2 (no other value can then reach its
-    count), else s2 when s2 == s3 and s0 != s1, else s0; it is an
-    unlabeled value exactly when the hole has no labeled neighbor.
+    A round gathers the four neighbors of every hole at once, as a
+    (holes, 4) array in which each unlabeled neighbor becomes a distinct
+    value above every label.  In a sorted row s0 <= s1 <= s2 <= s3 the
+    majority, ties to the smallest, is s1 when s1 == s2 (no other value
+    can then reach its count), else s2 when s2 == s3 and s0 != s1, else
+    s0; it is an unlabeled value exactly when the hole has no labeled
+    neighbor.
     """
-    cells = np.flatnonzero(grid == -1)
-    if not cells.size:
-        return
-    h, w = grid.shape
-    work = np.full((h + 2, w + 2), -2, dtype=grid.dtype)
-    work[1:-1, 1:-1] = grid
-    flat = work.ravel()
-    cells += (cells // w) * 2 + w + 3  # grid index -> padded index
-    steps = np.array([-(w + 2), w + 2, -1, 1])
+    steps = np.multiply.outer(stride, [-1, 1, 0, 0]) + [0, 0, -1, 1]
     while cells.size:
         near = flat[cells[:, None] + steps]
         near = np.where(near >= 0, near, _UNLABELED)
@@ -356,13 +332,26 @@ def fill_holes(grid, fallback):
         label = np.where(s1 == s2, s1, np.where((s2 == s3) & (s0 != s1), s2, s0))
         filled = label < _UNLABELED[0]
         if not filled.any():
-            inner = work[1:-1, 1:-1]
-            mask = inner == -1
-            inner[mask] = np.broadcast_to(fallback, grid.shape)[mask]
-            break
+            return
         flat[cells[filled]] = label[filled]
         cells = cells[~filled]
+        if steps.ndim == 2:
+            steps = steps[~filled]
+
+
+def fill_holes(grid, fallback):
+    """In-place majority fill of the -1 cells of a 2-D label grid, by
+    :func:`fill_cells` on a copy padded with outside cells; the holes left
+    when a round assigns nothing take ``fallback`` (a scalar or a
+    grid-shaped array)."""
+    h, w = grid.shape
+    work = np.full((h + 2, w + 2), -2, dtype=grid.dtype)
+    work[1:-1, 1:-1] = grid
+    flat = work.ravel()
+    fill_cells(flat, np.flatnonzero(flat == -1), w + 2)
     grid[...] = work[1:-1, 1:-1]
+    stalled = grid == -1
+    grid[stalled] = np.broadcast_to(fallback, grid.shape)[stalled]
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,15 @@ higher neighbors, in preference order (weight descending, then index),
 and takes the first unmatched one: every lower neighbor of a vertex is
 already matched when the scan reaches it, so this is exactly the scan
 over all neighbors, run as one forward walk over the edge list.
+
+Partitioning bisects a super-ray's reference region recursively and
+hands each non-reference pixel to the child whose projected reference
+pixels reach it, or by majority fill.  Both codec sides walk the split
+trees of all super-rays at once, breadth first: stacked reprojections of
+up to ``_SPLIT_ROWS`` pixel rows split the nodes of one tree depth
+together, and each child keeps the canonical order of its parent's
+rows.  The trees
+themselves are kept and transmitted in depth-first preorder.
 """
 
 from dataclasses import dataclass
@@ -47,13 +56,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DecompositionError
-from .segmentation import SuperRay, label_shifts, project_regions
+from .segmentation import SuperRay, fill_cells, label_shifts
 
 _EIG_RECON_TOL = 1e-8
 _EIG_ORTHO_TOL = 1e-8
 _EIG_CLUSTER_TOL = 1e-9
 _EIG_PICK_TOL = 1e-7
 _EIG_STACK_BYTES = 1 << 18  # matrices per stacked call: bounds the scratch memory
+_SPLIT_ROWS = 1 << 16  # pixel rows per stacked reprojection: bounds the scratch memory
 
 
 @dataclass
@@ -405,94 +415,208 @@ def uncoarsen_signal(coarse_f, cmap: CoarseningMap):
 
 @dataclass
 class PartitionResult:
-    """Leaves of the recursive split and the DFS split tree (1 = internal,
-    0 = leaf)."""
+    """Leaves of the recursive splits of a list of super-rays, in
+    super-ray order and depth-first order inside each, and one split tree
+    per super-ray in DFS preorder (1 = internal, 0 = leaf)."""
 
     parts: list
-    tree: list
+    trees: list
 
 
-def _split_reference(ref):
-    """Bisect a reference region, rows ending in (y, x), at the lower-median
-    coordinate of its longer bounding-box axis (ties to x); None if
-    unsplittable."""
-    ys, xs = ref[:, -2], ref[:, -1]
-    w_extent = int(xs.max() - xs.min())
-    h_extent = int(ys.max() - ys.min())
-    axes = [-1, -2] if w_extent >= h_extent else [-2, -1]
-    for axis in axes:
-        coords = ref[:, axis]
-        cut = np.sort(coords)[(coords.size - 1) // 2]
-        mask = coords <= cut
-        if 0 < mask.sum() < coords.size:
-            return ref[mask], ref[~mask]
-    return None
+def _bisect(ref, node, count):
+    """Bisect each of ``count`` reference regions at the lower-median
+    coordinate of its longer bounding-box axis (ties to x), the other axis
+    when that cut leaves one side empty.  ``ref`` holds (view, y, x) rows
+    node by node, ``node`` each row's node, and every node has a row.
+    Returns (whether each node can be split, per row whether it goes to
+    the first child, the side at or below the cut).
+
+    One sort per axis lists each node's coordinates in order, so
+    the lower median of a node of n rows is its ((n - 1) // 2)-th."""
+    n = np.bincount(node, minlength=count)
+    lo = np.cumsum(n) - n
+    side, splits, extent = [], [], []
+    for coords in (ref[:, 2], ref[:, 1]):
+        median = coords[np.lexsort((coords, node))[lo + (n - 1) // 2]]
+        below = coords <= median[node]
+        k = np.bincount(node[below], minlength=count)
+        side.append(below)
+        splits.append((k > 0) & (k < n))
+        extent.append(np.maximum.reduceat(coords, lo) - np.minimum.reduceat(coords, lo))
+    (by_x, by_y), (ok_x, ok_y) = side, splits
+    use_x = ok_x & ((extent[0] >= extent[1]) | ~ok_y)
+    return ok_x | ok_y, np.where(use_x[node], by_x, by_y)
 
 
-def _reproject_children(sr, child_refs, angular_dims):
-    """Distribute the parent's non-reference pixels among child reference
-    regions: one :func:`project_regions` over the non-reference views,
-    whose (views - 1, H + 1, W) grid spans the bounding box of all the
-    parent's pixels (-1 a hole, -2 outside the parent), stalled holes to
-    child 0.  The children share the parent's shifts, so their writes
-    never conflict.  Each child is its reference rows followed by one
-    ``argwhere`` of the grid, which lists the other views' rows in
-    canonical order."""
+def _split_level(rows, node, child, shifts, n_views):
+    """Split nodes in one stacked reprojection.
+
+    ``rows`` holds the nodes' (view, y, x) rows node by node, each in
+    canonical order, ``node`` each row's node, ``child`` each reference
+    row's child (node j's children are 2j and 2j + 1, the first the side
+    at or below the cut; other rows' entries are overwritten) and
+    ``shifts`` each node's (views - 1, 2) label shifts.  Returns the
+    children's rows, child by child, and their sizes.
+
+    Node j gets a block of the flat plane: its (views - 1, h + 1, w)
+    bounding box with row stride w + 1, under a leading pad row; the pad
+    column, the pad row under each view and every cell that is not one
+    of the node's pixels read -2, its pixels -1.  The children's
+    reference rows are written at their node's shifts in one scatter:
+    children of one node share its shifts and hold distinct reference
+    pixels, and blocks are disjoint, so no two writes meet.  One
+    :func:`fill_cells` fills every block; a block's holes left when it
+    stalls take its child 0.  A stable sort of all rows by child then
+    lists each child's reference rows and, in canonical order, its other
+    views' rows.
+    """
+    count = shifts.shape[0]
+    sizes = np.bincount(node, minlength=count)
+    lo = np.cumsum(sizes) - sizes
+    origin = [np.minimum.reduceat(rows[:, a], lo) for a in (1, 2)]
+    h, w = [np.maximum.reduceat(rows[:, a], lo) - o + 1 for a, o in zip((1, 2), origin)]
+    stride = w + 1
+    area = stride * (1 + (n_views - 1) * (h + 1))
+    # cell of (view v >= 1, y, x) in block j: corner[j] + stride[j] * (v * (h[j] + 1) + y) + x
+    corner = np.cumsum(area) - area - stride * (h + origin[0]) - origin[1]
+    plane = np.full(area.sum(), -2, dtype=np.int64)
+
+    ref = rows[:, 0] == 0
+    other = ~ref
+    # every pixel of a non-reference view is a hole until a child claims it
+    on = node[other]
+    cells = corner[on] + stride[on] * (rows[other, 0] * (h[on] + 1) + rows[other, 1])
+    cells += rows[other, 2]
+    plane[cells] = -1
+
+    # every reference row, at its node's shift in each other view
+    b = node[ref][:, None]
+    ty = rows[ref, 1:2] - shifts[b[:, 0], :, 0]
+    tx = rows[ref, 2:3] - shifts[b[:, 0], :, 1]
+    ok = (ty >= origin[0][b]) & (ty < origin[0][b] + h[b])
+    ok &= (tx >= origin[1][b]) & (tx < origin[1][b] + w[b])
+    targets = (corner[b] + stride[b] * (np.arange(1, n_views) * (h[b] + 1) + ty) + tx)[ok]
+    value = np.broadcast_to(child[ref][:, None], ok.shape)[ok]
+    inside = plane[targets] != -2
+    plane[targets[inside]] = value[inside]
+
+    holes = plane[cells] == -1
+    fill_cells(plane, cells[holes], stride[on][holes])
+    claimed = plane[cells]
+    stalled = claimed == -1
+    claimed[stalled] = 2 * on[stalled]
+    child[other] = claimed
+    order = np.argsort(child, kind="stable")
+    return rows[order], np.bincount(child, minlength=2 * count)
+
+
+def _level_walk(srs, angular_dims, wants):
+    """The split walk both codec sides run, breadth first over the split
+    trees of all of ``srs`` at once: per depth, one :func:`_split_level`
+    per run of splitting nodes that holds about ``_SPLIT_ROWS`` rows.
+
+    A node is (super-ray index, path), the path being the child indices
+    (0 for the side at or below the cut) from the root; depth-first
+    preorder is the order of the paths.  ``wants(nodes, sizes)`` says
+    which nodes of a depth ask to split; a node splits when it asks and
+    :func:`_bisect` can split its reference region.  Returns ({node: 1 if
+    it split, 0 if a leaf}, {leaf node: SuperRay}, the set of super-ray
+    indices with a node that asked to split and could not).
+    """
     n_views = angular_dims[0] * angular_dims[1]
-    yx = sr.pixels[:, 1:]
-    origin = yx.min(axis=0)
-    h, w = yx.max(axis=0) - origin + 1
-    # grid cell of each row: view 1 is grid layer 0
-    offset = np.array([1, *origin])
-    grid = np.full((n_views - 1, h + 1, w), -2, dtype=np.int64)
-    grid[tuple((sr.pixels[sr.reference.shape[0] :] - offset).T)] = -1
-    shifts = label_shifts(sr.disparity, n_views, angular_dims[1])
-    project_regions(
-        grid, origin, ((c, ref[:, 1:], shifts) for c, ref in enumerate(child_refs)), 0
+    shifts = label_shifts(
+        np.array([sr.disparity for sr in srs])[:, None, None], n_views, angular_dims[1]
     )
-    return [
-        SuperRay(sr.label, np.concatenate([ref, np.argwhere(grid == c) + offset]), sr.disparity)
-        for c, ref in enumerate(child_refs)
-    ]
+    nodes = [(k, ()) for k in range(len(srs))]
+    rows = np.concatenate([sr.pixels for sr in srs] or [np.zeros((0, 3), dtype=np.int64)])
+    sizes = np.array([sr.total_pixels for sr in srs], dtype=np.int64)
+    bits, leaves, stuck = {}, {}, set()
+    while nodes:
+        node = np.repeat(np.arange(len(nodes)), sizes)
+        ref = rows[:, 0] == 0
+        can, first = _bisect(rows[ref], node[ref], len(nodes))
+        asks = wants(nodes, sizes)
+        split = asks & can
+        stops = np.cumsum(sizes)
+        for (k, path), s, a, lo, hi in zip(nodes, split.tolist(), asks.tolist(),
+                                           (stops - sizes).tolist(), stops.tolist()):
+            bits[k, path] = int(s)
+            if not s:
+                sr = srs[k]
+                leaves[k, path] = SuperRay(sr.label, rows[lo:hi].copy(), sr.disparity)
+                if a:
+                    stuck.add(k)
+        if not split.any():
+            break
+        parents = [nd for nd, s in zip(nodes, split) if s]
+        level_shifts = shifts[[k for k, _ in parents]]
+        kept = split[node]
+        first = first[split[node[ref]]]
+        rows, node = rows[kept], (np.cumsum(split) - 1)[node[kept]]
+        child = 2 * node
+        child[rows[:, 0] == 0] += ~first
+        sizes = sizes[split]
+        # runs of whole nodes, each starting in its own _SPLIT_ROWS window
+        starts = np.cumsum(sizes) - sizes
+        cuts = np.flatnonzero(np.diff(starts // _SPLIT_ROWS)) + 1
+        child_sizes = []
+        for j0, j1 in zip([0, *cuts.tolist()], [*cuts.tolist(), len(parents)]):
+            # a run's children hold exactly its rows, so they take its place
+            lo, hi = starts[j0], starts[j1 - 1] + sizes[j1 - 1]
+            rows[lo:hi], run_sizes = _split_level(
+                rows[lo:hi], node[lo:hi] - j0, child[lo:hi] - 2 * j0,
+                level_shifts[j0:j1], n_views,
+            )
+            child_sizes.append(run_sizes)
+        sizes = np.concatenate(child_sizes)
+        nodes = [(k, path + (c,)) for k, path in parents for c in (0, 1)]
+    return bits, leaves, stuck
 
 
-def _split_walk(sr, angular_dims, split_here):
-    """The split recursion both codec sides run: depth first from ``sr``,
-    bisect each node for which ``split_here(node)`` holds and whose
-    reference region :func:`_split_reference` can split.  Returns (leaves,
-    tree bits in DFS order: 1 for a node that split, 0 for a leaf)."""
-    parts, tree = [], []
-
-    def walk(node):
-        split = _split_reference(node.reference) if split_here(node) else None
-        tree.append(int(split is not None))
-        if split is None:
-            parts.append(node)
-            return
-        for child in _reproject_children(node, split, angular_dims):
-            walk(child)
-
-    walk(sr)
-    return parts, tree
-
-
-def partition_super_ray(sr: SuperRay, max_vertices: int, angular_dims) -> PartitionResult:
-    """Recursively split a super-ray until every part has at most
+def partition_super_ray(srs, max_vertices: int, angular_dims) -> PartitionResult:
+    """Recursively split each super-ray until every part has at most
     ``max_vertices`` total vertices or an unsplittable reference region."""
     s_count, t_count = angular_dims
     if max_vertices < s_count * t_count:
         raise ValueError("max_vertices must be at least the view count")
-    parts, tree = _split_walk(sr, angular_dims, lambda node: node.total_pixels > max_vertices)
-    return PartitionResult(parts=parts, tree=tree)
+    bits, leaves, _ = _level_walk(srs, angular_dims, lambda nodes, sizes: sizes > max_vertices)
+    trees = [[] for _ in srs]
+    for k, path in sorted(bits):
+        trees[k].append(bits[k, path])
+    return PartitionResult(parts=[leaves[key] for key in sorted(leaves)], trees=trees)
 
 
-def partition_with_tree(sr: SuperRay, tree, angular_dims) -> list:
-    """Replay a transmitted split tree (decoder side): split where the next
-    bit is 1, no size checks.  Raises ValueError unless the walk reproduces
-    ``tree`` exactly, which rejects a truncated tree, trailing bits and a 1
-    on an unsplittable node."""
-    bits = iter(tree)
-    parts, walked = _split_walk(sr, angular_dims, lambda node: next(bits, 0) == 1)
-    if walked != list(tree):
-        raise ValueError("split tree does not match super-ray geometry")
-    return parts
+def _tree_paths(tree):
+    """({path: bit} of a DFS-preorder split tree, the fault that makes it
+    no whole tree: 'split tree truncated', 'split tree has trailing bits'
+    or None)."""
+    bits, open_paths = {}, [()]
+    for bit in tree:
+        if not open_paths:
+            return bits, "split tree has trailing bits"
+        path = open_paths.pop()
+        bits[path] = bit
+        if bit:
+            open_paths += [path + (1,), path + (0,)]
+    return bits, "split tree truncated" if open_paths else None
+
+
+def partition_with_tree(srs, trees, angular_dims) -> list:
+    """Replay transmitted split trees (decoder side), one per super-ray:
+    split where the tree says 1, no size checks.  Raises ValueError for
+    the first super-ray whose tree the walk does not reproduce: 'split
+    tree does not match super-ray geometry' for a 1 on an unsplittable
+    node, else 'split tree truncated' or 'split tree has trailing bits'."""
+    if len(trees) != len(srs):
+        raise ValueError(f"{len(trees)} split trees for {len(srs)} super-rays")
+    parsed = [_tree_paths(tree) for tree in trees]
+    _, leaves, stuck = _level_walk(
+        srs, angular_dims,
+        lambda nodes, sizes: np.array([bool(parsed[k][0].get(p, 0)) for k, p in nodes]),
+    )
+    for k, (_, fault) in enumerate(parsed):
+        if k in stuck:
+            raise ValueError("split tree does not match super-ray geometry")
+        if fault:
+            raise ValueError(fault)
+    return [leaves[key] for key in sorted(leaves)]

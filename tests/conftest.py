@@ -24,7 +24,6 @@ from srgc.spectral import (
     Laplacian,
     LocalGraph,
     PartitionResult,
-    _split_reference,
     coarsen,
     eigendecompose_all,
     laplacian,
@@ -555,10 +554,28 @@ def fill_holes_oracle(grid, fallback):
             grid[y, x] = lbl
 
 
+def split_reference_oracle(ref):
+    """Oracle: the per-node bisection ``spectral._bisect`` replaced.  Cut a
+    reference region, rows ending in (y, x), at the lower-median
+    coordinate of its longer bounding-box axis (ties to x); None if
+    unsplittable."""
+    ys, xs = ref[:, -2], ref[:, -1]
+    w_extent = int(xs.max() - xs.min())
+    h_extent = int(ys.max() - ys.min())
+    axes = [-1, -2] if w_extent >= h_extent else [-2, -1]
+    for axis in axes:
+        coords = ref[:, axis]
+        cut = np.sort(coords)[(coords.size - 1) // 2]
+        mask = coords <= cut
+        if 0 < mask.sum() < coords.size:
+            return ref[mask], ref[~mask]
+    return None
+
+
 def reproject_children_oracle(sr, child_refs, angular_dims):
-    """Oracle: the view-by-view reprojection that
-    ``spectral._reproject_children`` replaced, one grid over each view's
-    own bounding box and one :func:`fill_holes` per view; identical
+    """Oracle: the view-by-view reprojection of one split, one grid over
+    each view's own bounding box and one :func:`fill_holes` per view, as
+    before the stacked reprojection of ``spectral._split_level``; identical
     output required.  ``child_refs`` are rows ending in (y, x)."""
     n_views, t_count = angular_dims[0] * angular_dims[1], angular_dims[1]
     parents = per_view(sr, n_views)
@@ -593,7 +610,7 @@ def _partition_recurse_oracle(sr, angular_dims, tree, parts, should_split, warne
         tree.append(0)
         parts.append(sr)
         return warned
-    split = _split_reference(per_view(sr, 1)[0])
+    split = split_reference_oracle(per_view(sr, 1)[0])
     if split is None:
         tree.append(0)
         parts.append(sr)
@@ -607,9 +624,10 @@ def _partition_recurse_oracle(sr, angular_dims, tree, parts, should_split, warne
 
 
 def partition_super_ray_oracle(sr, max_vertices, angular_dims):
-    """Oracle: the encoder's own split recursion ``spectral._split_walk``
-    replaced.  Returns (PartitionResult, warned), warned when a part over
-    the bound could not be split."""
+    """Oracle: the encoder's depth-first split recursion of one super-ray,
+    which the breadth-first ``spectral._level_walk`` over all super-rays
+    replaced.  Returns (PartitionResult of ``sr`` alone, warned), warned
+    when a part over the bound could not be split."""
     s_count, t_count = angular_dims
     if max_vertices < s_count * t_count:
         raise ValueError("max_vertices must be at least the view count")
@@ -617,11 +635,12 @@ def partition_super_ray_oracle(sr, max_vertices, angular_dims):
     warned = _partition_recurse_oracle(
         sr, angular_dims, tree, parts, lambda r: r.total_pixels > max_vertices, warned=False
     )
-    return PartitionResult(parts=parts, tree=tree), warned
+    return PartitionResult(parts=parts, trees=[tree]), warned
 
 
 def partition_with_tree_oracle(sr, tree, angular_dims):
-    """Oracle: the decoder's own split recursion ``spectral._split_walk``
+    """Oracle: the decoder's depth-first replay of one super-ray's tree,
+    which the breadth-first ``spectral._level_walk`` over all super-rays
     replaced, with its three ValueError messages."""
     pos = [0]
 
@@ -632,7 +651,7 @@ def partition_with_tree_oracle(sr, tree, angular_dims):
         pos[0] += 1
         if bit == 0:
             return [node]
-        split = _split_reference(per_view(node, 1)[0])
+        split = split_reference_oracle(per_view(node, 1)[0])
         if split is None:
             raise ValueError("split tree does not match super-ray geometry")
         out = []
@@ -644,6 +663,25 @@ def partition_with_tree_oracle(sr, tree, angular_dims):
     if pos[0] != len(tree):
         raise ValueError("split tree has trailing bits")
     return parts
+
+
+def partition_super_rays_oracle(srs, max_vertices, angular_dims):
+    """:func:`partition_super_ray_oracle` over a list of super-rays, one
+    after another: (PartitionResult of all of them, warned per super-ray)."""
+    results = [partition_super_ray_oracle(sr, max_vertices, angular_dims) for sr in srs]
+    return PartitionResult(
+        parts=[p for res, _ in results for p in res.parts],
+        trees=[res.trees[0] for res, _ in results],
+    ), [warned for _, warned in results]
+
+
+def partition_with_trees_oracle(srs, trees, angular_dims):
+    """:func:`partition_with_tree_oracle` over a list of super-rays, one
+    after another: all parts, or the first super-ray's ValueError."""
+    return [
+        p for sr, tree in zip(srs, trees, strict=True)
+        for p in partition_with_tree_oracle(sr, tree, angular_dims)
+    ]
 
 
 def label_disparities_oracle(seg, dmap):

@@ -221,6 +221,19 @@ class TestDeterminism:
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
+    def test_bin_width_beyond_cast_range_exit_2(self, scene_dir, tmp_path, capsys):
+        """``--bin-width 1e-300`` puts the pair MSEs in histogram bins
+        beyond int64: encode exits 2 with the grouping's message, raising no
+        numpy warning on the way."""
+        out = tmp_path / "narrow.srgc"
+        code = main(["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+                     "--q-gft", "16", "--slic-k", "8", "--n-target", "128",
+                     "--bin-width", "1e-300", "--out", str(out)])
+        assert code == 2
+        assert "bin width 1e-300" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
     def test_step_beyond_cast_range_exit_2(self, scene_dir, tmp_path, capsys):
         """``--q-gft 1e-300`` gives levels beyond int64: encode exits 2 with
         the quantizer's message, raising no numpy warning on the way."""

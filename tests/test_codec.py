@@ -2,6 +2,7 @@
 
 import dataclasses
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import srgc.grouping as grouping
 import srgc.spectral as spectral
 from srgc.bitstream import (
     MAGIC,
+    SEC_COEFFICIENTS,
     SEC_GROUPS,
     SEC_RESIDUALS,
     SEC_STRUCTURE,
@@ -47,8 +49,8 @@ from conftest import (
     graph_structure_oracle,
     label_disparities_oracle,
     lf_equal,
-    partition_super_ray_oracle,
-    partition_with_tree_oracle,
+    partition_super_rays_oracle,
+    partition_with_trees_oracle,
     project_labels_oracle,
     random_lf,
     segmentation_from_symbols_oracle,
@@ -365,7 +367,7 @@ class TestModes:
             "grouping", "residuals", "entropy",
         ]
         assert list(dec_rep.times) == [
-            "segmentation", "projection", "graphs", "coarsen", "dequantize",
+            "entropy", "segmentation", "projection", "graphs", "coarsen", "dequantize",
             "grouping", "eigen", "reconstruct", "assembly",
         ]
         for rep in (enc_rep, dec_rep):
@@ -374,6 +376,27 @@ class TestModes:
                 line.split("=")[0] for line in rep.to_lines()
             }
 
+    def test_section_decoding_is_its_own_stage(self, monkeypatch):
+        """Every section's entropy decoding is charged to ``entropy`` and to
+        no other stage, and the stages still add up to the decode."""
+        lf, dmap = small_scene()
+        stream, _ = encode(lf, dmap, CFG)
+        calls = []
+
+        def slow(*args):
+            calls.append(args)
+            time.sleep(0.05)
+            return entropy_decode(*args)
+
+        monkeypatch.setattr(codec, "entropy_decode", slow)
+        start = time.perf_counter()
+        _, rep = decode(stream)
+        wall = time.perf_counter() - start
+        assert len(calls) == 6
+        assert rep.times["entropy"] >= 0.05 * len(calls)
+        assert all(t < 0.05 for k, t in rep.times.items() if k != "entropy")
+        assert sum(rep.times.values()) <= wall
+
     def test_levels_beyond_coder_range_refused(self):
         """At a step this fine the GFT levels reach 2**49 or more, whose
         unary prefix the decoder rejects; encode refuses the stream."""
@@ -381,6 +404,15 @@ class TestModes:
         cfg = CodecConfig(slic_k=16, n_target=64, q_gft=1e-12)
         with pytest.raises(ValueError, match="2\\*\\*49"):
             encode(lf, dmap, cfg)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bin_width_beyond_cast_range_refused_without_warning(self):
+        """At ``bin_width=1e-300`` the pair MSEs fall in histogram bins
+        beyond int64: the encoder refuses the config before the cast
+        instead of coding groups from a wrapped threshold."""
+        lf, dmap = small_scene(seed=9)
+        with pytest.raises(ValueError, match="bin width 1e-300 .*2\\*\\*62"):
+            encode(lf, dmap, dataclasses.replace(CFG, bin_width=1e-300))
 
     @pytest.mark.filterwarnings("error")
     def test_step_beyond_cast_range_refused_without_warning(self):
@@ -548,6 +580,22 @@ class TestCorruptPayloads:
         path = tmp_path / "single.srgc"
         path.write_bytes(serialize(regroup([(3, (0, 1, 2, 3, 4, 5)), (6, (6,))])))
         assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_coefficient_flip_beyond_bin_range(self):
+        """One flipped coefficient bit dequantizes to a level whose pair
+        MSEs fall in bins beyond int64: the decoder refuses the stream
+        before the cast."""
+        lf, dmap = small_scene()
+        stream, _ = encode(lf, dmap, CFG)
+        payload = bytearray(stream.sections[SEC_COEFFICIENTS])
+        payload[4] ^= 1 << 6  # the first byte after the symbol count
+        broken = Bitstream(
+            header=stream.header,
+            sections={**stream.sections, SEC_COEFFICIENTS: bytes(payload)},
+        )
+        with pytest.raises(CorruptStreamError, match="2\\*\\*62"):
+            decode(broken)
 
     def test_header_label_count_beyond_pixels(self):
         """A label count above W*H is rejected before it sizes any array."""
@@ -901,10 +949,10 @@ def test_canonicalization_matches_oracle_end_to_end(case, monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_structure_pipeline_matches_oracles_end_to_end(case, monkeypatch):
-    """The one split walk, the one label->pixels pass and the one stacked
-    label projection leave every stream byte and decoded sample as the
-    per-side recursions, per-label scans and per-view projection they
-    replaced produce them."""
+    """The level walk over all split trees, the one label->pixels pass and
+    the one stacked label projection leave every stream byte and decoded
+    sample as the per-super-ray depth-first recursions, per-label scans
+    and per-view projection they replaced produce them."""
     lf, dmap, cfg = ORACLE_CASES[case]()
     solved = _solve_once(monkeypatch)
     data, rec = _round_trip(lf, dmap, cfg)
@@ -912,9 +960,9 @@ def test_structure_pipeline_matches_oracles_end_to_end(case, monkeypatch):
     monkeypatch.setattr(codec, "project_labels", project_labels_oracle)
     monkeypatch.setattr(codec, "assemble_super_rays", assemble_super_rays_oracle)
     monkeypatch.setattr(
-        codec, "partition_super_ray", lambda *args: partition_super_ray_oracle(*args)[0]
+        codec, "partition_super_ray", lambda *args: partition_super_rays_oracle(*args)[0]
     )
-    monkeypatch.setattr(codec, "partition_with_tree", partition_with_tree_oracle)
+    monkeypatch.setattr(codec, "partition_with_tree", partition_with_trees_oracle)
     want_data, want_rec = _round_trip(lf, dmap, cfg)
     assert solved
     assert data == want_data

@@ -81,6 +81,17 @@ class TestSelectThreshold:
         with pytest.raises(ValueError):
             select_threshold(_pw({}, 1), 5.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_bin_index_beyond_int64_refused(self):
+        """A bin index of 2**62 or more, or one that is not finite, is
+        refused before the cast, which would warn and wrap."""
+        with pytest.raises(ValueError, match="2\\*\\*62"):
+            select_threshold(_pw({(0, 1): 1.0}, 2), 1e-300)
+        for mse in (2.0**62 * 5.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="2\\*\\*62"):
+                select_threshold(_pw({(0, 1): mse}, 2), 5.0)
+        assert select_threshold(_pw({(0, 1): 2.0**61 * 5.0}, 2), 5.0) == 5.0 * (2.0**61 + 1)
+
 
 class TestOneLevelGroups:
     def test_none_under_threshold(self):

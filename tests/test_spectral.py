@@ -12,8 +12,6 @@ from srgc.spectral import (
     _apply_sign_convention,
     _canonical_cluster_bases,
     _cluster_bounds,
-    _reproject_children,
-    _split_reference,
     LocalGraph,
     coarse_mean_signal,
     coarsen,
@@ -44,10 +42,11 @@ from conftest import (
     label_shift,
     laplacian_oracle,
     make_lf,
-    partition_super_ray_oracle,
-    partition_with_tree_oracle,
+    partition_super_rays_oracle,
+    partition_with_trees_oracle,
     per_view,
     reproject_children_oracle,
+    split_reference_oracle,
     super_ray,
     supernodes,
 )
@@ -738,13 +737,13 @@ def _rect_sr(w, h, views=1, disparity=0.0):
 class TestPartition:
     def test_identity_under_bound(self):
         sr = _rect_sr(4, 4)
-        res = partition_super_ray(sr, 64, (1, 1))
-        assert len(res.parts) == 1 and res.tree == [0]
+        res = partition_super_ray([sr], 64, (1, 1))
+        assert len(res.parts) == 1 and res.trees == [[0]]
         assert res.parts[0].total_pixels == sr.total_pixels <= 64
 
     def test_8x8_split_in_two(self):
         sr = _rect_sr(8, 8)
-        res = partition_super_ray(sr, 32, (1, 1))
+        res = partition_super_ray([sr], 32, (1, 1))
         assert len(res.parts) == 2
         assert [p.total_pixels for p in res.parts] == [32, 32]
 
@@ -752,7 +751,7 @@ class TestPartition:
         """Oracle = recursive split simulation: 16x4 under max 16 splits
         into four 4x4 parts."""
         sr = _rect_sr(16, 4)
-        res = partition_super_ray(sr, 16, (1, 1))
+        res = partition_super_ray([sr], 16, (1, 1))
         assert len(res.parts) == 4
         for p in res.parts:
             pix = per_view(p, 1)[0]
@@ -762,7 +761,7 @@ class TestPartition:
 
     def test_parts_partition_parent(self):
         sr = _rect_sr(9, 7, views=2, disparity=1.0)
-        res = partition_super_ray(sr, 40, (1, 2))
+        res = partition_super_ray([sr], 40, (1, 2))
         for v in range(2):
             parent = {tuple(p) for p in per_view(sr, 2)[v]}
             got = []
@@ -778,57 +777,73 @@ class TestPartition:
             [np.zeros(8, dtype=np.int64), np.arange(8, dtype=np.int64)]
         )
         sr = super_ray([ref, fat], 0.0)
-        res = partition_super_ray(sr, 4, (1, 2))
+        res = partition_super_ray([sr], 4, (1, 2))
         # the bound cannot be met: the one part keeps all 9 vertices
-        assert len(res.parts) == 1 and res.tree == [0]
+        assert len(res.parts) == 1 and res.trees == [[0]]
         assert res.parts[0].total_pixels == 9 > 4
 
     def test_tree_replay_matches(self):
         sr = _rect_sr(12, 10, views=2, disparity=0.5)
-        res = partition_super_ray(sr, 30, (1, 2))
-        replay = partition_with_tree(sr, res.tree, (1, 2))
+        res = partition_super_ray([sr], 30, (1, 2))
+        replay = partition_with_tree([sr], res.trees, (1, 2))
         assert len(replay) == len(res.parts)
         for a, b in zip(res.parts, replay):
             assert np.array_equal(a.pixels, b.pixels)
 
     def test_max_vertices_respected(self):
         sr = _rect_sr(20, 20, views=3)
-        res = partition_super_ray(sr, 100, (1, 3))
-        assert len(res.parts) == res.tree.count(0) > 1
+        res = partition_super_ray([sr], 100, (1, 3))
+        assert len(res.parts) == res.trees[0].count(0) > 1
         assert sum(p.total_pixels for p in res.parts) == sr.total_pixels
         for p in res.parts:
             assert p.total_pixels <= 100
 
-
     def test_tree_replay_rejects_mismatched_trees(self):
         sr = _rect_sr(8, 8, views=2, disparity=0.5)
-        assert len(partition_with_tree(sr, [1, 0, 0], (1, 2))) == 2
+        assert len(partition_with_tree([sr], [[1, 0, 0]], (1, 2))) == 2
         for bad in ([], [1, 0], [1, 0, 0, 0], [0, 0]):
             with pytest.raises(ValueError, match="split tree"):
-                partition_with_tree(sr, bad, (1, 2))
+                partition_with_tree([sr], [bad], (1, 2))
         # a 1 on a single-pixel reference, which cannot be bisected
         dot = super_ray([per_view(sr, 1)[0][:1]] * 2, 0.0)
         with pytest.raises(ValueError, match="split tree"):
-            partition_with_tree(dot, [1, 0, 0], (1, 2))
+            partition_with_tree([dot], [[1, 0, 0]], (1, 2))
+        # one tree per super-ray
+        with pytest.raises(ValueError, match="1 split trees for 2 super-rays"):
+            partition_with_tree([sr, dot], [[0]], (1, 2))
+
+    def test_no_super_rays(self):
+        res = partition_super_ray([], 4, (1, 2))
+        assert res.parts == [] and res.trees == []
+        assert partition_with_tree([], [], (1, 2)) == []
 
 
-def _random_partition_case(rng, case):
-    """A random super-ray with holes, its grid and a vertex bound between
-    the view count and its size.  Fat views over thin references leave
-    single-pixel references above the bound (unsplittable nodes)."""
-    angular = ((1, 2), (2, 2), (2, 3), (3, 3))[case % 4]
-    n_views = angular[0] * angular[1]
-    disparity = (0.0, 0.5, 1.0, 1.5)[case // 4 % 4]
+def _random_holey_super_ray(rng, angular, disparity, label):
+    """Random per-view masks of one random box, each holding about
+    30-100% of its pixels, at least one in the reference view."""
     h, w = rng.integers(1, 10, size=2)
     views = []
-    for v in range(n_views):
+    for v in range(angular[0] * angular[1]):
         mask = rng.random((h, w)) < rng.uniform(0.3, 1.0)
         if v == 0:
             mask.flat[rng.integers(mask.size)] = True
         views.append(np.argwhere(mask).astype(np.int64))
-    sr = super_ray(views, disparity, label=case)
-    max_vertices = int(rng.integers(n_views, max(n_views, sr.total_pixels) + 1))
-    return sr, angular, max_vertices
+    return super_ray(views, disparity, label=label)
+
+
+def _random_batch(rng, case):
+    """One to five random super-rays of one angular grid, of independent
+    sizes, disparities and places (they may overlap: the walk keeps each
+    node's pixels apart), and a vertex bound between the view count and
+    the largest size."""
+    angular = ((1, 2), (2, 2), (2, 3), (3, 3))[case % 4]
+    n_views = angular[0] * angular[1]
+    srs = [
+        _random_holey_super_ray(rng, angular, float(rng.choice([0.0, 0.5, 1.0, 1.5])), label)
+        for label in range(int(rng.integers(1, 6)))
+    ]
+    largest = max(sr.total_pixels for sr in srs)
+    return srs, angular, int(rng.integers(n_views, max(n_views, largest) + 1))
 
 
 def _assert_same_parts(got, want):
@@ -838,49 +853,135 @@ def _assert_same_parts(got, want):
         assert a.pixels.dtype == b.pixels.dtype and np.array_equal(a.pixels, b.pixels)
 
 
+def _record_oracle_splits(monkeypatch):
+    """Record every split the per-super-ray oracles make, as (depth from
+    its super-ray's root, width of the parent's box, per non-reference
+    view with pixels the (assigning rounds, stalled) of its fill)."""
+    splits, depth = [], {}
+    reproject = conftest.reproject_children_oracle
+
+    def split(sr, child_refs, angular_dims):
+        d = depth[id(sr)][0] if id(sr) in depth else 0
+        xs = sr.pixels[:, 2]
+        splits.append((d, int(xs.max() - xs.min()) + 1, []))
+        children = reproject(sr, child_refs, angular_dims)
+        for child in children:
+            depth[id(child)] = (d + 1, child)  # the child pins its id
+        return children
+
+    def fill(grid, fallback):
+        splits[-1][2].append(_fill_rounds(grid))
+        fill_holes_oracle(grid, fallback)
+
+    monkeypatch.setattr(conftest, "reproject_children_oracle", split)
+    monkeypatch.setattr(conftest, "fill_holes", fill)
+    return splits
+
+
+def _depth_features(splits):
+    """(some depth splits parents of boxes of different widths, some depth
+    has a parent whose stacked fill stalls while another's still fills).
+    A parent's block assigns labels for as many rounds as its slowest
+    view and keeps holes when any view stalls."""
+    widths, stall_early = False, False
+    for d in {s[0] for s in splits}:
+        level = [s for s in splits if s[0] == d]
+        widths |= len({w for _, w, _ in level}) > 1
+        blocks = [
+            (max((r for r, _ in views), default=0), any(st for _, st in views))
+            for _, _, views in level
+        ]
+        stall_early |= any(
+            stalls and any(other > rounds for other, _ in blocks) for rounds, stalls in blocks
+        )
+    return widths, stall_early
+
+
 class TestSplitWalk:
-    def test_matches_recursion_oracles_on_random_super_rays(self):
+    def test_matches_recursion_oracles_on_random_super_rays(self, monkeypatch):
+        """Random batches of super-rays walked together give every member
+        the tree and parts that its own depth-first recursion gives it, on
+        both codec sides.  The cases include unsplittable nodes, depths
+        whose parents' boxes differ in width and depths at which one
+        parent's fill stalls while another's still fills."""
         rng = np.random.default_rng(21)
-        unsplittable = split = 0
-        for case in range(300):
-            sr, angular, max_vertices = _random_partition_case(rng, case)
-            got = partition_super_ray(sr, max_vertices, angular)
-            want, warned = partition_super_ray_oracle(sr, max_vertices, angular)
-            assert got.tree == want.tree
+        splits = _record_oracle_splits(monkeypatch)
+        seen = dict.fromkeys(["unsplittable", "split", "batch", "widths", "stall_early"], 0)
+        for case in range(200):
+            srs, angular, max_vertices = _random_batch(rng, case)
+            splits.clear()
+            want, warned = partition_super_rays_oracle(srs, max_vertices, angular)
+            widths, stall_early = _depth_features(splits)
+            got = partition_super_ray(srs, max_vertices, angular)
+            assert got.trees == want.trees
             _assert_same_parts(got.parts, want.parts)
             _assert_same_parts(
-                partition_with_tree(sr, got.tree, angular),
-                partition_with_tree_oracle(sr, want.tree, angular),
+                partition_with_tree(srs, got.trees, angular),
+                partition_with_trees_oracle(srs, want.trees, angular),
             )
-            unsplittable += warned
-            split += len(got.parts) > 1
-        assert unsplittable > 0 and split > 0
+            seen["unsplittable"] += any(warned)
+            seen["split"] += len(got.parts) > len(srs)
+            seen["batch"] += len(srs) > 1
+            seen["widths"] += widths
+            seen["stall_early"] += stall_early
+        assert all(seen.values()), seen
+
+    def test_runs_of_one_depth_split_as_one_stack(self, monkeypatch):
+        """With a row cap of a few rows, every depth splits its nodes in
+        several runs, and every member still gets its own recursion's
+        tree and parts."""
+        rng = np.random.default_rng(23)
+        monkeypatch.setattr(spectral, "_SPLIT_ROWS", 16)
+        calls = []
+        split_level = spectral._split_level
+
+        def spy(rows, node, child, shifts, n_views):
+            calls.append(shifts.shape[0])
+            return split_level(rows, node, child, shifts, n_views)
+
+        monkeypatch.setattr(spectral, "_split_level", spy)
+        for case in range(60):
+            srs, angular, max_vertices = _random_batch(rng, case)
+            want, _ = partition_super_rays_oracle(srs, max_vertices, angular)
+            got = partition_super_ray(srs, max_vertices, angular)
+            assert got.trees == want.trees
+            _assert_same_parts(got.parts, want.parts)
+            _assert_same_parts(partition_with_tree(srs, got.trees, angular), want.parts)
+        # runs of one node (a node above the cap) and of several
+        assert min(calls) == 1 and max(calls) > 1
 
     def test_replay_rejects_what_the_oracle_rejects(self):
-        """Truncated trees, trailing bits and flipped bits (a 1 on an
-        unsplittable node among them): the walk raises exactly when the old
-        replay did, and otherwise returns the same parts."""
+        """One member's tree of a batch truncated, extended or with a bit
+        flipped (a 1 on an unsplittable node among them): the walk raises
+        exactly when the per-super-ray replay does, with its message, and
+        otherwise returns the same parts."""
         rng = np.random.default_rng(22)
         reasons = {}
-        for case in range(200):
-            sr, angular, max_vertices = _random_partition_case(rng, case)
-            tree = partition_super_ray(sr, max_vertices, angular).tree
-            flipped = list(tree)
-            flipped[rng.integers(len(tree))] ^= 1
-            for bad in (tree[:-1], tree + [0], tree + [1, 0, 0], flipped):
+        lone_fault = 0
+        for case in range(150):
+            srs, angular, max_vertices = _random_batch(rng, case)
+            trees = partition_super_ray(srs, max_vertices, angular).trees
+            k = int(rng.integers(len(srs)))
+            flipped = list(trees[k])
+            flipped[rng.integers(len(flipped))] ^= 1
+            for bad in (trees[k][:-1], trees[k] + [0], trees[k] + [1, 0, 0], flipped):
+                edited = [*trees[:k], bad, *trees[k + 1 :]]
                 try:
-                    want = partition_with_tree_oracle(sr, bad, angular)
+                    want = partition_with_trees_oracle(srs, edited, angular)
                 except ValueError as e:
                     reasons[str(e)] = reasons.get(str(e), 0) + 1
-                    with pytest.raises(ValueError, match="split tree"):
-                        partition_with_tree(sr, bad, angular)
+                    lone_fault += len(srs) > 1
+                    with pytest.raises(ValueError) as got:
+                        partition_with_tree(srs, edited, angular)
+                    assert str(got.value) == str(e)
                     continue
-                _assert_same_parts(partition_with_tree(sr, bad, angular), want)
+                _assert_same_parts(partition_with_tree(srs, edited, angular), want)
         assert set(reasons) == {
             "split tree truncated",
             "split tree has trailing bits",
             "split tree does not match super-ray geometry",
         }, reasons
+        assert lone_fault > 0
 
 
 def _reproject_children_oracle(sr, child_refs, angular_dims):
@@ -938,7 +1039,7 @@ def _random_reprojection_case(rng, case):
         mask = rng.random((9, 11)) < (0.8 if v == 0 else 0.6)
         views.append(np.argwhere(mask).astype(np.int64))
     sr = super_ray(views, disparity, label=3)
-    split = _split_reference(sr.reference)
+    split = split_reference_oracle(sr.reference)
     assert split is not None
     return sr, split, angular
 
@@ -971,7 +1072,7 @@ class TestReprojection:
         for case in range(60):
             sr, split, angular = _random_reprojection_case(rng, case)
             want, hole, stall = _reproject_children_oracle(sr, split, angular)
-            got = _reproject_children(sr, split, angular)
+            got = partition_with_tree([sr], [[1, 0, 0]], angular)
             holes += hole
             stalls += stall
             for child, pixels in zip(got, want):
@@ -996,7 +1097,7 @@ class TestReprojection:
             sr, split, angular = _random_reprojection_case(rng, case)
             fills.append([])
             want = reproject_children_oracle(sr, split, angular)
-            _assert_same_parts(_reproject_children(sr, split, angular), want)
+            _assert_same_parts(partition_with_tree([sr], [[1, 0, 0]], angular), want)
         early = [
             views for views in fills
             if any(stall and any(r > rounds for r, _ in views) for rounds, stall in views)
