@@ -188,6 +188,8 @@ def _cmd_decode(args):
 
 
 def _cmd_analyze(args):
+    if bool(args.ref) != bool(args.rec):
+        raise _UsageError("analyze needs both --ref and --rec for PSNR")
     lines = []
     if args.input:
         with open(args.input, "rb") as f:

@@ -13,9 +13,12 @@ and eigendecomposes only ungrouped units plus one main per group.  Grouped
 members are reconstructed as rounded cross-basis prediction plus residual,
 which with raw residuals reproduces the coded unit signal exactly.
 
-Units often repeat whole graphs, and vertex ids are local to a unit, so
-units with one vertex count and edge list share a Laplacian and a
-bit-equal basis.  Each side coarsens each distinct pixel graph once and
+Each side builds the pixel graphs of all its units (super-rays, or
+partition parts) in one :func:`spectral.graph_structure` call, their
+disjoint union, and :func:`spectral.split_graph` gives each unit its own
+graph with local vertex ids.  Units often repeat whole graphs, so units
+with one vertex count and edge list share a Laplacian and a bit-equal
+basis.  Each side coarsens each distinct pixel graph once and
 runs its eigen stage once per stream, as one batched
 :func:`spectral.eigendecompose_all` call over the distinct graphs of the
 units it decomposes; every unit with that graph shares the result.  The
@@ -63,6 +66,7 @@ from .spectral import (
     laplacian,
     partition_super_ray,
     partition_with_tree,
+    split_graph,
     uncoarsen_signal,
 )
 from .transform import (
@@ -270,16 +274,18 @@ def _build_units(srs, angular_dims, mode, n_target, split, watch):
     ``n_target`` vertices; otherwise each part that ``split(srs)`` returns
     is a unit on its own pixel graph.  The encoder's ``split`` records the
     split trees it derives, the decoder's replays the transmitted ones.
-    Every graph is built before any is coarsened, and ``watch`` laps
-    ``graphs`` in between; the caller laps ``coarsen``.
+    All units' pixel graphs are built in one :func:`graph_structure` call
+    and split apart before any is coarsened, and ``watch`` laps ``graphs``
+    in between; the caller laps ``coarsen``.
     """
     if mode == "coarse":
-        fines = [graph_structure(sr, angular_dims) for sr in srs]
+        fines = split_graph(graph_structure(srs, angular_dims), srs)
         watch.lap("graphs")
         coarse = _coarsen_graphs(fines, n_target)
         pieces = [(*pair, fine) for pair, fine in zip(coarse, fines)]
     else:
-        graphs = [graph_structure(p, angular_dims) for p in split(srs)]
+        parts = split(srs)
+        graphs = split_graph(graph_structure(parts, angular_dims), parts)
         watch.lap("graphs")
         pieces = [(g, None, g) for g in graphs]
     return [

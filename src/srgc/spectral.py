@@ -8,7 +8,10 @@ pixels in raster order inside a view.  That ordering is the contract the
 whole codec builds on; encoder and decoder must construct identical graphs
 from identical labels and disparities.  A ``SuperRay`` stores its pixels
 in that order, as (view, y, x) rows, and those rows are its graph's
-vertices; partition children keep it too.
+vertices; partition children keep it too.  Graphs are built once per
+stream: :func:`graph_structure` takes all units of a codec side at once
+and returns their disjoint union, and :func:`split_graph` cuts it into
+each unit's own graph.
 
 Eigendecomposition is deterministic: eigenvalues ascending, near-repeated
 eigenvalue subspaces re-based by Gram-Schmidt against coordinate axes in
@@ -106,53 +109,100 @@ class CoarseningMap:
     coarse_count: int
 
 
-def graph_structure(sr: SuperRay, angular_dims) -> LocalGraph:
-    """Assemble a super-ray's local graph topology.
+def graph_structure(srs, angular_dims) -> LocalGraph:
+    """Assemble the local graph topology of every super-ray (or part) of
+    ``srs`` at once, as their disjoint union.
 
-    Spatial edges: 4-neighbor pairs inside each view's pixels.  Angular
-    edges: reference pixel -> its disparity-projected pixel in each other
-    view, when that pixel belongs to this super-ray.  Depends only on the
-    pixel rows and the quantized disparity, so encoder and decoder build
-    identical graphs from transmitted data.  The rows are the vertices,
-    in their order, and become ``vertices`` as they are.
+    Spatial edges: 4-neighbor pairs inside each view's pixels of a unit.
+    Angular edges: a unit's reference pixel -> its disparity-projected
+    pixel in each other view, when that pixel belongs to the same unit.
+    Depends only on the pixel rows and the quantized disparities, so
+    encoder and decoder build identical graphs from transmitted data.
+    Vertex ids run through the units in order, ``vertices`` is their rows
+    concatenated, and each unit's canonical edge list is one contiguous
+    run of the sorted edge list, which :func:`split_graph` cuts into the
+    units' own graphs.
 
-    All views are built in one pass: vertex ids are scattered into one
-    (views, H + 1, W + 1) index volume over the union bounding box of the
-    super-ray's pixels, whose padding row and column read -1.  Spatial
-    edges are one right and one down lookup in that volume; angular edges
-    are one (views - 1, n_ref) lookup at the per-view label shifts, -1
-    where the shifted pixel leaves the box.  One sort of the keys
-    min * n + max gives the canonical edge list.  No pair repeats, so
-    nothing is deduplicated (``np.unique`` would hash every key): spatial
-    pairs stay inside a view and angular pairs join the reference view to
-    another, and a vertex has one right, one down and, per view, one
-    angular partner.
+    Precondition: the units are disjoint in pixels (one label per pixel;
+    partition children split their parent's rows), so every (view, y, x)
+    cell holds at most one vertex.  Every pair has a < b, so the keys
+    a * 2**bits + b (2**bits > n) sort into the canonical order with one
+    sort, and a shift and a mask take them apart.  No pair repeats, so
+    nothing is deduplicated: spatial pairs stay inside a view and angular
+    pairs join the reference view to another, and a vertex has one right,
+    one down and, per view, one angular partner.
     """
+    rows = np.concatenate([sr.pixels for sr in srs] or [np.zeros((0, 3), dtype=np.int64)])
+    total = rows.shape[0]
+    if not total:
+        return LocalGraph(n=0, edges=np.zeros((0, 2), dtype=np.int64), vertices=rows)
+    bits = total.bit_length()
+    keys = _edge_keys(srs, rows, bits, angular_dims)
+    keys.sort(kind="stable")  # three ascending runs: timsort merges them
+    edges = np.empty((keys.size, 2), dtype=np.int64)
+    np.right_shift(keys, bits, out=edges[:, 0])
+    np.bitwise_and(keys, (1 << bits) - 1, out=edges[:, 1])
+    return LocalGraph(n=total, edges=edges, vertices=rows)
+
+
+def _edge_keys(srs, rows, bits, angular_dims):
+    """The keys a * 2**bits + b of every edge of :func:`graph_structure`'s
+    union of ``srs``, whose rows are ``rows``: the right, the down and the
+    angular pairs, three ascending runs.  Its temporaries are released on
+    return, before the edge list is built.
+
+    Vertex ids are scattered into one (views, H + 1, W + 1) index volume
+    over the bounding box of all rows (the frame, for a whole stream),
+    whose padding row and column read -1, and an owner gather keeps a
+    looked-up neighbor only when it is in the same unit.  Inside a unit
+    the rows are in canonical order, so a right neighbor is the next row
+    (a + 1); a down neighbor is a later row of the same view and an
+    angular target, looked up at the unit's label shifts and only inside
+    the box, a non-reference row of the unit, so a < b throughout."""
     n_views, t_count = angular_dims[0] * angular_dims[1], angular_dims[1]
-    n, n_ref = sr.total_pixels, sr.reference.shape[0]
-    view, yx = sr.pixels[:, 0], sr.pixels[:, 1:]
-    origin = yx.min(axis=0)
-    h, w = yx.max(axis=0) - origin + 1
-    y, x = (yx - origin).T
-    ids = np.arange(n)
-    index = np.full((n_views, h + 1, w + 1), -1, dtype=np.int64)
-    index[view, y, x] = ids
+    # each row's unit, then -1 for the -1 that empty cells read
+    owner = np.append(np.repeat(np.arange(len(srs)), [sr.total_pixels for sr in srs]), -1)
+    view, y, x = rows.T
+    oy, ox = y.min(), x.min()
+    h, w = y.max() - oy + 1, x.max() - ox + 1
+    # (v, y, x) is cell v * (h + 1) * (w + 1) + (y - oy) * (w + 1) + x - ox
+    corner = oy * (w + 1) + ox
+    cell = (view * (h + 1) + y) * (w + 1) + x - corner
+    index = np.full(n_views * (h + 1) * (w + 1), -1, dtype=np.int64)
+    index[cell] = np.arange(rows.shape[0])
 
-    shifts = label_shifts(sr.disparity, n_views, t_count)
-    ty = y[:n_ref] - shifts[:, :1]
-    tx = x[:n_ref] - shifts[:, 1:]
-    inside = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
-    # targets outside the box read cell (0, 0) and are masked to -1
-    angular = np.where(
-        inside, index[np.arange(1, n_views)[:, None], ty * inside, tx * inside], -1
-    )
+    a = np.flatnonzero((np.diff(cell) == 1) & (owner[1:-1] == owner[:-2]))
+    right = (a << bits) + a + 1
+    cell += w + 1  # now each row's cell below
+    b = index[cell]
+    a = np.flatnonzero(owner[b] == owner[:-1])
+    down = (a << bits) + b[a]
 
-    a = np.concatenate([ids, ids, np.broadcast_to(ids[:n_ref], angular.shape).ravel()])
-    b = np.concatenate([index[view, y, x + 1], index[view, y + 1, x], angular.ravel()])
-    linked = b >= 0
-    a, b = a[linked], b[linked]
-    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
-    return LocalGraph(n=n, edges=np.column_stack(np.divmod(keys, n)), vertices=sr.pixels)
+    ref = np.flatnonzero(view == 0)
+    dy, dx = label_shifts(
+        np.array([sr.disparity for sr in srs])[:, None, None], n_views, t_count
+    ).transpose(2, 0, 1)
+    ty = y[ref, None] - dy[owner[ref]]
+    tx = x[ref, None] - dx[owner[ref]]
+    inside = (ty >= oy) & (ty < oy + h) & (tx >= ox) & (tx < ox + w)
+    a = np.broadcast_to(ref[:, None], inside.shape)[inside]
+    b = index[((np.arange(1, n_views) * (h + 1) + ty) * (w + 1) + tx - corner)[inside]]
+    del cell, index, ty, tx, inside  # released before the keys are gathered
+    same = owner[b] == owner[a]
+    return np.concatenate([right, down, (a[same] << bits) + b[same]])
+
+
+def split_graph(union: LocalGraph, srs) -> list:
+    """Each unit's own LocalGraph out of ``graph_structure(srs, ...)``, in
+    the order of ``srs``: local vertex ids (the unit's run of ids minus
+    its first), its run of the edge list and ``vertices = sr.pixels``."""
+    sizes = np.array([sr.total_pixels for sr in srs], dtype=np.int64)
+    stops = np.cumsum(sizes)
+    ends = np.searchsorted(union.edges[:, 0], stops).tolist()
+    return [
+        LocalGraph(n=sr.total_pixels, edges=union.edges[e0:e1] - lo, vertices=sr.pixels)
+        for sr, lo, e0, e1 in zip(srs, (stops - sizes).tolist(), [0, *ends], ends)
+    ]
 
 
 def graph_signal(graph, volume):
@@ -308,16 +358,24 @@ def eigendecompose(l: Laplacian) -> EigenBasis:
 def _merge_edges(a, b, w, old_to_new, k):
     """Map weighted edges through ``old_to_new`` onto ``k`` vertices, drop
     the ones that fall inside a supernode and sum parallel weights.
-    Returns (a, b, w) sorted by (a, b) with a < b."""
+    Returns (a, b, w) sorted by (a, b) with a < b.
+
+    The contracted keys come out nearly sorted, so a stable argsort
+    (timsort) orders them; each run of equal keys is one edge, its weight
+    one ``np.add.reduceat`` over the run.  With no crossing edge every
+    array is empty and so is the result."""
     na, nb = old_to_new[a], old_to_new[b]
-    cross = na != nb
+    cross = np.flatnonzero(na != nb)
     na, nb = na[cross], nb[cross]
-    keys, inverse = np.unique(
-        np.minimum(na, nb) * k + np.maximum(na, nb), return_inverse=True
-    )
-    w = np.bincount(inverse, weights=w[cross], minlength=keys.size).astype(np.int64)
-    a, b = np.divmod(keys, k)
-    return a, b, w
+    keys = np.minimum(na, nb) * k + np.maximum(na, nb)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(keys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    first = np.flatnonzero(first)
+    a, b = np.divmod(keys[first], k)
+    return a, b, np.add.reduceat(w[cross[order]], first)
 
 
 def _heavy_edge_matching(a, b, w, k, budget):

@@ -311,6 +311,21 @@ def graph_structure_oracle(sr, angular_dims):
     return LocalGraph(n=len(vertex_rows), edges=_canonical_edges(pairs), vertices=vertices)
 
 
+def graph_structure_union_oracle(srs, angular_dims):
+    """Oracle: the disjoint union ``spectral.graph_structure`` builds, put
+    together from :func:`graph_structure_oracle` graphs unit by unit, each
+    unit's vertex ids offset by the vertices of the units before it."""
+    graphs = [graph_structure_oracle(sr, angular_dims) for sr in srs]
+    offsets = np.cumsum([0] + [g.n for g in graphs])
+    edges = [g.edges + o for g, o in zip(graphs, offsets.tolist())]
+    vertices = [g.vertices for g in graphs]
+    return LocalGraph(
+        n=int(offsets[-1]),
+        edges=np.concatenate(edges or [np.zeros((0, 2), dtype=np.int64)]),
+        vertices=np.concatenate(vertices or [np.zeros((0, 3), dtype=np.int64)]),
+    )
+
+
 def heavy_edge_matching_oracle(a, b, w, k, budget):
     """Oracle: the two-direction scan that ``spectral._heavy_edge_matching``
     replaced.  Every vertex's full neighbor list, ascending, is scanned for
@@ -406,6 +421,21 @@ def coarsen_oracle(g, n_target):
             fine_to_coarse[i] = p
     coarse = LocalGraph(n=k, edges=_canonical_edges(list(weights.keys())))
     return coarse, CoarseningMap(fine_to_coarse=fine_to_coarse, coarse_count=k)
+
+
+def merge_edges_oracle(a, b, w, old_to_new, k):
+    """Oracle: the ``np.unique(..., return_inverse=True)`` contraction that
+    ``spectral._merge_edges`` replaced; identical arrays, dtypes included,
+    required."""
+    na, nb = old_to_new[a], old_to_new[b]
+    cross = na != nb
+    na, nb = na[cross], nb[cross]
+    keys, inverse = np.unique(
+        np.minimum(na, nb) * k + np.maximum(na, nb), return_inverse=True
+    )
+    w = np.bincount(inverse, weights=w[cross], minlength=keys.size).astype(np.int64)
+    a, b = np.divmod(keys, k)
+    return a, b, w
 
 
 def supernodes(cmap):

@@ -297,6 +297,18 @@ class TestAnalyze:
     def test_no_args_usage_error(self):
         assert main(["analyze"]) == 1
 
+    def test_ref_without_rec_usage_error(self, scene_dir, tmp_path, capsys):
+        # checked before the stream is read, so a PSNR is never dropped silently
+        stream = tmp_path / "a.srgc"
+        assert main(["analyze", str(stream), "--ref", str(scene_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--rec" in captured.err
+
+    def test_rec_without_ref_usage_error(self, scene_dir, capsys):
+        assert main(["analyze", "--rec", str(scene_dir)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--ref" in captured.err
+
 
 class TestSweep:
     def test_csv_written(self, scene_dir, tmp_path):

@@ -35,7 +35,7 @@ from srgc.lightfield import (
     synthesize_light_field,
 )
 from srgc.segmentation import assemble_super_rays
-from srgc.spectral import LocalGraph, eigendecompose, graph_structure, laplacian
+from srgc.spectral import LocalGraph, eigendecompose, laplacian, split_graph
 
 from conftest import (
     assemble_super_rays_oracle,
@@ -46,7 +46,7 @@ from conftest import (
     eigenbases_oracle,
     eigendecompose_oracle,
     four_patch_scene,
-    graph_structure_oracle,
+    graph_structure_union_oracle,
     label_disparities_oracle,
     lf_equal,
     partition_super_rays_oracle,
@@ -787,7 +787,7 @@ def test_graph_builders_match_oracles_end_to_end(case, monkeypatch):
     lf, dmap, cfg = ORACLE_CASES[case]()
     solved = _solve_once(monkeypatch)
     data, rec = _round_trip(lf, dmap, cfg)
-    monkeypatch.setattr(codec, "graph_structure", graph_structure_oracle)
+    monkeypatch.setattr(codec, "graph_structure", graph_structure_union_oracle)
     monkeypatch.setattr(codec, "coarsen", coarsen_oracle)
     want_data, want_rec = _round_trip(lf, dmap, cfg)
     assert solved
@@ -984,21 +984,22 @@ def test_super_ray_rows_are_the_graph_vertices(case, monkeypatch):
         cfg = workload.config
     built, assembled = [], []
 
-    def build(sr, angular_dims):
-        built.append((sr, graph_structure(sr, angular_dims)))
-        return built[-1][1]
+    def build(union, srs):
+        built.append(list(zip(srs, split_graph(union, srs))))
+        return [g for _, g in built[-1]]
 
     def assemble(seg, disparities):
         assembled.append((seg, disparities, assemble_super_rays(seg, disparities)))
         return assembled[-1][2]
 
-    monkeypatch.setattr(codec, "graph_structure", build)
+    monkeypatch.setattr(codec, "split_graph", build)
     monkeypatch.setattr(codec, "assemble_super_rays", assemble)
     stream, enc = encode(lf, dmap, cfg, debug=True)
-    n_enc = len(built)
     _, dec = decode(deserialize(serialize(stream)), debug=True)
-    assert len(assembled) == 2 and len(built) == 2 * n_enc > 0
-    for side, report in ((built[:n_enc], enc), (built[n_enc:], dec)):
+    # one split per side, each handing out every unit's graph
+    assert len(assembled) == 2 and len(built) == 2
+    assert len(built[0]) == len(built[1]) > 0
+    for side, report in zip(built, (enc, dec)):
         assert len(report.debug.units) == len(side)
         for u, (sr, g) in zip(report.debug.units, side):
             assert u.fine is g and g.vertices is sr.pixels

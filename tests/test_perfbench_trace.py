@@ -9,6 +9,9 @@ benchmark runs.
 import os
 import sys
 
+import srgc.codec as codec
+from conftest import graph_structure_oracle
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
@@ -17,19 +20,32 @@ from spans import Tracer, layer_totals  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
-def test_traced_partition_round_trip():
+def test_traced_partition_round_trip(monkeypatch):
     workload = WORKLOADS["partition"]
     lf, dmap = workload.scene(1)
+    split_parts = []
+
+    def record(union, parts):
+        split_parts.append(parts)
+        return split_graph(union, parts)
+
+    split_graph = codec.split_graph
+    monkeypatch.setattr(codec, "split_graph", record)
     tracer = Tracer()
     round_trip(lf, dmap, workload.config, {}, tracer)
     totals = layer_totals(tracer.spans, 1)
     assert totals["enc.spectral.partition_super_ray.calls"] > 0
     assert totals["dec.spectral.partition_with_tree.calls"] > 0
-    # partition mode builds the parts' graphs only, one per part
+    # partition mode builds the parts' graphs only, all of a side in one call
     parts = totals["enc.spectral.partition_super_ray.parts"]
-    assert totals["enc.spectral.graph_structure.calls"] == parts
-    assert totals["dec.spectral.graph_structure.calls"] == parts
-    # the parts cover every pixel of every view once
-    assert totals["enc.spectral.graph_structure.vertices"] == sum(
-        p.size for p in lf.luma_planes()
-    )
+    assert [len(p) for p in split_parts] == [parts, parts]
+    for side, side_parts in zip(("enc", "dec"), split_parts):
+        assert totals[f"{side}.spectral.graph_structure.calls"] == 1
+        # the parts cover every pixel of every view once
+        assert totals[f"{side}.spectral.graph_structure.vertices"] == sum(
+            p.size for p in lf.luma_planes()
+        )
+        assert totals[f"{side}.spectral.graph_structure.edges"] == sum(
+            graph_structure_oracle(p, lf.angular_dims).edges.shape[0]
+            for p in side_parts
+        )

@@ -6,6 +6,7 @@ import pytest
 import srgc.codec as codec
 import srgc.spectral as spectral
 from srgc.errors import DecompositionError
+from srgc.segmentation import SuperRay
 from srgc.spectral import (
     CoarseningMap,
     Laplacian,
@@ -22,6 +23,7 @@ from srgc.spectral import (
     laplacian,
     partition_super_ray,
     partition_with_tree,
+    split_graph,
     uncoarsen_signal,
 )
 
@@ -38,10 +40,12 @@ from conftest import (
     eigendecompose_unbatched_oracle,
     fill_holes_oracle,
     graph_structure_oracle,
+    graph_structure_union_oracle,
     heavy_edge_matching_oracle,
     label_shift,
     laplacian_oracle,
     make_lf,
+    merge_edges_oracle,
     partition_super_rays_oracle,
     partition_with_trees_oracle,
     per_view,
@@ -203,25 +207,30 @@ def _bench_laplacians(name, monkeypatch):
     return laps
 
 
+def _graph(sr, angular_dims):
+    """One super-ray's graph: the union of a one-unit batch, split."""
+    return split_graph(graph_structure([sr], angular_dims), [sr])[0]
+
+
 class TestLocalGraph:
     def test_two_views_2x2_edge_count(self):
         pix = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int64)
         sr = super_ray([pix, pix], 0.0)
-        g = graph_structure(sr, (1, 2))
+        g = _graph(sr, (1, 2))
         assert g.n == 8
         assert g.edges.shape[0] == 2 * 4 + 4  # spatial per view + angular
 
     def test_single_pixel_no_edges(self):
         pix = np.array([[0, 0]], dtype=np.int64)
         sr = super_ray([pix], 0.0)
-        g = graph_structure(sr, (1, 1))
+        g = _graph(sr, (1, 1))
         assert g.n == 1 and g.edges.shape[0] == 0
 
     def test_strip_matches_enumeration_oracle(self):
         pix = np.array([[0, 0], [0, 1], [0, 2]], dtype=np.int64)
         views = [pix, pix, pix]
         sr = super_ray(views, 0.0)
-        g = graph_structure(sr, (1, 3))
+        g = _graph(sr, (1, 3))
         assert g.n == 9
         oracle = enumerate_edges_oracle(views, 0.0, (1, 3))
         assert len(oracle) == 12  # 3*2 spatial + 3*2 angular
@@ -235,7 +244,7 @@ class TestLocalGraph:
             pix = np.argwhere(mask).astype(np.int64)
             views = [pix, pix, pix, pix]
             sr = super_ray(views, 1.0)
-            g = graph_structure(sr, (2, 2))
+            g = _graph(sr, (2, 2))
             oracle = enumerate_edges_oracle(views, 1.0, (2, 2))
             assert {(int(a), int(b)) for a, b in g.edges} == oracle
 
@@ -248,7 +257,7 @@ class TestLocalGraph:
             angular = ((1, 1), (1, 3), (3, 3), (5, 5))[case % 4]
             disparity = (0.0, 0.5, 1.0, 1.5, 2.0)[case % 5]
             sr = _random_super_ray(rng, angular, disparity, single=case % 9 == 0)
-            got = graph_structure(sr, angular)
+            got = _graph(sr, angular)
             _assert_same_graph(got, graph_structure_oracle(sr, angular))
             _count_features(sr, angular, got, seen)
         assert min(seen.values()) > 0, seen
@@ -259,8 +268,86 @@ class TestLocalGraph:
         lf = make_lf(
             [np.array([[10, 20]]), np.array([[30, 40]])], (1, 2)
         )
-        g = graph_structure(sr, lf.angular_dims)
+        g = _graph(sr, lf.angular_dims)
         assert graph_signal(g, lf.luma_planes()).tolist() == [10.0, 20.0, 30.0, 40.0]
+
+
+def _random_units(rng, case):
+    """Disjoint units cut from one random (views, h, w) label volume with
+    holes: block-shaped labels, other views mostly copying the reference
+    view, per-unit disparities, units in shuffled order.  Some batches get
+    a one-pixel unit and a two-pixel unit with no edges."""
+    angular = ((1, 1), (1, 3), (3, 3), (2, 2))[case % 4]
+    n_views = angular[0] * angular[1]
+    h, w = (int(v) for v in rng.integers(1, 9, size=2))
+    k = int(rng.integers(1, 7))
+    blocks = rng.integers(-1, k, size=(n_views, (h + 1) // 2, (w + 1) // 2))
+    labels = blocks.repeat(2, axis=1).repeat(2, axis=2)[:, :h, :w]
+    labels[1:] = np.where(rng.random(labels[1:].shape) < 0.7, labels[0], labels[1:])
+    noise = rng.random(labels.shape) < 0.15
+    labels[noise] = rng.integers(-1, k, size=int(noise.sum()))
+    if case % 3 == 0:
+        labels[0, rng.integers(h), rng.integers(w)] = k
+    if case % 4 == 1 and h > 1 and w > 1:
+        y, x = int(rng.integers(h - 1)), int(rng.integers(w - 1))
+        labels[0, y, x] = labels[0, y + 1, x + 1] = k + 1
+    units = [
+        SuperRay(int(l), np.argwhere(labels == l).astype(np.int64),
+                 float(rng.choice([0.0, 0.5, 1.0, 1.5, -1.0])))
+        for l in np.unique(labels[0][labels[0] >= 0])
+    ]
+    return [units[i] for i in rng.permutation(len(units))], angular
+
+
+def _count_batch_features(units, angular, graphs, seen):
+    """Tally the edge cases a random batch exercises."""
+    if not units:
+        return
+    owner = {tuple(r): i for i, sr in enumerate(units) for r in sr.pixels.tolist()}
+    rows = np.concatenate([sr.pixels for sr in units])
+    last_y, last_x = rows[:, 1].max(), rows[:, 2].max()
+    for i, (sr, g) in enumerate(zip(units, graphs)):
+        seen["single"] += g.n == 1
+        seen["edgeless"] += g.n > 1 and not g.edges.size
+        seen["last_row_col"] += bool(
+            ((sr.pixels[:, 1] == last_y) | (sr.pixels[:, 2] == last_x)).any()
+        )
+        for v, y, x in sr.pixels.tolist():
+            seen["spatial_neighbor_unit"] += any(
+                owner.get(p, i) != i for p in ((v, y, x + 1), (v, y + 1, x))
+            )
+        for v in range(1, angular[0] * angular[1]):
+            dy, dx = label_shift(sr.disparity, *divmod(v, angular[1]))
+            seen["angular_neighbor_unit"] += any(
+                owner.get((v, y - dy, x - dx), i) != i
+                for _, y, x in sr.reference.tolist()
+            )
+
+
+class TestGraphUnion:
+    def test_split_union_matches_oracle_per_unit(self):
+        """``graph_structure`` on a batch gives the disjoint union of the
+        oracle's per-unit graphs, and ``split_graph`` hands back each
+        unit's own graph on the unit's own ``pixels``."""
+        rng = np.random.default_rng(15)
+        seen = dict(single=0, edgeless=0, last_row_col=0,
+                    spatial_neighbor_unit=0, angular_neighbor_unit=0)
+        for case in range(120):
+            units, angular = _random_units(rng, case)
+            union = graph_structure(units, angular)
+            _assert_same_graph(union, graph_structure_union_oracle(units, angular))
+            graphs = split_graph(union, units)
+            assert len(graphs) == len(units)
+            for sr, g in zip(units, graphs):
+                _assert_same_graph(g, graph_structure_oracle(sr, angular))
+                assert g.vertices is sr.pixels
+            _count_batch_features(units, angular, graphs, seen)
+        assert min(seen.values()) > 0, seen
+
+    def test_empty_batch(self):
+        union = graph_structure([], (3, 3))
+        assert union.n == 0 and union.edges.shape == (0, 2)
+        assert split_graph(union, []) == []
 
 
 class TestLaplacian:
@@ -653,16 +740,17 @@ class TestCoarsen:
         lf, dmap = workload.scene(1)
         graphs = []
 
-        def record(sr, angular_dims):
-            got = graph_structure(sr, angular_dims)
-            _assert_same_graph(got, graph_structure_oracle(sr, angular_dims))
-            graphs.append(got)
+        def record(union, srs):
+            got = split_graph(union, srs)
+            for sr, g in zip(srs, got):
+                _assert_same_graph(g, graph_structure_oracle(sr, lf.angular_dims))
+            graphs.extend(got)
             return got
 
         def stop(graph):
             raise _UnitsBuilt
 
-        monkeypatch.setattr(codec, "graph_structure", record)
+        monkeypatch.setattr(codec, "split_graph", record)
         monkeypatch.setattr(codec, "laplacian", stop)  # the encoder's eigen stage
         with pytest.raises(_UnitsBuilt):
             codec.encode(lf, dmap, workload.config)
@@ -726,6 +814,53 @@ class TestHeavyEdgeMatching:
         assert any(w.max(initial=1) > 1 for _, _, w, _, _ in calls)
         for call in calls:
             _assert_same_matching(*call)
+
+
+def _assert_same_merge(a, b, w, old_to_new, k):
+    got = spectral._merge_edges(a, b, w, old_to_new, k)
+    want = merge_edges_oracle(a, b, w, old_to_new, k)
+    for g, o in zip(got, want):
+        assert g.dtype == o.dtype and np.array_equal(g, o)
+
+
+class TestMergeEdges:
+    def test_matches_unique_oracle_on_random_contractions(self):
+        """Random surjective maps onto 1..k supernodes: parallel edges,
+        edges whose ends swap order, no crossing edge at all."""
+        rng = np.random.default_rng(12)
+        seen = {"k1": 0, "empty_cross": 0, "parallel": 0, "swapped": 0}
+        for case in range(300):
+            a, b, w, k = _random_weighted_edges(rng, case)
+            k_new = 1 if case % 5 == 0 else int(rng.integers(1, k + 1))
+            old_to_new = rng.integers(0, k_new, size=k)
+            old_to_new[rng.permutation(k)[:k_new]] = np.arange(k_new)
+            na, nb = old_to_new[a], old_to_new[b]
+            seen["k1"] += k_new == 1 and a.size > 0
+            seen["empty_cross"] += a.size > 0 and not (na != nb).any()
+            seen["swapped"] += bool((na > nb).any())
+            got = spectral._merge_edges(a, b, w, old_to_new, k_new)
+            seen["parallel"] += got[0].size < (na != nb).sum()
+            _assert_same_merge(a, b, w, old_to_new, k_new)
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("name", ["gate", "parallax"])
+    def test_matches_unique_oracle_on_bench_calls(self, name, monkeypatch):
+        """Every contraction the encoder makes on the bench scene."""
+        workload = bench_workloads()[name]
+        lf, dmap = workload.scene(1)
+        calls = []
+
+        def record(a, b, w, old_to_new, k):
+            calls.append((a.copy(), b.copy(), w.copy(), old_to_new.copy(), k))
+            return merge_edges(a, b, w, old_to_new, k)
+
+        merge_edges = spectral._merge_edges
+        monkeypatch.setattr(spectral, "_merge_edges", record)
+        codec.encode(lf, dmap, workload.config)
+        monkeypatch.undo()
+        assert calls
+        for call in calls:
+            _assert_same_merge(*call)
 
 
 def _rect_sr(w, h, views=1, disparity=0.0):
