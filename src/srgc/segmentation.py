@@ -10,7 +10,9 @@ order, which is the raster order of the (views, H, W) label volume.
 All operations here are deterministic: ties in the SLIC assignment go to
 the earlier seed, projection conflicts go to the larger disparity (nearer
 surface), and holes are filled by iterated majority vote of labeled
-4-neighbors with ties to the smallest label.  Projection shifts are
+4-neighbors with ties to the smallest label.  SLIC handles all centers in
+array steps, about 10 W*H window cells per iteration for any k, and
+never scans the frame once per label or fragment.  Projection shifts are
 rounded once per label (round-half-away-from-zero on d*t, d*s), so a
 view's label map is a pure function of the reference map and the
 disparities.
@@ -31,6 +33,12 @@ from .errors import OrphanLabelError, TooManySuperpixelsError
 from .util import lower_median, quantize_eighth, round_half_away_int
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
+# SLIC seed perturbation: the 3x3 offsets, center first, then by distance
+_SEED_OFFSETS = np.array(sorted(
+    ((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)),
+    key=lambda o: (o[0] * o[0] + o[1] * o[1], o[0], o[1]),
+))
+_WINDOW_CELLS = 1 << 14  # SLIC window cells per assignment run: bounds the temporary memory
 # fill_holes: four distinct stand-ins for unlabeled neighbors, above any label
 _UNLABELED = np.iinfo(np.int64).max - 4 + np.arange(4)
 
@@ -77,72 +85,153 @@ class SuperRay:
 # ---------------------------------------------------------------------------
 
 def _seed_grid(w, h, k):
+    """The (y, x) float seed arrays of an ny x nx grid of about k cells, in
+    raster order, and the cell width and height."""
     ny = max(1, int(round(np.sqrt(k * h / w))))
     nx = max(1, int(round(k / ny)))
     xs = (np.arange(nx) + 0.5) * w / nx
     ys = (np.arange(ny) + 0.5) * h / ny
-    seeds = [(float(y), float(x)) for y in ys for x in xs]
-    return seeds, w / nx, h / ny
+    return np.repeat(ys, nx), np.tile(xs, ny), w / nx, h / ny
 
 
-def _perturb_seeds(image, seeds):
-    """Move each seed to the lowest-gradient pixel in its 3x3 window
-    (center-first tie order keeps constant images on the grid)."""
+def _perturb_seeds(image, sy, sx):
+    """Move each seed to the lowest-gradient pixel in its 3x3 window, the
+    first minimum in center-first order (which keeps constant images on
+    the grid); returns the new (y, x) float arrays."""
     h, w = image.shape
-    gy, gx = np.gradient(image.astype(np.float64))
+    f = image.astype(np.float64)
+    # along an axis of length 1 no difference exists: the gradient is zero
+    gy, gx = (np.gradient(f, axis=a) if f.shape[a] > 1 else np.zeros_like(f) for a in (0, 1))
     grad = gy * gy + gx * gx
-    offsets = sorted(
-        ((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)),
-        key=lambda o: (o[0] * o[0] + o[1] * o[1], o[0], o[1]),
-    )
-    out = []
-    for sy, sx in seeds:
-        cy, cx = int(sy), int(sx)
-        best = None
-        for dy, dx in offsets:
-            y, x = cy + dy, cx + dx
-            if 0 <= y < h and 0 <= x < w:
-                if best is None or grad[y, x] < best[0]:
-                    best = (grad[y, x], y, x)
-        out.append((float(best[1]), float(best[2])))
-    return out
+    ys = sy.astype(np.int64)[:, None] + _SEED_OFFSETS[:, 0]
+    xs = sx.astype(np.int64)[:, None] + _SEED_OFFSETS[:, 1]
+    inside = (ys >= 0) & (ys < h) & (xs >= 0) & (xs < w)
+    g = np.where(inside, grad[ys.clip(0, h - 1), xs.clip(0, w - 1)], np.inf)
+    seed, pick = np.arange(len(sy)), np.argmin(g, axis=1)
+    return ys[seed, pick].astype(np.float64), xs[seed, pick].astype(np.float64)
+
+
+def _assign(img, centers, half_y, half_x, m2, s2):
+    """Each pixel's SLIC label: of the centers whose window reaches it, the
+    one of least D, ties to the smaller index; a pixel outside every window
+    takes its spatially nearest center.  Returns a flat int64 label array.
+
+    D is computed for every (center, window cell) pair in one array step,
+    as the same expression in the same operation order as for one center
+    at a time, so each value is bit-equal to it; window cells outside the
+    frame land on a sink cell past the last pixel.  One ``np.minimum.at``
+    keeps each pixel's least D, a second the least center index among the
+    cells that reach it.  Centers go in runs of about ``_WINDOW_CELLS``
+    cells, which bounds the temporary memory.
+    """
+    h, w = img.shape
+    n = len(centers)
+    sink = h * w
+    flat = np.append(img.ravel(), 0.0)
+    best = np.full(sink + 1, np.inf)
+    labels = np.full(sink + 1, n, dtype=np.int64)
+    dy = np.arange(-half_y, half_y + 1)
+    dx = np.arange(-half_x, half_x + 1)
+    cells = dy.size * dx.size
+    run = max(1, _WINDOW_CELLS // cells)
+    for a in range(0, n, run):
+        cy, cx, cv = (centers[a:a + run, j:j + 1] for j in range(3))
+        ys = cy.astype(np.int64) + dy
+        xs = cx.astype(np.int64) + dx
+        rows = np.where((ys >= 0) & (ys < h), ys * w, sink)
+        cols = np.where((xs >= 0) & (xs < w), xs, sink)
+        pix = (rows[:, :, None] + cols[:, None, :]).ravel()
+        np.minimum(pix, sink, out=pix)
+        # (v - cv)**2 + m2 * ((y - cy)**2 + (x - cx)**2) / s2, in place
+        d = flat[pix].reshape(len(cy), cells)
+        d -= cv
+        d *= d
+        spatial = (ys - cy)[:, :, None] ** 2 + (xs - cx)[:, None, :] ** 2
+        spatial *= m2
+        spatial /= s2
+        d = d.ravel()
+        d += spatial.ravel()
+        before = best[pix]
+        np.minimum.at(best, pix, d)
+        least = best[pix]
+        # a pixel whose least D this run lowers forgets the earlier runs' ties
+        labels[pix[least < before]] = n
+        tie = np.flatnonzero(d == least)
+        np.minimum.at(labels, pix[tie], a + tie // cells)
+    labels = labels[:sink]
+    missing = np.flatnonzero(labels == n)
+    run = max(1, _WINDOW_CELLS // n)
+    for lo in range(0, missing.size, run):
+        ys, xs = np.divmod(missing[lo:lo + run], w)
+        d2 = (ys[:, None] - centers[:, 0]) ** 2 + (xs[:, None] - centers[:, 1]) ** 2
+        labels[missing[lo:lo + run]] = np.argmin(d2, axis=1)
+    return labels
 
 
 def _enforce_connectivity(labels, w, h, k):
     """Split labels into 4-connected components and merge fragments smaller
-    than 25% of the mean region size (W*H/k) into their largest 4-neighbor."""
+    than 25% of the mean region size (W*H/k) into their largest 4-neighbor.
+
+    Components are numbered by label, then in raster order; each label is
+    labelled inside its own bounding box.  Small fragments merge in
+    (size, id) order of their sizes at the start; each takes the adjacent
+    component that is largest by current size, ties to the smaller id.
+    The merges walk the component adjacency graph, built in one pass over
+    the 4-neighbour pixel pairs: a fragment's neighbours are those of every
+    component merged into it so far, each read through the union-find
+    parent of its current region.  One lookup at the end relabels the
+    frame, so no step scans the frame per label, component or fragment.
+    """
     comp = np.full(labels.shape, -1, dtype=np.int64)
     next_id = 0
-    for lbl in range(int(labels.max()) + 1):
-        mask = labels == lbl
-        if not mask.any():
+    for lbl, box in enumerate(ndimage.find_objects(labels + 1)):
+        if box is None:
             continue
-        cc, n = ndimage.label(mask, structure=_FOUR_CONN)
-        for i in range(1, n + 1):
-            comp[cc == i] = next_id
-            next_id += 1
-    sizes = np.bincount(comp.ravel(), minlength=next_id).astype(np.int64)
-    threshold = 0.25 * (w * h) / k
-    small = sorted(
-        (i for i in range(next_id) if sizes[i] < threshold),
-        key=lambda i: (sizes[i], i),
-    )
-    for frag in small:
-        mask = comp == frag
-        if not mask.any():
+        cc, n = ndimage.label(labels[box] == lbl, structure=_FOUR_CONN)
+        inside = cc > 0
+        comp[box][inside] = cc[inside] + (next_id - 1)
+        next_id += n
+    sizes = np.bincount(comp.ravel(), minlength=next_id)
+    small = np.flatnonzero(sizes < 0.25 * (w * h) / k)
+    small = small[np.lexsort((small, sizes[small]))]
+
+    # each small fragment's adjacent components, from the differing pairs
+    a = np.concatenate([comp[:, :-1].ravel(), comp[:-1].ravel()])
+    b = np.concatenate([comp[:, 1:].ravel(), comp[1:].ravel()])
+    cut = a != b
+    a, b = a[cut], b[cut]
+    src, dst = np.divmod(np.unique(np.concatenate([a * next_id + b, b * next_id + a])), next_id)
+    lo, hi = np.searchsorted(src, small), np.searchsorted(src, small, side="right")
+    adjacent = {f: set(dst[i:j].tolist()) for f, i, j in zip(small.tolist(), lo, hi)}
+
+    parent = list(range(next_id))
+    sizes = sizes.tolist()
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for frag in small.tolist():
+        near = adjacent.pop(frag)
+        candidates = {find(c) for c in near} - {frag}
+        if not candidates:
             continue
-        ring = ndimage.binary_dilation(mask, structure=_FOUR_CONN) & ~mask
-        neigh = comp[ring]
-        neigh = neigh[neigh >= 0]
-        if neigh.size == 0:
-            continue
-        counts = np.bincount(neigh, minlength=next_id)
         # largest adjacent region by current size; ties to smaller id
-        candidates = np.flatnonzero(counts)
-        target = int(candidates[np.lexsort((candidates, -sizes[candidates]))[0]])
-        comp[mask] = target
+        target = max(candidates, key=lambda c: (sizes[c], -c))
+        parent[frag] = target
         sizes[target] += sizes[frag]
         sizes[frag] = 0
+        if target in adjacent:
+            adjacent[target] |= near
+    root = np.array(parent)
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            break
+        root = up
+    comp = root[comp]
     # compact ids in raster first-appearance order
     ids, first = np.unique(comp, return_index=True)
     remap = np.full(next_id, -1, dtype=np.int64)
@@ -156,6 +245,15 @@ def slic_segment(image, k, compactness=10.0, iterations=10):
     Standard SLIC with grid seeding, gradient-based seed perturbation and a
     connectivity post-pass; the distance is D^2 = d_int^2 + m^2 * d_xy^2/S^2
     with S = sqrt(W*H/k).  Returns a reference-view-only SegmentationMap.
+
+    Each iteration assigns every pixel by :func:`_assign`, in array steps
+    over all centers' windows of (2 ceil(1.5 W/nx) + 3) x (2 ceil(1.5 H/ny)
+    + 3) cells, ties to the earlier seed, and moves all centers by one
+    ``bincount`` per coordinate and per sample; the work per iteration is
+    the windows' total area, about 10 W*H whatever k is.  Integer samples,
+    which are all a ``LightField`` holds, make the center sums exact, so
+    each center equals the mean of its pixels bit for bit.  A center left
+    with no pixels keeps its place.
     """
     image = np.asarray(image)
     if image.ndim != 2:
@@ -168,44 +266,27 @@ def slic_segment(image, k, compactness=10.0, iterations=10):
     if compactness <= 0:
         raise ValueError("compactness must be positive")
 
-    seeds, step_x, step_y = _seed_grid(w, h, k)
-    seeds = _perturb_seeds(image, seeds)
+    sy, sx, step_x, step_y = _seed_grid(w, h, k)
+    sy, sx = _perturb_seeds(image, sy, sx)
     img = image.astype(np.float64)
-    centers = np.array([[sy, sx, img[int(sy), int(sx)]] for sy, sx in seeds])
-    s_norm = np.sqrt(w * h / len(seeds))
+    n = len(sy)
+    centers = np.column_stack([sy, sx, img[sy.astype(np.int64), sx.astype(np.int64)]])
+    s_norm = np.sqrt(w * h / n)
     m2 = compactness * compactness
     half_x = int(np.ceil(1.5 * step_x)) + 1
     half_y = int(np.ceil(1.5 * step_y)) + 1
+    rows, cols = np.divmod(np.arange(h * w), w)
+    samples = img.ravel()
 
-    labels = np.zeros((h, w), dtype=np.int64)
+    labels = np.zeros(h * w, dtype=np.int64)
     for _ in range(iterations):
-        dist = np.full((h, w), np.inf)
-        labels.fill(-1)
-        for ci in range(len(centers)):
-            cy, cx, cv = centers[ci]
-            y0, y1 = max(0, int(cy) - half_y), min(h, int(cy) + half_y + 1)
-            x0, x1 = max(0, int(cx) - half_x), min(w, int(cx) + half_x + 1)
-            ys, xs = np.mgrid[y0:y1, x0:x1]
-            d = (img[y0:y1, x0:x1] - cv) ** 2 + m2 * (
-                (ys - cy) ** 2 + (xs - cx) ** 2
-            ) / (s_norm * s_norm)
-            sub = dist[y0:y1, x0:x1]
-            better = d < sub
-            sub[better] = d[better]
-            labels[y0:y1, x0:x1][better] = ci
-        # pixels outside every window: nearest seed spatially
-        missing = labels < 0
-        if missing.any():
-            ys, xs = np.nonzero(missing)
-            d2 = (ys[:, None] - centers[:, 0]) ** 2 + (xs[:, None] - centers[:, 1]) ** 2
-            labels[ys, xs] = np.argmin(d2, axis=1)
-        for ci in range(len(centers)):
-            mask = labels == ci
-            if mask.any():
-                ys, xs = np.nonzero(mask)
-                centers[ci] = (ys.mean(), xs.mean(), img[ys, xs].mean())
+        labels = _assign(img, centers, half_y, half_x, m2, s_norm * s_norm)
+        count = np.bincount(labels, minlength=n)
+        hit = count > 0
+        for j, values in enumerate((rows, cols, samples)):
+            centers[hit, j] = np.bincount(labels, weights=values, minlength=n)[hit] / count[hit]
 
-    labels, count = _enforce_connectivity(labels, w, h, len(seeds))
+    labels, count = _enforce_connectivity(labels.reshape(h, w), w, h, n)
     return SegmentationMap(labels=labels[None], label_count=count)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from srgc.lightfield import DisparityMap, LightField, View, SceneSpec, Patch, synthesize_light_field
 from srgc.errors import CorruptStreamError, DecompositionError, OrphanLabelError
@@ -29,6 +30,8 @@ from srgc.spectral import (
     laplacian,
 )
 from srgc.util import quantize_eighth, round_half_away
+
+_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
 
 def make_lf(arrays, angular_dims, bit_depth=8):
@@ -582,6 +585,127 @@ def fill_holes_oracle(grid, fallback):
             return
         for y, x, lbl in assignments:
             grid[y, x] = lbl
+
+
+def slic_segment_oracle(image, k, compactness=10.0, iterations=10, hits=None):
+    """Oracle: the per-center loop ``segmentation.slic_segment`` replaced;
+    identical labels and label count required on integer images.  Each
+    iteration walks the centers in order, keeping a pixel's label where a
+    later center's D is strictly smaller, and takes each center's new
+    position and sample as ``.mean()`` calls.  ``hits``, a dict, counts
+    the branches the array version must match: pixels outside every
+    window (``outside``), centers left with no pixels (``empty``), cells
+    whose D equals the best so far (``tie``), and those of
+    :func:`enforce_connectivity_oracle`."""
+    hits = {} if hits is None else hits
+    image = np.asarray(image)
+    h, w = image.shape
+    ny = max(1, int(round(np.sqrt(k * h / w))))
+    nx = max(1, int(round(k / ny)))
+    step_x, step_y = w / nx, h / ny
+    seeds = [(float(y), float(x))
+             for y in (np.arange(ny) + 0.5) * h / ny for x in (np.arange(nx) + 0.5) * w / nx]
+    f = image.astype(np.float64)
+    gy, gx = (np.gradient(f, axis=a) if f.shape[a] > 1 else np.zeros_like(f) for a in (0, 1))
+    grad = gy * gy + gx * gx
+    offsets = sorted(
+        ((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)),
+        key=lambda o: (o[0] * o[0] + o[1] * o[1], o[0], o[1]),
+    )
+    moved = []
+    for sy, sx in seeds:
+        cy, cx = int(sy), int(sx)
+        best = None
+        for dy, dx in offsets:
+            y, x = cy + dy, cx + dx
+            if 0 <= y < h and 0 <= x < w:
+                if best is None or grad[y, x] < best[0]:
+                    best = (grad[y, x], y, x)
+        moved.append((float(best[1]), float(best[2])))
+    img = f
+    centers = np.array([[sy, sx, img[int(sy), int(sx)]] for sy, sx in moved])
+    s_norm = np.sqrt(w * h / len(seeds))
+    m2 = compactness * compactness
+    half_x = int(np.ceil(1.5 * step_x)) + 1
+    half_y = int(np.ceil(1.5 * step_y)) + 1
+    labels = np.zeros((h, w), dtype=np.int64)
+    for _ in range(iterations):
+        dist = np.full((h, w), np.inf)
+        labels.fill(-1)
+        for ci in range(len(centers)):
+            cy, cx, cv = centers[ci]
+            y0, y1 = max(0, int(cy) - half_y), min(h, int(cy) + half_y + 1)
+            x0, x1 = max(0, int(cx) - half_x), min(w, int(cx) + half_x + 1)
+            ys, xs = np.mgrid[y0:y1, x0:x1]
+            d = (img[y0:y1, x0:x1] - cv) ** 2 + m2 * (
+                (ys - cy) ** 2 + (xs - cx) ** 2
+            ) / (s_norm * s_norm)
+            sub = dist[y0:y1, x0:x1]
+            hits["tie"] = hits.get("tie", 0) + int(np.count_nonzero(d == sub))
+            better = d < sub
+            sub[better] = d[better]
+            labels[y0:y1, x0:x1][better] = ci
+        missing = labels < 0
+        hits["outside"] = hits.get("outside", 0) + int(missing.sum())
+        if missing.any():
+            ys, xs = np.nonzero(missing)
+            d2 = (ys[:, None] - centers[:, 0]) ** 2 + (xs[:, None] - centers[:, 1]) ** 2
+            labels[ys, xs] = np.argmin(d2, axis=1)
+        for ci in range(len(centers)):
+            mask = labels == ci
+            if mask.any():
+                ys, xs = np.nonzero(mask)
+                centers[ci] = (ys.mean(), xs.mean(), img[ys, xs].mean())
+            else:
+                hits["empty"] = hits.get("empty", 0) + 1
+    labels, count = enforce_connectivity_oracle(labels, w, h, len(seeds), hits)
+    return SegmentationMap(labels=labels[None], label_count=count)
+
+
+def enforce_connectivity_oracle(labels, w, h, k, hits=None):
+    """Oracle: the full-frame connectivity pass ``segmentation.
+    _enforce_connectivity`` replaced, one frame-sized mask per label,
+    component and fragment.  ``hits`` counts fragments merged into a
+    fragment that is itself merged later (``chain``)."""
+    hits = {} if hits is None else hits
+    comp = np.full(labels.shape, -1, dtype=np.int64)
+    next_id = 0
+    for lbl in range(int(labels.max()) + 1):
+        mask = labels == lbl
+        if not mask.any():
+            continue
+        cc, n = ndimage.label(mask, structure=_FOUR_CONN)
+        for i in range(1, n + 1):
+            comp[cc == i] = next_id
+            next_id += 1
+    sizes = np.bincount(comp.ravel(), minlength=next_id).astype(np.int64)
+    threshold = 0.25 * (w * h) / k
+    small = sorted(
+        (i for i in range(next_id) if sizes[i] < threshold),
+        key=lambda i: (sizes[i], i),
+    )
+    pending = set(small)
+    for frag in small:
+        pending.discard(frag)
+        mask = comp == frag
+        if not mask.any():
+            continue
+        ring = ndimage.binary_dilation(mask, structure=_FOUR_CONN) & ~mask
+        neigh = comp[ring]
+        neigh = neigh[neigh >= 0]
+        if neigh.size == 0:
+            continue
+        counts = np.bincount(neigh, minlength=next_id)
+        candidates = np.flatnonzero(counts)
+        target = int(candidates[np.lexsort((candidates, -sizes[candidates]))[0]])
+        hits["chain"] = hits.get("chain", 0) + (target in pending)
+        comp[mask] = target
+        sizes[target] += sizes[frag]
+        sizes[frag] = 0
+    ids, first = np.unique(comp, return_index=True)
+    remap = np.full(next_id, -1, dtype=np.int64)
+    remap[ids[np.argsort(first)]] = np.arange(ids.size)
+    return remap[comp], ids.size
 
 
 def split_reference_oracle(ref):

@@ -58,6 +58,22 @@ class TestPipeline:
         loaded = load_light_field(rec)
         assert loaded.spatial_dims == (32, 32)
 
+    def test_views_one_pixel_high_exit_0(self, tmp_path):
+        spec = tmp_path / "thin.txt"
+        spec.write_text(
+            "angular 2 2\nspatial 40 1\nbitdepth 8\nbackground 90\nseed 4\n"
+            "patch rect 3 0 10 1 0.0 noise 40 210 8\n"
+        )
+        lf = tmp_path / "lf"
+        assert main(["synth", "--spec", str(spec), "--out", str(lf)]) == 0
+        stream = tmp_path / "a.srgc"
+        assert main([
+            "encode", str(lf), "--disparity", str(lf / "gt.lfdm"),
+            "--slic-k", "4", "--n-target", "8", "--out", str(stream),
+        ]) == 0
+        assert main(["decode", str(stream), "--out", str(tmp_path / "rec")]) == 0
+        assert load_light_field(tmp_path / "rec").spatial_dims == (40, 1)
+
     def test_missing_input_dir_exit_2(self, tmp_path, capsys):
         code = main(
             [

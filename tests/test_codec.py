@@ -2,7 +2,7 @@
 
 import dataclasses
 import struct
-import time
+import types
 
 import numpy as np
 import pytest
@@ -49,12 +49,14 @@ from conftest import (
     graph_structure_union_oracle,
     label_disparities_oracle,
     lf_equal,
+    make_lf,
     partition_super_rays_oracle,
     partition_with_trees_oracle,
     project_labels_oracle,
     random_lf,
     segmentation_from_symbols_oracle,
     segmentation_symbols_oracle,
+    slic_segment_oracle,
 )
 
 
@@ -356,6 +358,25 @@ class TestDeterminism:
             assert not any(line.startswith("workers=") for line in rep.to_lines())
 
 
+class TestThinViews:
+    """Views 1 pixel high or wide code in both modes: along an axis of
+    length 1 the seed perturbation takes the gradient as zero."""
+
+    @pytest.mark.parametrize("q_gft", [16.0, 2.0], ids=["coarse", "partition"])
+    @pytest.mark.parametrize("h, w", [(1, 8), (8, 1), (1, 1), (1, 40)])
+    def test_round_trip(self, h, w, q_gft):
+        cfg = CodecConfig(slic_k=min(4, h * w), q_gft=q_gft, n_target=4, max_vertices=8)
+        dmap = DisparityMap(values=np.zeros((h, w)))
+        lf = random_lf(2, 2, w, h, seed=3)
+        stream, report = encode(lf, dmap, cfg)
+        assert (report.coarsened_count == report.unit_count) == (q_gft >= cfg.q_switch)
+        rec, _ = decode(deserialize(serialize(stream)))
+        assert (rec.angular_dims, rec.spatial_dims) == (lf.angular_dims, lf.spatial_dims)
+        flat = make_lf([np.full((h, w), 117)] * 4, (2, 2))
+        rec, _ = decode(deserialize(serialize(encode(flat, dmap, cfg)[0])))
+        assert lf_equal(rec, flat)
+
+
 class TestModes:
     @pytest.mark.parametrize("q_gft", [16.0, 2.0], ids=["coarse", "partition"])
     def test_stage_times_split_graphs_and_coarsen(self, q_gft):
@@ -378,24 +399,28 @@ class TestModes:
 
     def test_section_decoding_is_its_own_stage(self, monkeypatch):
         """Every section's entropy decoding is charged to ``entropy`` and to
-        no other stage, and the stages still add up to the decode."""
+        no other stage, and the stages still add up to the decode.  The
+        codec's clock is a fake that only the stubbed ``entropy_decode``
+        advances, by 1/16 s a call (a binary fraction, so every sum and
+        difference of clock readings is exact)."""
         lf, dmap = small_scene()
         stream, _ = encode(lf, dmap, CFG)
+        step = 1 / 16
+        now = [0.0]
         calls = []
 
         def slow(*args):
             calls.append(args)
-            time.sleep(0.05)
+            now[0] += step
             return entropy_decode(*args)
 
+        monkeypatch.setattr(codec, "time", types.SimpleNamespace(perf_counter=lambda: now[0]))
         monkeypatch.setattr(codec, "entropy_decode", slow)
-        start = time.perf_counter()
         _, rep = decode(stream)
-        wall = time.perf_counter() - start
         assert len(calls) == 6
-        assert rep.times["entropy"] >= 0.05 * len(calls)
-        assert all(t < 0.05 for k, t in rep.times.items() if k != "entropy")
-        assert sum(rep.times.values()) <= wall
+        assert rep.times["entropy"] == 6 * step
+        assert all(t == 0.0 for k, t in rep.times.items() if k != "entropy")
+        assert sum(rep.times.values()) == now[0]
 
     def test_levels_beyond_coder_range_refused(self):
         """At a step this fine the GFT levels reach 2**49 or more, whose
@@ -793,6 +818,18 @@ def test_graph_builders_match_oracles_end_to_end(case, monkeypatch):
     assert solved
     assert data == want_data
     assert lf_equal(rec, want_rec)
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_slic_matches_loop_oracle_on_reference_views(case):
+    """The encoder's segmentation of each case's reference view has the
+    labels and label count of the per-center SLIC loop."""
+    lf, _, cfg = ORACLE_CASES[case]()
+    luma = lf.luma_planes()[0]
+    got = codec.slic_segment(luma, cfg.slic_k, cfg.compactness)
+    want = slic_segment_oracle(luma, cfg.slic_k, cfg.compactness)
+    assert got.label_count == want.label_count
+    assert np.array_equal(got.labels, want.labels)
 
 
 def _patch_per_unit_oracles(monkeypatch):

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
+import srgc.segmentation as segmentation
 from srgc.errors import OrphanLabelError, TooManySuperpixelsError
 from srgc.lightfield import DisparityMap, Patch, SceneSpec, synthesize_light_field
 from srgc.segmentation import (
@@ -20,13 +22,16 @@ from srgc.util import round_half_away
 
 from conftest import (
     assemble_super_rays_oracle,
+    bench_workloads,
     build_super_rays,
+    enforce_connectivity_oracle,
     fill_holes_oracle,
     four_patch_scene,
     label_disparities_oracle,
     label_shift,
     per_view,
     project_labels_oracle,
+    slic_segment_oracle,
 )
 
 
@@ -114,6 +119,121 @@ class TestSlic:
             slic_segment(np.zeros((4, 4)), k=0)
         with pytest.raises(ValueError):
             slic_segment(np.zeros((4, 4)), k=2, compactness=0.0)
+
+
+def drifting_centers_image():
+    """A 40x40 image on which, at k=16, the four centers that cover the
+    top-left corner drift away from it in the first iteration, so pixel
+    (0, 0) lies outside every window in the second.  Each seed sits on a
+    flat 3x3 block of its own value (so it stays put); the corner seeds'
+    values recur only in masses at the far side of their windows, and the
+    corner itself holds the value of the seed at (5, 15), which the
+    largest mass pulls right."""
+    img = np.full((40, 40), 90)
+    for y in (5, 15, 25, 35):
+        for x in (5, 15, 25, 35):
+            img[y - 1:y + 2, x - 1:x + 2] = 80
+    img[0:9, 0:9] = 40
+    for (y, x), v in zip(((5, 5), (5, 15), (15, 5), (15, 15)), (10, 40, 20, 30)):
+        img[y - 1:y + 2, x - 1:x + 2] = v
+    img[0:22, 18:22] = 10
+    img[18:22, 0:9] = 20
+    img[27:32, 27:32] = 30
+    img[0:22, 27:32] = 40
+    return img
+
+
+def slic_corpus(count=240, seed=0):
+    """Seeded (image, k, compactness) cases: noise, flat, few-level and
+    ramp images from 1x1 to 31x31, views 1 pixel high or wide among
+    them."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        h, w = (int(v) for v in rng.integers(1, 32, size=2))
+        k = int(rng.integers(1, min(32, h * w) + 1))
+        ys, xs = np.mgrid[0:h, 0:w]
+        img = (
+            rng.integers(0, 256, size=(h, w)),
+            np.full((h, w), int(rng.integers(0, 256))),
+            rng.integers(0, 4, size=(h, w)) * 60,
+            (xs * 7 + ys * 3 + rng.integers(0, 20, size=(h, w))) % 256,
+        )[i % 4]
+        yield img, k, float(rng.choice([0.5, 1.0, 10.0, 40.0]))
+
+
+class TestSlicMatchesLoopOracle:
+    """The array SLIC and connectivity pass give the labels of the
+    per-center, full-frame loops they replaced, bit for bit."""
+
+    @staticmethod
+    def _check(img, k, compactness, hits, caps=(None,)):
+        want = slic_segment_oracle(img, k, compactness, hits=hits)
+        for cap in caps:
+            with pytest.MonkeyPatch.context() as m:
+                if cap is not None:
+                    m.setattr(segmentation, "_WINDOW_CELLS", cap)
+                got = slic_segment(img, k, compactness)
+            assert got.label_count == want.label_count
+            assert np.array_equal(got.labels, want.labels)
+
+    def test_random_images_and_every_branch(self):
+        """Hundreds of seeded images, each at the default run size and with
+        the centers split into runs of one window (even cases) or of a
+        few (odd cases); the corpus reaches every branch of the loop: ties
+        of equal D, centers left with no pixels, pixels outside every
+        window, and fragments merged into a fragment that merges later."""
+        hits = {}
+        cases = list(slic_corpus())
+        cases += [(drifting_centers_image(), 16, c) for c in (0.01, 1.0)]
+        for i, (img, k, compactness) in enumerate(cases):
+            self._check(img, k, compactness, hits, caps=(None, (1, 600)[i % 2]))
+        assert min(hits.get(b, 0) for b in ("tie", "empty", "outside", "chain")) > 0, hits
+
+    @pytest.mark.parametrize("seed", [1, 17])
+    @pytest.mark.parametrize("name", ["gate", "parallax", "partition"])
+    def test_bench_scenes(self, name, seed):
+        workload = bench_workloads()[name]
+        lf, _ = workload.scene(seed)
+        cfg = workload.config
+        self._check(lf.luma_planes()[0], cfg.slic_k, cfg.compactness, {})
+
+    def test_connectivity_on_random_label_maps(self):
+        """Several hundred seeded label maps, pixel noise and 3x3 blocks,
+        through the connectivity pass alone."""
+        rng = np.random.default_rng(7)
+        chains = {}
+        for i in range(400):
+            h, w = (int(v) for v in rng.integers(1, 30, size=2))
+            n = int(rng.integers(1, 12))
+            if i % 2:
+                blocks = rng.integers(0, n, size=((h + 2) // 3, (w + 2) // 3))
+                labels = np.repeat(np.repeat(blocks, 3, 0), 3, 1)[:h, :w]
+            else:
+                labels = rng.integers(0, n, size=(h, w))
+            k = int(rng.integers(1, 20))
+            got, count = segmentation._enforce_connectivity(labels, w, h, k)
+            want, want_count = enforce_connectivity_oracle(labels, w, h, k, chains)
+            assert count == want_count
+            assert np.array_equal(got, want)
+        assert chains["chain"] > 0
+
+    def test_work_scales_with_the_frame_not_k(self, monkeypatch):
+        """At 128x128 and k=64, the arrays handed to ``ndimage.label`` and
+        ``ndimage.binary_dilation`` add up to a few frames: the regions'
+        boxes, not one frame per label, component or fragment (the loops
+        this replaced handed over 64 frames or more)."""
+        sizes = []
+        for name in ("label", "binary_dilation"):
+            def counted(input, *args, _call=getattr(ndimage, name), **kwargs):
+                sizes.append(np.asarray(input).size)
+                return _call(input, *args, **kwargs)
+
+            monkeypatch.setattr(ndimage, name, counted)
+        rng = np.random.default_rng(5)
+        ys, xs = np.mgrid[0:128, 0:128]
+        slic_segment(xs + ys + rng.integers(0, 12, size=(128, 128)), 64)
+        assert sizes
+        assert sum(sizes) < 4 * 128 * 128
 
 
 class TestMedianDisparity:
