@@ -104,6 +104,9 @@ class StreamHeader:
             (self.bit_depth in (8, 10, 16), f"bit depth {self.bit_depth}"),
             (self.channels in (1, 3), f"channel count {self.channels}"),
             (self.n_target > 0, "n_target 0"),
+            # both code grouped members: no decode path reads them otherwise
+            (self.grouping or not (self.explicit_groups or self.residual_mode == "dct"),
+             "flags set explicit groups or DCT residuals without grouping"),
             (all(math.isfinite(q) and q > 0 for q in steps),
              f"q_gft/q_dct/bin_width {steps} not finite and positive"),
         ):

@@ -13,6 +13,10 @@ and eigendecomposes only ungrouped units plus one main per group.  Grouped
 members are reconstructed as rounded cross-basis prediction plus residual,
 which with raw residuals reproduces the coded unit signal exactly.
 
+The structure section is :func:`spectral.partition_super_ray`'s ``bits``
+as they are, which the decoder hands to :func:`spectral.partition_with_tree`
+to parse and replay; an empty section means coarse mode.
+
 Each side builds the pixel graphs of all its units (super-rays, or
 partition parts) in one :func:`spectral.graph_structure` call, their
 disjoint union, and :func:`spectral.split_graph` gives each unit its own
@@ -39,7 +43,7 @@ import numpy as np
 
 from . import bitstream as bs
 from .bitstream import Bitstream, StreamHeader
-from .entropy import entropy_decode, entropy_encode
+from .entropy import SYMBOL_LIMIT, entropy_decode, entropy_encode
 from .errors import CorruptStreamError, EmptyLightFieldError, SrgcError
 from .grouping import (
     GroupSet,
@@ -267,30 +271,21 @@ def _eigenbases(graphs):
     return [bases[i] for i in which], len(distinct)
 
 
-def _build_units(srs, angular_dims, mode, n_target, split, watch):
-    """Turn super-rays into coding units, in super-ray order.
+def _build_units(sources, angular_dims, mode, n_target, watch):
+    """Turn super-rays ('coarse' mode) or partition parts into coding
+    units, in order.
 
-    In 'coarse' mode each super-ray's pixel graph is coarsened to
-    ``n_target`` vertices; otherwise each part that ``split(srs)`` returns
-    is a unit on its own pixel graph.  The encoder's ``split`` records the
-    split trees it derives, the decoder's replays the transmitted ones.
-    All units' pixel graphs are built in one :func:`graph_structure` call
-    and split apart before any is coarsened, and ``watch`` laps ``graphs``
-    in between; the caller laps ``coarsen``.
+    All pixel graphs are built in one :func:`graph_structure` call and
+    split apart, and ``watch`` laps ``graphs``.  In 'coarse' mode each
+    graph is then coarsened to ``n_target`` vertices; otherwise each part
+    is a unit on its own pixel graph.  The caller laps ``coarsen``.
     """
-    if mode == "coarse":
-        fines = split_graph(graph_structure(srs, angular_dims), srs)
-        watch.lap("graphs")
-        coarse = _coarsen_graphs(fines, n_target)
-        pieces = [(*pair, fine) for pair, fine in zip(coarse, fines)]
-    else:
-        parts = split(srs)
-        graphs = split_graph(graph_structure(parts, angular_dims), parts)
-        watch.lap("graphs")
-        pieces = [(g, None, g) for g in graphs]
+    fines = split_graph(graph_structure(sources, angular_dims), sources)
+    watch.lap("graphs")
+    pairs = _coarsen_graphs(fines, n_target) if mode == "coarse" else [(g, None) for g in fines]
     return [
         CodingUnit(index=i, graph=graph, cmap=cmap, fine=fine)
-        for i, (graph, cmap, fine) in enumerate(pieces)
+        for i, ((graph, cmap), fine) in enumerate(zip(pairs, fines))
     ]
 
 
@@ -374,35 +369,6 @@ def _segmentation_from_symbols(syms, w, h, label_count):
     return labels
 
 
-def _parse_structure(syms, label_count):
-    """Split trees of labels 0..label_count-1, back to back in DFS preorder
-    (``1`` internal node, ``0`` leaf), as a list in label order.  No
-    symbols at all means every label is coarsened: ``[]``."""
-    syms = [int(v) for v in syms]
-    trees = []
-    pos = 0
-    for label in range(label_count if syms else 0):
-        if pos >= len(syms):
-            raise CorruptStreamError(
-                f"corrupt stream: structure holds {label} of {label_count} split trees"
-            )
-        tree = []
-        depth = 1
-        while depth > 0:
-            if pos >= len(syms):
-                raise CorruptStreamError("corrupt stream: split tree truncated")
-            bit = syms[pos]
-            pos += 1
-            if bit not in (0, 1):
-                raise CorruptStreamError(f"corrupt stream: tree bit {bit}")
-            tree.append(bit)
-            depth += 1 if bit else -1
-        trees.append(tree)
-    if pos != len(syms):
-        raise CorruptStreamError("corrupt stream: trailing structure symbols")
-    return trees
-
-
 # ---------------------------------------------------------------------------
 # Encoder
 # ---------------------------------------------------------------------------
@@ -416,6 +382,12 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     if dmap.values.shape != (h, w):
         raise SrgcError(
             f"disparity map {dmap.values.shape} does not match views {h}x{w}"
+        )
+    # each label's disparity, a value of the map, is sent as round(8 * d)
+    extreme = max(dmap.values.min(initial=0.0), dmap.values.max(initial=0.0), key=abs)
+    if abs(round_half_away(extreme * 8)) >= SYMBOL_LIMIT:
+        raise SrgcError(
+            f"disparity {extreme:g} out of range: round(8 * d) must stay below 2**49 in magnitude"
         )
     watch = _Stopwatch()
     maxval = lf.max_value
@@ -435,14 +407,11 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     watch.lap("projection")
 
     mode = "coarse" if cfg.q_gft >= cfg.q_switch else "part"
-    trees = []
-
-    def split(srs):
+    sources, structure = srs, []
+    if mode == "part":
         res = partition_super_ray(srs, cfg.max_vertices, lf.angular_dims)
-        trees.extend(res.trees)
-        return res.parts
-
-    units = _build_units(srs, lf.angular_dims, mode, cfg.n_target, split, watch)
+        sources, structure = res.parts, res.bits
+    units = _build_units(sources, lf.angular_dims, mode, cfg.n_target, watch)
     for u in units:
         fine = [graph_signal(u.fine, volume) for volume in volumes]
         u.signals = fine if u.cmap is None else [
@@ -498,7 +467,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         bs.SEC_DISPARITY: [
             round_half_away(disparities[l] * 8) for l in range(seg_ref.label_count)
         ],
-        bs.SEC_STRUCTURE: [bit for tree in trees for bit in tree],
+        bs.SEC_STRUCTURE: structure,
         bs.SEC_COEFFICIENTS: levels.tolist(),
         bs.SEC_GROUPS: group_syms,
         bs.SEC_RESIDUALS: residual_syms,
@@ -513,8 +482,8 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         bit_depth=lf.bit_depth,
         channels=n_channels,
         grouping=cfg.grouping,
-        explicit_groups=cfg.explicit_groups,
-        residual_mode=cfg.residual_mode,
+        explicit_groups=cfg.grouping and cfg.explicit_groups,
+        residual_mode=cfg.residual_mode if cfg.grouping else "raw",
         label_count=seg_ref.label_count,
         n_target=cfg.n_target,
         q_gft=cfg.q_gft,
@@ -601,14 +570,12 @@ def decode(stream: Bitstream, threads=1, debug=False):
     # 2P - 1 tree nodes for P parts, and every part keeps at least one
     # reference pixel; an empty section codes every label coarsened
     struct_syms = section_symbols(bs.SEC_STRUCTURE, 2 * w * h, at_most=True)
-    trees = _parse_structure(struct_syms, hdr.label_count)
-    mode = "part" if trees else "coarse"
+    mode = "part" if len(struct_syms) else "coarse"
     try:
-        units = _build_units(
-            srs, hdr.angular_dims, mode, hdr.n_target,
-            lambda srs: partition_with_tree(srs, trees, hdr.angular_dims),
-            watch,
-        )
+        sources = srs
+        if mode == "part":
+            sources = partition_with_tree(srs, struct_syms, hdr.angular_dims)
+        units = _build_units(sources, hdr.angular_dims, mode, hdr.n_target, watch)
     except ValueError as e:
         raise CorruptStreamError(f"corrupt stream: {e}") from e
     watch.lap("coarsen")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .transform import predict_signal
-from .util import round_half_away_int
+from .util import forest_roots, round_half_away_int
 
 _BIN_LIMIT = 2.0**62  # histogram bin indices stay well inside int64
 
@@ -157,9 +157,7 @@ def _component_roots(m, i, j):
         if np.array_equal(ri, rj):
             return root
         np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
-        up = root[root]
-        while not np.array_equal(up, root):
-            root, up = up, up[up]
+        root = forest_roots(root)
 
 
 def derive_group_members(coeffs, bin_width=5.0):

@@ -16,6 +16,7 @@ with constant disparities; rendering is deterministic given the seed and
 the returned disparity map is exact ground truth.
 """
 
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -361,9 +362,9 @@ def parse_scene_spec(text):
                 geom = tuple(float(p) for p in parts[2:6])
                 disparity = float(parts[6])
                 texture = _parse_texture(parts[7:], spec.seed, patch_index)
-                spec.patches.append(
-                    Patch(shape=shape, params=geom, disparity=disparity, texture=texture)
-                )
+                patch = Patch(shape=shape, params=geom, disparity=disparity, texture=texture)
+                _check_patch(patch)
+                spec.patches.append(patch)
                 patch_index += 1
             else:
                 raise ValueError(f"unknown directive {key!r}")
@@ -383,6 +384,27 @@ def _parse_texture(parts, scene_seed, patch_index):
         seed = int(parts[3]) if len(parts) > 3 else scene_seed * 9973 + patch_index
         return ("noise", lo, hi, seed)
     raise ValueError(f"unknown texture {kind!r}")
+
+
+def _check_patch(patch):
+    """Raise ValueError for a patch no canvas can draw: a number or box
+    edge that is not finite, a size or radius that is not positive, a
+    disparity beyond float32 (the disparity file's type), an empty noise
+    range or a gradient that is not finite over the patch box."""
+    a, b, c, d = patch.params
+    if not all(math.isfinite(v) for v in (a - c, a + c, b - d, b + d, patch.disparity)):
+        raise ValueError("patch geometry and disparity must be finite")
+    if min(c, d) <= 0:
+        raise ValueError(f"{patch.shape} sizes must be positive")
+    if abs(patch.disparity) > float(np.finfo(np.float32).max):
+        raise ValueError(f"disparity {patch.disparity:g} does not fit in float32")
+    kind, *args = patch.texture
+    if kind == "noise" and args[0] > args[1]:
+        raise ValueError(f"noise range [{args[0]}, {args[1]}] is empty")
+    if kind == "gradient":
+        _, _, bw, bh = _patch_bbox(patch)
+        if not math.isfinite(abs(args[0]) + abs(args[1]) * bw + abs(args[2]) * bh):
+            raise ValueError("gradient is not finite over the patch")
 
 
 def _patch_bbox(patch):
@@ -413,8 +435,11 @@ def _patch_texture(patch, bw, bh, maxval):
     if kind == "gradient":
         _, v0, dvx, dvy = patch.texture
         ys, xs = np.mgrid[0:bh, 0:bw]
-        return np.clip(round_half_away_int(v0 + dvx * xs + dvy * ys), 0, maxval)
+        # clipped before the integer cast: the same samples, and no overflow
+        return round_half_away_int(np.clip(v0 + dvx * xs + dvy * ys, 0, maxval))
     _, lo, hi, seed = patch.texture
+    if lo > maxval or hi < 0:
+        raise SceneSpecError(f"noise range [{lo}, {hi}] misses the samples 0..{maxval}")
     rng = np.random.default_rng(seed)
     return rng.integers(max(0, lo), min(maxval, hi), size=(bh, bw), endpoint=True)
 

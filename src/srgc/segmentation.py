@@ -30,7 +30,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import OrphanLabelError, TooManySuperpixelsError
-from .util import lower_median, quantize_eighth, round_half_away_int
+from .util import forest_roots, lower_median, quantize_eighth, round_half_away_int
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # SLIC seed perturbation: the 3x3 offsets, center first, then by distance
@@ -225,13 +225,7 @@ def _enforce_connectivity(labels, w, h, k):
         sizes[frag] = 0
         if target in adjacent:
             adjacent[target] |= near
-    root = np.array(parent)
-    while True:
-        up = root[root]
-        if np.array_equal(up, root):
-            break
-        root = up
-    comp = root[comp]
+    comp = forest_roots(parent)[comp]
     # compact ids in raster first-appearance order
     ids, first = np.unique(comp, return_index=True)
     remap = np.full(next_id, -1, dtype=np.int64)

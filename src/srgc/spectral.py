@@ -50,8 +50,10 @@ pixels reach it, or by majority fill.  Both codec sides walk the split
 trees of all super-rays at once, breadth first: stacked reprojections of
 up to ``_SPLIT_ROWS`` pixel rows split the nodes of one tree depth
 together, and each child keeps the canonical order of its parent's
-rows.  The trees
-themselves are kept and transmitted in depth-first preorder.
+rows.  The split trees exist in one form, the structure section's bit
+list: every super-ray's tree in depth-first preorder, back to back.  The
+encoder's walk writes it from its sorted nodes, and the decoder parses
+it in one loop into the nodes its walk replays.
 """
 
 from dataclasses import dataclass
@@ -474,11 +476,12 @@ def uncoarsen_signal(coarse_f, cmap: CoarseningMap):
 @dataclass
 class PartitionResult:
     """Leaves of the recursive splits of a list of super-rays, in
-    super-ray order and depth-first order inside each, and one split tree
-    per super-ray in DFS preorder (1 = internal, 0 = leaf)."""
+    super-ray order and depth-first order inside each, and their split
+    trees as the structure section's symbols: one tree per super-ray,
+    back to back, each in DFS preorder (1 = internal, 0 = leaf)."""
 
     parts: list
-    trees: list
+    bits: list
 
 
 def _bisect(ref, node, count):
@@ -578,8 +581,7 @@ def _level_walk(srs, angular_dims, wants):
     preorder is the order of the paths.  ``wants(nodes, sizes)`` says
     which nodes of a depth ask to split; a node splits when it asks and
     :func:`_bisect` can split its reference region.  Returns ({node: 1 if
-    it split, 0 if a leaf}, {leaf node: SuperRay}, the set of super-ray
-    indices with a node that asked to split and could not).
+    it split, 0 if a leaf}, {leaf node: SuperRay}).
     """
     n_views = angular_dims[0] * angular_dims[1]
     shifts = label_shifts(
@@ -588,22 +590,19 @@ def _level_walk(srs, angular_dims, wants):
     nodes = [(k, ()) for k in range(len(srs))]
     rows = np.concatenate([sr.pixels for sr in srs] or [np.zeros((0, 3), dtype=np.int64)])
     sizes = np.array([sr.total_pixels for sr in srs], dtype=np.int64)
-    bits, leaves, stuck = {}, {}, set()
+    bits, leaves = {}, {}
     while nodes:
         node = np.repeat(np.arange(len(nodes)), sizes)
         ref = rows[:, 0] == 0
         can, first = _bisect(rows[ref], node[ref], len(nodes))
-        asks = wants(nodes, sizes)
-        split = asks & can
+        split = wants(nodes, sizes) & can
         stops = np.cumsum(sizes)
-        for (k, path), s, a, lo, hi in zip(nodes, split.tolist(), asks.tolist(),
-                                           (stops - sizes).tolist(), stops.tolist()):
+        for (k, path), s, lo, hi in zip(nodes, split.tolist(), (stops - sizes).tolist(),
+                                        stops.tolist()):
             bits[k, path] = int(s)
             if not s:
                 sr = srs[k]
                 leaves[k, path] = SuperRay(sr.label, rows[lo:hi].copy(), sr.disparity)
-                if a:
-                    stuck.add(k)
         if not split.any():
             break
         parents = [nd for nd, s in zip(nodes, split) if s]
@@ -628,53 +627,53 @@ def _level_walk(srs, angular_dims, wants):
             child_sizes.append(run_sizes)
         sizes = np.concatenate(child_sizes)
         nodes = [(k, path + (c,)) for k, path in parents for c in (0, 1)]
-    return bits, leaves, stuck
+    return bits, leaves
 
 
 def partition_super_ray(srs, max_vertices: int, angular_dims) -> PartitionResult:
     """Recursively split each super-ray until every part has at most
-    ``max_vertices`` total vertices or an unsplittable reference region."""
+    ``max_vertices`` total vertices or an unsplittable reference region.
+    The walk's nodes, sorted, are the trees' DFS preorder."""
     s_count, t_count = angular_dims
     if max_vertices < s_count * t_count:
         raise ValueError("max_vertices must be at least the view count")
-    bits, leaves, _ = _level_walk(srs, angular_dims, lambda nodes, sizes: sizes > max_vertices)
-    trees = [[] for _ in srs]
-    for k, path in sorted(bits):
-        trees[k].append(bits[k, path])
-    return PartitionResult(parts=[leaves[key] for key in sorted(leaves)], trees=trees)
-
-
-def _tree_paths(tree):
-    """({path: bit} of a DFS-preorder split tree, the fault that makes it
-    no whole tree: 'split tree truncated', 'split tree has trailing bits'
-    or None)."""
-    bits, open_paths = {}, [()]
-    for bit in tree:
-        if not open_paths:
-            return bits, "split tree has trailing bits"
-        path = open_paths.pop()
-        bits[path] = bit
-        if bit:
-            open_paths += [path + (1,), path + (0,)]
-    return bits, "split tree truncated" if open_paths else None
-
-
-def partition_with_tree(srs, trees, angular_dims) -> list:
-    """Replay transmitted split trees (decoder side), one per super-ray:
-    split where the tree says 1, no size checks.  Raises ValueError for
-    the first super-ray whose tree the walk does not reproduce: 'split
-    tree does not match super-ray geometry' for a 1 on an unsplittable
-    node, else 'split tree truncated' or 'split tree has trailing bits'."""
-    if len(trees) != len(srs):
-        raise ValueError(f"{len(trees)} split trees for {len(srs)} super-rays")
-    parsed = [_tree_paths(tree) for tree in trees]
-    _, leaves, stuck = _level_walk(
-        srs, angular_dims,
-        lambda nodes, sizes: np.array([bool(parsed[k][0].get(p, 0)) for k, p in nodes]),
+    tree, leaves = _level_walk(srs, angular_dims, lambda nodes, sizes: sizes > max_vertices)
+    return PartitionResult(
+        parts=[leaves[key] for key in sorted(leaves)], bits=[tree[key] for key in sorted(tree)]
     )
-    for k, (_, fault) in enumerate(parsed):
-        if k in stuck:
-            raise ValueError("split tree does not match super-ray geometry")
-        if fault:
-            raise ValueError(fault)
+
+
+def partition_with_tree(srs, bits, angular_dims) -> list:
+    """Replay transmitted split trees (decoder side): ``bits`` holds one
+    tree per super-ray, as :attr:`PartitionResult.bits`, and this loop is
+    the one parser of them; split where a tree says 1, no size checks.
+
+    Raises ValueError when the symbols are not exactly one whole tree of
+    0/1 bits per super-ray, and, after the walk, 'split tree does not
+    match super-ray geometry' when the walk does not reproduce the trees:
+    a 1 on a node that cannot be bisected."""
+    tree, pos = {}, 0
+    bits = [int(b) for b in bits]
+    for k in range(len(srs)):
+        if pos == len(bits):
+            raise ValueError(f"structure holds {k} of {len(srs)} split trees")
+        open_paths = [()]
+        while open_paths:
+            if pos == len(bits):
+                raise ValueError("split tree truncated")
+            bit = bits[pos]
+            pos += 1
+            if bit not in (0, 1):
+                raise ValueError(f"tree bit {bit}")
+            path = open_paths.pop()
+            tree[k, path] = bit
+            if bit:
+                open_paths += [path + (1,), path + (0,)]
+    if pos != len(bits):
+        raise ValueError("trailing structure symbols")
+    walked, leaves = _level_walk(
+        srs, angular_dims, lambda nodes, sizes: np.array([tree[nd] for nd in nodes], dtype=bool)
+    )
+    if walked != tree:
+        raise ValueError("split tree does not match super-ray geometry")
     return [leaves[key] for key in sorted(leaves)]

@@ -21,6 +21,17 @@ def round_half_away_int(x):
     return (np.sign(a) * np.floor(np.abs(a) + 0.5)).astype(np.int64)
 
 
+def forest_roots(parent):
+    """Every node's root in a pointer forest, where ``parent`` is an int
+    array and each root is its own parent: pointer jumping, each round
+    replacing every pointer by its parent's until nothing moves."""
+    parent = np.asarray(parent)
+    up = parent[parent]
+    while not np.array_equal(up, parent):
+        parent, up = up, up[up]
+    return parent
+
+
 def lower_median(values):
     """Lower statistical median: for even counts the smaller of the two
     middle values, so the result is always an observed value."""

@@ -789,13 +789,14 @@ def partition_super_ray_oracle(sr, max_vertices, angular_dims):
     warned = _partition_recurse_oracle(
         sr, angular_dims, tree, parts, lambda r: r.total_pixels > max_vertices, warned=False
     )
-    return PartitionResult(parts=parts, trees=[tree]), warned
+    return PartitionResult(parts=parts, bits=tree), warned
 
 
 def partition_with_tree_oracle(sr, tree, angular_dims):
     """Oracle: the decoder's depth-first replay of one super-ray's tree,
     which the breadth-first ``spectral._level_walk`` over all super-rays
-    replaced, with its three ValueError messages."""
+    replaced, with its three ValueError messages (on trees split by
+    :func:`parse_structure_oracle` only the geometry one can occur)."""
     pos = [0]
 
     def walk(node):
@@ -821,19 +822,50 @@ def partition_with_tree_oracle(sr, tree, angular_dims):
 
 def partition_super_rays_oracle(srs, max_vertices, angular_dims):
     """:func:`partition_super_ray_oracle` over a list of super-rays, one
-    after another: (PartitionResult of all of them, warned per super-ray)."""
+    after another: (PartitionResult of all of them, whose bits are their
+    trees back to back, warned per super-ray)."""
     results = [partition_super_ray_oracle(sr, max_vertices, angular_dims) for sr in srs]
     return PartitionResult(
         parts=[p for res, _ in results for p in res.parts],
-        trees=[res.trees[0] for res, _ in results],
+        bits=[bit for res, _ in results for bit in res.bits],
     ), [warned for _, warned in results]
 
 
-def partition_with_trees_oracle(srs, trees, angular_dims):
-    """:func:`partition_with_tree_oracle` over a list of super-rays, one
-    after another: all parts, or the first super-ray's ValueError."""
+def parse_structure_oracle(syms, label_count):
+    """Oracle: the codec's former per-label split of the structure
+    section into ``label_count`` DFS-preorder trees (1 internal node, 0
+    leaf), as a list in label order, with its ValueError messages.  The
+    codec's rule that an empty section codes every label coarsened stays
+    in the codec, so no symbols at all is zero of ``label_count`` trees."""
+    syms = [int(v) for v in syms]
+    trees = []
+    pos = 0
+    for label in range(label_count):
+        if pos >= len(syms):
+            raise ValueError(f"structure holds {label} of {label_count} split trees")
+        tree = []
+        depth = 1
+        while depth > 0:
+            if pos >= len(syms):
+                raise ValueError("split tree truncated")
+            bit = syms[pos]
+            pos += 1
+            if bit not in (0, 1):
+                raise ValueError(f"tree bit {bit}")
+            tree.append(bit)
+            depth += 1 if bit else -1
+        trees.append(tree)
+    if pos != len(syms):
+        raise ValueError("trailing structure symbols")
+    return trees
+
+
+def partition_with_trees_oracle(srs, bits, angular_dims):
+    """The structure section ``bits`` split by :func:`parse_structure_oracle`
+    and each tree replayed by :func:`partition_with_tree_oracle`, one
+    super-ray after another: all parts, or the first ValueError."""
     return [
-        p for sr, tree in zip(srs, trees, strict=True)
+        p for sr, tree in zip(srs, parse_structure_oracle(bits, len(srs)), strict=True)
         for p in partition_with_tree_oracle(sr, tree, angular_dims)
     ]
 

@@ -135,6 +135,22 @@ class TestPipeline:
         spec.write_text("patch blob 0 0 1 1 0 const 3")
         assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("patch", [
+        "rect 0 0 inf 4 0 const 10",
+        "rect 0 0 4 4 0 gradient nan 1 1",
+        "ellipse 4 4 0 2 0 const 10",
+        "rect 0 0 4 4 0 noise 200 100",
+        "rect 0 0 4 4 nan const 10",
+        "rect 0 0 4 4 0 noise 300 400",
+    ])
+    def test_undrawable_patch_exit_2(self, patch, tmp_path, capsys):
+        spec = tmp_path / "bad.txt"
+        spec.write_text(f"spatial 16 16\npatch {patch}\n")
+        out = tmp_path / "o"
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        assert "internal" not in capsys.readouterr().err and not out.exists()
+
 
 class TestGroupingFlag:
     def test_no_grouping_vs_default_eig_counts(self, scene_dir, tmp_path):
@@ -305,6 +321,18 @@ class TestAnalyze:
         ) == 0
         assert main(["analyze", str(stream)]) == 0
         assert "mode=partition" in capsys.readouterr().out.splitlines()
+
+    def test_group_flags_clear_without_grouping(self, scene_dir, tmp_path, capsys):
+        stream = tmp_path / "a.srgc"
+        assert main(
+            ["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+             "--slic-k", "8", "--no-grouping", "--explicit-groups",
+             "--residual-mode", "dct", "--out", str(stream)]
+        ) == 0
+        assert main(["analyze", str(stream)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "grouping=0" in lines
+        assert "explicit_groups=0" in lines and "residual_mode=raw" in lines
 
     def test_psnr_mode(self, scene_dir, tmp_path, capsys):
         assert main(["analyze", "--ref", str(scene_dir), "--rec", str(scene_dir)]) == 0

@@ -497,6 +497,31 @@ class TestModes:
         with pytest.raises(SrgcError):
             encode(lf, DisparityMap(values=np.zeros((4, 4))), CFG)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [2.0**46, 1e15, -1e15, 1e20, -1e300])
+    def test_disparity_beyond_symbol_range_refused_up_front(self, value, monkeypatch):
+        """A disparity whose 1/8-pixel symbol the coder cannot hold is
+        refused, by value, before any codec work; the largest one it can
+        hold gets past the check."""
+
+        class Started(Exception):
+            pass
+
+        def started(*args):
+            raise Started
+
+        monkeypatch.setattr(codec, "slic_segment", started)
+        lf, _ = small_scene()
+        w, h = lf.spatial_dims
+        values = np.zeros((h, w))
+        values[h // 2, w // 3] = value
+        with pytest.raises(SrgcError, match="out of range") as err:
+            encode(lf, DisparityMap(values=values), CFG)
+        assert f"disparity {value:g} " in str(err.value)
+        values[h // 2, w // 3] = np.copysign((2**49 - 1) / 8, value)
+        with pytest.raises(Started):
+            encode(lf, DisparityMap(values=values), CFG)
+
     @pytest.mark.parametrize("name", ["n_target"])
     def test_u32_header_fields_bounded(self, name, monkeypatch):
         """Values the u32 header fields cannot hold are rejected before any
@@ -737,6 +762,30 @@ class TestStreamValidation:
         data[flags_at] = flags
         with pytest.raises(CorruptStreamError, match="flags"):
             deserialize(bytes(data))
+
+    @pytest.mark.parametrize("change", [{"explicit_groups": True}, {"residual_mode": "dct"}],
+                             ids=["explicit_groups", "dct"])
+    def test_group_flags_need_grouping(self, change, tmp_path):
+        """The explicit-group and DCT-residual flags say how grouped
+        members are coded.  Without grouping the encoder writes the bytes
+        of the default config, and a header that sets either flag without
+        grouping is corrupt (CLI exit 2)."""
+        lf, dmap = four_patch_scene(32, 3)
+        base = CodecConfig(slic_k=16, n_target=64, grouping=False)
+        stream, _ = encode(lf, dmap, dataclasses.replace(base, **change))
+        assert serialize(stream) == serialize(encode(lf, dmap, base)[0])
+        assert not stream.header.explicit_groups and stream.header.residual_mode == "raw"
+        # with grouping the flag is written and read back
+        grouped, _ = encode(lf, dmap, dataclasses.replace(base, grouping=True, **change))
+        assert deserialize(serialize(grouped)).header == grouped.header
+        bad = serialize(Bitstream(
+            header=dataclasses.replace(stream.header, **change), sections=stream.sections
+        ))
+        with pytest.raises(CorruptStreamError, match="without grouping"):
+            deserialize(bad)
+        path = tmp_path / "flags.srgc"
+        path.write_bytes(bad)
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
 
     @pytest.mark.parametrize("sid", sorted(SECTION_NAMES))
     @pytest.mark.parametrize("lie", [300_000, 2**32 - 1])

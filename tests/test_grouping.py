@@ -17,6 +17,7 @@ from srgc.grouping import (
 )
 from srgc.spectral import LocalGraph, eigendecompose, laplacian
 from srgc.transform import gft
+from srgc.util import forest_roots
 
 from conftest import (
     connected_components,
@@ -209,6 +210,24 @@ class TestDeriveGroupMembers:
             smallest = np.unique(comp, return_index=True)[1]
             got = _component_roots(m, edges[:, 0], edges[:, 1])
             assert np.array_equal(got, smallest[comp]), case
+
+    def test_forest_roots_follow_every_chain(self):
+        """The one pointer-jumping helper (used by the grouping pass and by
+        SLIC's connectivity pass) against walking each node's chain, on
+        random forests with long chains, in array and list form."""
+        rng = np.random.default_rng(7)
+        for case in range(60):
+            m = int(rng.integers(1, 400))
+            parent = np.arange(m)
+            for v in rng.permutation(m)[: m * 3 // 4]:
+                parent[v] = rng.integers(0, v + 1)  # parents never above their child
+            want = []
+            for v in range(m):
+                while parent[v] != v:
+                    v = parent[v]
+                want.append(v)
+            assert np.array_equal(forest_roots(parent), want), case
+            assert np.array_equal(forest_roots(parent.tolist()), want), case
 
     @pytest.mark.parametrize("kind", ["clustered", "chain", "quantized"])
     def test_matches_oracle_on_random_cases(self, kind):

@@ -148,6 +148,44 @@ class TestSceneSpec:
         with pytest.raises(SceneSpecError):
             parse_scene_spec("angular 3")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("line, message", [
+        ("patch rect 0 0 inf 4 0 const 10", "geometry and disparity must be finite"),
+        ("patch ellipse 1e308 4 1e308 2 0 const 3", "geometry and disparity must be finite"),
+        ("patch rect 0 0 4 4 nan const 10", "geometry and disparity must be finite"),
+        ("patch rect 0 0 4 4 -inf const 10", "geometry and disparity must be finite"),
+        ("patch rect 0 0 4 4 1e300 const 10", "disparity 1e\\+300 does not fit in float32"),
+        ("patch rect 0 0 4 4 0 gradient nan 1 1", "gradient is not finite"),
+        ("patch rect 0 0 4 4 0 gradient 1 1 inf", "gradient is not finite"),
+        ("patch rect 0 0 4 4 0 gradient 1e300 1e308 1", "gradient is not finite"),
+        ("patch ellipse 4 4 0 2 0 const 10", "ellipse sizes must be positive"),
+        ("patch ellipse 4 4 2 -2 0 const 10", "ellipse sizes must be positive"),
+        ("patch rect 0 0 0 4 0 const 10", "rect sizes must be positive"),
+        ("patch rect 0 0 4 -1 0 const 10", "rect sizes must be positive"),
+        ("patch rect 0 0 4 4 0 noise 200 100", "noise range \\[200, 100\\] is empty"),
+    ])
+    def test_undrawable_patches_rejected_with_line(self, line, message):
+        """Patches that used to crash, warn or write garbage are refused
+        at parse time, with their line number."""
+        with pytest.raises(SceneSpecError, match=f"^scene spec line 3: .*{message}"):
+            parse_scene_spec(f"spatial 16 16\n# comment\n{line}\n")
+
+    @pytest.mark.filterwarnings("error")
+    def test_gradient_beyond_int64_clips(self):
+        """A finite gradient far beyond the sample range clips to it, with
+        no overflowing cast."""
+        lf, _ = synthesize_light_field(
+            parse_scene_spec("patch rect 0 0 4 4 0 gradient 1e300 1 1\npatch rect 4 4 4 4 0 "
+                             "gradient -1e300 1 1")
+        )
+        assert (lf.views[0].planes[0][:4, :4] == 255).all()
+        assert (lf.views[0].planes[0][4:8, 4:8] == 0).all()
+
+    def test_noise_range_outside_the_samples_rejected(self):
+        spec = parse_scene_spec("bitdepth 8\npatch rect 0 0 4 4 0 noise 300 400")
+        with pytest.raises(SceneSpecError, match="misses the samples 0..255"):
+            synthesize_light_field(spec)
+
 
 class TestSynthesize:
     def test_zero_disparity_views_identical(self):

@@ -1,5 +1,7 @@
 """Local graphs, Laplacians, eigenbases, coarsening and partitioning."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,7 @@ from conftest import (
     laplacian_oracle,
     make_lf,
     merge_edges_oracle,
+    parse_structure_oracle,
     partition_super_rays_oracle,
     partition_with_trees_oracle,
     per_view,
@@ -873,7 +876,7 @@ class TestPartition:
     def test_identity_under_bound(self):
         sr = _rect_sr(4, 4)
         res = partition_super_ray([sr], 64, (1, 1))
-        assert len(res.parts) == 1 and res.trees == [[0]]
+        assert len(res.parts) == 1 and res.bits == [0]
         assert res.parts[0].total_pixels == sr.total_pixels <= 64
 
     def test_8x8_split_in_two(self):
@@ -914,13 +917,14 @@ class TestPartition:
         sr = super_ray([ref, fat], 0.0)
         res = partition_super_ray([sr], 4, (1, 2))
         # the bound cannot be met: the one part keeps all 9 vertices
-        assert len(res.parts) == 1 and res.trees == [[0]]
+        assert len(res.parts) == 1 and res.bits == [0]
         assert res.parts[0].total_pixels == 9 > 4
 
     def test_tree_replay_matches(self):
         sr = _rect_sr(12, 10, views=2, disparity=0.5)
         res = partition_super_ray([sr], 30, (1, 2))
-        replay = partition_with_tree([sr], res.trees, (1, 2))
+        assert len(res.bits) == 2 * len(res.parts) - 1
+        replay = partition_with_tree([sr], res.bits, (1, 2))
         assert len(replay) == len(res.parts)
         for a, b in zip(res.parts, replay):
             assert np.array_equal(a.pixels, b.pixels)
@@ -928,28 +932,35 @@ class TestPartition:
     def test_max_vertices_respected(self):
         sr = _rect_sr(20, 20, views=3)
         res = partition_super_ray([sr], 100, (1, 3))
-        assert len(res.parts) == res.trees[0].count(0) > 1
+        assert len(res.parts) == res.bits.count(0) > 1
         assert sum(p.total_pixels for p in res.parts) == sr.total_pixels
         for p in res.parts:
             assert p.total_pixels <= 100
 
     def test_tree_replay_rejects_mismatched_trees(self):
         sr = _rect_sr(8, 8, views=2, disparity=0.5)
-        assert len(partition_with_tree([sr], [[1, 0, 0]], (1, 2))) == 2
-        for bad in ([], [1, 0], [1, 0, 0, 0], [0, 0]):
-            with pytest.raises(ValueError, match="split tree"):
-                partition_with_tree([sr], [bad], (1, 2))
+        assert len(partition_with_tree([sr], [1, 0, 0], (1, 2))) == 2
+        for bad, message in (
+            ([], "structure holds 0 of 1 split trees"),
+            ([1, 0], "split tree truncated"),
+            ([1, 0, 0, 0], "trailing structure symbols"),
+            ([0, 0], "trailing structure symbols"),
+            ([2], "tree bit 2"),
+            ([1, 0, -1], "tree bit -1"),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                partition_with_tree([sr], bad, (1, 2))
         # a 1 on a single-pixel reference, which cannot be bisected
         dot = super_ray([per_view(sr, 1)[0][:1]] * 2, 0.0)
-        with pytest.raises(ValueError, match="split tree"):
-            partition_with_tree([dot], [[1, 0, 0]], (1, 2))
+        with pytest.raises(ValueError, match="^split tree does not match super-ray geometry$"):
+            partition_with_tree([dot], [1, 0, 0], (1, 2))
         # one tree per super-ray
-        with pytest.raises(ValueError, match="1 split trees for 2 super-rays"):
-            partition_with_tree([sr, dot], [[0]], (1, 2))
+        with pytest.raises(ValueError, match="^structure holds 1 of 2 split trees$"):
+            partition_with_tree([sr, dot], [0], (1, 2))
 
     def test_no_super_rays(self):
         res = partition_super_ray([], 4, (1, 2))
-        assert res.parts == [] and res.trees == []
+        assert res.parts == [] and res.bits == []
         assert partition_with_tree([], [], (1, 2)) == []
 
 
@@ -1048,11 +1059,11 @@ class TestSplitWalk:
             want, warned = partition_super_rays_oracle(srs, max_vertices, angular)
             widths, stall_early = _depth_features(splits)
             got = partition_super_ray(srs, max_vertices, angular)
-            assert got.trees == want.trees
+            assert got.bits == want.bits
             _assert_same_parts(got.parts, want.parts)
             _assert_same_parts(
-                partition_with_tree(srs, got.trees, angular),
-                partition_with_trees_oracle(srs, want.trees, angular),
+                partition_with_tree(srs, got.bits, angular),
+                partition_with_trees_oracle(srs, want.bits, angular),
             )
             seen["unsplittable"] += any(warned)
             seen["split"] += len(got.parts) > len(srs)
@@ -1079,32 +1090,41 @@ class TestSplitWalk:
             srs, angular, max_vertices = _random_batch(rng, case)
             want, _ = partition_super_rays_oracle(srs, max_vertices, angular)
             got = partition_super_ray(srs, max_vertices, angular)
-            assert got.trees == want.trees
+            assert got.bits == want.bits
             _assert_same_parts(got.parts, want.parts)
-            _assert_same_parts(partition_with_tree(srs, got.trees, angular), want.parts)
+            _assert_same_parts(partition_with_tree(srs, got.bits, angular), want.parts)
         # runs of one node (a node above the cap) and of several
         assert min(calls) == 1 and max(calls) > 1
 
     def test_replay_rejects_what_the_oracle_rejects(self):
-        """One member's tree of a batch truncated, extended or with a bit
-        flipped (a 1 on an unsplittable node among them): the walk raises
-        exactly when the per-super-ray replay does, with its message, and
-        otherwise returns the same parts."""
+        """A batch's structure bits truncated, extended, cut after a
+        member's tree, without a member's tree, with a bit flipped or set
+        to 2, or with a leaf split once more (a 1 on an unsplittable node
+        among them): the walk raises exactly when the codec's former
+        per-label split and the per-super-ray replays do, with their
+        message, and otherwise returns the same parts."""
         rng = np.random.default_rng(22)
         reasons = {}
         lone_fault = 0
         for case in range(150):
             srs, angular, max_vertices = _random_batch(rng, case)
-            trees = partition_super_ray(srs, max_vertices, angular).trees
+            bits = partition_super_ray(srs, max_vertices, angular).bits
+            stops = np.cumsum([len(t) for t in parse_structure_oracle(bits, len(srs))]).tolist()
             k = int(rng.integers(len(srs)))
-            flipped = list(trees[k])
-            flipped[rng.integers(len(flipped))] ^= 1
-            for bad in (trees[k][:-1], trees[k] + [0], trees[k] + [1, 0, 0], flipped):
-                edited = [*trees[:k], bad, *trees[k + 1 :]]
+            start = [0, *stops][k]
+            flipped, two = list(bits), list(bits)
+            flipped[rng.integers(len(bits))] ^= 1
+            two[rng.integers(len(bits))] = 2
+            leaf = int(rng.choice(np.flatnonzero(np.array(bits) == 0)))
+            edits = (bits[:-1], bits + [0], bits + [1, 0, 0], bits[:start],
+                     bits[:start] + bits[stops[k]:], flipped, two,
+                     bits[:leaf] + [1, 0, 0] + bits[leaf + 1:])
+            for edited in edits:
                 try:
                     want = partition_with_trees_oracle(srs, edited, angular)
                 except ValueError as e:
-                    reasons[str(e)] = reasons.get(str(e), 0) + 1
+                    reason = re.sub(r"holds \d+ of \d+", "holds k of n", str(e))
+                    reasons[reason] = reasons.get(reason, 0) + 1
                     lone_fault += len(srs) > 1
                     with pytest.raises(ValueError) as got:
                         partition_with_tree(srs, edited, angular)
@@ -1113,7 +1133,9 @@ class TestSplitWalk:
                 _assert_same_parts(partition_with_tree(srs, edited, angular), want)
         assert set(reasons) == {
             "split tree truncated",
-            "split tree has trailing bits",
+            "trailing structure symbols",
+            "structure holds k of n split trees",
+            "tree bit 2",
             "split tree does not match super-ray geometry",
         }, reasons
         assert lone_fault > 0
@@ -1207,7 +1229,7 @@ class TestReprojection:
         for case in range(60):
             sr, split, angular = _random_reprojection_case(rng, case)
             want, hole, stall = _reproject_children_oracle(sr, split, angular)
-            got = partition_with_tree([sr], [[1, 0, 0]], angular)
+            got = partition_with_tree([sr], [1, 0, 0], angular)
             holes += hole
             stalls += stall
             for child, pixels in zip(got, want):
@@ -1232,7 +1254,7 @@ class TestReprojection:
             sr, split, angular = _random_reprojection_case(rng, case)
             fills.append([])
             want = reproject_children_oracle(sr, split, angular)
-            _assert_same_parts(partition_with_tree([sr], [[1, 0, 0]], angular), want)
+            _assert_same_parts(partition_with_tree([sr], [1, 0, 0], angular), want)
         early = [
             views for views in fills
             if any(stall and any(r > rounds for r, _ in views) for rounds, stall in views)
