@@ -17,6 +17,7 @@ the returned disparity map is exact ground truth.
 """
 
 import math
+import numbers
 import os
 import re
 from dataclasses import dataclass, field
@@ -368,7 +369,7 @@ def parse_scene_spec(text):
                 patch_index += 1
             else:
                 raise ValueError(f"unknown directive {key!r}")
-        except (IndexError, ValueError) as e:
+        except (IndexError, ValueError, SceneSpecError) as e:
             raise SceneSpecError(f"scene spec line {lineno}: {e}") from e
     return spec
 
@@ -388,29 +389,35 @@ def _parse_texture(parts, scene_seed, patch_index):
 
 def _check_patch(patch):
     """Raise ValueError for a patch no canvas can draw: a number or box
-    edge that is not finite, a size or radius that is not positive, a
-    disparity beyond float32 (the disparity file's type), an empty noise
-    range or a gradient that is not finite over the patch box."""
+    edge that is not finite, a size or radius that is not positive, rect
+    geometry that is not whole, a disparity beyond float32 (the disparity
+    file's type), an empty noise range or a gradient that is not finite
+    over the patch box."""
     a, b, c, d = patch.params
     if not all(math.isfinite(v) for v in (a - c, a + c, b - d, b + d, patch.disparity)):
         raise ValueError("patch geometry and disparity must be finite")
     if min(c, d) <= 0:
         raise ValueError(f"{patch.shape} sizes must be positive")
+    _, _, bw, bh = _patch_bbox(patch)
     if abs(patch.disparity) > float(np.finfo(np.float32).max):
         raise ValueError(f"disparity {patch.disparity:g} does not fit in float32")
     kind, *args = patch.texture
     if kind == "noise" and args[0] > args[1]:
         raise ValueError(f"noise range [{args[0]}, {args[1]}] is empty")
     if kind == "gradient":
-        _, _, bw, bh = _patch_bbox(patch)
         if not math.isfinite(abs(args[0]) + abs(args[1]) * bw + abs(args[2]) * bh):
             raise ValueError("gradient is not finite over the patch")
 
 
 def _patch_bbox(patch):
+    """A patch's (x0, y0, width, height) pixel box: a rect's own geometry,
+    which must be whole numbers (SceneSpecError otherwise), or an
+    ellipse's box rounded outward."""
     if patch.shape == "rect":
-        x, y, w, h = patch.params
-        return int(x), int(y), int(w), int(h)
+        if not all(isinstance(v, numbers.Integral) or float(v).is_integer() for v in patch.params):
+            geometry = " ".join(f"{v:g}" for v in patch.params)
+            raise SceneSpecError(f"rect geometry {geometry} must be whole numbers")
+        return tuple(int(v) for v in patch.params)
     cx, cy, rx, ry = patch.params
     x0 = int(np.floor(cx - rx))
     y0 = int(np.floor(cy - ry))

@@ -11,8 +11,10 @@ All operations here are deterministic: ties in the SLIC assignment go to
 the earlier seed, projection conflicts go to the larger disparity (nearer
 surface), and holes are filled by iterated majority vote of labeled
 4-neighbors with ties to the smallest label.  SLIC handles all centers in
-array steps, about 10 W*H window cells per iteration for any k, and
-never scans the frame once per label or fragment.  Projection shifts are
+array steps, about 10 W*H window cells per iteration for any k, and its
+connectivity pass labels the 4-connected components of the whole frame
+in one union-find of a few array rounds; neither scans the frame once
+per label or fragment.  The module needs numpy only.  Projection shifts are
 rounded once per label (round-half-away-from-zero on d*t, d*s), so a
 view's label map is a pure function of the reference map and the
 disparities.
@@ -27,12 +29,10 @@ level walk, all splitting parents in one stack).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import OrphanLabelError, TooManySuperpixelsError
 from .util import forest_roots, lower_median, quantize_eighth, round_half_away_int
 
-_FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 # SLIC seed perturbation: the 3x3 offsets, center first, then by distance
 _SEED_OFFSETS = np.array(sorted(
     ((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)),
@@ -168,29 +168,56 @@ def _assign(img, centers, half_y, half_x, m2, s2):
     return labels
 
 
+def _label_components(labels):
+    """The 4-connected components of equal labels in a 2-D label map, as
+    an int64 id map and the component count.  Components are numbered by
+    label, then by their first pixel in raster order.
+
+    One union-find over the whole frame (Shiloach & Vishkin): the
+    right and down neighbour pairs of equal label are the edges; each
+    round hooks every root onto the smallest root it shares an edge with,
+    compresses the forest, and drops the edges inside one tree, until no
+    edge joins two trees.  Hooks only ever point to smaller pixels, so
+    each component's root is its first pixel in raster order.
+    """
+    h, w = labels.shape
+    flat = labels.ravel()
+    index = np.arange(h * w)
+    pixel = index.reshape(h, w)
+    a = np.concatenate([pixel[:, :-1].ravel(), pixel[:-1].ravel()])
+    b = np.concatenate([pixel[:, 1:].ravel(), pixel[1:].ravel()])
+    same = flat[a] == flat[b]
+    a, b = a[same], b[same]
+    root = index.copy()
+    while a.size:
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        root = forest_roots(root)
+        a, b = root[a], root[b]
+        joins = a != b
+        a, b = a[joins], b[joins]
+    firsts = np.flatnonzero(root == index)
+    order = firsts[np.argsort(flat[firsts], kind="stable")]
+    ids = np.empty(h * w, dtype=np.int64)
+    ids[order] = np.arange(order.size)
+    return ids[root].reshape(h, w), order.size
+
+
 def _enforce_connectivity(labels, w, h, k):
     """Split labels into 4-connected components and merge fragments smaller
     than 25% of the mean region size (W*H/k) into their largest 4-neighbor.
 
-    Components are numbered by label, then in raster order; each label is
-    labelled inside its own bounding box.  Small fragments merge in
-    (size, id) order of their sizes at the start; each takes the adjacent
-    component that is largest by current size, ties to the smaller id.
-    The merges walk the component adjacency graph, built in one pass over
-    the 4-neighbour pixel pairs: a fragment's neighbours are those of every
-    component merged into it so far, each read through the union-find
-    parent of its current region.  One lookup at the end relabels the
-    frame, so no step scans the frame per label, component or fragment.
+    Components are numbered by label, then in raster order, by one
+    :func:`_label_components` pass over the whole frame.  Small fragments
+    merge in (size, id) order of their sizes at the start; each takes the
+    adjacent component that is largest by current size, ties to the
+    smaller id.  The merges walk the component adjacency graph, built in
+    one pass over the 4-neighbour pixel pairs: a fragment's neighbours are
+    those of every component merged into it so far, each read through the
+    union-find parent of its current region.  One lookup at the end
+    relabels the frame, so no step scans the frame per label, component
+    or fragment.
     """
-    comp = np.full(labels.shape, -1, dtype=np.int64)
-    next_id = 0
-    for lbl, box in enumerate(ndimage.find_objects(labels + 1)):
-        if box is None:
-            continue
-        cc, n = ndimage.label(labels[box] == lbl, structure=_FOUR_CONN)
-        inside = cc > 0
-        comp[box][inside] = cc[inside] + (next_id - 1)
-        next_id += n
+    comp, next_id = _label_components(labels)
     sizes = np.bincount(comp.ravel(), minlength=next_id)
     small = np.flatnonzero(sizes < 0.25 * (w * h) / k)
     small = small[np.lexsort((small, sizes[small]))]

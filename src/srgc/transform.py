@@ -5,7 +5,6 @@ for GFT and DCT coefficients.  Rounding is half-away-from-zero.
 """
 
 import numpy as np
-from scipy.fft import dct as _scipy_dct, idct as _scipy_idct
 
 from .entropy import SYMBOL_LIMIT
 from .util import round_half_away_int
@@ -30,19 +29,25 @@ def igft(basis, coeffs) -> np.ndarray:
 
 
 def dct1d(x) -> np.ndarray:
-    """Orthonormal DCT-II of a 1-D vector."""
+    """Orthonormal DCT-II of a 1-D vector, by ``scipy.fft``, which is
+    imported here so that only streams with DCT residuals load scipy."""
+    from scipy.fft import dct
+
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("dct1d expects a non-empty 1-D vector")
-    return _scipy_dct(x, type=2, norm="ortho")
+    return dct(x, type=2, norm="ortho")
 
 
 def idct1d(x) -> np.ndarray:
-    """Orthonormal DCT-III (inverse of :func:`dct1d`)."""
+    """Orthonormal DCT-III (inverse of :func:`dct1d`), by ``scipy.fft``,
+    imported on first use like in :func:`dct1d`."""
+    from scipy.fft import idct
+
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("idct1d expects a non-empty 1-D vector")
-    return _scipy_idct(x, type=2, norm="ortho")
+    return idct(x, type=2, norm="ortho")
 
 
 def quantize(x, q) -> np.ndarray:

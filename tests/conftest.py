@@ -662,6 +662,23 @@ def slic_segment_oracle(image, k, compactness=10.0, iterations=10, hits=None):
     return SegmentationMap(labels=labels[None], label_count=count)
 
 
+def label_components_oracle(labels):
+    """Oracle: the per-label loop ``segmentation._label_components``
+    replaced, each non-negative label labelled by ``ndimage.label`` inside
+    its own ``ndimage.find_objects`` box; identical ids and count
+    required."""
+    comp = np.full(labels.shape, -1, dtype=np.int64)
+    next_id = 0
+    for lbl, box in enumerate(ndimage.find_objects(labels + 1)):
+        if box is None:
+            continue
+        cc, n = ndimage.label(labels[box] == lbl, structure=_FOUR_CONN)
+        inside = cc > 0
+        comp[box][inside] = cc[inside] + (next_id - 1)
+        next_id += n
+    return comp, next_id
+
+
 def enforce_connectivity_oracle(labels, w, h, k, hits=None):
     """Oracle: the full-frame connectivity pass ``segmentation.
     _enforce_connectivity`` replaced, one frame-sized mask per label,

@@ -143,6 +143,8 @@ class TestPipeline:
         "rect 0 0 4 4 0 noise 200 100",
         "rect 0 0 4 4 nan const 10",
         "rect 0 0 4 4 0 noise 300 400",
+        "rect 0 0 0.5 4 0 const 200",
+        "rect 0 0 2.7 4 0 const 200",
     ])
     def test_undrawable_patch_exit_2(self, patch, tmp_path, capsys):
         spec = tmp_path / "bad.txt"

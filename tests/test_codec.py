@@ -1,7 +1,12 @@
 """End-to-end codec behavior: exactness, counts, determinism, robustness."""
 
 import dataclasses
+import json
+import os
+import pickle
 import struct
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -828,6 +833,54 @@ ORACLE_CASES = {
         CodecConfig(slic_k=4, q_gft=16.0, n_target=64, channels="all"),
     ),
 }
+
+
+FOOTPRINT_SCRIPT = """
+import hashlib, json, pickle, sys
+sys.path.insert(0, sys.argv[2])
+import numpy as np
+import srgc
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+out = {"import": scipy_modules()}
+with open(sys.argv[1], "rb") as f:
+    cases = pickle.load(f)
+for name, (lf, dmap, cfg) in cases:
+    data = srgc.serialize(srgc.encode(lf, dmap, cfg)[0])
+    rec, _ = srgc.decode(srgc.deserialize(data))
+    samples = hashlib.sha256()
+    for view in rec.views:
+        for plane in view.planes:
+            samples.update(np.ascontiguousarray(plane).tobytes())
+    out[name] = [hashlib.sha256(data).hexdigest()[:16], samples.hexdigest()[:16], scipy_modules()]
+print(json.dumps(out))
+"""
+
+
+def test_runtime_loads_scipy_only_for_dct_residuals(tmp_path):
+    """In a fresh process, ``import srgc`` and a default-config round trip
+    load no scipy module; a DCT-residual round trip loads ``scipy.fft``
+    on first use and keeps the stream and samples of ``ORACLE_CASES
+    ["dct"]`` (SHA-256 prefixes, BLAS pinned to one thread as in
+    ``test_golden``)."""
+    cases = tmp_path / "cases.pickle"
+    lf, dmap = small_scene(seed=9)
+    with open(cases, "wb") as f:
+        pickle.dump([("default", (lf, dmap, CodecConfig())), ("dct", ORACLE_CASES["dct"]())], f)
+    env = dict(os.environ)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT_SCRIPT, str(cases), src],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["import"] == []
+    assert out["default"][2] == []
+    assert out["dct"][:2] == ["3db206a630947781", "f3d200cc6351a75d"]
+    assert "scipy.fft" in out["dct"][2]
 
 
 def _solve_once(monkeypatch, solve=None):

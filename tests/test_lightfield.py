@@ -163,6 +163,10 @@ class TestSceneSpec:
         ("patch rect 0 0 0 4 0 const 10", "rect sizes must be positive"),
         ("patch rect 0 0 4 -1 0 const 10", "rect sizes must be positive"),
         ("patch rect 0 0 4 4 0 noise 200 100", "noise range \\[200, 100\\] is empty"),
+        ("patch rect 0 0 0.5 4 0 const 200", "rect geometry 0 0 0.5 4 must be whole numbers"),
+        ("patch rect 0 0 2.7 4 0 const 200", "rect geometry 0 0 2.7 4 must be whole numbers"),
+        ("patch rect 1.5 0 4 4 0 const 200", "rect geometry 1.5 0 4 4 must be whole numbers"),
+        ("patch rect 0 3.25 4 4 0 gradient 1 1 1", "rect geometry 0 3.25 4 4 must be whole numbers"),
     ])
     def test_undrawable_patches_rejected_with_line(self, line, message):
         """Patches that used to crash, warn or write garbage are refused
@@ -188,6 +192,32 @@ class TestSceneSpec:
 
 
 class TestSynthesize:
+    @pytest.mark.parametrize("params", [(0, 0, 2.7, 4), (0.5, 0, 4, 4), (0, 0, 4, 0.5),
+                                        (np.float64(1.5), 1, 2, 2)])
+    def test_fractional_rect_geometry_rejected(self, params):
+        """A rect is drawn on whole pixels: fractional geometry is refused,
+        not truncated (which drew a 0.5-wide rect as nothing)."""
+        spec = SceneSpec(angular_dims=(1, 1), spatial_dims=(8, 8))
+        spec.patches.append(Patch(shape="rect", params=params, disparity=0.0, texture=("const", 200)))
+        with pytest.raises(SceneSpecError, match="rect geometry .* must be whole numbers"):
+            synthesize_light_field(spec)
+
+    def test_whole_rect_geometry_of_any_number_type_draws(self):
+        """Integral floats and numpy integers draw what Python ints draw."""
+        drawn = []
+        for params in [(1, 2, 3, 4), (1.0, 2.0, 3.0, 4.0),
+                       (np.int64(1), np.int32(2), np.uint8(3), np.float64(4))]:
+            spec = SceneSpec(angular_dims=(2, 2), spatial_dims=(8, 8))
+            spec.patches.append(Patch(shape="rect", params=params, disparity=1.0, texture=("const", 200)))
+            lf, dmap = synthesize_light_field(spec)
+            drawn.append((lf, dmap))
+        ref = drawn[0][0].views[0].planes[0]
+        assert (ref == 200).sum() == 12 and (ref[2:6, 1:4] == 200).all()
+        for lf, dmap in drawn[1:]:
+            assert all(np.array_equal(a.planes[0], b.planes[0])
+                       for a, b in zip(lf.views, drawn[0][0].views))
+            assert np.array_equal(dmap.values, drawn[0][1].values)
+
     def test_zero_disparity_views_identical(self):
         spec = SceneSpec(angular_dims=(3, 3), spatial_dims=(16, 16), background=10)
         spec.patches.append(

@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy import ndimage
 
 import srgc.segmentation as segmentation
 from srgc.errors import OrphanLabelError, TooManySuperpixelsError
@@ -27,6 +26,7 @@ from conftest import (
     enforce_connectivity_oracle,
     fill_holes_oracle,
     four_patch_scene,
+    label_components_oracle,
     label_disparities_oracle,
     label_shift,
     per_view,
@@ -200,17 +200,9 @@ class TestSlicMatchesLoopOracle:
     def test_connectivity_on_random_label_maps(self):
         """Several hundred seeded label maps, pixel noise and 3x3 blocks,
         through the connectivity pass alone."""
-        rng = np.random.default_rng(7)
         chains = {}
-        for i in range(400):
-            h, w = (int(v) for v in rng.integers(1, 30, size=2))
-            n = int(rng.integers(1, 12))
-            if i % 2:
-                blocks = rng.integers(0, n, size=((h + 2) // 3, (w + 2) // 3))
-                labels = np.repeat(np.repeat(blocks, 3, 0), 3, 1)[:h, :w]
-            else:
-                labels = rng.integers(0, n, size=(h, w))
-            k = int(rng.integers(1, 20))
+        for labels, k in random_label_maps():
+            h, w = labels.shape
             got, count = segmentation._enforce_connectivity(labels, w, h, k)
             want, want_count = enforce_connectivity_oracle(labels, w, h, k, chains)
             assert count == want_count
@@ -218,22 +210,98 @@ class TestSlicMatchesLoopOracle:
         assert chains["chain"] > 0
 
     def test_work_scales_with_the_frame_not_k(self, monkeypatch):
-        """At 128x128 and k=64, the arrays handed to ``ndimage.label`` and
-        ``ndimage.binary_dilation`` add up to a few frames: the regions'
-        boxes, not one frame per label, component or fragment (the loops
-        this replaced handed over 64 frames or more)."""
+        """At 128x128 and k=64, the connectivity pass hands a few frames in
+        all to the component labelling and its union-find: one label map
+        to ``_label_components`` and one pointer array per labelling round
+        to ``forest_roots``, not one frame per label, component or
+        fragment (a per-label loop hands over 64 frames or more)."""
         sizes = []
-        for name in ("label", "binary_dilation"):
-            def counted(input, *args, _call=getattr(ndimage, name), **kwargs):
+        for name in ("_label_components", "forest_roots"):
+            def counted(input, *args, _call=getattr(segmentation, name), **kwargs):
                 sizes.append(np.asarray(input).size)
                 return _call(input, *args, **kwargs)
 
-            monkeypatch.setattr(ndimage, name, counted)
+            monkeypatch.setattr(segmentation, name, counted)
         rng = np.random.default_rng(5)
         ys, xs = np.mgrid[0:128, 0:128]
         slic_segment(xs + ys + rng.integers(0, 12, size=(128, 128)), 64)
-        assert sizes
-        assert sum(sizes) < 4 * 128 * 128
+        assert len(sizes) >= 3
+        assert sum(sizes) < 8 * 128 * 128
+
+
+def random_label_maps(count=400, seed=7):
+    """Seeded (label map, k) cases: maps from 1x1 to 29x29 with 1 to 11
+    labels, pixel noise (even cases) and 3x3 blocks (odd cases), each with
+    a k from 1 to 19 for the connectivity pass."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        h, w = (int(v) for v in rng.integers(1, 30, size=2))
+        n = int(rng.integers(1, 12))
+        if i % 2:
+            blocks = rng.integers(0, n, size=((h + 2) // 3, (w + 2) // 3))
+            labels = np.repeat(np.repeat(blocks, 3, 0), 3, 1)[:h, :w]
+        else:
+            labels = rng.integers(0, n, size=(h, w))
+        yield labels, int(rng.integers(1, 20))
+
+
+def serpentine(h, w):
+    """Label 1 on the even rows, joined at alternate ends by one cell of
+    each odd row, so one winding region; label 0 fills the rest of the
+    odd rows."""
+    labels = np.zeros((h, w), dtype=np.int64)
+    labels[::2] = 1
+    labels[1::4, -1] = 1
+    labels[3::4, 0] = 1
+    return labels
+
+
+class TestLabelComponents:
+    """``_label_components`` gives the ids and count of the per-label
+    ``ndimage.label`` loop it replaced."""
+
+    @staticmethod
+    def _check(labels):
+        got, count = segmentation._label_components(labels)
+        want, want_count = label_components_oracle(labels)
+        assert count == want_count
+        assert np.array_equal(got, want)
+        return got, count
+
+    def test_random_label_maps(self):
+        for labels, _ in random_label_maps():
+            self._check(labels)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 17), (17, 1), (1, 2), (2, 1)])
+    def test_frames_one_pixel_high_or_wide(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for n in (1, 2, 3):
+            self._check(rng.integers(0, n, size=shape))
+
+    def test_one_label_everywhere(self):
+        got, count = self._check(np.full((9, 13), 4))
+        assert count == 1
+        assert not got.any()
+
+    def test_checkerboard_every_pixel_its_own_component(self):
+        ys, xs = np.mgrid[0:11, 0:14]
+        got, count = self._check((ys + xs) % 2)
+        assert count == 11 * 14
+        # label 0's pixels first, each label in raster order
+        assert np.array_equal(np.sort(got[(ys + xs) % 2 == 0]), np.arange(77))
+
+    @pytest.mark.parametrize("shape", [(15, 15), (21, 8), (8, 21)])
+    def test_serpentine_region(self, shape):
+        labels = serpentine(*shape)
+        got, count = self._check(labels)
+        assert np.unique(got[labels == 1]).size == 1
+        assert got[0, 0] == count - 1
+
+    def test_sparse_label_values(self):
+        labels = np.array([[900, 900, 3], [3, 900, 3], [3, 3, 3]])
+        got, count = self._check(labels)
+        assert count == 2
+        assert np.array_equal(got, [[1, 1, 0], [0, 1, 0], [0, 0, 0]])
 
 
 class TestMedianDisparity:
