@@ -26,6 +26,13 @@ basis.  Each side coarsens each distinct pixel graph once and
 runs its eigen stage once per stream, as one batched
 :func:`spectral.eigendecompose_all` call over the distinct graphs of the
 units it decomposes; every unit with that graph shares the result.  The
+decoder passes column masks to that call: a basis column is needed when
+a dequantized coefficient of any channel at its index is nonzero, for
+the unit or for a member predicted from it, so degenerate eigenvalue
+clusters that no nonzero coefficient reads are never canonicalized and
+come back as zeros.  The samples are those of full bases: the inverse
+GFT ``V @ c`` gains only signed zeros from those columns, and rounding
+maps a zero sum of either sign to 0.  The
 reports' ``eig_count`` stays the paper's count (every unit on the
 encoder, ungrouped units plus one main per group on the decoder) and
 ``eig_solved`` counts the distinct solves behind it.
@@ -261,13 +268,20 @@ def _coarsen_graphs(fines, n_target):
     return [coarse[i] for i in which]
 
 
-def _eigenbases(graphs):
+def _eigenbases(graphs, needed=None):
     """(the eigenbasis of every graph, the number of distinct graphs
     solved).  Each distinct graph's Laplacian is built once and all of
     them are solved in one :func:`eigendecompose_all` call; equal graphs
-    share one basis, which is only read."""
+    share one basis, which is only read.  ``needed`` is None or one
+    column mask per graph; a distinct graph's mask is the OR of its
+    graphs' masks."""
     distinct, which = _distinct_graphs(graphs)
-    bases = eigendecompose_all(laplacian(g) for g in distinct)
+    masks = None
+    if needed is not None:
+        masks = [np.zeros(g.n, dtype=bool) for g in distinct]
+        for i, mask in zip(which, needed):
+            masks[i] |= mask
+    bases = eigendecompose_all((laplacian(g) for g in distinct), masks)
     return [bases[i] for i in which], len(distinct)
 
 
@@ -613,8 +627,15 @@ def decode(stream: Bitstream, threads=1, debug=False):
     predicted = _predicted_members(groups, groupable)
     watch.lap("grouping")
 
-    to_decompose = [u.index for u in units if u.index not in predicted]
-    bases, eig_solved = _eigenbases([units[i].graph for i in to_decompose])
+    # the columns of each basis that reconstruction reads: a nonzero
+    # coefficient, in any channel, of its unit or a member predicted from it
+    needed = {u.index: np.any(np.asarray(deq[u.index]) != 0, axis=0) for u in units}
+    for member, main in predicted.items():
+        needed[main] |= needed.pop(member)
+    to_decompose = list(needed)
+    bases, eig_solved = _eigenbases(
+        [units[i].graph for i in to_decompose], list(needed.values())
+    )
     decomposed = dict(zip(to_decompose, bases))
     eig_count = len(to_decompose)
     watch.lap("eigen")

@@ -24,7 +24,9 @@ makes the zero-eigenvalue basis the set of normalized component
 indicators.  :func:`eigendecompose_all` runs the whole stage batched: one
 stacked LAPACK call per size n (per 256 KiB of matrices), and one stacked
 Gram-Schmidt per stack and cluster size over all such clusters, with
-results bit-equal to diagonalizing each Laplacian alone.
+results bit-equal to diagonalizing each Laplacian alone.  Given column
+masks, it leaves the clusters with no needed column out of the
+Gram-Schmidt and returns them as zeros.
 
 Coarsening reduces a graph to an exact target vertex count by repeated
 heavy-edge matching (unit weights initially, merged-edge multiplicity as
@@ -281,9 +283,14 @@ def _apply_sign_convention(vecs):
     return vecs
 
 
-def _eigendecompose_stack(mats):
+def _eigendecompose_stack(mats, needed=None):
     """Diagonalize a (B, n, n) stack of Laplacians; returns the (B, n)
-    eigenvalues and the (B, n, n) eigenvectors in the convention above."""
+    eigenvalues and the (B, n, n) eigenvectors in the convention above.
+
+    ``needed`` is None or a (B, n) bool array of the columns the caller
+    reads.  A degenerate cluster with no needed column is not
+    canonicalized, and once the checks have judged LAPACK's columns for
+    it, they are set to zero.  Every other column is as with ``None``."""
     n = mats.shape[1]
     try:
         vals, vecs = np.linalg.eigh(mats)
@@ -291,8 +298,15 @@ def _eigendecompose_stack(mats):
         raise DecompositionError(f"decomposition failure for {n}x{n} matrix: {e}") from e
     rows, starts, stops = _cluster_bounds(vals)
     sizes = stops - starts
-    for m in np.unique(sizes[sizes > 1]):
-        sel = sizes == m
+    canon = sizes > 1
+    dropped = np.zeros_like(canon)
+    if needed is not None:
+        # the clusters tile each row in order: each starts at its flat offset
+        read = np.logical_or.reduceat(needed.ravel(), np.cumsum(sizes) - sizes)
+        dropped = canon & ~read
+        canon &= read
+    for m in np.unique(sizes[canon]):
+        sel = canon & (sizes == m)
         index = (rows[sel, None], slice(None), starts[sel, None] + np.arange(m))
         # advanced indices around a slice put the block axis first: (K, m, n)
         blocks = np.ascontiguousarray(vecs[index].transpose(0, 2, 1))
@@ -310,10 +324,12 @@ def _eigendecompose_stack(mats):
             f"decomposition failure for {n}x{n} matrix: "
             f"residual {recon[b]:.3e}, orthogonality {ortho[b]:.3e}"
         )
+    if dropped.any():
+        np.copyto(vecs, 0.0, where=np.repeat(dropped, sizes).reshape(-1, 1, n))
     return vals, vecs
 
 
-def eigendecompose_all(laplacians) -> list:
+def eigendecompose_all(laplacians, needed=None) -> list:
     """Diagonalize an iterable of Laplacians into EigenBases, returned in
     input order.
 
@@ -322,15 +338,33 @@ def eigendecompose_all(laplacians) -> list:
     matrix is released once stacked.  Each stack takes one LAPACK call
     and, per cluster size m, one canonicalization of all its degenerate
     clusters of size m.  Each basis is bit-equal to the one its Laplacian
-    gets alone.  Raises ValueError for an empty Laplacian and
-    DecompositionError if LAPACK fails or a basis violates the
-    reconstruction / orthonormality tolerances.
+    gets alone.
+
+    ``needed`` is None (every column) or one length-n bool mask per
+    Laplacian, in order: the columns the caller reads.  A degenerate
+    cluster with none of its columns needed is never canonicalized and
+    comes back as exact zeros, so no column outside the deterministic
+    convention is returned; every other column keeps its unmasked bits.
+    Products with coefficients that are zero outside the mask are those
+    of the full basis, up to the sign of a zero sum.
+
+    Raises ValueError for an empty Laplacian or a mask of the wrong
+    length, and DecompositionError if LAPACK fails or a basis (LAPACK's
+    own columns, for a cluster left out) violates the reconstruction /
+    orthonormality tolerances.
     """
     mats = [l.matrix for l in laplacians]
+    masks = None if needed is None else [np.asarray(k, dtype=bool) for k in needed]
+    if masks is not None and len(masks) != len(mats):
+        raise ValueError(f"{len(masks)} column masks for {len(mats)} Laplacians")
     by_size = {}
     for i, m in enumerate(mats):
         if m.shape[0] < 1:
             raise ValueError("empty Laplacian")
+        if masks is not None and masks[i].shape != (m.shape[0],):
+            raise ValueError(
+                f"column mask of shape {masks[i].shape} for a {m.shape[0]}x{m.shape[0]} Laplacian"
+            )
         by_size.setdefault(m.shape[0], []).append(i)
     bases = [None] * len(mats)
     for n, idx in by_size.items():
@@ -340,7 +374,8 @@ def eigendecompose_all(laplacians) -> list:
             stack = np.stack([mats[i] for i in part])
             for i in part:
                 mats[i] = None
-            vals, vecs = _eigendecompose_stack(stack)
+            part_needed = None if masks is None else np.stack([masks[i] for i in part])
+            vals, vecs = _eigendecompose_stack(stack, part_needed)
             # own arrays, laid out as a lone call returns them, so later BLAS
             # calls on a basis see the same layout and no basis pins the stack
             for i, w, v in zip(part, vals, vecs):

@@ -548,11 +548,26 @@ def coarsen_graphs_oracle(fines, n_target):
     return [coarsen(g, n_target) for g in fines]
 
 
-def eigenbases_oracle(graphs):
+def eigenbases_oracle(graphs, needed=None):
     """Oracle: the per-unit eigen stage ``codec._eigenbases`` replaced, one
     Laplacian per graph, repeated graphs included, all solved in one
-    ``eigendecompose_all`` call; every graph counts as solved."""
-    return eigendecompose_all(laplacian(g) for g in graphs), len(graphs)
+    ``eigendecompose_all`` call, each with its own column mask; every
+    graph counts as solved."""
+    return eigendecompose_all((laplacian(g) for g in graphs), needed), len(graphs)
+
+
+def drop_unread_clusters_oracle(basis, needed):
+    """Oracle: what a column mask leaves of a full basis.  Every
+    eigenvalue cluster of two or more columns with no needed column is
+    zeroed; every other column keeps its bits.  ``needed`` None returns
+    ``basis`` as it is."""
+    if needed is None:
+        return basis
+    vecs = basis.vectors.copy()
+    for cluster in cluster_eigenvalues_oracle(basis.eigenvalues):
+        if len(cluster) > 1 and not any(needed[i] for i in cluster):
+            vecs[:, cluster] = 0.0
+    return EigenBasis(eigenvalues=basis.eigenvalues, vectors=vecs)
 
 
 def coarse_mean_signal_oracle(cmap, fine_signal):

@@ -45,9 +45,11 @@ from srgc.spectral import LocalGraph, eigendecompose, laplacian, split_graph
 from conftest import (
     assemble_super_rays_oracle,
     bench_workloads,
+    cluster_eigenvalues_oracle,
     coarsen_graphs_oracle,
     coarsen_oracle,
     derive_group_members_oracle,
+    drop_unread_clusters_oracle,
     eigenbases_oracle,
     eigendecompose_oracle,
     four_patch_scene,
@@ -885,22 +887,31 @@ def test_runtime_loads_scipy_only_for_dct_residuals(tmp_path):
 
 def _solve_once(monkeypatch, solve=None):
     """Memoize the codec's eigen stage ``eigendecompose_all`` by Laplacian
-    bytes, solving the misses of each call with ``solve`` one Laplacian at
-    a time (default: one ``eigendecompose_all`` call).  A basis is a pure
-    function of its Laplacian, so every run of a test shares one set of
-    solves and the test times the stages it compares.  Returns the memo,
-    which the test asserts non-empty: a codec that stopped calling
-    ``codec.eigendecompose_all`` would otherwise bypass the hook."""
+    bytes and column mask, solving the misses of each call with ``solve``
+    one Laplacian at a time, its mask applied by
+    ``drop_unread_clusters_oracle`` (default: one ``eigendecompose_all``
+    call).  A basis is a pure function of its Laplacian and mask, so every
+    run of a test shares one set of solves and the test times the stages
+    it compares.  Returns the memo, which the test asserts non-empty: a
+    codec that stopped calling ``codec.eigendecompose_all`` would
+    otherwise bypass the hook."""
     bases = {}
-    solve_all = codec.eigendecompose_all if solve is None else (
-        lambda laps: [solve(lap) for lap in laps]
-    )
+    solve_all = codec.eigendecompose_all
 
-    def cached(laps):
+    def cached(laps, needed=None):
         laps = list(laps)
-        keys = [(lap.matrix.shape, lap.matrix.tobytes()) for lap in laps]
-        missing = {k: lap for k, lap in zip(keys, laps) if k not in bases}
-        bases.update(zip(missing, solve_all(list(missing.values()))))
+        masks = [None] * len(laps) if needed is None else list(needed)
+        keys = [
+            (lap.matrix.shape, lap.matrix.tobytes(), None if mask is None else mask.tobytes())
+            for lap, mask in zip(laps, masks)
+        ]
+        missing = {k: (lap, mask) for k, lap, mask in zip(keys, laps, masks) if k not in bases}
+        if solve is None:
+            todo_masks = None if needed is None else [mask for _, mask in missing.values()]
+            got = solve_all([lap for lap, _ in missing.values()], todo_masks)
+        else:
+            got = [drop_unread_clusters_oracle(solve(lap), mask) for lap, mask in missing.values()]
+        bases.update(zip(missing, got))
         return [bases[k] for k in keys]
 
     monkeypatch.setattr(codec, "eigendecompose_all", cached)
@@ -969,14 +980,17 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     """Each solved unit's basis, shared or not, has the bits a lone
     ``eigendecompose(laplacian(graph))`` of its graph gives, on both
     sides: every unit on the encoder, and on the decoder every unit that
-    is not predicted from a group's main."""
+    is not predicted from a group's main.  The decoder passes column
+    masks: on its side every needed column has the lone solve's bits and
+    every dropped cluster (no needed column in any unit with that graph)
+    is zero."""
     lf, dmap, cfg = ORACLE_CASES[case]()
     eigenbases = codec._eigenbases
     solved = []
 
-    def spy(graphs):
-        bases, count = eigenbases(graphs)
-        solved.append((graphs, bases, count))
+    def spy(graphs, needed=None):
+        bases, count = eigenbases(graphs, needed)
+        solved.append((graphs, needed, bases, count))
         return bases, count
 
     monkeypatch.setattr(codec, "_eigenbases", spy)
@@ -988,13 +1002,72 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
         [u for u in dec.debug.units if u.index not in predicted],
     )
     assert len(solved) == 2
-    for (graphs, bases, count), units, report in zip(solved, want_units, (enc, dec)):
+    assert solved[0][1] is None and len(solved[1][1]) == len(want_units[1])
+    for (graphs, needed, bases, count), units, report in zip(solved, want_units, (enc, dec)):
         assert len(units) == len(bases) == report.eig_count >= count == report.eig_solved
-        for u, graph, basis in zip(units, graphs, bases):
+        # a shared basis answers to the OR of the masks of its graph's units
+        distinct, which = codec._distinct_graphs(graphs)
+        masks = [None] * len(distinct)
+        if needed is not None:
+            masks = [np.zeros(g.n, dtype=bool) for g in distinct]
+            for i, mask in zip(which, needed):
+                masks[i] |= mask
+        for u, graph, basis, i in zip(units, graphs, bases, which):
             assert graph is u.graph
-            want = eigendecompose(laplacian(u.graph))
+            want = drop_unread_clusters_oracle(eigendecompose(laplacian(u.graph)), masks[i])
             assert np.array_equal(basis.eigenvalues, want.eigenvalues)
             assert np.array_equal(basis.vectors, want.vectors)
+
+
+def _main_clusters_read_only_by_members(dec):
+    """The (main, first column) of every degenerate cluster of a main's
+    basis that the main's own coefficients leave at zero in every channel
+    and a member predicted from it reads."""
+    deq = dec.debug.dequantized
+    found = set()
+    predicted = codec._predicted_members(dec.debug.group_set.groups, dec.debug.groupable)
+    for member, main in predicted.items():
+        own = np.any(np.asarray(deq[main]) != 0, axis=0)
+        read = np.any(np.asarray(deq[member]) != 0, axis=0)
+        vals = eigendecompose(laplacian(dec.debug.units[main].graph)).eigenvalues
+        for cluster in cluster_eigenvalues_oracle(vals):
+            if len(cluster) > 1 and not own[cluster].any() and read[cluster].any():
+                found.add((main, cluster[0]))
+    return found
+
+
+@pytest.mark.parametrize("case", [
+    *sorted(ORACLE_CASES),
+    *(f"bench_{name}_{seed}" for name in ("gate", "parallax", "partition") for seed in (1, 17)),
+])
+def test_column_masks_keep_decoded_samples(case, monkeypatch):
+    """Decoding with the column masks gives the samples of decoding with
+    full bases (masks forced to None).  In ``small``, ``explicit`` and
+    ``dct`` grouped members read 13 clusters of their main's basis that
+    the main's own coefficients leave at zero, so a mask taken from the
+    main alone would zero columns a member reads."""
+    if case in ORACLE_CASES:
+        lf, dmap, cfg = ORACLE_CASES[case]()
+    else:
+        name, seed = case.removeprefix("bench_").split("_")
+        workload = bench_workloads()[name]
+        lf, dmap = workload.scene(int(seed))
+        cfg = workload.config
+    stream = deserialize(serialize(encode(lf, dmap, cfg)[0]))
+    rec, dec = decode(stream, debug=True)
+    cross = _main_clusters_read_only_by_members(dec)
+    assert len(cross) == (13 if case in ("small", "explicit", "dct") else 0)
+    eigenbases = codec._eigenbases
+    masks = []
+
+    def full(graphs, needed=None):
+        masks.append(needed)
+        return eigenbases(graphs)
+
+    monkeypatch.setattr(codec, "_eigenbases", full)
+    want, _ = decode(stream)
+    assert len(masks) == 1 and masks[0] is not None
+    assert lf_equal(rec, want)
 
 
 @pytest.mark.parametrize("name, counts, solved, coarsened", [

@@ -38,6 +38,7 @@ from conftest import (
     coarse_mean_signal_oracle,
     coarsen_oracle,
     connected_components,
+    drop_unread_clusters_oracle,
     eigendecompose_oracle,
     eigendecompose_unbatched_oracle,
     fill_holes_oracle,
@@ -198,10 +199,10 @@ def _bench_laplacians(name, monkeypatch):
     lf, dmap = workload.scene(1)
     laps = []
 
-    def record(batch):
+    def record(batch, needed=None):
         batch = list(batch)
         laps.extend(batch)
-        return eigendecompose_all(batch)
+        return eigendecompose_all(batch, needed)
 
     with monkeypatch.context() as m:
         m.setattr(codec, "eigendecompose_all", record)
@@ -646,6 +647,83 @@ class TestEigendecomposeAll:
         for g, w in zip(got, want):
             assert np.array_equal(g.eigenvalues, w.eigenvalues)
             assert np.array_equal(g.vectors, w.vectors)
+
+    @staticmethod
+    def _assert_masked(laps, masks):
+        """``eigendecompose_all(laps, masks)`` is the unmasked result with
+        every unread degenerate cluster zeroed (+0.0), nothing else
+        changed; returns (dropped clusters, kept degenerate clusters)."""
+        got = eigendecompose_all(laps, masks)
+        dropped = kept = 0
+        for basis, full, mask in zip(got, eigendecompose_all(laps), masks):
+            want = drop_unread_clusters_oracle(full, mask)
+            assert np.array_equal(basis.eigenvalues, full.eigenvalues)
+            assert np.array_equal(basis.vectors, want.vectors)
+            for cluster in cluster_eigenvalues_oracle(full.eigenvalues):
+                if len(cluster) < 2:
+                    continue
+                if mask[cluster].any():
+                    kept += 1
+                else:
+                    assert not np.signbit(basis.vectors[:, cluster]).any()
+                    dropped += 1
+        return dropped, kept
+
+    def test_column_masks_drop_only_unread_clusters(self, monkeypatch):
+        """Shuffled batches of mixed sizes (n = 1, repeated sizes,
+        degenerate graphs, the partition scene's Laplacians) under random,
+        all-True and all-False masks: every needed cluster and every
+        non-degenerate column has the unmasked bits, and every degenerate
+        cluster with no needed column is exactly zero."""
+        rng = np.random.default_rng(48)
+        single = laplacian(LocalGraph(n=1, edges=np.zeros((0, 2), dtype=np.int64)))
+        laps = [single, laplacian(path_graph(5)), single, laplacian(path_graph(5))]
+        laps += [laplacian(_degenerate_graph(rng, case)) for case in range(60)]
+        laps += _bench_laplacians("partition", monkeypatch)
+        laps = [laps[i] for i in rng.permutation(len(laps))]
+        sizes = [lap.matrix.shape[0] for lap in laps]
+        for density in (0.05, 0.3):
+            masks = [rng.random(n) < density for n in sizes]
+            dropped, kept = self._assert_masked(laps, masks)
+            assert dropped > 50 and kept > 50
+        assert self._assert_masked(laps, [np.ones(n, dtype=bool) for n in sizes])[0] == 0
+        assert self._assert_masked(laps, [np.zeros(n, dtype=bool) for n in sizes])[1] == 0
+
+    @pytest.mark.parametrize("name", ["gate", "parallax", "partition"])
+    def test_column_masks_on_bench_laplacians(self, name, monkeypatch):
+        """The same contract on every Laplacian a bench scene builds, with
+        masks as sparse as the decoder's."""
+        rng = np.random.default_rng(49)
+        laps = _bench_laplacians(name, monkeypatch)
+        masks = [rng.random(lap.matrix.shape[0]) < 0.02 for lap in laps]
+        dropped, _ = self._assert_masked(laps, masks)
+        assert dropped > 0
+
+    def test_column_mask_shape_checked(self):
+        laps = [laplacian(path_graph(3)), laplacian(path_graph(4))]
+        with pytest.raises(ValueError, match="2 Laplacians"):
+            eigendecompose_all(laps, [np.ones(3, dtype=bool)])
+        with pytest.raises(ValueError, match="column mask"):
+            eigendecompose_all(laps, [np.ones(3, dtype=bool), np.ones(3, dtype=bool)])
+
+    def test_decoder_canonicalizes_few_columns(self, monkeypatch):
+        """Work guard: one decode of the ``partition`` bench scene (seed 1)
+        hands at most 100 columns (blocks x cluster size) to the
+        Gram-Schmidt; it handed all 1,215 of its degenerate columns before
+        the decoder passed column masks."""
+        workload = bench_workloads()["partition"]
+        lf, dmap = workload.scene(1)
+        stream, _ = codec.encode(lf, dmap, workload.config)
+        columns = []
+        canonical = spectral._canonical_cluster_bases
+
+        def counted(v):
+            columns.append(v.shape[0] * v.shape[2])
+            return canonical(v)
+
+        monkeypatch.setattr(spectral, "_canonical_cluster_bases", counted)
+        codec.decode(stream)
+        assert 0 < sum(columns) <= 100
 
     def test_empty_batch(self):
         assert eigendecompose_all([]) == []
