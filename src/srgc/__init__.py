@@ -49,12 +49,6 @@ from .spectral import (
     partition_super_ray,
     uncoarsen_signal,
 )
-from .transform import (
-    dct1d,
-    gft,
-    idct1d,
-    igft,
-    quantize,
-)
+from .transform import gft, igft, quantize
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ class RDPoint:
     fields."""
 
     q_gft: float
-    q_dct: float
     bpp: float
     psnr_y: float
     eig_enc: int
@@ -89,7 +88,6 @@ def rd_sweep(lf, dmap, q_list, cfg: CodecConfig):
         points.append(
             RDPoint(
                 q_gft=float(q),
-                q_dct=run_cfg.q_dct,
                 bpp=bpp(stream, (lf.angular_dims, lf.spatial_dims)),
                 psnr_y=psnr(lf, rec),
                 eig_enc=enc_rep.eig_count,

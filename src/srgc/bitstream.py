@@ -50,7 +50,7 @@ SECTION_CONTEXTS = {
 
 _FLAG_GROUPING = 1
 _FLAG_EXPLICIT_GROUPS = 2
-_FLAG_RESIDUAL_DCT = 4
+_FLAG_RESIDUAL_DCT = 4  # retired: a stream that sets it is unsupported
 _FLAGS_KNOWN = _FLAG_GROUPING | _FLAG_EXPLICIT_GROUPS | _FLAG_RESIDUAL_DCT
 
 _HEADER_FMT = "<HHIIBBBIIddd"
@@ -67,18 +67,15 @@ class StreamHeader:
     channels: int
     grouping: bool
     explicit_groups: bool
-    residual_mode: str
     label_count: int
     n_target: int
     q_gft: float
-    q_dct: float
     bin_width: float
 
     def pack(self):
         flags = (
             (_FLAG_GROUPING if self.grouping else 0)
             | (_FLAG_EXPLICIT_GROUPS if self.explicit_groups else 0)
-            | (_FLAG_RESIDUAL_DCT if self.residual_mode == "dct" else 0)
         )
         return struct.pack(
             _HEADER_FMT,
@@ -92,34 +89,40 @@ class StreamHeader:
             self.label_count,
             self.n_target,
             self.q_gft,
-            self.q_dct,
+            1.0,  # reserved f64, once the retired DCT residual step
             self.bin_width,
         )
 
     def check(self):
         """Reject values no encoder writes (CorruptStreamError)."""
-        steps = (self.q_gft, self.q_dct, self.bin_width)
+        steps = (self.q_gft, self.bin_width)
         for ok, what in (
             (0 not in self.angular_dims + self.spatial_dims, "has a zero dimension"),
             (self.bit_depth in (8, 10, 16), f"bit depth {self.bit_depth}"),
             (self.channels in (1, 3), f"channel count {self.channels}"),
             (self.n_target > 0, "n_target 0"),
-            # both code grouped members: no decode path reads them otherwise
-            (self.grouping or not (self.explicit_groups or self.residual_mode == "dct"),
-             "flags set explicit groups or DCT residuals without grouping"),
+            # explicit groups code grouped members: no decode path reads them otherwise
+            (self.grouping or not self.explicit_groups,
+             "flags set explicit groups without grouping"),
             (all(math.isfinite(q) and q > 0 for q in steps),
-             f"q_gft/q_dct/bin_width {steps} not finite and positive"),
+             f"q_gft/bin_width {steps} not finite and positive"),
         ):
             if not ok:
                 raise CorruptStreamError(f"corrupt stream: header {what}")
 
     @classmethod
     def unpack(cls, data):
-        s, t, w, h, depth, channels, flags, labels, n_target, q_gft, q_dct, bw = struct.unpack(
+        s, t, w, h, depth, channels, flags, labels, n_target, q_gft, reserved, bw = struct.unpack(
             _HEADER_FMT, data
         )
         if flags & ~_FLAGS_KNOWN:
             raise CorruptStreamError(f"corrupt stream: header flags {flags:#04x} set unknown bits")
+        if flags & _FLAG_RESIDUAL_DCT:
+            raise UnsupportedStreamError("unsupported stream: DCT residuals")
+        if not (math.isfinite(reserved) and reserved > 0):  # checked, then ignored
+            raise CorruptStreamError(
+                f"corrupt stream: header reserved step {reserved} not finite and positive"
+            )
         return cls(
             angular_dims=(s, t),
             spatial_dims=(w, h),
@@ -127,11 +130,9 @@ class StreamHeader:
             channels=channels,
             grouping=bool(flags & _FLAG_GROUPING),
             explicit_groups=bool(flags & _FLAG_EXPLICIT_GROUPS),
-            residual_mode="dct" if flags & _FLAG_RESIDUAL_DCT else "raw",
             label_count=labels,
             n_target=n_target,
             q_gft=q_gft,
-            q_dct=q_dct,
             bin_width=bw,
         )
 

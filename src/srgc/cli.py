@@ -38,14 +38,12 @@ EXIT_INTERNAL = 3
 
 _CONFIG_FIELDS = {
     "q_gft": float,
-    "q_dct": float,
     "n_target": int,
     "max_vertices": int,
     "q_switch": int,
     "slic_k": int,
     "compactness": float,
     "bin_width": float,
-    "residual_mode": str,
     "channels": str,
     "threads": int,
 }
@@ -63,14 +61,12 @@ class _Parser(argparse.ArgumentParser):
 def _add_config_flags(p):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--q-gft", type=float, dest="q_gft")
-    p.add_argument("--q-dct", type=float, dest="q_dct")
     p.add_argument("--n-target", type=int, dest="n_target")
     p.add_argument("--max-vertices", type=int, dest="max_vertices")
     p.add_argument("--q-switch", type=int, dest="q_switch")
     p.add_argument("--slic-k", type=int, dest="slic_k")
     p.add_argument("--compactness", type=float, dest="compactness")
     p.add_argument("--bin-width", type=float, dest="bin_width")
-    p.add_argument("--residual-mode", choices=("raw", "dct"), dest="residual_mode")
     p.add_argument("--channels", choices=("y", "all"), dest="channels")
     p.add_argument("--threads", type=int, dest="threads",
                    help="accepted (>= 1) but no effect: no thread pool")
@@ -133,7 +129,11 @@ def _load_config(args):
                 key, val = (s.strip() for s in line.split("=", 1))
                 if key not in _CONFIG_FIELDS:
                     raise SrgcError(f"{args.config}:{lineno}: unknown key {key!r}")
-                values[key] = _CONFIG_FIELDS[key](val)
+                try:
+                    values[key] = _CONFIG_FIELDS[key](val)
+                    dataclasses.replace(cfg, **{key: values[key]}).validate()
+                except ValueError as e:
+                    raise SrgcError(f"{args.config}:{lineno}: {key}: {e}") from e
     for key in _CONFIG_FIELDS:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -206,10 +206,8 @@ def _cmd_analyze(args):
             f"channels={hdr.channels}",
             f"grouping={int(hdr.grouping)}",
             f"explicit_groups={int(hdr.explicit_groups)}",
-            f"residual_mode={hdr.residual_mode}",
             f"label_count={hdr.label_count}",
             f"q_gft={hdr.q_gft}",
-            f"q_dct={hdr.q_dct}",
             f"bin_width={hdr.bin_width}",
             f"n_target={hdr.n_target}",
             f"version={VERSION}",

@@ -11,7 +11,7 @@ from transmitted data (labels, disparities, split trees, dequantized
 coefficients), reads each group's main index from the stream,
 and eigendecomposes only ungrouped units plus one main per group.  Grouped
 members are reconstructed as rounded cross-basis prediction plus residual,
-which with raw residuals reproduces the coded unit signal exactly.
+which always reproduces the coded unit signal exactly.
 
 The structure section is :func:`spectral.partition_super_ray`'s ``bits``
 as they are, which the decoder hands to :func:`spectral.partition_with_tree`
@@ -80,13 +80,7 @@ from .spectral import (
     split_graph,
     uncoarsen_signal,
 )
-from .transform import (
-    dct1d,
-    gft,
-    idct1d,
-    predict_signal,
-    quantize,
-)
+from .transform import gft, predict_signal, quantize
 from .util import round_half_away, round_half_away_int
 
 _U32_MAX = (1 << 32) - 1
@@ -95,7 +89,6 @@ _U32_MAX = (1 << 32) - 1
 @dataclass
 class CodecConfig:
     q_gft: float = 16.0
-    q_dct: float = 1.0
     n_target: int = 256
     max_vertices: int = 512
     q_switch: int = 16
@@ -103,25 +96,22 @@ class CodecConfig:
     compactness: float = 10.0
     bin_width: float = 5.0
     explicit_groups: bool = False
-    residual_mode: str = "raw"   # 'raw' (exact) | 'dct' (lossy, for RD sweeps)
     grouping: bool = True
     channels: str = "y"          # 'y' | 'all'
     threads: int = 1
 
     def validate(self):
-        for name in ("q_gft", "q_dct", "compactness", "bin_width"):
+        for name in ("q_gft", "compactness", "bin_width"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
-        if self.q_gft <= 0 or self.q_dct <= 0:
-            raise ValueError("quantizer steps must be positive")
+        if self.q_gft <= 0:
+            raise ValueError("q_gft must be positive")
         if self.n_target < 1 or self.max_vertices < 1 or self.q_switch < 0:
             raise ValueError("size thresholds must be positive")
         if self.n_target > _U32_MAX:
             raise ValueError("n_target must fit in 32 bits")
         if self.slic_k < 1 or self.compactness <= 0 or self.bin_width <= 0:
             raise ValueError("segmentation/grouping parameters must be positive")
-        if self.residual_mode not in ("raw", "dct"):
-            raise ValueError(f"unknown residual mode {self.residual_mode!r}")
         if self.channels not in ("y", "all"):
             raise ValueError(f"unknown channel mode {self.channels!r}")
         if self.threads < 1:
@@ -458,11 +448,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
             _, residual = predict_and_residual(
                 bases[main], deq[member][c], units[member].signals[c], maxval
             )
-            if cfg.residual_mode == "raw":
-                residual_syms.extend(int(r) for r in residual)
-            else:
-                lv = quantize(dct1d(residual.astype(np.float64)), cfg.q_dct)
-                residual_syms.extend(int(r) for r in lv)
+            residual_syms.extend(int(r) for r in residual)
     watch.lap("residuals")
 
     group_syms = []
@@ -497,11 +483,9 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         channels=n_channels,
         grouping=cfg.grouping,
         explicit_groups=cfg.grouping and cfg.explicit_groups,
-        residual_mode=cfg.residual_mode if cfg.grouping else "raw",
         label_count=seg_ref.label_count,
         n_target=cfg.n_target,
         q_gft=cfg.q_gft,
-        q_dct=cfg.q_dct,
         bin_width=cfg.bin_width,
     )
     stream = Bitstream(header=header, sections=sections)
@@ -659,10 +643,8 @@ def decode(stream: Bitstream, threads=1, debug=False):
         per_channel = []
         for c in range(n_channels):
             if u.index in predicted:
-                r = residuals[u.index][c]
-                if hdr.residual_mode == "dct":
-                    r = round_half_away_int(idct1d(r.astype(np.float64) * hdr.q_dct))
                 main_basis = decomposed[predicted[u.index]]
+                r = residuals[u.index][c]
                 rec = np.clip(
                     predict_signal(main_basis, deq[u.index][c], maxval) + r, 0, maxval
                 )

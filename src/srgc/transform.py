@@ -1,7 +1,9 @@
-"""Graph Fourier transform, 1-D DCT and uniform scalar quantization.
+"""Graph Fourier transform and uniform scalar quantization.
 
-All transforms are orthonormal so one quantizer step means the same thing
-for GFT and DCT coefficients.  Rounding is half-away-from-zero.
+The eigenbases are orthonormal, so one quantizer step bounds the error of
+every coefficient alike.  Rounding is half-away-from-zero.  Grouped
+members are always coded as integer residuals against
+:func:`predict_signal`, which reconstruct their coded signals exactly.
 """
 
 import numpy as np
@@ -26,28 +28,6 @@ def igft(basis, coeffs) -> np.ndarray:
     if coeffs.shape != (n,):
         raise ValueError(f"coefficient length {coeffs.shape} does not match basis dim {n}")
     return basis.vectors @ coeffs
-
-
-def dct1d(x) -> np.ndarray:
-    """Orthonormal DCT-II of a 1-D vector, by ``scipy.fft``, which is
-    imported here so that only streams with DCT residuals load scipy."""
-    from scipy.fft import dct
-
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("dct1d expects a non-empty 1-D vector")
-    return dct(x, type=2, norm="ortho")
-
-
-def idct1d(x) -> np.ndarray:
-    """Orthonormal DCT-III (inverse of :func:`dct1d`), by ``scipy.fft``,
-    imported on first use like in :func:`dct1d`."""
-    from scipy.fft import idct
-
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise ValueError("idct1d expects a non-empty 1-D vector")
-    return idct(x, type=2, norm="ortho")
 
 
 def quantize(x, q) -> np.ndarray:

@@ -18,7 +18,7 @@ from srgc.entropy import entropy_decode, entropy_encode
 from srgc.grouping import pairwise_mse, run_grouping
 from srgc.lightfield import SceneSpec, synthesize_light_field
 from srgc.spectral import LocalGraph, eigendecompose, laplacian
-from srgc.transform import dct1d, gft, idct1d, igft, quantize
+from srgc.transform import gft, igft, quantize
 
 from conftest import connected_components, four_patch_scene, grouping_ratios, lf_equal
 from test_codec import small_scene
@@ -93,9 +93,6 @@ def test_criterion_3_transform_suite():
         back = igft(basis, c)
         assert np.abs(back - f).max() <= 1e-9 * max(1.0, np.abs(f).max())
         assert abs(np.linalg.norm(c) - np.linalg.norm(f)) <= 1e-9
-        x = rng.normal(size=n) * 10
-        assert np.abs(idct1d(dct1d(x)) - x).max() <= 1e-9 * max(1.0, np.abs(x).max())
-        assert abs(np.linalg.norm(dct1d(x)) - np.linalg.norm(x)) <= 1e-9
     samples = rng.uniform(-1e4, 1e4, size=100_000)
     for q in (0.5, 2.0, 9.3):
         err = np.abs(quantize(samples, q) * q - samples)
@@ -183,7 +180,6 @@ def test_criterion_5_residual_identity_and_error_bound():
             cfg = CodecConfig(
                 slic_k=16 if lf.spatial_dims[0] == 64 else 8,
                 q_gft=q, n_target=256 if lf.spatial_dims[0] == 64 else 128,
-                residual_mode="raw",
             )
             stream, enc_rep = encode(lf, dmap, cfg, debug=True)
             rec, dec_rep = decode(stream, debug=True)
@@ -247,7 +243,7 @@ def test_criterion_6_eigen_count_gate():
 
 def test_criterion_7_rate_tradeoff_direction():
     lf, dmap = four_patch_scene(size=64, views=3)
-    cfg = CodecConfig(slic_k=16, q_gft=16.0, n_target=256, residual_mode="raw")
+    cfg = CodecConfig(slic_k=16, q_gft=16.0, n_target=256)
     no_group = dataclasses.replace(cfg, grouping=False)
     stream_g, rep_g = encode(lf, dmap, cfg)
     stream_n, _ = encode(lf, dmap, no_group)

@@ -180,14 +180,14 @@ class TestGroupingFlag:
             assert int(dec_g["eig_decoder"]) < int(dec_n["eig_decoder"])
 
     def test_grouped_psnr_not_worse(self, scene_dir, tmp_path):
-        """Raw residuals make grouped reconstruction at least as good."""
+        """Exact member residuals make grouped reconstruction at least as
+        good."""
         from srgc.bench import psnr
 
         common = [
             "encode", str(scene_dir),
             "--disparity", str(scene_dir / "gt.lfdm"),
             "--q-gft", "16", "--slic-k", "8", "--n-target", "128",
-            "--residual-mode", "raw",
         ]
         assert main(common + ["--out", str(tmp_path / "g.srgc")]) == 0
         assert main(common + ["--no-grouping", "--out", str(tmp_path / "n.srgc")]) == 0
@@ -299,6 +299,33 @@ class TestConfigPrecedence:
              "--config", str(cfgfile), "--out", str(tmp_path / "x.srgc")]
         ) == 2
 
+    @pytest.mark.parametrize("line, message", [
+        ("n_target = 1e3", "n_target: invalid literal for int()"),
+        ("q_gft = 0", "q_gft: q_gft must be positive"),
+        ("channels = rgb", "channels: unknown channel mode 'rgb'"),
+        ("q_dct = 1.0", "unknown key 'q_dct'"),
+        ("residual_mode = raw", "unknown key 'residual_mode'"),
+    ])
+    def test_bad_config_line_named_exit_2(self, scene_dir, tmp_path, capsys, line, message):
+        """A bad value names its file and line like an unknown key does;
+        the keys of the retired DCT residuals are unknown."""
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text(f"slic_k = 8\n{line}\n")
+        out = tmp_path / "x.srgc"
+        assert main(
+            ["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+             "--config", str(cfgfile), "--out", str(out)]
+        ) == 2
+        assert f"{cfgfile}:2: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--q-dct", "1"], ["--residual-mode", "raw"]])
+    def test_retired_residual_flags_usage_error(self, scene_dir, tmp_path, flag):
+        assert main(
+            ["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+             *flag, "--out", str(tmp_path / "x.srgc")]
+        ) == 1
+
 
 class TestAnalyze:
     def test_stream_info(self, scene_dir, tmp_path, capsys):
@@ -329,12 +356,12 @@ class TestAnalyze:
         assert main(
             ["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
              "--slic-k", "8", "--no-grouping", "--explicit-groups",
-             "--residual-mode", "dct", "--out", str(stream)]
+             "--out", str(stream)]
         ) == 0
         assert main(["analyze", str(stream)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "grouping=0" in lines
-        assert "explicit_groups=0" in lines and "residual_mode=raw" in lines
+        assert "explicit_groups=0" in lines
 
     def test_psnr_mode(self, scene_dir, tmp_path, capsys):
         assert main(["analyze", "--ref", str(scene_dir), "--rec", str(scene_dir)]) == 0
@@ -369,7 +396,7 @@ class TestSweep:
             ]
         ) == 0
         lines = out.read_text().strip().splitlines()
-        assert lines[0].startswith("q_gft,q_dct,bpp,psnr_y")
+        assert lines[0].startswith("q_gft,bpp,psnr_y")
         assert len(lines) == 3
 
     def test_bad_qlist_exit_1(self, scene_dir, tmp_path):

@@ -92,6 +92,33 @@ def small_scene(seed=1, disparity=0.5):
 
 CFG = CodecConfig(slic_k=8, q_gft=16.0, n_target=128, max_vertices=256)
 
+# byte offsets in a serialized stream: the header's flags and reserved f64
+_FLAGS_AT = 5 + struct.calcsize("<HHIIBB")
+_RESERVED_AT = 5 + struct.calcsize("<HHIIBBBIId")
+
+
+def _assert_grouped_members_exact(lf, dmap, cfg):
+    """Assert that every grouped member other than its group's main
+    decodes to its coded unit signal in every channel; returns the
+    channel count."""
+    stream, enc_rep = encode(lf, dmap, cfg, debug=True)
+    _, dec_rep = decode(deserialize(serialize(stream)), debug=True)
+    groupable = enc_rep.debug.groupable
+    grouped_unit_ids = {
+        groupable[pos]
+        for g in enc_rep.debug.group_set.groups
+        for pos in g.members
+        if pos != g.main_index
+    }
+    assert grouped_unit_ids
+    for uid in grouped_unit_ids:
+        want = enc_rep.debug.units[uid].signals
+        got = dec_rep.debug.reconstructed[uid]
+        assert len(got) == len(want) == stream.header.channels
+        for c in range(len(want)):
+            assert np.array_equal(want[c], got[c])
+    return stream.header.channels
+
 
 class TestConstantIdentity:
     @pytest.mark.parametrize("q", [1.0, 2.0, 8.0, 64.0])
@@ -148,7 +175,7 @@ class TestSerializeRoundtrip:
         data = MAGIC + bytes([1]) + struct.pack(
             "<HHIIBBBIIIIddd", *hdr.angular_dims, *hdr.spatial_dims, hdr.bit_depth,
             hdr.channels, flags, hdr.label_count, hdr.n_target, CFG.max_vertices,
-            CFG.q_switch, hdr.q_gft, hdr.q_dct, hdr.bin_width,
+            CFG.q_switch, hdr.q_gft, 1.0, hdr.bin_width,
         ) + bytes([len(stream.sections)])
         for sid in sorted(stream.sections):
             data += struct.pack("<BQ", sid, len(stream.sections[sid]))
@@ -278,24 +305,18 @@ class TestGrouping:
         assert rep_a.eig_count == rep_b.eig_count
 
     def test_grouped_member_exactness(self):
-        """With raw residuals every grouped member reconstructs its coded
-        unit signal bit-exactly."""
+        """Every grouped member reconstructs its coded unit signal
+        bit-exactly."""
         lf, dmap = four_patch_scene()
-        cfg = CodecConfig(slic_k=16, q_gft=64.0, n_target=256)
-        stream, enc_rep = encode(lf, dmap, cfg, debug=True)
-        rec, dec_rep = decode(stream, debug=True)
-        enc_units = enc_rep.debug.units
-        groupable = enc_rep.debug.groupable
-        grouped_unit_ids = set()
-        for g in enc_rep.debug.group_set.groups:
-            for pos in g.members:
-                if pos != g.main_index:
-                    grouped_unit_ids.add(groupable[pos])
-        assert grouped_unit_ids
-        for uid in grouped_unit_ids:
-            want = enc_units[uid].signals[0]
-            got = dec_rep.debug.reconstructed[uid][0]
-            assert np.array_equal(want, got)
+        _assert_grouped_members_exact(lf, dmap, CodecConfig(slic_k=16, q_gft=64.0, n_target=256))
+
+    @pytest.mark.parametrize("case", ["small", "explicit", "rgb_all"])
+    def test_grouped_member_exactness_in_oracle_cases(self, case):
+        """The same on the oracle cases that form groups: with implicit and
+        explicit groups, and in every channel of an RGB light field."""
+        lf, dmap, cfg = ORACLE_CASES[case]()
+        channels = _assert_grouped_members_exact(lf, dmap, cfg)
+        assert channels == (3 if case == "rgb_all" else 1)
 
     @pytest.mark.parametrize("explicit", [False, True])
     def test_decoder_group_set_matches_encoder(self, explicit):
@@ -468,17 +489,6 @@ class TestModes:
 
         assert psnr(lf, rec) > 40.0
 
-    def test_dct_residual_mode(self):
-        lf, dmap = four_patch_scene()
-        cfg = CodecConfig(
-            slic_k=16, q_gft=16.0, n_target=256, residual_mode="dct", q_dct=1.0
-        )
-        stream, report = encode(lf, dmap, cfg)
-        rec, _ = decode(stream)
-        from srgc.bench import psnr
-
-        assert psnr(lf, rec) > 25.0
-
     def test_channels_all_roundtrip(self):
         lf = random_lf(2, 2, 16, 16, seed=31, channels=3)
         h, w = 16, 16
@@ -544,7 +554,7 @@ class TestModes:
             encode(lf, dmap, dataclasses.replace(CFG, **{name: 2**32}))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
-    @pytest.mark.parametrize("name", ["q_gft", "q_dct", "bin_width", "compactness"])
+    @pytest.mark.parametrize("name", ["q_gft", "bin_width", "compactness"])
     def test_non_finite_floats_rejected(self, name, value, monkeypatch):
         """NaN and infinities are rejected before any codec work: the
         decoder refuses a header holding them, and SLIC would run on NaN
@@ -737,13 +747,39 @@ class TestStreamValidation:
         {"channels": 0}, {"channels": 2}, {"channels": 4},
         {"n_target": 0},
         {"q_gft": 0.0}, {"q_gft": -1.0}, {"q_gft": float("nan")},
-        {"q_dct": 0.0}, {"q_dct": float("inf")},
+        {"reserved": 0.0}, {"reserved": float("inf")},
         {"bin_width": -5.0}, {"bin_width": float("nan")},
     ])
     def test_header_out_of_range_rejected(self, grouped_stream, change):
+        """``reserved`` patches the f64 slot that no header field holds."""
+        change = dict(change)
+        reserved = change.pop("reserved", 1.0)
         header = dataclasses.replace(grouped_stream.header, **change)
-        with pytest.raises(SrgcError):
-            deserialize(serialize(Bitstream(header=header, sections=grouped_stream.sections)))
+        data = bytearray(serialize(Bitstream(header=header, sections=grouped_stream.sections)))
+        struct.pack_into("<d", data, _RESERVED_AT, reserved)
+        with pytest.raises(CorruptStreamError):
+            deserialize(bytes(data))
+
+    @pytest.mark.parametrize("value", [4.0, 5e-324, 1.7e308])
+    def test_reserved_slot_ignored(self, grouped_stream, value):
+        """The reserved slot once held the DCT residual step.  The encoder
+        writes 1.0, and a stream with any other finite positive value there
+        decodes to the same samples."""
+        data = serialize(grouped_stream)
+        assert struct.unpack_from("<d", data, _RESERVED_AT) == (1.0,)
+        other = bytearray(data)
+        struct.pack_into("<d", other, _RESERVED_AT, value)
+        want, _ = decode(deserialize(data))
+        got, _ = decode(deserialize(bytes(other)))
+        assert lf_equal(got, want)
+
+    def test_dct_residual_flag_unsupported(self, grouped_stream):
+        """A grouped stream with the retired DCT-residual flag is
+        unsupported, not corrupt."""
+        data = bytearray(serialize(grouped_stream))
+        data[_FLAGS_AT] |= 4
+        with pytest.raises(UnsupportedStreamError, match="DCT residuals"):
+            deserialize(bytes(data))
 
     def test_section_table_rejections(self, grouped_stream):
         header, sections = grouped_stream.header, grouped_stream.sections
@@ -760,36 +796,37 @@ class TestStreamValidation:
 
     @pytest.mark.parametrize("flags", [0xF9, 0x08, 0x80])
     def test_unknown_header_flag_bits_rejected(self, flags):
-        """Flag bits beyond grouping, explicit groups and DCT residuals are
-        corrupt, not ignored."""
+        """Flag bits beyond grouping, explicit groups and the retired DCT
+        residuals are corrupt, not ignored."""
         stream, _ = encode(*four_patch_scene(32, 3), CodecConfig(slic_k=16, n_target=64))
         data = bytearray(serialize(stream))
-        flags_at = 5 + struct.calcsize("<HHIIBB")
-        assert data[flags_at] == 1  # grouping only
-        data[flags_at] = flags
+        assert data[_FLAGS_AT] == 1  # grouping only
+        data[_FLAGS_AT] = flags
         with pytest.raises(CorruptStreamError, match="flags"):
             deserialize(bytes(data))
 
-    @pytest.mark.parametrize("change", [{"explicit_groups": True}, {"residual_mode": "dct"}],
-                             ids=["explicit_groups", "dct"])
-    def test_group_flags_need_grouping(self, change, tmp_path):
-        """The explicit-group and DCT-residual flags say how grouped
-        members are coded.  Without grouping the encoder writes the bytes
-        of the default config, and a header that sets either flag without
-        grouping is corrupt (CLI exit 2)."""
+    @pytest.mark.parametrize("bit, error, match", [
+        (2, CorruptStreamError, "without grouping"),
+        (4, UnsupportedStreamError, "DCT residuals"),
+    ], ids=["explicit_groups", "dct"])
+    def test_group_flags_need_grouping(self, bit, error, match, tmp_path):
+        """The explicit-group flag says how grouped members are coded.
+        Without grouping the encoder writes the bytes of the default
+        config, and a header that sets the flag without grouping is
+        corrupt.  A header with the retired DCT-residual flag is
+        unsupported.  Both exit 2 in the CLI."""
         lf, dmap = four_patch_scene(32, 3)
         base = CodecConfig(slic_k=16, n_target=64, grouping=False)
-        stream, _ = encode(lf, dmap, dataclasses.replace(base, **change))
+        stream, _ = encode(lf, dmap, dataclasses.replace(base, explicit_groups=True))
         assert serialize(stream) == serialize(encode(lf, dmap, base)[0])
-        assert not stream.header.explicit_groups and stream.header.residual_mode == "raw"
+        assert not stream.header.explicit_groups
         # with grouping the flag is written and read back
-        grouped, _ = encode(lf, dmap, dataclasses.replace(base, grouping=True, **change))
+        grouped, _ = encode(lf, dmap, dataclasses.replace(base, grouping=True, explicit_groups=True))
         assert deserialize(serialize(grouped)).header == grouped.header
-        bad = serialize(Bitstream(
-            header=dataclasses.replace(stream.header, **change), sections=stream.sections
-        ))
-        with pytest.raises(CorruptStreamError, match="without grouping"):
-            deserialize(bad)
+        bad = bytearray(serialize(stream))
+        bad[_FLAGS_AT] |= bit
+        with pytest.raises(error, match=match):
+            deserialize(bytes(bad))
         path = tmp_path / "flags.srgc"
         path.write_bytes(bad)
         assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
@@ -828,7 +865,6 @@ ORACLE_CASES = {
     "small": lambda: (*small_scene(seed=9), CFG),
     "partition": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, q_gft=2.0)),
     "explicit": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, explicit_groups=True)),
-    "dct": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, residual_mode="dct", q_dct=4.0)),
     "no_grouping": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, grouping=False)),
     "rgb_all": lambda: (
         *_no_disparity(random_lf(2, 2, 16, 16, seed=31, channels=3)),
@@ -856,21 +892,22 @@ for name, (lf, dmap, cfg) in cases:
     for view in rec.views:
         for plane in view.planes:
             samples.update(np.ascontiguousarray(plane).tobytes())
-    out[name] = [hashlib.sha256(data).hexdigest()[:16], samples.hexdigest()[:16], scipy_modules()]
+    out[name] = [hashlib.sha256(data).hexdigest()[:16], samples.hexdigest()[:16]]
+lf, dmap, cfg = cases[0][1]
+srgc.rd_sweep(lf, dmap, [64.0], cfg)
+out["end"] = scipy_modules()
 print(json.dumps(out))
 """
 
 
-def test_runtime_loads_scipy_only_for_dct_residuals(tmp_path):
-    """In a fresh process, ``import srgc`` and a default-config round trip
-    load no scipy module; a DCT-residual round trip loads ``scipy.fft``
-    on first use and keeps the stream and samples of ``ORACLE_CASES
-    ["dct"]`` (SHA-256 prefixes, BLAS pinned to one thread as in
-    ``test_golden``)."""
+def test_runtime_loads_no_scipy(tmp_path):
+    """In a fresh process, ``import srgc``, a round trip of every
+    ``ORACLE_CASES`` entry and an ``rd_sweep`` load no scipy module, and
+    each case keeps its stream and samples (SHA-256 prefixes, BLAS pinned
+    to one thread as in ``test_golden``)."""
     cases = tmp_path / "cases.pickle"
-    lf, dmap = small_scene(seed=9)
     with open(cases, "wb") as f:
-        pickle.dump([("default", (lf, dmap, CodecConfig())), ("dct", ORACLE_CASES["dct"]())], f)
+        pickle.dump([(name, make()) for name, make in sorted(ORACLE_CASES.items())], f)
     env = dict(os.environ)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
@@ -879,10 +916,15 @@ def test_runtime_loads_scipy_only_for_dct_residuals(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
-    assert out["import"] == []
-    assert out["default"][2] == []
-    assert out["dct"][:2] == ["3db206a630947781", "f3d200cc6351a75d"]
-    assert "scipy.fft" in out["dct"][2]
+    assert out.pop("import") == [] and out.pop("end") == []
+    assert out == {
+        "explicit": ["924a12670d7e95f9", "6610672ab9bd91a1"],
+        "gate": ["56328244ea1d1c94", "1375726447ec6c54"],
+        "no_grouping": ["42f15d08b0c2ca22", "53a7ae600a6d7c25"],
+        "partition": ["6914e285293848ba", "9baf83f90b7354a5"],
+        "rgb_all": ["2f3a02b8bad1b660", "606ccb74901da4a3"],
+        "small": ["e7a1ef1cf1db0174", "6610672ab9bd91a1"],
+    }
 
 
 def _solve_once(monkeypatch, solve=None):
@@ -1042,8 +1084,8 @@ def _main_clusters_read_only_by_members(dec):
 ])
 def test_column_masks_keep_decoded_samples(case, monkeypatch):
     """Decoding with the column masks gives the samples of decoding with
-    full bases (masks forced to None).  In ``small``, ``explicit`` and
-    ``dct`` grouped members read 13 clusters of their main's basis that
+    full bases (masks forced to None).  In ``small`` and ``explicit``
+    grouped members read 13 clusters of their main's basis that
     the main's own coefficients leave at zero, so a mask taken from the
     main alone would zero columns a member reads."""
     if case in ORACLE_CASES:
@@ -1056,7 +1098,7 @@ def test_column_masks_keep_decoded_samples(case, monkeypatch):
     stream = deserialize(serialize(encode(lf, dmap, cfg)[0]))
     rec, dec = decode(stream, debug=True)
     cross = _main_clusters_read_only_by_members(dec)
-    assert len(cross) == (13 if case in ("small", "explicit", "dct") else 0)
+    assert len(cross) == (13 if case in ("small", "explicit") else 0)
     eigenbases = codec._eigenbases
     masks = []
 

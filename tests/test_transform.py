@@ -1,4 +1,4 @@
-"""GFT/I-GFT, DCT and quantizer contracts."""
+"""GFT/I-GFT and quantizer contracts."""
 
 import numpy as np
 import pytest
@@ -6,26 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srgc.spectral import LocalGraph, eigendecompose, laplacian
-from srgc.transform import (
-    dct1d,
-    gft,
-    idct1d,
-    igft,
-    quantize,
-)
-
-
-def naive_dct2(x):
-    """Oracle: O(n^2) orthonormal DCT-II sum."""
-    n = len(x)
-    out = np.zeros(n)
-    for k in range(n):
-        acc = 0.0
-        for i in range(n):
-            acc += x[i] * np.cos(np.pi * (i + 0.5) * k / n)
-        scale = np.sqrt(1.0 / n) if k == 0 else np.sqrt(2.0 / n)
-        out[k] = scale * acc
-    return out
+from srgc.transform import gft, igft, quantize
 
 
 def ring_basis(n, seed=0):
@@ -92,36 +73,6 @@ class TestGft:
             gft(basis, np.zeros(4))
         with pytest.raises(ValueError):
             igft(basis, np.zeros(4))
-
-
-class TestDct:
-    def test_constant_four(self):
-        assert dct1d([1.0, 1.0, 1.0, 1.0]) == pytest.approx([2.0, 0.0, 0.0, 0.0], abs=1e-12)
-
-    def test_singleton(self):
-        assert dct1d([3.5]) == pytest.approx([3.5])
-
-    def test_matches_naive_oracle(self):
-        rng = np.random.default_rng(8)
-        for n in (2, 3, 8, 17):
-            x = rng.normal(size=n) * 50
-            assert dct1d(x) == pytest.approx(naive_dct2(x), abs=1e-8)
-
-    def test_energy_preserved(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=8)
-        assert np.linalg.norm(dct1d(x)) == pytest.approx(np.linalg.norm(x), abs=1e-9)
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=33) * 300
-        assert idct1d(dct1d(x)) == pytest.approx(x, abs=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            dct1d(np.array([]))
-        with pytest.raises(ValueError):
-            idct1d(np.array([]))
 
 
 class TestQuantize:
