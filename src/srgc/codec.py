@@ -11,7 +11,8 @@ from transmitted data (labels, disparities, split trees, dequantized
 coefficients), reads each group's main index from the stream,
 and eigendecomposes only ungrouped units plus one main per group.  Grouped
 members are reconstructed as rounded cross-basis prediction plus residual,
-which always reproduces the coded unit signal exactly.
+which always reproduces the coded unit signal exactly; a sum outside the
+sample range can only come from a corrupt residual section.
 
 The structure section is :func:`spectral.partition_super_ray`'s ``bits``
 as they are, which the decoder hands to :func:`spectral.partition_with_tree`
@@ -32,9 +33,15 @@ the unit or for a member predicted from it, so degenerate eigenvalue
 clusters that no nonzero coefficient reads are never canonicalized and
 come back as zeros.  The samples are those of full bases: the inverse
 GFT ``V @ c`` gains only signed zeros from those columns, and rounding
-maps a zero sum of either sign to 0.  The
-reports' ``eig_count`` stays the paper's count (every unit on the
-encoder, ungrouped units plus one main per group on the decoder) and
+maps a zero sum of either sign to 0.  The encoder passes probes instead:
+each unit that no grouped member is predicted from (every partition
+part, every coarsened unit that is not groupable) hands the eigen stage
+its channel signals and quantizer steps, and the clusters in which every
+one of them must quantize to level 0 are dropped the same way.  Their
+levels are 0 in the full basis too, so the stream is that of full bases;
+a groupable unit's basis may serve its members' coefficients and is kept
+whole.  The reports' ``eig_count`` stays the paper's count (every unit on
+the encoder, ungrouped units plus one main per group on the decoder) and
 ``eig_solved`` counts the distinct solves behind it.
 Everything outside wall-clock timings is a deterministic function of
 (light field, disparity map, config): canonical orderings throughout, and
@@ -258,20 +265,35 @@ def _coarsen_graphs(fines, n_target):
     return [coarse[i] for i in which]
 
 
-def _eigenbases(graphs, needed=None):
+def _eigenbases(graphs, needed=None, probes=None):
     """(the eigenbasis of every graph, the number of distinct graphs
     solved).  Each distinct graph's Laplacian is built once and all of
     them are solved in one :func:`eigendecompose_all` call; equal graphs
     share one basis, which is only read.  ``needed`` is None or one
     column mask per graph; a distinct graph's mask is the OR of its
-    graphs' masks."""
+    graphs' masks.  ``probes`` is None or one probe per graph, None or
+    (signals, steps); a distinct graph's probe stacks its graphs'
+    signals under the smallest of their steps, and is None when one of
+    its graphs has none."""
     distinct, which = _distinct_graphs(graphs)
     masks = None
     if needed is not None:
         masks = [np.zeros(g.n, dtype=bool) for g in distinct]
         for i, mask in zip(which, needed):
             masks[i] |= mask
-    bases = eigendecompose_all((laplacian(g) for g in distinct), masks)
+    merged = None
+    if probes is not None:
+        shared = [[] for _ in distinct]
+        for i, probe in zip(which, probes):
+            shared[i].append(probe)
+        merged = [
+            None if any(p is None for p in ps) else (
+                np.concatenate([signals for signals, _ in ps]),
+                np.minimum.reduce([steps for _, steps in ps]),
+            )
+            for ps in shared
+        ]
+    bases = eigendecompose_all((laplacian(g) for g in distinct), masks, merged)
     return [bases[i] for i in which], len(distinct)
 
 
@@ -424,16 +446,25 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         ]
     watch.lap("coarsen")
 
-    bases, eig_solved = _eigenbases([u.graph for u in units])
+    # a groupable unit's basis may serve its members' coefficients; every
+    # other unit probes with its signals and steps (equal in all channels),
+    # so the eigen stage drops the clusters whose levels must be 0
+    groupable = _groupable_positions(units, cfg.n_target, cfg.grouping)
+    steps, starts = _coefficient_steps(units, n_channels, cfg.q_gft)
+    whole = set(groupable)
+    probes = [
+        None if u.index in whole else (np.stack(u.signals), steps[lo : lo + u.n])
+        for u, lo in zip(units, starts[::n_channels].tolist())
+    ]
+    bases, eig_solved = _eigenbases([u.graph for u in units], probes=probes)
     coeffs = np.concatenate([
         gft(basis, signal) for basis, u in zip(bases, units) for signal in u.signals
     ])
-    levels = quantize(coeffs, _coefficient_steps(units, n_channels, cfg.q_gft)[0])
+    levels = quantize(coeffs, steps)
     deq = _dequantize_units(levels, units, n_channels, cfg.q_gft)
     eig_count = len(units)
     watch.lap("eigen_transform")
 
-    groupable = _groupable_positions(units, cfg.n_target, cfg.grouping)
     group_set = run_grouping(
         [deq[u][0] for u in groupable],
         [units[u].signals[0] for u in groupable],
@@ -644,10 +675,14 @@ def decode(stream: Bitstream, threads=1, debug=False):
         for c in range(n_channels):
             if u.index in predicted:
                 main_basis = decomposed[predicted[u.index]]
-                r = residuals[u.index][c]
-                rec = np.clip(
-                    predict_signal(main_basis, deq[u.index][c], maxval) + r, 0, maxval
-                )
+                # the encoder's residual is signal - prediction, with the
+                # signal in range: a sum outside it is a corrupt residual
+                rec = predict_signal(main_basis, deq[u.index][c], maxval)
+                rec = rec + residuals[u.index][c]
+                if rec.min() < 0 or rec.max() > maxval:
+                    raise CorruptStreamError(
+                        f"corrupt stream: residual of unit {u.index} leaves [0, {maxval}]"
+                    )
             else:
                 rec = predict_signal(decomposed[u.index], deq[u.index][c], maxval)
             per_channel.append(rec)

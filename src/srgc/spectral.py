@@ -26,7 +26,9 @@ stacked LAPACK call per size n (per 256 KiB of matrices), and one stacked
 Gram-Schmidt per stack and cluster size over all such clusters, with
 results bit-equal to diagonalizing each Laplacian alone.  Given column
 masks, it leaves the clusters with no needed column out of the
-Gram-Schmidt and returns them as zeros.
+Gram-Schmidt and returns them as zeros; given probes (signals and their
+quantizer steps), it does the same with the clusters in which every
+signal must quantize to level 0 in any orthonormal basis of their span.
 
 Coarsening reduces a graph to an exact target vertex count by repeated
 heavy-edge matching (unit weights initially, merged-edge multiplicity as
@@ -69,6 +71,8 @@ _EIG_RECON_TOL = 1e-8
 _EIG_ORTHO_TOL = 1e-8
 _EIG_CLUSTER_TOL = 1e-9
 _EIG_PICK_TOL = 1e-7
+_PROBE_REL = 1e-6  # margins of the probe rule: see eigendecompose_all
+_PROBE_ABS = 1e-9
 _EIG_STACK_BYTES = 1 << 18  # matrices per stacked call: bounds the scratch memory
 _SPLIT_ROWS = 1 << 16  # pixel rows per stacked reprojection: bounds the scratch memory
 
@@ -283,14 +287,20 @@ def _apply_sign_convention(vecs):
     return vecs
 
 
-def _eigendecompose_stack(mats, needed=None):
+def _eigendecompose_stack(mats, needed=None, probe=None):
     """Diagonalize a (B, n, n) stack of Laplacians; returns the (B, n)
     eigenvalues and the (B, n, n) eigenvectors in the convention above.
 
     ``needed`` is None or a (B, n) bool array of the columns the caller
-    reads.  A degenerate cluster with no needed column is not
-    canonicalized, and once the checks have judged LAPACK's columns for
-    it, they are set to zero.  Every other column is as with ``None``."""
+    reads.  ``probe`` is None or (signals, steps): a (B, k, n) stack of
+    the signals the caller transforms (zero rows pad a matrix with fewer)
+    and the (B, n) quantizer steps of their coefficients, all 0 for a
+    matrix without a probe.  A degenerate cluster is unread when it has
+    no needed column or when every probe signal f quantizes to level 0
+    in it (:func:`eigendecompose_all` states the rule); a zero step never
+    passes the rule.  An unread cluster is not canonicalized, and once
+    the checks have judged LAPACK's columns for it, they are set to zero.
+    Every other column is as with neither argument."""
     n = mats.shape[1]
     try:
         vals, vecs = np.linalg.eigh(mats)
@@ -299,12 +309,21 @@ def _eigendecompose_stack(mats, needed=None):
     rows, starts, stops = _cluster_bounds(vals)
     sizes = stops - starts
     canon = sizes > 1
-    dropped = np.zeros_like(canon)
+    # the clusters tile each row in order: each starts at its flat offset
+    offsets = np.cumsum(sizes) - sizes
+    read = np.ones_like(canon)
     if needed is not None:
-        # the clusters tile each row in order: each starts at its flat offset
-        read = np.logical_or.reduceat(needed.ravel(), np.cumsum(sizes) - sizes)
-        dropped = canon & ~read
-        canon &= read
+        read &= np.logical_or.reduceat(needed.ravel(), offsets)
+    if probe is not None:
+        signals, steps = probe
+        # ||V_c^T f|| per cluster and signal, from LAPACK's columns V_c
+        energy = np.square(vecs.transpose(0, 2, 1) @ signals.transpose(0, 2, 1))
+        norms = np.sqrt(np.add.reduceat(energy.reshape(vals.size, -1), offsets))
+        bound = norms * (1 + _PROBE_REL) + _PROBE_ABS * np.linalg.norm(signals, axis=2)[rows]
+        half = 0.5 * np.minimum.reduceat(steps.ravel(), offsets)
+        read &= ~(bound.max(axis=1, initial=0.0) < half)
+    dropped = canon & ~read
+    canon &= read
     for m in np.unique(sizes[canon]):
         sel = canon & (sizes == m)
         index = (rows[sel, None], slice(None), starts[sel, None] + np.arange(m))
@@ -329,7 +348,21 @@ def _eigendecompose_stack(mats, needed=None):
     return vals, vecs
 
 
-def eigendecompose_all(laplacians, needed=None) -> list:
+def _stack_probes(probes, part, n):
+    """The probe argument of :func:`_eigendecompose_stack` for the
+    Laplacians ``part`` of size n, or None when none of them has one."""
+    if probes is None or all(probes[i] is None for i in part):
+        return None
+    k = max(probes[i][0].shape[0] for i in part if probes[i] is not None)
+    signals = np.zeros((len(part), k, n))
+    steps = np.zeros((len(part), n))
+    for b, i in enumerate(part):
+        if probes[i] is not None:
+            signals[b, : probes[i][0].shape[0]], steps[b] = probes[i]
+    return signals, steps
+
+
+def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     """Diagonalize an iterable of Laplacians into EigenBases, returned in
     input order.
 
@@ -348,24 +381,61 @@ def eigendecompose_all(laplacians, needed=None) -> list:
     Products with coefficients that are zero outside the mask are those
     of the full basis, up to the sign of a zero sum.
 
-    Raises ValueError for an empty Laplacian or a mask of the wrong
-    length, and DecompositionError if LAPACK fails or a basis (LAPACK's
-    own columns, for a cluster left out) violates the reconstruction /
-    orthonormality tolerances.
+    ``probes`` is None or one entry per Laplacian, in order: None, or
+    (signals, steps), a (k, n) array of the signals the caller transforms
+    with the basis and the n quantizer steps of their coefficients.  A
+    degenerate cluster is dropped like one with no needed column when,
+    for LAPACK's columns V_c of the cluster, every signal f has
+    ||V_c^T f|| * (1 + 1e-6) + 1e-9 * ||f|| < q_c / 2, where q_c is the
+    smallest step over the cluster's columns.  Then the full basis
+    quantizes every coefficient of the cluster to level 0 as well, so
+    the levels are those of the full basis.  The derivation: the full
+    basis gives the cluster the columns b = V_c p, where p is a unit
+    vector of R^m (a Gram-Schmidt pick of :func:`_canonical_cluster_bases`,
+    possibly negated), so by Cauchy-Schwarz |b^T f| = |p^T V_c^T f| <=
+    ||p|| ||V_c^T f||, whatever V_c's deviation from orthonormality
+    within the 1e-8 tolerance.  In floating point, ||p|| - 1 and the
+    relative rounding of the computed norm are a few units of 2**-53,
+    inside the relative margin.  Forming V_c p, its product with f and
+    V_c^T f err by at most about (n + 2 m**1.5) * 2**-53 * ||f|| in all,
+    inside the absolute margin for n up to 10**4.  So the computed
+    |b^T f| stays below q_c / 2 by a relative margin of about 1e-6, far
+    more than the rounding of |x| / q and of its sum with 0.5, and
+    round-half-away gives level 0.
+
+    Raises ValueError for an empty Laplacian, a mask of the wrong length,
+    a probe of the wrong shape or a step that is not positive, and
+    DecompositionError if LAPACK fails or a basis (LAPACK's own columns,
+    for a cluster left out) violates the reconstruction / orthonormality
+    tolerances.
     """
     mats = [l.matrix for l in laplacians]
     masks = None if needed is None else [np.asarray(k, dtype=bool) for k in needed]
     if masks is not None and len(masks) != len(mats):
         raise ValueError(f"{len(masks)} column masks for {len(mats)} Laplacians")
+    if probes is not None:
+        probes = [
+            None if p is None else tuple(np.asarray(a) for a in p)
+            for p in probes
+        ]
+        if len(probes) != len(mats):
+            raise ValueError(f"{len(probes)} probes for {len(mats)} Laplacians")
     by_size = {}
     for i, m in enumerate(mats):
-        if m.shape[0] < 1:
+        n = m.shape[0]
+        if n < 1:
             raise ValueError("empty Laplacian")
-        if masks is not None and masks[i].shape != (m.shape[0],):
-            raise ValueError(
-                f"column mask of shape {masks[i].shape} for a {m.shape[0]}x{m.shape[0]} Laplacian"
-            )
-        by_size.setdefault(m.shape[0], []).append(i)
+        if masks is not None and masks[i].shape != (n,):
+            raise ValueError(f"column mask of shape {masks[i].shape} for a {n}x{n} Laplacian")
+        if probes is not None and probes[i] is not None:
+            signals, steps = probes[i]
+            if signals.ndim != 2 or signals.shape[1] != n or steps.shape != (n,):
+                raise ValueError(
+                    f"probe of shapes {signals.shape} and {steps.shape} for a {n}x{n} Laplacian"
+                )
+            if not (steps > 0).all():
+                raise ValueError("probe steps must be positive")
+        by_size.setdefault(n, []).append(i)
     bases = [None] * len(mats)
     for n, idx in by_size.items():
         per_stack = max(1, _EIG_STACK_BYTES // (8 * n * n))
@@ -375,7 +445,7 @@ def eigendecompose_all(laplacians, needed=None) -> list:
             for i in part:
                 mats[i] = None
             part_needed = None if masks is None else np.stack([masks[i] for i in part])
-            vals, vecs = _eigendecompose_stack(stack, part_needed)
+            vals, vecs = _eigendecompose_stack(stack, part_needed, _stack_probes(probes, part, n))
             # own arrays, laid out as a lone call returns them, so later BLAS
             # calls on a basis see the same layout and no basis pins the stack
             for i, w, v in zip(part, vals, vecs):

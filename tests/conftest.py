@@ -548,12 +548,34 @@ def coarsen_graphs_oracle(fines, n_target):
     return [coarsen(g, n_target) for g in fines]
 
 
-def eigenbases_oracle(graphs, needed=None):
+def eigenbases_oracle(graphs, needed=None, probes=None):
     """Oracle: the per-unit eigen stage ``codec._eigenbases`` replaced, one
     Laplacian per graph, repeated graphs included, all solved in one
-    ``eigendecompose_all`` call, each with its own column mask; every
-    graph counts as solved."""
-    return eigendecompose_all((laplacian(g) for g in graphs), needed), len(graphs)
+    ``eigendecompose_all`` call, each with its own column mask and probe;
+    every graph counts as solved."""
+    return eigendecompose_all((laplacian(g) for g in graphs), needed, probes), len(graphs)
+
+
+def probe_mask_oracle(lap, probe):
+    """Oracle: the columns the probe rule of ``eigendecompose_all`` keeps
+    of ``lap``'s basis, one cluster and one signal at a time.  A
+    degenerate cluster of LAPACK's columns V_c is dropped when every
+    signal f has ||V_c^T f|| * (1 + 1e-6) + 1e-9 * ||f|| below half the
+    smallest step over the cluster's columns.  A probe of None keeps
+    every column."""
+    vals, vecs = np.linalg.eigh(lap.matrix)
+    keep = np.ones(vals.size, dtype=bool)
+    if probe is None:
+        return keep
+    signals, steps = (np.asarray(a, dtype=np.float64) for a in probe)
+    for cluster in cluster_eigenvalues_oracle(vals):
+        half = steps[cluster].min() / 2
+        if len(cluster) > 1 and all(
+            np.linalg.norm(vecs[:, cluster].T @ f) * (1 + 1e-6) + 1e-9 * np.linalg.norm(f) < half
+            for f in signals
+        ):
+            keep[cluster] = False
+    return keep
 
 
 def drop_unread_clusters_oracle(basis, needed):

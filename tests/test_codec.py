@@ -59,6 +59,7 @@ from conftest import (
     make_lf,
     partition_super_rays_oracle,
     partition_with_trees_oracle,
+    probe_mask_oracle,
     project_labels_oracle,
     random_lf,
     segmentation_from_symbols_oracle,
@@ -625,6 +626,26 @@ class TestCorruptPayloads:
         with pytest.raises((CorruptStreamError, SrgcError)):
             decode(broken)
 
+    def test_residual_out_of_sample_range(self, tmp_path):
+        """A grouped member's prediction + residual outside [0, maxval] is
+        corrupt: no encoder writes it, since every residual is the signal
+        minus the prediction and the signal is in range.  The stream keeps
+        a correct residual count, so only the sample range catches it."""
+        lf, dmap = small_scene(seed=9)
+        stream, _ = encode(lf, dmap, CFG)
+        count, payload = unpack_section(stream.sections[SEC_RESIDUALS], SEC_RESIDUALS)
+        syms = entropy_decode(payload, count, "residual")
+        assert count > 0
+        syms[0] += 10**6
+        sections = dict(stream.sections)
+        sections[SEC_RESIDUALS] = pack_section(count, entropy_encode(syms.tolist(), "residual"))
+        broken = Bitstream(header=stream.header, sections=sections)
+        with pytest.raises(CorruptStreamError, match="residual of unit"):
+            decode(broken)
+        path = tmp_path / "residual.srgc"
+        path.write_bytes(serialize(broken))
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
     @pytest.mark.parametrize("groups", [
         [(3, (0, 1, 2, 3, 4, 5)), (5, (5, 6))],
         [(3, (0, 1, 2, 3, 4, 5)), (6, (6, 4))],
@@ -927,32 +948,51 @@ def test_runtime_loads_no_scipy(tmp_path):
     }
 
 
+def _probe_key(probe):
+    if probe is None:
+        return None
+    signals, steps = probe
+    return signals.shape, signals.tobytes(), steps.tobytes()
+
+
 def _solve_once(monkeypatch, solve=None):
     """Memoize the codec's eigen stage ``eigendecompose_all`` by Laplacian
-    bytes and column mask, solving the misses of each call with ``solve``
-    one Laplacian at a time, its mask applied by
-    ``drop_unread_clusters_oracle`` (default: one ``eigendecompose_all``
-    call).  A basis is a pure function of its Laplacian and mask, so every
-    run of a test shares one set of solves and the test times the stages
-    it compares.  Returns the memo, which the test asserts non-empty: a
-    codec that stopped calling ``codec.eigendecompose_all`` would
-    otherwise bypass the hook."""
+    bytes, column mask and probe, solving the misses of each call with
+    ``solve`` one Laplacian at a time, its mask and its probe's mask
+    (``probe_mask_oracle``) applied by ``drop_unread_clusters_oracle``
+    (default: one ``eigendecompose_all`` call).  A basis is a pure
+    function of its Laplacian, mask and probe, so every run of a test
+    shares one set of solves and the test times the stages it compares.
+    Returns the memo, which the test asserts non-empty: a codec that
+    stopped calling ``codec.eigendecompose_all`` would otherwise bypass
+    the hook."""
     bases = {}
     solve_all = codec.eigendecompose_all
 
-    def cached(laps, needed=None):
+    def cached(laps, needed=None, probes=None):
         laps = list(laps)
         masks = [None] * len(laps) if needed is None else list(needed)
+        probes = [None] * len(laps) if probes is None else list(probes)
         keys = [
-            (lap.matrix.shape, lap.matrix.tobytes(), None if mask is None else mask.tobytes())
-            for lap, mask in zip(laps, masks)
+            (lap.matrix.shape, lap.matrix.tobytes(), None if mask is None else mask.tobytes(),
+             _probe_key(probe))
+            for lap, mask, probe in zip(laps, masks, probes)
         ]
-        missing = {k: (lap, mask) for k, lap, mask in zip(keys, laps, masks) if k not in bases}
+        missing = {k: args for k, *args in zip(keys, laps, masks, probes) if k not in bases}
+        todo = list(missing.values())
         if solve is None:
-            todo_masks = None if needed is None else [mask for _, mask in missing.values()]
-            got = solve_all([lap for lap, _ in missing.values()], todo_masks)
+            got = solve_all(
+                [lap for lap, _, _ in todo],
+                None if needed is None else [mask for _, mask, _ in todo],
+                [probe for _, _, probe in todo],
+            )
         else:
-            got = [drop_unread_clusters_oracle(solve(lap), mask) for lap, mask in missing.values()]
+            got = []
+            for lap, mask, probe in todo:
+                keep = probe_mask_oracle(lap, probe)
+                got.append(drop_unread_clusters_oracle(
+                    solve(lap), keep if mask is None else keep & mask
+                ))
         bases.update(zip(missing, got))
         return [bases[k] for k in keys]
 
@@ -993,9 +1033,9 @@ def _patch_per_unit_oracles(monkeypatch):
     calls = []
 
     def spy(oracle):
-        def run(*args):
+        def run(*args, **kwargs):
             calls.append(oracle.__name__)
-            return oracle(*args)
+            return oracle(*args, **kwargs)
         return run
 
     monkeypatch.setattr(codec, "_coarsen_graphs", spy(coarsen_graphs_oracle))
@@ -1022,17 +1062,20 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     """Each solved unit's basis, shared or not, has the bits a lone
     ``eigendecompose(laplacian(graph))`` of its graph gives, on both
     sides: every unit on the encoder, and on the decoder every unit that
-    is not predicted from a group's main.  The decoder passes column
-    masks: on its side every needed column has the lone solve's bits and
-    every dropped cluster (no needed column in any unit with that graph)
-    is zero."""
+    is not predicted from a group's main, except for the clusters each
+    side drops.  A side keeps a column for a unit when the decoder's
+    column mask needs it, or when the encoder's probe rule
+    (``probe_mask_oracle``) keeps it; a shared basis keeps the OR of its
+    units' columns, and a degenerate cluster with no kept column is
+    zero.  On the encoder, every dropped cluster of a unit has level 0
+    in every channel under the lone solve's full basis."""
     lf, dmap, cfg = ORACLE_CASES[case]()
     eigenbases = codec._eigenbases
     solved = []
 
-    def spy(graphs, needed=None):
-        bases, count = eigenbases(graphs, needed)
-        solved.append((graphs, needed, bases, count))
+    def spy(graphs, needed=None, probes=None):
+        bases, count = eigenbases(graphs, needed, probes)
+        solved.append((graphs, needed, probes, bases, count))
         return bases, count
 
     monkeypatch.setattr(codec, "_eigenbases", spy)
@@ -1044,21 +1087,35 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
         [u for u in dec.debug.units if u.index not in predicted],
     )
     assert len(solved) == 2
-    assert solved[0][1] is None and len(solved[1][1]) == len(want_units[1])
-    for (graphs, needed, bases, count), units, report in zip(solved, want_units, (enc, dec)):
+    assert solved[0][1] is None and len(solved[0][2]) == len(want_units[0])
+    assert solved[1][2] is None and len(solved[1][1]) == len(want_units[1])
+    # units no member is predicted from probe: all of them without grouping
+    probed = [p is not None for p in solved[0][2]]
+    assert probed == [u.index not in enc.debug.groupable for u in enc.debug.units]
+    assert all(probed) == (case in ("partition", "no_grouping"))
+    dropped_levels = 0
+    for (graphs, needed, probes, bases, count), units, report in zip(solved, want_units, (enc, dec)):
         assert len(units) == len(bases) == report.eig_count >= count == report.eig_solved
-        # a shared basis answers to the OR of the masks of its graph's units
         distinct, which = codec._distinct_graphs(graphs)
-        masks = [None] * len(distinct)
-        if needed is not None:
-            masks = [np.zeros(g.n, dtype=bool) for g in distinct]
-            for i, mask in zip(which, needed):
-                masks[i] |= mask
-        for u, graph, basis, i in zip(units, graphs, bases, which):
+        lone = [eigendecompose(laplacian(g)) for g in distinct]
+        masks = [np.zeros(g.n, dtype=bool) for g in distinct]
+        for j, (i, graph) in enumerate(zip(which, graphs)):
+            masks[i] |= (
+                needed[j] if needed is not None
+                else probe_mask_oracle(laplacian(graph), probes[j])
+            )
+        for j, (u, graph, basis, i) in enumerate(zip(units, graphs, bases, which)):
             assert graph is u.graph
-            want = drop_unread_clusters_oracle(eigendecompose(laplacian(u.graph)), masks[i])
+            want = drop_unread_clusters_oracle(lone[i], masks[i])
             assert np.array_equal(basis.eigenvalues, want.eigenvalues)
             assert np.array_equal(basis.vectors, want.vectors)
+            if probes is not None and probes[j] is not None:
+                signals, steps = probes[j]
+                for f in signals:
+                    levels = codec.quantize(codec.gft(lone[i], f), steps)
+                    assert not levels[~masks[i]].any()
+                    dropped_levels += int((~masks[i]).sum())
+    assert (dropped_levels > 0) == (case in ("partition", "no_grouping"))
 
 
 def _main_clusters_read_only_by_members(dec):
@@ -1078,23 +1135,30 @@ def _main_clusters_read_only_by_members(dec):
     return found
 
 
-@pytest.mark.parametrize("case", [
+_MASK_CASES = [
     *sorted(ORACLE_CASES),
     *(f"bench_{name}_{seed}" for name in ("gate", "parallax", "partition") for seed in (1, 17)),
-])
+]
+
+
+def _mask_case(case):
+    """(light field, disparity map, config) of an ``ORACLE_CASES`` name or
+    of ``bench_<workload>_<seed>``."""
+    if case in ORACLE_CASES:
+        return ORACLE_CASES[case]()
+    name, seed = case.removeprefix("bench_").split("_")
+    workload = bench_workloads()[name]
+    return (*workload.scene(int(seed)), workload.config)
+
+
+@pytest.mark.parametrize("case", _MASK_CASES)
 def test_column_masks_keep_decoded_samples(case, monkeypatch):
     """Decoding with the column masks gives the samples of decoding with
     full bases (masks forced to None).  In ``small`` and ``explicit``
     grouped members read 13 clusters of their main's basis that
     the main's own coefficients leave at zero, so a mask taken from the
     main alone would zero columns a member reads."""
-    if case in ORACLE_CASES:
-        lf, dmap, cfg = ORACLE_CASES[case]()
-    else:
-        name, seed = case.removeprefix("bench_").split("_")
-        workload = bench_workloads()[name]
-        lf, dmap = workload.scene(int(seed))
-        cfg = workload.config
+    lf, dmap, cfg = _mask_case(case)
     stream = deserialize(serialize(encode(lf, dmap, cfg)[0]))
     rec, dec = decode(stream, debug=True)
     cross = _main_clusters_read_only_by_members(dec)
@@ -1110,6 +1174,48 @@ def test_column_masks_keep_decoded_samples(case, monkeypatch):
     want, _ = decode(stream)
     assert len(masks) == 1 and masks[0] is not None
     assert lf_equal(rec, want)
+
+
+@pytest.mark.parametrize("case", _MASK_CASES)
+def test_encoder_probes_keep_stream_bytes(case, monkeypatch):
+    """Encoding with probes (the eigen stage drops the degenerate clusters
+    of ungroupable units whose levels must be 0) gives the stream bytes of
+    encoding with full bases (probes forced to None).  On ``partition``
+    seed 1 the probes leave the encoder's Gram-Schmidt 35 columns in 5
+    calls, against 1,215 columns in 81 calls with full bases.  Only the
+    partition and ungrouped cases probe: in the others every unit is
+    groupable, so the Gram-Schmidt work is that of full bases."""
+    lf, dmap, cfg = _mask_case(case)
+    canonical = spectral._canonical_cluster_bases
+    columns = []
+
+    def counted(v):
+        columns.append(v.shape[0] * v.shape[2])
+        return canonical(v)
+
+    monkeypatch.setattr(spectral, "_canonical_cluster_bases", counted)
+    data = serialize(encode(lf, dmap, cfg)[0])
+    probed = len(columns), sum(columns)
+    eigenbases = codec._eigenbases
+    seen = []
+
+    def full(graphs, needed=None, probes=None):
+        seen.append(probes)
+        return eigenbases(graphs, needed)
+
+    monkeypatch.setattr(codec, "_eigenbases", full)
+    columns.clear()
+    assert serialize(encode(lf, dmap, cfg)[0]) == data
+    (probes,) = seen
+    probing = case in ("partition", "no_grouping") or case.startswith("bench_partition")
+    assert any(p is not None for p in probes) == probing
+    if probing:
+        assert sum(columns) > probed[1]
+    else:
+        assert (len(columns), sum(columns)) == probed
+    if case == "bench_partition_1":
+        assert probed == (5, 35)
+        assert (len(columns), sum(columns)) == (81, 1215)
 
 
 @pytest.mark.parametrize("name, counts, solved, coarsened", [

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import srgc.codec as codec
 import srgc.spectral as spectral
@@ -28,6 +30,7 @@ from srgc.spectral import (
     split_graph,
     uncoarsen_signal,
 )
+from srgc.transform import gft, quantize
 
 import conftest
 from conftest import (
@@ -53,6 +56,7 @@ from conftest import (
     partition_super_rays_oracle,
     partition_with_trees_oracle,
     per_view,
+    probe_mask_oracle,
     reproject_children_oracle,
     split_reference_oracle,
     super_ray,
@@ -199,10 +203,10 @@ def _bench_laplacians(name, monkeypatch):
     lf, dmap = workload.scene(1)
     laps = []
 
-    def record(batch, needed=None):
+    def record(batch, needed=None, probes=None):
         batch = list(batch)
         laps.extend(batch)
-        return eigendecompose_all(batch, needed)
+        return eigendecompose_all(batch, needed, probes)
 
     with monkeypatch.context() as m:
         m.setattr(codec, "eigendecompose_all", record)
@@ -706,6 +710,24 @@ class TestEigendecomposeAll:
         with pytest.raises(ValueError, match="column mask"):
             eigendecompose_all(laps, [np.ones(3, dtype=bool), np.ones(3, dtype=bool)])
 
+    def test_probe_shape_and_steps_checked(self):
+        laps = [laplacian(path_graph(3)), laplacian(path_graph(4))]
+        steps = [np.ones(3), np.ones(4)]
+        with pytest.raises(ValueError, match="1 probes for 2 Laplacians"):
+            eigendecompose_all(laps, probes=[(np.ones((1, 3)), steps[0])])
+        for signals, step in [
+            (np.ones((1, 4)), steps[0]),  # signal length
+            (np.ones(3), steps[0]),  # one signal, not a (k, n) stack
+            (np.ones((1, 3)), np.ones(4)),  # step count
+        ]:
+            with pytest.raises(ValueError, match="probe of shapes"):
+                eigendecompose_all(laps, probes=[(signals, step), None])
+        for bad in (0.0, -1.0, np.nan):
+            step = np.ones(4)
+            step[2] = bad
+            with pytest.raises(ValueError, match="probe steps must be positive"):
+                eigendecompose_all(laps, probes=[None, (np.ones((2, 4)), step)])
+
     def test_decoder_canonicalizes_few_columns(self, monkeypatch):
         """Work guard: one decode of the ``partition`` bench scene (seed 1)
         hands at most 100 columns (blocks x cluster size) to the
@@ -731,6 +753,104 @@ class TestEigendecomposeAll:
     def test_empty_laplacian_rejected_in_batch(self):
         with pytest.raises(ValueError, match="empty Laplacian"):
             eigendecompose_all([laplacian(path_graph(3)), Laplacian(matrix=np.zeros((0, 0)))])
+
+
+def cycle_graph(n):
+    return _pairs_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+class TestProbes:
+    """The probe rule of ``eigendecompose_all``: a degenerate cluster is
+    dropped only when every probe signal must quantize to level 0 in it."""
+
+    @staticmethod
+    def _cycle_probe(alpha, q=1.0):
+        """The 6-cycle's Laplacian (eigenvalues 0, 1, 1, 3, 3, 4) and a
+        probe of one signal whose projection onto the eigenvalue-1
+        cluster (columns 1 and 2) has norm ``alpha``, under step q."""
+        lap = laplacian(cycle_graph(6))
+        f = alpha * np.cos(2 * np.pi * np.arange(6) / 6) / np.sqrt(3)
+        return lap, (f[None], np.full(6, q))
+
+    @pytest.mark.parametrize("alpha, kept", [
+        (0.25, False),  # well below half a step
+        (0.5 * (1 - 1e-7), True),  # below half a step, inside the margin
+        (0.75, True),  # above half a step
+    ])
+    def test_cycle_cluster_against_half_step(self, alpha, kept):
+        """Columns 1-2 are dropped (exact zeros) only well below half a
+        step; kept, they have the lone solve's bits.  The full basis gives
+        them level 0 below half a step, so the margin band only keeps
+        what could be dropped.  Columns 3-4 (no projection) are dropped
+        every time, the simple eigenvalues' columns never."""
+        lap, probe = self._cycle_probe(alpha)
+        full = eigendecompose(lap)
+        got = eigendecompose_all([lap], probes=[probe])[0]
+        assert np.array_equal(got.eigenvalues, full.eigenvalues)
+        assert np.array_equal(got.vectors[:, [0, 5]], full.vectors[:, [0, 5]])
+        assert not got.vectors[:, 3:5].any()
+        want = full.vectors[:, 1:3] if kept else np.zeros((6, 2))
+        assert np.array_equal(got.vectors[:, 1:3], want)
+        levels = quantize(gft(full, probe[0][0]), probe[1])
+        assert levels[1:3].any() == (alpha > 0.5)
+        assert not levels[3:5].any()
+        mask = probe_mask_oracle(lap, probe)
+        assert mask.tolist() == [True, kept, kept, False, False, True]
+        assert np.array_equal(got.vectors, drop_unread_clusters_oracle(full, mask).vectors)
+
+    def test_smallest_step_of_the_cluster_decides(self):
+        """Two equal disjoint 3-paths: the zero eigenvalue's cluster holds
+        the DC column, whose step is 1 against 16 elsewhere.  A constant
+        signal of projection 2 is below half of 16 but not of 1, so the
+        cluster is kept."""
+        lap = laplacian(_pairs_graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
+        steps = np.full(6, 16.0)
+        steps[0] = 1.0
+        f = np.full(6, 2 / np.sqrt(6))
+        full = eigendecompose(lap)
+        got = eigendecompose_all([lap], probes=[(f[None], steps)])[0]
+        assert np.array_equal(got.vectors[:, :2], full.vectors[:, :2])
+        assert quantize(gft(full, f), steps)[0] != 0
+        steps[0] = 16.0
+        got = eigendecompose_all([lap], probes=[(f[None], steps)])[0]
+        assert not got.vectors.any()
+
+    def test_every_signal_must_pass(self):
+        """A cluster that one of several signals reads is kept, and
+        stacking no signal at all drops every degenerate cluster."""
+        lap, (low, steps) = self._cycle_probe(0.25)
+        _, (high, _) = self._cycle_probe(0.75)
+        full = eigendecompose(lap)
+        got = eigendecompose_all([lap], probes=[(np.concatenate([low, high]), steps)])[0]
+        assert np.array_equal(got.vectors[:, 1:3], full.vectors[:, 1:3])
+        got = eigendecompose_all([lap], probes=[(np.zeros((0, 6)), steps)])[0]
+        assert not got.vectors[:, 1:5].any()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        case=st.integers(0, 59),
+        scale=st.floats(0.05, 3.0),
+        q=st.sampled_from([0.5, 1.0, 4.0, 16.0]),
+        k=st.integers(1, 3),
+    )
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_masked_basis_quantizes_to_full_levels(self, seed, case, scale, q, k):
+        """On graphs with repeated eigenvalues and signals whose
+        coefficients sit around half a step, the probed basis quantizes
+        every signal to the full basis's levels, and it is the full basis
+        with the oracle's dropped clusters zeroed."""
+        rng = np.random.default_rng(seed)
+        lap = laplacian(_degenerate_graph(rng, case))
+        n = lap.matrix.shape[0]
+        steps = np.full(n, q)
+        steps[0] = min(q, 1.0)
+        full = eigendecompose(lap)
+        signals = (rng.normal(size=(k, n)) * scale * steps / 2) @ full.vectors.T
+        got = eigendecompose_all([lap], probes=[(signals, steps)])[0]
+        mask = probe_mask_oracle(lap, (signals, steps))
+        assert np.array_equal(got.vectors, drop_unread_clusters_oracle(full, mask).vectors)
+        for f in signals:
+            assert np.array_equal(quantize(gft(got, f), steps), quantize(gft(full, f), steps))
 
 
 class TestCoarsen:
