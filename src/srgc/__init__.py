@@ -38,7 +38,6 @@ from .segmentation import (
     slic_segment,
 )
 from .spectral import (
-    CoarseningMap,
     EigenBasis,
     Laplacian,
     LocalGraph,
@@ -47,7 +46,6 @@ from .spectral import (
     eigendecompose_all,
     laplacian,
     partition_super_ray,
-    uncoarsen_signal,
 )
 from .transform import gft, igft, quantize
 

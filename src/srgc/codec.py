@@ -21,9 +21,12 @@ to parse and replay; an empty section means coarse mode.
 Each side builds the pixel graphs of all its units (super-rays, or
 partition parts) in one :func:`spectral.graph_structure` call, their
 disjoint union, and :func:`spectral.split_graph` gives each unit its own
-graph with local vertex ids.  Units often repeat whole graphs, so units
-with one vertex count and edge list share a Laplacian and a bit-equal
-basis.  Each side coarsens each distinct pixel graph once and
+graph with local vertex ids.  A graph is its vertex count and edge list;
+a unit's vertex i is row i of its pixels, where the encoder reads its
+samples and the decoder writes them.  Units often repeat whole graphs, so
+units with one vertex count and edge list share a Laplacian and a
+bit-equal basis.  Each side coarsens each distinct pixel graph once,
+keeps only the coarse graph and ``fine_to_coarse`` of each unit, and
 runs its eigen stage once per stream, as one batched
 :func:`spectral.eigendecompose_all` call over the distinct graphs of the
 units it decomposes; every unit with that graph shares the result.  The
@@ -79,13 +82,11 @@ from .spectral import (
     coarsen,
     eigendecompose,  # not called here; perfbench/spans.py traces this name
     eigendecompose_all,
-    graph_signal,
     graph_structure,
     laplacian,
     partition_super_ray,
     partition_with_tree,
     split_graph,
-    uncoarsen_signal,
 )
 from .transform import gft, predict_signal, quantize
 from .util import round_half_away, round_half_away_int
@@ -127,13 +128,14 @@ class CodecConfig:
 
 @dataclass
 class CodingUnit:
-    """One coded graph: a coarsened super-ray (``cmap`` set) or a
-    partitioned part (``graph`` is its own pixel graph ``fine``)."""
+    """One coded graph: a coarsened super-ray (``fine_to_coarse`` set, each
+    pixel's vertex of ``graph``) or a partition part (``graph`` is its own
+    pixel graph).  ``pixels`` are the (view, y, x) rows of the super-ray
+    or part, shared with it."""
 
-    index: int
     graph: object
-    cmap: object
-    fine: object              # the pixel graph the unit covers
+    pixels: np.ndarray
+    fine_to_coarse: np.ndarray
     signals: list = None      # per-channel int vectors (encoder side only)
 
     @property
@@ -258,7 +260,7 @@ def _distinct_graphs(graphs):
 
 
 def _coarsen_graphs(fines, n_target):
-    """(coarse graph, CoarseningMap) of every pixel graph, each distinct
+    """(coarse graph, fine_to_coarse) of every pixel graph, each distinct
     graph coarsened once; units share the pair, which is only read."""
     distinct, which = _distinct_graphs(fines)
     coarse = [coarsen(g, n_target) for g in distinct]
@@ -303,15 +305,16 @@ def _build_units(sources, angular_dims, mode, n_target, watch):
 
     All pixel graphs are built in one :func:`graph_structure` call and
     split apart, and ``watch`` laps ``graphs``.  In 'coarse' mode each
-    graph is then coarsened to ``n_target`` vertices; otherwise each part
-    is a unit on its own pixel graph.  The caller laps ``coarsen``.
+    graph is then coarsened to ``n_target`` vertices, and the pixel graphs
+    are freed on return; otherwise each part is a unit on its own pixel
+    graph.  The caller laps ``coarsen``.
     """
     fines = split_graph(graph_structure(sources, angular_dims), sources)
     watch.lap("graphs")
     pairs = _coarsen_graphs(fines, n_target) if mode == "coarse" else [(g, None) for g in fines]
     return [
-        CodingUnit(index=i, graph=graph, cmap=cmap, fine=fine)
-        for i, ((graph, cmap), fine) in enumerate(zip(pairs, fines))
+        CodingUnit(graph=graph, pixels=src.pixels, fine_to_coarse=f2c)
+        for (graph, f2c), src in zip(pairs, sources)
     ]
 
 
@@ -339,7 +342,9 @@ def _dequantize_units(levels, units, n_channels, q_gft):
 def _groupable_positions(units, n_target, grouping):
     if not grouping:
         return []
-    return [u.index for u in units if u.cmap is not None and u.n == n_target]
+    return [
+        i for i, u in enumerate(units) if u.fine_to_coarse is not None and u.n == n_target
+    ]
 
 
 def _predicted_members(groups, groupable):
@@ -439,9 +444,9 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         sources, structure = res.parts, res.bits
     units = _build_units(sources, lf.angular_dims, mode, cfg.n_target, watch)
     for u in units:
-        fine = [graph_signal(u.fine, volume) for volume in volumes]
-        u.signals = fine if u.cmap is None else [
-            np.clip(round_half_away_int(coarse_mean_signal(u.cmap, f)), 0, maxval)
+        fine = [volume[tuple(u.pixels.T)] for volume in volumes]
+        u.signals = fine if u.fine_to_coarse is None else [
+            np.clip(round_half_away_int(coarse_mean_signal(u.fine_to_coarse, f)), 0, maxval)
             for f in fine
         ]
     watch.lap("coarsen")
@@ -453,8 +458,8 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     steps, starts = _coefficient_steps(units, n_channels, cfg.q_gft)
     whole = set(groupable)
     probes = [
-        None if u.index in whole else (np.stack(u.signals), steps[lo : lo + u.n])
-        for u, lo in zip(units, starts[::n_channels].tolist())
+        None if i in whole else (np.stack(u.signals), steps[lo : lo + u.n])
+        for i, (u, lo) in enumerate(zip(units, starts[::n_channels].tolist()))
     ]
     bases, eig_solved = _eigenbases([u.graph for u in units], probes=probes)
     coeffs = np.concatenate([
@@ -522,7 +527,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     stream = Bitstream(header=header, sections=sections)
     watch.lap("entropy")
 
-    coarsened = sum(1 for u in units if u.cmap is not None)
+    coarsened = sum(1 for u in units if u.fine_to_coarse is not None)
     m = len(groupable)
     report = EncodeReport(
         super_ray_count=seg_ref.label_count,
@@ -644,7 +649,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
 
     # the columns of each basis that reconstruction reads: a nonzero
     # coefficient, in any channel, of its unit or a member predicted from it
-    needed = {u.index: np.any(np.asarray(deq[u.index]) != 0, axis=0) for u in units}
+    needed = {i: np.any(np.asarray(d) != 0, axis=0) for i, d in enumerate(deq)}
     for member, main in predicted.items():
         needed[main] |= needed.pop(member)
     to_decompose = list(needed)
@@ -670,24 +675,24 @@ def decode(stream: Bitstream, threads=1, debug=False):
 
     volumes = np.zeros((n_channels, s_count * t_count, h, w), dtype=np.int64)
     recon_units = []
-    for u in units:
+    for i, u in enumerate(units):
         per_channel = []
+        cells = tuple(u.pixels.T)
         for c in range(n_channels):
-            if u.index in predicted:
-                main_basis = decomposed[predicted[u.index]]
+            if i in predicted:
+                main_basis = decomposed[predicted[i]]
                 # the encoder's residual is signal - prediction, with the
                 # signal in range: a sum outside it is a corrupt residual
-                rec = predict_signal(main_basis, deq[u.index][c], maxval)
-                rec = rec + residuals[u.index][c]
+                rec = predict_signal(main_basis, deq[i][c], maxval)
+                rec = rec + residuals[i][c]
                 if rec.min() < 0 or rec.max() > maxval:
                     raise CorruptStreamError(
-                        f"corrupt stream: residual of unit {u.index} leaves [0, {maxval}]"
+                        f"corrupt stream: residual of unit {i} leaves [0, {maxval}]"
                     )
             else:
-                rec = predict_signal(decomposed[u.index], deq[u.index][c], maxval)
+                rec = predict_signal(decomposed[i], deq[i][c], maxval)
             per_channel.append(rec)
-            fine = uncoarsen_signal(rec, u.cmap) if u.cmap is not None else rec
-            volumes[c][tuple(u.fine.vertices.T)] = fine
+            volumes[c][cells] = rec if u.fine_to_coarse is None else rec[u.fine_to_coarse]
         recon_units.append(per_channel)
     watch.lap("reconstruct")
 

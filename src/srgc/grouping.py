@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .transform import predict_signal
-from .util import forest_roots, round_half_away_int
+from .util import component_roots, round_half_away_int
 
 _BIN_LIMIT = 2.0**62  # histogram bin indices stay well inside int64
 
@@ -141,25 +141,6 @@ def predict_and_residual(main_basis, member_coeffs, member_signal, sample_max):
     return predicted, residual
 
 
-def _component_roots(m, i, j):
-    """Smallest vertex of every vertex's connected component in the graph
-    on 0..m-1 with edges (i[k], j[k]).
-
-    A pointer forest in which every parent is smaller than its child: each
-    round hooks the larger root of every edge that still joins two trees
-    onto the smallest root it meets, then compresses every path to its
-    root.  Each tree with such an edge merges in a round, so the trees of
-    a component at least halve per round.
-    """
-    root = np.arange(m)
-    while True:
-        ri, rj = root[i], root[j]
-        if np.array_equal(ri, rj):
-            return root
-        np.minimum.at(root, np.maximum(ri, rj), np.minimum(ri, rj))
-        root = forest_roots(root)
-
-
 def derive_group_members(coeffs, bin_width=5.0):
     """Membership half of the grouping pass: (groups, threshold).
 
@@ -186,7 +167,7 @@ def derive_group_members(coeffs, bin_width=5.0):
         return [], threshold
     # a stable sort of the ascending linked indices by their component's
     # smallest member lists the groups in order, members ascending
-    key = _component_roots(m, i, j)[linked]
+    key = component_roots(m, i, j)[linked]
     order = np.argsort(key, kind="stable")
     cuts = np.flatnonzero(np.diff(key[order])) + 1
     return [tuple(g.tolist()) for g in np.split(linked[order], cuts)], threshold

@@ -203,6 +203,15 @@ def _read_pnm_tokens(f, count):
     return tokens
 
 
+def _read_declared(f, count, path, what):
+    """Read the ``count`` bytes a header declares.  The count is checked
+    against the bytes left in the file first, so a header that declares
+    more than the file holds raises SrgcError without allocating them."""
+    if count > os.fstat(f.fileno()).st_size - f.tell():
+        raise SrgcError(f"{path}: truncated {what}")
+    return f.read(count)
+
+
 def _read_pnm(path):
     with open(path, "rb") as f:
         magic = f.read(2)
@@ -213,10 +222,10 @@ def _read_pnm(path):
             raise SrgcError(f"{path}: unsupported maxval {maxval}")
         channels = 1 if magic == b"P5" else 3
         n = w * h * channels
-        if maxval > 255:
-            raw = np.frombuffer(f.read(2 * n), dtype=">u2")
-        else:
-            raw = np.frombuffer(f.read(n), dtype=np.uint8)
+        dtype = ">u2" if maxval > 255 else np.uint8
+        raw = np.frombuffer(
+            _read_declared(f, n * np.dtype(dtype).itemsize, path, "sample data"), dtype=dtype
+        )
         if raw.size != n:
             raise SrgcError(f"{path}: truncated sample data")
     depth = _DEPTH_BY_MAXVAL[maxval]
@@ -306,11 +315,9 @@ def load_disparity(path):
         header = f.read(16)
         if len(header) < 16 or header[:4] != LFDM_MAGIC:
             raise SrgcError(f"{path}: not an LFDM disparity file")
-        w, h, _ = np.frombuffer(header[4:], dtype="<u4")
-        raw = np.frombuffer(f.read(4 * int(w) * int(h)), dtype="<f4")
-    if raw.size != int(w) * int(h):
-        raise SrgcError(f"{path}: truncated disparity data")
-    return DisparityMap(values=raw.reshape(int(h), int(w)).astype(np.float64))
+        w, h, _ = (int(v) for v in np.frombuffer(header[4:], dtype="<u4"))
+        raw = np.frombuffer(_read_declared(f, 4 * w * h, path, "disparity data"), dtype="<f4")
+    return DisparityMap(values=raw.reshape(h, w).astype(np.float64))
 
 
 # ---------------------------------------------------------------------------

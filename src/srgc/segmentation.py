@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrphanLabelError, TooManySuperpixelsError
-from .util import forest_roots, lower_median, quantize_eighth, round_half_away_int
+from .util import component_roots, forest_roots, lower_median, quantize_eighth, round_half_away_int
 
 # SLIC seed perturbation: the 3x3 offsets, center first, then by distance
 _SEED_OFFSETS = np.array(sorted(
@@ -66,18 +66,12 @@ class SuperRay:
     1/8-px quantized median disparity of the reference super-pixel.
     """
 
-    label: int
     pixels: np.ndarray
     disparity: float
 
     @property
     def total_pixels(self):
         return self.pixels.shape[0]
-
-    @property
-    def reference(self):
-        """The reference-view rows, a prefix of ``pixels``."""
-        return self.pixels[: np.searchsorted(self.pixels[:, 0], 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -173,12 +167,9 @@ def _label_components(labels):
     an int64 id map and the component count.  Components are numbered by
     label, then by their first pixel in raster order.
 
-    One union-find over the whole frame (Shiloach & Vishkin): the
-    right and down neighbour pairs of equal label are the edges; each
-    round hooks every root onto the smallest root it shares an edge with,
-    compresses the forest, and drops the edges inside one tree, until no
-    edge joins two trees.  Hooks only ever point to smaller pixels, so
-    each component's root is its first pixel in raster order.
+    One :func:`component_roots` pass over the whole frame, whose edges
+    are the right and down neighbour pairs of equal label, gives each
+    pixel its component's first pixel in raster order.
     """
     h, w = labels.shape
     flat = labels.ravel()
@@ -187,14 +178,7 @@ def _label_components(labels):
     a = np.concatenate([pixel[:, :-1].ravel(), pixel[:-1].ravel()])
     b = np.concatenate([pixel[:, 1:].ravel(), pixel[1:].ravel()])
     same = flat[a] == flat[b]
-    a, b = a[same], b[same]
-    root = index.copy()
-    while a.size:
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        root = forest_roots(root)
-        a, b = root[a], root[b]
-        joins = a != b
-        a, b = a[joins], b[joins]
+    root = component_roots(h * w, a[same], b[same])
     firsts = np.flatnonzero(root == index)
     order = firsts[np.argsort(flat[firsts], kind="stable")]
     ids = np.empty(h * w, dtype=np.int64)
@@ -468,5 +452,5 @@ def assemble_super_rays(seg, disparities):
     for l, pixels in enumerate(label_regions(seg.labels, seg.label_count)):
         if pixels.shape[0] == 0 or pixels[0, 0] != 0:
             raise OrphanLabelError(f"orphan label {l}: absent from reference view")
-        rays.append(SuperRay(label=l, pixels=pixels, disparity=disparities[l]))
+        rays.append(SuperRay(pixels=pixels, disparity=disparities[l]))
     return rays

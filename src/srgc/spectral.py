@@ -7,11 +7,12 @@ views).  Vertices are ordered canonically: views in raster (s, t) order,
 pixels in raster order inside a view.  That ordering is the contract the
 whole codec builds on; encoder and decoder must construct identical graphs
 from identical labels and disparities.  A ``SuperRay`` stores its pixels
-in that order, as (view, y, x) rows, and those rows are its graph's
-vertices; partition children keep it too.  Graphs are built once per
-stream: :func:`graph_structure` takes all units of a codec side at once
-and returns their disjoint union, and :func:`split_graph` cuts it into
-each unit's own graph.
+in that order, as (view, y, x) rows, and row i is its graph's vertex i;
+partition children keep the order too.  A ``LocalGraph`` is topology
+only, ``(n, edges)``: the codec reads a unit's samples at its pixel rows.
+Graphs are built once per stream: :func:`graph_structure` takes all units
+of a codec side at once and returns their disjoint union, and
+:func:`split_graph` cuts it into each unit's own graph.
 
 Eigendecomposition is deterministic: eigenvalues ascending, near-repeated
 eigenvalue subspaces re-based by Gram-Schmidt against coordinate axes in
@@ -40,13 +41,15 @@ components run out of edges fall back to merging the two smallest
 supernodes (ties to the smaller first member), so the target count is
 always reached.  Supernodes are always ordered by their smallest fine
 member.  The graph is held as int arrays throughout: sorted weighted
-edge lists and ``fine_to_coarse``, which each contraction composes with
-its old-to-new id map.  Only the matching scan itself is a Python loop,
-because its order defines the result.  It reads only each vertex's
-higher neighbors, in preference order (weight descending, then index),
-and takes the first unmatched one: every lower neighbor of a vertex is
-already matched when the scan reaches it, so this is exactly the scan
-over all neighbors, run as one forward walk over the edge list.
+edge lists and ``fine_to_coarse``, each fine vertex's supernode, which
+each contraction composes with its old-to-new id map and
+:func:`coarsen` returns with the coarse graph.  Only the matching scan
+itself is a Python loop, because its order defines the result.  It reads
+only each vertex's higher neighbors, in preference order (weight
+descending, then index), and takes the first unmatched one: every lower
+neighbor of a vertex is already matched when the scan reaches it, so
+this is exactly the scan over all neighbors, run as one forward walk
+over the edge list.
 
 Partitioning bisects a super-ray's reference region recursively and
 hands each non-reference pixel to the child whose projected reference
@@ -82,13 +85,11 @@ class LocalGraph:
     """Undirected unweighted graph.
 
     ``edges`` is an (E, 2) int array with i < j per row, lexicographically
-    sorted and duplicate-free.  ``vertices`` carries (view, y, x) per vertex
-    for pixel graphs and is None for coarsened graphs.
+    sorted and duplicate-free.
     """
 
     n: int
     edges: np.ndarray
-    vertices: np.ndarray = None
 
 
 @dataclass
@@ -107,16 +108,6 @@ class EigenBasis:
     vectors: np.ndarray
 
 
-@dataclass
-class CoarseningMap:
-    """Partition of fine vertices into ``coarse_count`` supernodes:
-    ``fine_to_coarse[i]`` is the supernode of fine vertex i, and supernodes
-    are numbered in the order of their smallest fine member."""
-
-    fine_to_coarse: np.ndarray
-    coarse_count: int
-
-
 def graph_structure(srs, angular_dims) -> LocalGraph:
     """Assemble the local graph topology of every super-ray (or part) of
     ``srs`` at once, as their disjoint union.
@@ -126,10 +117,9 @@ def graph_structure(srs, angular_dims) -> LocalGraph:
     pixel in each other view, when that pixel belongs to the same unit.
     Depends only on the pixel rows and the quantized disparities, so
     encoder and decoder build identical graphs from transmitted data.
-    Vertex ids run through the units in order, ``vertices`` is their rows
-    concatenated, and each unit's canonical edge list is one contiguous
-    run of the sorted edge list, which :func:`split_graph` cuts into the
-    units' own graphs.
+    Vertex ids run through the units' rows in order, and each unit's
+    canonical edge list is one contiguous run of the sorted edge list,
+    which :func:`split_graph` cuts into the units' own graphs.
 
     Precondition: the units are disjoint in pixels (one label per pixel;
     partition children split their parent's rows), so every (view, y, x)
@@ -143,14 +133,14 @@ def graph_structure(srs, angular_dims) -> LocalGraph:
     rows = np.concatenate([sr.pixels for sr in srs] or [np.zeros((0, 3), dtype=np.int64)])
     total = rows.shape[0]
     if not total:
-        return LocalGraph(n=0, edges=np.zeros((0, 2), dtype=np.int64), vertices=rows)
+        return LocalGraph(n=0, edges=np.zeros((0, 2), dtype=np.int64))
     bits = total.bit_length()
     keys = _edge_keys(srs, rows, bits, angular_dims)
     keys.sort(kind="stable")  # three ascending runs: timsort merges them
     edges = np.empty((keys.size, 2), dtype=np.int64)
     np.right_shift(keys, bits, out=edges[:, 0])
     np.bitwise_and(keys, (1 << bits) - 1, out=edges[:, 1])
-    return LocalGraph(n=total, edges=edges, vertices=rows)
+    return LocalGraph(n=total, edges=edges)
 
 
 def _edge_keys(srs, rows, bits, angular_dims):
@@ -203,20 +193,14 @@ def _edge_keys(srs, rows, bits, angular_dims):
 def split_graph(union: LocalGraph, srs) -> list:
     """Each unit's own LocalGraph out of ``graph_structure(srs, ...)``, in
     the order of ``srs``: local vertex ids (the unit's run of ids minus
-    its first), its run of the edge list and ``vertices = sr.pixels``."""
+    its first) and its run of the edge list, in an array of its own."""
     sizes = np.array([sr.total_pixels for sr in srs], dtype=np.int64)
     stops = np.cumsum(sizes)
     ends = np.searchsorted(union.edges[:, 0], stops).tolist()
     return [
-        LocalGraph(n=sr.total_pixels, edges=union.edges[e0:e1] - lo, vertices=sr.pixels)
+        LocalGraph(n=sr.total_pixels, edges=union.edges[e0:e1] - lo)
         for sr, lo, e0, e1 in zip(srs, (stops - sizes).tolist(), [0, *ends], ends)
     ]
-
-
-def graph_signal(graph, volume):
-    """Per-vertex samples of a pixel graph from a (views, H, W) volume (or
-    a list of per-view planes)."""
-    return np.asarray(volume)[tuple(graph.vertices.T)]
 
 
 def laplacian(g: LocalGraph) -> Laplacian:
@@ -518,8 +502,11 @@ def _heavy_edge_matching(a, b, w, k, budget):
 def coarsen(g: LocalGraph, n_target: int):
     """Reduce ``g`` to exactly min(n_target, n) supernodes.
 
-    Returns (coarse LocalGraph, CoarseningMap).  Coarse adjacency has an
-    edge between supernodes iff any fine edge crosses them.
+    Returns (coarse LocalGraph, fine_to_coarse): ``fine_to_coarse[i]`` is
+    the supernode of fine vertex i, and supernodes are numbered in the
+    order of their smallest fine member, so every id below the coarse
+    ``n`` holds a fine vertex.  Coarse adjacency has an edge between
+    supernodes iff any fine edge crosses them.
 
     The graph lives in int arrays: weighted edges (a, b, w) with a < b,
     sorted, and ``fine_to_coarse``.  Each round runs the greedy heavy-edge
@@ -552,26 +539,16 @@ def coarsen(g: LocalGraph, n_target: int):
         fine_to_coarse = old_to_new[fine_to_coarse]
         a, b, w = _merge_edges(a, b, w, old_to_new, k)
 
-    coarse = LocalGraph(n=k, edges=np.column_stack([a, b]))
-    return coarse, CoarseningMap(fine_to_coarse=fine_to_coarse, coarse_count=k)
+    return LocalGraph(n=k, edges=np.column_stack([a, b])), fine_to_coarse
 
 
-def coarse_mean_signal(cmap: CoarseningMap, fine_signal):
+def coarse_mean_signal(fine_to_coarse, fine_signal):
     """Per-supernode mean of a fine signal: the coarse graph's signal.
     One ``bincount`` sum over ``fine_to_coarse`` divided by the supernode
-    sizes; exact (and equal to each member mean) for integer signals."""
-    k = cmap.coarse_count
+    sizes; exact (and equal to each member mean) for integer signals.
+    Every supernode holds a fine vertex, so the counts cover them all."""
     f = np.asarray(fine_signal, dtype=np.float64)
-    sums = np.bincount(cmap.fine_to_coarse, weights=f, minlength=k)
-    return sums / np.bincount(cmap.fine_to_coarse, minlength=k)
-
-
-def uncoarsen_signal(coarse_f, cmap: CoarseningMap):
-    """Piecewise-constant lift: every fine vertex takes its supernode value."""
-    coarse_f = np.asarray(coarse_f)
-    if coarse_f.shape[0] != cmap.coarse_count:
-        raise ValueError("coarse signal length does not match supernode count")
-    return coarse_f[cmap.fine_to_coarse]
+    return np.bincount(fine_to_coarse, weights=f) / np.bincount(fine_to_coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -706,8 +683,7 @@ def _level_walk(srs, angular_dims, wants):
                                         stops.tolist()):
             bits[k, path] = int(s)
             if not s:
-                sr = srs[k]
-                leaves[k, path] = SuperRay(sr.label, rows[lo:hi].copy(), sr.disparity)
+                leaves[k, path] = SuperRay(rows[lo:hi].copy(), srs[k].disparity)
         if not split.any():
             break
         parents = [nd for nd, s in zip(nodes, split) if s]

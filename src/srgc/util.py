@@ -32,6 +32,27 @@ def forest_roots(parent):
     return parent
 
 
+def component_roots(n, a, b):
+    """Smallest vertex of every vertex's connected component in the graph
+    on 0..n-1 with edges (a[k], b[k]).
+
+    Union-find in array rounds (Shiloach & Vishkin 1982): each round hooks
+    the larger root of every edge that still joins two trees onto the
+    smallest root it meets, compresses every path with
+    :func:`forest_roots`, and drops the edges inside one tree.  Hooks only
+    point to smaller vertices, so each component's root is its smallest
+    vertex, and the trees of a component at least halve per round.
+    """
+    root = np.arange(n)
+    while a.size:
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        root = forest_roots(root)
+        a, b = root[a], root[b]
+        joins = a != b
+        a, b = a[joins], b[joins]
+    return root
+
+
 def lower_median(values):
     """Lower statistical median: for even counts the smaller of the two
     middle values, so the result is always an observed value."""

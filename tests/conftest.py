@@ -20,7 +20,6 @@ from srgc.segmentation import (
     median_disparity,
 )
 from srgc.spectral import (
-    CoarseningMap,
     EigenBasis,
     Laplacian,
     LocalGraph,
@@ -112,14 +111,19 @@ def build_super_rays(seg, dmap):
     return assemble_super_rays(seg, label_disparities(seg, dmap))
 
 
-def super_ray(per_view, disparity, label=0):
+def super_ray(per_view, disparity):
     """A SuperRay from per-view (N_v, 2) (y, x) pixel arrays: their rows
     stacked in view order behind a view column."""
     pixels = np.concatenate([
         np.column_stack([np.full(len(p), v), np.reshape(p, (-1, 2))])
         for v, p in enumerate(per_view)
     ]).astype(np.int64)
-    return SuperRay(label=label, pixels=pixels, disparity=disparity)
+    return SuperRay(pixels=pixels, disparity=disparity)
+
+
+def reference_rows(sr):
+    """A super-ray's reference-view (v = 0) rows, a prefix of its pixels."""
+    return sr.pixels[: np.searchsorted(sr.pixels[:, 0], 1)]
 
 
 def per_view(sr, n_views):
@@ -281,15 +285,12 @@ def graph_structure_oracle(sr, angular_dims):
     """Oracle: the dict-keyed, view-by-view graph builder that
     ``spectral.graph_structure`` replaced; identical output required."""
     s_count, t_count = angular_dims
-    vertex_rows = []
     index_maps = []
     offset = 0
-    for v, pix in enumerate(per_view(sr, s_count * t_count)):
+    for pix in per_view(sr, s_count * t_count):
         index_maps.append(
             {(int(y), int(x)): offset + i for i, (y, x) in enumerate(pix)}
         )
-        for y, x in pix:
-            vertex_rows.append((v, int(y), int(x)))
         offset += pix.shape[0]
 
     pairs = []
@@ -310,8 +311,7 @@ def graph_structure_oracle(sr, angular_dims):
             if j is not None:
                 pairs.append((i, j))
 
-    vertices = np.array(vertex_rows, dtype=np.int64).reshape(-1, 3)
-    return LocalGraph(n=len(vertex_rows), edges=_canonical_edges(pairs), vertices=vertices)
+    return LocalGraph(n=offset, edges=_canonical_edges(pairs))
 
 
 def graph_structure_union_oracle(srs, angular_dims):
@@ -321,11 +321,8 @@ def graph_structure_union_oracle(srs, angular_dims):
     graphs = [graph_structure_oracle(sr, angular_dims) for sr in srs]
     offsets = np.cumsum([0] + [g.n for g in graphs])
     edges = [g.edges + o for g, o in zip(graphs, offsets.tolist())]
-    vertices = [g.vertices for g in graphs]
     return LocalGraph(
-        n=int(offsets[-1]),
-        edges=np.concatenate(edges or [np.zeros((0, 2), dtype=np.int64)]),
-        vertices=np.concatenate(vertices or [np.zeros((0, 3), dtype=np.int64)]),
+        n=int(offsets[-1]), edges=np.concatenate(edges or [np.zeros((0, 2), dtype=np.int64)])
     )
 
 
@@ -423,7 +420,7 @@ def coarsen_oracle(g, n_target):
         for i in mem:
             fine_to_coarse[i] = p
     coarse = LocalGraph(n=k, edges=_canonical_edges(list(weights.keys())))
-    return coarse, CoarseningMap(fine_to_coarse=fine_to_coarse, coarse_count=k)
+    return coarse, fine_to_coarse
 
 
 def merge_edges_oracle(a, b, w, old_to_new, k):
@@ -441,10 +438,10 @@ def merge_edges_oracle(a, b, w, old_to_new, k):
     return a, b, w
 
 
-def supernodes(cmap):
+def supernodes(fine_to_coarse):
     """The supernode lists of a coarsening: ``[p]`` holds the fine indices
     of coarse vertex p, ascending."""
-    return [np.flatnonzero(cmap.fine_to_coarse == p) for p in range(cmap.coarse_count)]
+    return [np.flatnonzero(fine_to_coarse == p) for p in range(fine_to_coarse.max() + 1)]
 
 
 def cluster_eigenvalues_oracle(vals, tol=1e-9):
@@ -592,10 +589,10 @@ def drop_unread_clusters_oracle(basis, needed):
     return EigenBasis(eigenvalues=basis.eigenvalues, vectors=vecs)
 
 
-def coarse_mean_signal_oracle(cmap, fine_signal):
+def coarse_mean_signal_oracle(fine_to_coarse, fine_signal):
     """Oracle: ``spectral.coarse_mean_signal`` as one mean per supernode."""
     f = np.asarray(fine_signal, dtype=np.float64)
-    return np.array([f[mem].mean() for mem in supernodes(cmap)])
+    return np.array([f[mem].mean() for mem in supernodes(fine_to_coarse)])
 
 
 def fill_holes_oracle(grid, fallback):
@@ -810,7 +807,7 @@ def reproject_children_oracle(sr, child_refs, angular_dims):
         fill_holes(grid, 0)
         for c in range(len(child_refs)):
             children[c][v] = np.argwhere(grid == c) + origin
-    return [super_ray(pv, sr.disparity, sr.label) for pv in children]
+    return [super_ray(pv, sr.disparity) for pv in children]
 
 
 def _partition_recurse_oracle(sr, angular_dims, tree, parts, should_split, warned):
@@ -950,7 +947,7 @@ def assemble_super_rays_oracle(seg, disparities):
     for l in range(count):
         if per_label[l][0].shape[0] == 0:
             raise OrphanLabelError(f"orphan label {l}: absent from reference view")
-        rays.append(super_ray(per_label[l], disparities[l], label=l))
+        rays.append(super_ray(per_label[l], disparities[l]))
     return rays
 
 

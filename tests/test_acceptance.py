@@ -189,10 +189,10 @@ def test_criterion_5_residual_identity_and_error_bound():
                 for posn in g.members:
                     if posn != g.main_index:
                         grouped_ids[dbg.groupable[posn]] = dbg.groupable[g.main_index]
-            for unit in dbg.units:
+            for i, unit in enumerate(dbg.units):
                 want = unit.signals[0]
-                got = dec_rep.debug.reconstructed[unit.index][0]
-                if unit.index in grouped_ids:
+                got = dec_rep.debug.reconstructed[i][0]
+                if i in grouped_ids:
                     # predicted + residual reproduces the coded signal exactly
                     assert np.array_equal(got, want)
                     checked_grouped += 1
@@ -220,14 +220,14 @@ def test_criterion_6_eigen_count_gate():
     # the four identical patches share one group
     dbg = enc_rep.debug
     patch_positions = set()
-    for u in dbg.units:
-        if u.index not in dbg.groupable:
+    for i, u in enumerate(dbg.units):
+        if i not in dbg.groupable:
             continue
-        ref = u.fine.vertices[u.fine.vertices[:, 0] == 0]
+        ref = u.pixels[u.pixels[:, 0] == 0]
         ys, xs = ref[:, 1], ref[:, 2]
         corner = (ys.max() < 16 or ys.min() >= 48) and (xs.max() < 16 or xs.min() >= 48)
         if corner and u.signals[0].astype(float).std() > 2:
-            patch_positions.add(dbg.groupable.index(u.index))
+            patch_positions.add(dbg.groupable.index(i))
     assert len(patch_positions) == 4
     owners = {
         id(g) for g in dbg.group_set.groups if patch_positions & set(g.members)

@@ -85,6 +85,27 @@ class TestPipeline:
         assert code == 2
         assert capsys.readouterr().err.strip()
 
+    @pytest.mark.parametrize("target", ["disparity", "view"])
+    def test_oversized_input_header_exit_2(self, scene_dir, tmp_path, capsys, target):
+        """A disparity map of (2**32 - 1)**2 values or a view of
+        99999999999**2 samples, declared in a header that its file does not
+        back, is a truncated input (exit 2) and is never allocated."""
+        disparity = scene_dir / "gt.lfdm"
+        if target == "disparity":
+            disparity = tmp_path / "big.lfdm"
+            disparity.write_bytes(
+                b"LFDM" + np.array([2**32 - 1] * 2 + [0], dtype="<u4").tobytes()
+            )
+        else:
+            (scene_dir / "view_00_00.pgm").write_bytes(b"P5 99999999999 99999999999 255\n\0")
+        code = main([
+            "encode", str(scene_dir), "--disparity", str(disparity),
+            "--out", str(tmp_path / "a.srgc"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "truncated" in err and "internal error" not in err
+
     def test_zero_view_grid_stream_exit_2(self, tmp_path, capsys):
         stream, _ = encode(random_lf(2, 2, 8, 8, seed=5),
                            DisparityMap(values=np.zeros((8, 8))),

@@ -1,6 +1,7 @@
 """End-to-end codec behavior: exactness, counts, determinism, robustness."""
 
 import dataclasses
+import gc
 import json
 import os
 import pickle
@@ -8,6 +9,7 @@ import struct
 import subprocess
 import sys
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -62,6 +64,7 @@ from conftest import (
     probe_mask_oracle,
     project_labels_oracle,
     random_lf,
+    reference_rows,
     segmentation_from_symbols_oracle,
     segmentation_symbols_oracle,
     slic_segment_oracle,
@@ -252,19 +255,18 @@ class TestGrouping:
         units = report.debug.units
         groupable = report.debug.groupable
         patch_units = set()
-        for u in units:
-            v = u.fine.vertices
-            ref_pix = v[v[:, 0] == 0]
+        for i, u in enumerate(units):
+            ref_pix = reference_rows(u)
             # patch units are entirely inside one 16x16 corner cell
             ys, xs = ref_pix[:, 1], ref_pix[:, 2]
             if (
                 (ys.max() < 16 or ys.min() >= 48)
                 and (xs.max() < 16 or xs.min() >= 48)
-                and u.index in groupable
+                and i in groupable
             ):
                 lum = u.signals[0].astype(float)
                 if lum.std() > 2:  # noise patch, not flat background
-                    patch_units.add(groupable.index(u.index))
+                    patch_units.add(groupable.index(i))
         assert len(patch_units) == 4
         containing = [
             g for g in report.debug.group_set.groups if patch_units & set(g.members)
@@ -345,11 +347,11 @@ class TestGrouping:
                 for pos in g.members:
                     if pos != g.main_index:
                         grouped_ids.add(enc_rep.debug.groupable[pos])
-            for unit in enc_rep.debug.units:
-                if unit.index in grouped_ids:
+            for i, unit in enumerate(enc_rep.debug.units):
+                if i in grouped_ids:
                     continue
                 want = unit.signals[0].astype(np.float64)
-                got = dec_rep.debug.reconstructed[unit.index][0].astype(np.float64)
+                got = dec_rep.debug.reconstructed[i][0].astype(np.float64)
                 assert np.linalg.norm(got - want) <= np.sqrt(unit.n) * q / 2 + 1e-9
 
 
@@ -1084,14 +1086,14 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     predicted = codec._predicted_members(dec.debug.group_set.groups, dec.debug.groupable)
     want_units = (
         enc.debug.units,
-        [u for u in dec.debug.units if u.index not in predicted],
+        [u for i, u in enumerate(dec.debug.units) if i not in predicted],
     )
     assert len(solved) == 2
     assert solved[0][1] is None and len(solved[0][2]) == len(want_units[0])
     assert solved[1][2] is None and len(solved[1][1]) == len(want_units[1])
     # units no member is predicted from probe: all of them without grouping
     probed = [p is not None for p in solved[0][2]]
-    assert probed == [u.index not in enc.debug.groupable for u in enc.debug.units]
+    assert probed == [i not in enc.debug.groupable for i in range(len(enc.debug.units))]
     assert all(probed) == (case in ("partition", "no_grouping"))
     dropped_levels = 0
     for (graphs, needed, probes, bases, count), units, report in zip(solved, want_units, (enc, dec)):
@@ -1332,8 +1334,9 @@ def test_structure_pipeline_matches_oracles_end_to_end(case, monkeypatch):
 @pytest.mark.parametrize("case", [*sorted(ORACLE_CASES), "bench_gate", "bench_parallax",
                                   "bench_partition"])
 def test_super_ray_rows_are_the_graph_vertices(case, monkeypatch):
-    """On both sides, each pixel graph's ``vertices`` is the ``pixels``
-    array of the super-ray or part it was built from, and the rows
+    """On both sides, each unit's ``pixels`` is the ``pixels`` array of
+    the super-ray or part its graph was built from, one row per vertex of
+    that graph, and the rows
     ``assemble_super_rays`` gives are the per-label, per-view scans of the
     label volume stacked in view order behind a view column."""
     if case in ORACLE_CASES:
@@ -1362,11 +1365,43 @@ def test_super_ray_rows_are_the_graph_vertices(case, monkeypatch):
     for side, report in zip(built, (enc, dec)):
         assert len(report.debug.units) == len(side)
         for u, (sr, g) in zip(report.debug.units, side):
-            assert u.fine is g and g.vertices is sr.pixels
+            assert u.pixels is sr.pixels and g.n == sr.total_pixels
+            if u.fine_to_coarse is None:
+                assert u.graph is g
+            else:
+                assert u.fine_to_coarse.shape == (g.n,)
     for seg, disparities, rays in assembled:
         want = assemble_super_rays_oracle(seg, disparities)
         assert len(rays) == len(want) == seg.label_count
         for got, oracle in zip(rays, want):
-            assert (got.label, got.disparity) == (oracle.label, oracle.disparity)
+            assert got.disparity == oracle.disparity
             assert got.pixels.dtype == oracle.pixels.dtype == np.int64
             assert np.array_equal(got.pixels, oracle.pixels)
+
+
+@pytest.mark.parametrize("case", ["gate", "small"])
+def test_coarse_units_free_their_pixel_graphs(case, monkeypatch):
+    """A coarsened unit keeps its coarse graph, its pixel rows and
+    ``fine_to_coarse``, not the pixel graph it was coarsened from: every
+    graph ``split_graph`` hands out is garbage once ``encode`` or
+    ``decode`` returns, though the debug reports still hold the units."""
+    lf, dmap, cfg = ORACLE_CASES[case]()
+    assert cfg.q_gft >= cfg.q_switch  # coarse mode
+    split = codec.split_graph
+    graphs = []
+
+    def tracked(union, srs):
+        out = split(union, srs)
+        graphs.extend(weakref.ref(g) for g in out)
+        return out
+
+    def check(report):
+        gc.collect()
+        assert len(graphs) == len(report.debug.units) > 0
+        assert sum(ref() is not None for ref in graphs) == 0
+        graphs.clear()
+
+    monkeypatch.setattr(codec, "split_graph", tracked)
+    stream, enc = encode(lf, dmap, cfg, debug=True)
+    check(enc)
+    check(decode(stream, debug=True)[1])

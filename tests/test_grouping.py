@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from srgc.grouping import (
     PairWeights,
-    _component_roots,
     derive_group_members,
     pairwise_mse,
     predict_and_residual,
@@ -17,7 +16,7 @@ from srgc.grouping import (
 )
 from srgc.spectral import LocalGraph, eigendecompose, laplacian
 from srgc.transform import gft
-from srgc.util import forest_roots
+from srgc.util import component_roots, forest_roots
 
 from conftest import (
     connected_components,
@@ -208,7 +207,7 @@ class TestDeriveGroupMembers:
             edges = np.sort(edges, axis=1).astype(np.int64)
             comp, _ = connected_components(m, edges)
             smallest = np.unique(comp, return_index=True)[1]
-            got = _component_roots(m, edges[:, 0], edges[:, 1])
+            got = component_roots(m, edges[:, 0], edges[:, 1])
             assert np.array_equal(got, smallest[comp]), case
 
     def test_forest_roots_follow_every_chain(self):

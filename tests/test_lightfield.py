@@ -9,6 +9,7 @@ from srgc.errors import (
     InconsistentViewsError,
     PatchOutOfBoundsError,
     SceneSpecError,
+    SrgcError,
 )
 from srgc.lightfield import (
     DisparityMap,
@@ -30,6 +31,16 @@ from conftest import lf_equal, make_lf, random_lf
 
 
 class TestViewIO:
+    @pytest.mark.parametrize("magic, maxval", [(b"P5", 255), (b"P6", 65535)])
+    def test_header_larger_than_file_is_truncated_data(self, tmp_path, magic, maxval):
+        """A PNM header declaring 99999999999 x 99999999999 samples is
+        checked against the file's size before any read."""
+        (tmp_path / "view_00_00.pgm").write_bytes(
+            magic + b" 99999999999 99999999999 " + str(maxval).encode() + b"\n" + bytes(6)
+        )
+        with pytest.raises(SrgcError, match="view_00_00.pgm: truncated sample data"):
+            load_light_field(tmp_path)
+
     def test_roundtrip_identity(self, tmp_path):
         lf = random_lf(3, 3, 16, 16, seed=3)
         save_light_field(lf, tmp_path)
@@ -115,6 +126,15 @@ class TestDisparityIO:
         back = load_disparity(path)
         assert np.array_equal(back.values, dmap.values.astype(np.float32).astype(np.float64))
         assert path.read_bytes()[:4] == b"LFDM"
+
+    def test_header_larger_than_file_is_truncated_data(self, tmp_path):
+        """A header declaring (2**32 - 1)**2 values is checked against the
+        file's size before any read, so nothing of that size is allocated."""
+        path = tmp_path / "big.lfdm"
+        header = np.array([2**32 - 1, 2**32 - 1, 0], dtype="<u4").tobytes()
+        path.write_bytes(b"LFDM" + header + bytes(8))
+        with pytest.raises(SrgcError, match="big.lfdm: truncated disparity data"):
+            load_disparity(path)
 
 
 class TestSceneSpec:

