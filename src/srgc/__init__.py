@@ -15,7 +15,6 @@ from .grouping import (
     GroupSet,
     pairwise_mse,
     predict_and_residual,
-    run_grouping,
     select_main,
     select_threshold,
 )

@@ -1,10 +1,10 @@
-"""Versioned bitstream container (magic ``SRGC``, version 2).
+"""Versioned bitstream container (magic ``SRGC``, version 3).
 
 Layout (all little-endian, no padding; see docs/bitstream.md):
 
     magic     4s    b"SRGC"
-    version   u8    2
-    header    fixed 47-byte struct (dims, depth, channels, flags, quantizers, ...)
+    version   u8    3
+    header    fixed 31-byte struct (dims, depth, channels, flags, quantizer, ...)
     lengths   6 x u32, payload byte length of sections 1..6 in id order
     payloads  the six section payloads, concatenated in id order
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from .errors import CorruptStreamError, UnsupportedStreamError
 
 MAGIC = b"SRGC"
-VERSION = 2
+VERSION = 3
 
 SEC_SEGMENTATION = 1
 SEC_DISPARITY = 2
@@ -49,11 +49,8 @@ SECTION_CONTEXTS = {
 }
 
 _FLAG_GROUPING = 1
-_FLAG_EXPLICIT_GROUPS = 2
-_FLAG_RESIDUAL_DCT = 4  # retired: a stream that sets it is unsupported
-_FLAGS_KNOWN = _FLAG_GROUPING | _FLAG_EXPLICIT_GROUPS | _FLAG_RESIDUAL_DCT
 
-_HEADER_FMT = "<HHIIBBBIIddd"
+_HEADER_FMT = "<HHIIBBBIId"
 _HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 _LENGTHS_FMT = f"<{len(SECTION_NAMES)}I"
 _LENGTHS_SIZE = struct.calcsize(_LENGTHS_FMT)
@@ -66,17 +63,11 @@ class StreamHeader:
     bit_depth: int
     channels: int
     grouping: bool
-    explicit_groups: bool
     label_count: int
     n_target: int
     q_gft: float
-    bin_width: float
 
     def pack(self):
-        flags = (
-            (_FLAG_GROUPING if self.grouping else 0)
-            | (_FLAG_EXPLICIT_GROUPS if self.explicit_groups else 0)
-        )
         return struct.pack(
             _HEADER_FMT,
             self.angular_dims[0],
@@ -85,55 +76,41 @@ class StreamHeader:
             self.spatial_dims[1],
             self.bit_depth,
             self.channels,
-            flags,
+            _FLAG_GROUPING if self.grouping else 0,
             self.label_count,
             self.n_target,
             self.q_gft,
-            1.0,  # reserved f64, once the retired DCT residual step
-            self.bin_width,
         )
 
     def check(self):
         """Reject values no encoder writes (CorruptStreamError)."""
-        steps = (self.q_gft, self.bin_width)
         for ok, what in (
             (0 not in self.angular_dims + self.spatial_dims, "has a zero dimension"),
             (self.bit_depth in (8, 10, 16), f"bit depth {self.bit_depth}"),
             (self.channels in (1, 3), f"channel count {self.channels}"),
             (self.n_target > 0, "n_target 0"),
-            # explicit groups code grouped members: no decode path reads them otherwise
-            (self.grouping or not self.explicit_groups,
-             "flags set explicit groups without grouping"),
-            (all(math.isfinite(q) and q > 0 for q in steps),
-             f"q_gft/bin_width {steps} not finite and positive"),
+            (math.isfinite(self.q_gft) and self.q_gft > 0,
+             f"q_gft {self.q_gft} not finite and positive"),
         ):
             if not ok:
                 raise CorruptStreamError(f"corrupt stream: header {what}")
 
     @classmethod
     def unpack(cls, data):
-        s, t, w, h, depth, channels, flags, labels, n_target, q_gft, reserved, bw = struct.unpack(
+        s, t, w, h, depth, channels, flags, labels, n_target, q_gft = struct.unpack(
             _HEADER_FMT, data
         )
-        if flags & ~_FLAGS_KNOWN:
+        if flags & ~_FLAG_GROUPING:
             raise CorruptStreamError(f"corrupt stream: header flags {flags:#04x} set unknown bits")
-        if flags & _FLAG_RESIDUAL_DCT:
-            raise UnsupportedStreamError("unsupported stream: DCT residuals")
-        if not (math.isfinite(reserved) and reserved > 0):  # checked, then ignored
-            raise CorruptStreamError(
-                f"corrupt stream: header reserved step {reserved} not finite and positive"
-            )
         return cls(
             angular_dims=(s, t),
             spatial_dims=(w, h),
             bit_depth=depth,
             channels=channels,
             grouping=bool(flags & _FLAG_GROUPING),
-            explicit_groups=bool(flags & _FLAG_EXPLICIT_GROUPS),
             label_count=labels,
             n_target=n_target,
             q_gft=q_gft,
-            bin_width=bw,
         )
 
 
@@ -159,7 +136,7 @@ def unpack_section(data, section_id):
 
 
 def serialize(bs: Bitstream) -> bytes:
-    """The v2 container; every one of the six sections must be present."""
+    """The v3 container; every one of the six sections must be present."""
     payloads = [bs.sections[sid] for sid in SECTION_NAMES]
     return b"".join([
         MAGIC,

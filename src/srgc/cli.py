@@ -72,8 +72,6 @@ def _add_config_flags(p):
                    help="accepted (>= 1) but no effect: no thread pool")
     p.add_argument("--no-grouping", action="store_true",
                    help="baseline mode: disable super-ray grouping")
-    p.add_argument("--explicit-groups", action="store_true",
-                   help="transmit group membership explicitly")
 
 
 def _build_parser():
@@ -141,8 +139,6 @@ def _load_config(args):
     cfg = dataclasses.replace(cfg, **values)
     if getattr(args, "no_grouping", False):
         cfg.grouping = False
-    if getattr(args, "explicit_groups", False):
-        cfg.explicit_groups = True
     return cfg
 
 
@@ -205,10 +201,8 @@ def _cmd_analyze(args):
             f"bit_depth={hdr.bit_depth}",
             f"channels={hdr.channels}",
             f"grouping={int(hdr.grouping)}",
-            f"explicit_groups={int(hdr.explicit_groups)}",
             f"label_count={hdr.label_count}",
             f"q_gft={hdr.q_gft}",
-            f"bin_width={hdr.bin_width}",
             f"n_target={hdr.n_target}",
             f"version={VERSION}",
             f"mode={'partition' if structure_count else 'coarse'}",

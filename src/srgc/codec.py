@@ -6,17 +6,20 @@ label projection -> super-rays -> coarsen (q_gft >= q_switch) or partition
 group coarsened units on dequantized coefficients -> select main members
 -> cross-basis prediction and integer residuals -> entropy-coded sections.
 
-Decoder: rebuilds segmentation, projection, units, coarsening and groups
-from transmitted data (labels, disparities, split trees, dequantized
-coefficients), reads each group's main index from the stream,
-and eigendecomposes only ungrouped units plus one main per group.  Grouped
+Decoder: rebuilds segmentation, projection, units and coarsening from
+transmitted data (labels, disparities, split trees), reads the groups and
+each group's main from the groups section, derives no groups, and
+eigendecomposes only ungrouped units plus one main per group.  Grouped
 members are reconstructed as rounded cross-basis prediction plus residual,
 which always reproduces the coded unit signal exactly; a sum outside the
 sample range can only come from a corrupt residual section.
 
 The structure section is :func:`spectral.partition_super_ray`'s ``bits``
 as they are, which the decoder hands to :func:`spectral.partition_with_tree`
-to parse and replay; an empty section means coarse mode.
+to parse and replay; an empty section means coarse mode.  The groups
+section is the groups in label form (:func:`_group_symbols`): the
+encoder's grouping pass is the only one, and the decoder checks the labels
+in one pass (:func:`_groups_from_symbols`).
 
 Each side builds the pixel graphs of all its units (super-rays, or
 partition parts) in one :func:`spectral.graph_structure` call, their
@@ -67,7 +70,7 @@ from .grouping import (
     SuperRayGroup,
     derive_group_members,
     predict_and_residual,
-    run_grouping,
+    select_main,
 )
 from .lightfield import DisparityMap, LightField, View, _sample_dtype
 from .segmentation import (
@@ -103,7 +106,6 @@ class CodecConfig:
     slic_k: int = 100
     compactness: float = 10.0
     bin_width: float = 5.0
-    explicit_groups: bool = False
     grouping: bool = True
     channels: str = "y"          # 'y' | 'all'
     threads: int = 1
@@ -400,6 +402,59 @@ def _segmentation_from_symbols(syms, w, h, label_count):
     return labels
 
 
+def _group_symbols(groups, m):
+    """Label form of ``groups`` over m groupable positions: one symbol per
+    position, 0 when it is ungrouped and otherwise its group number 1..G,
+    then each group's main as its rank among the group's members.  Groups
+    are numbered in the order they are listed, by smallest member."""
+    labels = [0] * m
+    for number, g in enumerate(groups, start=1):
+        for pos in g.members:
+            labels[pos] = number
+    return labels + [g.members.index(g.main_index) for g in groups]
+
+
+def _groups_from_symbols(syms, m):
+    """Inverse of ``_group_symbols`` in one pass over the labels: groups
+    by smallest member, members ascending.  A stream that no encoder
+    writes raises CorruptStreamError: too few symbols, a label outside
+    0..m // 2, group numbers that do not first appear as 1, 2, ..., G in
+    order, a group of fewer than 2 members, a count other than m + G, or
+    a rank outside its group."""
+    syms = np.asarray(syms, dtype=np.int64)
+    if syms.size < m:
+        raise CorruptStreamError(
+            f"corrupt stream: groups section holds {syms.size} symbols, "
+            f"fewer than the {m} groupable units"
+        )
+    labels = syms[:m]
+    if ((labels < 0) | (labels > m // 2)).any():
+        raise CorruptStreamError(f"corrupt stream: group label outside 0..{m // 2}")
+    # numbered by first appearance: no label exceeds 1 + every label before it
+    before = np.maximum.accumulate(np.concatenate([[0], labels]))[:-1]
+    if (labels > before + 1).any():
+        raise CorruptStreamError("corrupt stream: group numbers not in order of first member")
+    sizes = np.bincount(labels, minlength=1)[1:]
+    if (sizes < 2).any():
+        raise CorruptStreamError("corrupt stream: group of fewer than 2 members")
+    if syms.size != m + sizes.size:
+        raise CorruptStreamError(
+            f"corrupt stream: groups section holds {syms.size} symbols, "
+            f"expected {m + sizes.size}"
+        )
+    ranks = syms[m:]
+    if ((ranks < 0) | (ranks >= sizes)).any():
+        raise CorruptStreamError("corrupt stream: group main rank out of range")
+    members = [[] for _ in sizes]
+    for pos, label in enumerate(labels.tolist()):
+        if label:
+            members[label - 1].append(pos)
+    return [
+        SuperRayGroup(members=tuple(ms), main_index=ms[rank])
+        for ms, rank in zip(members, ranks.tolist())
+    ]
+
+
 # ---------------------------------------------------------------------------
 # Encoder
 # ---------------------------------------------------------------------------
@@ -470,12 +525,12 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     eig_count = len(units)
     watch.lap("eigen_transform")
 
-    group_set = run_grouping(
-        [deq[u][0] for u in groupable],
-        [units[u].signals[0] for u in groupable],
-        cfg.bin_width,
-    )
-    groups = group_set.groups
+    merged, threshold = derive_group_members([deq[u][0] for u in groupable], cfg.bin_width)
+    signals = [units[u].signals[0] for u in groupable]
+    groups = [
+        SuperRayGroup(members=members, main_index=select_main(members, signals))
+        for members in merged
+    ]
     watch.lap("grouping")
 
     residual_syms = []
@@ -487,17 +542,6 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
             residual_syms.extend(int(r) for r in residual)
     watch.lap("residuals")
 
-    group_syms = []
-    if cfg.grouping:
-        if cfg.explicit_groups:
-            group_syms.append(len(groups))
-            for g in groups:
-                group_syms.append(g.main_index)
-                group_syms.append(len(g.members))
-                group_syms.extend(g.members)
-        else:
-            group_syms.extend(g.main_index for g in groups)
-
     symbols = {
         bs.SEC_SEGMENTATION: _segmentation_symbols(seg_ref.reference),
         bs.SEC_DISPARITY: [
@@ -505,7 +549,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         ],
         bs.SEC_STRUCTURE: structure,
         bs.SEC_COEFFICIENTS: levels.tolist(),
-        bs.SEC_GROUPS: group_syms,
+        bs.SEC_GROUPS: _group_symbols(groups, len(groupable)),
         bs.SEC_RESIDUALS: residual_syms,
     }
     sections = {
@@ -518,11 +562,9 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         bit_depth=lf.bit_depth,
         channels=n_channels,
         grouping=cfg.grouping,
-        explicit_groups=cfg.grouping and cfg.explicit_groups,
         label_count=seg_ref.label_count,
         n_target=cfg.n_target,
         q_gft=cfg.q_gft,
-        bin_width=cfg.bin_width,
     )
     stream = Bitstream(header=header, sections=sections)
     watch.lap("entropy")
@@ -535,16 +577,19 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         coarsened_count=coarsened,
         partitioned_count=len(units) - coarsened,
         pair_count=m * (m - 1) // 2,
-        mse_threshold=group_set.mse_threshold,
+        mse_threshold=threshold,
         group_count=len(groups),
-        grouped_count=group_set.grouped_count,
+        grouped_count=sum(len(g.members) for g in groups),
         eig_count=eig_count,
         eig_solved=eig_solved,
         times=watch.times,
     )
     if debug:
         report.debug = _DebugInfo(
-            units=units, group_set=group_set, groupable=groupable, dequantized=deq
+            units=units,
+            group_set=GroupSet.over(groups, m, threshold),
+            groupable=groupable,
+            dequantized=deq,
         )
     return stream, report
 
@@ -622,28 +667,9 @@ def decode(stream: Bitstream, threads=1, debug=False):
     watch.lap("dequantize")
 
     groupable = _groupable_positions(units, hdr.n_target, hdr.grouping)
-    groups = []
-    threshold = 0.0
-    if not hdr.grouping:
-        section_symbols(bs.SEC_GROUPS, 0)
-    elif hdr.explicit_groups:
-        # the count, then per disjoint group of k >= 2: main, k, k members
-        group_syms = section_symbols(
-            bs.SEC_GROUPS, 1 + 2 * len(groupable), at_most=True
-        )
-        groups = _parse_explicit_groups(group_syms, len(groupable))
-    else:
-        try:
-            merged, threshold = derive_group_members(
-                [deq[u][0] for u in groupable], hdr.bin_width
-            )
-        except ValueError as e:
-            raise CorruptStreamError(f"corrupt stream: {e}") from e
-        group_syms = section_symbols(bs.SEC_GROUPS, len(merged))
-        for m, main in zip(merged, group_syms):
-            if int(main) not in m:
-                raise CorruptStreamError("corrupt stream: main outside its group")
-            groups.append(SuperRayGroup(members=m, main_index=int(main)))
+    # m labels and one rank per group of at least 2: at most m + m // 2
+    m = len(groupable)
+    groups = _groups_from_symbols(section_symbols(bs.SEC_GROUPS, m + m // 2, at_most=True), m)
     predicted = _predicted_members(groups, groupable)
     watch.lap("grouping")
 
@@ -712,42 +738,10 @@ def decode(stream: Bitstream, threads=1, debug=False):
     if debug:
         report.debug = _DebugInfo(
             units=units,
-            group_set=GroupSet.over(groups, len(groupable), threshold),
+            # the decoder never learns the encoder's MSE threshold
+            group_set=GroupSet.over(groups, m, None),
             groupable=groupable,
             dequantized=deq,
             reconstructed=recon_units,
         )
     return lf, report
-
-
-def _parse_explicit_groups(syms, groupable_count):
-    syms = [int(v) for v in syms]
-    if not syms:
-        return []
-    pos = 0
-    count = syms[pos]
-    pos += 1
-    groups = []
-    seen = set()
-    for _ in range(count):
-        if pos + 2 > len(syms):
-            raise CorruptStreamError("corrupt stream: explicit group header short")
-        main, n = syms[pos], syms[pos + 1]
-        pos += 2
-        if n < 2:
-            raise CorruptStreamError(
-                "corrupt stream: explicit group of fewer than 2 members"
-            )
-        members = tuple(syms[pos : pos + n])
-        pos += n
-        if len(members) != n or any(
-            m < 0 or m >= groupable_count for m in members
-        ) or main not in members:
-            raise CorruptStreamError("corrupt stream: explicit group malformed")
-        if len(set(members)) != n or seen.intersection(members):
-            raise CorruptStreamError("corrupt stream: explicit group member repeated")
-        seen.update(members)
-        groups.append(SuperRayGroup(members=members, main_index=main))
-    if pos != len(syms):
-        raise CorruptStreamError("corrupt stream: trailing group symbols")
-    return groups

@@ -15,9 +15,12 @@ The grouping walk:
 5. Each group's main member is the one nearest (L2) to the elementwise
    lower-median signal, ties to the smallest index.
 
-Grouped members are later reconstructed through the main member's
-eigenbasis; the integer residual against the rounded cross-basis
-prediction makes that reconstruction exact.
+Only the encoder runs steps 1-5 (``codec.encode`` calls
+:func:`derive_group_members` and :func:`select_main`); the stream carries
+the groups and their mains, so the decoder derives nothing.  Grouped
+members are reconstructed through the main member's eigenbasis; the
+integer residual against the rounded cross-basis prediction makes that
+reconstruction exact.
 """
 
 from dataclasses import dataclass
@@ -53,7 +56,7 @@ class SuperRayGroup:
 class GroupSet:
     groups: list
     ungrouped: tuple
-    mse_threshold: float
+    mse_threshold: float      # None where the groups were read from a stream
 
     @classmethod
     def over(cls, groups, m, threshold):
@@ -62,10 +65,6 @@ class GroupSet:
         grouped = {i for g in groups for i in g.members}
         ungrouped = tuple(i for i in range(m) if i not in grouped)
         return cls(groups=groups, ungrouped=ungrouped, mse_threshold=threshold)
-
-    @property
-    def grouped_count(self):
-        return sum(len(g.members) for g in self.groups)
 
 
 def pairwise_mse(coeff_vectors) -> PairWeights:
@@ -148,9 +147,7 @@ def derive_group_members(coeffs, bin_width=5.0):
     the pairs with mse <= threshold, isolated indices dropped, ordered by
     smallest member with members ascending.  Only the linked condensed
     indices become edges: index k lies in row i of the upper triangle,
-    whose row starts at i*m - i*(i+1)/2.  Depends only on the coefficient
-    vectors, so an encoder and a decoder holding identical dequantized
-    coefficients derive identical groups.
+    whose row starts at i*m - i*(i+1)/2.
     """
     m = len(coeffs)
     if m < 2:
@@ -171,17 +168,3 @@ def derive_group_members(coeffs, bin_width=5.0):
     order = np.argsort(key, kind="stable")
     cuts = np.flatnonzero(np.diff(key[order])) + 1
     return [tuple(g.tolist()) for g in np.split(linked[order], cuts)], threshold
-
-
-def run_grouping(coeffs, signals, bin_width=5.0) -> GroupSet:
-    """Full grouping pass over coarsened coefficient vectors.
-
-    ``coeffs`` and ``signals`` are parallel sequences indexed 0..m-1.
-    With fewer than 2 vectors no groups form.
-    """
-    merged, threshold = derive_group_members(coeffs, bin_width)
-    groups = [
-        SuperRayGroup(members=members, main_index=select_main(members, signals))
-        for members in merged
-    ]
-    return GroupSet.over(groups, len(coeffs), threshold)

@@ -180,13 +180,13 @@ def _write_pnm(path, planes, maxval):
         f.write(raw)
 
 
-def _read_pnm_tokens(f, count):
+def _read_pnm_tokens(f, count, path):
     """Read `count` whitespace-separated ASCII tokens, skipping # comments."""
     tokens = []
     while len(tokens) < count:
         ch = f.read(1)
         if not ch:
-            raise SrgcError("truncated PNM header")
+            raise SrgcError(f"{path}: truncated PNM header")
         if ch in b" \t\r\n":
             continue
         if ch == b"#":
@@ -217,7 +217,14 @@ def _read_pnm(path):
         magic = f.read(2)
         if magic not in (b"P5", b"P6"):
             raise SrgcError(f"{path}: not a binary PGM/PPM file")
-        w, h, maxval = (int(t) for t in _read_pnm_tokens(f, 3))
+        tokens = _read_pnm_tokens(f, 3, path)
+        for name, tok in zip(("width", "height", "maxval"), tokens):
+            # isdigit on bytes: ASCII 0-9 only, so no sign, space or '_'
+            if not tok.isdigit() or not int(tok):
+                raise SrgcError(
+                    f"{path}: PNM {name} {tok.decode('latin-1')!r} is not a positive integer"
+                )
+        w, h, maxval = map(int, tokens)
         if maxval not in _DEPTH_BY_MAXVAL:
             raise SrgcError(f"{path}: unsupported maxval {maxval}")
         channels = 1 if magic == b"P5" else 3

@@ -9,7 +9,14 @@ from scipy import ndimage
 
 from srgc.lightfield import DisparityMap, LightField, View, SceneSpec, Patch, synthesize_light_field
 from srgc.errors import CorruptStreamError, DecompositionError, OrphanLabelError
-from srgc.grouping import pairwise_mse, select_threshold
+from srgc.grouping import (
+    GroupSet,
+    SuperRayGroup,
+    derive_group_members,
+    pairwise_mse,
+    select_main,
+    select_threshold,
+)
 from srgc.segmentation import (
     SegmentationMap,
     SuperRay,
@@ -204,6 +211,18 @@ def derive_group_members_oracle(coeffs, bin_width=5.0):
     pw = pairwise_mse(coeffs)
     threshold = select_threshold(pw, bin_width)
     return merge_groups_oracle(one_level_groups_oracle(pw, threshold)), threshold
+
+
+def run_grouping(coeffs, signals, bin_width=5.0):
+    """The encoder's grouping pass on bare vectors, as ``codec.encode``
+    runs it on the groupable units' luma: membership, then each group's
+    main, as a GroupSet over positions 0..m-1."""
+    merged, threshold = derive_group_members(coeffs, bin_width)
+    groups = [
+        SuperRayGroup(members=members, main_index=select_main(members, signals))
+        for members in merged
+    ]
+    return GroupSet.over(groups, len(coeffs), threshold)
 
 
 def laplacian_oracle(g):

@@ -15,12 +15,18 @@ from srgc.bench import bpp, psnr
 from srgc.bitstream import serialize
 from srgc.codec import CodecConfig, EncodeReport, decode, encode
 from srgc.entropy import entropy_decode, entropy_encode
-from srgc.grouping import pairwise_mse, run_grouping
+from srgc.grouping import pairwise_mse
 from srgc.lightfield import SceneSpec, synthesize_light_field
 from srgc.spectral import LocalGraph, eigendecompose, laplacian
 from srgc.transform import gft, igft, quantize
 
-from conftest import connected_components, four_patch_scene, grouping_ratios, lf_equal
+from conftest import (
+    connected_components,
+    four_patch_scene,
+    grouping_ratios,
+    lf_equal,
+    run_grouping,
+)
 from test_codec import small_scene
 
 

@@ -106,6 +106,18 @@ class TestPipeline:
         assert code == 2
         assert "truncated" in err and "internal error" not in err
 
+    def test_bad_pnm_header_exit_2(self, scene_dir, tmp_path, capsys):
+        """A view whose header holds a width, height or maxval that is not
+        a positive decimal integer is a data error naming the file."""
+        (scene_dir / "view_00_00.pgm").write_bytes(b"P5 -1 -1 255\n" + bytes(64))
+        code = main([
+            "encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+            "--out", str(tmp_path / "a.srgc"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "view_00_00.pgm: PNM" in err and "internal error" not in err
+
     def test_zero_view_grid_stream_exit_2(self, tmp_path, capsys):
         stream, _ = encode(random_lf(2, 2, 8, 8, seed=5),
                            DisparityMap(values=np.zeros((8, 8))),
@@ -360,8 +372,10 @@ class TestAnalyze:
         assert "magic=SRGC" in out
         assert "bpp=" in out
         assert "section_coefficients_bytes=" in out
-        assert "version=2" in out and "mode=coarse" in out
+        assert "version=3" in out and "mode=coarse" in out
         assert "max_vertices=" not in out and "q_switch=" not in out
+        # version 3 carries neither: groups are stream data
+        assert "bin_width=" not in out and "explicit_groups=" not in out
 
     def test_stream_info_partition_mode(self, scene_dir, tmp_path, capsys):
         stream = tmp_path / "a.srgc"
@@ -373,16 +387,17 @@ class TestAnalyze:
         assert "mode=partition" in capsys.readouterr().out.splitlines()
 
     def test_group_flags_clear_without_grouping(self, scene_dir, tmp_path, capsys):
+        """``--no-grouping`` clears the grouping flag; the retired
+        ``--explicit-groups`` is a usage error."""
         stream = tmp_path / "a.srgc"
-        assert main(
-            ["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
-             "--slic-k", "8", "--no-grouping", "--explicit-groups",
-             "--out", str(stream)]
-        ) == 0
+        args = ["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+                "--slic-k", "8", "--no-grouping", "--out", str(stream)]
+        assert main([*args, "--explicit-groups"]) == 1
+        assert not stream.exists()
+        assert main(args) == 0
         assert main(["analyze", str(stream)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "grouping=0" in lines
-        assert "explicit_groups=0" in lines
 
     def test_psnr_mode(self, scene_dir, tmp_path, capsys):
         assert main(["analyze", "--ref", str(scene_dir), "--rec", str(scene_dir)]) == 0

@@ -96,9 +96,20 @@ def small_scene(seed=1, disparity=0.5):
 
 CFG = CodecConfig(slic_k=8, q_gft=16.0, n_target=128, max_vertices=256)
 
-# byte offsets in a serialized stream: the header's flags and reserved f64
+# byte offset of the header's flags in a serialized stream
 _FLAGS_AT = 5 + struct.calcsize("<HHIIBB")
-_RESERVED_AT = 5 + struct.calcsize("<HHIIBBBIId")
+
+
+def _version_2_data(stream, flags):
+    """``stream`` in the version-2 layout: a 47-byte header with the given
+    flags, a reserved f64 and ``bin_width``, then six u32 section lengths."""
+    hdr = stream.header
+    payloads = [stream.sections[sid] for sid in sorted(SECTION_NAMES)]
+    return MAGIC + bytes([2]) + struct.pack(
+        "<HHIIBBBIIddd", *hdr.angular_dims, *hdr.spatial_dims, hdr.bit_depth,
+        hdr.channels, flags, hdr.label_count, hdr.n_target, hdr.q_gft, 1.0,
+        CFG.bin_width,
+    ) + struct.pack("<6I", *map(len, payloads)) + b"".join(payloads)
 
 
 def _assert_grouped_members_exact(lf, dmap, cfg):
@@ -168,6 +179,22 @@ class TestSerializeRoundtrip:
         with pytest.raises(UnsupportedStreamError):
             deserialize(bytes(data))
 
+    def test_version_3_header_layout(self):
+        """Version 3 writes a 31-byte ``<HHIIBBBIId`` header: no
+        ``bin_width``, no reserved f64, and flag bit 0 alone."""
+        lf, dmap = small_scene()
+        stream = encode(lf, dmap, CFG)[0]
+        hdr = stream.header
+        data = serialize(stream)
+        assert data[:5] == MAGIC + bytes([3]) == MAGIC + bytes([VERSION])
+        assert data[5:36] == struct.pack(
+            "<HHIIBBBIId", *hdr.angular_dims, *hdr.spatial_dims, hdr.bit_depth,
+            hdr.channels, 1, hdr.label_count, hdr.n_target, hdr.q_gft,
+        )
+        lengths = struct.unpack_from("<6I", data, 36)
+        assert lengths == tuple(len(stream.sections[sid]) for sid in sorted(SECTION_NAMES))
+        assert len(data) == 36 + 24 + sum(lengths)
+
     def test_version_1_stream_rejected(self, tmp_path):
         """A stream in the version-1 layout (55-byte header with
         max_vertices and q_switch, then a u8 section count and (u8 id, u64
@@ -175,11 +202,10 @@ class TestSerializeRoundtrip:
         lf, dmap = small_scene()
         stream = encode(lf, dmap, CFG)[0]
         hdr = stream.header
-        flags = int(hdr.grouping) | 2 * int(hdr.explicit_groups)
         data = MAGIC + bytes([1]) + struct.pack(
             "<HHIIBBBIIIIddd", *hdr.angular_dims, *hdr.spatial_dims, hdr.bit_depth,
-            hdr.channels, flags, hdr.label_count, hdr.n_target, CFG.max_vertices,
-            CFG.q_switch, hdr.q_gft, 1.0, hdr.bin_width,
+            hdr.channels, int(hdr.grouping), hdr.label_count, hdr.n_target,
+            CFG.max_vertices, CFG.q_switch, hdr.q_gft, 1.0, CFG.bin_width,
         ) + bytes([len(stream.sections)])
         for sid in sorted(stream.sections):
             data += struct.pack("<BQ", sid, len(stream.sections[sid]))
@@ -187,6 +213,19 @@ class TestSerializeRoundtrip:
         with pytest.raises(UnsupportedStreamError, match="version 1"):
             deserialize(data)
         path = tmp_path / "v1.srgc"
+        path.write_bytes(data)
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
+    def test_version_2_stream_rejected(self, tmp_path):
+        """A stream in the version-2 layout (47-byte header with a reserved
+        f64 and ``bin_width``, then six u32 section lengths) is
+        unsupported, not corrupt."""
+        lf, dmap = small_scene()
+        data = _version_2_data(encode(lf, dmap, CFG)[0], flags=1)
+        assert struct.calcsize("<HHIIBBBIIddd") == 47
+        with pytest.raises(UnsupportedStreamError, match="version 2"):
+            deserialize(data)
+        path = tmp_path / "v2.srgc"
         path.write_bytes(data)
         assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
 
@@ -299,11 +338,19 @@ class TestGrouping:
         assert dec_rep.eig_count == enc_rep.eig_count == enc_rep.unit_count
 
     def test_explicit_groups_mode_matches(self):
+        """The stream holds the groups, not the bin width that chose them:
+        two bin widths that choose the same groups write the same bytes
+        and decode alike."""
         lf, dmap = four_patch_scene()
         base = CodecConfig(slic_k=16, q_gft=16.0, n_target=256)
-        exp = dataclasses.replace(base, explicit_groups=True)
-        rec_a, rep_a = decode(encode(lf, dmap, base)[0])
-        rec_b, rep_b = decode(encode(lf, dmap, exp)[0])
+        wide = dataclasses.replace(base, bin_width=20.0)
+        stream_a, enc_a = encode(lf, dmap, base, debug=True)
+        stream_b, enc_b = encode(lf, dmap, wide, debug=True)
+        assert enc_a.debug.group_set.groups == enc_b.debug.group_set.groups
+        assert enc_a.group_count > 0
+        assert serialize(stream_a) == serialize(stream_b)
+        rec_a, rep_a = decode(stream_a)
+        rec_b, rep_b = decode(stream_b)
         assert lf_equal(rec_a, rec_b)
         assert rep_a.eig_count == rep_b.eig_count
 
@@ -315,22 +362,21 @@ class TestGrouping:
 
     @pytest.mark.parametrize("case", ["small", "explicit", "rgb_all"])
     def test_grouped_member_exactness_in_oracle_cases(self, case):
-        """The same on the oracle cases that form groups: with implicit and
-        explicit groups, and in every channel of an RGB light field."""
+        """The same on the oracle cases that form groups: with every unit
+        grouped, with groups and ungrouped units side by side, and in
+        every channel of an RGB light field."""
         lf, dmap, cfg = ORACLE_CASES[case]()
         channels = _assert_grouped_members_exact(lf, dmap, cfg)
         assert channels == (3 if case == "rgb_all" else 1)
 
-    @pytest.mark.parametrize("explicit", [False, True])
-    def test_decoder_group_set_matches_encoder(self, explicit):
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_decoder_group_set_matches_encoder(self, blocked, monkeypatch):
         """The decoder's debug GroupSet holds the encoder's groups and its
-        ungrouped positions, on a scene that leaves some ungrouped."""
+        ungrouped positions, on a scene that leaves some ungrouped, and
+        the same with the grouping pass made to raise in the decoder."""
         workload = bench_workloads()["parallax"]
         lf, dmap = workload.scene(1)
-        cfg = dataclasses.replace(workload.config, explicit_groups=explicit)
-        stream, enc_rep = encode(lf, dmap, cfg, debug=True)
-        _, dec_rep = decode(deserialize(serialize(stream)), debug=True)
-        want, got = enc_rep.debug.group_set, dec_rep.debug.group_set
+        want, got = _encoder_and_decoder_groups(lf, dmap, workload.config, monkeypatch, blocked)
         assert want.groups and want.ungrouped
         assert got.groups == want.groups
         assert got.ungrouped == want.ungrouped
@@ -588,24 +634,20 @@ class TestModes:
 
 @pytest.fixture(scope="module")
 def regroup():
-    """Rewrites the groups section of an explicit_groups stream of
-    small_scene() (7 groupable units), with a residual section of the
-    matching (zero) symbol count."""
+    """Rewrites the groups section of a stream of small_scene() (7
+    groupable units, each of dimension n) to the given labels and ranks,
+    with a residual section of the matching (zero) symbol count: n for
+    every labelled unit but one per distinct label, the mains."""
     lf, dmap = small_scene()
-    stream, report = encode(
-        lf, dmap, dataclasses.replace(CFG, explicit_groups=True), debug=True
-    )
+    stream, report = encode(lf, dmap, CFG, debug=True)
     units, groupable = report.debug.units, report.debug.groupable
     assert len(groupable) == 7
+    (n,) = {units[u].n for u in groupable}
 
-    def rewritten(groups):
-        syms = [len(groups)]
-        for main_pos, members in groups:
-            syms += [main_pos, len(members), *members]
-        count = sum(
-            units[groupable[m]].n
-            for main_pos, members in groups for m in members if m != main_pos
-        )
+    def rewritten(labels, ranks):
+        syms = [*labels, *ranks]
+        named = [label for label in labels if label]
+        count = n * (len(named) - len(set(named)))
         sections = dict(stream.sections)
         sections[SEC_GROUPS] = pack_section(len(syms), entropy_encode(syms, "group"))
         sections[SEC_RESIDUALS] = pack_section(
@@ -613,7 +655,11 @@ def regroup():
         )
         return Bitstream(header=stream.header, sections=sections)
 
-    decode(rewritten([(3, tuple(range(7)))]))  # the rewrite itself is valid
+    # the rewrite itself is valid: one group of all 7, its main at rank 3
+    _, rep = decode(rewritten([1] * 7, [3]), debug=True)
+    assert [(g.members, g.main_index) for g in rep.debug.group_set.groups] == [
+        (tuple(range(7)), 3)
+    ]
     return rewritten
 
 
@@ -648,34 +694,45 @@ class TestCorruptPayloads:
         path.write_bytes(serialize(broken))
         assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
 
-    @pytest.mark.parametrize("groups", [
-        [(3, (0, 1, 2, 3, 4, 5)), (5, (5, 6))],
-        [(3, (0, 1, 2, 3, 4, 5)), (6, (6, 4))],
-        [(3, (0, 1, 2, 3, 3, 4))],
-    ], ids=["member_is_another_main", "member_in_two_groups", "member_twice_in_one"])
-    def test_explicit_group_member_repeated(self, regroup, groups, tmp_path):
-        broken = regroup(groups)
-        with pytest.raises(SrgcError):
-            decode(broken)
-        path = tmp_path / "overlap.srgc"
-        path.write_bytes(serialize(broken))
-        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+    @pytest.mark.parametrize("labels, ranks, message", [
+        ([1, 1, 0, 0, 0, 0, 4], [0], "label outside 0..3"),
+        ([1, 1, 0, 0, 0, 0, -1], [0], "label outside 0..3"),
+        ([2, 2, 1, 1, 0, 0, 0], [0, 0], "not in order of first member"),
+        ([1, 1, 3, 3, 0, 0, 0], [0, 0], "not in order of first member"),
+        ([1, 1, 1, 1, 1, 1, 1], [7], "rank out of range"),
+        ([1, 1, 1, 1, 1, 1, 1], [-1], "rank out of range"),
+        ([1, 1, 1, 1, 1, 1, 1], [3, 0], "holds 9 symbols, expected 8"),
+        ([1, 1, 1, 1, 1, 1, 1], [], "holds 7 symbols, expected 8"),
+        ([1, 1, 1, 1, 1, 1], [], "holds 6 symbols, fewer than the 7"),
+        ([1, 1, 2, 2, 3, 3, 0], [0, 0, 0, 0], "declares 11 symbols, expected at most 10"),
+    ], ids=[
+        "label_above_half", "label_negative", "first_appearance_out_of_order",
+        "group_number_skipped", "rank_above_group", "rank_negative",
+        "count_above_labels_and_groups", "count_below_labels_and_groups",
+        "count_below_labels", "count_above_bound",
+    ])
+    def test_label_form_rejected(self, regroup, labels, ranks, message):
+        """Each group section that no encoder writes is corrupt."""
+        with pytest.raises(CorruptStreamError, match=message):
+            decode(regroup(labels, ranks))
 
     def test_explicit_group_of_one_member(self, regroup):
         """A one-member group (no encoder writes one) is corrupt."""
         with pytest.raises(CorruptStreamError, match="fewer than 2 members"):
-            decode(regroup([(3, (0, 1, 2, 3, 4, 5)), (6, (6,))]))
+            decode(regroup([1, 1, 1, 1, 1, 1, 2], [3, 0]))
 
     def test_explicit_group_of_one_member_cli_exit_2(self, regroup, tmp_path):
         path = tmp_path / "single.srgc"
-        path.write_bytes(serialize(regroup([(3, (0, 1, 2, 3, 4, 5)), (6, (6,))])))
+        path.write_bytes(serialize(regroup([1, 1, 1, 1, 1, 1, 2], [3, 0])))
         assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
 
     @pytest.mark.filterwarnings("error")
     def test_coefficient_flip_beyond_bin_range(self):
         """One flipped coefficient bit dequantizes to a level whose pair
-        MSEs fall in bins beyond int64: the decoder refuses the stream
-        before the cast."""
+        MSEs would fall in histogram bins beyond int64.  The decoder runs
+        no grouping pass, so nothing is cast to a bin: it refuses the
+        stream, without a warning, where the flipped level pushes a
+        reconstruction out of sample range."""
         lf, dmap = small_scene()
         stream, _ = encode(lf, dmap, CFG)
         payload = bytearray(stream.sections[SEC_COEFFICIENTS])
@@ -684,7 +741,7 @@ class TestCorruptPayloads:
             header=stream.header,
             sections={**stream.sections, SEC_COEFFICIENTS: bytes(payload)},
         )
-        with pytest.raises(CorruptStreamError, match="2\\*\\*62"):
+        with pytest.raises(CorruptStreamError, match="residual of unit 0 leaves"):
             decode(broken)
 
     def test_header_label_count_beyond_pixels(self):
@@ -756,7 +813,7 @@ def grouped_stream():
 
 
 def _container(header, payloads):
-    """The version-2 layout written out by hand: magic, version, header,
+    """The version-3 layout written out by hand: magic, version, header,
     six u32 payload lengths, payloads."""
     lengths = struct.pack("<6I", *map(len, payloads))
     return MAGIC + bytes([VERSION]) + header.pack() + lengths + b"".join(payloads)
@@ -770,39 +827,14 @@ class TestStreamValidation:
         {"channels": 0}, {"channels": 2}, {"channels": 4},
         {"n_target": 0},
         {"q_gft": 0.0}, {"q_gft": -1.0}, {"q_gft": float("nan")},
-        {"reserved": 0.0}, {"reserved": float("inf")},
-        {"bin_width": -5.0}, {"bin_width": float("nan")},
+        {"q_gft": float("inf")}, {"q_gft": float("-inf")},
+        {"bit_depth": 9}, {"channels": 255},
     ])
     def test_header_out_of_range_rejected(self, grouped_stream, change):
-        """``reserved`` patches the f64 slot that no header field holds."""
-        change = dict(change)
-        reserved = change.pop("reserved", 1.0)
         header = dataclasses.replace(grouped_stream.header, **change)
-        data = bytearray(serialize(Bitstream(header=header, sections=grouped_stream.sections)))
-        struct.pack_into("<d", data, _RESERVED_AT, reserved)
+        data = serialize(Bitstream(header=header, sections=grouped_stream.sections))
         with pytest.raises(CorruptStreamError):
-            deserialize(bytes(data))
-
-    @pytest.mark.parametrize("value", [4.0, 5e-324, 1.7e308])
-    def test_reserved_slot_ignored(self, grouped_stream, value):
-        """The reserved slot once held the DCT residual step.  The encoder
-        writes 1.0, and a stream with any other finite positive value there
-        decodes to the same samples."""
-        data = serialize(grouped_stream)
-        assert struct.unpack_from("<d", data, _RESERVED_AT) == (1.0,)
-        other = bytearray(data)
-        struct.pack_into("<d", other, _RESERVED_AT, value)
-        want, _ = decode(deserialize(data))
-        got, _ = decode(deserialize(bytes(other)))
-        assert lf_equal(got, want)
-
-    def test_dct_residual_flag_unsupported(self, grouped_stream):
-        """A grouped stream with the retired DCT-residual flag is
-        unsupported, not corrupt."""
-        data = bytearray(serialize(grouped_stream))
-        data[_FLAGS_AT] |= 4
-        with pytest.raises(UnsupportedStreamError, match="DCT residuals"):
-            deserialize(bytes(data))
+            deserialize(data)
 
     def test_section_table_rejections(self, grouped_stream):
         header, sections = grouped_stream.header, grouped_stream.sections
@@ -819,8 +851,7 @@ class TestStreamValidation:
 
     @pytest.mark.parametrize("flags", [0xF9, 0x08, 0x80])
     def test_unknown_header_flag_bits_rejected(self, flags):
-        """Flag bits beyond grouping, explicit groups and the retired DCT
-        residuals are corrupt, not ignored."""
+        """Flag bits beyond grouping are corrupt, not ignored."""
         stream, _ = encode(*four_patch_scene(32, 3), CodecConfig(slic_k=16, n_target=64))
         data = bytearray(serialize(stream))
         assert data[_FLAGS_AT] == 1  # grouping only
@@ -828,28 +859,30 @@ class TestStreamValidation:
         with pytest.raises(CorruptStreamError, match="flags"):
             deserialize(bytes(data))
 
-    @pytest.mark.parametrize("bit, error, match", [
-        (2, CorruptStreamError, "without grouping"),
-        (4, UnsupportedStreamError, "DCT residuals"),
-    ], ids=["explicit_groups", "dct"])
-    def test_group_flags_need_grouping(self, bit, error, match, tmp_path):
-        """The explicit-group flag says how grouped members are coded.
-        Without grouping the encoder writes the bytes of the default
-        config, and a header that sets the flag without grouping is
-        corrupt.  A header with the retired DCT-residual flag is
-        unsupported.  Both exit 2 in the CLI."""
+    def test_dct_residual_flag_unsupported(self, grouped_stream):
+        """Only version 2 could set the DCT-residual flag, and a version-2
+        stream with it is unsupported by its version.  Version 3 gives the
+        bit no meaning, so a version-3 header that sets it is corrupt."""
+        with pytest.raises(UnsupportedStreamError, match="version 2"):
+            deserialize(_version_2_data(grouped_stream, flags=1 | 4))
+        data = bytearray(serialize(grouped_stream))
+        data[_FLAGS_AT] |= 4
+        with pytest.raises(CorruptStreamError, match="flags"):
+            deserialize(bytes(data))
+
+    @pytest.mark.parametrize("bit", [2, 4], ids=["explicit_groups", "dct"])
+    def test_group_flags_need_grouping(self, bit, tmp_path):
+        """Version 2 gave flag bits 1 and 2 to explicit groups and DCT
+        residuals.  Version 3 has neither: a header that sets one is
+        corrupt, with grouping or without, and the CLI exits 2."""
         lf, dmap = four_patch_scene(32, 3)
-        base = CodecConfig(slic_k=16, n_target=64, grouping=False)
-        stream, _ = encode(lf, dmap, dataclasses.replace(base, explicit_groups=True))
-        assert serialize(stream) == serialize(encode(lf, dmap, base)[0])
-        assert not stream.header.explicit_groups
-        # with grouping the flag is written and read back
-        grouped, _ = encode(lf, dmap, dataclasses.replace(base, grouping=True, explicit_groups=True))
-        assert deserialize(serialize(grouped)).header == grouped.header
-        bad = bytearray(serialize(stream))
-        bad[_FLAGS_AT] |= bit
-        with pytest.raises(error, match=match):
-            deserialize(bytes(bad))
+        for grouping_on in (True, False):
+            cfg = CodecConfig(slic_k=16, n_target=64, grouping=grouping_on)
+            bad = bytearray(serialize(encode(lf, dmap, cfg)[0]))
+            assert bad[_FLAGS_AT] == int(grouping_on)
+            bad[_FLAGS_AT] |= bit
+            with pytest.raises(CorruptStreamError, match="flags"):
+                deserialize(bytes(bad))
         path = tmp_path / "flags.srgc"
         path.write_bytes(bad)
         assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
@@ -887,7 +920,9 @@ ORACLE_CASES = {
     "gate": lambda: (*four_patch_scene(32, 3), CodecConfig(slic_k=16, q_gft=16.0, n_target=64)),
     "small": lambda: (*small_scene(seed=9), CFG),
     "partition": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, q_gft=2.0)),
-    "explicit": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, explicit_groups=True)),
+    # groups that only the encoder's bin width chooses (one pair, five
+    # units ungrouped), which the stream carries as labels
+    "explicit": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, bin_width=2.0)),
     "no_grouping": lambda: (*small_scene(seed=9), dataclasses.replace(CFG, grouping=False)),
     "rgb_all": lambda: (
         *_no_disparity(random_lf(2, 2, 16, 16, seed=31, channels=3)),
@@ -941,12 +976,12 @@ def test_runtime_loads_no_scipy(tmp_path):
     out = json.loads(proc.stdout)
     assert out.pop("import") == [] and out.pop("end") == []
     assert out == {
-        "explicit": ["924a12670d7e95f9", "6610672ab9bd91a1"],
-        "gate": ["56328244ea1d1c94", "1375726447ec6c54"],
-        "no_grouping": ["42f15d08b0c2ca22", "53a7ae600a6d7c25"],
-        "partition": ["6914e285293848ba", "9baf83f90b7354a5"],
-        "rgb_all": ["2f3a02b8bad1b660", "606ccb74901da4a3"],
-        "small": ["e7a1ef1cf1db0174", "6610672ab9bd91a1"],
+        "explicit": ["8bf0bc43d12e23d0", "11b03d41d999b701"],
+        "gate": ["ccf33119d1dfa06e", "1375726447ec6c54"],
+        "no_grouping": ["89daf45a88932e1c", "53a7ae600a6d7c25"],
+        "partition": ["50a1958a19873af6", "9baf83f90b7354a5"],
+        "rgb_all": ["a9297e2f47a0a2b6", "606ccb74901da4a3"],
+        "small": ["7d7295468b249c57", "6610672ab9bd91a1"],
     }
 
 
@@ -1153,18 +1188,50 @@ def _mask_case(case):
     return (*workload.scene(int(seed)), workload.config)
 
 
+def _encoder_and_decoder_groups(lf, dmap, cfg, monkeypatch, blocked):
+    """The encoder's and the decoder's debug GroupSet of one round trip;
+    with ``blocked`` the grouping pass's pair MSEs, histogram threshold
+    and membership raise once encoding is done."""
+    stream, enc = encode(lf, dmap, cfg, debug=True)
+    data = serialize(stream)
+
+    def derives(*args, **kwargs):
+        raise AssertionError("the decoder ran the grouping pass")
+
+    if blocked:
+        monkeypatch.setattr(grouping, "pairwise_mse", derives)
+        monkeypatch.setattr(grouping, "select_threshold", derives)
+        monkeypatch.setattr(codec, "derive_group_members", derives)
+    _, dec = decode(deserialize(data), debug=True)
+    return enc.debug.group_set, dec.debug.group_set
+
+
+@pytest.mark.parametrize("case", [*sorted(ORACLE_CASES), "bench_gate_1"])
+def test_decoder_derives_no_groups(case, monkeypatch):
+    """``decode`` runs no grouping pass: with the pass made to raise,
+    every case still decodes to the encoder's groups and ungrouped
+    positions, read from the stream.  (The ``parallax`` bench scene is
+    ``TestGrouping.test_decoder_group_set_matches_encoder[True]``.)"""
+    want, got = _encoder_and_decoder_groups(*_mask_case(case), monkeypatch, blocked=True)
+    assert got.groups == want.groups
+    assert got.ungrouped == want.ungrouped
+    assert bool(want.groups) == (case in ("small", "explicit", "rgb_all", "bench_gate_1"))
+    if case == "explicit":
+        assert want.ungrouped
+
+
 @pytest.mark.parametrize("case", _MASK_CASES)
 def test_column_masks_keep_decoded_samples(case, monkeypatch):
     """Decoding with the column masks gives the samples of decoding with
-    full bases (masks forced to None).  In ``small`` and ``explicit``
-    grouped members read 13 clusters of their main's basis that
-    the main's own coefficients leave at zero, so a mask taken from the
-    main alone would zero columns a member reads."""
+    full bases (masks forced to None).  In ``small`` grouped members read
+    13 clusters of their main's basis that the main's own coefficients
+    leave at zero, so a mask taken from the main alone would zero columns
+    a member reads."""
     lf, dmap, cfg = _mask_case(case)
     stream = deserialize(serialize(encode(lf, dmap, cfg)[0]))
     rec, dec = decode(stream, debug=True)
     cross = _main_clusters_read_only_by_members(dec)
-    assert len(cross) == (13 if case in ("small", "explicit") else 0)
+    assert len(cross) == (13 if case == "small" else 0)
     eigenbases = codec._eigenbases
     masks = []
 
@@ -1271,7 +1338,7 @@ def test_distinct_graphs_keyed_by_vertex_count_and_edges():
 def test_group_membership_matches_oracle_end_to_end(case, monkeypatch):
     """Threshold-graph components leave every stream byte and decoded
     sample as the 1-level sets merged transitively produce them, with the
-    oracle patched into the encoder's and the decoder's grouping pass."""
+    oracle patched into the encoder's grouping pass, the only one."""
     lf, dmap, cfg = ORACLE_CASES[case]()
     solved = _solve_once(monkeypatch)
     data, rec = _round_trip(lf, dmap, cfg)
@@ -1281,7 +1348,6 @@ def test_group_membership_matches_oracle_end_to_end(case, monkeypatch):
         calls.append(len(coeffs))
         return derive_group_members_oracle(coeffs, bin_width)
 
-    monkeypatch.setattr(grouping, "derive_group_members", oracle)
     monkeypatch.setattr(codec, "derive_group_members", oracle)
     want_data, want_rec = _round_trip(lf, dmap, cfg)
     assert solved and calls

@@ -10,7 +10,6 @@ from srgc.grouping import (
     derive_group_members,
     pairwise_mse,
     predict_and_residual,
-    run_grouping,
     select_main,
     select_threshold,
 )
@@ -24,6 +23,7 @@ from conftest import (
     merge_groups_oracle,
     one_level_groups_oracle,
     pair_index,
+    run_grouping,
 )
 
 

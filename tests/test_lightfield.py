@@ -41,6 +41,28 @@ class TestViewIO:
         with pytest.raises(SrgcError, match="view_00_00.pgm: truncated sample data"):
             load_light_field(tmp_path)
 
+    @pytest.mark.parametrize("header, message", [
+        (b"P5 -1 -1 255", "PNM width '-1' is not a positive integer"),
+        (b"P5 8 -1 255", "PNM height '-1' is not a positive integer"),
+        (b"P5 0 0 255", "PNM width '0' is not a positive integer"),
+        (b"P5 8 0 255", "PNM height '0' is not a positive integer"),
+        (b"P5 8 8 0", "PNM maxval '0' is not a positive integer"),
+        (b"P5 8 8 -255", "PNM maxval '-255' is not a positive integer"),
+        (b"P5 eight 8 255", "PNM width 'eight' is not a positive integer"),
+        (b"P5 8 8e0 255", "PNM height '8e0' is not a positive integer"),
+        (b"P5 8 8 0x1f", "PNM maxval '0x1f' is not a positive integer"),
+        (b"P6 +8 8 255", "PNM width '\\+8' is not a positive integer"),
+        (b"P6 8 8_0 255", "PNM height '8_0' is not a positive integer"),
+        (b"P5 8 8 # no maxval", "truncated PNM header"),
+    ])
+    def test_bad_header_named_before_any_read(self, tmp_path, header, message):
+        """Width, height and maxval are checked as positive decimal
+        integers before any sample is read, and every header error names
+        the file."""
+        (tmp_path / "view_00_00.pgm").write_bytes(header)
+        with pytest.raises(SrgcError, match=f"view_00_00.pgm: {message}"):
+            load_light_field(tmp_path)
+
     def test_roundtrip_identity(self, tmp_path):
         lf = random_lf(3, 3, 16, 16, seed=3)
         save_light_field(lf, tmp_path)

@@ -1,9 +1,11 @@
-"""The benchmark's tracer on a partition-mode round trip.
+"""The benchmark's tracer on a partition-mode and a grouped round trip.
 
 The benchmark's own tests trace only a coarse-mode workload, so a change
 that breaks a partition-mode layer counter (such as ``len(r.parts)`` on
 ``partition_super_ray``'s result) would otherwise show only in traced
-benchmark runs.
+benchmark runs.  The tracer wraps codec functions by name, so the grouped
+round trip checks that ``codec.derive_group_members`` is still the name
+the encoder's grouping pass runs under, and that the decoder runs none.
 """
 
 import os
@@ -49,3 +51,15 @@ def test_traced_partition_round_trip(monkeypatch):
             graph_structure_oracle(p, lf.angular_dims).edges.shape[0]
             for p in side_parts
         )
+
+
+def test_traced_gate_round_trip_groups_on_the_encoder_only():
+    workload = WORKLOADS["gate"]
+    lf, dmap = workload.scene(1)
+    tracer = Tracer()
+    _, _, _, enc_rep, dec_rep = round_trip(lf, dmap, workload.config, {}, tracer)
+    totals = layer_totals(tracer.spans, 1)
+    assert enc_rep.group_count == dec_rep.group_count > 0
+    assert totals["enc.grouping.derive_group_members.calls"] == 1
+    assert totals["enc.grouping.derive_group_members.pairs"] == 16 * 15 // 2
+    assert not [k for k in totals if k.startswith("dec.grouping.")]
