@@ -1,9 +1,10 @@
 """Command-line front end: synth, encode, decode, analyze, sweep.
 
-Exit codes: 0 success, 1 usage error, 2 data/format error, 3 internal
-error.  Config precedence: built-in defaults < --config file (key=value
-lines) < explicit flags.  Reports are line-oriented key=value (or CSV for
-sweeps), written to stdout or the --report path.
+Exit codes: 0 success, 1 usage error, 2 data/format error (an input or
+output path that cannot be opened included), 3 internal error.  Config
+precedence: built-in defaults < --config file (key=value lines) <
+explicit flags.  Reports are line-oriented key=value (or CSV for sweeps),
+written to stdout or the --report path.
 """
 
 import argparse
@@ -259,7 +260,7 @@ def main(argv=None):
     except _UsageError as e:
         print(f"srgc: usage error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (SrgcError, FileNotFoundError, ValueError) as e:
+    except (SrgcError, OSError, ValueError) as e:
         print(f"srgc: {e}", file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -40,15 +40,18 @@ clusters that no nonzero coefficient reads are never canonicalized and
 come back as zeros.  The samples are those of full bases: the inverse
 GFT ``V @ c`` gains only signed zeros from those columns, and rounding
 maps a zero sum of either sign to 0.  The encoder passes probes instead:
-each unit that no grouped member is predicted from (every partition
-part, every coarsened unit that is not groupable) hands the eigen stage
-its channel signals and quantizer steps, and the clusters in which every
-one of them must quantize to level 0 are dropped the same way.  Their
-levels are 0 in the full basis too, so the stream is that of full bases;
-a groupable unit's basis may serve its members' coefficients and is kept
-whole.  The reports' ``eig_count`` stays the paper's count (every unit on
+every unit hands the eigen stage its channel signals and quantizer steps,
+and the clusters in which every one of them must quantize to level 0 are
+dropped the same way.  Their levels are 0 in the full basis too, so the
+levels are those of full bases.  A member predicted from a group's main
+reads the main's basis at its own nonzero coefficients, which the main's
+probe does not see: after grouping, each main with a dropped column that
+such a member reads is solved again, whole, in one more eigen-stage call
+without probes, so the residuals, and the stream, are those of full
+bases.  The reports' ``eig_count`` stays the paper's count (every unit on
 the encoder, ungrouped units plus one main per group on the decoder) and
-``eig_solved`` counts the distinct solves behind it.
+``eig_solved`` counts the distinct solves behind it, the encoder's
+re-solved mains included.
 Everything outside wall-clock timings is a deterministic function of
 (light field, disparity map, config): canonical orderings throughout, and
 no thread pool.  ``threads`` (config field, ``decode`` argument) is still
@@ -156,7 +159,7 @@ class EncodeReport:
     group_count: int = 0
     grouped_count: int = 0
     eig_count: int = 0        # the paper's count: one per unit
-    eig_solved: int = 0       # distinct graphs actually solved
+    eig_solved: int = 0       # distinct graphs actually solved, re-solved mains included
     # seconds per stage in pipeline order; "graphs" builds (and partitions)
     # the pixel graphs, "coarsen" coarsens them and takes the unit signals
     times: dict = field(default_factory=dict)
@@ -275,10 +278,9 @@ def _eigenbases(graphs, needed=None, probes=None):
     them are solved in one :func:`eigendecompose_all` call; equal graphs
     share one basis, which is only read.  ``needed`` is None or one
     column mask per graph; a distinct graph's mask is the OR of its
-    graphs' masks.  ``probes`` is None or one probe per graph, None or
-    (signals, steps); a distinct graph's probe stacks its graphs'
-    signals under the smallest of their steps, and is None when one of
-    its graphs has none."""
+    graphs' masks.  ``probes`` is None or one probe (signals, steps) per
+    graph; a distinct graph's probe stacks its graphs' signals under the
+    smallest of their steps."""
     distinct, which = _distinct_graphs(graphs)
     masks = None
     if needed is not None:
@@ -291,10 +293,7 @@ def _eigenbases(graphs, needed=None, probes=None):
         for i, probe in zip(which, probes):
             shared[i].append(probe)
         merged = [
-            None if any(p is None for p in ps) else (
-                np.concatenate([signals for signals, _ in ps]),
-                np.minimum.reduce([steps for _, steps in ps]),
-            )
+            (np.concatenate([s for s, _ in ps]), np.minimum.reduce([q for _, q in ps]))
             for ps in shared
         ]
     bases = eigendecompose_all((laplacian(g) for g in distinct), masks, merged)
@@ -506,15 +505,12 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         ]
     watch.lap("coarsen")
 
-    # a groupable unit's basis may serve its members' coefficients; every
-    # other unit probes with its signals and steps (equal in all channels),
+    # every unit probes with its signals and steps (equal in all channels),
     # so the eigen stage drops the clusters whose levels must be 0
-    groupable = _groupable_positions(units, cfg.n_target, cfg.grouping)
     steps, starts = _coefficient_steps(units, n_channels, cfg.q_gft)
-    whole = set(groupable)
     probes = [
-        None if i in whole else (np.stack(u.signals), steps[lo : lo + u.n])
-        for i, (u, lo) in enumerate(zip(units, starts[::n_channels].tolist()))
+        (np.stack(u.signals), steps[lo : lo + u.n])
+        for u, lo in zip(units, starts[::n_channels].tolist())
     ]
     bases, eig_solved = _eigenbases([u.graph for u in units], probes=probes)
     coeffs = np.concatenate([
@@ -525,6 +521,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     eig_count = len(units)
     watch.lap("eigen_transform")
 
+    groupable = _groupable_positions(units, cfg.n_target, cfg.grouping)
     merged, threshold = derive_group_members([deq[u][0] for u in groupable], cfg.bin_width)
     signals = [units[u].signals[0] for u in groupable]
     groups = [
@@ -533,8 +530,22 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     ]
     watch.lap("grouping")
 
+    # a member's prediction reads its main's basis at the member's nonzero
+    # coefficients, which the decoder's column mask keeps with full-basis
+    # bits: a main whose probe dropped (zeroed) such a column is solved
+    # again, whole
+    predicted = _predicted_members(groups, groupable)
+    resolve = list(dict.fromkeys(
+        main for member, main in predicted.items()
+        if (np.any(np.asarray(deq[member]) != 0, axis=0) & ~bases[main].vectors.any(axis=0)).any()
+    ))
+    if resolve:
+        full, count = _eigenbases([units[i].graph for i in resolve])
+        for i, basis in zip(resolve, full):
+            bases[i] = basis
+        eig_solved += count
     residual_syms = []
-    for member, main in _predicted_members(groups, groupable).items():
+    for member, main in predicted.items():
         for c in range(n_channels):
             _, residual = predict_and_residual(
                 bases[main], deq[member][c], units[member].signals[c], maxval

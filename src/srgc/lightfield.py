@@ -318,7 +318,11 @@ def save_disparity(dmap, path):
 
 
 def load_disparity(path):
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise SrgcError(f"cannot read disparity file {path}: {e}") from e
+    with f:
         header = f.read(16)
         if len(header) < 16 or header[:4] != LFDM_MAGIC:
             raise SrgcError(f"{path}: not an LFDM disparity file")

@@ -85,6 +85,28 @@ class TestPipeline:
         assert code == 2
         assert capsys.readouterr().err.strip()
 
+    @pytest.mark.parametrize("command", ["decode", "analyze", "config", "spec", "disparity"])
+    def test_directory_path_exit_2(self, command, scene_dir, tmp_path, capsys):
+        """A directory where a file is read is a data error (exit 2), not an
+        internal one: a stream to decode or analyze, a config file, a
+        scene spec or a disparity map."""
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        encode = [
+            "encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+            "--out", str(tmp_path / "a.srgc"),
+        ]
+        argv = {
+            "decode": ["decode", str(folder), "--out", str(tmp_path / "rec")],
+            "analyze": ["analyze", str(folder)],
+            "config": [*encode, "--config", str(folder)],
+            "spec": ["synth", "--spec", str(folder), "--out", str(tmp_path / "o")],
+            "disparity": [*encode[:3], str(folder), *encode[4:]],
+        }[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "internal error" not in err
+
     @pytest.mark.parametrize("target", ["disparity", "view"])
     def test_oversized_input_header_exit_2(self, scene_dir, tmp_path, capsys, target):
         """A disparity map of (2**32 - 1)**2 values or a view of

@@ -158,6 +158,12 @@ class TestDisparityIO:
         with pytest.raises(SrgcError, match="big.lfdm: truncated disparity data"):
             load_disparity(path)
 
+    def test_directory_is_a_data_error(self, tmp_path):
+        """A path that cannot be opened as a file raises SrgcError, as a
+        light-field directory that cannot be listed does."""
+        with pytest.raises(SrgcError, match="cannot read disparity file .*Is a directory"):
+            load_disparity(tmp_path)
+
 
 class TestSceneSpec:
     def test_parse_full_grammar(self):
