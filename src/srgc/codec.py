@@ -477,10 +477,10 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     watch = _Stopwatch()
     maxval = lf.max_value
     # one (views, H, W) int64 sample volume per coded channel
-    luma = np.stack(lf.luma_planes())
+    luma = lf.luma_planes()
     volumes = [luma]
     if cfg.channels == "all" and lf.channels == 3:
-        volumes = [np.stack(lf.channel_planes(c)) for c in range(3)]
+        volumes = [lf.channel_planes(c) for c in range(3)]
     n_channels = len(volumes)
 
     seg_ref = slic_segment(luma[0], cfg.slic_k, cfg.compactness)
@@ -555,9 +555,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
 
     symbols = {
         bs.SEC_SEGMENTATION: _segmentation_symbols(seg_ref.reference),
-        bs.SEC_DISPARITY: [
-            round_half_away(disparities[l] * 8) for l in range(seg_ref.label_count)
-        ],
+        bs.SEC_DISPARITY: round_half_away_int(disparities * 8).tolist(),
         bs.SEC_STRUCTURE: structure,
         bs.SEC_COEFFICIENTS: levels.tolist(),
         bs.SEC_GROUPS: _group_symbols(groups, len(groupable)),
@@ -649,7 +647,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
         raise CorruptStreamError("corrupt stream: reference view misses labels")
 
     disp_syms = section_symbols(bs.SEC_DISPARITY, hdr.label_count)
-    disparities = {l: float(disp_syms[l]) / 8.0 for l in range(hdr.label_count)}
+    disparities = disp_syms / 8.0
     watch.lap("segmentation")
 
     seg_ref = SegmentationMap(labels=ref_labels[None], label_count=hdr.label_count)
@@ -710,7 +708,8 @@ def decode(stream: Bitstream, threads=1, debug=False):
         ]
         pos += n * n_channels
 
-    volumes = np.zeros((n_channels, s_count * t_count, h, w), dtype=np.int64)
+    # reconstructions lie in [0, maxval], so they go straight into the samples
+    samples = np.zeros((n_channels, s_count * t_count, h, w), dtype=_sample_dtype(hdr.bit_depth))
     recon_units = []
     for i, u in enumerate(units):
         per_channel = []
@@ -729,11 +728,11 @@ def decode(stream: Bitstream, threads=1, debug=False):
             else:
                 rec = predict_signal(decomposed[i], deq[i][c], maxval)
             per_channel.append(rec)
-            volumes[c][cells] = rec if u.fine_to_coarse is None else rec[u.fine_to_coarse]
-        recon_units.append(per_channel)
+            samples[c][cells] = rec if u.fine_to_coarse is None else rec[u.fine_to_coarse]
+        if debug:
+            recon_units.append(per_channel)
     watch.lap("reconstruct")
 
-    samples = volumes.astype(_sample_dtype(hdr.bit_depth))
     views = [View(planes=list(samples[:, v])) for v in range(s_count * t_count)]
     lf = LightField(views=views, angular_dims=hdr.angular_dims, bit_depth=hdr.bit_depth)
     watch.lap("assembly")

@@ -1,7 +1,9 @@
 """Light-field data model, view I/O and synthetic scene generation.
 
 A light field is a 2D angular grid of views indexed by (s, t), each view a
-2D image of W x H samples with 1 (luma) or 3 (RGB) channels.  Views are
+2D image of W x H samples with 1 (luma) or 3 (RGB) channels; the codec
+reads all views of a channel, or their luma, as one (views, H, W) int64
+volume.  Views are
 stored on disk as binary PGM/PPM files named ``view_{s:02d}_{t:02d}.pgm``
 (or ``.ppm``), with maxval 255/1023/65535 for 8/10/16-bit depth.
 
@@ -123,21 +125,19 @@ class LightField:
         return self.views[s * self.angular_dims[1] + t]
 
     def luma_planes(self):
-        """Per-view luma plane as int64 arrays (BT.709 for RGB input)."""
-        out = []
-        for v in self.views:
-            if v.channels == 1:
-                out.append(v.planes[0].astype(np.int64))
-            else:
-                r, g, b = (p.astype(np.float64) for p in v.planes)
-                y = _BT709[0] * r + _BT709[1] * g + _BT709[2] * b
-                out.append(
-                    np.clip(round_half_away_int(y), 0, self.max_value)
-                )
-        return out
+        """Every view's luma as one (views, H, W) int64 volume (BT.709 for
+        RGB input, computed over all views at once)."""
+        if self.channels == 1:
+            return self.channel_planes(0)
+        # wr * r + wg * g + wb * b in float64, one channel volume at a time
+        y = _BT709[0] * self.channel_planes(0)
+        for c in (1, 2):
+            y += _BT709[c] * self.channel_planes(c)
+        return np.clip(round_half_away_int(y), 0, self.max_value)
 
     def channel_planes(self, c):
-        return [v.planes[c].astype(np.int64) for v in self.views]
+        """Channel c of every view as one (views, H, W) int64 volume."""
+        return np.stack([v.planes[c] for v in self.views], dtype=np.int64)
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """SLIC super-pixel segmentation and disparity-based label projection.
 
 The reference (top-left) view is over-segmented into super-pixels; each
-super-pixel gets the median disparity of its pixels, and the labels are
-projected to every other view by that disparity.  A super-ray is the set of
-pixels of all views sharing one label; it is the unit the codec transforms.
+super-pixel gets the median disparity of its pixels (one float64 array
+over the labels), and the labels are projected to every other view by
+that disparity.  A super-ray is the set of pixels of all views sharing
+one label; it is the unit the codec transforms.
 It stores them as (view, y, x) rows in its local graph's canonical vertex
 order, which is the raster order of the (views, H, W) label volume.
 
@@ -21,9 +22,10 @@ disparities.
 
 One fill, :func:`fill_cells`, runs the majority vote on a flat stack of
 label planes that -2 cells keep apart, whatever their widths.  It serves
-both the frame labels (:func:`project_labels`, all views in one stack)
-and the children of every split of one partition depth (``spectral``'s
-level walk, all splitting parents in one stack).
+both the frame labels (:func:`project_labels`, all views as padded
+blocks of one plane, filled in place) and the children of every split
+of one partition depth (``spectral``'s level walk, all splitting parents
+in one stack).
 """
 
 from dataclasses import dataclass
@@ -39,7 +41,7 @@ _SEED_OFFSETS = np.array(sorted(
     key=lambda o: (o[0] * o[0] + o[1] * o[1], o[0], o[1]),
 ))
 _WINDOW_CELLS = 1 << 14  # SLIC window cells per assignment run: bounds the temporary memory
-# fill_holes: four distinct stand-ins for unlabeled neighbors, above any label
+# fill_cells: four distinct stand-ins for unlabeled neighbors, above any label
 _UNLABELED = np.iinfo(np.int64).max - 4 + np.arange(4)
 
 
@@ -325,9 +327,9 @@ def label_regions(labels, count):
 
 def label_disparities(seg, dmap):
     """Each label's median reference-view disparity, quantized to 1/8 px
-    (the transmission precision); a label absent from the reference view
-    is an orphan."""
-    disparities = {}
+    (the transmission precision), as one float64 (label_count,) array; a
+    label absent from the reference view is an orphan."""
+    disparities = np.empty(seg.label_count)
     for l, region in enumerate(label_regions(seg.reference, seg.label_count)):
         if region.shape[0] == 0:
             raise OrphanLabelError(f"orphan label {l}: absent from reference view")
@@ -346,45 +348,51 @@ def label_shifts(disparity, view_count, t_count):
 
 
 def project_labels(ref_map, disparities, angular_dims):
-    """Project reference-view labels to every view of the angular grid.
+    """Project reference-view labels to every view of the angular grid;
+    ``disparities`` is the (label_count,) array of per-label disparities.
 
     For view (s, t) every reference pixel of label l lands at
     (x - round(d_l * t), y - round(d_l * s)).  Conflicts: the larger
     disparity wins; labels of equal disparity share one shift, so their
     pixels never meet.  Unlabeled target pixels are
     filled by iterated majority vote over labeled 4-neighbors (ties to the
-    smallest label); a view left entirely unlabeled falls back to the
-    reference map.
+    smallest label); a hole left when its view's fill stalls takes the
+    reference map's label at its place.
 
-    All non-reference views are one (views - 1, H + 1, W) stack whose pad
-    row under each view reads -2.  Each label is written into all views
-    in one scatter, in ascending disparity so that the last write is the
-    largest; then one :func:`fill_holes` runs on the stack.  The pad rows
-    keep 4-neighbour fills inside their own view, and a view whose fill
-    stalls never changes again, so the one stall fallback gives its holes
-    what a fill of that view alone would give them.
+    Views 1.. are (H + 1) x (W + 1) blocks of one flat plane under a
+    leading pad row, as in ``spectral._split_level``: the pad row under
+    each view and the pad column read -2.  Each label is written into all
+    views in one scatter, in ascending disparity so that the last write
+    is the largest; then one :func:`fill_cells` runs on the plane.  The
+    pad cells keep 4-neighbour fills inside their own view, and a view
+    whose fill stalls never changes again, so each view's holes end as a
+    fill of that view alone leaves them.
     """
     ref = ref_map.reference
     count = ref_map.label_count
-    missing = [l for l in range(count) if l not in disparities]
-    if missing:
-        raise ValueError(f"labels without disparity: {missing}")
+    if disparities.shape != (count,):
+        raise ValueError(f"{disparities.shape} disparities for {count} labels")
     h, w = ref.shape
     s_count, t_count = angular_dims
     n_views = s_count * t_count
+    stride = w + 1
+    plane = np.full((1 + (n_views - 1) * (h + 1)) * stride, -2, dtype=np.int64)
+    grid = plane[stride:].reshape(n_views - 1, h + 1, stride)
+    grid[:, :h, :w] = -1
     regions = label_regions(ref, count)
-    grid = np.full((n_views - 1, h + 1, w), -1, dtype=np.int64)
-    grid[:, h] = -2
+    shifts = label_shifts(disparities[:, None, None], n_views, t_count)
     views = np.arange(n_views - 1)[:, None]
-    for l in sorted(range(count), key=disparities.__getitem__):
-        shifts = label_shifts(disparities[l], n_views, t_count)
-        ty = regions[l][:, 0] - shifts[:, :1]
-        tx = regions[l][:, 1] - shifts[:, 1:]
+    for l in np.argsort(disparities, kind="stable").tolist():
+        ty = regions[l][:, 0] - shifts[l, :, :1]
+        tx = regions[l][:, 1] - shifts[l, :, 1:]
         ok = (ty >= 0) & (ty < h) & (tx >= 0) & (tx < w)
         grid[np.broadcast_to(views, ok.shape)[ok], ty[ok], tx[ok]] = l
-    padded = np.vstack([ref, np.full((1, w), -2, dtype=np.int64)])
-    fill_holes(grid.reshape(-1, w), np.tile(padded, (n_views - 1, 1)))
-    return SegmentationMap(np.concatenate([ref[None], grid[:, :h]]), count)
+    cells = np.flatnonzero(plane == -1)
+    fill_cells(plane, cells, stride)
+    stalled = cells[plane[cells] == -1]
+    y, x = np.divmod(stalled - stride, stride)
+    plane[stalled] = ref[y % (h + 1), x]
+    return SegmentationMap(np.concatenate([ref[None], grid[:, :h, :w]]), count)
 
 
 def fill_cells(flat, cells, stride):
@@ -425,32 +433,18 @@ def fill_cells(flat, cells, stride):
             steps = steps[~filled]
 
 
-def fill_holes(grid, fallback):
-    """In-place majority fill of the -1 cells of a 2-D label grid, by
-    :func:`fill_cells` on a copy padded with outside cells; the holes left
-    when a round assigns nothing take ``fallback`` (a scalar or a
-    grid-shaped array)."""
-    h, w = grid.shape
-    work = np.full((h + 2, w + 2), -2, dtype=grid.dtype)
-    work[1:-1, 1:-1] = grid
-    flat = work.ravel()
-    fill_cells(flat, np.flatnonzero(flat == -1), w + 2)
-    grid[...] = work[1:-1, 1:-1]
-    stalled = grid == -1
-    grid[stalled] = np.broadcast_to(fallback, grid.shape)[stalled]
-
-
 # ---------------------------------------------------------------------------
 # Super-ray assembly
 # ---------------------------------------------------------------------------
 
 def assemble_super_rays(seg, disparities):
-    """Build SuperRays from an all-view segmentation and known per-label
-    disparities: each label's rows of the label volume, from one
-    :func:`label_regions` pass, are its pixels."""
+    """Build SuperRays from an all-view segmentation and the (label_count,)
+    array of per-label disparities: each label's rows of the label volume,
+    from one :func:`label_regions` pass, are its pixels."""
     rays = []
-    for l, pixels in enumerate(label_regions(seg.labels, seg.label_count)):
+    regions = label_regions(seg.labels, seg.label_count)
+    for l, (pixels, disparity) in enumerate(zip(regions, disparities.tolist())):
         if pixels.shape[0] == 0 or pixels[0, 0] != 0:
             raise OrphanLabelError(f"orphan label {l}: absent from reference view")
-        rays.append(SuperRay(pixels=pixels, disparity=disparities[l]))
+        rays.append(SuperRay(pixels=pixels, disparity=disparity))
     return rays

@@ -278,11 +278,10 @@ def _eigendecompose_stack(mats, needed=None, probe=None):
     ``needed`` is None or a (B, n) bool array of the columns the caller
     reads.  ``probe`` is None or (signals, steps): a (B, k, n) stack of
     the signals the caller transforms (zero rows pad a matrix with fewer)
-    and the (B, n) quantizer steps of their coefficients, all 0 for a
-    matrix without a probe.  A degenerate cluster is unread when it has
-    no needed column or when every probe signal f quantizes to level 0
-    in it (:func:`eigendecompose_all` states the rule); a zero step never
-    passes the rule.  An unread cluster is not canonicalized, and once
+    and the (B, n) quantizer steps of their coefficients.  A degenerate
+    cluster is unread when it has no needed column or when every probe
+    signal f quantizes to level 0 in it (:func:`eigendecompose_all`
+    states the rule).  An unread cluster is not canonicalized, and once
     the checks have judged LAPACK's columns for it, they are set to zero.
     Every other column is as with neither argument."""
     n = mats.shape[1]
@@ -334,15 +333,14 @@ def _eigendecompose_stack(mats, needed=None, probe=None):
 
 def _stack_probes(probes, part, n):
     """The probe argument of :func:`_eigendecompose_stack` for the
-    Laplacians ``part`` of size n, or None when none of them has one."""
-    if probes is None or all(probes[i] is None for i in part):
+    Laplacians ``part`` of size n, or None without probes."""
+    if probes is None:
         return None
-    k = max(probes[i][0].shape[0] for i in part if probes[i] is not None)
+    k = max(probes[i][0].shape[0] for i in part)
     signals = np.zeros((len(part), k, n))
-    steps = np.zeros((len(part), n))
+    steps = np.empty((len(part), n))
     for b, i in enumerate(part):
-        if probes[i] is not None:
-            signals[b, : probes[i][0].shape[0]], steps[b] = probes[i]
+        signals[b, : probes[i][0].shape[0]], steps[b] = probes[i]
     return signals, steps
 
 
@@ -365,7 +363,7 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     Products with coefficients that are zero outside the mask are those
     of the full basis, up to the sign of a zero sum.
 
-    ``probes`` is None or one entry per Laplacian, in order: None, or
+    ``probes`` is None or one probe per Laplacian, in order:
     (signals, steps), a (k, n) array of the signals the caller transforms
     with the basis and the n quantizer steps of their coefficients.  A
     degenerate cluster is dropped like one with no needed column when,
@@ -388,7 +386,8 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     round-half-away gives level 0.
 
     Raises ValueError for an empty Laplacian, a mask of the wrong length,
-    a probe of the wrong shape or a step that is not positive, and
+    a missing probe, a probe of the wrong shape or a step that is not
+    positive, and
     DecompositionError if LAPACK fails or a basis (LAPACK's own columns,
     for a cluster left out) violates the reconstruction / orthonormality
     tolerances.
@@ -398,10 +397,9 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     if masks is not None and len(masks) != len(mats):
         raise ValueError(f"{len(masks)} column masks for {len(mats)} Laplacians")
     if probes is not None:
-        probes = [
-            None if p is None else tuple(np.asarray(a) for a in p)
-            for p in probes
-        ]
+        if any(p is None for p in probes):
+            raise ValueError("a None probe: give every Laplacian a probe, or probes=None")
+        probes = [tuple(np.asarray(a) for a in p) for p in probes]
         if len(probes) != len(mats):
             raise ValueError(f"{len(probes)} probes for {len(mats)} Laplacians")
     by_size = {}
@@ -411,7 +409,7 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
             raise ValueError("empty Laplacian")
         if masks is not None and masks[i].shape != (n,):
             raise ValueError(f"column mask of shape {masks[i].shape} for a {n}x{n} Laplacian")
-        if probes is not None and probes[i] is not None:
+        if probes is not None:
             signals, steps = probes[i]
             if signals.ndim != 2 or signals.shape[1] != n or steps.shape != (n,):
                 raise ValueError(

@@ -21,7 +21,7 @@ from srgc.segmentation import (
     SegmentationMap,
     SuperRay,
     assemble_super_rays,
-    fill_holes,
+    fill_cells,
     label_disparities,
     label_regions,
     median_disparity,
@@ -58,6 +58,22 @@ def random_lf(s, t, w, h, bit_depth=8, seed=0, channels=1):
         for _ in range(s * t)
     ]
     return make_lf(arrays, (s, t), bit_depth)
+
+
+def luma_planes_oracle(lf):
+    """Oracle: ``LightField.luma_planes`` as one BT.709 plane per view,
+    each rounded half away from zero and clamped to the sample range;
+    returns the list of int64 planes."""
+    out = []
+    for v in lf.views:
+        if v.channels == 1:
+            out.append(v.planes[0].astype(np.int64))
+            continue
+        r, g, b = (p.astype(np.float64) for p in v.planes)
+        y = 0.2126 * r + 0.7152 * g + 0.0722 * b
+        rounded = np.sign(y) * np.floor(np.abs(y) + 0.5)
+        out.append(np.clip(rounded.astype(np.int64), 0, lf.max_value))
+    return out
 
 
 def four_patch_scene(size=64, views=3, patch=16, seed=11):
@@ -244,9 +260,8 @@ def project_labels_oracle(ref_map, disparities, angular_dims):
     view with the reference map as fallback; identical output required."""
     ref = ref_map.reference
     count = ref_map.label_count
-    missing = [l for l in range(count) if l not in disparities]
-    if missing:
-        raise ValueError(f"labels without disparity: {missing}")
+    if len(disparities) != count:
+        raise ValueError(f"{len(disparities)} disparities for {count} labels")
     h, w = ref.shape
     s_count, t_count = angular_dims
     order = sorted(range(count), key=lambda l: (disparities[l], -l))
@@ -614,9 +629,25 @@ def coarse_mean_signal_oracle(fine_to_coarse, fine_signal):
     return np.array([f[mem].mean() for mem in supernodes(fine_to_coarse)])
 
 
+def fill_holes(grid, fallback):
+    """In-place majority fill of the -1 cells of a 2-D label grid, by
+    ``segmentation.fill_cells`` on a copy padded with outside cells; the
+    holes left when a round assigns nothing take ``fallback`` (a scalar or
+    a grid-shaped array).  The per-view fill of the projection and
+    reprojection oracles."""
+    h, w = grid.shape
+    work = np.full((h + 2, w + 2), -2, dtype=grid.dtype)
+    work[1:-1, 1:-1] = grid
+    flat = work.ravel()
+    fill_cells(flat, np.flatnonzero(flat == -1), w + 2)
+    grid[...] = work[1:-1, 1:-1]
+    stalled = grid == -1
+    grid[stalled] = np.broadcast_to(fallback, grid.shape)[stalled]
+
+
 def fill_holes_oracle(grid, fallback):
-    """Oracle: the hole-by-hole loop ``segmentation.fill_holes`` replaced;
-    identical output required."""
+    """Oracle: :func:`fill_holes` as the hole-by-hole loop that
+    ``segmentation.fill_cells`` replaced; identical output required."""
     h, w = grid.shape
     while True:
         holes = np.argwhere(grid == -1)
@@ -944,7 +975,7 @@ def label_disparities_oracle(seg, dmap):
     """Oracle: ``segmentation.label_disparities`` with one ``== l`` scan of
     the reference map per label, as before ``label_regions``."""
     ref = seg.reference
-    disparities = {}
+    disparities = np.empty(seg.label_count)
     for l in range(seg.label_count):
         region = np.argwhere(ref == l)
         if region.shape[0] == 0:

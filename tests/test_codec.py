@@ -1009,7 +1009,8 @@ def _solve_once(monkeypatch, solve=None):
     def cached(laps, needed=None, probes=None):
         laps = list(laps)
         masks = [None] * len(laps) if needed is None else list(needed)
-        probes = [None] * len(laps) if probes is None else list(probes)
+        probed = probes is not None
+        probes = list(probes) if probed else [None] * len(laps)
         keys = [
             (lap.matrix.shape, lap.matrix.tobytes(), None if mask is None else mask.tobytes(),
              _probe_key(probe))
@@ -1021,7 +1022,7 @@ def _solve_once(monkeypatch, solve=None):
             got = solve_all(
                 [lap for lap, _, _ in todo],
                 None if needed is None else [mask for _, mask, _ in todo],
-                [probe for _, _, probe in todo],
+                [probe for _, _, probe in todo] if probed else None,
             )
         else:
             got = []

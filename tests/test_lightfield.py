@@ -27,7 +27,7 @@ from srgc.lightfield import (
 )
 from srgc.util import round_half_away
 
-from conftest import lf_equal, make_lf, random_lf
+from conftest import lf_equal, luma_planes_oracle, make_lf, random_lf
 
 
 class TestViewIO:
@@ -137,6 +137,30 @@ class TestSampleRange:
     def test_sample_above_maxval_rejected(self):
         with pytest.raises(InconsistentViewsError, match="bit depth"):
             self._lf(np.full((4, 4), 256, dtype=np.int64))
+
+
+class TestSampleVolumes:
+    @pytest.mark.parametrize("bit_depth", [8, 10, 16])
+    def test_volumes_match_per_view_planes(self, bit_depth):
+        """On random RGB light fields, ``luma_planes()`` is the per-view
+        BT.709 oracle and ``channel_planes(c)`` the views' planes stacked,
+        each one int64 (views, H, W) volume."""
+        for seed in range(3):
+            lf = random_lf(2, 3, 7, 5, bit_depth=bit_depth, seed=seed, channels=3)
+            volumes = [lf.luma_planes()] + [lf.channel_planes(c) for c in range(3)]
+            wants = [luma_planes_oracle(lf)] + [
+                [v.planes[c].astype(np.int64) for v in lf.views] for c in range(3)
+            ]
+            for got, want in zip(volumes, wants):
+                assert got.dtype == np.int64 and got.shape == (6, 5, 7)
+                assert np.array_equal(got, np.stack(want))
+
+    def test_gray_luma_is_the_sample_plane(self):
+        lf = random_lf(2, 2, 4, 3, bit_depth=10, seed=5)
+        got = lf.luma_planes()
+        assert got.dtype == np.int64 and got.shape == (4, 3, 4)
+        assert np.array_equal(got, np.stack(luma_planes_oracle(lf)))
+        assert np.array_equal(got, lf.channel_planes(0))
 
 
 class TestDisparityIO:

@@ -1,5 +1,7 @@
 """SLIC segmentation, projection and super-ray assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from srgc.lightfield import DisparityMap, Patch, SceneSpec, synthesize_light_fie
 from srgc.segmentation import (
     SegmentationMap,
     assemble_super_rays,
-    fill_holes,
+    fill_cells,
     label_disparities,
     label_regions,
     label_shifts,
@@ -353,14 +355,14 @@ class TestProjection:
         for l in range(4):
             ref[l, l] = l  # ensure all labels present
         seg = SegmentationMap(labels=ref[None], label_count=4)
-        out = project_labels(seg, {l: 0.0 for l in range(4)}, (3, 3))
+        out = project_labels(seg, np.zeros(4), (3, 3))
         for view in out.labels:
             assert np.array_equal(view, ref)
 
     def test_single_label_shift_and_fill(self):
         ref = np.zeros((8, 8), dtype=np.int64)
         seg = SegmentationMap(labels=ref[None], label_count=1)
-        out = project_labels(seg, {0: 1.0}, (1, 2))
+        out = project_labels(seg, np.array([1.0]), (1, 2))
         # single label: every pixel labeled 0 in all views
         for view in out.labels:
             assert np.all(view == 0)
@@ -370,7 +372,7 @@ class TestProjection:
         pixels of every view."""
         ref = np.zeros((16, 16), dtype=np.int64)
         ref[:, 8:] = 1  # label 1 strip will slide over label 0
-        disparities = {0: 0.0, 1: 2.0}
+        disparities = np.array([0.0, 2.0])
         seg = SegmentationMap(labels=ref[None], label_count=2)
         out = project_labels(seg, disparities, (2, 3))
         for s in range(2):
@@ -387,7 +389,7 @@ class TestProjection:
         for l in range(5):
             ref[0, l] = l
         seg = SegmentationMap(labels=ref[None], label_count=5)
-        d = {l: l * 0.625 for l in range(5)}
+        d = np.arange(5) * 0.625
         a = project_labels(seg, d, (3, 3))
         b = project_labels(seg, d, (3, 3))
         for va, vb in zip(a.labels, b.labels):
@@ -396,55 +398,83 @@ class TestProjection:
     def test_fill_skips_cells_outside_the_region(self):
         # -2 cells are neither filled nor counted as neighbors
         grid = np.array([[0, -1, -2], [-2, -1, 1], [-2, -2, -1]])
-        fill_holes(grid, 9)
-        assert grid.tolist() == [[0, 0, -2], [-2, 1, 1], [-2, -2, 1]]
+        (got,) = _fill_blocks([grid])
+        assert got.tolist() == [[0, 0, -2], [-2, 1, 1], [-2, -2, 1]]
 
     def test_fill_stall_takes_fallback(self):
-        grid = np.array([[-1, -2, 3]])
-        fill_holes(grid, 7)
-        assert grid.tolist() == [[7, -2, 3]]
-        view = np.full((2, 2), -1)
-        fill_holes(view, np.arange(4).reshape(2, 2))
-        assert view.tolist() == [[0, 1], [2, 3]]
+        """``fill_cells`` leaves a stalled hole at -1, beside a block that
+        still fills; ``project_labels`` gives a view that no label reaches
+        the reference map."""
+        got = _fill_blocks([np.array([[-1, -2, 3]]), np.array([[-1, -1, 3]])])
+        assert [g.tolist() for g in got] == [[[-1, -2, 3]], [[3, 3, 3]]]
+        ref = np.arange(4).reshape(2, 2)
+        seg = SegmentationMap(labels=ref[None], label_count=4)
+        out = project_labels(seg, np.full(4, 8.0), (1, 2))
+        assert out.labels[1].tolist() == [[0, 1], [2, 3]]
 
     def test_fill_matches_loop_oracle_on_random_grids(self):
-        """Random grids of labels 0-3, holes and outside cells (-2, -3);
-        the fallback is the scalar 9 or a grid of labels >= 10, so a
-        result above 3 marks a stall."""
+        """Random grids of labels 0-3, holes and outside cells (-2, -3),
+        one to three of one width filled as the padded blocks of one
+        plane; each must fill as the loop oracle fills it alone, its
+        stalled holes left at -1."""
         rng = np.random.default_rng(17)
-        seen = dict(outside=0, tie=0, stall=0, scalar=0, array=0, multi_round=0)
+        seen = dict(outside=0, tie=0, stall=0, stall_beside_fill=0, multi_round=0)
         for case in range(300):
-            h, w = (int(x) for x in rng.integers(1, 9, size=2))
-            p = rng.dirichlet([1.0, 1.0, 1.0])
-            kind = rng.choice(3, size=(h, w), p=p)
-            grid = np.where(
-                kind == 0,
-                rng.integers(0, 4, size=(h, w)),
-                np.where(kind == 1, -1, -2 - rng.integers(0, 2, size=(h, w))),
-            )
-            fallback = 9 if case % 2 else 10 + np.arange(h * w).reshape(h, w)
-            want = grid.copy()
-            fill_holes_oracle(want, fallback)
-            got = grid.copy()
-            fill_holes(got, fallback)
-            assert got.dtype == want.dtype and np.array_equal(got, want)
-            seen["outside"] += bool((grid < -1).any())
-            seen["tie"] += _first_round_has_tie(grid)
-            stalled = bool((want > 3).any())
-            seen["stall"] += stalled
-            seen["scalar" if case % 2 else "array"] += stalled
-            seen["multi_round"] += any(
-                not _labeled_neighbors(grid, y, x) and 0 <= want[y, x] <= 3
-                for y, x in np.argwhere(grid == -1)
-            )
+            w = int(rng.integers(1, 9))
+            grids = []
+            for _ in range(int(rng.integers(1, 4))):
+                h = int(rng.integers(1, 9))
+                p = rng.dirichlet([1.0, 1.0, 1.0])
+                kind = rng.choice(3, size=(h, w), p=p)
+                grids.append(np.where(
+                    kind == 0,
+                    rng.integers(0, 4, size=(h, w)),
+                    np.where(kind == 1, -1, -2 - rng.integers(0, 2, size=(h, w))),
+                ))
+            stalls = []
+            for grid, got in zip(grids, _fill_blocks(grids)):
+                want = grid.copy()
+                fill_holes_oracle(want, -1)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+                seen["outside"] += bool((grid < -1).any())
+                seen["tie"] += _first_round_has_tie(grid)
+                stalls.append(bool((want == -1).any()))
+                seen["multi_round"] += any(
+                    not _labeled_neighbors(grid, y, x) and want[y, x] >= 0
+                    for y, x in np.argwhere(grid == -1)
+                )
+            seen["stall"] += any(stalls)
+            seen["stall_beside_fill"] += any(stalls) and not all(stalls)
         assert min(seen.values()) > 0, seen
+
+    def test_projection_peak_memory_per_label_cell(self):
+        """Memory guard: the ``tracemalloc`` peak of one projection of a
+        64 x 64 map of 16 x 16 blocks into 5 x 5 views, at disparities
+        that leave holes, stays under 24 bytes per output label cell.  The
+        output volume takes 8 of them and the padded plane about 8 more;
+        the fill through a reference-map tiling and two padded copies of
+        all views peaked at 33.7."""
+        y, x = np.divmod(np.arange(64 * 64), 64)
+        ref = ((y // 16) * 4 + x // 16).reshape(64, 64)
+        seg = SegmentationMap(labels=ref[None], label_count=16)
+        disparities = (np.arange(16) * 7 % 13) / 8.0
+        project_labels(seg, disparities, (5, 5))
+        tracemalloc.start()
+        try:
+            out = project_labels(seg, disparities, (5, 5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (out.labels == -1).sum() == 0
+        assert peak < 24 * out.labels.size, peak / out.labels.size
 
     def test_missing_disparity_rejected(self):
         seg = SegmentationMap(labels=np.zeros((1, 4, 4), dtype=np.int64), label_count=1)
-        with pytest.raises(ValueError):
-            project_labels(seg, {}, (1, 2))
-        with pytest.raises(ValueError):
-            project_labels_oracle(seg, {}, (1, 2))
+        for disparities in (np.zeros(0), np.zeros(2)):
+            with pytest.raises(ValueError):
+                project_labels(seg, disparities, (1, 2))
+            with pytest.raises(ValueError):
+                project_labels_oracle(seg, disparities, (1, 2))
 
     def test_matches_per_view_oracle_on_random_maps(self):
         """Random reference maps with 1/8-px disparities in [-20, 20]:
@@ -463,10 +493,9 @@ class TestProjection:
             ref = rng.integers(0, count, size=(h, w))
             ref.flat[rng.permutation(h * w)[:count]] = np.arange(count)  # no orphan
             scale = 20 if case % 4 == 0 else 3
-            disparities = {
-                l: float(rng.integers(-8 * scale, 8 * scale + 1)) / 8.0
-                for l in range(count)
-            }
+            disparities = np.array([
+                float(rng.integers(-8 * scale, 8 * scale + 1)) / 8.0 for _ in range(count)
+            ])
             angular = ((1, 1), (1, 3), (2, 3), (3, 3))[case % 4]
             seg = SegmentationMap(labels=ref[None], label_count=count)
             got = project_labels(seg, disparities, angular)
@@ -478,7 +507,7 @@ class TestProjection:
                 assert np.array_equal(a, b)
             seen["row"] += h == 1
             seen["column"] += w == 1
-            seen["negative"] += any(d < 0 for d in disparities.values())
+            seen["negative"] += bool((disparities < 0).any())
             for v in range(1, angular[0] * angular[1]):
                 s, t = divmod(v, angular[1])
                 direct = brute_force_projection(ref, disparities, s, t)
@@ -501,7 +530,7 @@ class TestSuperRays:
         for l in range(6):
             ref[l, 0] = l
         seg = SegmentationMap(labels=ref[None], label_count=6)
-        out = project_labels(seg, {l: float(l % 3) for l in range(6)}, (2, 2))
+        out = project_labels(seg, np.arange(6) % 3.0, (2, 2))
         rays = build_super_rays(out, flat_dmap(18, 18))
         for v in range(4):
             total = sum(per_view(r, 4)[v].shape[0] for r in rays)
@@ -546,7 +575,8 @@ class TestSuperRays:
         rays = build_super_rays(seg, dmap)
         # lower median of {0.3,0.3,0.9,0.9} = 0.3, eighth-quantized
         assert rays[0].disparity == pytest.approx(0.25)
-        assert label_disparities(seg, dmap) == {0: 0.25}
+        got = label_disparities(seg, dmap)
+        assert got.dtype == np.float64 and got.tolist() == [0.25]
 
 
 class TestLabelRegions:
@@ -577,7 +607,8 @@ class TestLabelRegions:
             dmap = DisparityMap(values=rng.uniform(0.0, 2.0, size=(12, 10)))
             seg = SegmentationMap(labels=ref[None], label_count=count)
             disparities = label_disparities(seg, dmap)
-            assert disparities == label_disparities_oracle(seg, dmap)
+            want = label_disparities_oracle(seg, dmap)
+            assert disparities.dtype == want.dtype and np.array_equal(disparities, want)
             views = project_labels(seg, disparities, (2, 3))
             got = assemble_super_rays(views, disparities)
             want = assemble_super_rays_oracle(views, disparities)
@@ -601,6 +632,20 @@ def _has_conflict(ref, disparities, s, t):
                 if owner.setdefault(key, ref[y, x]) != ref[y, x]:
                     return True
     return False
+
+
+def _fill_blocks(grids):
+    """``fill_cells`` on 2-D grids of one width W laid out as
+    ``project_labels`` lays out views: (h + 1) x (W + 1) blocks of one
+    plane under a leading pad row, pads at -2.  Returns the filled grids."""
+    w = grids[0].shape[1]
+    tops = np.cumsum([1] + [g.shape[0] + 1 for g in grids])
+    plane = np.full((tops[-1], w + 1), -2, dtype=np.int64)
+    for grid, top in zip(grids, tops):
+        plane[top : top + grid.shape[0], :w] = grid
+    flat = plane.ravel()
+    fill_cells(flat, np.flatnonzero(flat == -1), w + 1)
+    return [plane[top : top + g.shape[0], :w] for g, top in zip(grids, tops)]
 
 
 def _labeled_neighbors(grid, y, x):

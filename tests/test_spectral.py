@@ -710,6 +710,7 @@ class TestEigendecomposeAll:
     def test_probe_shape_and_steps_checked(self):
         laps = [laplacian(path_graph(3)), laplacian(path_graph(4))]
         steps = [np.ones(3), np.ones(4)]
+        good = [(np.ones((1, 3)), steps[0]), (np.ones((1, 4)), steps[1])]
         with pytest.raises(ValueError, match="1 probes for 2 Laplacians"):
             eigendecompose_all(laps, probes=[(np.ones((1, 3)), steps[0])])
         for signals, step in [
@@ -718,12 +719,15 @@ class TestEigendecomposeAll:
             (np.ones((1, 3)), np.ones(4)),  # step count
         ]:
             with pytest.raises(ValueError, match="probe of shapes"):
-                eigendecompose_all(laps, probes=[(signals, step), None])
+                eigendecompose_all(laps, probes=[(signals, step), good[1]])
         for bad in (0.0, -1.0, np.nan):
             step = np.ones(4)
             step[2] = bad
             with pytest.raises(ValueError, match="probe steps must be positive"):
-                eigendecompose_all(laps, probes=[None, (np.ones((2, 4)), step)])
+                eigendecompose_all(laps, probes=[good[0], (np.ones((2, 4)), step)])
+        for probes in ([None, good[1]], [good[0], None]):
+            with pytest.raises(ValueError, match="None probe"):
+                eigendecompose_all(laps, probes=probes)
 
     def test_decoder_canonicalizes_few_columns(self, monkeypatch):
         """Work guard: one decode of the ``partition`` bench scene (seed 1)
