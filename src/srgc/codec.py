@@ -48,10 +48,15 @@ reads the main's basis at its own nonzero coefficients, which the main's
 probe does not see: after grouping, each main with a dropped column that
 such a member reads is solved again, whole, in one more eigen-stage call
 without probes, so the residuals, and the stream, are those of full
-bases.  The reports' ``eig_count`` stays the paper's count (every unit on
-the encoder, ungrouped units plus one main per group on the decoder) and
-``eig_solved`` counts the distinct solves behind it, the encoder's
-re-solved mains included.
+bases.  A connected graph's basis has the exact constant DC column, and
+a connected graph whose mask (decoder) or probe (encoder) shows that
+nothing past that column is read takes it alone, with no Laplacian and
+no solve (:func:`spectral.dc_only`); a member reading past its main's
+DC column has the main re-solved as above.  The reports' ``eig_count``
+stays the paper's count (every unit on the encoder, ungrouped units plus
+one main per group on the decoder) and ``eig_solved`` counts the
+distinct graphs sent to LAPACK behind it, the encoder's re-solved mains
+included.
 Everything outside wall-clock timings is a deterministic function of
 (light field, disparity map, config): canonical orderings throughout, and
 no thread pool.  ``threads`` (config field, ``decode`` argument) is still
@@ -86,6 +91,9 @@ from .segmentation import (
 from .spectral import (
     coarse_mean_signal,
     coarsen,
+    connected_graphs,
+    dc_basis,
+    dc_only,
     eigendecompose,  # not called here; perfbench/spans.py traces this name
     eigendecompose_all,
     graph_structure,
@@ -159,7 +167,7 @@ class EncodeReport:
     group_count: int = 0
     grouped_count: int = 0
     eig_count: int = 0        # the paper's count: one per unit
-    eig_solved: int = 0       # distinct graphs actually solved, re-solved mains included
+    eig_solved: int = 0       # distinct graphs sent to LAPACK, re-solved mains included
     # seconds per stage in pipeline order; "graphs" builds (and partitions)
     # the pixel graphs, "coarsen" coarsens them and takes the unit signals
     times: dict = field(default_factory=dict)
@@ -200,7 +208,7 @@ class DecodeReport:
     group_count: int = 0
     grouped_count: int = 0
     eig_count: int = 0        # the paper's count: ungrouped units + groups
-    eig_solved: int = 0       # distinct graphs actually solved
+    eig_solved: int = 0       # distinct graphs sent to LAPACK
     # seconds per stage: "entropy" first, the entropy decoding of every
     # section, then the rest in pipeline order without it; "graphs" and
     # "coarsen" as in EncodeReport, without the unit signals
@@ -274,13 +282,16 @@ def _coarsen_graphs(fines, n_target):
 
 def _eigenbases(graphs, needed=None, probes=None):
     """(the eigenbasis of every graph, the number of distinct graphs
-    solved).  Each distinct graph's Laplacian is built once and all of
-    them are solved in one :func:`eigendecompose_all` call; equal graphs
-    share one basis, which is only read.  ``needed`` is None or one
-    column mask per graph; a distinct graph's mask is the OR of its
-    graphs' masks.  ``probes`` is None or one probe (signals, steps) per
-    graph; a distinct graph's probe stacks its graphs' signals under the
-    smallest of their steps."""
+    solved by LAPACK).  Equal graphs share one basis, which is only read.
+    ``needed`` is None or one column mask per graph; a distinct graph's
+    mask is the OR of its graphs' masks.  ``probes`` is None or one probe
+    (signals, steps) per graph; a distinct graph's probe stacks its
+    graphs' signals under the smallest of their steps.  The distinct
+    graphs' connectivity comes from one :func:`connected_graphs` pass; a
+    connected one whose mask or probe :func:`dc_only` passes takes
+    :func:`dc_basis`, with no Laplacian built, and the Laplacians of the
+    others are built once and solved in one :func:`eigendecompose_all`
+    call."""
     distinct, which = _distinct_graphs(graphs)
     masks = None
     if needed is not None:
@@ -296,8 +307,17 @@ def _eigenbases(graphs, needed=None, probes=None):
             (np.concatenate([s for s, _ in ps]), np.minimum.reduce([q for _, q in ps]))
             for ps in shared
         ]
-    bases = eigendecompose_all((laplacian(g) for g in distinct), masks, merged)
-    return [bases[i] for i in which], len(distinct)
+    connected = connected_graphs(distinct)
+    closed = dc_only(connected, masks, merged)
+    solve = np.flatnonzero(~closed).tolist()
+    solved = iter(eigendecompose_all(
+        (laplacian(distinct[i]) for i in solve),
+        None if masks is None else [masks[i] for i in solve],
+        None if merged is None else [merged[i] for i in solve],
+        connected[solve],
+    ))
+    bases = [dc_basis(g.n) if c else next(solved) for g, c in zip(distinct, closed.tolist())]
+    return [bases[i] for i in which], len(solve)
 
 
 def _build_units(sources, angular_dims, mode, n_target, watch):
@@ -476,14 +496,17 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         )
     watch = _Stopwatch()
     maxval = lf.max_value
-    # one (views, H, W) int64 sample volume per coded channel
+    # one (views, H, W) int64 sample volume per coded channel; SLIC reads
+    # the reference view's luma, and with every channel coded the luma
+    # volume goes once it has
     luma = lf.luma_planes()
+    seg_ref = slic_segment(luma[0], cfg.slic_k, cfg.compactness)
     volumes = [luma]
     if cfg.channels == "all" and lf.channels == 3:
         volumes = [lf.channel_planes(c) for c in range(3)]
+    del luma
     n_channels = len(volumes)
 
-    seg_ref = slic_segment(luma[0], cfg.slic_k, cfg.compactness)
     disparities = label_disparities(seg_ref, dmap)
     watch.lap("segmentation")
 

@@ -22,7 +22,14 @@ Gram-Schmidt on the rows of each cluster block, one step per picked axis:
 the pivots are the axes the per-axis projection would pick, in the same
 order and under the same 1e-7 tolerance.  For a disconnected graph this
 makes the zero-eigenvalue basis the set of normalized component
-indicators.  :func:`eigendecompose_all` runs the whole stage batched: one
+indicators.  For a connected graph (:func:`connected_graphs`) column 0
+is exactly the constant unit vector ``1 / sqrt(n)``, the null space of
+its Laplacian, in a cluster of its own: LAPACK's own column 0 is off by
+rounding noise, which would move DC levels that sit on a rounding tie.
+:func:`dc_basis` is that column alone, and :func:`dc_only` says when it
+is all a caller reads, so the graph needs no LAPACK solve at all; the
+codec's ``eig_solved`` counts LAPACK solves only.
+:func:`eigendecompose_all` runs the whole stage batched: one
 stacked LAPACK call per size n (per 256 KiB of matrices), and one stacked
 Gram-Schmidt per stack and cluster size over all such clusters, with
 results bit-equal to diagonalizing each Laplacian alone.  Given column
@@ -69,6 +76,7 @@ import numpy as np
 
 from .errors import DecompositionError
 from .segmentation import SuperRay, fill_cells, label_shifts
+from .util import component_roots
 
 _EIG_RECON_TOL = 1e-8
 _EIG_ORTHO_TOL = 1e-8
@@ -213,12 +221,79 @@ def laplacian(g: LocalGraph) -> Laplacian:
     return Laplacian(matrix=l)
 
 
-def _cluster_bounds(vals, tol=_EIG_CLUSTER_TOL):
+def connected_graphs(graphs) -> np.ndarray:
+    """Whether each graph of ``graphs`` (each of at least one vertex) is
+    connected, from one :func:`util.component_roots` pass over their
+    disjoint union: a graph is connected when every one of its vertices
+    has its first vertex as root."""
+    sizes = np.array([g.n for g in graphs], dtype=np.int64)
+    if not sizes.size:
+        return np.zeros(0, dtype=bool)
+    firsts = np.cumsum(sizes) - sizes
+    edges = np.concatenate([g.edges + lo for g, lo in zip(graphs, firsts.tolist())])
+    roots = component_roots(int(sizes.sum()), edges[:, 0], edges[:, 1])
+    return np.logical_and.reduceat(roots == np.repeat(firsts, sizes), firsts)
+
+
+def dc_basis(n) -> EigenBasis:
+    """The closed-form basis of a connected graph on n vertices whose
+    caller reads column 0 only: column 0 is the constant unit vector, as
+    :func:`eigendecompose_all` gives it, every other column is zero, and
+    so is every eigenvalue but the first, which is not computed (NaN)."""
+    vectors = np.zeros((n, n))
+    vectors[:, 0] = 1 / np.sqrt(n)
+    eigenvalues = np.full(n, np.nan)
+    eigenvalues[0] = 0.0
+    return EigenBasis(eigenvalues=eigenvalues, vectors=vectors)
+
+
+def dc_only(connected, needed=None, probes=None) -> np.ndarray:
+    """Which graphs take :func:`dc_basis` instead of a solve, given each
+    one's connectivity and, as for :func:`eigendecompose_all`, its column
+    mask or its probe (neither: none).  A connected graph qualifies when
+    its mask reads nothing beyond column 0, or when for every signal f of
+    its probe
+
+        ||f - mean(f)|| * (1 + 1e-6) + (1e-8 + 1e-9) * ||f|| < q / 2,
+
+    where q is the smallest step over columns 1..n - 1 (n = 1 always
+    qualifies).  Then every coefficient but the DC one quantizes to level
+    0 in the solved basis too, so the levels are the solved basis's.  The
+    derivation: the solved basis has column 0 u = 1 / sqrt(n) exactly,
+    and the checks bound every other column b by ||b|| <= 1 + 1e-8 and
+    |b^T u| <= 1e-8.  With g = f - mean(f), orthogonal to u, f = g +
+    (u^T f) u, so |b^T f| <= ||b|| ||g|| + |b^T u| |u^T f| <= (1 + 1e-8)
+    ||g|| + 1e-8 ||f||: the relative margin covers ||b|| and the rounding
+    of the computed norm, the absolute one the orthogonality tolerance
+    plus, as in :func:`eigendecompose_all`'s probe rule, the rounding of
+    b^T f and of the mean, at most about n * 2**-53 * ||f|| each.  This is
+    that rule with the whole non-DC subspace as one cluster."""
+    connected = np.asarray(connected, dtype=bool)
+    if needed is not None:
+        reads = [mask[1:].any() for mask in needed]
+    elif probes is not None:
+        reads = []
+        for signals, steps in probes:
+            g = np.linalg.norm(signals - signals.mean(axis=1, keepdims=True), axis=1)
+            bound = g * (1 + _PROBE_REL) + (_EIG_ORTHO_TOL + _PROBE_ABS) * np.linalg.norm(
+                signals, axis=1
+            )
+            half = 0.5 * steps[1:].min(initial=np.inf)
+            reads.append(not (bound < half).all())
+    else:
+        return np.zeros(connected.shape, dtype=bool)
+    return connected & ~np.array(reads, dtype=bool)
+
+
+def _cluster_bounds(vals, alone=None, tol=_EIG_CLUSTER_TOL):
     """(rows, starts, stops) of the eigenvalue clusters of every row of a
     (B, n) array: runs of ascending eigenvalues whose consecutive gaps stay
-    below ``tol``, listed row by row."""
+    below ``tol``, listed row by row; in the rows that ``alone`` (None or
+    a (B,) bool array) flags, column 0 is a cluster of its own."""
     cut = np.ones((vals.shape[0], vals.shape[1] + 1), dtype=bool)
     cut[:, 1:-1] = np.diff(vals, axis=1) >= tol
+    if alone is not None:
+        cut[:, 1] |= alone
     rows, pos = np.nonzero(cut)
     same = rows[:-1] == rows[1:]
     return rows[:-1][same], pos[:-1][same], pos[1:][same]
@@ -271,9 +346,11 @@ def _apply_sign_convention(vecs):
     return vecs
 
 
-def _eigendecompose_stack(mats, needed=None, probe=None):
+def _eigendecompose_stack(mats, needed=None, probe=None, connected=None):
     """Diagonalize a (B, n, n) stack of Laplacians; returns the (B, n)
     eigenvalues and the (B, n, n) eigenvectors in the convention above.
+    ``connected`` is None or a (B,) bool array of the Laplacians whose
+    column 0 is the constant unit vector, a cluster of its own.
 
     ``needed`` is None or a (B, n) bool array of the columns the caller
     reads.  ``probe`` is None or (signals, steps): a (B, k, n) stack of
@@ -289,7 +366,9 @@ def _eigendecompose_stack(mats, needed=None, probe=None):
         vals, vecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as e:
         raise DecompositionError(f"decomposition failure for {n}x{n} matrix: {e}") from e
-    rows, starts, stops = _cluster_bounds(vals)
+    if connected is not None:
+        vecs[connected, :, 0] = 1 / np.sqrt(n)
+    rows, starts, stops = _cluster_bounds(vals, connected)
     sizes = stops - starts
     canon = sizes > 1
     # the clusters tile each row in order: each starts at its flat offset
@@ -344,7 +423,7 @@ def _stack_probes(probes, part, n):
     return signals, steps
 
 
-def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
+def eigendecompose_all(laplacians, needed=None, probes=None, connected=None) -> list:
     """Diagonalize an iterable of Laplacians into EigenBases, returned in
     input order.
 
@@ -385,9 +464,16 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     more than the rounding of |x| / q and of its sum with 0.5, and
     round-half-away gives level 0.
 
-    Raises ValueError for an empty Laplacian, a mask of the wrong length,
-    a missing probe, a probe of the wrong shape or a step that is not
-    positive, and
+    ``connected`` is None (none) or one flag per Laplacian, in order:
+    whether its graph is connected (:func:`connected_graphs`).  A flagged
+    Laplacian's column 0 is exactly ``np.full(n, 1 / np.sqrt(n))`` and a
+    cluster of its own; every other column keeps its unflagged bits.  (A
+    connected graph's second eigenvalue is at least 4 / n**2, so the cut
+    after column 0 splits no cluster for n below 6 * 10**4.)
+
+    Raises ValueError for an empty Laplacian, a mask or a flag list of
+    the wrong length, a missing probe, a probe of the wrong shape or a
+    step that is not positive, and
     DecompositionError if LAPACK fails or a basis (LAPACK's own columns,
     for a cluster left out) violates the reconstruction / orthonormality
     tolerances.
@@ -396,6 +482,10 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     masks = None if needed is None else [np.asarray(k, dtype=bool) for k in needed]
     if masks is not None and len(masks) != len(mats):
         raise ValueError(f"{len(masks)} column masks for {len(mats)} Laplacians")
+    if connected is not None:
+        connected = np.asarray(connected, dtype=bool)
+        if connected.shape != (len(mats),):
+            raise ValueError(f"{connected.size} connectivity flags for {len(mats)} Laplacians")
     if probes is not None:
         if any(p is None for p in probes):
             raise ValueError("a None probe: give every Laplacian a probe, or probes=None")
@@ -427,7 +517,10 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
             for i in part:
                 mats[i] = None
             part_needed = None if masks is None else np.stack([masks[i] for i in part])
-            vals, vecs = _eigendecompose_stack(stack, part_needed, _stack_probes(probes, part, n))
+            vals, vecs = _eigendecompose_stack(
+                stack, part_needed, _stack_probes(probes, part, n),
+                None if connected is None else connected[part],
+            )
             # own arrays, laid out as a lone call returns them, so later BLAS
             # calls on a basis see the same layout and no basis pins the stack
             for i, w, v in zip(part, vals, vecs):
@@ -435,9 +528,10 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     return bases
 
 
-def eigendecompose(l: Laplacian) -> EigenBasis:
-    """Diagonalize one Laplacian: ``eigendecompose_all([l])[0]``."""
-    return eigendecompose_all([l])[0]
+def eigendecompose(l: Laplacian, connected=False) -> EigenBasis:
+    """Diagonalize one Laplacian, of a connected graph or not:
+    ``eigendecompose_all([l], connected=[connected])[0]``."""
+    return eigendecompose_all([l], connected=[connected])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -519,12 +519,25 @@ def apply_sign_convention_oracle(vecs):
     return vecs
 
 
+def laplacian_connected_oracle(lap):
+    """Oracle: whether a Laplacian's graph is connected, by flood fill over
+    its nonzero off-diagonal entries."""
+    n = lap.matrix.shape[0]
+    return connected_components(n, np.argwhere(np.triu(lap.matrix, 1) != 0))[1] == 1
+
+
 def _eigendecompose_by_cluster(lap, canonicalize):
     """One LAPACK call, ``canonicalize`` on every degenerate cluster block,
-    the sign rule; no tolerance checks."""
+    the sign rule; no tolerance checks.  For a connected graph
+    (:func:`laplacian_connected_oracle`) column 0 is the constant unit
+    vector and a cluster of its own."""
     vals, vecs = np.linalg.eigh(lap.matrix)
     vecs = vecs.copy()
-    for cluster in cluster_eigenvalues_oracle(vals):
+    clusters = cluster_eigenvalues_oracle(vals)
+    if laplacian_connected_oracle(lap):
+        vecs[:, 0] = np.full(vals.size, 1 / np.sqrt(vals.size))
+        clusters = [[0], clusters[0][1:], *clusters[1:]]
+    for cluster in clusters:
         if len(cluster) > 1:
             lo, hi = cluster[0], cluster[-1] + 1
             vecs[:, lo:hi] = canonicalize(vecs[:, lo:hi])
@@ -582,9 +595,12 @@ def coarsen_graphs_oracle(fines, n_target):
 def eigenbases_oracle(graphs, needed=None, probes=None):
     """Oracle: the per-unit eigen stage ``codec._eigenbases`` replaced, one
     Laplacian per graph, repeated graphs included, all solved in one
-    ``eigendecompose_all`` call, each with its own column mask and probe;
-    every graph counts as solved."""
-    return eigendecompose_all((laplacian(g) for g in graphs), needed, probes), len(graphs)
+    ``eigendecompose_all`` call, each with its own column mask and probe
+    and its flood-filled connectivity; no closed-form basis, and every
+    graph counts as solved."""
+    connected = [connected_components(g.n, g.edges)[1] == 1 for g in graphs]
+    laps = (laplacian(g) for g in graphs)
+    return eigendecompose_all(laps, needed, probes, connected), len(graphs)
 
 
 def probe_mask_oracle(lap, probe):

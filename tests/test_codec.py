@@ -42,7 +42,7 @@ from srgc.lightfield import (
     synthesize_light_field,
 )
 from srgc.segmentation import assemble_super_rays
-from srgc.spectral import LocalGraph, eigendecompose, laplacian, split_graph
+from srgc.spectral import LocalGraph, dc_basis, eigendecompose, laplacian, split_graph
 
 from conftest import (
     assemble_super_rays_oracle,
@@ -50,6 +50,7 @@ from conftest import (
     cluster_eigenvalues_oracle,
     coarsen_graphs_oracle,
     coarsen_oracle,
+    connected_components,
     derive_group_members_oracle,
     drop_unread_clusters_oracle,
     eigenbases_oracle,
@@ -980,7 +981,7 @@ def test_runtime_loads_no_scipy(tmp_path):
         "gate": ["ccf33119d1dfa06e", "1375726447ec6c54"],
         "no_grouping": ["89daf45a88932e1c", "53a7ae600a6d7c25"],
         "partition": ["50a1958a19873af6", "9baf83f90b7354a5"],
-        "rgb_all": ["a9297e2f47a0a2b6", "606ccb74901da4a3"],
+        "rgb_all": ["568ebc7d0fdef9ca", "85e95f378c6b370d"],
         "small": ["7d7295468b249c57", "6610672ab9bd91a1"],
     }
 
@@ -994,27 +995,28 @@ def _probe_key(probe):
 
 def _solve_once(monkeypatch, solve=None):
     """Memoize the codec's eigen stage ``eigendecompose_all`` by Laplacian
-    bytes, column mask and probe, solving the misses of each call with
-    ``solve`` one Laplacian at a time, its mask and its probe's mask
-    (``probe_mask_oracle``) applied by ``drop_unread_clusters_oracle``
-    (default: one ``eigendecompose_all`` call).  A basis is a pure
-    function of its Laplacian, mask and probe, so every run of a test
-    shares one set of solves and the test times the stages it compares.
-    Returns the memo, which the test asserts non-empty: a codec that
-    stopped calling ``codec.eigendecompose_all`` would otherwise bypass
-    the hook."""
+    bytes, column mask, probe and connectivity flag, solving the misses of
+    each call with ``solve`` one Laplacian at a time, its mask and its
+    probe's mask (``probe_mask_oracle``) applied by
+    ``drop_unread_clusters_oracle`` (default: one ``eigendecompose_all``
+    call).  A basis is a pure function of its Laplacian, mask, probe and
+    flag, so every run of a test shares one set of solves and the test
+    times the stages it compares.  Returns the memo, which the test
+    asserts non-empty: a codec that stopped calling
+    ``codec.eigendecompose_all`` would otherwise bypass the hook."""
     bases = {}
     solve_all = codec.eigendecompose_all
 
-    def cached(laps, needed=None, probes=None):
+    def cached(laps, needed=None, probes=None, connected=None):
         laps = list(laps)
         masks = [None] * len(laps) if needed is None else list(needed)
         probed = probes is not None
         probes = list(probes) if probed else [None] * len(laps)
+        flags = [False] * len(laps) if connected is None else [bool(c) for c in connected]
         keys = [
             (lap.matrix.shape, lap.matrix.tobytes(), None if mask is None else mask.tobytes(),
-             _probe_key(probe))
-            for lap, mask, probe in zip(laps, masks, probes)
+             _probe_key(probe), flag)
+            for lap, mask, probe, flag in zip(laps, masks, probes, flags)
         ]
         missing = {k: args for k, *args in zip(keys, laps, masks, probes) if k not in bases}
         todo = list(missing.values())
@@ -1023,6 +1025,7 @@ def _solve_once(monkeypatch, solve=None):
                 [lap for lap, _, _ in todo],
                 None if needed is None else [mask for _, mask, _ in todo],
                 [probe for _, _, probe in todo] if probed else None,
+                [k[-1] for k in missing],
             )
         else:
             got = []
@@ -1083,7 +1086,8 @@ def _patch_per_unit_oracles(monkeypatch):
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_distinct_graph_reuse_matches_per_unit_oracles_end_to_end(case, monkeypatch):
-    """Coarsening and solving each distinct graph once leaves every stream
+    """Coarsening and solving each distinct graph once, and giving the
+    closed-form DC basis where it is all a side reads, leaves every stream
     byte and decoded sample as coarsening and solving every unit does."""
     lf, dmap, cfg = ORACLE_CASES[case]()
     data, rec = _round_trip(lf, dmap, cfg)
@@ -1098,19 +1102,26 @@ def test_distinct_graph_reuse_matches_per_unit_oracles_end_to_end(case, monkeypa
 
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
-    """Each solved unit's basis, shared or not, has the bits a lone
-    ``eigendecompose(laplacian(graph))`` of its graph gives, on both
-    sides: every unit on the encoder, and on the decoder every unit that
-    is not predicted from a group's main, except for the clusters each
-    side drops.  A side keeps a column for a unit when the decoder's
+    """Each unit's basis, shared or not, has the bits a lone
+    ``eigendecompose(laplacian(graph), connected)`` of its graph gives on
+    every column its side reads, on both sides: every unit on the
+    encoder, and on the decoder every unit that is not predicted from a
+    group's main.  A side keeps a column for a unit when the decoder's
     column mask needs it, or when the encoder's probe rule
     (``probe_mask_oracle``) keeps it; every encoder unit probes.  A
     shared basis keeps the OR of its units' columns, and a degenerate
-    cluster with no kept column is zero.  On the encoder, every dropped
-    cluster of a unit has level 0 in every channel under the lone solve's
-    full basis, and a main whose dropped column a member predicted from
-    it reads is solved again in one more call, whole: in ``small`` one
-    main is, and its basis is the lone solve's bit for bit."""
+    cluster with no kept column is zero.  A distinct graph that takes the
+    closed-form DC basis (column 0 of the lone solve, every other column
+    and eigenvalue zero and NaN) is connected (flood fill), and its side
+    reads nothing past column 0: the decoder's mask needs none of those
+    columns (and every connected graph whose mask needs none takes it),
+    and on the encoder each of its units' signals has level 0 there under
+    the lone solve.  Only the other graphs count as solved.  On the
+    encoder, every dropped column of a unit has level 0 in every channel
+    under the lone solve, and a main whose dropped column a member
+    predicted from it reads is solved again in one more call, whole: in
+    ``small`` one main is, and its basis is the lone solve's bit for
+    bit."""
     lf, dmap, cfg = ORACLE_CASES[case]()
     eigenbases = codec._eigenbases
     solved = []
@@ -1120,6 +1131,10 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
         # a copy: the encoder puts its re-solved mains into the list it gets
         solved.append((graphs, needed, probes, list(bases), count))
         return bases, count
+
+    def lone_solve(graph):
+        connected = connected_components(graph.n, graph.edges)[1] == 1
+        return eigendecompose(laplacian(graph), connected), connected
 
     monkeypatch.setattr(codec, "_eigenbases", spy)
     stream, enc = encode(lf, dmap, cfg, debug=True)
@@ -1136,41 +1151,61 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     assert masked[2] is None and len(masked[1]) == len(want_units[1])
     assert enc.eig_solved == probed[4] + sum(count for *_, count in resolved)
     if case == "small":
-        assert (enc.eig_count, probed[4], enc.eig_solved) == (7, 7, 8)
+        assert (enc.eig_count, probed[4], enc.eig_solved) == (7, 6, 7)
     mains = {id(enc.debug.units[main].graph) for main in predicted.values()}
     for graphs, needed, probes, bases, count in resolved:
         assert needed is None and probes is None
         assert 0 < len(graphs) == count and {id(g) for g in graphs} <= mains
         for graph, basis in zip(graphs, bases):
-            lone = eigendecompose(laplacian(graph))
+            lone, _ = lone_solve(graph)
             assert np.array_equal(basis.eigenvalues, lone.eigenvalues)
             assert np.array_equal(basis.vectors, lone.vectors)
     dropped_levels = 0
+    closed_counts = []
     for (graphs, needed, probes, bases, count), units, report in zip(
         (probed, masked), want_units, (enc, dec)
     ):
         assert len(units) == len(bases) == report.eig_count >= count
         distinct, which = codec._distinct_graphs(graphs)
-        lone = [eigendecompose(laplacian(g)) for g in distinct]
+        lone, connected = zip(*(lone_solve(g) for g in distinct))
         masks = [np.zeros(g.n, dtype=bool) for g in distinct]
         for j, (i, graph) in enumerate(zip(which, graphs)):
             masks[i] |= (
                 needed[j] if needed is not None
                 else probe_mask_oracle(laplacian(graph), probes[j])
             )
+        closed = [np.isnan(bases[which.index(i)].eigenvalues).any() for i in range(len(distinct))]
+        assert count == closed.count(False)
+        closed_counts.append(closed.count(True))
         for j, (u, graph, basis, i) in enumerate(zip(units, graphs, bases, which)):
             assert graph is u.graph
-            want = drop_unread_clusters_oracle(lone[i], masks[i])
-            assert np.array_equal(basis.eigenvalues, want.eigenvalues)
-            assert np.array_equal(basis.vectors, want.vectors)
-            if probes is not None:
+            if closed[i]:
+                assert connected[i]
+                want = dc_basis(graph.n)
+                assert np.array_equal(basis.vectors[:, 0], lone[i].vectors[:, 0])
+                assert np.array_equal(basis.eigenvalues, want.eigenvalues, equal_nan=True)
+                assert np.array_equal(basis.vectors, want.vectors)
+                kept = np.arange(graph.n) == 0
+            else:
+                want = drop_unread_clusters_oracle(lone[i], masks[i])
+                assert np.array_equal(basis.eigenvalues, want.eigenvalues)
+                assert np.array_equal(basis.vectors, want.vectors)
+                kept = masks[i]
+            if needed is not None:
+                assert closed[i] == (connected[i] and not masks[i][1:].any())
+            else:
                 signals, steps = probes[j]
                 for f in signals:
                     levels = codec.quantize(codec.gft(lone[i], f), steps)
-                    assert not levels[~masks[i]].any()
-                    dropped_levels += int((~masks[i]).sum())
+                    assert not levels[~kept].any()
+                    dropped_levels += int((~kept).sum())
     assert dec.eig_solved == masked[4]
     assert (dropped_levels > 0) == (case != "rgb_all")
+    # distinct graphs that take the closed form on the encoder and the decoder
+    assert tuple(closed_counts) == {
+        "explicit": (1, 0), "gate": (0, 0), "no_grouping": (1, 1), "partition": (23, 23),
+        "rgb_all": (0, 0), "small": (1, 0),
+    }[case]
 
 
 def _main_clusters_read_only_by_members(dec):
@@ -1307,16 +1342,46 @@ def test_encoder_probes_keep_stream_bytes(case, monkeypatch):
         assert (probed, (len(columns), sum(columns))) == counts[case]
 
 
+@pytest.mark.parametrize("case", [
+    *sorted(ORACLE_CASES),
+    *(f"bench_{name}_{seed}" for name in ("gate", "parallax", "partition") for seed in (1, 5)),
+])
+def test_closed_form_dc_keeps_bytes_and_samples(case, monkeypatch):
+    """Encoding and decoding with the closed-form DC basis give the stream
+    bytes and the decoded samples of solving every distinct graph
+    (``dc_only`` patched to pass none), on each side with no more LAPACK
+    solves; on every bench scene both sides skip some."""
+    lf, dmap, cfg = _mask_case(case)
+
+    def round_trip():
+        stream, enc = encode(lf, dmap, cfg)
+        data = serialize(stream)
+        rec, dec = decode(deserialize(data))
+        return data, rec, (enc.eig_solved, dec.eig_solved)
+
+    data, rec, solved = round_trip()
+    monkeypatch.setattr(codec, "dc_only", lambda connected, needed=None, probes=None:
+                        np.zeros(len(connected), dtype=bool))
+    want_data, want_rec, want_solved = round_trip()
+    assert data == want_data
+    assert lf_equal(rec, want_rec)
+    assert solved[0] <= want_solved[0] and solved[1] <= want_solved[1]
+    if case.startswith("bench_"):
+        assert solved[0] < want_solved[0] and solved[1] < want_solved[1]
+
+
 @pytest.mark.parametrize("name, counts, solved, coarsened", [
-    ("gate", (16, 2), (9, 2), 9),
-    ("parallax", (9, 5), (9, 5), 9),
-    ("partition", (129, 129), (58, 58), 0),
+    ("gate", (16, 2), (1, 1), 9),
+    ("parallax", (9, 5), (3, 3), 9),
+    ("partition", (129, 129), (22, 22), 0),
 ])
 def test_distinct_graphs_on_bench_scenes(name, counts, solved, coarsened, monkeypatch):
     """On the bench scenes (seed 1) units repeat whole graphs: each side
-    coarsens and solves only the distinct ones, ``eig_count`` stays the
-    paper's count, and the bytes and samples are those of the per-unit
-    stages."""
+    coarsens only the distinct ones and sends to LAPACK only the distinct
+    ones that do not take the closed-form DC basis (9, 9 and 58 distinct
+    graphs on the encoder, 2, 5 and 58 on the decoder), ``eig_count``
+    stays the paper's count, and the bytes and samples are those of the
+    per-unit stages, which solve every unit."""
     workload = bench_workloads()[name]
     lf, dmap = workload.scene(1)
     coarsenings = []

@@ -9,7 +9,9 @@ benchmark set-up's own (``perfbench/harness.py``: SHA-256 of the
 serialized stream, and of every decoded plane's bytes in view order), cut
 to their first 16 hex digits.  The stream digests moved once, with the
 version-3 container (a 31-byte header and label-form groups); the samples
-digests did not.
+digests did not.  Both moved for ``gate`` and for ``partition`` at seed 1
+when a connected graph's DC column became exactly 1 / sqrt(n): a DC level
+or a prediction on a rounding tie no longer follows LAPACK's noise.
 """
 
 import json
@@ -21,11 +23,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (workload, seed): (stream SHA-256 prefix, decoded samples SHA-256 prefix)
 GOLDEN = {
-    ("gate", 1): ("441676117ed93106", "5d97895a6655e845"),
-    ("gate", 17): ("97fee0c2c48139c1", "7b6caef18052a978"),
+    ("gate", 1): ("b835a25963e4651e", "3c53d0ae3c37b2e9"),
+    ("gate", 17): ("7536e6d580a11412", "e684995b6f1efb4c"),
     ("parallax", 1): ("8bcaa316f3768b63", "154e33137a9c73fb"),
     ("parallax", 17): ("20064464d6c33650", "3f93cef0a5b4f219"),
-    ("partition", 1): ("5b9d81455ec9e31d", "89d13fe3a9462789"),
+    ("partition", 1): ("7db91b06674947c2", "430a9b9418cbeb83"),
     ("partition", 17): ("d6b05014dd13218a", "5a90521381b2ee7c"),
 }
 

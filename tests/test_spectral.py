@@ -104,7 +104,7 @@ def random_connected_graph(rng, n):
     for a, b in extra:
         if a != b:
             edges.add((min(int(a), int(b)), max(int(a), int(b))))
-    e = np.array(sorted(edges), dtype=np.int64)
+    e = np.array(sorted(edges), dtype=np.int64).reshape(-1, 2)
     return LocalGraph(n=n, edges=e)
 
 
@@ -188,23 +188,28 @@ class _UnitsBuilt(Exception):
 
 
 def _bench_laplacians(name, monkeypatch):
-    """Every Laplacian the encoder eigendecomposes on a bench scene (seed 1),
-    recorded at ``codec.eigendecompose_all``: one per distinct unit graph,
-    since units that repeat a graph share its basis."""
+    """Every Laplacian the encoder eigendecomposes on a bench scene (seed 1)
+    with the closed-form DC basis turned off, and the connectivity flag the
+    codec passes with each, recorded at ``codec.eigendecompose_all``: one
+    per distinct unit graph, since units that repeat a graph share its
+    basis."""
     workload = bench_workloads()[name]
     lf, dmap = workload.scene(1)
-    laps = []
+    laps, flags = [], []
 
-    def record(batch, needed=None, probes=None):
+    def record(batch, needed=None, probes=None, connected=None):
         batch = list(batch)
         laps.extend(batch)
-        return eigendecompose_all(batch, needed, probes)
+        flags.extend(connected)
+        return eigendecompose_all(batch, needed, probes, connected)
 
     with monkeypatch.context() as m:
         m.setattr(codec, "eigendecompose_all", record)
+        m.setattr(codec, "dc_only", lambda connected, needed=None, probes=None:
+                  np.zeros(len(connected), dtype=bool))
         codec.encode(lf, dmap, workload.config)
     assert laps, "the encoder no longer calls codec.eigendecompose_all"
-    return laps
+    return laps, flags
 
 
 def _graph(sr, angular_dims):
@@ -499,10 +504,11 @@ def _degenerate_graph(rng, case):
     return _pairs_graph(n, pairs)
 
 
-def _assert_matches_eigen_oracle(lap):
+def _assert_matches_eigen_oracle(lap, connected=False):
     """Same eigenvalues and clusters as the loop oracle, and the same
-    columns up to sign within 1e-9; returns the largest cluster size."""
-    got = eigendecompose(lap)
+    columns up to sign within 1e-9; returns the largest cluster size.
+    The oracle finds the graph's connectivity by itself."""
+    got = eigendecompose(lap, connected)
     want = eigendecompose_oracle(lap)
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     clusters = cluster_eigenvalues_oracle(want.eigenvalues)
@@ -523,8 +529,8 @@ class TestCanonicalization:
     @pytest.mark.parametrize("name", ["gate", "parallax", "partition"])
     def test_matches_loop_oracle_on_bench_laplacians(self, name, monkeypatch):
         """Every Laplacian the encoder eigendecomposes on the bench scene."""
-        largest = [_assert_matches_eigen_oracle(lap)
-                   for lap in _bench_laplacians(name, monkeypatch)]
+        largest = [_assert_matches_eigen_oracle(lap, connected)
+                   for lap, connected in zip(*_bench_laplacians(name, monkeypatch))]
         assert max(largest) > 1
 
     def test_rotation_invariant(self):
@@ -595,7 +601,7 @@ class TestEigendecomposeAll:
         single = laplacian(LocalGraph(n=1, edges=np.zeros((0, 2), dtype=np.int64)))
         laps = [single, laplacian(path_graph(5)), single, laplacian(path_graph(5))]
         laps += [laplacian(_degenerate_graph(rng, case)) for case in range(60)]
-        laps += _bench_laplacians("partition", monkeypatch)
+        laps += _bench_laplacians("partition", monkeypatch)[0]
         sizes = [lap.matrix.shape[0] for lap in laps]
         assert 1 in sizes and len(set(sizes)) < len(sizes) / 2
         want = {id(lap): eigendecompose(lap) for lap in laps}
@@ -612,8 +618,9 @@ class TestEigendecomposeAll:
     def test_bit_equal_to_unbatched_oracle_on_bench_laplacians(self, name, monkeypatch):
         """On every Laplacian a bench scene builds, the batched stage has the
         bits of the per-Laplacian, per-cluster loop it replaced."""
-        laps = _bench_laplacians(name, monkeypatch)
-        for basis, lap in zip(eigendecompose_all(laps), laps):
+        laps, connected = _bench_laplacians(name, monkeypatch)
+        assert any(connected)
+        for basis, lap in zip(eigendecompose_all(laps, connected=connected), laps):
             want = eigendecompose_unbatched_oracle(lap)
             assert np.array_equal(basis.eigenvalues, want.eigenvalues)
             assert np.array_equal(basis.vectors, want.vectors)
@@ -680,7 +687,7 @@ class TestEigendecomposeAll:
         single = laplacian(LocalGraph(n=1, edges=np.zeros((0, 2), dtype=np.int64)))
         laps = [single, laplacian(path_graph(5)), single, laplacian(path_graph(5))]
         laps += [laplacian(_degenerate_graph(rng, case)) for case in range(60)]
-        laps += _bench_laplacians("partition", monkeypatch)
+        laps += _bench_laplacians("partition", monkeypatch)[0]
         laps = [laps[i] for i in rng.permutation(len(laps))]
         sizes = [lap.matrix.shape[0] for lap in laps]
         for density in (0.05, 0.3):
@@ -695,7 +702,7 @@ class TestEigendecomposeAll:
         """The same contract on every Laplacian a bench scene builds, with
         masks as sparse as the decoder's."""
         rng = np.random.default_rng(49)
-        laps = _bench_laplacians(name, monkeypatch)
+        laps, _ = _bench_laplacians(name, monkeypatch)
         masks = [rng.random(lap.matrix.shape[0]) < 0.02 for lap in laps]
         dropped, _ = self._assert_masked(laps, masks)
         assert dropped > 0
@@ -852,6 +859,109 @@ class TestProbes:
         assert np.array_equal(got.vectors, drop_unread_clusters_oracle(full, mask).vectors)
         for f in signals:
             assert np.array_equal(quantize(gft(got, f), steps), quantize(gft(full, f), steps))
+
+
+def _random_sparse_graph(rng, n, density):
+    """A random graph on n vertices whose pairs are edges with probability
+    ``density``: connected or not."""
+    a, b = np.triu_indices(n, 1)
+    keep = rng.random(a.size) < density
+    return LocalGraph(n=n, edges=np.column_stack([a[keep], b[keep]]).astype(np.int64))
+
+
+class TestClosedFormDC:
+    """A connected graph's column 0 is the constant unit vector, and a
+    connected graph whose caller reads nothing past column 0 takes
+    ``dc_basis`` with no solve."""
+
+    def test_connectivity_matches_flood_fill(self):
+        rng = np.random.default_rng(50)
+        graphs = [LocalGraph(n=1, edges=np.zeros((0, 2), dtype=np.int64)), path_graph(7)]
+        graphs += [_random_sparse_graph(rng, int(rng.integers(2, 40)), rng.uniform(0.02, 0.3))
+                   for _ in range(80)]
+        want = [connected_components(g.n, g.edges)[1] == 1 for g in graphs]
+        assert 20 < sum(want) < len(want) - 20
+        assert spectral.connected_graphs(graphs).tolist() == want
+        assert spectral.connected_graphs([]).shape == (0,)
+
+    @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_exact_dc_column_keeps_every_other_bit(self, seed, count):
+        """On random graphs of 1-64 vertices, connected or not, flagged by
+        ``connected_graphs``: a connected graph's column 0 equals
+        ``np.full(n, 1 / np.sqrt(n))`` and every other column and every
+        eigenvalue has the bits of the unflagged solve; a disconnected
+        graph's basis is the unflagged one bit for bit."""
+        rng = np.random.default_rng(seed)
+        graphs = [
+            random_connected_graph(rng, int(rng.integers(1, 65))) if rng.random() < 0.5
+            else _random_sparse_graph(rng, int(rng.integers(1, 65)), rng.uniform(0.01, 0.2))
+            for _ in range(count)
+        ]
+        connected = spectral.connected_graphs(graphs)
+        laps = [laplacian(g) for g in graphs]
+        got = eigendecompose_all(laps, connected=connected)
+        for g, flag, basis, plain in zip(graphs, connected, got, eigendecompose_all(laps)):
+            assert np.array_equal(basis.eigenvalues, plain.eigenvalues)
+            if flag:
+                assert np.array_equal(basis.vectors[:, 0], np.full(g.n, 1 / np.sqrt(g.n)))
+                assert np.array_equal(basis.vectors[:, 1:], plain.vectors[:, 1:])
+            else:
+                assert np.array_equal(basis.vectors, plain.vectors)
+
+    def test_connectivity_flags_checked(self):
+        laps = [laplacian(path_graph(3)), laplacian(path_graph(4))]
+        with pytest.raises(ValueError, match="1 connectivity flags for 2 Laplacians"):
+            eigendecompose_all(laps, connected=[True])
+
+    def test_dc_basis(self):
+        basis = spectral.dc_basis(5)
+        want = np.zeros((5, 5))
+        want[:, 0] = 1 / np.sqrt(5)
+        assert np.array_equal(basis.vectors, want)
+        assert basis.eigenvalues[0] == 0 and np.isnan(basis.eigenvalues[1:]).all()
+        assert np.array_equal(spectral.dc_basis(1).vectors, [[1.0]])
+
+    def test_mask_rule(self):
+        """A column mask lets a graph take the closed form when it reads
+        nothing past column 0 and the graph is connected."""
+        path, split = path_graph(6), _pairs_graph(6, [(0, 1), (2, 3), (4, 5)])
+        dc = np.arange(6) == 0
+        masks = [dc, np.zeros(5, dtype=bool), dc | (np.arange(6) == 3), dc]
+        bases, solved = codec._eigenbases([path, path_graph(5), path, split], masks)
+        assert solved == 2  # the path, which a mask reads at column 3, and the split graph
+        assert bases[0] is bases[2] and not np.isnan(bases[0].eigenvalues).any()
+        assert np.array_equal(bases[1].vectors, spectral.dc_basis(5).vectors)
+        assert not np.isnan(bases[3].eigenvalues).any()
+        assert spectral.dc_only([True, False]).tolist() == [False, False]
+
+    @pytest.mark.parametrize("dc", [0.0, 1000.0])
+    def test_probe_edge_on_a_path(self, dc):
+        """A 16-vertex path under steps 1 (DC) and 16, and a signal dc + a
+        ramp of norm alpha.  Just below the bound ||f - mean(f)|| * (1 +
+        1e-6) + (1e-8 + 1e-9) * ||f|| < 8 the graph takes the closed form,
+        just above it the graph is solved; both times the levels are the
+        full basis's, all 0 past the DC level.  At dc = 1000 the absolute
+        margin alone moves the edge by 5e-6 of the step, 50 times the
+        distance of either signal from it."""
+        g, n, q = path_graph(16), 16, 16.0
+        steps = np.full(n, q)
+        steps[0] = 1.0
+        ramp = np.arange(n) - (n - 1) / 2
+        ramp /= np.linalg.norm(ramp)
+        # the ramp is orthogonal to the constant, so ||f||**2 = n dc**2 + alpha**2
+        alpha = q / 2
+        for _ in range(5):
+            alpha = (q / 2 - 1.1e-8 * np.hypot(dc * np.sqrt(n), alpha)) / (1 + 1e-6)
+        full = eigendecompose(laplacian(g), True)
+        for scale, closed in ((1 - 1e-7, True), (1 + 1e-7, False)):
+            f = dc + alpha * scale * ramp
+            (basis,), solved = codec._eigenbases([g], probes=[(f[None], steps)])
+            assert solved == (not closed)
+            assert np.isnan(basis.eigenvalues[1:]).all() == closed
+            levels = quantize(gft(basis, f), steps)
+            assert np.array_equal(levels, quantize(gft(full, f), steps))
+            assert levels.tolist() == [dc * 4] + [0] * (n - 1)
 
 
 class TestCoarsen:
