@@ -84,7 +84,7 @@ def rd_sweep(lf, dmap, q_list, cfg: CodecConfig):
     for q in q_list:
         run_cfg = replace(cfg, q_gft=float(q))
         stream, enc_rep = encode(lf, dmap, run_cfg)
-        rec, dec_rep = decode(stream, threads=run_cfg.threads)
+        rec, dec_rep = decode(stream)
         points.append(
             RDPoint(
                 q_gft=float(q),

@@ -46,7 +46,6 @@ _CONFIG_FIELDS = {
     "compactness": float,
     "bin_width": float,
     "channels": str,
-    "threads": int,
 }
 
 
@@ -69,8 +68,6 @@ def _add_config_flags(p):
     p.add_argument("--compactness", type=float, dest="compactness")
     p.add_argument("--bin-width", type=float, dest="bin_width")
     p.add_argument("--channels", choices=("y", "all"), dest="channels")
-    p.add_argument("--threads", type=int, dest="threads",
-                   help="accepted (>= 1) but no effect: no thread pool")
     p.add_argument("--no-grouping", action="store_true",
                    help="baseline mode: disable super-ray grouping")
 
@@ -96,8 +93,6 @@ def _build_parser():
     p.add_argument("input", help=".srgc stream path")
     p.add_argument("--out", required=True, help="output view directory")
     p.add_argument("--report", help="write the decode report here")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted (>= 1) but no effect: no thread pool")
 
     p = sub.add_parser("analyze", help="inspect a stream or compare two LFs")
     p.add_argument("input", nargs="?", help=".srgc stream path")
@@ -178,7 +173,7 @@ def _cmd_encode(args):
 def _cmd_decode(args):
     with open(args.input, "rb") as f:
         stream = deserialize(f.read())
-    lf, report = decode(stream, threads=args.threads)
+    lf, report = decode(stream)
     save_light_field(lf, args.out)
     _emit(report.to_lines(), args.report)
     return EXIT_OK

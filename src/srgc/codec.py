@@ -59,8 +59,10 @@ distinct graphs sent to LAPACK behind it, the encoder's re-solved mains
 included.
 Everything outside wall-clock timings is a deterministic function of
 (light field, disparity map, config): canonical orderings throughout, and
-no thread pool.  ``threads`` (config field, ``decode`` argument) is still
-validated but has no effect.
+no thread pool.  ``CodecConfig.threads`` and ``decode(threads=)`` are
+validated (>= 1) and have no other effect; they stay only because
+``perfbench/workloads.py``, ``perfbench/harness.py`` and the determinism
+criterion of ``tests/test_acceptance.py`` pass them.
 """
 
 import math
@@ -91,7 +93,6 @@ from .segmentation import (
 from .spectral import (
     coarse_mean_signal,
     coarsen,
-    connected_graphs,
     dc_basis,
     dc_only,
     eigendecompose,  # not called here; perfbench/spans.py traces this name
@@ -286,12 +287,10 @@ def _eigenbases(graphs, needed=None, probes=None):
     ``needed`` is None or one column mask per graph; a distinct graph's
     mask is the OR of its graphs' masks.  ``probes`` is None or one probe
     (signals, steps) per graph; a distinct graph's probe stacks its
-    graphs' signals under the smallest of their steps.  The distinct
-    graphs' connectivity comes from one :func:`connected_graphs` pass; a
-    connected one whose mask or probe :func:`dc_only` passes takes
-    :func:`dc_basis`, with no Laplacian built, and the Laplacians of the
-    others are built once and solved in one :func:`eigendecompose_all`
-    call."""
+    graphs' signals under the smallest of their steps.  A distinct graph
+    that :func:`dc_only` passes takes :func:`dc_basis`, with no Laplacian
+    built, and the Laplacians of the others are built once and solved in
+    one :func:`eigendecompose_all` call."""
     distinct, which = _distinct_graphs(graphs)
     masks = None
     if needed is not None:
@@ -307,14 +306,12 @@ def _eigenbases(graphs, needed=None, probes=None):
             (np.concatenate([s for s, _ in ps]), np.minimum.reduce([q for _, q in ps]))
             for ps in shared
         ]
-    connected = connected_graphs(distinct)
-    closed = dc_only(connected, masks, merged)
+    closed = dc_only(distinct, masks, merged)
     solve = np.flatnonzero(~closed).tolist()
     solved = iter(eigendecompose_all(
         (laplacian(distinct[i]) for i in solve),
         None if masks is None else [masks[i] for i in solve],
         None if merged is None else [merged[i] for i in solve],
-        connected[solve],
     ))
     bases = [dc_basis(g.n) if c else next(solved) for g, c in zip(distinct, closed.tolist())]
     return [bases[i] for i in which], len(solve)

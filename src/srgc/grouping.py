@@ -34,19 +34,6 @@ _BIN_LIMIT = 2.0**62  # histogram bin indices stay well inside int64
 
 
 @dataclass
-class PairWeights:
-    """Condensed upper-triangle MSE weights over C(m, 2) index pairs: the
-    pair i < j sits at i*m - i*(i+1)/2 + (j - i - 1)."""
-
-    m: int
-    condensed: np.ndarray
-
-    @property
-    def count(self):
-        return self.m * (self.m - 1) // 2
-
-
-@dataclass
 class SuperRayGroup:
     members: tuple
     main_index: int
@@ -67,12 +54,14 @@ class GroupSet:
         return cls(groups=groups, ungrouped=ungrouped, mse_threshold=threshold)
 
 
-def pairwise_mse(coeff_vectors) -> PairWeights:
-    """MSE between every pair of equal-length coefficient vectors."""
+def pairwise_mse(coeff_vectors) -> np.ndarray:
+    """MSE between every pair of equal-length coefficient vectors, as the
+    condensed upper triangle over the C(m, 2) index pairs: the pair i < j
+    sits at i*m - i*(i+1)/2 + (j - i - 1)."""
     arrays = [np.asarray(c, dtype=np.float64) for c in coeff_vectors]
     m = len(arrays)
     if m == 0:
-        return PairWeights(m=0, condensed=np.zeros(0))
+        return np.zeros(0)
     n = arrays[0].size
     for a in arrays:
         if a.size != n:
@@ -87,23 +76,24 @@ def pairwise_mse(coeff_vectors) -> PairWeights:
         d = x[i + 1 :] - x[i]
         out[pos : pos + m - 1 - i] = (d * d).mean(axis=1)
         pos += m - 1 - i
-    return PairWeights(m=m, condensed=out)
+    return out
 
 
-def select_threshold(pw: PairWeights, bin_width) -> float:
-    """Histogram rule: fixed bins [k*w, (k+1)*w); the threshold is the
-    upper edge of the lowest-index bin with the maximum pair count.
-    Raises ValueError when a pair's bin index is not finite or reaches
-    2**62, before any index is cast to int64."""
+def select_threshold(weights, bin_width) -> float:
+    """Histogram rule over :func:`pairwise_mse`'s ``weights``: fixed bins
+    [k*w, (k+1)*w); the threshold is the upper edge of the lowest-index
+    bin with the maximum pair count.  Raises ValueError when a pair's bin
+    index is not finite or reaches 2**62, before any index is cast to
+    int64."""
     if bin_width <= 0:
         raise ValueError("bin width must be positive")
-    if pw.count == 0:
+    if weights.size == 0:
         raise ValueError("threshold needs at least one pair")
     with np.errstate(over="ignore"):
-        quotients = pw.condensed / bin_width
+        quotients = weights / bin_width
     if not (quotients < _BIN_LIMIT).all():
         raise ValueError(
-            f"bin width {bin_width:g} puts a pair MSE of {pw.condensed.max():.3g} "
+            f"bin width {bin_width:g} puts a pair MSE of {weights.max():.3g} "
             "in a bin of index 2**62 or more"
         )
     bins = np.floor(quotients).astype(np.int64)
@@ -152,9 +142,9 @@ def derive_group_members(coeffs, bin_width=5.0):
     m = len(coeffs)
     if m < 2:
         return [], 0.0
-    pw = pairwise_mse(coeffs)
-    threshold = select_threshold(pw, bin_width)
-    k = np.flatnonzero(pw.condensed <= threshold)
+    weights = pairwise_mse(coeffs)
+    threshold = select_threshold(weights, bin_width)
+    k = np.flatnonzero(weights <= threshold)
     rows = np.arange(m)
     starts = rows * m - rows * (rows + 1) // 2
     i = np.searchsorted(starts, k, side="right") - 1

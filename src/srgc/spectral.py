@@ -22,10 +22,11 @@ Gram-Schmidt on the rows of each cluster block, one step per picked axis:
 the pivots are the axes the per-axis projection would pick, in the same
 order and under the same 1e-7 tolerance.  For a disconnected graph this
 makes the zero-eigenvalue basis the set of normalized component
-indicators.  For a connected graph (:func:`connected_graphs`) column 0
-is exactly the constant unit vector ``1 / sqrt(n)``, the null space of
-its Laplacian, in a cluster of its own: LAPACK's own column 0 is off by
-rounding noise, which would move DC levels that sit on a rounding tie.
+indicators.  When column 0 is a cluster of its own, which for a
+Laplacian means a connected graph (:func:`eigendecompose_all` gives the
+bound), it is exactly the constant unit vector ``1 / sqrt(n)``, the null
+space of the Laplacian: LAPACK's own column 0 is off by rounding noise,
+which would move DC levels that sit on a rounding tie.
 :func:`dc_basis` is that column alone, and :func:`dc_only` says when it
 is all a caller reads, so the graph needs no LAPACK solve at all; the
 codec's ``eig_solved`` counts LAPACK solves only.
@@ -247,12 +248,12 @@ def dc_basis(n) -> EigenBasis:
     return EigenBasis(eigenvalues=eigenvalues, vectors=vectors)
 
 
-def dc_only(connected, needed=None, probes=None) -> np.ndarray:
-    """Which graphs take :func:`dc_basis` instead of a solve, given each
-    one's connectivity and, as for :func:`eigendecompose_all`, its column
-    mask or its probe (neither: none).  A connected graph qualifies when
-    its mask reads nothing beyond column 0, or when for every signal f of
-    its probe
+def dc_only(graphs, needed=None, probes=None) -> np.ndarray:
+    """Which of ``graphs`` take :func:`dc_basis` instead of a solve, given,
+    as for :func:`eigendecompose_all`, each one's column mask or its probe
+    (neither: none, and no connectivity pass).  A graph qualifies when it
+    is connected (:func:`connected_graphs`) and its mask reads nothing
+    beyond column 0, or when for every signal f of its probe
 
         ||f - mean(f)|| * (1 + 1e-6) + (1e-8 + 1e-9) * ||f|| < q / 2,
 
@@ -268,7 +269,6 @@ def dc_only(connected, needed=None, probes=None) -> np.ndarray:
     plus, as in :func:`eigendecompose_all`'s probe rule, the rounding of
     b^T f and of the mean, at most about n * 2**-53 * ||f|| each.  This is
     that rule with the whole non-DC subspace as one cluster."""
-    connected = np.asarray(connected, dtype=bool)
     if needed is not None:
         reads = [mask[1:].any() for mask in needed]
     elif probes is not None:
@@ -281,19 +281,16 @@ def dc_only(connected, needed=None, probes=None) -> np.ndarray:
             half = 0.5 * steps[1:].min(initial=np.inf)
             reads.append(not (bound < half).all())
     else:
-        return np.zeros(connected.shape, dtype=bool)
-    return connected & ~np.array(reads, dtype=bool)
+        return np.zeros(len(graphs), dtype=bool)
+    return connected_graphs(graphs) & ~np.array(reads, dtype=bool)
 
 
-def _cluster_bounds(vals, alone=None, tol=_EIG_CLUSTER_TOL):
+def _cluster_bounds(vals):
     """(rows, starts, stops) of the eigenvalue clusters of every row of a
     (B, n) array: runs of ascending eigenvalues whose consecutive gaps stay
-    below ``tol``, listed row by row; in the rows that ``alone`` (None or
-    a (B,) bool array) flags, column 0 is a cluster of its own."""
+    below 1e-9, listed row by row."""
     cut = np.ones((vals.shape[0], vals.shape[1] + 1), dtype=bool)
-    cut[:, 1:-1] = np.diff(vals, axis=1) >= tol
-    if alone is not None:
-        cut[:, 1] |= alone
+    cut[:, 1:-1] = np.diff(vals, axis=1) >= _EIG_CLUSTER_TOL
     rows, pos = np.nonzero(cut)
     same = rows[:-1] == rows[1:]
     return rows[:-1][same], pos[:-1][same], pos[1:][same]
@@ -346,11 +343,12 @@ def _apply_sign_convention(vecs):
     return vecs
 
 
-def _eigendecompose_stack(mats, needed=None, probe=None, connected=None):
+def _eigendecompose_stack(mats, needed=None, probe=None):
     """Diagonalize a (B, n, n) stack of Laplacians; returns the (B, n)
     eigenvalues and the (B, n, n) eigenvectors in the convention above.
-    ``connected`` is None or a (B,) bool array of the Laplacians whose
-    column 0 is the constant unit vector, a cluster of its own.
+    Column 0 is set to the constant unit vector wherever it is a cluster
+    of its own (a connected graph: :func:`eigendecompose_all`), before
+    the canonicalization and the sign rule see it.
 
     ``needed`` is None or a (B, n) bool array of the columns the caller
     reads.  ``probe`` is None or (signals, steps): a (B, k, n) stack of
@@ -366,10 +364,9 @@ def _eigendecompose_stack(mats, needed=None, probe=None, connected=None):
         vals, vecs = np.linalg.eigh(mats)
     except np.linalg.LinAlgError as e:
         raise DecompositionError(f"decomposition failure for {n}x{n} matrix: {e}") from e
-    if connected is not None:
-        vecs[connected, :, 0] = 1 / np.sqrt(n)
-    rows, starts, stops = _cluster_bounds(vals, connected)
+    rows, starts, stops = _cluster_bounds(vals)
     sizes = stops - starts
+    vecs[rows[(starts == 0) & (sizes == 1)], :, 0] = 1 / np.sqrt(n)
     canon = sizes > 1
     # the clusters tile each row in order: each starts at its flat offset
     offsets = np.cumsum(sizes) - sizes
@@ -423,7 +420,7 @@ def _stack_probes(probes, part, n):
     return signals, steps
 
 
-def eigendecompose_all(laplacians, needed=None, probes=None, connected=None) -> list:
+def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     """Diagonalize an iterable of Laplacians into EigenBases, returned in
     input order.
 
@@ -433,6 +430,15 @@ def eigendecompose_all(laplacians, needed=None, probes=None, connected=None) -> 
     and, per cluster size m, one canonicalization of all its degenerate
     clusters of size m.  Each basis is bit-equal to the one its Laplacian
     gets alone.
+
+    Column 0 is exactly ``np.full(n, 1 / np.sqrt(n))`` when it is a
+    cluster of its own.  A Laplacian's zero eigenvalue is simple exactly
+    when its graph is connected (Fiedler 1973), and then the constant
+    vector spans its null space; a connected graph's second eigenvalue is
+    at least 4 / n**2 (Mohar 1991), above the 1e-9 cluster cut for n
+    below 6 * 10**4.  So the rule gives a connected graph the exact
+    column and leaves a disconnected one its component indicators, with
+    no connectivity pass.
 
     ``needed`` is None (every column) or one length-n bool mask per
     Laplacian, in order: the columns the caller reads.  A degenerate
@@ -464,17 +470,9 @@ def eigendecompose_all(laplacians, needed=None, probes=None, connected=None) -> 
     more than the rounding of |x| / q and of its sum with 0.5, and
     round-half-away gives level 0.
 
-    ``connected`` is None (none) or one flag per Laplacian, in order:
-    whether its graph is connected (:func:`connected_graphs`).  A flagged
-    Laplacian's column 0 is exactly ``np.full(n, 1 / np.sqrt(n))`` and a
-    cluster of its own; every other column keeps its unflagged bits.  (A
-    connected graph's second eigenvalue is at least 4 / n**2, so the cut
-    after column 0 splits no cluster for n below 6 * 10**4.)
-
-    Raises ValueError for an empty Laplacian, a mask or a flag list of
-    the wrong length, a missing probe, a probe of the wrong shape or a
-    step that is not positive, and
-    DecompositionError if LAPACK fails or a basis (LAPACK's own columns,
+    Raises ValueError for an empty Laplacian, a mask of the wrong
+    length, a missing probe, a probe of the wrong shape or a step that is
+    not positive, and DecompositionError if LAPACK fails or a basis (LAPACK's own columns,
     for a cluster left out) violates the reconstruction / orthonormality
     tolerances.
     """
@@ -482,10 +480,6 @@ def eigendecompose_all(laplacians, needed=None, probes=None, connected=None) -> 
     masks = None if needed is None else [np.asarray(k, dtype=bool) for k in needed]
     if masks is not None and len(masks) != len(mats):
         raise ValueError(f"{len(masks)} column masks for {len(mats)} Laplacians")
-    if connected is not None:
-        connected = np.asarray(connected, dtype=bool)
-        if connected.shape != (len(mats),):
-            raise ValueError(f"{connected.size} connectivity flags for {len(mats)} Laplacians")
     if probes is not None:
         if any(p is None for p in probes):
             raise ValueError("a None probe: give every Laplacian a probe, or probes=None")
@@ -517,10 +511,7 @@ def eigendecompose_all(laplacians, needed=None, probes=None, connected=None) -> 
             for i in part:
                 mats[i] = None
             part_needed = None if masks is None else np.stack([masks[i] for i in part])
-            vals, vecs = _eigendecompose_stack(
-                stack, part_needed, _stack_probes(probes, part, n),
-                None if connected is None else connected[part],
-            )
+            vals, vecs = _eigendecompose_stack(stack, part_needed, _stack_probes(probes, part, n))
             # own arrays, laid out as a lone call returns them, so later BLAS
             # calls on a basis see the same layout and no basis pins the stack
             for i, w, v in zip(part, vals, vecs):
@@ -528,10 +519,9 @@ def eigendecompose_all(laplacians, needed=None, probes=None, connected=None) -> 
     return bases
 
 
-def eigendecompose(l: Laplacian, connected=False) -> EigenBasis:
-    """Diagonalize one Laplacian, of a connected graph or not:
-    ``eigendecompose_all([l], connected=[connected])[0]``."""
-    return eigendecompose_all([l], connected=[connected])[0]
+def eigendecompose(l: Laplacian) -> EigenBasis:
+    """Diagonalize one Laplacian: ``eigendecompose_all([l])[0]``."""
+    return eigendecompose_all([l])[0]
 
 
 # ---------------------------------------------------------------------------

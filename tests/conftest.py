@@ -1,6 +1,7 @@
 """Shared scene builders for codec tests."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,9 @@ from srgc.spectral import (
     LocalGraph,
     PartitionResult,
     coarsen,
+    connected_graphs,
+    dc_basis,
+    eigendecompose,
     eigendecompose_all,
     laplacian,
 )
@@ -163,24 +167,26 @@ def label_shift(disparity, s, t):
 
 
 def pair_index(m, i, j):
-    """Position of the pair {i, j} in a condensed ``PairWeights`` array."""
+    """Position of the pair {i, j} in ``pairwise_mse``'s condensed array."""
     if i == j:
         raise KeyError("no self-pair weight")
     i, j = min(i, j), max(i, j)
     return i * m - i * (i + 1) // 2 + (j - i - 1)
 
 
-def one_level_groups_oracle(pw, threshold):
+def one_level_groups_oracle(weights, threshold):
     """Oracle: the per-index similarity sets {i} u {j : mse(i,j) <= threshold}
-    that ``grouping.derive_group_members`` once built pair by pair;
-    singletons dropped."""
+    that ``grouping.derive_group_members`` once built pair by pair, from
+    the condensed pair MSEs ``weights`` over m indices; singletons
+    dropped."""
     if threshold < 0:
         raise ValueError("threshold must be non-negative")
+    m = round((1 + math.sqrt(1 + 8 * weights.size)) / 2)
     sets = []
-    for i in range(pw.m):
+    for i in range(m):
         members = {i}
-        for j in range(pw.m):
-            if j != i and pw.condensed[pair_index(pw.m, i, j)] <= threshold:
+        for j in range(m):
+            if j != i and weights[pair_index(m, i, j)] <= threshold:
                 members.add(j)
         if len(members) >= 2:
             sets.append(tuple(sorted(members)))
@@ -224,9 +230,9 @@ def derive_group_members_oracle(coeffs, bin_width=5.0):
     transitively; identical groups and threshold required."""
     if len(coeffs) < 2:
         return [], 0.0
-    pw = pairwise_mse(coeffs)
-    threshold = select_threshold(pw, bin_width)
-    return merge_groups_oracle(one_level_groups_oracle(pw, threshold)), threshold
+    weights = pairwise_mse(coeffs)
+    threshold = select_threshold(weights, bin_width)
+    return merge_groups_oracle(one_level_groups_oracle(weights, threshold)), threshold
 
 
 def run_grouping(coeffs, signals, bin_width=5.0):
@@ -526,6 +532,28 @@ def laplacian_connected_oracle(lap):
     return connected_components(n, np.argwhere(np.triu(lap.matrix, 1) != 0))[1] == 1
 
 
+def assert_spectrum_rule(g):
+    """Check the eigen stage's DC rule on graph ``g``; returns whether
+    :func:`spectral.connected_graphs` finds it connected.  Column 0 of
+    ``eigendecompose(laplacian(g))`` equals ``np.full(n, 1 / np.sqrt(n))``,
+    and :func:`spectral.dc_basis`'s column, exactly when g is connected;
+    otherwise the zero-eigenvalue cluster is one column per component (by
+    flood fill), the normalized component indicators in order of smallest
+    vertex, within 1e-9."""
+    basis = eigendecompose(laplacian(g))
+    connected = bool(connected_graphs([g])[0])
+    column = basis.vectors[:, 0]
+    assert np.array_equal(column, np.full(g.n, 1 / np.sqrt(g.n))) == connected
+    assert np.array_equal(column, dc_basis(g.n).vectors[:, 0]) == connected
+    if not connected:
+        comp, count = connected_components(g.n, g.edges)
+        zero = cluster_eigenvalues_oracle(basis.eigenvalues)[0]
+        assert zero == list(range(count))
+        indicators = (comp[:, None] == np.arange(count)) / np.sqrt(np.bincount(comp))
+        assert np.abs(basis.vectors[:, :count] - indicators).max() < 1e-9
+    return connected
+
+
 def _eigendecompose_by_cluster(lap, canonicalize):
     """One LAPACK call, ``canonicalize`` on every degenerate cluster block,
     the sign rule; no tolerance checks.  For a connected graph
@@ -595,12 +623,9 @@ def coarsen_graphs_oracle(fines, n_target):
 def eigenbases_oracle(graphs, needed=None, probes=None):
     """Oracle: the per-unit eigen stage ``codec._eigenbases`` replaced, one
     Laplacian per graph, repeated graphs included, all solved in one
-    ``eigendecompose_all`` call, each with its own column mask and probe
-    and its flood-filled connectivity; no closed-form basis, and every
-    graph counts as solved."""
-    connected = [connected_components(g.n, g.edges)[1] == 1 for g in graphs]
-    laps = (laplacian(g) for g in graphs)
-    return eigendecompose_all(laps, needed, probes, connected), len(graphs)
+    ``eigendecompose_all`` call, each with its own column mask and probe;
+    no closed-form basis, and every graph counts as solved."""
+    return eigendecompose_all((laplacian(g) for g in graphs), needed, probes), len(graphs)
 
 
 def probe_mask_oracle(lap, probe):

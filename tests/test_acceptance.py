@@ -49,7 +49,7 @@ def test_criterion_1_pair_and_ratio_arithmetic():
     rng = np.random.default_rng(0)
     for m, expected in ((1252, 783126), (2723, 3706003)):
         vecs = list(rng.normal(size=(m, 2)))
-        assert pairwise_mse(vecs).count == expected
+        assert pairwise_mse(vecs).size == expected
     c, o = grouping_ratios(
         EncodeReport(grouped_count=1026, coarsened_count=1252, unit_count=4390)
     )

@@ -256,33 +256,45 @@ class TestGroupingFlag:
 
 class TestDeterminism:
     def test_thread_counts_byte_identical(self, scene_dir, tmp_path):
+        """Two encodes of one scene give the same bytes (the CLI offers no
+        thread count to vary)."""
         blobs = []
-        for threads in ("1", "8"):
-            out = tmp_path / f"t{threads}.srgc"
+        for run in range(2):
+            out = tmp_path / f"r{run}.srgc"
             assert main(
                 [
                     "encode", str(scene_dir),
                     "--disparity", str(scene_dir / "gt.lfdm"),
                     "--q-gft", "16", "--slic-k", "8", "--n-target", "128",
-                    "--threads", threads,
                     "--out", str(out),
                 ]
             ) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
 
-
-    def test_threads_below_one_exit_2(self, tmp_path, capsys):
-        """``decode --threads`` is validated as ``encode --threads`` is."""
+    def test_no_threads_option(self, scene_dir, tmp_path, capsys):
+        """No subcommand offers ``--threads`` (a usage error), a config
+        file's ``threads`` key is unknown (its file and line named), and a
+        decode report names no workers."""
         lf, dmap = four_patch_scene(32, 3)
         stream, _ = encode(lf, dmap, CodecConfig(slic_k=16, q_gft=16.0, n_target=64))
         path = tmp_path / "gate.srgc"
         path.write_bytes(serialize(stream))
-        for threads in ("0", "-3"):
-            rec = tmp_path / f"rec{threads}"
-            assert main(["decode", str(path), "--out", str(rec), "--threads", threads]) == 2
-            assert "threads must be >= 1" in capsys.readouterr().err
-            assert not rec.exists()
+        encode_args = ["encode", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+                       "--out", str(tmp_path / "x.srgc")]
+        for argv in (
+            encode_args,
+            ["sweep", str(scene_dir), "--disparity", str(scene_dir / "gt.lfdm"),
+             "--q-list", "16"],
+            ["decode", str(path), "--out", str(tmp_path / "rec1")],
+        ):
+            assert main([*argv, "--threads", "1"]) == 1
+            assert "--threads" in capsys.readouterr().err
+        cfgfile = tmp_path / "cfg.txt"
+        cfgfile.write_text("slic_k = 8\nthreads = 1\n")
+        assert main([*encode_args, "--config", str(cfgfile)]) == 2
+        assert f"{cfgfile}:2: unknown key 'threads'" in capsys.readouterr().err
+        assert not (tmp_path / "x.srgc").exists() and not (tmp_path / "rec1").exists()
         report = tmp_path / "dec.txt"
         assert main(["decode", str(path), "--out", str(tmp_path / "rec"),
                      "--report", str(report)]) == 0

@@ -46,6 +46,7 @@ from srgc.spectral import LocalGraph, dc_basis, eigendecompose, laplacian, split
 
 from conftest import (
     assemble_super_rays_oracle,
+    assert_spectrum_rule,
     bench_workloads,
     cluster_eigenvalues_oracle,
     coarsen_graphs_oracle,
@@ -995,28 +996,27 @@ def _probe_key(probe):
 
 def _solve_once(monkeypatch, solve=None):
     """Memoize the codec's eigen stage ``eigendecompose_all`` by Laplacian
-    bytes, column mask, probe and connectivity flag, solving the misses of
+    bytes, column mask and probe, solving the misses of
     each call with ``solve`` one Laplacian at a time, its mask and its
     probe's mask (``probe_mask_oracle``) applied by
     ``drop_unread_clusters_oracle`` (default: one ``eigendecompose_all``
-    call).  A basis is a pure function of its Laplacian, mask, probe and
-    flag, so every run of a test shares one set of solves and the test
+    call).  A basis is a pure function of its Laplacian, mask and probe,
+    so every run of a test shares one set of solves and the test
     times the stages it compares.  Returns the memo, which the test
     asserts non-empty: a codec that stopped calling
     ``codec.eigendecompose_all`` would otherwise bypass the hook."""
     bases = {}
     solve_all = codec.eigendecompose_all
 
-    def cached(laps, needed=None, probes=None, connected=None):
+    def cached(laps, needed=None, probes=None):
         laps = list(laps)
         masks = [None] * len(laps) if needed is None else list(needed)
         probed = probes is not None
         probes = list(probes) if probed else [None] * len(laps)
-        flags = [False] * len(laps) if connected is None else [bool(c) for c in connected]
         keys = [
             (lap.matrix.shape, lap.matrix.tobytes(), None if mask is None else mask.tobytes(),
-             _probe_key(probe), flag)
-            for lap, mask, probe, flag in zip(laps, masks, probes, flags)
+             _probe_key(probe))
+            for lap, mask, probe in zip(laps, masks, probes)
         ]
         missing = {k: args for k, *args in zip(keys, laps, masks, probes) if k not in bases}
         todo = list(missing.values())
@@ -1025,7 +1025,6 @@ def _solve_once(monkeypatch, solve=None):
                 [lap for lap, _, _ in todo],
                 None if needed is None else [mask for _, mask, _ in todo],
                 [probe for _, _, probe in todo] if probed else None,
-                [k[-1] for k in missing],
             )
         else:
             got = []
@@ -1103,7 +1102,7 @@ def test_distinct_graph_reuse_matches_per_unit_oracles_end_to_end(case, monkeypa
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     """Each unit's basis, shared or not, has the bits a lone
-    ``eigendecompose(laplacian(graph), connected)`` of its graph gives on
+    ``eigendecompose(laplacian(graph))`` of its graph gives on
     every column its side reads, on both sides: every unit on the
     encoder, and on the decoder every unit that is not predicted from a
     group's main.  A side keeps a column for a unit when the decoder's
@@ -1134,7 +1133,7 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
 
     def lone_solve(graph):
         connected = connected_components(graph.n, graph.edges)[1] == 1
-        return eigendecompose(laplacian(graph), connected), connected
+        return eigendecompose(laplacian(graph)), connected
 
     monkeypatch.setattr(codec, "_eigenbases", spy)
     stream, enc = encode(lf, dmap, cfg, debug=True)
@@ -1360,14 +1359,37 @@ def test_closed_form_dc_keeps_bytes_and_samples(case, monkeypatch):
         return data, rec, (enc.eig_solved, dec.eig_solved)
 
     data, rec, solved = round_trip()
-    monkeypatch.setattr(codec, "dc_only", lambda connected, needed=None, probes=None:
-                        np.zeros(len(connected), dtype=bool))
+    monkeypatch.setattr(codec, "dc_only", lambda graphs, needed=None, probes=None:
+                        np.zeros(len(graphs), dtype=bool))
     want_data, want_rec, want_solved = round_trip()
     assert data == want_data
     assert lf_equal(rec, want_rec)
     assert solved[0] <= want_solved[0] and solved[1] <= want_solved[1]
     if case.startswith("bench_"):
         assert solved[0] < want_solved[0] and solved[1] < want_solved[1]
+
+
+@pytest.mark.parametrize("case", [
+    *sorted(ORACLE_CASES),
+    *(f"bench_{name}_{seed}" for name in ("gate", "parallax", "partition") for seed in (1, 5)),
+])
+def test_spectrum_rule_on_solved_graphs(case, monkeypatch):
+    """Every distinct graph that either side sends to LAPACK, the graphs
+    ``codec.laplacian`` is called on, meets ``assert_spectrum_rule``: its
+    solved column 0 is ``dc_basis``'s exactly when it is connected."""
+    lf, dmap, cfg = _mask_case(case)
+    graphs = []
+
+    def recorded(g):
+        graphs.append(g)
+        return laplacian(g)
+
+    monkeypatch.setattr(codec, "laplacian", recorded)
+    decode(deserialize(serialize(encode(lf, dmap, cfg)[0])))
+    distinct, _ = codec._distinct_graphs(graphs)
+    assert distinct
+    for g in distinct:
+        assert_spectrum_rule(g)
 
 
 @pytest.mark.parametrize("name, counts, solved, coarsened", [

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from srgc.grouping import (
-    PairWeights,
     derive_group_members,
     pairwise_mse,
     predict_and_residual,
@@ -28,30 +27,30 @@ from conftest import (
 
 
 def _pw(weights, m):
-    """Build PairWeights from an explicit {(i,j): w} dict via vectors is
-    awkward; construct the condensed array directly."""
+    """The condensed pair array of an explicit {(i,j): w} dict over m
+    indices, built directly: building it via vectors is awkward."""
     condensed = np.zeros(m * (m - 1) // 2)
     for (i, j), w in weights.items():
         condensed[pair_index(m, i, j)] = w
-    return PairWeights(m=m, condensed=condensed)
+    return condensed
 
 
 class TestPairwiseMse:
     def test_counts(self):
         vecs = [np.array([float(i), 0.0]) for i in range(6)]
-        assert pairwise_mse(vecs).count == 15
+        assert pairwise_mse(vecs).shape == (15,)
 
     def test_values(self):
         vecs = [np.array([0.0, 0.0]), np.array([2.0, 4.0])]
         pw = pairwise_mse(vecs)
-        assert pw.condensed[pair_index(2, 0, 1)] == pytest.approx((4.0 + 16.0) / 2)
+        assert pw[pair_index(2, 0, 1)] == pytest.approx((4.0 + 16.0) / 2)
         assert pair_index(2, 1, 0) == pair_index(2, 0, 1)
 
     def test_identical_vectors_zero(self):
         v = np.array([1.0, 2.0, 3.0])
         pw = pairwise_mse([v, v.copy(), v.copy()])
         assert all(
-            pw.condensed[pair_index(3, i, j)] == 0.0 for i in range(3) for j in range(i + 1, 3)
+            pw[pair_index(3, i, j)] == 0.0 for i in range(3) for j in range(i + 1, 3)
         )
 
     def test_length_mismatch_rejected(self):
@@ -336,7 +335,7 @@ class TestRunGrouping:
         vecs = [rng.normal(size=5) * 10 for _ in range(12)]
         pw = pairwise_mse(vecs)
         prev = -1
-        for thr in np.linspace(0, pw.condensed.max() * 1.1, 25):
+        for thr in np.linspace(0, pw.max() * 1.1, 25):
             merged = merge_groups_oracle(one_level_groups_oracle(pw, thr))
             grouped = sum(len(m) for m in merged)
             assert grouped >= prev

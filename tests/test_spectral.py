@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import srgc.codec as codec
@@ -32,6 +32,7 @@ from srgc.transform import gft, quantize
 import conftest
 from conftest import (
     apply_sign_convention_oracle,
+    assert_spectrum_rule,
     bench_workloads,
     canonical_cluster_basis_oracle,
     cluster_eigenvalues_oracle,
@@ -46,6 +47,7 @@ from conftest import (
     graph_structure_union_oracle,
     heavy_edge_matching_oracle,
     label_shift,
+    laplacian_connected_oracle,
     laplacian_oracle,
     make_lf,
     merge_edges_oracle,
@@ -189,27 +191,25 @@ class _UnitsBuilt(Exception):
 
 def _bench_laplacians(name, monkeypatch):
     """Every Laplacian the encoder eigendecomposes on a bench scene (seed 1)
-    with the closed-form DC basis turned off, and the connectivity flag the
-    codec passes with each, recorded at ``codec.eigendecompose_all``: one
-    per distinct unit graph, since units that repeat a graph share its
-    basis."""
+    with the closed-form DC basis turned off, recorded at
+    ``codec.eigendecompose_all``: one per distinct unit graph, since units
+    that repeat a graph share its basis."""
     workload = bench_workloads()[name]
     lf, dmap = workload.scene(1)
-    laps, flags = [], []
+    laps = []
 
-    def record(batch, needed=None, probes=None, connected=None):
+    def record(batch, needed=None, probes=None):
         batch = list(batch)
         laps.extend(batch)
-        flags.extend(connected)
-        return eigendecompose_all(batch, needed, probes, connected)
+        return eigendecompose_all(batch, needed, probes)
 
     with monkeypatch.context() as m:
         m.setattr(codec, "eigendecompose_all", record)
-        m.setattr(codec, "dc_only", lambda connected, needed=None, probes=None:
-                  np.zeros(len(connected), dtype=bool))
+        m.setattr(codec, "dc_only", lambda graphs, needed=None, probes=None:
+                  np.zeros(len(graphs), dtype=bool))
         codec.encode(lf, dmap, workload.config)
     assert laps, "the encoder no longer calls codec.eigendecompose_all"
-    return laps, flags
+    return laps
 
 
 def _graph(sr, angular_dims):
@@ -504,11 +504,11 @@ def _degenerate_graph(rng, case):
     return _pairs_graph(n, pairs)
 
 
-def _assert_matches_eigen_oracle(lap, connected=False):
+def _assert_matches_eigen_oracle(lap):
     """Same eigenvalues and clusters as the loop oracle, and the same
     columns up to sign within 1e-9; returns the largest cluster size.
-    The oracle finds the graph's connectivity by itself."""
-    got = eigendecompose(lap, connected)
+    The oracle finds the graph's connectivity by flood fill."""
+    got = eigendecompose(lap)
     want = eigendecompose_oracle(lap)
     assert np.array_equal(got.eigenvalues, want.eigenvalues)
     clusters = cluster_eigenvalues_oracle(want.eigenvalues)
@@ -529,8 +529,8 @@ class TestCanonicalization:
     @pytest.mark.parametrize("name", ["gate", "parallax", "partition"])
     def test_matches_loop_oracle_on_bench_laplacians(self, name, monkeypatch):
         """Every Laplacian the encoder eigendecomposes on the bench scene."""
-        largest = [_assert_matches_eigen_oracle(lap, connected)
-                   for lap, connected in zip(*_bench_laplacians(name, monkeypatch))]
+        largest = [_assert_matches_eigen_oracle(lap)
+                   for lap in _bench_laplacians(name, monkeypatch)]
         assert max(largest) > 1
 
     def test_rotation_invariant(self):
@@ -601,7 +601,7 @@ class TestEigendecomposeAll:
         single = laplacian(LocalGraph(n=1, edges=np.zeros((0, 2), dtype=np.int64)))
         laps = [single, laplacian(path_graph(5)), single, laplacian(path_graph(5))]
         laps += [laplacian(_degenerate_graph(rng, case)) for case in range(60)]
-        laps += _bench_laplacians("partition", monkeypatch)[0]
+        laps += _bench_laplacians("partition", monkeypatch)
         sizes = [lap.matrix.shape[0] for lap in laps]
         assert 1 in sizes and len(set(sizes)) < len(sizes) / 2
         want = {id(lap): eigendecompose(lap) for lap in laps}
@@ -618,9 +618,9 @@ class TestEigendecomposeAll:
     def test_bit_equal_to_unbatched_oracle_on_bench_laplacians(self, name, monkeypatch):
         """On every Laplacian a bench scene builds, the batched stage has the
         bits of the per-Laplacian, per-cluster loop it replaced."""
-        laps, connected = _bench_laplacians(name, monkeypatch)
-        assert any(connected)
-        for basis, lap in zip(eigendecompose_all(laps, connected=connected), laps):
+        laps = _bench_laplacians(name, monkeypatch)
+        assert any(laplacian_connected_oracle(lap) for lap in laps)
+        for basis, lap in zip(eigendecompose_all(laps), laps):
             want = eigendecompose_unbatched_oracle(lap)
             assert np.array_equal(basis.eigenvalues, want.eigenvalues)
             assert np.array_equal(basis.vectors, want.vectors)
@@ -687,7 +687,7 @@ class TestEigendecomposeAll:
         single = laplacian(LocalGraph(n=1, edges=np.zeros((0, 2), dtype=np.int64)))
         laps = [single, laplacian(path_graph(5)), single, laplacian(path_graph(5))]
         laps += [laplacian(_degenerate_graph(rng, case)) for case in range(60)]
-        laps += _bench_laplacians("partition", monkeypatch)[0]
+        laps += _bench_laplacians("partition", monkeypatch)
         laps = [laps[i] for i in rng.permutation(len(laps))]
         sizes = [lap.matrix.shape[0] for lap in laps]
         for density in (0.05, 0.3):
@@ -702,7 +702,7 @@ class TestEigendecomposeAll:
         """The same contract on every Laplacian a bench scene builds, with
         masks as sparse as the decoder's."""
         rng = np.random.default_rng(49)
-        laps, _ = _bench_laplacians(name, monkeypatch)
+        laps = _bench_laplacians(name, monkeypatch)
         masks = [rng.random(lap.matrix.shape[0]) < 0.02 for lap in laps]
         dropped, _ = self._assert_masked(laps, masks)
         assert dropped > 0
@@ -869,6 +869,19 @@ def _random_sparse_graph(rng, n, density):
     return LocalGraph(n=n, edges=np.column_stack([a[keep], b[keep]]).astype(np.int64))
 
 
+def _components_graph(rng, sizes):
+    """A random graph whose connected components are random connected
+    blocks of ``sizes`` vertices (a block of one is an isolated vertex),
+    with its vertices shuffled."""
+    n = sum(sizes)
+    perm = rng.permutation(n)
+    lows = np.cumsum(sizes) - sizes
+    edges = np.sort(np.concatenate(
+        [perm[random_connected_graph(rng, k).edges + lo] for k, lo in zip(sizes, lows)]
+    ), axis=1)
+    return LocalGraph(n=n, edges=edges[np.lexsort((edges[:, 1], edges[:, 0]))])
+
+
 class TestClosedFormDC:
     """A connected graph's column 0 is the constant unit vector, and a
     connected graph whose caller reads nothing past column 0 takes
@@ -887,32 +900,48 @@ class TestClosedFormDC:
     @given(seed=st.integers(0, 2**32 - 1), count=st.integers(1, 12))
     @settings(max_examples=40, deadline=None, derandomize=True)
     def test_exact_dc_column_keeps_every_other_bit(self, seed, count):
-        """On random graphs of 1-64 vertices, connected or not, flagged by
-        ``connected_graphs``: a connected graph's column 0 equals
-        ``np.full(n, 1 / np.sqrt(n))`` and every other column and every
-        eigenvalue has the bits of the unflagged solve; a disconnected
-        graph's basis is the unflagged one bit for bit."""
+        """On random graphs of 1-64 vertices, connected or not, batched: a
+        connected graph's column 0 equals ``np.full(n, 1 / np.sqrt(n))``,
+        and every basis has the bits of the per-Laplacian, per-cluster
+        oracle, which sets that column by flood fill and keeps LAPACK's
+        other columns, when it canonicalizes each cluster with the stage's
+        own Gram-Schmidt; with its loop Gram-Schmidt (the unbatched
+        oracle), which rounds apart on degenerate clusters, within 1e-12."""
         rng = np.random.default_rng(seed)
         graphs = [
             random_connected_graph(rng, int(rng.integers(1, 65))) if rng.random() < 0.5
             else _random_sparse_graph(rng, int(rng.integers(1, 65)), rng.uniform(0.01, 0.2))
             for _ in range(count)
         ]
-        connected = spectral.connected_graphs(graphs)
         laps = [laplacian(g) for g in graphs]
-        got = eigendecompose_all(laps, connected=connected)
-        for g, flag, basis, plain in zip(graphs, connected, got, eigendecompose_all(laps)):
-            assert np.array_equal(basis.eigenvalues, plain.eigenvalues)
-            if flag:
+        for g, lap, basis in zip(graphs, laps, eigendecompose_all(laps)):
+            want = conftest._eigendecompose_by_cluster(
+                lap, lambda v: spectral._canonical_cluster_bases(np.ascontiguousarray(v)[None])[0]
+            )
+            assert np.array_equal(basis.eigenvalues, want.eigenvalues)
+            assert np.array_equal(basis.vectors, want.vectors)
+            loop = eigendecompose_unbatched_oracle(lap)
+            assert np.array_equal(basis.eigenvalues, loop.eigenvalues)
+            assert np.abs(basis.vectors - loop.vectors).max() < 1e-12
+            if connected_components(g.n, g.edges)[1] == 1:
                 assert np.array_equal(basis.vectors[:, 0], np.full(g.n, 1 / np.sqrt(g.n)))
-                assert np.array_equal(basis.vectors[:, 1:], plain.vectors[:, 1:])
-            else:
-                assert np.array_equal(basis.vectors, plain.vectors)
 
-    def test_connectivity_flags_checked(self):
-        laps = [laplacian(path_graph(3)), laplacian(path_graph(4))]
-        with pytest.raises(ValueError, match="1 connectivity flags for 2 Laplacians"):
-            eigendecompose_all(laps, connected=[True])
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 64), min_size=1, max_size=6))
+    @example(seed=0, sizes=[1])
+    @example(seed=0, sizes=[1, 1])
+    @example(seed=0, sizes=[63, 1])
+    @example(seed=0, sizes=[64])
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_spectrum_rule_equals_union_find(self, seed, sizes):
+        """On random graphs of 1-64 vertices with one or more components
+        (isolated vertices and n = 1 included), the eigen stage gives
+        column 0 the exact constant value exactly when ``connected_graphs``
+        finds the graph connected, and a disconnected graph its component
+        indicators (``assert_spectrum_rule``)."""
+        sizes = [k for k, total in zip(sizes, np.cumsum(sizes)) if total <= 64] or [64]
+        g = _components_graph(np.random.default_rng(seed), sizes)
+        assert assert_spectrum_rule(g) == (len(sizes) == 1)
 
     def test_dc_basis(self):
         basis = spectral.dc_basis(5)
@@ -933,7 +962,7 @@ class TestClosedFormDC:
         assert bases[0] is bases[2] and not np.isnan(bases[0].eigenvalues).any()
         assert np.array_equal(bases[1].vectors, spectral.dc_basis(5).vectors)
         assert not np.isnan(bases[3].eigenvalues).any()
-        assert spectral.dc_only([True, False]).tolist() == [False, False]
+        assert spectral.dc_only([path, split]).tolist() == [False, False]
 
     @pytest.mark.parametrize("dc", [0.0, 1000.0])
     def test_probe_edge_on_a_path(self, dc):
@@ -953,7 +982,7 @@ class TestClosedFormDC:
         alpha = q / 2
         for _ in range(5):
             alpha = (q / 2 - 1.1e-8 * np.hypot(dc * np.sqrt(n), alpha)) / (1 + 1e-6)
-        full = eigendecompose(laplacian(g), True)
+        full = eigendecompose(laplacian(g))
         for scale, closed in ((1 - 1e-7, True), (1 + 1e-7, False)):
             f = dc + alpha * scale * ramp
             (basis,), solved = codec._eigenbases([g], probes=[(f[None], steps)])
