@@ -1,16 +1,18 @@
-"""Versioned bitstream container (magic ``SRGC``, version 3).
+"""Versioned bitstream container (magic ``SRGC``, version 4).
 
 Layout (all little-endian, no padding; see docs/bitstream.md):
 
     magic     4s    b"SRGC"
-    version   u8    3
+    version   u8    4
     header    fixed 31-byte struct (dims, depth, channels, flags, quantizer, ...)
     lengths   6 x u32, payload byte length of sections 1..6 in id order
     payloads  the six section payloads, concatenated in id order
 
 Every section payload starts with a u32 symbol count followed by one
 entropy-coded integer stream.  Section ids: 1 segmentation, 2 disparity,
-3 structure, 4 coefficients, 5 groups, 6 residuals.
+3 structure, 4 coefficients, 5 groups, 6 residuals.  The coefficient
+stream opens with one extent per coefficient vector, under the ``extent``
+contexts, before its levels.
 """
 
 import math
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from .errors import CorruptStreamError, UnsupportedStreamError
 
 MAGIC = b"SRGC"
-VERSION = 3
+VERSION = 4
 
 SEC_SEGMENTATION = 1
 SEC_DISPARITY = 2
@@ -39,6 +41,7 @@ SECTION_NAMES = {
 }
 
 # the entropy context category each section's symbols are coded under
+# (the coefficient section's head of extents under "extent")
 SECTION_CONTEXTS = {
     SEC_SEGMENTATION: "labels",
     SEC_DISPARITY: "disparities",
@@ -136,7 +139,7 @@ def unpack_section(data, section_id):
 
 
 def serialize(bs: Bitstream) -> bytes:
-    """The v3 container; every one of the six sections must be present."""
+    """The v4 container; every one of the six sections must be present."""
     payloads = [bs.sections[sid] for sid in SECTION_NAMES]
     return b"".join([
         MAGIC,

@@ -205,9 +205,10 @@ def _cmd_analyze(args):
             "bpp=%.6f" % bench.bpp(stream, (hdr.angular_dims, hdr.spatial_dims)),
         ]
         for sid in sorted(stream.sections):
-            lines.append(
-                f"section_{SECTION_NAMES[sid]}_bytes={len(stream.sections[sid])}"
-            )
+            name, section = SECTION_NAMES[sid], stream.sections[sid]
+            # the section's declared symbol count: nothing is decoded
+            count, _ = unpack_section(section, sid)
+            lines += [f"section_{name}_bytes={len(section)}", f"section_{name}_symbols={count}"]
     if args.ref and args.rec:
         a = load_light_field(args.ref)
         b = load_light_field(args.rec)

@@ -19,7 +19,10 @@ as they are, which the decoder hands to :func:`spectral.partition_with_tree`
 to parse and replay; an empty section means coarse mode.  The groups
 section is the groups in label form (:func:`_group_symbols`): the
 encoder's grouping pass is the only one, and the decoder checks the labels
-in one pass (:func:`_groups_from_symbols`).
+in one pass (:func:`_groups_from_symbols`).  The coefficient section is
+every coefficient vector's extent, then each vector's symbols up to it,
+its DC level predicted from the previous unit's
+(:func:`_coefficient_symbols`, :func:`_levels_from_symbols`).
 
 Each side builds the pixel graphs of all its units (super-rays, or
 partition parts) in one :func:`spectral.graph_structure` call, their
@@ -336,12 +339,17 @@ def _build_units(sources, angular_dims, mode, n_target, watch):
     ]
 
 
+def _vector_sizes(units, n_channels):
+    """Length of every coefficient vector, unit-major, channel-minor."""
+    return np.repeat([u.n for u in units], n_channels)
+
+
 def _coefficient_steps(units, n_channels, q_gft):
     """Quantizer step of every coefficient of every unit and channel, laid
     out back to back (unit-major, channel-minor): min(q_gft, 1) at each
     vector's DC index, so a constant signal survives any q_gft >= 1, and
     q_gft elsewhere.  Returns (steps, start of each vector)."""
-    sizes = np.repeat([u.n for u in units], n_channels)
+    sizes = _vector_sizes(units, n_channels)
     starts = np.cumsum(sizes) - sizes
     steps = np.full(sizes.sum(), float(q_gft))
     steps[starts] = min(q_gft, 1.0)
@@ -416,6 +424,69 @@ def _segmentation_from_symbols(syms, w, h, label_count):
         src = np.where(grid[y] == 0, 0, cols)
         labels[y] = row[np.maximum.accumulate(src)]
     return labels
+
+
+def _predict_dc(prev, n_prev, n):
+    """A vector's DC level prediction from ``prev``, the DC level of the
+    previous unit's vector in its channel, of length ``n_prev``: a DC
+    coefficient is the mean times sqrt(n), so the prediction carries that
+    unit's mean to this unit's length."""
+    return round_half_away(prev / math.sqrt(n_prev) * math.sqrt(n))
+
+
+def _coefficient_symbols(levels, sizes, n_channels):
+    """Section-4 symbols of the back-to-back levels of vectors of lengths
+    ``sizes`` (unit-major, channel-minor): every vector's extent, then
+    every vector's coded symbols up to its extent.  A vector's symbol 0 is
+    its DC level minus :func:`_predict_dc` (0 for the first unit), its
+    extent the index of its last nonzero symbol plus 1.  Returns (symbols,
+    head), ``head`` the vector count; a DC residual of 2**49 or more in
+    magnitude raises ValueError."""
+    starts = np.cumsum(sizes) - sizes
+    dc, n = levels[starts].tolist(), sizes.tolist()
+    residuals = dc[:n_channels] + [
+        dc[j] - _predict_dc(dc[j - n_channels], n[j - n_channels], n[j])
+        for j in range(n_channels, len(dc))
+    ]
+    if any(abs(r) >= SYMBOL_LIMIT for r in residuals):
+        raise ValueError("a DC residual has magnitude of 2**49 or more")
+    coded = levels.copy()
+    coded[starts] = residuals
+    local = np.arange(coded.size) - np.repeat(starts, sizes)
+    extents = np.maximum.reduceat(np.where(coded != 0, local + 1, 0), starts)
+    kept = coded[local < np.repeat(extents, sizes)]
+    return extents.tolist() + kept.tolist(), len(dc)
+
+
+def _levels_from_symbols(syms, sizes, n_channels):
+    """Inverse of :func:`_coefficient_symbols`.  A section that no encoder
+    writes raises CorruptStreamError: an extent outside 0..n, a count
+    other than the vector count plus the extents, a vector whose last
+    coded symbol is 0, or a DC level of 2**49 or more in magnitude."""
+    m = sizes.size
+    extents = syms[:m]
+    if ((extents < 0) | (extents > sizes)).any():
+        raise CorruptStreamError("corrupt stream: coefficient extent outside 0..n")
+    expected = m + int(extents.sum())
+    if syms.size != expected:
+        raise CorruptStreamError(
+            f"corrupt stream: coefficients section holds {syms.size} symbols, "
+            f"expected {expected}"
+        )
+    runs = syms[m:]
+    ends = np.cumsum(extents)
+    if (runs[ends[extents > 0] - 1] == 0).any():
+        raise CorruptStreamError("corrupt stream: coefficient vector ends in a zero")
+    starts = np.cumsum(sizes) - sizes
+    levels = np.zeros(int(sizes.sum()), dtype=np.int64)
+    levels[np.repeat(starts - ends + extents, extents) + np.arange(runs.size)] = runs
+    dc, n = levels[starts].tolist(), sizes.tolist()
+    for j in range(n_channels, m):
+        dc[j] += _predict_dc(dc[j - n_channels], n[j - n_channels], n[j])
+        if abs(dc[j]) >= SYMBOL_LIMIT:
+            raise CorruptStreamError(f"corrupt stream: DC level of vector {j} reaches 2**49")
+    levels[starts] = dc
+    return levels
 
 
 def _group_symbols(groups, m):
@@ -573,17 +644,20 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
             residual_syms.extend(int(r) for r in residual)
     watch.lap("residuals")
 
+    # (symbols, head): the coefficient section opens with a head of extents
     symbols = {
-        bs.SEC_SEGMENTATION: _segmentation_symbols(seg_ref.reference),
-        bs.SEC_DISPARITY: round_half_away_int(disparities * 8).tolist(),
-        bs.SEC_STRUCTURE: structure,
-        bs.SEC_COEFFICIENTS: levels.tolist(),
-        bs.SEC_GROUPS: _group_symbols(groups, len(groupable)),
-        bs.SEC_RESIDUALS: residual_syms,
+        bs.SEC_SEGMENTATION: (_segmentation_symbols(seg_ref.reference), 0),
+        bs.SEC_DISPARITY: (round_half_away_int(disparities * 8).tolist(), 0),
+        bs.SEC_STRUCTURE: (structure, 0),
+        bs.SEC_COEFFICIENTS: _coefficient_symbols(
+            levels, _vector_sizes(units, n_channels), n_channels
+        ),
+        bs.SEC_GROUPS: (_group_symbols(groups, len(groupable)), 0),
+        bs.SEC_RESIDUALS: (residual_syms, 0),
     }
     sections = {
-        sid: bs.pack_section(len(syms), entropy_encode(syms, bs.SECTION_CONTEXTS[sid]))
-        for sid, syms in symbols.items()
+        sid: bs.pack_section(len(syms), entropy_encode(syms, bs.SECTION_CONTEXTS[sid], head))
+        for sid, (syms, head) in symbols.items()
     }
     header = StreamHeader(
         angular_dims=lf.angular_dims,
@@ -638,22 +712,26 @@ def decode(stream: Bitstream, threads=1, debug=False):
     w, h = hdr.spatial_dims
     maxval = (1 << hdr.bit_depth) - 1
 
-    def section_symbols(sid, expected, at_most=False):
+    def section_symbols(sid, least, most=None, head=0):
         """Entropy-decode a section whose declared symbol count is
-        ``expected`` (or at most that, with ``at_most``); the count is
-        checked first, so a lying count costs no decoding work."""
+        ``least`` (or from ``least`` to ``most``), the first ``head``
+        symbols under the extent contexts; the count is checked first, so
+        a lying count costs no decoding work."""
         name = bs.SECTION_NAMES[sid]
         if sid not in stream.sections:
             raise CorruptStreamError(f"corrupt stream: missing section '{name}'")
         count, payload = bs.unpack_section(stream.sections[sid], sid)
-        if count > expected or (count < expected and not at_most):
-            bound = "at most " if at_most else ""
+        most = least if most is None else most
+        if not least <= count <= most:
+            bound = str(most) if least == most else (
+                f"at most {most}" if least == 0 else f"{least} to {most}"
+            )
             raise CorruptStreamError(
                 f"corrupt stream: section '{name}' declares {count} symbols, "
-                f"expected {bound}{expected}"
+                f"expected {bound}"
             )
         start = time.perf_counter()
-        syms = entropy_decode(payload, count, bs.SECTION_CONTEXTS[sid])
+        syms = entropy_decode(payload, count, bs.SECTION_CONTEXTS[sid], head)
         watch.aside("entropy", start)
         return syms
 
@@ -677,7 +755,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
 
     # 2P - 1 tree nodes for P parts, and every part keeps at least one
     # reference pixel; an empty section codes every label coarsened
-    struct_syms = section_symbols(bs.SEC_STRUCTURE, 2 * w * h, at_most=True)
+    struct_syms = section_symbols(bs.SEC_STRUCTURE, 0, 2 * w * h)
     mode = "part" if len(struct_syms) else "coarse"
     try:
         sources = srs
@@ -689,16 +767,19 @@ def decode(stream: Bitstream, threads=1, debug=False):
     watch.lap("coarsen")
 
     n_channels = hdr.channels
+    # one extent per vector, then at most every coefficient
+    sizes = _vector_sizes(units, n_channels)
     coeff_syms = section_symbols(
-        bs.SEC_COEFFICIENTS, sum(u.n for u in units) * n_channels
+        bs.SEC_COEFFICIENTS, sizes.size, sizes.size + int(sizes.sum()), head=sizes.size
     )
-    deq = _dequantize_units(coeff_syms, units, n_channels, hdr.q_gft)
+    levels = _levels_from_symbols(coeff_syms, sizes, n_channels)
+    deq = _dequantize_units(levels, units, n_channels, hdr.q_gft)
     watch.lap("dequantize")
 
     groupable = _groupable_positions(units, hdr.n_target, hdr.grouping)
     # m labels and one rank per group of at least 2: at most m + m // 2
     m = len(groupable)
-    groups = _groups_from_symbols(section_symbols(bs.SEC_GROUPS, m + m // 2, at_most=True), m)
+    groups = _groups_from_symbols(section_symbols(bs.SEC_GROUPS, 0, m + m // 2), m)
     predicted = _predicted_members(groups, groupable)
     watch.lap("grouping")
 

@@ -4,14 +4,12 @@ Binary arithmetic coder on 32-bit low/high registers with underflow
 handling, driven by adaptive per-context bit counts.  Integers are
 binarized as: a zero flag, a sign bit, then the magnitude minus one as an
 exp-Golomb code whose unary prefix is context-coded per position and whose
-suffix bits are bypass coded.  A bypass bit is coded like any other bit
-under a ``(1, 1)`` count pair that never adapts, i.e. at probability 1/2.
-Magnitudes of 2**49 or more would need a unary prefix longer than the
-decoder accepts, so the encoder rejects them.  Each call to
-:func:`entropy_encode` starts from fresh context state, so payloads are
-self-contained; the categories below exist so different bitstream sections
-never share statistics.  The exact format is documented in
-``docs/bitstream.md``.
+suffix bits are bypass coded, under a ``(1, 1)`` count pair that never
+adapts.  Magnitudes of 2**49 or more would need a unary prefix longer than
+the decoder accepts, so the encoder rejects them.  Every payload starts
+from fresh contexts: ``head`` symbols under the ``extent`` category, then
+the rest under its own, so sections never share statistics.  The exact
+format is documented in ``docs/bitstream.md``.
 """
 
 import numpy as np
@@ -26,95 +24,95 @@ _COUNT_CAP = 1 << 12
 _MAX_PREFIX = 48  # longer unary prefixes can only be corruption
 SYMBOL_LIMIT = 1 << (_MAX_PREFIX + 1)  # |v| < SYMBOL_LIMIT has a prefix of at most 48
 _BYPASS = (1, 1)  # never adapts: its split is low + (range >> 1) - 1
+_SUFFIX = {"0": (_BYPASS, 0), "1": (_BYPASS, 1)}
 
 # number of unary-prefix contexts per symbol category
-CATEGORIES = {
-    "labels": 8,
-    "disparities": 4,
-    "structure": 2,
-    "gft": 8,
-    "residual": 8,
-    "group": 4,
-}
+CATEGORIES = {"labels": 8, "disparities": 4, "structure": 2, "gft": 8, "residual": 8,
+              "group": 4, "extent": 8}
 
 
 def _contexts(category):
-    """Fresh count pairs for the zero flag, the sign and each unary position."""
+    """Fresh count pairs for the zero flag, the sign and each unary
+    position 0..48; positions past the category's count share its last."""
     if category not in CATEGORIES:
         raise ValueError(f"unknown context category {category!r}")
-    return [1, 1], [1, 1], [[1, 1] for _ in range(CATEGORIES[category])]
+    unary = [[1, 1] for _ in range(CATEGORIES[category])]
+    return [1, 1], [1, 1], unary + unary[-1:] * (_MAX_PREFIX + 1 - len(unary))
 
 
-def _bins(symbols, category):
-    """Each symbol's (context, bit) pairs in stream order: zero flag, sign,
-    unary prefix of k = bit_length(|v|) - 1 on capped positions, then the
-    k low bits of |v|, most significant first, as bypass bits."""
+def _bin_tables(category):
+    """Fresh contexts as (context, bit) bins: a zero's, a nonzero's zero
+    flag and sign by sign, and each unary position's 1 and its 0."""
     zero, sign, unary = _contexts(category)
-    last = len(unary) - 1
-    for v in symbols:
-        v = int(v)
-        if v == 0:
-            yield zero, 0
-            continue
-        if v >= SYMBOL_LIMIT or v <= -SYMBOL_LIMIT:
-            raise ValueError(f"symbol {v} has magnitude of 2**49 or more")
-        yield zero, 1
-        yield sign, int(v < 0)
-        n = abs(v)
-        k = n.bit_length() - 1
-        for i in range(k):
-            yield unary[min(i, last)], 1
-        yield unary[min(k, last)], 0
-        for i in range(k - 1, -1, -1):
-            yield _BYPASS, (n >> i) & 1
+    lead = [(zero, 1), (sign, 0)], [(zero, 1), (sign, 1)]
+    return ((zero, 0),), lead, [(c, 1) for c in unary], [(c, 0) for c in unary]
 
 
-def entropy_encode(symbols, category) -> bytes:
-    """Losslessly encode an integer sequence under one context category."""
+def entropy_encode(symbols, category, head=0) -> bytes:
+    """Losslessly encode integers, the first ``head`` under the ``extent``
+    contexts.  A nonzero's unary prefix is k = bit_length(|v|) - 1, its
+    suffix the k low bits of |v|, most significant first."""
+    rest = _bin_tables(category)
+    nil, lead, ones, stops = _bin_tables("extent")
     out = bytearray()
     low, high, pending = 0, _MASK, 0
-    for ctx, bit in _bins(symbols, category):
-        c0, c1 = ctx
-        total = c0 + c1
-        split = low + ((high - low + 1) * c0) // total - 1
-        if bit:
-            low = split + 1
+    for i, v in enumerate(symbols):
+        if i == head:
+            nil, lead, ones, stops = rest
+        v = int(v)
+        if v == 0:
+            bins = nil
+        elif -SYMBOL_LIMIT < v < SYMBOL_LIMIT:
+            suffix = bin(abs(v))[3:]
+            bins = lead[v < 0] + ones[: len(suffix)]
+            bins.append(stops[len(suffix)])
+            bins += map(_SUFFIX.__getitem__, suffix)
         else:
-            high = split
-        if ctx is not _BYPASS:
-            ctx[bit] += 1
-            if total + 1 >= _COUNT_CAP:
-                ctx[0] = (ctx[0] + 1) >> 1
-                ctx[1] = (ctx[1] + 1) >> 1
-        while (low ^ high) & _TOP == 0:
-            b = low >> (_STATE_BITS - 1)
-            out.append(b)
-            if pending:
-                out += bytes([b ^ 1]) * pending
-                pending = 0
-            low = (low << 1) & _MASK
-            high = ((high << 1) & _MASK) | 1
-        while low & ~high & _SECOND:
-            pending += 1
-            low = (low << 1) & (_MASK >> 1)
-            high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
+            raise ValueError(f"symbol {v} has magnitude of 2**49 or more")
+        for ctx, bit in bins:
+            c0, c1 = ctx
+            total = c0 + c1
+            split = low + ((high - low + 1) * c0) // total - 1
+            if bit:
+                low = split + 1
+            else:
+                high = split
+            if ctx is not _BYPASS:
+                ctx[bit] += 1
+                if total + 1 >= _COUNT_CAP:
+                    ctx[0] = (ctx[0] + 1) >> 1
+                    ctx[1] = (ctx[1] + 1) >> 1
+            while (low ^ high) & _TOP == 0:
+                b = low >> (_STATE_BITS - 1)
+                out.append(b)
+                if pending:
+                    out += bytes([b ^ 1]) * pending
+                    pending = 0
+                low = (low << 1) & _MASK
+                high = ((high << 1) & _MASK) | 1
+            while low & ~high & _SECOND:
+                pending += 1
+                low = (low << 1) & (_MASK >> 1)
+                high = ((high << 1) & (_MASK >> 1)) | _TOP | 1
     out.append(1)
     return np.packbits(np.frombuffer(out, dtype=np.uint8)).tobytes()
 
 
-def entropy_decode(data, count, category):
-    """Decode exactly ``count`` integers from an entropy payload.  Bits past
-    the end of ``data`` read as zero."""
-    zero, sign, unary = _contexts(category)
-    last = len(unary) - 1
+def entropy_decode(data, count, category, head=0):
+    """Decode exactly ``count`` integers, the first ``head`` under the
+    ``extent`` contexts; bits past the end of ``data`` read as zero.  A
+    pass decodes one bin, of ``stage`` 0 zero flag, 1 sign, 2 unary
+    prefix or 3 suffix (``k`` bits left)."""
+    rest = _contexts(category)
+    zero, sign, unary = _contexts("extent") if head else rest
     bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)).tobytes()
     n_bits = len(bits)
     low, high = 0, _MASK
-    head = bytes(data[: _STATE_BITS // 8]).ljust(_STATE_BITS // 8, b"\0")
-    code, pos = int.from_bytes(head, "big"), _STATE_BITS
-
-    def bit(ctx):
-        nonlocal low, high, code, pos
+    code = int.from_bytes(bytes(data[:4]).ljust(4, b"\0"), "big")
+    pos = _STATE_BITS
+    out = []
+    ctx, stage, negative, k, n, i = zero, 0, 0, 0, 0, 0
+    while i < count:
         c0, c1 = ctx
         total = c0 + c1
         split = low + ((high - low + 1) * c0) // total - 1
@@ -140,21 +138,34 @@ def entropy_decode(data, count, category):
             code = (code & _TOP) | ((code << 1) & (_MASK >> 1))
             code |= bits[pos] if pos < n_bits else 0
             pos += 1
-        return b
-
-    out = []
-    for _ in range(count):
-        if not bit(zero):
-            out.append(0)
+        if stage == 0:
+            if b:
+                ctx, stage = sign, 1
+                continue
+            v = 0
+        elif stage == 1:
+            ctx, stage, negative, k = unary[0], 2, b, 0
             continue
-        negative = bit(sign)
-        k = 0
-        while bit(unary[min(k, last)]):
-            k += 1
-            if k > _MAX_PREFIX:
-                raise DecodeDesyncError("magnitude prefix overflow", pos - _STATE_BITS)
-        n = 1
-        for _ in range(k):
-            n = (n << 1) | bit(_BYPASS)
-        out.append(-n if negative else n)
+        elif stage == 2:
+            if b:
+                k += 1
+                if k > _MAX_PREFIX:
+                    raise DecodeDesyncError("magnitude prefix overflow", pos - _STATE_BITS)
+                ctx = unary[k]
+                continue
+            if k:
+                ctx, stage, n = _BYPASS, 3, 1
+                continue
+            v = 1
+        else:
+            n = (n << 1) | b
+            k -= 1
+            if k:
+                continue
+            v = n
+        out.append(-v if negative else v)
+        i += 1
+        if i == head:
+            zero, sign, unary = rest
+        ctx, stage = zero, 0
     return np.array(out, dtype=np.int64)

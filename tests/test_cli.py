@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from srgc.bitstream import Bitstream, serialize
+from srgc.bitstream import SECTION_NAMES, Bitstream, deserialize, serialize, unpack_section
 from srgc.cli import main
 from srgc.codec import CodecConfig, encode
 from srgc.lightfield import DisparityMap, load_light_field
@@ -406,9 +406,14 @@ class TestAnalyze:
         assert "magic=SRGC" in out
         assert "bpp=" in out
         assert "section_coefficients_bytes=" in out
-        assert "version=3" in out and "mode=coarse" in out
+        assert "version=4" in out and "mode=coarse" in out
         assert "max_vertices=" not in out and "q_switch=" not in out
-        # version 3 carries neither: groups are stream data
+        # each section's u32 symbol count, read without decoding it
+        sections = deserialize(stream.read_bytes()).sections
+        for sid, name in SECTION_NAMES.items():
+            count, _ = unpack_section(sections[sid], sid)
+            assert f"section_{name}_symbols={count}" in out.splitlines()
+        # versions 3 and 4 carry neither: groups are stream data
         assert "bin_width=" not in out and "explicit_groups=" not in out
 
     def test_stream_info_partition_mode(self, scene_dir, tmp_path, capsys):

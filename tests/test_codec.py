@@ -182,13 +182,13 @@ class TestSerializeRoundtrip:
             deserialize(bytes(data))
 
     def test_version_3_header_layout(self):
-        """Version 3 writes a 31-byte ``<HHIIBBBIId`` header: no
+        """Version 4 keeps version 3's 31-byte ``<HHIIBBBIId`` header: no
         ``bin_width``, no reserved f64, and flag bit 0 alone."""
         lf, dmap = small_scene()
         stream = encode(lf, dmap, CFG)[0]
         hdr = stream.header
         data = serialize(stream)
-        assert data[:5] == MAGIC + bytes([3]) == MAGIC + bytes([VERSION])
+        assert data[:5] == MAGIC + bytes([4]) == MAGIC + bytes([VERSION])
         assert data[5:36] == struct.pack(
             "<HHIIBBBIId", *hdr.angular_dims, *hdr.spatial_dims, hdr.bit_depth,
             hdr.channels, 1, hdr.label_count, hdr.n_target, hdr.q_gft,
@@ -228,6 +228,19 @@ class TestSerializeRoundtrip:
         with pytest.raises(UnsupportedStreamError, match="version 2"):
             deserialize(data)
         path = tmp_path / "v2.srgc"
+        path.write_bytes(data)
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
+    def test_version_3_stream_rejected(self, tmp_path):
+        """A version-3 stream (the same header and section table, with
+        every coefficient level coded and no extents) is unsupported, not
+        corrupt."""
+        lf, dmap = small_scene()
+        data = bytearray(serialize(encode(lf, dmap, CFG)[0]))
+        data[4] = 3
+        with pytest.raises(UnsupportedStreamError, match="version 3"):
+            deserialize(bytes(data))
+        path = tmp_path / "v3.srgc"
         path.write_bytes(data)
         assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
 
@@ -738,7 +751,7 @@ class TestCorruptPayloads:
         lf, dmap = small_scene()
         stream, _ = encode(lf, dmap, CFG)
         payload = bytearray(stream.sections[SEC_COEFFICIENTS])
-        payload[4] ^= 1 << 6  # the first byte after the symbol count
+        payload[16] ^= 1 << 6  # a byte of the levels run, past the extents
         broken = Bitstream(
             header=stream.header,
             sections={**stream.sections, SEC_COEFFICIENTS: bytes(payload)},
@@ -784,6 +797,128 @@ class TestCorruptPayloads:
         path = tmp_path / "tree.srgc"
         path.write_bytes(serialize(broken))
         assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
+
+@pytest.fixture(scope="module")
+def coefficient_stream():
+    """A stream of small_scene(), its coefficient symbols and its vector
+    lengths, and a rewrite of its coefficient section to other symbols
+    (the first m, the vector count, under the extent contexts) with a
+    declared count that defaults to their number."""
+    lf, dmap = small_scene()
+    stream, report = encode(lf, dmap, CFG, debug=True)
+    sizes = codec._vector_sizes(report.debug.units, stream.header.channels)
+    count, payload = unpack_section(stream.sections[SEC_COEFFICIENTS], SEC_COEFFICIENTS)
+    syms = entropy_decode(payload, count, "gft", sizes.size).tolist()
+
+    def rewritten(new_syms, count=None):
+        body = entropy_encode(new_syms, "gft", sizes.size)
+        sections = {**stream.sections, SEC_COEFFICIENTS: pack_section(
+            len(new_syms) if count is None else count, body)}
+        return Bitstream(header=stream.header, sections=sections)
+
+    assert serialize(rewritten(syms)) == serialize(stream)
+    return syms, sizes, rewritten
+
+
+def _last_of_first_run(syms, m):
+    """Index of the last coded symbol of the first vector with a run."""
+    return m + next(e for e in syms[:m] if e) - 1
+
+
+@pytest.mark.parametrize("rewrite, message", [
+    (lambda syms, m, n: (syms, m - 1), "declares 6 symbols, expected 7 to"),
+    (lambda syms, m, n: (syms, m + n + 1), "expected 7 to"),
+    (lambda syms, m, n: ([-1] + syms[1:], None), "extent outside 0..n"),
+    (lambda syms, m, n: ([syms[0] + 1] + syms[1:] + [1], None), "extent outside 0..n"),
+    (lambda syms, m, n: (syms + [1], None), "holds 591 symbols, expected 590"),
+    (lambda syms, m, n: (syms[:-1], None), "holds 589 symbols, expected 590"),
+    (lambda syms, m, n: ([0 if i == _last_of_first_run(syms, m) else v
+                          for i, v in enumerate(syms)], None), "ends in a zero"),
+    # vector 1's DC residual at the coder's limit, on a positive prediction
+    (lambda syms, m, n: ([2**49 - 1 if i == m + syms[0] else v
+                          for i, v in enumerate(syms)], None),
+     "DC level of vector 1 reaches 2\\*\\*49"),
+], ids=["count_below_vectors", "count_above_bound", "extent_negative", "extent_above_n",
+        "count_above_extents", "count_below_extents", "run_ends_in_zero", "dc_level_beyond_coder"])
+@pytest.mark.filterwarnings("error")
+def test_coefficient_section_rejected(coefficient_stream, rewrite, message, tmp_path, monkeypatch):
+    """Every coefficient section that no encoder writes is corrupt (CLI
+    exit 2); a declared count outside m..m + sum(n) * channels is refused
+    before the section is decoded."""
+    syms, sizes, rewritten = coefficient_stream
+    m, n = sizes.size, int(sizes.sum())
+    assert (m, len(syms), sizes[0]) == (7, 590, 128) and syms[0] == 128
+    assert syms[m + syms[0]] and syms[:m].count(0) == 0
+    bad, count = rewrite(syms, m, n)
+    broken = rewritten(bad, count)
+    seen = []
+    real = codec.entropy_decode
+
+    def spy(data, count, category, head=0):
+        seen.append(count)
+        return real(data, count, category, head)
+
+    monkeypatch.setattr(codec, "entropy_decode", spy)
+    with pytest.raises(CorruptStreamError, match=message):
+        decode(broken)
+    if count is not None:
+        assert count not in seen
+    path = tmp_path / "coefficients.srgc"
+    path.write_bytes(serialize(broken))
+    assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
+
+@pytest.mark.parametrize("n_channels", [1, 3])
+def test_coefficient_symbols_round_trip(n_channels):
+    """The coefficient section's symbols are m extents, each one past its
+    vector's last nonzero symbol, then the runs, each ending in a nonzero;
+    DC levels come back through the prediction exactly, down to all-zero
+    vectors, one-coefficient vectors and levels near the coder's limit."""
+    rng = np.random.default_rng(40 + n_channels)
+    for _ in range(200):
+        units = int(rng.integers(1, 9))
+        sizes = np.repeat(rng.integers(1, 12, size=units), n_channels)
+        levels = rng.integers(-40, 40, size=int(sizes.sum())) * (rng.random(sizes.sum()) < 0.3)
+        starts = np.cumsum(sizes) - sizes
+        levels[starts] = rng.integers(-(2**20), 2**20, size=sizes.size)
+        levels[starts[rng.random(sizes.size) < 0.2]] = 0
+        syms, head = codec._coefficient_symbols(levels, sizes, n_channels)
+        m = sizes.size
+        assert head == m and len(syms) == m + sum(syms[:m])
+        ends = np.cumsum(syms[:m])
+        assert all(syms[m + e - 1] != 0 for e, x in zip(ends, syms[:m]) if x)
+        back = codec._levels_from_symbols(np.array(syms), sizes, n_channels)
+        assert np.array_equal(back, levels)
+    # DC 3 at n = 2 predicts 3 / sqrt(2) * sqrt(8) = 6 at n = 8, and DC 7
+    # at n = 8 predicts 2.47 -> 2 at n = 1, which leaves the last vector empty
+    levels = np.array([3, 0, 7, 0, 0, 0, 0, 0, 0, 0, 2], dtype=np.int64)
+    syms, _ = codec._coefficient_symbols(levels, np.array([2, 8, 1]), 1)
+    assert syms == [1, 1, 0, 3, 1]
+
+
+def test_dc_residual_beyond_coder_range_refused():
+    """A DC residual of 2**49 or more in magnitude, which its levels alone
+    do not reach, makes the encoder raise a ValueError naming 2**49."""
+    levels = np.array([2**49 - 1, 0, 0, 0, 0], dtype=np.int64)
+    with pytest.raises(ValueError, match="2\\*\\*49"):
+        codec._coefficient_symbols(levels, np.array([1, 4]), 1)
+
+
+@pytest.mark.parametrize("name, symbols, size", [
+    ("gate", 167, 33),
+    ("parallax", 201, 71),
+    ("partition", 1046, 352),
+])
+def test_coefficient_section_size_on_bench_scenes(name, symbols, size):
+    """The coefficient section's symbol count and byte size on the bench
+    scenes (seed 1).  Coding every level, version 3 took 1,024, 576 and
+    5,184 symbols in 55, 84 and 630 bytes; extents and DC prediction leave
+    these.  Every symbol dropped is bins the entropy decoder never runs."""
+    workload = bench_workloads()[name]
+    stream, _ = encode(*workload.scene(1), workload.config)
+    section = stream.sections[SEC_COEFFICIENTS]
+    assert (unpack_section(section, SEC_COEFFICIENTS)[0], len(section)) == (symbols, size)
 
 
 def _tree_length(bits):
@@ -895,9 +1030,9 @@ class TestStreamValidation:
         seen = []
         real = codec.entropy_decode
 
-        def spy(data, count, category):
+        def spy(data, count, category, head=0):
             seen.append(count)
-            return real(data, count, category)
+            return real(data, count, category, head)
 
         monkeypatch.setattr(codec, "entropy_decode", spy)
         sections = dict(grouped_stream.sections)
@@ -978,12 +1113,12 @@ def test_runtime_loads_no_scipy(tmp_path):
     out = json.loads(proc.stdout)
     assert out.pop("import") == [] and out.pop("end") == []
     assert out == {
-        "explicit": ["8bf0bc43d12e23d0", "11b03d41d999b701"],
-        "gate": ["ccf33119d1dfa06e", "1375726447ec6c54"],
-        "no_grouping": ["89daf45a88932e1c", "53a7ae600a6d7c25"],
-        "partition": ["50a1958a19873af6", "9baf83f90b7354a5"],
-        "rgb_all": ["568ebc7d0fdef9ca", "85e95f378c6b370d"],
-        "small": ["7d7295468b249c57", "6610672ab9bd91a1"],
+        "explicit": ["38f40671745bc462", "11b03d41d999b701"],
+        "gate": ["6c03c2aa352c3291", "1375726447ec6c54"],
+        "no_grouping": ["b835c17728962483", "53a7ae600a6d7c25"],
+        "partition": ["e2213e496a7e2d84", "9baf83f90b7354a5"],
+        "rgb_all": ["2e6e4db7348f91b5", "85e95f378c6b370d"],
+        "small": ["2490a69e8ba4d210", "6610672ab9bd91a1"],
     }
 
 

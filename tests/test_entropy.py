@@ -30,7 +30,7 @@ class TestRoundtrip:
     def test_each_category(self):
         rng = np.random.default_rng(22)
         syms = rng.integers(-40, 40, size=500)
-        for cat in ("labels", "disparities", "structure", "gft", "residual", "group"):
+        for cat in ("labels", "disparities", "structure", "gft", "residual", "group", "extent"):
             back = entropy_decode(entropy_encode(syms, cat), syms.size, cat)
             assert np.array_equal(back, syms)
 
@@ -92,11 +92,11 @@ def _golden_stream(seed, n):
     return np.where(kind < 0.6, 0, np.where(kind < 0.9, small, big))
 
 
-def _decode_outcome(data, count, category):
+def _decode_outcome(data, count, category, head=0):
     """The first 16 hex digits of the decoded symbols' SHA-256, or the
     desync error with its bit offset."""
     try:
-        back = entropy_decode(data, count, category)
+        back = entropy_decode(data, count, category, head)
     except DecodeDesyncError as e:
         return f"DecodeDesyncError@{e.bit_offset}"
     return hashlib.sha256(back.tobytes()).hexdigest()[:16]
@@ -160,3 +160,27 @@ class TestGolden:
         payload = entropy_encode(syms, category)
         cut = payload[: len(payload) // 3]
         assert _decode_outcome(cut, syms.size, category) == self.TRUNCATED[category]
+
+    # a head of 2000 nonnegative symbols under "extent", then "gft"
+    HEAD_RUN = (4178, "6c87154e30743e350258d818af807ba9f20912097cec433c1b75f651bbcc76f7")
+    HEAD_RUN_TRUNCATED = "DecodeDesyncError@11618"
+
+    @staticmethod
+    def _head_run_stream():
+        syms = _golden_stream(500, 6000)
+        syms[:2000] = np.abs(syms[:2000])
+        return syms
+
+    def test_head_run_payload(self):
+        syms = self._head_run_stream()
+        payload = entropy_encode(syms, "gft", 2000)
+        assert (len(payload), hashlib.sha256(payload).hexdigest()) == self.HEAD_RUN
+        assert np.array_equal(entropy_decode(payload, syms.size, "gft", 2000), syms)
+        # the head's contexts are their own: coding it under "gft" differs
+        assert entropy_encode(syms, "gft") != payload
+
+    def test_truncated_head_run_payload(self):
+        syms = self._head_run_stream()
+        payload = entropy_encode(syms, "gft", 2000)
+        cut = payload[: len(payload) // 3]
+        assert _decode_outcome(cut, syms.size, "gft", 2000) == self.HEAD_RUN_TRUNCATED

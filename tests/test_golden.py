@@ -11,7 +11,9 @@ to their first 16 hex digits.  The stream digests moved once, with the
 version-3 container (a 31-byte header and label-form groups); the samples
 digests did not.  Both moved for ``gate`` and for ``partition`` at seed 1
 when a connected graph's DC column became exactly 1 / sqrt(n): a DC level
-or a prediction on a rounding tie no longer follows LAPACK's noise.
+or a prediction on a rounding tie no longer follows LAPACK's noise.  The
+stream digests moved again with the version-4 coefficient section
+(extents and DC prediction), which codes the same levels.
 """
 
 import json
@@ -23,12 +25,12 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # (workload, seed): (stream SHA-256 prefix, decoded samples SHA-256 prefix)
 GOLDEN = {
-    ("gate", 1): ("b835a25963e4651e", "3c53d0ae3c37b2e9"),
-    ("gate", 17): ("7536e6d580a11412", "e684995b6f1efb4c"),
-    ("parallax", 1): ("8bcaa316f3768b63", "154e33137a9c73fb"),
-    ("parallax", 17): ("20064464d6c33650", "3f93cef0a5b4f219"),
-    ("partition", 1): ("7db91b06674947c2", "430a9b9418cbeb83"),
-    ("partition", 17): ("d6b05014dd13218a", "5a90521381b2ee7c"),
+    ("gate", 1): ("8bbbc9fb292963aa", "3c53d0ae3c37b2e9"),
+    ("gate", 17): ("2f805bfdad3af5a6", "e684995b6f1efb4c"),
+    ("parallax", 1): ("9ab2ca8b56303e68", "154e33137a9c73fb"),
+    ("parallax", 17): ("964270716be81501", "3f93cef0a5b4f219"),
+    ("partition", 1): ("3ff820a3a4484e81", "430a9b9418cbeb83"),
+    ("partition", 17): ("56f1b0cf2f1a0791", "5a90521381b2ee7c"),
 }
 
 SCRIPT = """
