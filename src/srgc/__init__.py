@@ -32,7 +32,6 @@ from .lightfield import (
 from .segmentation import (
     SegmentationMap,
     SuperRay,
-    median_disparity,
     project_labels,
     slic_segment,
 )

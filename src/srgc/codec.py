@@ -8,11 +8,14 @@ group coarsened units on dequantized coefficients -> select main members
 
 Decoder: rebuilds segmentation, projection, units and coarsening from
 transmitted data (labels, disparities, split trees), reads the groups and
-each group's main from the groups section, derives no groups, and
-eigendecomposes only ungrouped units plus one main per group.  Grouped
-members are reconstructed as rounded cross-basis prediction plus residual,
-which always reproduces the coded unit signal exactly; a sum outside the
-sample range can only come from a corrupt residual section.
+each group's main from the groups section, and derives no groups.  Every
+unit names the graph whose basis it reads, a grouped member its main's,
+and the eigen stage solves each distinct graph once, so it runs
+``#ungrouped + #groups`` eigendecompositions.  Each unit comes back as one
+(channels, n) block: the rounded inverse GFT, plus for a grouped member
+its residual, which always reproduces the coded unit signal exactly; a
+sum outside the sample range can only come from a corrupt residual
+section.
 
 The structure section is :func:`spectral.partition_super_ray`'s ``bits``
 as they are, which the decoder hands to :func:`spectral.partition_with_tree`
@@ -34,11 +37,11 @@ units with one vertex count and edge list share a Laplacian and a
 bit-equal basis.  Each side coarsens each distinct pixel graph once,
 keeps only the coarse graph and ``fine_to_coarse`` of each unit, and
 runs its eigen stage once per stream, as one batched
-:func:`spectral.eigendecompose_all` call over the distinct graphs of the
-units it decomposes; every unit with that graph shares the result.  The
+:func:`spectral.eigendecompose_all` call over the distinct graphs its
+units read; every unit that reads a graph shares its result.  The
 decoder passes column masks to that call: a basis column is needed when
 a dequantized coefficient of any channel at its index is nonzero, for
-the unit or for a member predicted from it, so degenerate eigenvalue
+any unit that reads the basis, so degenerate eigenvalue
 clusters that no nonzero coefficient reads are never canonicalized and
 come back as zeros.  The samples are those of full bases: the inverse
 GFT ``V @ c`` gains only signed zeros from those columns, and rounding
@@ -153,7 +156,7 @@ class CodingUnit:
     graph: object
     pixels: np.ndarray
     fine_to_coarse: np.ndarray
-    signals: list = None      # per-channel int vectors (encoder side only)
+    signals: np.ndarray = None  # (channels, n) int samples (encoder side only)
 
     @property
     def n(self):
@@ -358,11 +361,11 @@ def _coefficient_steps(units, n_channels, q_gft):
 
 def _dequantize_units(levels, units, n_channels, q_gft):
     """Dequantize the back-to-back coefficient levels of every unit and
-    channel in one multiply by :func:`_coefficient_steps`.  Returns
-    deq[unit][channel]."""
+    channel in one multiply by :func:`_coefficient_steps`.  Returns one
+    (channels, n) array per unit."""
     steps, starts = _coefficient_steps(units, n_channels, q_gft)
-    flat = np.split(levels.astype(np.float64) * steps, starts[1:])
-    return [flat[i : i + n_channels] for i in range(0, len(flat), n_channels)]
+    flat = np.split(levels.astype(np.float64) * steps, starts[n_channels::n_channels])
+    return [block.reshape(n_channels, -1) for block in flat]
 
 
 def _groupable_positions(units, n_target, grouping):
@@ -589,18 +592,17 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         sources, structure = res.parts, res.bits
     units = _build_units(sources, lf.angular_dims, mode, cfg.n_target, watch)
     for u in units:
-        fine = [volume[tuple(u.pixels.T)] for volume in volumes]
-        u.signals = fine if u.fine_to_coarse is None else [
-            np.clip(round_half_away_int(coarse_mean_signal(u.fine_to_coarse, f)), 0, maxval)
-            for f in fine
-        ]
+        fine = np.stack([volume[tuple(u.pixels.T)] for volume in volumes])
+        u.signals = fine if u.fine_to_coarse is None else np.clip(round_half_away_int(
+            [coarse_mean_signal(u.fine_to_coarse, f) for f in fine]
+        ), 0, maxval)
     watch.lap("coarsen")
 
     # every unit probes with its signals and steps (equal in all channels),
     # so the eigen stage drops the clusters whose levels must be 0
     steps, starts = _coefficient_steps(units, n_channels, cfg.q_gft)
     probes = [
-        (np.stack(u.signals), steps[lo : lo + u.n])
+        (u.signals, steps[lo : lo + u.n])
         for u, lo in zip(units, starts[::n_channels].tolist())
     ]
     bases, eig_solved = _eigenbases([u.graph for u in units], probes=probes)
@@ -628,7 +630,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     predicted = _predicted_members(groups, groupable)
     resolve = list(dict.fromkeys(
         main for member, main in predicted.items()
-        if (np.any(np.asarray(deq[member]) != 0, axis=0) & ~bases[main].vectors.any(axis=0)).any()
+        if ((deq[member] != 0).any(axis=0) & ~bases[main].vectors.any(axis=0)).any()
     ))
     if resolve:
         full, count = _eigenbases([units[i].graph for i in resolve])
@@ -637,11 +639,9 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         eig_solved += count
     residual_syms = []
     for member, main in predicted.items():
-        for c in range(n_channels):
-            _, residual = predict_and_residual(
-                bases[main], deq[member][c], units[member].signals[c], maxval
-            )
-            residual_syms.extend(int(r) for r in residual)
+        for d, signal in zip(deq[member], units[member].signals):
+            _, residual = predict_and_residual(bases[main], d, signal, maxval)
+            residual_syms.extend(residual.tolist())
     watch.lap("residuals")
 
     # (symbols, head): the coefficient section opens with a head of extents
@@ -783,55 +783,45 @@ def decode(stream: Bitstream, threads=1, debug=False):
     predicted = _predicted_members(groups, groupable)
     watch.lap("grouping")
 
-    # the columns of each basis that reconstruction reads: a nonzero
-    # coefficient, in any channel, of its unit or a member predicted from it
-    needed = {i: np.any(np.asarray(d) != 0, axis=0) for i, d in enumerate(deq)}
-    for member, main in predicted.items():
-        needed[main] |= needed.pop(member)
-    to_decompose = list(needed)
+    # each unit reads the basis of its own graph, a member its main's, at
+    # the columns of its nonzero coefficients in any channel; a member's
+    # graph is its main's, so the eigen stage solves its main once, at the
+    # OR of their columns
     bases, eig_solved = _eigenbases(
-        [units[i].graph for i in to_decompose], list(needed.values())
+        [units[predicted.get(i, i)].graph for i in range(len(units))],
+        [(d != 0).any(axis=0) for d in deq],
     )
-    decomposed = dict(zip(to_decompose, bases))
-    eig_count = len(to_decompose)
+    eig_count = len(units) - len(predicted)
     watch.lap("eigen")
 
     resid_syms = section_symbols(
         bs.SEC_RESIDUALS,
         sum(units[u].n for u in predicted) * n_channels,
     )
-    residuals = {}
-    pos = 0
-    for uidx in predicted:
-        n = units[uidx].n
-        residuals[uidx] = [
-            resid_syms[pos + c * n : pos + (c + 1) * n] for c in range(n_channels)
-        ]
-        pos += n * n_channels
+    ends = np.cumsum([units[i].n * n_channels for i in predicted])
+    residuals = {
+        i: block.reshape(n_channels, -1)
+        for i, block in zip(predicted, np.split(resid_syms, ends[:-1]))
+    }
 
     # reconstructions lie in [0, maxval], so they go straight into the samples
     samples = np.zeros((n_channels, s_count * t_count, h, w), dtype=_sample_dtype(hdr.bit_depth))
     recon_units = []
     for i, u in enumerate(units):
-        per_channel = []
-        cells = tuple(u.pixels.T)
-        for c in range(n_channels):
-            if i in predicted:
-                main_basis = decomposed[predicted[i]]
-                # the encoder's residual is signal - prediction, with the
-                # signal in range: a sum outside it is a corrupt residual
-                rec = predict_signal(main_basis, deq[i][c], maxval)
-                rec = rec + residuals[i][c]
-                if rec.min() < 0 or rec.max() > maxval:
-                    raise CorruptStreamError(
-                        f"corrupt stream: residual of unit {i} leaves [0, {maxval}]"
-                    )
-            else:
-                rec = predict_signal(decomposed[i], deq[i][c], maxval)
-            per_channel.append(rec)
-            samples[c][cells] = rec if u.fine_to_coarse is None else rec[u.fine_to_coarse]
+        rec = np.array([predict_signal(bases[i], d, maxval) for d in deq[i]])
+        if i in residuals:
+            # the encoder's residual is signal - prediction, with the
+            # signal in range: a sum outside it is a corrupt residual
+            rec += residuals[i]
+            if rec.min() < 0 or rec.max() > maxval:
+                raise CorruptStreamError(
+                    f"corrupt stream: residual of unit {i} leaves [0, {maxval}]"
+                )
+        samples[(slice(None), *u.pixels.T)] = (
+            rec if u.fine_to_coarse is None else rec[:, u.fine_to_coarse]
+        )
         if debug:
-            recon_units.append(per_channel)
+            recon_units.append(rec)
     watch.lap("reconstruct")
 
     views = [View(planes=list(samples[:, v])) for v in range(s_count * t_count)]

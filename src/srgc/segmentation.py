@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrphanLabelError, TooManySuperpixelsError
-from .util import component_roots, forest_roots, lower_median, quantize_eighth, round_half_away_int
+from .util import component_roots, forest_roots, round_half_away_int
 
 # SLIC seed perturbation: the 3x3 offsets, center first, then by distance
 _SEED_OFFSETS = np.array(sorted(
@@ -301,18 +301,6 @@ def slic_segment(image, k, compactness=10.0, iterations=10):
 # Disparity and projection
 # ---------------------------------------------------------------------------
 
-def median_disparity(region, dmap):
-    """Lower median of the disparity values over a pixel region.
-
-    ``region`` is an (N, 2) array of (y, x) coordinates inside the map.
-    """
-    region = np.asarray(region)
-    if region.size == 0:
-        raise ValueError("median disparity of empty region")
-    vals = dmap.values[region[:, 0], region[:, 1]]
-    return lower_median(vals)
-
-
 def label_regions(labels, count):
     """Raster-ordered (N_l, labels.ndim) int64 index arrays of labels
     0..count-1 in a label array, from one stable sort; other values are
@@ -326,15 +314,19 @@ def label_regions(labels, count):
 
 
 def label_disparities(seg, dmap):
-    """Each label's median reference-view disparity, quantized to 1/8 px
-    (the transmission precision), as one float64 (label_count,) array; a
-    label absent from the reference view is an orphan."""
-    disparities = np.empty(seg.label_count)
-    for l, region in enumerate(label_regions(seg.reference, seg.label_count)):
-        if region.shape[0] == 0:
-            raise OrphanLabelError(f"orphan label {l}: absent from reference view")
-        disparities[l] = quantize_eighth(median_disparity(region, dmap))
-    return disparities
+    """Each label's lower median reference-view disparity (for an even
+    count the smaller middle value), quantized to 1/8 px (the
+    transmission precision), as one float64 (label_count,) array, from
+    one sort by label and disparity; a label absent from the reference
+    view is an orphan."""
+    labels, values = seg.reference.ravel(), dmap.values.ravel()
+    counts = np.bincount(labels, minlength=seg.label_count)[: seg.label_count]
+    if not counts.all():
+        l = int(np.argmin(counts))
+        raise OrphanLabelError(f"orphan label {l}: absent from reference view")
+    order = np.lexsort((values, labels))
+    medians = values[order[np.cumsum(counts) - counts + (counts - 1) // 2]]
+    return round_half_away_int(medians * 8) / 8
 
 
 def label_shifts(disparity, view_count, t_count):

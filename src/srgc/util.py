@@ -1,8 +1,8 @@
 """Small numeric helpers shared across the codec.
 
-The rounding convention is round-half-away-from-zero everywhere; medians
-are lower medians.  Both are fixed so that an encoder and a decoder built
-from this source always agree bit for bit.
+The rounding convention is round-half-away-from-zero everywhere, fixed so
+that an encoder and a decoder built from this source always agree bit for
+bit.
 """
 
 import math
@@ -51,17 +51,3 @@ def component_roots(n, a, b):
         joins = a != b
         a, b = a[joins], b[joins]
     return root
-
-
-def lower_median(values):
-    """Lower statistical median: for even counts the smaller of the two
-    middle values, so the result is always an observed value."""
-    v = np.sort(np.asarray(values, dtype=np.float64))
-    if v.size == 0:
-        raise ValueError("median of empty sequence")
-    return float(v[(v.size - 1) // 2])
-
-
-def quantize_eighth(d):
-    """Snap a disparity to 1/8-pixel precision (transmission precision)."""
-    return round_half_away(float(d) * 8.0) / 8.0

@@ -25,7 +25,6 @@ from srgc.segmentation import (
     fill_cells,
     label_disparities,
     label_regions,
-    median_disparity,
 )
 from srgc.spectral import (
     EigenBasis,
@@ -39,7 +38,7 @@ from srgc.spectral import (
     eigendecompose_all,
     laplacian,
 )
-from srgc.util import quantize_eighth, round_half_away
+from srgc.util import round_half_away
 
 _FOUR_CONN = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]], dtype=bool)
 
@@ -1012,9 +1011,32 @@ def partition_with_trees_oracle(srs, bits, angular_dims):
     ]
 
 
+def lower_median(values):
+    """Lower statistical median: for even counts the smaller of the two
+    middle values, so the result is always an observed value."""
+    v = np.sort(np.asarray(values, dtype=np.float64))
+    if v.size == 0:
+        raise ValueError("median of empty sequence")
+    return float(v[(v.size - 1) // 2])
+
+
+def quantize_eighth(d):
+    """Snap a disparity to 1/8-pixel precision (transmission precision)."""
+    return round_half_away(float(d) * 8.0) / 8.0
+
+
+def median_disparity(region, dmap):
+    """Lower median of the disparity values over a pixel region, an (N, 2)
+    array of (y, x) coordinates inside the map."""
+    region = np.asarray(region)
+    if region.size == 0:
+        raise ValueError("median disparity of empty region")
+    return lower_median(dmap.values[region[:, 0], region[:, 1]])
+
+
 def label_disparities_oracle(seg, dmap):
     """Oracle: ``segmentation.label_disparities`` with one ``== l`` scan of
-    the reference map per label, as before ``label_regions``."""
+    the reference map per label and one sort per label's values."""
     ref = seg.reference
     disparities = np.empty(seg.label_count)
     for l in range(seg.label_count):

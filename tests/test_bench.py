@@ -29,6 +29,22 @@ class TestPsnr:
         assert psnr(a, b) == pytest.approx(10 * math.log10(1023**2 / 4), abs=1e-3)
         assert psnr(a, b) == pytest.approx(54.1769, abs=1e-3)
 
+    def test_16bit_sum_past_float_precision(self):
+        """A squared-error sum past 2**53 is summed exactly: per-view float
+        sums added in float64 would round it, and here that rounding moves
+        the PSNR."""
+        rng = np.random.default_rng(2)
+        shape = (1200, 1000)
+        a = [rng.integers(0, 4096, size=shape) for _ in range(2)]
+        per_view = [sum((x - 65535) ** 2 for x in v.ravel().tolist()) for v in a]
+        sq, n = sum(per_view), 2 * a[0].size
+        assert sq > 2**53 and float(per_view[0]) + float(per_view[1]) != sq
+        got = psnr(
+            make_lf(a, (1, 2), bit_depth=16),
+            make_lf([np.full(shape, 65535)] * 2, (1, 2), bit_depth=16),
+        )
+        assert got == 10 * math.log10(65535**2 / (sq / n))
+
     def test_symmetry(self):
         a = random_lf(2, 2, 8, 8, seed=41)
         b = random_lf(2, 2, 8, 8, seed=42)

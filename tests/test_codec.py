@@ -1238,9 +1238,11 @@ def test_distinct_graph_reuse_matches_per_unit_oracles_end_to_end(case, monkeypa
 def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     """Each unit's basis, shared or not, has the bits a lone
     ``eigendecompose(laplacian(graph))`` of its graph gives on
-    every column its side reads, on both sides: every unit on the
-    encoder, and on the decoder every unit that is not predicted from a
-    group's main.  A side keeps a column for a unit when the decoder's
+    every column its side reads, on both sides.  Each side's call holds
+    one entry per unit; on the decoder a member predicted from a group's
+    main names that main's graph object and gets the main's basis object,
+    so the paper's count, ungrouped units plus one main per group, comes
+    from the stage's graph reuse.  A side keeps a column for a unit when the decoder's
     column mask needs it, or when the encoder's probe rule
     (``probe_mask_oracle``) keeps it; every encoder unit probes.  A
     shared basis keeps the OR of its units' columns, and a degenerate
@@ -1255,7 +1257,8 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     under the lone solve, and a main whose dropped column a member
     predicted from it reads is solved again in one more call, whole: in
     ``small`` one main is, and its basis is the lone solve's bit for
-    bit."""
+    bit.  On ``rgb_all`` every unit's dequantized coefficients, encoder
+    signals and decoder reconstruction are one (channels, n) array."""
     lf, dmap, cfg = ORACLE_CASES[case]()
     eigenbases = codec._eigenbases
     solved = []
@@ -1274,10 +1277,7 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     stream, enc = encode(lf, dmap, cfg, debug=True)
     _, dec = decode(deserialize(serialize(stream)), debug=True)
     predicted = codec._predicted_members(dec.debug.group_set.groups, dec.debug.groupable)
-    want_units = (
-        enc.debug.units,
-        [u for i, u in enumerate(dec.debug.units) if i not in predicted],
-    )
+    want_units = (enc.debug.units, dec.debug.units)
     probed, *resolved, masked = solved
     assert len(resolved) == (case == "small")
     assert probed[1] is None and len(probed[2]) == len(want_units[0])
@@ -1296,10 +1296,13 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
             assert np.array_equal(basis.vectors, lone.vectors)
     dropped_levels = 0
     closed_counts = []
-    for (graphs, needed, probes, bases, count), units, report in zip(
-        (probed, masked), want_units, (enc, dec)
+    # the unit whose graph and basis each unit reads: on the decoder a
+    # member reads its main's
+    for (graphs, needed, probes, bases, count), units, reads, report in zip(
+        (probed, masked), want_units, ({}, predicted), (enc, dec)
     ):
-        assert len(units) == len(bases) == report.eig_count >= count
+        assert len(units) == len(bases)
+        assert report.eig_count == len(units) - len(reads) >= count
         distinct, which = codec._distinct_graphs(graphs)
         lone, connected = zip(*(lone_solve(g) for g in distinct))
         masks = [np.zeros(g.n, dtype=bool) for g in distinct]
@@ -1311,8 +1314,9 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
         closed = [np.isnan(bases[which.index(i)].eigenvalues).any() for i in range(len(distinct))]
         assert count == closed.count(False)
         closed_counts.append(closed.count(True))
-        for j, (u, graph, basis, i) in enumerate(zip(units, graphs, bases, which)):
-            assert graph is u.graph
+        for j, (graph, basis, i) in enumerate(zip(graphs, bases, which)):
+            assert graph is units[reads.get(j, j)].graph
+            assert basis is bases[reads.get(j, j)]
             if closed[i]:
                 assert connected[i]
                 want = dc_basis(graph.n)
@@ -1340,6 +1344,14 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
         "explicit": (1, 0), "gate": (0, 0), "no_grouping": (1, 1), "partition": (23, 23),
         "rgb_all": (0, 0), "small": (1, 0),
     }[case]
+    if case == "rgb_all":
+        for i, u in enumerate(enc.debug.units):
+            blocks = (
+                enc.debug.dequantized[i], u.signals,
+                dec.debug.dequantized[i], dec.debug.reconstructed[i],
+            )
+            for block in blocks:
+                assert isinstance(block, np.ndarray) and block.shape == (3, u.n)
 
 
 def _main_clusters_read_only_by_members(dec):

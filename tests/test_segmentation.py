@@ -16,7 +16,6 @@ from srgc.segmentation import (
     label_disparities,
     label_regions,
     label_shifts,
-    median_disparity,
     project_labels,
     slic_segment,
 )
@@ -310,24 +309,41 @@ class TestLabelComponents:
 
 
 class TestMedianDisparity:
+    """``label_disparities`` gives each label the lower median of its
+    reference-view disparities, snapped to 1/8 px, as the per-label
+    oracle does."""
+
+    @staticmethod
+    def _disparities(ref, values):
+        ref = np.asarray(ref, dtype=np.int64)
+        seg = SegmentationMap(labels=ref[None], label_count=int(ref.max()) + 1)
+        dmap = DisparityMap(values=np.asarray(values, dtype=np.float64))
+        got = label_disparities(seg, dmap)
+        want = label_disparities_oracle(seg, dmap)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        return got.tolist()
+
     def test_odd(self):
-        dmap = DisparityMap(values=np.array([[1.0, 2.0, 9.0]]))
-        region = np.array([[0, 0], [0, 1], [0, 2]])
-        assert median_disparity(region, dmap) == 2.0
+        ref = [[0, 1, 0], [1, 0, 1]]
+        assert self._disparities(ref, [[1.0, 5.0, 9.0], [4.0, 2.0, 3.0]]) == [2.0, 4.0]
 
     def test_singleton(self):
-        dmap = DisparityMap(values=np.array([[3.0]]))
-        assert median_disparity(np.array([[0, 0]]), dmap) == 3.0
+        # halves of 1/8 px round away from zero
+        assert self._disparities([[0, 1, 2]], [[3.0, 0.0625, -0.0625]]) == [3.0, 0.125, -0.125]
 
     def test_even_lower_median(self):
-        dmap = DisparityMap(values=np.array([[1.0, 2.0, 3.0, 4.0]]))
-        region = np.array([[0, i] for i in range(4)])
-        assert median_disparity(region, dmap) == 2.0
+        ref = [[0, 1, 0, 1], [1, 0, 1, 0]]
+        values = [[4.0, -1.0, 1.0, -3.0], [-2.0, 3.0, -4.0, 2.0]]
+        assert self._disparities(ref, values) == [2.0, -3.0]
 
     def test_empty_region(self):
-        dmap = DisparityMap(values=np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            median_disparity(np.zeros((0, 2), dtype=int), dmap)
+        # label 1 holds no reference pixel; label 2 does
+        seg = SegmentationMap(labels=np.array([[[0, 2, 2]]]), label_count=3)
+        dmap = DisparityMap(values=np.zeros((1, 3)))
+        message = "^orphan label 1: absent from reference view$"
+        for run in (label_disparities, label_disparities_oracle):
+            with pytest.raises(OrphanLabelError, match=message):
+                run(seg, dmap)
 
 
 class TestLabelShifts:
