@@ -6,16 +6,39 @@ label projection -> super-rays -> coarsen (q_gft >= q_switch) or partition
 group coarsened units on dequantized coefficients -> select main members
 -> cross-basis prediction and integer residuals -> entropy-coded sections.
 
-Decoder: rebuilds segmentation, projection, units and coarsening from
-transmitted data (labels, disparities, split trees), reads the groups and
-each group's main from the groups section, and derives no groups.  Every
-unit names the graph whose basis it reads, a grouped member its main's,
-and the eigen stage solves each distinct graph once, so it runs
-``#ungrouped + #groups`` eigendecompositions.  Each unit comes back as one
-(channels, n) block: the rounded inverse GFT, plus for a grouped member
-its residual, which always reproduces the coded unit signal exactly; a
-sum outside the sample range can only come from a corrupt residual
-section.
+Decoder: segmentation -> projection -> pixel graphs (split trees replayed
+in partition mode), each unit's size taken from its pixel graph
+(``min(n_target, n)`` coarsened, ``n`` a partition part) -> coefficient,
+groups and residual sections -> the flat rule -> coarsen -> eigen stage
+-> reconstruct.  Everything is rebuilt from transmitted data (labels,
+disparities, split trees); the groups and each group's main are read from
+the groups section, and no groups are derived.  Every section is read
+before any coarsening, so a corrupt one costs none.  Every unit names the
+graph whose basis it reads, a grouped member its main's, and the eigen
+stage solves each distinct graph once, so it runs ``#ungrouped +
+#groups`` eigendecompositions.  Each unit comes back as one (channels, n)
+block: the rounded inverse GFT, plus for a grouped member its residual,
+which always reproduces the coded unit signal exactly; a sum outside the
+sample range can only come from a corrupt residual section.
+
+A coarsened unit is flat (:func:`_flat_units`) when every channel's
+dequantized vector is zero past index 0, the pixel graph of the basis it
+reads (its own, or its main's for a grouped member) is connected, and a
+grouped member's residual is one value per channel.  A flat unit
+reconstructs as :func:`predict_signal` on :func:`spectral.dc_basis`,
+plus its residual, one value per channel written to all its pixels.  It
+gets no eigen-stage entry, and no coarse graph or ``fine_to_coarse``
+unless a member that is not flat reads it as its main: only the units
+that are not flat, and the mains their members read, are coarsened.  A
+partition part is never flat, having no coarsening to skip.  The rule is
+exact, from three facts: contraction keeps a connected graph connected (a
+coarsening of a connected graph never takes the edgeless-residue
+branch); the eigen stage gives a connected graph the exact column
+``1/sqrt(n)``, through :func:`spectral.dc_basis` or through the spectrum
+rule of :func:`spectral.eigendecompose_all` (n below 6 * 10**4, whose
+dense Laplacian alone would take 28 GB); and with only ``d[0]`` nonzero,
+``V @ d`` gains only signed zeros from the other columns, as for the
+column masks below.
 
 The structure section is :func:`spectral.partition_super_ray`'s ``bits``
 as they are, which the decoder hands to :func:`spectral.partition_with_tree`
@@ -34,8 +57,9 @@ graph with local vertex ids.  A graph is its vertex count and edge list;
 a unit's vertex i is row i of its pixels, where the encoder reads its
 samples and the decoder writes them.  Units often repeat whole graphs, so
 units with one vertex count and edge list share a Laplacian and a
-bit-equal basis.  Each side coarsens each distinct pixel graph once,
-keeps only the coarse graph and ``fine_to_coarse`` of each unit, and
+bit-equal basis.  Each side coarsens each distinct pixel graph once (the
+decoder only those its non-flat units read), keeps only the coarse graph
+and ``fine_to_coarse`` of each unit, and
 runs its eigen stage once per stream, as one batched
 :func:`spectral.eigendecompose_all` call over the distinct graphs its
 units read; every unit that reads a graph shares its result.  The
@@ -99,6 +123,7 @@ from .segmentation import (
 from .spectral import (
     coarse_mean_signal,
     coarsen,
+    connected_graphs,
     dc_basis,
     dc_only,
     eigendecompose,  # not called here; perfbench/spans.py traces this name
@@ -148,19 +173,19 @@ class CodecConfig:
 
 @dataclass
 class CodingUnit:
-    """One coded graph: a coarsened super-ray (``fine_to_coarse`` set, each
-    pixel's vertex of ``graph``) or a partition part (``graph`` is its own
-    pixel graph).  ``pixels`` are the (view, y, x) rows of the super-ray
-    or part, shared with it."""
+    """One coded unit on ``n`` vertices: a coarsened super-ray
+    (``fine_to_coarse`` set, each pixel's vertex of ``graph``) or a
+    partition part (``graph`` is its own pixel graph).  ``pixels`` are the
+    (view, y, x) rows of the super-ray or part, shared with it.  A flat
+    decoder unit (:func:`_flat_units`) has neither ``graph`` nor
+    ``fine_to_coarse``, unless it is the main of a member that is not
+    flat."""
 
-    graph: object
+    n: int
     pixels: np.ndarray
-    fine_to_coarse: np.ndarray
+    graph: object = None
+    fine_to_coarse: np.ndarray = None
     signals: np.ndarray = None  # (channels, n) int samples (encoder side only)
-
-    @property
-    def n(self):
-        return self.graph.n
 
 
 @dataclass
@@ -216,9 +241,11 @@ class DecodeReport:
     grouped_count: int = 0
     eig_count: int = 0        # the paper's count: ungrouped units + groups
     eig_solved: int = 0       # distinct graphs sent to LAPACK
+    coarsened: int = 0        # distinct pixel graphs coarsened: none of a flat unit
     # seconds per stage: "entropy" first, the entropy decoding of every
-    # section, then the rest in pipeline order without it; "graphs" and
-    # "coarsen" as in EncodeReport, without the unit signals
+    # section, then the rest in pipeline order without it; "graphs" as in
+    # EncodeReport, "coarsen" the flat rule and the coarsening after the
+    # groups are read
     times: dict = field(default_factory=dict)
     debug: object = None
 
@@ -229,6 +256,7 @@ class DecodeReport:
             f"grouped={self.grouped_count}",
             f"eig_decoder={self.eig_count}",
             f"eig_solved_decoder={self.eig_solved}",
+            f"coarsened_decoder={self.coarsened}",
         ]
         out += [f"t_{k}_s={v:.6f}" for k, v in self.times.items()]
         return out
@@ -280,11 +308,12 @@ def _distinct_graphs(graphs):
 
 
 def _coarsen_graphs(fines, n_target):
-    """(coarse graph, fine_to_coarse) of every pixel graph, each distinct
-    graph coarsened once; units share the pair, which is only read."""
+    """((coarse graph, fine_to_coarse) of every pixel graph, the number of
+    distinct pixel graphs): each distinct graph is coarsened once, and
+    units share the pair, which is only read."""
     distinct, which = _distinct_graphs(fines)
     coarse = [coarsen(g, n_target) for g in distinct]
-    return [coarse[i] for i in which]
+    return [coarse[i] for i in which], len(distinct)
 
 
 def _eigenbases(graphs, needed=None, probes=None):
@@ -323,57 +352,40 @@ def _eigenbases(graphs, needed=None, probes=None):
     return [bases[i] for i in which], len(solve)
 
 
-def _build_units(sources, angular_dims, mode, n_target, watch):
-    """Turn super-rays ('coarse' mode) or partition parts into coding
-    units, in order.
-
-    All pixel graphs are built in one :func:`graph_structure` call and
-    split apart, and ``watch`` laps ``graphs``.  In 'coarse' mode each
-    graph is then coarsened to ``n_target`` vertices, and the pixel graphs
-    are freed on return; otherwise each part is a unit on its own pixel
-    graph.  The caller laps ``coarsen``.
-    """
-    fines = split_graph(graph_structure(sources, angular_dims), sources)
-    watch.lap("graphs")
-    pairs = _coarsen_graphs(fines, n_target) if mode == "coarse" else [(g, None) for g in fines]
-    return [
-        CodingUnit(graph=graph, pixels=src.pixels, fine_to_coarse=f2c)
-        for (graph, f2c), src in zip(pairs, sources)
-    ]
+def _vector_sizes(sizes, n_channels):
+    """Length of every coefficient vector of units of ``sizes`` vertices,
+    unit-major, channel-minor."""
+    return np.repeat(sizes, n_channels)
 
 
-def _vector_sizes(units, n_channels):
-    """Length of every coefficient vector, unit-major, channel-minor."""
-    return np.repeat([u.n for u in units], n_channels)
-
-
-def _coefficient_steps(units, n_channels, q_gft):
-    """Quantizer step of every coefficient of every unit and channel, laid
-    out back to back (unit-major, channel-minor): min(q_gft, 1) at each
-    vector's DC index, so a constant signal survives any q_gft >= 1, and
-    q_gft elsewhere.  Returns (steps, start of each vector)."""
-    sizes = _vector_sizes(units, n_channels)
-    starts = np.cumsum(sizes) - sizes
-    steps = np.full(sizes.sum(), float(q_gft))
+def _coefficient_steps(sizes, n_channels, q_gft):
+    """Quantizer step of every coefficient of every unit and channel, for
+    units of ``sizes`` vertices, laid out back to back (unit-major,
+    channel-minor): min(q_gft, 1) at each vector's DC index, so a constant
+    signal survives any q_gft >= 1, and q_gft elsewhere.  Returns (steps,
+    start of each vector)."""
+    lengths = _vector_sizes(sizes, n_channels)
+    starts = np.cumsum(lengths) - lengths
+    steps = np.full(lengths.sum(), float(q_gft))
     steps[starts] = min(q_gft, 1.0)
     return steps, starts
 
 
-def _dequantize_units(levels, units, n_channels, q_gft):
+def _dequantize_units(levels, sizes, n_channels, q_gft):
     """Dequantize the back-to-back coefficient levels of every unit and
     channel in one multiply by :func:`_coefficient_steps`.  Returns one
     (channels, n) array per unit."""
-    steps, starts = _coefficient_steps(units, n_channels, q_gft)
+    steps, starts = _coefficient_steps(sizes, n_channels, q_gft)
     flat = np.split(levels.astype(np.float64) * steps, starts[n_channels::n_channels])
     return [block.reshape(n_channels, -1) for block in flat]
 
 
-def _groupable_positions(units, n_target, grouping):
-    if not grouping:
+def _groupable_positions(mode, sizes, n_target, grouping):
+    """The units that may group: with grouping on, the coarsened ones
+    ('coarse' mode) of exactly ``n_target`` vertices."""
+    if not grouping or mode != "coarse":
         return []
-    return [
-        i for i, u in enumerate(units) if u.fine_to_coarse is not None and u.n == n_target
-    ]
+    return [i for i, n in enumerate(sizes) if n == n_target]
 
 
 def _predicted_members(groups, groupable):
@@ -590,7 +602,19 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     if mode == "part":
         res = partition_super_ray(srs, cfg.max_vertices, lf.angular_dims)
         sources, structure = res.parts, res.bits
-    units = _build_units(sources, lf.angular_dims, mode, cfg.n_target, watch)
+    # every unit's pixel graph, out of one graph_structure call; in coarse
+    # mode each is coarsened to n_target vertices and freed on return
+    fines = split_graph(graph_structure(sources, lf.angular_dims), sources)
+    watch.lap("graphs")
+    pairs = (
+        _coarsen_graphs(fines, cfg.n_target)[0] if mode == "coarse"
+        else [(g, None) for g in fines]
+    )
+    units = [
+        CodingUnit(n=graph.n, pixels=src.pixels, graph=graph, fine_to_coarse=f2c)
+        for (graph, f2c), src in zip(pairs, sources)
+    ]
+    del fines, pairs
     for u in units:
         fine = np.stack([volume[tuple(u.pixels.T)] for volume in volumes])
         u.signals = fine if u.fine_to_coarse is None else np.clip(round_half_away_int(
@@ -600,7 +624,8 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
 
     # every unit probes with its signals and steps (equal in all channels),
     # so the eigen stage drops the clusters whose levels must be 0
-    steps, starts = _coefficient_steps(units, n_channels, cfg.q_gft)
+    sizes = [u.n for u in units]
+    steps, starts = _coefficient_steps(sizes, n_channels, cfg.q_gft)
     probes = [
         (u.signals, steps[lo : lo + u.n])
         for u, lo in zip(units, starts[::n_channels].tolist())
@@ -610,11 +635,11 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         gft(basis, signal) for basis, u in zip(bases, units) for signal in u.signals
     ])
     levels = quantize(coeffs, steps)
-    deq = _dequantize_units(levels, units, n_channels, cfg.q_gft)
+    deq = _dequantize_units(levels, sizes, n_channels, cfg.q_gft)
     eig_count = len(units)
     watch.lap("eigen_transform")
 
-    groupable = _groupable_positions(units, cfg.n_target, cfg.grouping)
+    groupable = _groupable_positions(mode, sizes, cfg.n_target, cfg.grouping)
     merged, threshold = derive_group_members([deq[u][0] for u in groupable], cfg.bin_width)
     signals = [units[u].signals[0] for u in groupable]
     groups = [
@@ -650,7 +675,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
         bs.SEC_DISPARITY: (round_half_away_int(disparities * 8).tolist(), 0),
         bs.SEC_STRUCTURE: (structure, 0),
         bs.SEC_COEFFICIENTS: _coefficient_symbols(
-            levels, _vector_sizes(units, n_channels), n_channels
+            levels, _vector_sizes(sizes, n_channels), n_channels
         ),
         bs.SEC_GROUPS: (_group_symbols(groups, len(groupable)), 0),
         bs.SEC_RESIDUALS: (residual_syms, 0),
@@ -672,7 +697,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     stream = Bitstream(header=header, sections=sections)
     watch.lap("entropy")
 
-    coarsened = sum(1 for u in units if u.fine_to_coarse is not None)
+    coarsened = len(units) if mode == "coarse" else 0
     m = len(groupable)
     report = EncodeReport(
         super_ray_count=seg_ref.label_count,
@@ -701,6 +726,25 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
 # Decoder
 # ---------------------------------------------------------------------------
 
+def _flat_units(fines, deq, predicted, residuals):
+    """Which units are flat, as a bool array: every channel's dequantized
+    vector ``deq[i]`` is zero past index 0, the pixel graph of the basis
+    the unit reads (``fines[i]``, a grouped member's main's) is connected,
+    and a grouped member's ``residuals[i]`` is one value per channel.  A
+    flat unit's samples are :func:`predict_signal` on :func:`dc_basis`
+    plus its residual, exactly those of its coarsening and eigen-stage
+    basis, by the three facts of the module docstring."""
+    candidates = [
+        i for i, d in enumerate(deq)
+        if not d[:, 1:].any()
+        and (i not in residuals or (residuals[i] == residuals[i][:, :1]).all())
+    ]
+    distinct, which = _distinct_graphs([fines[predicted.get(i, i)] for i in candidates])
+    flat = np.zeros(len(deq), dtype=bool)
+    flat[candidates] = connected_graphs(distinct)[which]
+    return flat
+
+
 def decode(stream: Bitstream, threads=1, debug=False):
     """Decode a bitstream; returns (LightField, DecodeReport).  ``threads``
     must be >= 1 and has no other effect."""
@@ -708,6 +752,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
         raise ValueError("threads must be >= 1")
     watch = _Stopwatch()
     hdr = stream.header
+    hdr.check()
     s_count, t_count = hdr.angular_dims
     w, h = hdr.spatial_dims
     maxval = (1 << hdr.bit_depth) - 1
@@ -761,54 +806,74 @@ def decode(stream: Bitstream, threads=1, debug=False):
         sources = srs
         if mode == "part":
             sources = partition_with_tree(srs, struct_syms, hdr.angular_dims)
-        units = _build_units(sources, hdr.angular_dims, mode, hdr.n_target, watch)
+        fines = split_graph(graph_structure(sources, hdr.angular_dims), sources)
     except ValueError as e:
         raise CorruptStreamError(f"corrupt stream: {e}") from e
-    watch.lap("coarsen")
+    # a unit's size is its pixel graph's, at most n_target once coarsened
+    sizes = [min(g.n, hdr.n_target) if mode == "coarse" else g.n for g in fines]
+    watch.lap("graphs")
 
     n_channels = hdr.channels
     # one extent per vector, then at most every coefficient
-    sizes = _vector_sizes(units, n_channels)
+    lengths = _vector_sizes(sizes, n_channels)
     coeff_syms = section_symbols(
-        bs.SEC_COEFFICIENTS, sizes.size, sizes.size + int(sizes.sum()), head=sizes.size
+        bs.SEC_COEFFICIENTS, lengths.size, lengths.size + int(lengths.sum()), head=lengths.size
     )
-    levels = _levels_from_symbols(coeff_syms, sizes, n_channels)
-    deq = _dequantize_units(levels, units, n_channels, hdr.q_gft)
+    levels = _levels_from_symbols(coeff_syms, lengths, n_channels)
+    deq = _dequantize_units(levels, sizes, n_channels, hdr.q_gft)
     watch.lap("dequantize")
 
-    groupable = _groupable_positions(units, hdr.n_target, hdr.grouping)
+    groupable = _groupable_positions(mode, sizes, hdr.n_target, hdr.grouping)
     # m labels and one rank per group of at least 2: at most m + m // 2
     m = len(groupable)
     groups = _groups_from_symbols(section_symbols(bs.SEC_GROUPS, 0, m + m // 2), m)
     predicted = _predicted_members(groups, groupable)
-    watch.lap("grouping")
-
-    # each unit reads the basis of its own graph, a member its main's, at
-    # the columns of its nonzero coefficients in any channel; a member's
-    # graph is its main's, so the eigen stage solves its main once, at the
-    # OR of their columns
-    bases, eig_solved = _eigenbases(
-        [units[predicted.get(i, i)].graph for i in range(len(units))],
-        [(d != 0).any(axis=0) for d in deq],
-    )
-    eig_count = len(units) - len(predicted)
-    watch.lap("eigen")
-
-    resid_syms = section_symbols(
-        bs.SEC_RESIDUALS,
-        sum(units[u].n for u in predicted) * n_channels,
-    )
-    ends = np.cumsum([units[i].n * n_channels for i in predicted])
+    resid_syms = section_symbols(bs.SEC_RESIDUALS, sum(sizes[i] for i in predicted) * n_channels)
+    ends = np.cumsum([sizes[i] * n_channels for i in predicted])
     residuals = {
         i: block.reshape(n_channels, -1)
         for i, block in zip(predicted, np.split(resid_syms, ends[:-1]))
     }
+    watch.lap("grouping")
+
+    # every section is read: only now is a pixel graph coarsened, and only
+    # one that a non-flat unit reads, its own or a member's main's; a
+    # partition part has no coarsening to skip, and the eigen stage gives a
+    # connected one that reads only its DC column the closed form once per
+    # distinct graph
+    flat = [False] * len(sizes)
+    if mode == "coarse":
+        flat = _flat_units(fines, deq, predicted, residuals).tolist()
+    live = [i for i, f in enumerate(flat) if not f]
+    need = sorted({*live, *(predicted[i] for i in live if i in predicted)})
+    pairs, coarsened = (
+        _coarsen_graphs([fines[i] for i in need], hdr.n_target) if mode == "coarse"
+        else ([(fines[i], None) for i in need], 0)
+    )
+    units = [CodingUnit(n=n, pixels=src.pixels) for n, src in zip(sizes, sources)]
+    for i, (graph, f2c) in zip(need, pairs):
+        units[i].graph, units[i].fine_to_coarse = graph, f2c
+    del fines, pairs
+    watch.lap("coarsen")
+
+    # each non-flat unit reads the basis of its own graph, a member its
+    # main's, at the columns of its nonzero coefficients in any channel; a
+    # member's graph is its main's, so the eigen stage solves its main
+    # once, at the OR of their columns
+    solved, eig_solved = _eigenbases(
+        [units[predicted.get(i, i)].graph for i in live],
+        [(deq[i] != 0).any(axis=0) for i in live],
+    )
+    bases = dict(zip(live, solved))
+    eig_count = len(units) - len(predicted)
+    watch.lap("eigen")
 
     # reconstructions lie in [0, maxval], so they go straight into the samples
     samples = np.zeros((n_channels, s_count * t_count, h, w), dtype=_sample_dtype(hdr.bit_depth))
     recon_units = []
     for i, u in enumerate(units):
-        rec = np.array([predict_signal(bases[i], d, maxval) for d in deq[i]])
+        basis = dc_basis(u.n) if flat[i] else bases[i]
+        rec = np.array([predict_signal(basis, d, maxval) for d in deq[i]])
         if i in residuals:
             # the encoder's residual is signal - prediction, with the
             # signal in range: a sum outside it is a corrupt residual
@@ -817,8 +882,10 @@ def decode(stream: Bitstream, threads=1, debug=False):
                 raise CorruptStreamError(
                     f"corrupt stream: residual of unit {i} leaves [0, {maxval}]"
                 )
+        # a flat unit's samples are its one value per channel
         samples[(slice(None), *u.pixels.T)] = (
-            rec if u.fine_to_coarse is None else rec[:, u.fine_to_coarse]
+            rec[:, :1] if flat[i] else rec if u.fine_to_coarse is None
+            else rec[:, u.fine_to_coarse]
         )
         if debug:
             recon_units.append(rec)
@@ -834,6 +901,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
         grouped_count=sum(len(g.members) for g in groups),
         eig_count=eig_count,
         eig_solved=eig_solved,
+        coarsened=coarsened,
         times=watch.times,
     )
     if debug:

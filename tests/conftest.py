@@ -615,8 +615,9 @@ def eigendecompose_unbatched_oracle(lap):
 
 def coarsen_graphs_oracle(fines, n_target):
     """Oracle: the per-unit coarsening ``codec._coarsen_graphs`` replaced,
-    one ``coarsen`` call per pixel graph, repeated graphs included."""
-    return [coarsen(g, n_target) for g in fines]
+    one ``coarsen`` call per pixel graph, repeated graphs included, each
+    counted."""
+    return [coarsen(g, n_target) for g in fines], len(fines)
 
 
 def eigenbases_oracle(graphs, needed=None, probes=None):

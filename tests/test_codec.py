@@ -23,6 +23,7 @@ from srgc.bitstream import (
     SEC_GROUPS,
     SEC_RESIDUALS,
     SEC_STRUCTURE,
+    SECTION_CONTEXTS,
     SECTION_NAMES,
     VERSION,
     Bitstream,
@@ -479,9 +480,10 @@ class TestModes:
             "segmentation", "projection", "graphs", "coarsen", "eigen_transform",
             "grouping", "residuals", "entropy",
         ]
+        # the decoder reads every section before it coarsens
         assert list(dec_rep.times) == [
-            "entropy", "segmentation", "projection", "graphs", "coarsen", "dequantize",
-            "grouping", "eigen", "reconstruct", "assembly",
+            "entropy", "segmentation", "projection", "graphs", "dequantize", "grouping",
+            "coarsen", "eigen", "reconstruct", "assembly",
         ]
         for rep in (enc_rep, dec_rep):
             assert all(t >= 0.0 for t in rep.times.values())
@@ -807,7 +809,7 @@ def coefficient_stream():
     declared count that defaults to their number."""
     lf, dmap = small_scene()
     stream, report = encode(lf, dmap, CFG, debug=True)
-    sizes = codec._vector_sizes(report.debug.units, stream.header.channels)
+    sizes = codec._vector_sizes([u.n for u in report.debug.units], stream.header.channels)
     count, payload = unpack_section(stream.sections[SEC_COEFFICIENTS], SEC_COEFFICIENTS)
     syms = entropy_decode(payload, count, "gft", sizes.size).tolist()
 
@@ -968,10 +970,15 @@ class TestStreamValidation:
         {"bit_depth": 9}, {"channels": 255},
     ])
     def test_header_out_of_range_rejected(self, grouped_stream, change):
+        """Refused by ``deserialize`` and by ``decode`` of the parsed
+        stream, which takes each unit's size from ``n_target`` before it
+        reads a section."""
         header = dataclasses.replace(grouped_stream.header, **change)
-        data = serialize(Bitstream(header=header, sections=grouped_stream.sections))
+        stream = Bitstream(header=header, sections=grouped_stream.sections)
         with pytest.raises(CorruptStreamError):
-            deserialize(data)
+            deserialize(serialize(stream))
+        with pytest.raises(CorruptStreamError, match="header"):
+            decode(stream)
 
     def test_section_table_rejections(self, grouped_stream):
         header, sections = grouped_stream.header, grouped_stream.sections
@@ -1238,13 +1245,15 @@ def test_distinct_graph_reuse_matches_per_unit_oracles_end_to_end(case, monkeypa
 def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     """Each unit's basis, shared or not, has the bits a lone
     ``eigendecompose(laplacian(graph))`` of its graph gives on
-    every column its side reads, on both sides.  Each side's call holds
-    one entry per unit; on the decoder a member predicted from a group's
-    main names that main's graph object and gets the main's basis object,
-    so the paper's count, ungrouped units plus one main per group, comes
-    from the stage's graph reuse.  A side keeps a column for a unit when the decoder's
-    column mask needs it, or when the encoder's probe rule
-    (``probe_mask_oracle``) keeps it; every encoder unit probes.  A
+    every column its side reads, on both sides.  The encoder's call holds
+    one entry per unit, the decoder's one per unit that is not flat
+    (``codec._flat_units``); on the decoder a member predicted from a
+    group's main names that main's graph object and, when the main has an
+    entry, gets the main's basis object, so the paper's count, ungrouped
+    units plus one main per group, comes from the stage's graph reuse.  A
+    side keeps a column for a unit when the decoder's column mask needs
+    it, or when the encoder's probe rule (``probe_mask_oracle``) keeps it;
+    every encoder unit probes.  A
     shared basis keeps the OR of its units' columns, and a degenerate
     cluster with no kept column is zero.  A distinct graph that takes the
     closed-form DC basis (column 0 of the lone solve, every other column
@@ -1274,15 +1283,20 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
         return eigendecompose(laplacian(graph)), connected
 
     monkeypatch.setattr(codec, "_eigenbases", spy)
+    flats = _record_flat_units(monkeypatch)
     stream, enc = encode(lf, dmap, cfg, debug=True)
     _, dec = decode(deserialize(serialize(stream)), debug=True)
     predicted = codec._predicted_members(dec.debug.group_set.groups, dec.debug.groupable)
     want_units = (enc.debug.units, dec.debug.units)
+    # the units behind each side's entries, in order
+    assert len(flats) == (case != "partition")
+    live = np.flatnonzero(~flats[0]).tolist() if flats else list(range(len(dec.debug.units)))
+    entries = (list(range(len(enc.debug.units))), live)
     probed, *resolved, masked = solved
     assert len(resolved) == (case == "small")
     assert probed[1] is None and len(probed[2]) == len(want_units[0])
     assert all(p is not None for p in probed[2])
-    assert masked[2] is None and len(masked[1]) == len(want_units[1])
+    assert masked[2] is None and len(masked[1]) == len(live)
     assert enc.eig_solved == probed[4] + sum(count for *_, count in resolved)
     if case == "small":
         assert (enc.eig_count, probed[4], enc.eig_solved) == (7, 6, 7)
@@ -1298,10 +1312,10 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     closed_counts = []
     # the unit whose graph and basis each unit reads: on the decoder a
     # member reads its main's
-    for (graphs, needed, probes, bases, count), units, reads, report in zip(
-        (probed, masked), want_units, ({}, predicted), (enc, dec)
+    for (graphs, needed, probes, bases, count), units, order, reads, report in zip(
+        (probed, masked), want_units, entries, ({}, predicted), (enc, dec)
     ):
-        assert len(units) == len(bases)
+        assert len(order) == len(bases)
         assert report.eig_count == len(units) - len(reads) >= count
         distinct, which = codec._distinct_graphs(graphs)
         lone, connected = zip(*(lone_solve(g) for g in distinct))
@@ -1315,8 +1329,10 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
         assert count == closed.count(False)
         closed_counts.append(closed.count(True))
         for j, (graph, basis, i) in enumerate(zip(graphs, bases, which)):
-            assert graph is units[reads.get(j, j)].graph
-            assert basis is bases[reads.get(j, j)]
+            read = reads.get(order[j], order[j])
+            assert graph is units[read].graph
+            if read in order:
+                assert basis is bases[order.index(read)]
             if closed[i]:
                 assert connected[i]
                 want = dc_basis(graph.n)
@@ -1339,9 +1355,11 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
                     dropped_levels += int((~kept).sum())
     assert dec.eig_solved == masked[4]
     assert (dropped_levels > 0) == (case != "rgb_all")
-    # distinct graphs that take the closed form on the encoder and the decoder
+    # distinct graphs that take the closed form on the encoder and the
+    # decoder; on the decoder, the unit of ``no_grouping`` that takes it is
+    # flat and has no entry
     assert tuple(closed_counts) == {
-        "explicit": (1, 0), "gate": (0, 0), "no_grouping": (1, 1), "partition": (23, 23),
+        "explicit": (1, 0), "gate": (0, 0), "no_grouping": (1, 0), "partition": (23, 23),
         "rgb_all": (0, 0), "small": (1, 0),
     }[case]
     if case == "rgb_all":
@@ -1362,6 +1380,10 @@ def _main_clusters_read_only_by_members(dec):
     found = set()
     predicted = codec._predicted_members(dec.debug.group_set.groups, dec.debug.groupable)
     for member, main in predicted.items():
+        if dec.debug.units[main].graph is None:
+            # a flat main, coarsened for no member: every member predicted
+            # from it is flat and reads column 0 alone, a cluster of its own
+            continue
         own = np.any(np.asarray(deq[main]) != 0, axis=0)
         read = np.any(np.asarray(deq[member]) != 0, axis=0)
         vals = eigendecompose(laplacian(dec.debug.units[main].graph)).eigenvalues
@@ -1369,6 +1391,25 @@ def _main_clusters_read_only_by_members(dec):
             if len(cluster) > 1 and not own[cluster].any() and read[cluster].any():
                 found.add((main, cluster[0]))
     return found
+
+
+def _no_flat_units(fines, deq, predicted, residuals):
+    """``codec._flat_units`` marking no unit flat: every unit is coarsened
+    and reads a basis from the eigen stage."""
+    return np.zeros(len(deq), dtype=bool)
+
+
+def _record_flat_units(monkeypatch):
+    """Record the mask of every ``codec._flat_units`` call, as it runs."""
+    flats = []
+    flat_units = codec._flat_units
+
+    def recorded(*args):
+        flats.append(flat_units(*args))
+        return flats[-1]
+
+    monkeypatch.setattr(codec, "_flat_units", recorded)
+    return flats
 
 
 _MASK_CASES = [
@@ -1422,7 +1463,8 @@ def test_decoder_derives_no_groups(case, monkeypatch):
 @pytest.mark.parametrize("case", _MASK_CASES)
 def test_column_masks_keep_decoded_samples(case, monkeypatch):
     """Decoding with the column masks gives the samples of decoding with
-    full bases (masks forced to None).  In ``small`` grouped members read
+    full bases (masks forced to None, and no unit flat, so every unit
+    reads a full basis).  In ``small`` grouped members read
     13 clusters of their main's basis that the main's own coefficients
     leave at zero, so a mask taken from the main alone would zero columns
     a member reads."""
@@ -1439,6 +1481,7 @@ def test_column_masks_keep_decoded_samples(case, monkeypatch):
         return eigenbases(graphs)
 
     monkeypatch.setattr(codec, "_eigenbases", full)
+    monkeypatch.setattr(codec, "_flat_units", _no_flat_units)
     want, _ = decode(stream)
     assert len(masks) == 1 and masks[0] is not None
     assert lf_equal(rec, want)
@@ -1496,7 +1539,10 @@ def test_closed_form_dc_keeps_bytes_and_samples(case, monkeypatch):
     """Encoding and decoding with the closed-form DC basis give the stream
     bytes and the decoded samples of solving every distinct graph
     (``dc_only`` patched to pass none), on each side with no more LAPACK
-    solves; on every bench scene both sides skip some."""
+    solves; on every bench scene the encoder skips some.  The decoder
+    skips some on ``partition`` only: on ``gate`` and ``parallax`` every
+    unit that reads only its DC coefficient is flat and never reaches the
+    eigen stage."""
     lf, dmap, cfg = _mask_case(case)
 
     def round_trip():
@@ -1513,7 +1559,111 @@ def test_closed_form_dc_keeps_bytes_and_samples(case, monkeypatch):
     assert lf_equal(rec, want_rec)
     assert solved[0] <= want_solved[0] and solved[1] <= want_solved[1]
     if case.startswith("bench_"):
-        assert solved[0] < want_solved[0] and solved[1] < want_solved[1]
+        assert solved[0] < want_solved[0]
+        assert (solved[1] < want_solved[1]) == case.startswith("bench_partition")
+
+
+@pytest.mark.parametrize("case", [
+    *sorted(ORACLE_CASES),
+    *(f"bench_{name}_{seed}" for name in ("gate", "parallax", "partition")
+      for seed in (1, 5, 17, 23)),
+])
+def test_flat_units_keep_samples_and_counts(case, monkeypatch):
+    """Decoding flat units without coarsening or an eigen-stage entry gives
+    the samples, ``eig_count`` and ``eig_solved`` of coarsening and solving
+    every unit (``_flat_units`` patched to mark none flat), and coarsens
+    no more pixel graphs.  Only coarse mode asks for flat units: at seed
+    1, 12 of the 16 units of ``gate`` are flat and 6 of the 9 of
+    ``parallax``."""
+    lf, dmap, cfg = _mask_case(case)
+    stream = deserialize(serialize(encode(lf, dmap, cfg)[0]))
+    flats = _record_flat_units(monkeypatch)
+    rec, dec = decode(stream)
+    monkeypatch.setattr(codec, "_flat_units", _no_flat_units)
+    want, full = decode(stream)
+    assert lf_equal(rec, want)
+    assert (dec.eig_count, dec.eig_solved) == (full.eig_count, full.eig_solved)
+    assert dec.coarsened <= full.coarsened
+    assert len(flats) == (cfg.q_gft >= cfg.q_switch)
+    shares = {"bench_gate_1": (12, 16), "bench_parallax_1": (6, 9)}
+    if case in shares:
+        (flat,) = flats
+        assert (int(flat.sum()), flat.size) == shares[case]
+        assert dec.coarsened < full.coarsened
+
+
+def test_flat_rule_reads_the_basis_graph_and_the_residual():
+    """A unit that reads only its DC coefficient is flat when the pixel
+    graph of the basis it reads is connected and, for a grouped member,
+    its residual is one value per channel.  On a graph of two components
+    the eigen stage gives component indicators, not the constant column,
+    so such a unit is not flat, nor is a member that reads that graph as
+    its main's, nor a member whose residual varies."""
+    path = LocalGraph(n=4, edges=np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64))
+    halves = LocalGraph(n=4, edges=np.array([[0, 1], [2, 3]], dtype=np.int64))
+    dc = np.array([[8.0, 0.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 0.0]])
+    ac = np.array([[8.0, 0.0, 16.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    fines = [path, halves, path, path, path, path]
+    deq = [dc, dc, dc, dc, dc, ac]
+    # members: 2 reads the two-component graph of 1, 3 and 4 the path of 0
+    predicted = {2: 1, 3: 0, 4: 0}
+    residuals = {
+        2: np.zeros((2, 4), dtype=np.int64),
+        3: np.array([[2, 2, 2, 2], [-1, -1, -1, -1]]),
+        4: np.array([[2, 2, 2, 3], [0, 0, 0, 0]]),
+    }
+    flat = codec._flat_units(fines, deq, predicted, residuals)
+    assert flat.tolist() == [True, False, False, True, False, False]
+
+
+def test_corrupt_sections_fail_before_any_coarsening(monkeypatch):
+    """Every section is read before the decoder coarsens: a stream with a
+    corrupt coefficient, groups or residual section fails with
+    CorruptStreamError while coarsening raises."""
+    lf, dmap = small_scene()
+    stream, report = encode(lf, dmap, CFG, debug=True)
+    assert report.group_count and report.coarsened_count == report.unit_count
+    m = len(report.debug.groupable)
+    sizes = codec._vector_sizes([u.n for u in report.debug.units], stream.header.channels)
+
+    def section(sid):
+        count, payload = unpack_section(stream.sections[sid], sid)
+        head = sizes.size if sid == SEC_COEFFICIENTS else 0
+        return count, entropy_decode(payload, count, SECTION_CONTEXTS[sid], head)
+
+    def rewritten(sid, syms, count=None):
+        head = sizes.size if sid == SEC_COEFFICIENTS else 0
+        body = entropy_encode(list(syms), SECTION_CONTEXTS[sid], head)
+        sections = {**stream.sections, sid: pack_section(
+            len(syms) if count is None else count, body)}
+        return Bitstream(header=stream.header, sections=sections)
+
+    coeff_count, coeffs = section(SEC_COEFFICIENTS)
+    wide = coeffs.copy()
+    wide[0] = sizes[0] + 1  # an extent past its vector
+    _, labels = section(SEC_GROUPS)
+    wrong = labels.copy()
+    wrong[0] = m // 2 + 1  # a group number past any m labels can hold
+    resid_count, resid = section(SEC_RESIDUALS)
+    assert resid_count
+    broken = [
+        rewritten(SEC_COEFFICIENTS, wide, coeff_count),
+        rewritten(SEC_GROUPS, wrong),
+        rewritten(SEC_RESIDUALS, [*resid, 0]),  # one symbol more than the members hold
+        Bitstream(header=stream.header, sections={
+            k: v for k, v in stream.sections.items() if k != SEC_RESIDUALS
+        }),
+    ]
+
+    def coarsened(*args):
+        raise AssertionError("the decoder coarsened before reading every section")
+
+    monkeypatch.setattr(codec, "coarsen", coarsened)
+    with pytest.raises(AssertionError, match="coarsened"):
+        decode(stream)
+    for bad in broken:
+        with pytest.raises(CorruptStreamError):
+            decode(bad)
 
 
 @pytest.mark.parametrize("case", [
@@ -1545,12 +1695,15 @@ def test_spectrum_rule_on_solved_graphs(case, monkeypatch):
     ("partition", (129, 129), (22, 22), 0),
 ])
 def test_distinct_graphs_on_bench_scenes(name, counts, solved, coarsened, monkeypatch):
-    """On the bench scenes (seed 1) units repeat whole graphs: each side
-    coarsens only the distinct ones and sends to LAPACK only the distinct
-    ones that do not take the closed-form DC basis (9, 9 and 58 distinct
-    graphs on the encoder, 2, 5 and 58 on the decoder), ``eig_count``
-    stays the paper's count, and the bytes and samples are those of the
-    per-unit stages, which solve every unit."""
+    """On the bench scenes (seed 1) units repeat whole graphs: the encoder
+    coarsens only the distinct ones (``coarsened``), the decoder only the
+    distinct ones that its units that are not flat read (12 of the 16
+    units of ``gate`` are flat, 6 of the 9 of ``parallax``), and each side
+    sends to LAPACK only the distinct graphs that do not take the
+    closed-form DC basis (9, 9 and 58 distinct graphs on the encoder, 1, 3
+    and 58 on the decoder), ``eig_count`` stays the paper's count, and the
+    bytes and samples are those of the per-unit stages, which solve every
+    unit."""
     workload = bench_workloads()[name]
     lf, dmap = workload.scene(1)
     coarsenings = []
@@ -1565,9 +1718,12 @@ def test_distinct_graphs_on_bench_scenes(name, counts, solved, coarsened, monkey
     rec, dec = decode(deserialize(data))
     assert (enc.eig_count, dec.eig_count) == counts
     assert (enc.eig_solved, dec.eig_solved) == solved
-    assert len(coarsenings) == 2 * coarsened
+    # the decoder's distinct pixel graphs coarsened
+    dec_coarsened = {"gate": 1, "parallax": 3, "partition": 0}[name]
+    assert len(coarsenings) == coarsened + dec_coarsened == coarsened + dec.coarsened
     assert f"eig_solved_encoder={solved[0]}" in enc.to_lines()
     assert f"eig_solved_decoder={solved[1]}" in dec.to_lines()
+    assert f"coarsened_decoder={dec_coarsened}" in dec.to_lines()
     _patch_per_unit_oracles(monkeypatch)
     want_data, want_rec = _round_trip(lf, dmap, workload.config)
     assert data == want_data
@@ -1686,7 +1842,11 @@ def test_super_ray_rows_are_the_graph_vertices(case, monkeypatch):
         assert len(report.debug.units) == len(side)
         for u, (sr, g) in zip(report.debug.units, side):
             assert u.pixels is sr.pixels and g.n == sr.total_pixels
-            if u.fine_to_coarse is None:
+            if u.graph is None:
+                # a flat decoder unit: sized from its pixel graph, never coarsened
+                assert report is dec and u.fine_to_coarse is None
+                assert u.n == min(cfg.n_target, g.n) and cfg.q_gft >= cfg.q_switch
+            elif u.fine_to_coarse is None:
                 assert u.graph is g
             else:
                 assert u.fine_to_coarse.shape == (g.n,)

@@ -1103,6 +1103,67 @@ class TestCoarsen:
             target = workload.config.n_target if workload.grouped else max(1, g.n // 3)
             _assert_same_coarsening(g, target)
 
+    def test_connected_graphs_stay_connected_on_random_graphs(self, monkeypatch):
+        """The premise of the decoder's flat rule (``codec._flat_units``):
+        coarsening a connected graph gives a connected graph, and every
+        heavy-edge matching round on the way matches a pair, so the
+        edgeless-residue branch never runs.  On a disconnected graph it
+        does, once the components run out of edges."""
+        matched = _matched_per_round(monkeypatch)
+        rng = np.random.default_rng(30)
+        for case in range(120):
+            g = random_connected_graph(rng, 1 + case % 60)
+            for n_target in sorted({1, 2, max(1, g.n // 4), max(1, g.n // 2), max(1, g.n - 1)}):
+                coarse, _ = coarsen(g, n_target)
+                assert coarse.n == min(n_target, g.n)
+                assert spectral.connected_graphs([coarse])[0]
+        assert matched and min(matched) > 0
+        matched.clear()
+        coarsen(LocalGraph(n=5, edges=np.array([[0, 1]], dtype=np.int64)), 2)
+        assert 0 in matched
+
+    @pytest.mark.parametrize("name", ["gate", "parallax", "partition"])
+    def test_connected_bench_graphs_stay_connected(self, name, monkeypatch):
+        """The same on every connected pixel graph the bench scenes build
+        (seed 1), coarsened to the workload's target and to a half, a
+        quarter and a tenth of its size."""
+        workload = bench_workloads()[name]
+        lf, dmap = workload.scene(1)
+        graphs = []
+
+        def record(union, srs):
+            got = split_graph(union, srs)
+            graphs.extend(got)
+            return got
+
+        monkeypatch.setattr(codec, "split_graph", record)
+        codec.encode(lf, dmap, workload.config)
+        connected = [g for g, c in zip(graphs, spectral.connected_graphs(graphs)) if c]
+        assert connected
+        matched = _matched_per_round(monkeypatch)
+        for g in codec._distinct_graphs(connected)[0]:
+            targets = {workload.config.n_target, g.n // 2, g.n // 4, g.n // 10}
+            for n_target in sorted(t for t in targets if 1 <= t < g.n):
+                coarse, _ = coarsen(g, n_target)
+                assert coarse.n == n_target and spectral.connected_graphs([coarse])[0]
+        assert matched and min(matched) > 0
+
+
+def _matched_per_round(monkeypatch):
+    """The number of pairs each heavy-edge matching round of ``coarsen``
+    matches, recorded as it runs; a round of 0 sends ``coarsen`` to the
+    edgeless-residue branch."""
+    matched = []
+    match = spectral._heavy_edge_matching
+
+    def counted(*args):
+        roots, merged = match(*args)
+        matched.append(roots.size)
+        return roots, merged
+
+    monkeypatch.setattr(spectral, "_heavy_edge_matching", counted)
+    return matched
+
 
 def _random_weighted_edges(rng, case):
     """(a, b, w, k) of a weighted graph in coarsening form: a < b, sorted,
