@@ -3,8 +3,9 @@
 PSNR is computed over the luma samples of all views; BPP divides the
 serialized stream bits by the whole-light-field pixel count S*T*W*H.
 Identical inputs yield +inf PSNR, serialized as the string ``inf`` in CSV.
-Eigendecomposition counts are deterministic; wall times are the only
-nondeterministic columns.
+Eigendecomposition counts, the paper's (``eig_enc``, ``eig_dec``) and
+the LAPACK solves behind them (``eig_solved_enc``, ``eig_solved_dec``),
+are deterministic; wall times are the only nondeterministic columns.
 """
 
 import io
@@ -25,6 +26,8 @@ class RDPoint:
     psnr_y: float
     eig_enc: int
     eig_dec: int
+    eig_solved_enc: int
+    eig_solved_dec: int
     groups: int
     grouped: int
     coarsened: int
@@ -85,6 +88,8 @@ def rd_sweep(lf, dmap, q_list, cfg: CodecConfig):
                 psnr_y=psnr(lf, rec),
                 eig_enc=enc_rep.eig_count,
                 eig_dec=dec_rep.eig_count,
+                eig_solved_enc=enc_rep.eig_solved,
+                eig_solved_dec=dec_rep.eig_solved,
                 groups=enc_rep.group_count,
                 grouped=enc_rep.grouped_count,
                 coarsened=enc_rep.coarsened_count,

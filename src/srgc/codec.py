@@ -1,8 +1,9 @@
 """Encoder and decoder pipelines.
 
 Encoder: SLIC on the reference view -> per-label median disparity ->
-label projection -> super-rays -> coarsen (q_gft >= q_switch) or partition
-(otherwise) -> eigendecompose every coding unit -> GFT -> quantize ->
+label projection -> super-rays -> pixel graphs (of partition parts when
+q_gft < q_switch) -> the flat rule (q_gft >= q_switch) -> coarsen the
+units that are not flat -> eigendecompose them -> GFT -> quantize ->
 group coarsened units on dequantized coefficients -> select main members
 -> cross-basis prediction and integer residuals -> entropy-coded sections.
 
@@ -40,6 +41,20 @@ dense Laplacian alone would take 28 GB); and with only ``d[0]`` nonzero,
 ``V @ d`` gains only signed zeros from the other columns, as for the
 column masks below.
 
+The encoder has its own flat rule (:func:`_flat_super_rays`), decided
+before any coarsening: a super-ray is flat when its pixel samples are one
+value per channel, its pixel graph is connected, and
+:func:`spectral.dc_only`'s probe bound holds for that constant signal at
+the unit's size ``min(n_target, n)``.  Its signal is that value repeated
+``n`` times, as the coarse mean and rounding give it, and its basis
+:func:`spectral.dc_basis`; it gets no coarsening, no coarse mean and no
+eigen-stage entry.  The same three facts keep its levels those of its
+coarsened and solved basis, in which the bound makes every level past
+the DC one 0, so grouping, residuals and the stream are unchanged.  A
+flat main that a member reads past column 0 has its pixel graph built
+again from its rows once grouping has picked it, coarsened, and solved
+again, whole, as below.
+
 The structure section is :func:`spectral.partition_super_ray`'s ``bits``
 as they are, which the decoder hands to :func:`spectral.partition_with_tree`
 to parse and replay; an empty section means coarse mode.  The groups
@@ -57,32 +72,32 @@ graph with local vertex ids.  A graph is its vertex count and edge list;
 a unit's vertex i is row i of its pixels, where the encoder reads its
 samples and the decoder writes them.  Units often repeat whole graphs, so
 units with one vertex count and edge list share a Laplacian and a
-bit-equal basis.  Each side coarsens each distinct pixel graph once (the
-decoder only those its non-flat units read), keeps only the coarse graph
-and ``fine_to_coarse`` of each unit, and
-runs its eigen stage once per stream, as one batched
-:func:`spectral.eigendecompose_all` call over the distinct graphs its
-units read; every unit that reads a graph shares its result.  The
-decoder passes column masks to that call: a basis column is needed when
-a dequantized coefficient of any channel at its index is nonzero, for
-any unit that reads the basis, so degenerate eigenvalue
+bit-equal basis.  Each side coarsens each distinct pixel graph that its
+units that are not flat read once, keeps only the coarse graph and
+``fine_to_coarse`` of each unit, and runs its eigen stage once per
+stream, as one batched :func:`spectral.eigendecompose_all` call over the
+distinct graphs its units read; every unit that reads a graph shares its
+result.  The decoder passes column masks to that call: a basis column is
+needed when a dequantized coefficient of any channel at its index is
+nonzero, for any unit that reads the basis, so degenerate eigenvalue
 clusters that no nonzero coefficient reads are never canonicalized and
 come back as zeros.  The samples are those of full bases: the inverse
 GFT ``V @ c`` gains only signed zeros from those columns, and rounding
 maps a zero sum of either sign to 0.  The encoder passes probes instead:
-every unit hands the eigen stage its channel signals and quantizer steps,
-and the clusters in which every one of them must quantize to level 0 are
-dropped the same way.  Their levels are 0 in the full basis too, so the
-levels are those of full bases.  A member predicted from a group's main
-reads the main's basis at its own nonzero coefficients, which the main's
-probe does not see: after grouping, each main with a dropped column that
-such a member reads is solved again, whole, in one more eigen-stage call
-without probes, so the residuals, and the stream, are those of full
-bases.  A connected graph's basis has the exact constant DC column, and
-a connected graph whose mask (decoder) or probe (encoder) shows that
-nothing past that column is read takes it alone, with no Laplacian and
-no solve (:func:`spectral.dc_only`); a member reading past its main's
-DC column has the main re-solved as above.  The reports' ``eig_count``
+every unit that is not flat hands the eigen stage its channel signals
+and quantizer steps, and the clusters in which every one of them must
+quantize to level 0 are dropped the same way.  Their levels are 0 in the
+full basis too, so the levels are those of full bases.  A member
+predicted from a group's main reads the main's basis at its own nonzero
+coefficients, which the main's probe does not see: after grouping, each
+main with a dropped column that such a member reads is solved again,
+whole, in one more eigen-stage call without probes, so the residuals,
+and the stream, are those of full bases.  A connected graph's basis has
+the exact constant DC column, and a connected graph whose mask (decoder)
+or probe (encoder) shows that nothing past that column is read takes it
+alone, with no Laplacian and no solve (:func:`spectral.dc_only`); a
+member reading past its main's DC column has the main re-solved as
+above.  The reports' ``eig_count``
 stays the paper's count (every unit on the encoder, ungrouped units plus
 one main per group on the decoder) and ``eig_solved`` counts the
 distinct graphs sent to LAPACK behind it, the encoder's re-solved mains
@@ -177,9 +192,10 @@ class CodingUnit:
     (``fine_to_coarse`` set, each pixel's vertex of ``graph``) or a
     partition part (``graph`` is its own pixel graph).  ``pixels`` are the
     (view, y, x) rows of the super-ray or part, shared with it.  A flat
-    decoder unit (:func:`_flat_units`) has neither ``graph`` nor
-    ``fine_to_coarse``, unless it is the main of a member that is not
-    flat."""
+    unit, of the encoder (:func:`_flat_super_rays`) or of the decoder
+    (:func:`_flat_units`), has neither ``graph`` nor ``fine_to_coarse``,
+    unless it is the main of a member that reads it past column 0 (the
+    encoder) or that is not flat (the decoder)."""
 
     n: int
     pixels: np.ndarray
@@ -200,8 +216,12 @@ class EncodeReport:
     grouped_count: int = 0
     eig_count: int = 0        # the paper's count: one per unit
     eig_solved: int = 0       # distinct graphs sent to LAPACK, re-solved mains included
+    # distinct pixel graphs coarsened: none of a flat unit, unless it is a
+    # main solved again (counted in a pass of its own)
+    coarsened: int = 0
     # seconds per stage in pipeline order; "graphs" builds (and partitions)
-    # the pixel graphs, "coarsen" coarsens them and takes the unit signals
+    # the pixel graphs, "coarsen" takes the unit signals, applies the flat
+    # rule and coarsens the other units' graphs
     times: dict = field(default_factory=dict)
     debug: object = None
 
@@ -229,6 +249,7 @@ class EncodeReport:
             f"ratio_overall={self.overall_ratio:.6f}",
             f"eig_encoder={self.eig_count}",
             f"eig_solved_encoder={self.eig_solved}",
+            f"coarsened_encoder={self.coarsened}",
         ]
         out += [f"t_{k}_s={v:.6f}" for k, v in self.times.items()]
         return out
@@ -305,6 +326,12 @@ def _distinct_graphs(graphs):
             distinct.append(g)
         which.append(slot[key])
     return distinct, which
+
+
+def _unit_sizes(fines, mode, n_target):
+    """Every unit's vertex count, from its pixel graph: ``min(n_target,
+    n)`` coarsened, as :func:`coarsen` returns it, ``n`` a partition part."""
+    return [min(g.n, n_target) if mode == "coarse" else g.n for g in fines]
 
 
 def _coarsen_graphs(fines, n_target):
@@ -561,6 +588,23 @@ def _groups_from_symbols(syms, m):
 # Encoder
 # ---------------------------------------------------------------------------
 
+def _flat_super_rays(fines, samples, steps):
+    """Which super-rays are flat, as a bool array: the pixel samples
+    ``samples[i]``, (channels, pixels), are one value per channel, and
+    :func:`dc_only` passes the pixel graph ``fines[i]`` (connected) with
+    that value repeated over the unit's ``len(steps[i])`` vertices as its
+    probe under its quantizer steps ``steps[i]``.  That repetition is the
+    unit's coarse signal, and it quantizes to the levels of
+    :func:`dc_basis` in the solved basis of its coarse graph too, by the
+    facts of the module docstring."""
+    candidates = [i for i, s in enumerate(samples) if (s == s[:, :1]).all()]
+    flat = np.zeros(len(samples), dtype=bool)
+    flat[candidates] = dc_only([fines[i] for i in candidates], probes=[
+        (np.repeat(samples[i][:, :1], steps[i].size, axis=1), steps[i]) for i in candidates
+    ])
+    return flat
+
+
 def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     """Encode a light field; returns (Bitstream, EncodeReport)."""
     cfg.validate()
@@ -602,35 +646,50 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     if mode == "part":
         res = partition_super_ray(srs, cfg.max_vertices, lf.angular_dims)
         sources, structure = res.parts, res.bits
-    # every unit's pixel graph, out of one graph_structure call; in coarse
-    # mode each is coarsened to n_target vertices and freed on return
+    # every unit's pixel graph, out of one graph_structure call
     fines = split_graph(graph_structure(sources, lf.angular_dims), sources)
+    sizes = _unit_sizes(fines, mode, cfg.n_target)
+    # each unit's quantizer steps, equal in all channels
+    steps, starts = _coefficient_steps(sizes, n_channels, cfg.q_gft)
+    unit_steps = [steps[lo : lo + n] for lo, n in zip(starts[::n_channels].tolist(), sizes)]
     watch.lap("graphs")
-    pairs = (
-        _coarsen_graphs(fines, cfg.n_target)[0] if mode == "coarse"
-        else [(g, None) for g in fines]
-    )
-    units = [
-        CodingUnit(n=graph.n, pixels=src.pixels, graph=graph, fine_to_coarse=f2c)
-        for (graph, f2c), src in zip(pairs, sources)
-    ]
-    del fines, pairs
+    units = [CodingUnit(n=n, pixels=src.pixels) for n, src in zip(sizes, sources)]
     for u in units:
-        fine = np.stack([volume[tuple(u.pixels.T)] for volume in volumes])
-        u.signals = fine if u.fine_to_coarse is None else np.clip(round_half_away_int(
-            [coarse_mean_signal(u.fine_to_coarse, f) for f in fine]
-        ), 0, maxval)
+        u.signals = np.stack([volume[tuple(u.pixels.T)] for volume in volumes])
+    flat = [False] * len(units)
+    if mode == "coarse":
+        flat = _flat_super_rays(fines, [u.signals for u in units], unit_steps).tolist()
+    live = [i for i, f in enumerate(flat) if not f]
+    # in coarse mode the pixel graphs of the units that are not flat are
+    # coarsened to n_target vertices, and freed on return
+    pairs, coarsened = (
+        _coarsen_graphs([fines[i] for i in live], cfg.n_target) if mode == "coarse"
+        else ([(fines[i], None) for i in live], 0)
+    )
+    del fines
+    for i, (graph, f2c) in zip(live, pairs):
+        u = units[i]
+        u.graph, u.fine_to_coarse = graph, f2c
+        if f2c is not None:
+            u.signals = np.clip(round_half_away_int(
+                [coarse_mean_signal(f2c, f) for f in u.signals]
+            ), 0, maxval)
+    del pairs
+    # a flat unit's coarse signal is its one value per channel
+    for u, f in zip(units, flat):
+        if f:
+            u.signals = np.repeat(u.signals[:, :1], u.n, axis=1)
     watch.lap("coarsen")
 
-    # every unit probes with its signals and steps (equal in all channels),
-    # so the eigen stage drops the clusters whose levels must be 0
-    sizes = [u.n for u in units]
-    steps, starts = _coefficient_steps(sizes, n_channels, cfg.q_gft)
-    probes = [
-        (u.signals, steps[lo : lo + u.n])
-        for u, lo in zip(units, starts[::n_channels].tolist())
-    ]
-    bases, eig_solved = _eigenbases([u.graph for u in units], probes=probes)
+    # every unit that is not flat probes with its signals and steps, so the
+    # eigen stage drops the clusters whose levels must be 0; a flat unit
+    # reads the closed-form DC basis, one per size
+    solved, eig_solved = _eigenbases(
+        [units[i].graph for i in live], probes=[(units[i].signals, unit_steps[i]) for i in live]
+    )
+    dc = {n: dc_basis(n) for n in {u.n for u, f in zip(units, flat) if f}}
+    solved = iter(solved)
+    bases = [dc[u.n] if f else next(solved) for u, f in zip(units, flat)]
     coeffs = np.concatenate([
         gft(basis, signal) for basis, u in zip(bases, units) for signal in u.signals
     ])
@@ -651,13 +710,23 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     # a member's prediction reads its main's basis at the member's nonzero
     # coefficients, which the decoder's column mask keeps with full-basis
     # bits: a main whose probe dropped (zeroed) such a column is solved
-    # again, whole
+    # again, whole; a flat main first has its pixel graph built again from
+    # its rows, and coarsened
     predicted = _predicted_members(groups, groupable)
     resolve = list(dict.fromkeys(
         main for member, main in predicted.items()
         if ((deq[member] != 0).any(axis=0) & ~bases[main].vectors.any(axis=0)).any()
     ))
     if resolve:
+        late = [i for i in resolve if flat[i]]
+        if late:
+            rows = [sources[i] for i in late]
+            pairs, count = _coarsen_graphs(
+                split_graph(graph_structure(rows, lf.angular_dims), rows), cfg.n_target
+            )
+            coarsened += count
+            for i, (graph, f2c) in zip(late, pairs):
+                units[i].graph, units[i].fine_to_coarse = graph, f2c
         full, count = _eigenbases([units[i].graph for i in resolve])
         for i, basis in zip(resolve, full):
             bases[i] = basis
@@ -697,19 +766,20 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     stream = Bitstream(header=header, sections=sections)
     watch.lap("entropy")
 
-    coarsened = len(units) if mode == "coarse" else 0
+    coarse_units = len(units) if mode == "coarse" else 0
     m = len(groupable)
     report = EncodeReport(
         super_ray_count=seg_ref.label_count,
         unit_count=len(units),
-        coarsened_count=coarsened,
-        partitioned_count=len(units) - coarsened,
+        coarsened_count=coarse_units,
+        partitioned_count=len(units) - coarse_units,
         pair_count=m * (m - 1) // 2,
         mse_threshold=threshold,
         group_count=len(groups),
         grouped_count=sum(len(g.members) for g in groups),
         eig_count=eig_count,
         eig_solved=eig_solved,
+        coarsened=coarsened,
         times=watch.times,
     )
     if debug:
@@ -809,8 +879,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
         fines = split_graph(graph_structure(sources, hdr.angular_dims), sources)
     except ValueError as e:
         raise CorruptStreamError(f"corrupt stream: {e}") from e
-    # a unit's size is its pixel graph's, at most n_target once coarsened
-    sizes = [min(g.n, hdr.n_target) if mode == "coarse" else g.n for g in fines]
+    sizes = _unit_sizes(fines, mode, hdr.n_target)
     watch.lap("graphs")
 
     n_channels = hdr.channels

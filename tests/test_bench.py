@@ -1,12 +1,13 @@
 """Metrics and the RD sweep harness."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from srgc.bench import CSV_COLUMNS, bpp, psnr, rd_sweep, render_csv
-from srgc.codec import CodecConfig, EncodeReport, encode
+from srgc.codec import CodecConfig, EncodeReport, decode, encode
 from srgc.lightfield import Patch, SceneSpec, synthesize_light_field
 
 from conftest import grouping_ratios, make_lf, random_lf
@@ -118,6 +119,24 @@ class TestRdSweep:
         assert lines[0] == CSV_COLUMNS
         assert len(lines) == 2
 
+    @pytest.mark.parametrize("q_gft", [2.0, 16.0])
+    def test_eig_columns_are_the_reports(self, q_gft):
+        """Each point's eigendecomposition columns, in both modes, are
+        the reports' counts of one encode and decode at its q_gft: the
+        paper's and the LAPACK solves behind them."""
+        lf, dmap = _sweep_scene()
+        cfg = CodecConfig(slic_k=4, n_target=64, max_vertices=128)
+        (row,), csv_text = rd_sweep(lf, dmap, [q_gft], cfg)
+        stream, enc = encode(lf, dmap, dataclasses.replace(cfg, q_gft=q_gft))
+        _, dec = decode(stream)
+        got = (row.eig_enc, row.eig_dec, row.eig_solved_enc, row.eig_solved_dec)
+        assert got == (enc.eig_count, dec.eig_count, enc.eig_solved, dec.eig_solved)
+        assert 0 < row.eig_solved_dec <= row.eig_dec
+        header, values = (line.split(",") for line in csv_text.strip().splitlines())
+        assert [int(values[header.index(k)]) for k in (
+            "eig_enc", "eig_dec", "eig_solved_enc", "eig_solved_dec"
+        )] == list(got)
+
     def test_monotonic_rate_quality(self):
         lf, dmap = _sweep_scene()
         cfg = CodecConfig(slic_k=4, n_target=64, max_vertices=128)
@@ -130,8 +149,6 @@ class TestRdSweep:
     def test_grouping_vs_baseline_tradeoff(self):
         lf, dmap = _sweep_scene()
         base = CodecConfig(slic_k=4, n_target=64, max_vertices=128, q_gft=16.0)
-        import dataclasses
-
         no_group = dataclasses.replace(base, grouping=False)
         rows_g, _ = rd_sweep(lf, dmap, [16.0], base)
         rows_n, _ = rd_sweep(lf, dmap, [16.0], no_group)

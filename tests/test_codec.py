@@ -1246,7 +1246,8 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     """Each unit's basis, shared or not, has the bits a lone
     ``eigendecompose(laplacian(graph))`` of its graph gives on
     every column its side reads, on both sides.  The encoder's call holds
-    one entry per unit, the decoder's one per unit that is not flat
+    one entry per unit that is not flat (``codec._flat_super_rays``; here
+    every unit), the decoder's one per unit that is not flat
     (``codec._flat_units``); on the decoder a member predicted from a
     group's main names that main's graph object and, when the main has an
     entry, gets the main's basis object, so the paper's count, ungrouped
@@ -1399,16 +1400,23 @@ def _no_flat_units(fines, deq, predicted, residuals):
     return np.zeros(len(deq), dtype=bool)
 
 
-def _record_flat_units(monkeypatch):
-    """Record the mask of every ``codec._flat_units`` call, as it runs."""
+def _no_flat_super_rays(fines, samples, steps):
+    """``codec._flat_super_rays`` marking no unit flat: the encoder
+    coarsens every unit and sends it to the eigen stage."""
+    return np.zeros(len(samples), dtype=bool)
+
+
+def _record_flat_units(monkeypatch, rule="_flat_units"):
+    """Record the mask of every call of the flat rule ``codec.<rule>``
+    (the decoder's, or the encoder's ``_flat_super_rays``), as it runs."""
     flats = []
-    flat_units = codec._flat_units
+    flat_units = getattr(codec, rule)
 
     def recorded(*args):
         flats.append(flat_units(*args))
         return flats[-1]
 
-    monkeypatch.setattr(codec, "_flat_units", recorded)
+    monkeypatch.setattr(codec, rule, recorded)
     return flats
 
 
@@ -1497,7 +1505,8 @@ def test_encoder_probes_keep_stream_bytes(case, monkeypatch):
     wherever full bases do any.  Seed 1 leaves the encoder's
     Gram-Schmidt 35 columns in 5 calls on ``partition``, against 1,215
     columns in 81 calls with full bases; none on ``gate``; and 6 columns
-    in 2 calls on ``parallax``, against 304 in 7 and 271 in 14."""
+    in 2 calls on ``parallax``, against 52 in 3 and 96 in 5.  A flat unit
+    (``codec._flat_super_rays``) reaches neither eigen stage."""
     lf, dmap, cfg = _mask_case(case)
     canonical = spectral._canonical_cluster_bases
     columns = []
@@ -1524,8 +1533,8 @@ def test_encoder_probes_keep_stream_bytes(case, monkeypatch):
     assert sum(columns) >= probed[1] and (sum(columns) > probed[1]) == (sum(columns) > 0)
     counts = {
         "bench_partition_1": ((5, 35), (81, 1215)),
-        "bench_gate_1": ((0, 0), (7, 304)),
-        "bench_parallax_1": ((2, 6), (14, 271)),
+        "bench_gate_1": ((0, 0), (3, 52)),
+        "bench_parallax_1": ((2, 6), (5, 96)),
     }
     if case in counts:
         assert (probed, (len(columns), sum(columns))) == counts[case]
@@ -1616,6 +1625,144 @@ def test_flat_rule_reads_the_basis_graph_and_the_residual():
     assert flat.tolist() == [True, False, False, True, False, False]
 
 
+@pytest.mark.parametrize("case", [
+    *sorted(ORACLE_CASES),
+    *(f"bench_{name}_{seed}" for name in ("gate", "parallax", "partition")
+      for seed in (1, 5, 17, 23)),
+])
+def test_encoder_flat_units_keep_stream_bytes(case, monkeypatch):
+    """Encoding flat super-rays without coarsening, a coarse mean or an
+    eigen-stage entry gives the stream bytes, ``eig_count`` and
+    ``eig_solved`` of coarsening and solving every unit
+    (``_flat_super_rays`` patched to mark none flat), and coarsens no more
+    pixel graphs.  A flat unit has no graph and one value per channel.
+    Only coarse mode asks for flat units: at seed 1, as on the decoder, 12
+    of the 16 units of ``gate`` are flat and 6 of the 9 of ``parallax``."""
+    lf, dmap, cfg = _mask_case(case)
+    flats = _record_flat_units(monkeypatch, "_flat_super_rays")
+    stream, enc = encode(lf, dmap, cfg, debug=True)
+    monkeypatch.setattr(codec, "_flat_super_rays", _no_flat_super_rays)
+    want, full = encode(lf, dmap, cfg)
+    assert serialize(stream) == serialize(want)
+    assert (enc.eig_count, enc.eig_solved) == (full.eig_count, full.eig_solved)
+    assert enc.coarsened <= full.coarsened
+    assert len(flats) == (cfg.q_gft >= cfg.q_switch)
+    for flat in flats:
+        for u, f in zip(enc.debug.units, flat.tolist()):
+            # no member reads a flat main past its DC column here
+            assert (u.graph is None) == (u.fine_to_coarse is None) == f
+            if f:
+                assert (u.signals == u.signals[:, :1]).all()
+    shares = {"bench_gate_1": (12, 16), "bench_parallax_1": (6, 9)}
+    if case in shares:
+        (flat,) = flats
+        assert (int(flat.sum()), flat.size) == shares[case]
+        assert enc.coarsened < full.coarsened
+
+
+def _constant_scene(value=100):
+    """A 3x3-view, 16x16 light field of one sample value, at disparity 0."""
+    return make_lf([np.full((16, 16), value)] * 9, (3, 3)), DisparityMap(values=np.zeros((16, 16)))
+
+
+@pytest.mark.parametrize("q_gft, flat", [(1e-3, True), (1e-6, False)])
+def test_encoder_flat_rule_holds_the_probe_bound(q_gft, flat, monkeypatch):
+    """A constant super-ray over a connected pixel graph is flat only where
+    ``dc_only``'s probe bound holds: with the value 100 on 64 vertices its
+    absolute margin is 1.1e-8 * 800 = 8.8e-6, below half of q_gft = 1e-3
+    but not of 1e-6 (coarse mode at q_switch = 0), where every unit is
+    coarsened.  The bytes are those of coarsening every unit, and the
+    scene decodes exactly."""
+    lf, dmap = _constant_scene()
+    cfg = CodecConfig(q_gft=q_gft, q_switch=0, slic_k=4, n_target=64)
+    stream, enc = encode(lf, dmap, cfg, debug=True)
+    assert len(enc.debug.units) == 4
+    assert all((u.graph is None) == flat and u.n == 64 for u in enc.debug.units)
+    data = serialize(stream)
+    monkeypatch.setattr(codec, "_flat_super_rays", _no_flat_super_rays)
+    want, full = encode(lf, dmap, cfg)
+    assert serialize(want) == data
+    assert enc.coarsened == (0 if flat else full.coarsened) and full.coarsened
+    assert lf_equal(decode(deserialize(data))[0], lf)
+
+
+def test_disconnected_constant_super_ray_is_coarsened(monkeypatch):
+    """A constant super-ray whose pixel graph is disconnected is not flat:
+    its coarse graph may keep the components apart, whose solved basis
+    spreads the constant over their indicators.  With one vertex of the
+    first unit's pixel graph cut loose (on both sides), that unit alone is
+    coarsened, on each side, and the bytes are those of coarsening every
+    unit."""
+    lf, dmap = _constant_scene()
+    cfg = CodecConfig(slic_k=4, n_target=64, grouping=False)
+    split = codec.split_graph
+
+    def cut(union, srs):
+        graphs = split(union, srs)
+        g = graphs[0]
+        graphs[0] = LocalGraph(n=g.n, edges=g.edges[(g.edges != g.n - 1).all(axis=1)])
+        return graphs
+
+    monkeypatch.setattr(codec, "split_graph", cut)
+    stream, enc = encode(lf, dmap, cfg, debug=True)
+    assert [u.graph is None for u in enc.debug.units] == [False, True, True, True]
+    data = serialize(stream)
+    _, dec = decode(deserialize(data))
+    assert enc.coarsened == dec.coarsened == 1
+    monkeypatch.setattr(codec, "_flat_super_rays", _no_flat_super_rays)
+    assert serialize(encode(lf, dmap, cfg)[0]) == data
+
+
+def test_flat_main_read_past_dc_is_coarsened_late(monkeypatch):
+    """A flat main that a member which is not flat reads past column 0 has
+    its pixel graph built again and coarsened once grouping has chosen it,
+    and is solved again, whole: on a
+    flat background with two gradient patches the background group holds
+    both, and ``select_main`` is made to pick a flat member.  The bytes
+    are those of coarsening every unit, and every member decodes to its
+    coded signals."""
+    spec = SceneSpec(angular_dims=(3, 3), spatial_dims=(32, 32), background=64, seed=1)
+    for x0, y0 in ((0, 0), (24, 24)):
+        spec.patches.append(Patch(shape="rect", params=(x0, y0, 8, 8), disparity=0.0,
+                                  texture=("gradient", 64.0, 2.0, -1.0)))
+    lf, dmap = synthesize_light_field(spec)
+    cfg = CodecConfig(q_gft=8.0, q_switch=0, slic_k=16, n_target=64)
+    select_main = codec.select_main
+
+    def flat_main(members, signals):
+        flat = [p for p in members if (signals[p] == signals[p][0]).all()]
+        return flat[0] if flat else select_main(members, signals)
+
+    coarsen_graphs = codec._coarsen_graphs
+    coarsened = []
+
+    def recorded(fines, n_target):
+        coarsened.append(fines)
+        return coarsen_graphs(fines, n_target)
+
+    monkeypatch.setattr(codec, "select_main", flat_main)
+    monkeypatch.setattr(codec, "_coarsen_graphs", recorded)
+    stream, enc = encode(lf, dmap, cfg, debug=True)
+    units, deq = enc.debug.units, enc.debug.dequantized
+    predicted = codec._predicted_members(enc.debug.group_set.groups, enc.debug.groupable)
+    late = [
+        main for member, main in predicted.items()
+        if (units[main].signals == units[main].signals[:, :1]).all()
+        and units[member].graph is not None and deq[member][:, 1:].any()
+    ]
+    # the encoder's two calls: the units that are not flat, then the late main
+    assert len(coarsened) == 2 and late and len(coarsened[1]) == len(set(late)) == 1
+    assert units[late[0]].graph is not None and units[late[0]].fine_to_coarse is not None
+    data = serialize(stream)
+    _, dec = decode(deserialize(data), debug=True)
+    for member in predicted:
+        assert np.array_equal(dec.debug.reconstructed[member], units[member].signals)
+    monkeypatch.setattr(codec, "_flat_super_rays", _no_flat_super_rays)
+    want, full = encode(lf, dmap, cfg)
+    assert serialize(want) == data
+    assert (enc.eig_count, enc.eig_solved) == (full.eig_count, full.eig_solved)
+
+
 def test_corrupt_sections_fail_before_any_coarsening(monkeypatch):
     """Every section is read before the decoder coarsens: a stream with a
     corrupt coefficient, groups or residual section fails with
@@ -1690,20 +1837,20 @@ def test_spectrum_rule_on_solved_graphs(case, monkeypatch):
 
 
 @pytest.mark.parametrize("name, counts, solved, coarsened", [
-    ("gate", (16, 2), (1, 1), 9),
-    ("parallax", (9, 5), (3, 3), 9),
+    ("gate", (16, 2), (1, 1), 1),
+    ("parallax", (9, 5), (3, 3), 3),
     ("partition", (129, 129), (22, 22), 0),
 ])
 def test_distinct_graphs_on_bench_scenes(name, counts, solved, coarsened, monkeypatch):
-    """On the bench scenes (seed 1) units repeat whole graphs: the encoder
-    coarsens only the distinct ones (``coarsened``), the decoder only the
-    distinct ones that its units that are not flat read (12 of the 16
-    units of ``gate`` are flat, 6 of the 9 of ``parallax``), and each side
-    sends to LAPACK only the distinct graphs that do not take the
-    closed-form DC basis (9, 9 and 58 distinct graphs on the encoder, 1, 3
-    and 58 on the decoder), ``eig_count`` stays the paper's count, and the
-    bytes and samples are those of the per-unit stages, which solve every
-    unit."""
+    """On the bench scenes (seed 1) units repeat whole graphs: each side
+    coarsens only the distinct ones that its units that are not flat read
+    (``coarsened`` on each side; 12 of the 16 units of ``gate`` are flat
+    on both, 6 of the 9 of ``parallax``), and each side sends to LAPACK
+    only the distinct graphs that do not take the closed-form DC basis
+    (of 1, 3 and 58 distinct graphs that reach each side's eigen stage),
+    ``eig_count`` stays the
+    paper's count, and the bytes and samples are those of the per-unit
+    stages, which solve every unit."""
     workload = bench_workloads()[name]
     lf, dmap = workload.scene(1)
     coarsenings = []
@@ -1718,12 +1865,13 @@ def test_distinct_graphs_on_bench_scenes(name, counts, solved, coarsened, monkey
     rec, dec = decode(deserialize(data))
     assert (enc.eig_count, dec.eig_count) == counts
     assert (enc.eig_solved, dec.eig_solved) == solved
-    # the decoder's distinct pixel graphs coarsened
-    dec_coarsened = {"gate": 1, "parallax": 3, "partition": 0}[name]
-    assert len(coarsenings) == coarsened + dec_coarsened == coarsened + dec.coarsened
+    # the encoder coarsens what the decoder does
+    assert enc.coarsened == dec.coarsened == coarsened
+    assert len(coarsenings) == 2 * coarsened
     assert f"eig_solved_encoder={solved[0]}" in enc.to_lines()
     assert f"eig_solved_decoder={solved[1]}" in dec.to_lines()
-    assert f"coarsened_decoder={dec_coarsened}" in dec.to_lines()
+    assert f"coarsened_encoder={coarsened}" in enc.to_lines()
+    assert f"coarsened_decoder={coarsened}" in dec.to_lines()
     _patch_per_unit_oracles(monkeypatch)
     want_data, want_rec = _round_trip(lf, dmap, workload.config)
     assert data == want_data
@@ -1843,9 +1991,11 @@ def test_super_ray_rows_are_the_graph_vertices(case, monkeypatch):
         for u, (sr, g) in zip(report.debug.units, side):
             assert u.pixels is sr.pixels and g.n == sr.total_pixels
             if u.graph is None:
-                # a flat decoder unit: sized from its pixel graph, never coarsened
-                assert report is dec and u.fine_to_coarse is None
+                # a flat unit: sized from its pixel graph, never coarsened
+                assert u.fine_to_coarse is None
                 assert u.n == min(cfg.n_target, g.n) and cfg.q_gft >= cfg.q_switch
+                if report is enc:
+                    assert (u.signals == u.signals[:, :1]).all()
             elif u.fine_to_coarse is None:
                 assert u.graph is g
             else:

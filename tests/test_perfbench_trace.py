@@ -71,7 +71,7 @@ def test_traced_gate_round_trip_groups_on_the_encoder_only():
 
 
 # {layer: (encoder calls, decoder calls)} of one traced round trip at seed
-# 1: the layers every workload runs, then each workload's own (the decoder
+# 1: the layers every workload runs, then each workload's own (each side
 # coarsens only the distinct pixel graphs that its units that are not flat
 # read)
 _EVERY_ROUND_TRIP = {
@@ -90,7 +90,7 @@ _EVERY_ROUND_TRIP = {
 }
 _WORKLOAD_CALLS = {
     "gate": {
-        "spectral.coarsen": (9, 1),
+        "spectral.coarsen": (1, 1),
         "spectral.laplacian": (1, 1),
         "lapack.eigh": (1, 1),
         "transform.gft": (16, 0),
@@ -98,7 +98,7 @@ _WORKLOAD_CALLS = {
         "grouping.predict_and_residual": (14, 0),
     },
     "parallax": {
-        "spectral.coarsen": (9, 3),
+        "spectral.coarsen": (3, 3),
         "spectral.laplacian": (3, 3),
         "lapack.eigh": (1, 1),
         "transform.gft": (9, 0),
