@@ -20,7 +20,12 @@ stage solves each distinct graph once, so it runs ``#ungrouped +
 #groups`` eigendecompositions.  Each unit comes back as one (channels, n)
 block: the rounded inverse GFT, plus for a grouped member its residual,
 which always reproduces the coded unit signal exactly; a sum outside the
-sample range can only come from a corrupt residual section.
+sample range can only come from a corrupt residual section, and a level
+above maxval * sqrt(n) / step + 1/2, more than samples in range give,
+from a corrupt stream.  Both sides transform once per distinct basis,
+on the stacked vectors of every unit that reads it
+(:func:`_transform_units`), and the decoder writes the samples of all
+partition parts in one scatter.
 
 A coarsened unit is flat (:func:`_flat_units`) when every channel's
 dequantized vector is zero past index 0, the pixel graph of the basis it
@@ -150,7 +155,7 @@ from .spectral import (
     split_graph,
 )
 from .transform import gft, predict_signal, quantize
-from .util import round_half_away, round_half_away_int
+from .util import ranges, round_half_away, round_half_away_int
 
 _U32_MAX = (1 << 32) - 1
 
@@ -350,9 +355,9 @@ def _eigenbases(graphs, needed=None, probes=None):
     mask is the OR of its graphs' masks.  ``probes`` is None or one probe
     (signals, steps) per graph; a distinct graph's probe stacks its
     graphs' signals under the smallest of their steps.  A distinct graph
-    that :func:`dc_only` passes takes :func:`dc_basis`, with no Laplacian
-    built, and the Laplacians of the others are built once and solved in
-    one :func:`eigendecompose_all` call."""
+    that :func:`dc_only` passes takes :func:`dc_basis`, one per size, with
+    no Laplacian built, and the Laplacians of the others are built once
+    and solved in one :func:`eigendecompose_all` call."""
     distinct, which = _distinct_graphs(graphs)
     masks = None
     if needed is not None:
@@ -375,7 +380,8 @@ def _eigenbases(graphs, needed=None, probes=None):
         None if masks is None else [masks[i] for i in solve],
         None if merged is None else [merged[i] for i in solve],
     ))
-    bases = [dc_basis(g.n) if c else next(solved) for g, c in zip(distinct, closed.tolist())]
+    dc = {n: dc_basis(n) for n in {g.n for g, c in zip(distinct, closed.tolist()) if c}}
+    bases = [dc[g.n] if c else next(solved) for g, c in zip(distinct, closed.tolist())]
     return [bases[i] for i in which], len(solve)
 
 
@@ -398,13 +404,42 @@ def _coefficient_steps(sizes, n_channels, q_gft):
     return steps, starts
 
 
-def _dequantize_units(levels, sizes, n_channels, q_gft):
-    """Dequantize the back-to-back coefficient levels of every unit and
-    channel in one multiply by :func:`_coefficient_steps`.  Returns one
-    (channels, n) array per unit."""
+def _unit_blocks(flat, starts, n_channels):
+    """One (channels, n) view per unit of the back-to-back vectors of
+    ``flat`` that start at ``starts`` (unit-major, channel-minor)."""
+    return [b.reshape(n_channels, -1) for b in np.split(flat, starts[n_channels::n_channels])]
+
+
+def _transform_units(transform, bases, flat, unit_starts, n_channels, dtype):
+    """``transform(basis, vectors)`` of the vectors of every unit, laid out
+    back to back in ``flat`` as the levels are (unit i's from
+    ``unit_starts[i]`` on), into an array of ``dtype`` laid out alike.  It
+    runs once per distinct basis object, on a (k, n) stack of the vectors
+    of every unit that reads it: one gemv per vector, bit-equal to a call
+    per vector (:mod:`transform`)."""
+    out = np.empty(flat.size, dtype=dtype)
+    readers = {}
+    for i, basis in enumerate(bases):
+        readers.setdefault(id(basis), (basis, []))[1].append(i)
+    for basis, group in readers.values():
+        n = basis.vectors.shape[0]
+        at = (unit_starts[group][:, None] + np.arange(n_channels * n)).ravel()
+        out[at] = transform(basis, flat[at].reshape(-1, n)).ravel()
+    return out
+
+
+def _dequantize(levels, sizes, n_channels, q_gft, maxval):
+    """(the back-to-back levels of units of ``sizes`` vertices times their
+    steps, the start of each vector), after checking every level.  An
+    orthonormal basis gives |c| <= ||f|| <= maxval * sqrt(n) (1e-8 is its
+    orthogonality tolerance), and rounding adds at most half a step: a
+    larger level, which no encoder writes and which could overflow the
+    inverse GFT, raises CorruptStreamError."""
     steps, starts = _coefficient_steps(sizes, n_channels, q_gft)
-    flat = np.split(levels.astype(np.float64) * steps, starts[n_channels::n_channels])
-    return [block.reshape(n_channels, -1) for block in flat]
+    n = np.repeat(sizes, n_channels * np.asarray(sizes))
+    if (np.abs(levels) > (maxval * np.sqrt(n) * (1 + 1e-8) / steps + 0.5) * (1 + 1e-6)).any():
+        raise CorruptStreamError("corrupt stream: coefficient level beyond the sample range")
+    return levels * steps, starts
 
 
 def _groupable_positions(mode, sizes, n_target, grouping):
@@ -494,7 +529,7 @@ def _coefficient_symbols(levels, sizes, n_channels):
         raise ValueError("a DC residual has magnitude of 2**49 or more")
     coded = levels.copy()
     coded[starts] = residuals
-    local = np.arange(coded.size) - np.repeat(starts, sizes)
+    local = ranges(0, sizes)
     extents = np.maximum.reduceat(np.where(coded != 0, local + 1, 0), starts)
     kept = coded[local < np.repeat(extents, sizes)]
     return extents.tolist() + kept.tolist(), len(dc)
@@ -521,7 +556,7 @@ def _levels_from_symbols(syms, sizes, n_channels):
         raise CorruptStreamError("corrupt stream: coefficient vector ends in a zero")
     starts = np.cumsum(sizes) - sizes
     levels = np.zeros(int(sizes.sum()), dtype=np.int64)
-    levels[np.repeat(starts - ends + extents, extents) + np.arange(runs.size)] = runs
+    levels[ranges(starts, extents)] = runs
     dc, n = levels[starts].tolist(), sizes.tolist()
     for j in range(n_channels, m):
         dc[j] += _predict_dc(dc[j - n_channels], n[j - n_channels], n[j])
@@ -690,11 +725,12 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     dc = {n: dc_basis(n) for n in {u.n for u, f in zip(units, flat) if f}}
     solved = iter(solved)
     bases = [dc[u.n] if f else next(solved) for u, f in zip(units, flat)]
-    coeffs = np.concatenate([
-        gft(basis, signal) for basis, u in zip(bases, units) for signal in u.signals
-    ])
+    coeffs = _transform_units(
+        gft, bases, np.concatenate([u.signals.ravel() for u in units]),
+        starts[::n_channels], n_channels, np.float64,
+    )
     levels = quantize(coeffs, steps)
-    deq = _dequantize_units(levels, sizes, n_channels, cfg.q_gft)
+    deq = _unit_blocks(levels * steps, starts, n_channels)
     eig_count = len(units)
     watch.lap("eigen_transform")
 
@@ -889,7 +925,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
         bs.SEC_COEFFICIENTS, lengths.size, lengths.size + int(lengths.sum()), head=lengths.size
     )
     levels = _levels_from_symbols(coeff_syms, lengths, n_channels)
-    deq = _dequantize_units(levels, sizes, n_channels, hdr.q_gft)
+    deq, starts = _dequantize(levels, sizes, n_channels, hdr.q_gft, maxval)
     watch.lap("dequantize")
 
     groupable = _groupable_positions(mode, sizes, hdr.n_target, hdr.grouping)
@@ -912,7 +948,8 @@ def decode(stream: Bitstream, threads=1, debug=False):
     # distinct graph
     flat = [False] * len(sizes)
     if mode == "coarse":
-        flat = _flat_units(fines, deq, predicted, residuals).tolist()
+        deq_units = _unit_blocks(deq, starts, n_channels)
+        flat = _flat_units(fines, deq_units, predicted, residuals).tolist()
     live = [i for i, f in enumerate(flat) if not f]
     need = sorted({*live, *(predicted[i] for i in live if i in predicted)})
     pairs, coarsened = (
@@ -925,39 +962,51 @@ def decode(stream: Bitstream, threads=1, debug=False):
     del fines, pairs
     watch.lap("coarsen")
 
+    # entries[c, j]: the position in the levels, laid out unit-major and
+    # channel-minor, of channel c of vertex j of the units' vertices back
+    # to back (unit i's from vertex_starts[i] on)
+    vertex_starts = np.cumsum(sizes) - sizes
+    unit_starts = starts[::n_channels]
+    entries = ranges(unit_starts, sizes) + np.arange(n_channels)[:, None] * np.repeat(sizes, sizes)
     # each non-flat unit reads the basis of its own graph, a member its
     # main's, at the columns of its nonzero coefficients in any channel; a
     # member's graph is its main's, so the eigen stage solves its main
     # once, at the OR of their columns
+    reads = (levels[entries] != 0).any(axis=0)
     solved, eig_solved = _eigenbases(
         [units[predicted.get(i, i)].graph for i in live],
-        [(deq[i] != 0).any(axis=0) for i in live],
+        [reads[vertex_starts[i] : vertex_starts[i] + sizes[i]] for i in live],
     )
-    bases = dict(zip(live, solved))
+    dc = {n: dc_basis(n) for n in {n for n, f in zip(sizes, flat) if f}}
+    solved = iter(solved)
+    bases = [dc[n] if f else next(solved) for n, f in zip(sizes, flat)]
     eig_count = len(units) - len(predicted)
     watch.lap("eigen")
 
+    recs = _transform_units(
+        lambda basis, d: predict_signal(basis, d, maxval), bases, deq, unit_starts, n_channels,
+        np.int64,
+    )
+    members = np.array(list(predicted), dtype=np.int64)
+    recs[ranges(unit_starts[members], n_channels * np.asarray(sizes)[members])] += resid_syms
+    # the encoder's residual is signal - prediction, with the signal in
+    # range: a sum outside it is a corrupt residual
+    bad = np.flatnonzero((recs < 0) | (recs > maxval))
+    if bad.size:
+        i = np.searchsorted(unit_starts, bad[0], "right") - 1
+        raise CorruptStreamError(f"corrupt stream: residual of unit {i} leaves [0, {maxval}]")
     # reconstructions lie in [0, maxval], so they go straight into the samples
     samples = np.zeros((n_channels, s_count * t_count, h, w), dtype=_sample_dtype(hdr.bit_depth))
-    recon_units = []
-    for i, u in enumerate(units):
-        basis = dc_basis(u.n) if flat[i] else bases[i]
-        rec = np.array([predict_signal(basis, d, maxval) for d in deq[i]])
-        if i in residuals:
-            # the encoder's residual is signal - prediction, with the
-            # signal in range: a sum outside it is a corrupt residual
-            rec += residuals[i]
-            if rec.min() < 0 or rec.max() > maxval:
-                raise CorruptStreamError(
-                    f"corrupt stream: residual of unit {i} leaves [0, {maxval}]"
-                )
-        # a flat unit's samples are its one value per channel
-        samples[(slice(None), *u.pixels.T)] = (
-            rec[:, :1] if flat[i] else rec if u.fine_to_coarse is None
-            else rec[:, u.fine_to_coarse]
-        )
-        if debug:
-            recon_units.append(rec)
+    if mode == "part":
+        # a part's vertex i is its pixel i: every part in one scatter
+        pixel = np.concatenate([u.pixels for u in units]) @ np.array([h * w, w, 1])
+        samples.reshape(n_channels, -1)[:, pixel] = recs[entries]
+    else:
+        for i, u in enumerate(units):
+            rec = recs[entries[:, vertex_starts[i] : vertex_starts[i] + u.n]]
+            # a flat unit's samples are its one value per channel
+            vertex = [0] if flat[i] else u.fine_to_coarse
+            samples[(slice(None), *u.pixels.T)] = rec[:, vertex]
     watch.lap("reconstruct")
 
     views = [View(planes=list(samples[:, v])) for v in range(s_count * t_count)]
@@ -979,7 +1028,7 @@ def decode(stream: Bitstream, threads=1, debug=False):
             # the decoder never learns the encoder's MSE threshold
             group_set=GroupSet.over(groups, m, None),
             groupable=groupable,
-            dequantized=deq,
-            reconstructed=recon_units,
+            dequantized=_unit_blocks(deq, starts, n_channels),
+            reconstructed=_unit_blocks(recs, starts, n_channels),
         )
     return lf, report

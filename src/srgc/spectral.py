@@ -31,8 +31,9 @@ which would move DC levels that sit on a rounding tie.
 is all a caller reads, so the graph needs no LAPACK solve at all; the
 codec's ``eig_solved`` counts LAPACK solves only.
 :func:`eigendecompose_all` runs the whole stage batched: one
-stacked LAPACK call per size n (per 256 KiB of matrices), and one stacked
-Gram-Schmidt per stack and cluster size over all such clusters, with
+stacked LAPACK call per size n (per 256 KiB of matrices), one stacked
+Gram-Schmidt per stack and cluster size over all such clusters, and one
+pass over the eigenvalues of all stacks for everything else, with
 results bit-equal to diagonalizing each Laplacian alone.  Given column
 masks, it leaves the clusters with no needed column out of the
 Gram-Schmidt and returns them as zeros; given probes (signals and their
@@ -77,7 +78,7 @@ import numpy as np
 
 from .errors import DecompositionError
 from .segmentation import SuperRay, fill_cells, label_shifts
-from .util import component_roots
+from .util import component_roots, ranges
 
 _EIG_RECON_TOL = 1e-8
 _EIG_ORTHO_TOL = 1e-8
@@ -86,6 +87,7 @@ _EIG_PICK_TOL = 1e-7
 _PROBE_REL = 1e-6  # margins of the probe rule: see eigendecompose_all
 _PROBE_ABS = 1e-9
 _EIG_STACK_BYTES = 1 << 18  # matrices per stacked call: bounds the scratch memory
+_EIG_PASS_BYTES = 1 << 22  # matrices per pass over whole stacks: bounds the memory held
 _SPLIT_ROWS = 1 << 16  # pixel rows per stacked reprojection: bounds the scratch memory
 
 
@@ -285,15 +287,18 @@ def dc_only(graphs, needed=None, probes=None) -> np.ndarray:
     return connected_graphs(graphs) & ~np.array(reads, dtype=bool)
 
 
-def _cluster_bounds(vals):
-    """(rows, starts, stops) of the eigenvalue clusters of every row of a
-    (B, n) array: runs of ascending eigenvalues whose consecutive gaps stay
-    below 1e-9, listed row by row."""
-    cut = np.ones((vals.shape[0], vals.shape[1] + 1), dtype=bool)
-    cut[:, 1:-1] = np.diff(vals, axis=1) >= _EIG_CLUSTER_TOL
-    rows, pos = np.nonzero(cut)
-    same = rows[:-1] == rows[1:]
-    return rows[:-1][same], pos[:-1][same], pos[1:][same]
+def _cluster_bounds(vals, firsts=(0,)):
+    """(matrices, starts, stops) of the eigenvalue clusters of ``vals``:
+    the ascending eigenvalues of one or more matrices back to back, matrix
+    k's from position ``firsts[k]`` on.  A cluster is a run of one
+    matrix's eigenvalues whose consecutive gaps stay below 1e-9; it is
+    given by its matrix and its positions in ``vals``."""
+    vals = np.ravel(vals)
+    cut = np.ones(vals.size + 1, dtype=bool)
+    np.greater_equal(np.diff(vals), _EIG_CLUSTER_TOL, out=cut[1:-1])
+    cut[np.asarray(firsts)] = True
+    edges = np.flatnonzero(cut)
+    return np.searchsorted(firsts, edges[:-1], side="right") - 1, edges[:-1], edges[1:]
 
 
 def _canonical_cluster_bases(v):
@@ -310,6 +315,12 @@ def _canonical_cluster_bases(v):
     and removes that direction from every row with one batched outer
     product; rows up to the pick are never read again.  The result is
     ``v @ B`` for the m x m matrices B of picked directions.
+
+    The stack's shape is part of the result: ``rows @ c`` runs one BLAS
+    matrix-vector product per block, and OpenBLAS rounds a row of it by
+    its position in the call, so a block padded to more rows or columns,
+    or projected over fewer rows, can come back with other bits.  The
+    caller therefore stacks blocks of one exact (n, m) only.
     """
     count, n, m = v.shape
     rows = v.copy()
@@ -336,61 +347,41 @@ def _canonical_cluster_bases(v):
 
 def _apply_sign_convention(vecs):
     """Make each column's largest-magnitude entry positive, first max
-    winning ties; ``vecs`` is one n x m matrix or a stack of them."""
-    top = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
-    lead = np.take_along_axis(vecs, top, axis=-2)
-    vecs *= np.where(lead < 0, -1.0, 1.0)
+    winning ties, in place; ``vecs`` is one contiguous n x m matrix or a
+    stack of them."""
+    stack = vecs.reshape(-1, *vecs.shape[-2:])
+    top = np.argmax(np.abs(stack), axis=1)
+    lead = stack[np.arange(stack.shape[0])[:, None], top, np.arange(stack.shape[2])]
+    np.negative(stack, out=stack, where=(lead < 0)[:, None, :])
     return vecs
 
 
-def _eigendecompose_stack(mats, needed=None, probe=None):
-    """Diagonalize a (B, n, n) stack of Laplacians; returns the (B, n)
-    eigenvalues and the (B, n, n) eigenvectors in the convention above.
-    Column 0 is set to the constant unit vector wherever it is a cluster
-    of its own (a connected graph: :func:`eigendecompose_all`), before
-    the canonicalization and the sign rule see it.
+def _probe_reads(rows, norms, energy, ns, firsts, owner, starts, half):
+    """Which eigenvalue clusters some probe signal reads, for the signal
+    rows of every matrix back to back: each row's matrix ``rows``, its
+    signal's norm ||f|| and its n terms ``energy`` of (V^T f)**2, the
+    clusters (their matrices ``owner`` and flat ``starts``, matrix k's
+    eigenvalues from ``firsts[k]`` on) and each cluster's half step.  A
+    cluster is read when, for some signal of its matrix, ||V_c^T f|| *
+    (1 + 1e-6) + 1e-9 * ||f|| is not below its half step.  Each pair of a
+    row and a cluster of its matrix sums one run of ``energy``: the runs
+    tile it, row by row, so one ``np.add.reduceat`` sums them all."""
+    first = np.searchsorted(owner, np.arange(ns.size))  # each matrix's first cluster
+    counts = np.bincount(owner, minlength=ns.size)[rows]
+    cluster = ranges(first[rows], counts)
+    row_starts = np.cumsum(ns[rows]) - ns[rows] - firsts[rows]
+    sums = np.add.reduceat(energy, np.repeat(row_starts, counts) + starts[cluster])
+    bound = np.sqrt(sums) * (1 + _PROBE_REL) + _PROBE_ABS * np.repeat(norms, counts)
+    read = np.zeros(starts.size, dtype=bool)
+    read[cluster[~(bound < half[cluster])]] = True
+    return read
 
-    ``needed`` is None or a (B, n) bool array of the columns the caller
-    reads.  ``probe`` is None or (signals, steps): a (B, k, n) stack of
-    the signals the caller transforms (zero rows pad a matrix with fewer)
-    and the (B, n) quantizer steps of their coefficients.  A degenerate
-    cluster is unread when it has no needed column or when every probe
-    signal f quantizes to level 0 in it (:func:`eigendecompose_all`
-    states the rule).  An unread cluster is not canonicalized, and once
-    the checks have judged LAPACK's columns for it, they are set to zero.
-    Every other column is as with neither argument."""
+
+def _check_stack(mats, vals, vecs):
+    """Raise DecompositionError unless every basis of a (B, n, n) stack
+    reconstructs its Laplacian within 1e-8 (relative to its largest
+    entry, at least 1) and is orthonormal within 1e-8."""
     n = mats.shape[1]
-    try:
-        vals, vecs = np.linalg.eigh(mats)
-    except np.linalg.LinAlgError as e:
-        raise DecompositionError(f"decomposition failure for {n}x{n} matrix: {e}") from e
-    rows, starts, stops = _cluster_bounds(vals)
-    sizes = stops - starts
-    vecs[rows[(starts == 0) & (sizes == 1)], :, 0] = 1 / np.sqrt(n)
-    canon = sizes > 1
-    # the clusters tile each row in order: each starts at its flat offset
-    offsets = np.cumsum(sizes) - sizes
-    read = np.ones_like(canon)
-    if needed is not None:
-        read &= np.logical_or.reduceat(needed.ravel(), offsets)
-    if probe is not None:
-        signals, steps = probe
-        # ||V_c^T f|| per cluster and signal, from LAPACK's columns V_c
-        energy = np.square(vecs.transpose(0, 2, 1) @ signals.transpose(0, 2, 1))
-        norms = np.sqrt(np.add.reduceat(energy.reshape(vals.size, -1), offsets))
-        bound = norms * (1 + _PROBE_REL) + _PROBE_ABS * np.linalg.norm(signals, axis=2)[rows]
-        half = 0.5 * np.minimum.reduceat(steps.ravel(), offsets)
-        read &= ~(bound.max(axis=1, initial=0.0) < half)
-    dropped = canon & ~read
-    canon &= read
-    for m in np.unique(sizes[canon]):
-        sel = canon & (sizes == m)
-        index = (rows[sel, None], slice(None), starts[sel, None] + np.arange(m))
-        # advanced indices around a slice put the block axis first: (K, m, n)
-        blocks = np.ascontiguousarray(vecs[index].transpose(0, 2, 1))
-        vecs[index] = _canonical_cluster_bases(blocks).transpose(0, 2, 1)
-    vecs = _apply_sign_convention(vecs)
-
     scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
     vecs_t = vecs.transpose(0, 2, 1)
     recon = np.abs(mats - (vecs * vals[:, None, :]) @ vecs_t).max(axis=(1, 2))
@@ -402,22 +393,32 @@ def _eigendecompose_stack(mats, needed=None, probe=None):
             f"decomposition failure for {n}x{n} matrix: "
             f"residual {recon[b]:.3e}, orthogonality {ortho[b]:.3e}"
         )
-    if dropped.any():
-        np.copyto(vecs, 0.0, where=np.repeat(dropped, sizes).reshape(-1, 1, n))
-    return vals, vecs
 
 
-def _stack_probes(probes, part, n):
-    """The probe argument of :func:`_eigendecompose_stack` for the
-    Laplacians ``part`` of size n, or None without probes."""
-    if probes is None:
-        return None
-    k = max(probes[i][0].shape[0] for i in part)
-    signals = np.zeros((len(part), k, n))
-    steps = np.empty((len(part), n))
-    for b, i in enumerate(part):
-        signals[b, : probes[i][0].shape[0]], steps[b] = probes[i]
-    return signals, steps
+def _check_arguments(mats, masks, probes):
+    """Raise the ValueError of the first Laplacian, in input order, whose
+    size, mask shape, probe shapes or probe steps are wrong; the steps of
+    all Laplacians before the first other fault are checked at once."""
+    first, message = len(mats), None
+    for i, m in enumerate(mats):
+        n = m.shape[0]
+        if n < 1:
+            message = "empty Laplacian"
+        elif masks is not None and masks[i].shape != (n,):
+            message = f"column mask of shape {masks[i].shape} for a {n}x{n} Laplacian"
+        elif probes is not None and (
+            probes[i][0].ndim != 2 or probes[i][0].shape[1] != n or probes[i][1].shape != (n,)
+        ):
+            shapes = f"{probes[i][0].shape} and {probes[i][1].shape}"
+            message = f"probe of shapes {shapes} for a {n}x{n} Laplacian"
+        else:
+            continue
+        first = i
+        break
+    if probes and first and not (np.concatenate([q for _, q in probes[:first]]) > 0).all():
+        raise ValueError("probe steps must be positive")
+    if message:
+        raise ValueError(message)
 
 
 def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
@@ -425,11 +426,21 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     input order.
 
     Laplacians of one size n are stacked, up to 256 KiB of matrices per
-    stack, so scratch memory does not grow with the stream, and each
-    matrix is released once stacked.  Each stack takes one LAPACK call
-    and, per cluster size m, one canonicalization of all its degenerate
-    clusters of size m.  Each basis is bit-equal to the one its Laplacian
-    gets alone.
+    stack, and each matrix is released once stacked.  Only what must see
+    a stack's exact shape runs stack by stack: one LAPACK call, one
+    Gram-Schmidt of all its degenerate clusters of each size m
+    (:func:`_canonical_cluster_bases`, on (K, n, m) blocks), the sign rule
+    and the two check products.  LAPACK diagonalizes matrices of one size
+    only, and the Gram-Schmidt's matrix-vector products round by the
+    shape of their call, so neither pads nor merges shapes.  Everything
+    else runs in one pass over the eigenvalues of all stacks back to
+    back: the cluster bounds, which matrices take the column-0 rule, which
+    clusters the masks or probes read, and which of them are
+    canonicalized or dropped; each stack then only writes what the pass
+    decided.  A pass holds the Laplacians and eigenvectors of its stacks,
+    so passes are cut after 4 MiB of matrices, and the arguments are
+    checked once, up front.  Each basis is bit-equal to the one its
+    Laplacian gets alone.
 
     Column 0 is exactly ``np.full(n, 1 / np.sqrt(n))`` when it is a
     cluster of its own.  A Laplacian's zero eigenvalue is simple exactly
@@ -468,7 +479,8 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     inside the absolute margin for n up to 10**4.  So the computed
     |b^T f| stays below q_c / 2 by a relative margin of about 1e-6, far
     more than the rounding of |x| / q and of its sum with 0.5, and
-    round-half-away gives level 0.
+    round-half-away gives level 0.  The products V_c^T f run per stack,
+    with each stack's signals padded by zero rows to its largest k.
 
     Raises ValueError for an empty Laplacian, a mask of the wrong
     length, a missing probe, a probe of the wrong shape or a step that is
@@ -486,37 +498,101 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
         probes = [tuple(np.asarray(a) for a in p) for p in probes]
         if len(probes) != len(mats):
             raise ValueError(f"{len(probes)} probes for {len(mats)} Laplacians")
+    _check_arguments(mats, masks, probes)
     by_size = {}
     for i, m in enumerate(mats):
-        n = m.shape[0]
-        if n < 1:
-            raise ValueError("empty Laplacian")
-        if masks is not None and masks[i].shape != (n,):
-            raise ValueError(f"column mask of shape {masks[i].shape} for a {n}x{n} Laplacian")
-        if probes is not None:
-            signals, steps = probes[i]
-            if signals.ndim != 2 or signals.shape[1] != n or steps.shape != (n,):
-                raise ValueError(
-                    f"probe of shapes {signals.shape} and {steps.shape} for a {n}x{n} Laplacian"
-                )
-            if not (steps > 0).all():
-                raise ValueError("probe steps must be positive")
-        by_size.setdefault(n, []).append(i)
+        by_size.setdefault(m.shape[0], []).append(i)
     bases = [None] * len(mats)
+    batch, held = [], 0
     for n, idx in by_size.items():
-        per_stack = max(1, _EIG_STACK_BYTES // (8 * n * n))
-        for lo in range(0, len(idx), per_stack):
-            part = idx[lo : lo + per_stack]
-            stack = np.stack([mats[i] for i in part])
-            for i in part:
-                mats[i] = None
-            part_needed = None if masks is None else np.stack([masks[i] for i in part])
-            vals, vecs = _eigendecompose_stack(stack, part_needed, _stack_probes(probes, part, n))
-            # own arrays, laid out as a lone call returns them, so later BLAS
-            # calls on a basis see the same layout and no basis pins the stack
-            for i, w, v in zip(part, vals, vecs):
-                bases[i] = EigenBasis(eigenvalues=w.copy(), vectors=v.copy())
+        per = max(1, _EIG_STACK_BYTES // (8 * n * n))
+        for lo in range(0, len(idx), per):
+            batch.append(idx[lo : lo + per])
+            held += 8 * n * n * len(batch[-1])
+            if held >= _EIG_PASS_BYTES:
+                _solve_stacks(batch, mats, masks, probes, bases)
+                batch, held = [], 0
+    if batch:
+        _solve_stacks(batch, mats, masks, probes, bases)
     return bases
+
+
+def _solve_stacks(stacks, mats, masks, probes, bases):
+    """Diagonalize the Laplacians ``mats[i]`` of ``stacks``, lists of
+    indices i of one size n each, into ``bases[i]``, releasing each matrix
+    once stacked: the stage of :func:`eigendecompose_all` for them."""
+    order = [i for part in stacks for i in part]
+    stack_first = np.cumsum([0, *map(len, stacks)])
+    ns = np.array([mats[i].shape[0] for i in order])
+    firsts = np.cumsum(ns) - ns  # where each matrix's eigenvalues start in lam
+    done = []
+    if probes is not None:
+        # per signal row (each matrix's rows padded to its stack's k): the
+        # matrix, ||f|| and the n terms of ||V_c^T f||**2 over the columns
+        probe_rows, probe_norms, energy = [], [], []
+    for part, k0 in zip(stacks, stack_first.tolist()):
+        n = mats[part[0]].shape[0]
+        stack = np.stack([mats[i] for i in part])
+        for i in part:
+            mats[i] = None
+        try:
+            vals, vecs = np.linalg.eigh(stack)
+        except np.linalg.LinAlgError as e:
+            raise DecompositionError(f"decomposition failure for {n}x{n} matrix: {e}") from e
+        if probes is not None:
+            k = max(probes[i][0].shape[0] for i in part)
+            signals = np.zeros((len(part), k, n))
+            for b, i in enumerate(part):
+                signals[b, : probes[i][0].shape[0]] = probes[i][0]
+            projections = vecs.transpose(0, 2, 1) @ signals.transpose(0, 2, 1)
+            probe_rows.append(np.repeat(np.arange(k0, k0 + len(part)), k))
+            probe_norms.append(np.linalg.norm(signals, axis=2).ravel())
+            energy.append(np.square(projections).transpose(0, 2, 1).ravel())
+        done.append((stack, vals, vecs))
+
+    # one pass over all stacks: the clusters, the column-0 rule, which
+    # clusters are read, and which are canonicalized or dropped
+    lam = np.concatenate([vals.ravel() for _, vals, _ in done])
+    owner, starts, stops = _cluster_bounds(lam, firsts)
+    sizes = stops - starts
+    lone = np.zeros(len(order), dtype=bool)
+    lone[owner[(sizes == 1) & (starts == firsts[owner])]] = True
+    read = np.ones(sizes.size, dtype=bool)
+    if masks is not None:
+        read &= np.logical_or.reduceat(np.concatenate([masks[i] for i in order]), starts)
+    if probes is not None:
+        half = 0.5 * np.minimum.reduceat(np.concatenate([probes[i][1] for i in order]), starts)
+        read &= _probe_reads(
+            *map(np.concatenate, (probe_rows, probe_norms, energy)), ns, firsts, owner, starts, half
+        )
+    canon = (sizes > 1) & read
+    dropped = np.repeat((sizes > 1) & ~read, sizes)
+    # the kept degenerate clusters by stack and size m, each in column order
+    span = int(ns.max()) + 1
+    key = np.where(canon, (np.searchsorted(stack_first, owner, "right") - 1) * span + sizes, -1)
+    work = {}
+    for k in np.unique(key[canon]).tolist():
+        s, m = divmod(k, span)
+        rows, cols = owner[key == k], starts[key == k]
+        work.setdefault(s, []).append((m, rows - stack_first[s], cols - firsts[rows]))
+
+    for s, (k0, k1) in enumerate(zip(stack_first.tolist(), stack_first[1:].tolist())):
+        stack, vals, vecs = done[s]
+        done[s] = None
+        n = stack.shape[1]
+        vecs[lone[k0:k1], :, 0] = 1 / np.sqrt(n)
+        for m, rows, cols in work.get(s, ()):
+            index = (rows[:, None], slice(None), cols[:, None] + np.arange(m))
+            # advanced indices around a slice put the block axis first: (K, m, n)
+            blocks = np.ascontiguousarray(vecs[index].transpose(0, 2, 1))
+            vecs[index] = _canonical_cluster_bases(blocks).transpose(0, 2, 1)
+        _check_stack(stack, vals, _apply_sign_convention(vecs))
+        # the checks judged LAPACK's columns of the unread clusters: now zeros
+        np.copyto(vecs, 0.0, where=dropped[firsts[k0] : firsts[k0] + vals.size].reshape(-1, 1, n))
+        # own arrays, laid out as a lone call returns them, so later BLAS
+        # calls on a basis see the same layout and no basis pins the stack
+        for i, w, v in zip(stacks[s], vals, vecs):
+            bases[i] = EigenBasis(eigenvalues=w.copy(), vectors=v.copy())
 
 
 def eigendecompose(l: Laplacian) -> EigenBasis:

@@ -18,7 +18,16 @@ def round_half_away(x):
 def round_half_away_int(x):
     """Array variant of :func:`round_half_away` returning int64."""
     a = np.asarray(x, dtype=np.float64)
-    return (np.sign(a) * np.floor(np.abs(a) + 0.5)).astype(np.int64)
+    return np.copysign(np.floor(np.abs(a) + 0.5), a).astype(np.int64)
+
+
+def ranges(starts, lengths):
+    """The runs ``starts[i] + arange(lengths[i])`` of every i, back to back,
+    as one int array."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total) + np.repeat(np.asarray(starts) - ends + lengths, lengths)
 
 
 def forest_roots(parent):

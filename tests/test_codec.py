@@ -748,8 +748,8 @@ class TestCorruptPayloads:
         """One flipped coefficient bit dequantizes to a level whose pair
         MSEs would fall in histogram bins beyond int64.  The decoder runs
         no grouping pass, so nothing is cast to a bin: it refuses the
-        stream, without a warning, where the flipped level pushes a
-        reconstruction out of sample range."""
+        stream, without a warning, because the flipped level lies beyond
+        any level an encoder writes for samples in range."""
         lf, dmap = small_scene()
         stream, _ = encode(lf, dmap, CFG)
         payload = bytearray(stream.sections[SEC_COEFFICIENTS])
@@ -758,8 +758,41 @@ class TestCorruptPayloads:
             header=stream.header,
             sections={**stream.sections, SEC_COEFFICIENTS: bytes(payload)},
         )
-        with pytest.raises(CorruptStreamError, match="residual of unit 0 leaves"):
+        with pytest.raises(CorruptStreamError, match="coefficient level beyond the sample range"):
             decode(broken)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q_gft", [1e30, 1e300])
+    def test_header_step_beyond_every_level(self, q_gft, tmp_path):
+        """The seed-1 ``partition`` bench stream with its header's q_gft
+        raised: its levels dequantize to coefficients far beyond
+        maxval * sqrt(n), the most an orthonormal basis gives samples in
+        range, so the stream is refused before any inverse GFT, without a
+        warning, and the CLI exits 2."""
+        workload = bench_workloads()["partition"]
+        stream, _ = encode(*workload.scene(1), workload.config)
+        header = dataclasses.replace(stream.header, q_gft=q_gft)
+        broken = Bitstream(header=header, sections=stream.sections)
+        with pytest.raises(CorruptStreamError, match="coefficient level beyond the sample range"):
+            decode(broken)
+        path = tmp_path / "step.srgc"
+        path.write_bytes(serialize(broken))
+        assert main(["decode", str(path), "--out", str(tmp_path / "rec")]) == 2
+
+    @pytest.mark.parametrize("q_gft", [0.01, 2.0])
+    def test_full_scale_samples_pass_the_level_bound(self, q_gft):
+        """Every sample at maxval gives the largest levels an encoder
+        writes, a DC coefficient of maxval * sqrt(n) per part: the
+        ``partition`` oracle scene made all-maxval decodes exactly at a
+        fine and a coarse step."""
+        lf, dmap, cfg = ORACLE_CASES["partition"]()
+        for view in lf.views:
+            for plane in view.planes:
+                plane[...] = lf.max_value
+        stream, _ = encode(lf, dmap, dataclasses.replace(cfg, q_gft=q_gft))
+        assert unpack_section(stream.sections[SEC_STRUCTURE], SEC_STRUCTURE)[0] > 0
+        rec, _ = decode(deserialize(serialize(stream)))
+        assert lf_equal(rec, lf)
 
     def test_header_label_count_beyond_pixels(self):
         """A label count above W*H is rejected before it sizes any array."""

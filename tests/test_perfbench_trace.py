@@ -73,7 +73,8 @@ def test_traced_gate_round_trip_groups_on_the_encoder_only():
 # {layer: (encoder calls, decoder calls)} of one traced round trip at seed
 # 1: the layers every workload runs, then each workload's own (each side
 # coarsens only the distinct pixel graphs that its units that are not flat
-# read)
+# read, and transforms once per distinct basis: per solved graph, and per
+# size of the closed-form DC bases)
 _EVERY_ROUND_TRIP = {
     "segmentation.slic_segment": (1, 0),
     "segmentation.project_labels": (1, 1),
@@ -93,16 +94,16 @@ _WORKLOAD_CALLS = {
         "spectral.coarsen": (1, 1),
         "spectral.laplacian": (1, 1),
         "lapack.eigh": (1, 1),
-        "transform.gft": (16, 0),
-        "transform.predict_signal": (0, 16),
+        "transform.gft": (2, 0),
+        "transform.predict_signal": (0, 2),
         "grouping.predict_and_residual": (14, 0),
     },
     "parallax": {
         "spectral.coarsen": (3, 3),
         "spectral.laplacian": (3, 3),
         "lapack.eigh": (1, 1),
-        "transform.gft": (9, 0),
-        "transform.predict_signal": (0, 9),
+        "transform.gft": (4, 0),
+        "transform.predict_signal": (0, 4),
         "grouping.predict_and_residual": (4, 0),
     },
     "partition": {
@@ -110,8 +111,8 @@ _WORKLOAD_CALLS = {
         "spectral.partition_with_tree": (0, 1),
         "spectral.laplacian": (22, 22),
         "lapack.eigh": (17, 17),
-        "transform.gft": (129, 0),
-        "transform.predict_signal": (0, 129),
+        "transform.gft": (45, 0),
+        "transform.predict_signal": (0, 45),
     },
 }
 

@@ -834,6 +834,43 @@ class TestProbes:
         got = eigendecompose_all([lap], probes=[(np.zeros((0, 6)), steps)])[0]
         assert not got.vectors[:, 1:5].any()
 
+    @pytest.mark.parametrize("pass_bytes", [1 << 22, 1])
+    def test_mixed_size_batch_bit_equal_to_lone_probes(self, pass_bytes, monkeypatch):
+        """A shuffled batch of mixed sizes (n = 1, repeated sizes,
+        degenerate graphs, the partition scene's Laplacians), each with a
+        probe of 0 to 3 signals around half a step, so that one stack pads
+        probes of several k, and one probe has no signal: every basis has
+        the bits its Laplacian gets probed alone, in one pass over all
+        stacks or in one pass per stack."""
+        monkeypatch.setattr(spectral, "_EIG_PASS_BYTES", pass_bytes)
+        rng = np.random.default_rng(50)
+        single = laplacian(LocalGraph(n=1, edges=np.zeros((0, 2), dtype=np.int64)))
+        laps = [single, laplacian(path_graph(5)), single, laplacian(path_graph(5))]
+        laps += [laplacian(_degenerate_graph(rng, case)) for case in range(60)]
+        laps += _bench_laplacians("partition", monkeypatch)
+        laps = [laps[i] for i in rng.permutation(len(laps))]
+        probes, ks = [], {}
+        for j, lap in enumerate(laps):
+            n = lap.matrix.shape[0]
+            q = float(rng.choice([0.5, 4.0, 16.0]))
+            steps = np.full(n, q)
+            steps[0] = min(q, 1.0)
+            k = 0 if j == 0 else int(rng.integers(0, 4))
+            signals = (rng.normal(size=(k, n)) * steps / 2) @ eigendecompose(lap).vectors.T
+            probes.append((signals, steps))
+            ks.setdefault(n, set()).add(k)
+        assert any(len(k) > 1 for k in ks.values())
+        dropped = kept = 0
+        for basis, lap, probe in zip(eigendecompose_all(laps, probes=probes), laps, probes):
+            want = eigendecompose_all([lap], probes=[probe])[0]
+            assert np.array_equal(basis.eigenvalues, want.eigenvalues)
+            assert np.array_equal(basis.vectors, want.vectors)
+            for cluster in cluster_eigenvalues_oracle(want.eigenvalues):
+                if len(cluster) > 1:
+                    zero = not want.vectors[:, cluster].any()
+                    dropped, kept = dropped + zero, kept + (not zero)
+        assert dropped > 10 and kept > 10
+
     @given(
         seed=st.integers(0, 2**32 - 1),
         case=st.integers(0, 59),

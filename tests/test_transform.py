@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from srgc.spectral import LocalGraph, eigendecompose, laplacian
-from srgc.transform import gft, igft, quantize
+from srgc.spectral import EigenBasis, LocalGraph, eigendecompose, laplacian
+from srgc.transform import gft, igft, predict_signal, quantize
+from srgc.util import round_half_away_int
 
 
 def ring_basis(n, seed=0):
@@ -73,6 +74,56 @@ class TestGft:
             gft(basis, np.zeros(4))
         with pytest.raises(ValueError):
             igft(basis, np.zeros(4))
+
+
+def _layouts(n, rng):
+    """One orthonormal n x n matrix in three memory layouts: its own
+    C-ordered array, rows gathered from a larger array, and the transpose
+    of a C-ordered array (Fortran order)."""
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    big = rng.normal(size=(2 * n, n))
+    big[::2] = q
+    return {
+        "own": q.copy(),
+        "gathered": big[np.arange(0, 2 * n, 2)],
+        "transposed": np.ascontiguousarray(q.T).T,
+    }
+
+
+class TestStackedTransforms:
+    """A (k, n) stack runs one gemv per vector: every row has the bits of
+    the per-vector products ``V.T @ f`` and ``V @ c``, never those of one
+    matrix product over the stack."""
+
+    @pytest.mark.parametrize("n", [*range(1, 71), 128, 255, 256, 511])
+    def test_bit_equal_to_per_vector_calls(self, n):
+        rng = np.random.default_rng(n)
+        for vectors in _layouts(n, rng).values():
+            basis = EigenBasis(eigenvalues=np.zeros(n), vectors=vectors)
+            for k in (1, 3, 9):
+                f = rng.normal(size=(k, n)) * 100
+                c = rng.normal(size=(k, n)) * 100 + 128
+                coeffs, synth = gft(basis, f), igft(basis, c)
+                predicted = predict_signal(basis, c, 255)
+                assert coeffs.shape == synth.shape == predicted.shape == (k, n)
+                for i in range(k):
+                    assert np.array_equal(coeffs[i], vectors.T @ f[i])
+                    assert np.array_equal(coeffs[i], gft(basis, f[i]))
+                    assert np.array_equal(synth[i], vectors @ c[i])
+                    want = np.clip(round_half_away_int(vectors @ c[i]), 0, 255)
+                    assert np.array_equal(predicted[i], want)
+                    assert np.array_equal(predicted[i], predict_signal(basis, c[i], 255))
+
+    def test_stack_shape_checked(self):
+        basis = ring_basis(5)
+        for bad in (np.zeros((3, 4)), np.zeros((3, 6)), np.zeros((2, 3, 5)), np.zeros(())):
+            with pytest.raises(ValueError, match="does not match basis dim 5"):
+                gft(basis, bad)
+            with pytest.raises(ValueError, match="does not match basis dim 5"):
+                igft(basis, bad)
+            with pytest.raises(ValueError, match="does not match basis dim 5"):
+                predict_signal(basis, bad, 255)
+        assert gft(basis, np.zeros((0, 5))).shape == (0, 5)
 
 
 class TestQuantize:
