@@ -24,8 +24,7 @@ sample range can only come from a corrupt residual section, and a level
 above maxval * sqrt(n) / step + 1/2, more than samples in range give,
 from a corrupt stream.  Both sides transform once per distinct basis,
 on the stacked vectors of every unit that reads it
-(:func:`_transform_units`), and the decoder writes the samples of all
-partition parts in one scatter.
+(:func:`_transform_units`).
 
 A coarsened unit is flat (:func:`_flat_units`) when every channel's
 dequantized vector is zero past index 0, the pixel graph of the basis it
@@ -430,11 +429,12 @@ def _transform_units(transform, bases, flat, unit_starts, n_channels, dtype):
 
 def _dequantize(levels, sizes, n_channels, q_gft, maxval):
     """(the back-to-back levels of units of ``sizes`` vertices times their
-    steps, the start of each vector), after checking every level.  An
-    orthonormal basis gives |c| <= ||f|| <= maxval * sqrt(n) (1e-8 is its
-    orthogonality tolerance), and rounding adds at most half a step: a
-    larger level, which no encoder writes and which could overflow the
-    inverse GFT, raises CorruptStreamError."""
+    steps, the start of each vector), after checking every level.  A
+    coefficient is c = v^T f for one basis column v, whose squared norm
+    the eigen stage's orthogonality check bounds by 1 + 1e-8, so |c| <=
+    ||v|| ||f|| <= (1 + 1e-8) maxval sqrt(n), and rounding adds at most
+    half a step: a larger level, which no encoder writes and which could
+    overflow the inverse GFT, raises CorruptStreamError."""
     steps, starts = _coefficient_steps(sizes, n_channels, q_gft)
     n = np.repeat(sizes, n_channels * np.asarray(sizes))
     if (np.abs(levels) > (maxval * np.sqrt(n) * (1 + 1e-8) / steps + 0.5) * (1 + 1e-6)).any():
@@ -962,17 +962,14 @@ def decode(stream: Bitstream, threads=1, debug=False):
     del fines, pairs
     watch.lap("coarsen")
 
-    # entries[c, j]: the position in the levels, laid out unit-major and
-    # channel-minor, of channel c of vertex j of the units' vertices back
-    # to back (unit i's from vertex_starts[i] on)
-    vertex_starts = np.cumsum(sizes) - sizes
-    unit_starts = starts[::n_channels]
-    entries = ranges(unit_starts, sizes) + np.arange(n_channels)[:, None] * np.repeat(sizes, sizes)
     # each non-flat unit reads the basis of its own graph, a member its
     # main's, at the columns of its nonzero coefficients in any channel; a
     # member's graph is its main's, so the eigen stage solves its main
     # once, at the OR of their columns
-    reads = (levels[entries] != 0).any(axis=0)
+    vertex_starts = np.cumsum(sizes) - sizes
+    unit_starts = starts[::n_channels]
+    channels = np.arange(n_channels)[:, None] * np.repeat(sizes, sizes)
+    reads = (levels[ranges(unit_starts, sizes) + channels] != 0).any(axis=0)
     solved, eig_solved = _eigenbases(
         [units[predicted.get(i, i)].graph for i in live],
         [reads[vertex_starts[i] : vertex_starts[i] + sizes[i]] for i in live],
@@ -997,16 +994,12 @@ def decode(stream: Bitstream, threads=1, debug=False):
         raise CorruptStreamError(f"corrupt stream: residual of unit {i} leaves [0, {maxval}]")
     # reconstructions lie in [0, maxval], so they go straight into the samples
     samples = np.zeros((n_channels, s_count * t_count, h, w), dtype=_sample_dtype(hdr.bit_depth))
-    if mode == "part":
-        # a part's vertex i is its pixel i: every part in one scatter
-        pixel = np.concatenate([u.pixels for u in units]) @ np.array([h * w, w, 1])
-        samples.reshape(n_channels, -1)[:, pixel] = recs[entries]
-    else:
-        for i, u in enumerate(units):
-            rec = recs[entries[:, vertex_starts[i] : vertex_starts[i] + u.n]]
-            # a flat unit's samples are its one value per channel
-            vertex = [0] if flat[i] else u.fine_to_coarse
-            samples[(slice(None), *u.pixels.T)] = rec[:, vertex]
+    recon_units = _unit_blocks(recs, starts, n_channels)
+    for u, rec, f in zip(units, recon_units, flat):
+        # a flat unit's samples are its one value per channel
+        samples[(slice(None), *u.pixels.T)] = (
+            rec[:, :1] if f else rec if u.fine_to_coarse is None else rec[:, u.fine_to_coarse]
+        )
     watch.lap("reconstruct")
 
     views = [View(planes=list(samples[:, v])) for v in range(s_count * t_count)]
@@ -1029,6 +1022,6 @@ def decode(stream: Bitstream, threads=1, debug=False):
             group_set=GroupSet.over(groups, m, None),
             groupable=groupable,
             dequantized=_unit_blocks(deq, starts, n_channels),
-            reconstructed=_unit_blocks(recs, starts, n_channels),
+            reconstructed=recon_units,
         )
     return lf, report

@@ -33,7 +33,8 @@ codec's ``eig_solved`` counts LAPACK solves only.
 :func:`eigendecompose_all` runs the whole stage batched: one
 stacked LAPACK call per size n (per 256 KiB of matrices), one stacked
 Gram-Schmidt per stack and cluster size over all such clusters, and one
-pass over the eigenvalues of all stacks for everything else, with
+pass over the eigenvalues of several stacks (about 256 KiB of matrices)
+for everything else, with
 results bit-equal to diagonalizing each Laplacian alone.  Given column
 masks, it leaves the clusters with no needed column out of the
 Gram-Schmidt and returns them as zeros; given probes (signals and their
@@ -78,7 +79,7 @@ import numpy as np
 
 from .errors import DecompositionError
 from .segmentation import SuperRay, fill_cells, label_shifts
-from .util import component_roots, ranges
+from .util import component_roots
 
 _EIG_RECON_TOL = 1e-8
 _EIG_ORTHO_TOL = 1e-8
@@ -87,7 +88,6 @@ _EIG_PICK_TOL = 1e-7
 _PROBE_REL = 1e-6  # margins of the probe rule: see eigendecompose_all
 _PROBE_ABS = 1e-9
 _EIG_STACK_BYTES = 1 << 18  # matrices per stacked call: bounds the scratch memory
-_EIG_PASS_BYTES = 1 << 22  # matrices per pass over whole stacks: bounds the memory held
 _SPLIT_ROWS = 1 << 16  # pixel rows per stacked reprojection: bounds the scratch memory
 
 
@@ -347,34 +347,12 @@ def _canonical_cluster_bases(v):
 
 def _apply_sign_convention(vecs):
     """Make each column's largest-magnitude entry positive, first max
-    winning ties, in place; ``vecs`` is one contiguous n x m matrix or a
-    stack of them."""
-    stack = vecs.reshape(-1, *vecs.shape[-2:])
-    top = np.argmax(np.abs(stack), axis=1)
-    lead = stack[np.arange(stack.shape[0])[:, None], top, np.arange(stack.shape[2])]
-    np.negative(stack, out=stack, where=(lead < 0)[:, None, :])
+    winning ties, in place; ``vecs`` is one n x m matrix or a stack of
+    them."""
+    top = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    lead = np.take_along_axis(vecs, top, axis=-2)
+    vecs *= np.where(lead < 0, -1.0, 1.0)
     return vecs
-
-
-def _probe_reads(rows, norms, energy, ns, firsts, owner, starts, half):
-    """Which eigenvalue clusters some probe signal reads, for the signal
-    rows of every matrix back to back: each row's matrix ``rows``, its
-    signal's norm ||f|| and its n terms ``energy`` of (V^T f)**2, the
-    clusters (their matrices ``owner`` and flat ``starts``, matrix k's
-    eigenvalues from ``firsts[k]`` on) and each cluster's half step.  A
-    cluster is read when, for some signal of its matrix, ||V_c^T f|| *
-    (1 + 1e-6) + 1e-9 * ||f|| is not below its half step.  Each pair of a
-    row and a cluster of its matrix sums one run of ``energy``: the runs
-    tile it, row by row, so one ``np.add.reduceat`` sums them all."""
-    first = np.searchsorted(owner, np.arange(ns.size))  # each matrix's first cluster
-    counts = np.bincount(owner, minlength=ns.size)[rows]
-    cluster = ranges(first[rows], counts)
-    row_starts = np.cumsum(ns[rows]) - ns[rows] - firsts[rows]
-    sums = np.add.reduceat(energy, np.repeat(row_starts, counts) + starts[cluster])
-    bound = np.sqrt(sums) * (1 + _PROBE_REL) + _PROBE_ABS * np.repeat(norms, counts)
-    read = np.zeros(starts.size, dtype=bool)
-    read[cluster[~(bound < half[cluster])]] = True
-    return read
 
 
 def _check_stack(mats, vals, vecs):
@@ -395,52 +373,27 @@ def _check_stack(mats, vals, vecs):
         )
 
 
-def _check_arguments(mats, masks, probes):
-    """Raise the ValueError of the first Laplacian, in input order, whose
-    size, mask shape, probe shapes or probe steps are wrong; the steps of
-    all Laplacians before the first other fault are checked at once."""
-    first, message = len(mats), None
-    for i, m in enumerate(mats):
-        n = m.shape[0]
-        if n < 1:
-            message = "empty Laplacian"
-        elif masks is not None and masks[i].shape != (n,):
-            message = f"column mask of shape {masks[i].shape} for a {n}x{n} Laplacian"
-        elif probes is not None and (
-            probes[i][0].ndim != 2 or probes[i][0].shape[1] != n or probes[i][1].shape != (n,)
-        ):
-            shapes = f"{probes[i][0].shape} and {probes[i][1].shape}"
-            message = f"probe of shapes {shapes} for a {n}x{n} Laplacian"
-        else:
-            continue
-        first = i
-        break
-    if probes and first and not (np.concatenate([q for _, q in probes[:first]]) > 0).all():
-        raise ValueError("probe steps must be positive")
-    if message:
-        raise ValueError(message)
-
-
 def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     """Diagonalize an iterable of Laplacians into EigenBases, returned in
     input order.
 
     Laplacians of one size n are stacked, up to 256 KiB of matrices per
     stack, and each matrix is released once stacked.  Only what must see
-    a stack's exact shape runs stack by stack: one LAPACK call, one
-    Gram-Schmidt of all its degenerate clusters of each size m
-    (:func:`_canonical_cluster_bases`, on (K, n, m) blocks), the sign rule
-    and the two check products.  LAPACK diagonalizes matrices of one size
-    only, and the Gram-Schmidt's matrix-vector products round by the
-    shape of their call, so neither pads nor merges shapes.  Everything
-    else runs in one pass over the eigenvalues of all stacks back to
-    back: the cluster bounds, which matrices take the column-0 rule, which
-    clusters the masks or probes read, and which of them are
-    canonicalized or dropped; each stack then only writes what the pass
-    decided.  A pass holds the Laplacians and eigenvectors of its stacks,
-    so passes are cut after 4 MiB of matrices, and the arguments are
-    checked once, up front.  Each basis is bit-equal to the one its
-    Laplacian gets alone.
+    a stack's exact shape runs stack by stack: one LAPACK call, the probe
+    products, one Gram-Schmidt of all its degenerate clusters of each
+    size m (:func:`_canonical_cluster_bases`, on (K, n, m) blocks), the
+    sign rule and the two check products.  LAPACK diagonalizes matrices
+    of one size only, and the Gram-Schmidt's matrix-vector products round
+    by the shape of their call, so neither pads nor merges shapes.
+    Everything else runs in one pass over the eigenvalues of several
+    stacks back to back: the cluster bounds, which matrices take the
+    column-0 rule, which clusters the masks or probes read, and which of
+    them are canonicalized or dropped; each stack then only writes what
+    the pass decided.  A pass takes stacks until they hold 256 KiB of
+    matrices, as much as one stack may: it holds them and their
+    eigenvectors, so scratch memory does not grow with the call, and its
+    fixed cost is small beside the LAPACK time of that much.  Each basis
+    is bit-equal to the one its Laplacian gets alone.
 
     Column 0 is exactly ``np.full(n, 1 / np.sqrt(n))`` when it is a
     cluster of its own.  A Laplacian's zero eigenvalue is simple exactly
@@ -480,7 +433,7 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     |b^T f| stays below q_c / 2 by a relative margin of about 1e-6, far
     more than the rounding of |x| / q and of its sum with 0.5, and
     round-half-away gives level 0.  The products V_c^T f run per stack,
-    with each stack's signals padded by zero rows to its largest k.
+    with each probe padded by zero signals to the largest k of its stack.
 
     Raises ValueError for an empty Laplacian, a mask of the wrong
     length, a missing probe, a probe of the wrong shape or a step that is
@@ -498,39 +451,47 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
         probes = [tuple(np.asarray(a) for a in p) for p in probes]
         if len(probes) != len(mats):
             raise ValueError(f"{len(probes)} probes for {len(mats)} Laplacians")
-    _check_arguments(mats, masks, probes)
     by_size = {}
     for i, m in enumerate(mats):
-        by_size.setdefault(m.shape[0], []).append(i)
+        n = m.shape[0]
+        if n < 1:
+            raise ValueError("empty Laplacian")
+        if masks is not None and masks[i].shape != (n,):
+            raise ValueError(f"column mask of shape {masks[i].shape} for a {n}x{n} Laplacian")
+        if probes is not None:
+            signals, steps = probes[i]
+            if signals.ndim != 2 or signals.shape[1] != n or steps.shape != (n,):
+                raise ValueError(
+                    f"probe of shapes {signals.shape} and {steps.shape} for a {n}x{n} Laplacian"
+                )
+            if not (steps > 0).all():
+                raise ValueError("probe steps must be positive")
+        by_size.setdefault(n, []).append(i)
     bases = [None] * len(mats)
-    batch, held = [], 0
+    stacks, held = [], 0
     for n, idx in by_size.items():
-        per = max(1, _EIG_STACK_BYTES // (8 * n * n))
-        for lo in range(0, len(idx), per):
-            batch.append(idx[lo : lo + per])
-            held += 8 * n * n * len(batch[-1])
-            if held >= _EIG_PASS_BYTES:
-                _solve_stacks(batch, mats, masks, probes, bases)
-                batch, held = [], 0
-    if batch:
-        _solve_stacks(batch, mats, masks, probes, bases)
+        per_stack = max(1, _EIG_STACK_BYTES // (8 * n * n))
+        for lo in range(0, len(idx), per_stack):
+            stacks.append(idx[lo : lo + per_stack])
+            held += 8 * n * n * len(stacks[-1])
+            if held >= _EIG_STACK_BYTES:
+                _solve_stacks(stacks, mats, masks, probes, bases)
+                stacks, held = [], 0
+    if stacks:
+        _solve_stacks(stacks, mats, masks, probes, bases)
     return bases
 
 
 def _solve_stacks(stacks, mats, masks, probes, bases):
     """Diagonalize the Laplacians ``mats[i]`` of ``stacks``, lists of
     indices i of one size n each, into ``bases[i]``, releasing each matrix
-    once stacked: the stage of :func:`eigendecompose_all` for them."""
+    once stacked: one pass of :func:`eigendecompose_all`."""
     order = [i for part in stacks for i in part]
     stack_first = np.cumsum([0, *map(len, stacks)])
     ns = np.array([mats[i].shape[0] for i in order])
     firsts = np.cumsum(ns) - ns  # where each matrix's eigenvalues start in lam
-    done = []
-    if probes is not None:
-        # per signal row (each matrix's rows padded to its stack's k): the
-        # matrix, ||f|| and the n terms of ||V_c^T f||**2 over the columns
-        probe_rows, probe_norms, energy = [], [], []
-    for part, k0 in zip(stacks, stack_first.tolist()):
+    done, energy, norms = [], [], []
+    for part in stacks:
         n = mats[part[0]].shape[0]
         stack = np.stack([mats[i] for i in part])
         for i in part:
@@ -540,14 +501,15 @@ def _solve_stacks(stacks, mats, masks, probes, bases):
         except np.linalg.LinAlgError as e:
             raise DecompositionError(f"decomposition failure for {n}x{n} matrix: {e}") from e
         if probes is not None:
+            # the stack's signals, padded by zero signals to the most of its
+            # probes: ||f||, and per column v the term (v^T f)**2 of ||V_c^T f||**2
             k = max(probes[i][0].shape[0] for i in part)
             signals = np.zeros((len(part), k, n))
             for b, i in enumerate(part):
                 signals[b, : probes[i][0].shape[0]] = probes[i][0]
             projections = vecs.transpose(0, 2, 1) @ signals.transpose(0, 2, 1)
-            probe_rows.append(np.repeat(np.arange(k0, k0 + len(part)), k))
-            probe_norms.append(np.linalg.norm(signals, axis=2).ravel())
-            energy.append(np.square(projections).transpose(0, 2, 1).ravel())
+            energy.append(np.square(projections).reshape(vals.size, k))
+            norms.append(np.linalg.norm(signals, axis=2))
         done.append((stack, vals, vecs))
 
     # one pass over all stacks: the clusters, the column-0 rule, which
@@ -560,38 +522,39 @@ def _solve_stacks(stacks, mats, masks, probes, bases):
     read = np.ones(sizes.size, dtype=bool)
     if masks is not None:
         read &= np.logical_or.reduceat(np.concatenate([masks[i] for i in order]), starts)
+    cluster_first = np.searchsorted(owner, stack_first)  # each stack's first cluster
     if probes is not None:
+        # per stack, ||V_c^T f|| of each cluster and signal, and its bound
+        bound = []
+        for k0, c0, c1, e, f in zip(stack_first, cluster_first, cluster_first[1:], energy, norms):
+            sums = np.add.reduceat(e, starts[c0:c1] - firsts[k0])
+            bound.append(np.sqrt(sums) * (1 + _PROBE_REL) + _PROBE_ABS * f[owner[c0:c1] - k0])
         half = 0.5 * np.minimum.reduceat(np.concatenate([probes[i][1] for i in order]), starts)
-        read &= _probe_reads(
-            *map(np.concatenate, (probe_rows, probe_norms, energy)), ns, firsts, owner, starts, half
-        )
+        read &= ~(np.concatenate([b.max(axis=1, initial=0.0) for b in bound]) < half)
     canon = (sizes > 1) & read
     dropped = np.repeat((sizes > 1) & ~read, sizes)
-    # the kept degenerate clusters by stack and size m, each in column order
-    span = int(ns.max()) + 1
-    key = np.where(canon, (np.searchsorted(stack_first, owner, "right") - 1) * span + sizes, -1)
-    work = {}
-    for k in np.unique(key[canon]).tolist():
-        s, m = divmod(k, span)
-        rows, cols = owner[key == k], starts[key == k]
-        work.setdefault(s, []).append((m, rows - stack_first[s], cols - firsts[rows]))
 
-    for s, (k0, k1) in enumerate(zip(stack_first.tolist(), stack_first[1:].tolist())):
+    for s, part in enumerate(stacks):
         stack, vals, vecs = done[s]
         done[s] = None
-        n = stack.shape[1]
-        vecs[lone[k0:k1], :, 0] = 1 / np.sqrt(n)
-        for m, rows, cols in work.get(s, ()):
-            index = (rows[:, None], slice(None), cols[:, None] + np.arange(m))
+        k0, n = stack_first[s], stack.shape[1]
+        vecs[lone[k0 : k0 + len(part)], :, 0] = 1 / np.sqrt(n)
+        kept = np.flatnonzero(canon[cluster_first[s] : cluster_first[s + 1]]) + cluster_first[s]
+        for m in np.unique(sizes[kept]).tolist() if kept.size else ():
+            sel = kept[sizes[kept] == m]
+            rows = owner[sel]
+            cols = (starts[sel] - firsts[rows])[:, None] + np.arange(m)
+            index = ((rows - k0)[:, None], slice(None), cols)
             # advanced indices around a slice put the block axis first: (K, m, n)
             blocks = np.ascontiguousarray(vecs[index].transpose(0, 2, 1))
             vecs[index] = _canonical_cluster_bases(blocks).transpose(0, 2, 1)
         _check_stack(stack, vals, _apply_sign_convention(vecs))
         # the checks judged LAPACK's columns of the unread clusters: now zeros
-        np.copyto(vecs, 0.0, where=dropped[firsts[k0] : firsts[k0] + vals.size].reshape(-1, 1, n))
+        at = firsts[k0]
+        np.copyto(vecs, 0.0, where=dropped[at : at + vals.size].reshape(-1, 1, n))
         # own arrays, laid out as a lone call returns them, so later BLAS
         # calls on a basis see the same layout and no basis pins the stack
-        for i, w, v in zip(stacks[s], vals, vecs):
+        for i, w, v in zip(part, vals, vecs):
             bases[i] = EigenBasis(eigenvalues=w.copy(), vectors=v.copy())
 
 

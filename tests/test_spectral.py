@@ -834,15 +834,16 @@ class TestProbes:
         got = eigendecompose_all([lap], probes=[(np.zeros((0, 6)), steps)])[0]
         assert not got.vectors[:, 1:5].any()
 
-    @pytest.mark.parametrize("pass_bytes", [1 << 22, 1])
-    def test_mixed_size_batch_bit_equal_to_lone_probes(self, pass_bytes, monkeypatch):
+    @pytest.mark.parametrize("stack_bytes", [1 << 18, 1 << 14, 1])
+    def test_mixed_size_batch_bit_equal_to_lone_probes(self, stack_bytes, monkeypatch):
         """A shuffled batch of mixed sizes (n = 1, repeated sizes,
         degenerate graphs, the partition scene's Laplacians), each with a
         probe of 0 to 3 signals around half a step, so that one stack pads
         probes of several k, and one probe has no signal: every basis has
-        the bits its Laplacian gets probed alone, in one pass over all
-        stacks or in one pass per stack."""
-        monkeypatch.setattr(spectral, "_EIG_PASS_BYTES", pass_bytes)
+        the bits its Laplacian gets probed alone, whether passes of 256
+        KiB hold many stacks each (the batch takes several), passes and
+        stacks are cut at 16 KiB, or every stack and pass is one matrix."""
+        monkeypatch.setattr(spectral, "_EIG_STACK_BYTES", stack_bytes)
         rng = np.random.default_rng(50)
         single = laplacian(LocalGraph(n=1, edges=np.zeros((0, 2), dtype=np.int64)))
         laps = [single, laplacian(path_graph(5)), single, laplacian(path_graph(5))]
