@@ -10,8 +10,8 @@ group coarsened units on dequantized coefficients -> select main members
 Decoder: segmentation -> projection -> pixel graphs (split trees replayed
 in partition mode), each unit's size taken from its pixel graph
 (``min(n_target, n)`` coarsened, ``n`` a partition part) -> coefficient,
-groups and residual sections -> the flat rule -> coarsen -> eigen stage
--> reconstruct.  Everything is rebuilt from transmitted data (labels,
+groups and residual sections -> the DC and flat rule -> coarsen -> eigen
+stage -> reconstruct.  Everything is rebuilt from transmitted data (labels,
 disparities, split trees); the groups and each group's main are read from
 the groups section, and no groups are derived.  Every section is read
 before any coarsening, so a corrupt one costs none.  Every unit names the
@@ -26,24 +26,27 @@ from a corrupt stream.  Both sides transform once per distinct basis,
 on the stacked vectors of every unit that reads it
 (:func:`_transform_units`).
 
-A coarsened unit is flat (:func:`_flat_units`) when every channel's
-dequantized vector is zero past index 0, the pixel graph of the basis it
-reads (its own, or its main's for a grouped member) is connected, and a
-grouped member's residual is one value per channel.  A flat unit
-reconstructs as :func:`predict_signal` on :func:`spectral.dc_basis`,
-plus its residual, one value per channel written to all its pixels.  It
-gets no eigen-stage entry, and no coarse graph or ``fine_to_coarse``
-unless a member that is not flat reads it as its main: only the units
-that are not flat, and the mains their members read, are coarsened.  A
-partition part is never flat, having no coarsening to skip.  The rule is
-exact, from three facts: contraction keeps a connected graph connected (a
+Once the last section is read, the decoder decides every unit's basis,
+in both modes and before any coarsening (:func:`_dc_units`).  A unit is
+a DC unit when every channel's dequantized vector is zero past index 0
+and the pixel graph of the basis it reads (its own, or its main's for a
+grouped member) is connected: it takes :func:`spectral.dc_basis` and
+gets no eigen-stage entry.  A DC unit is flat unless it is a grouped
+member whose residual is not one value per channel.  A flat unit
+reconstructs as :func:`predict_signal` on that basis, plus its
+residual, one value per channel written to all its pixels, and has no
+graph or ``fine_to_coarse`` unless a unit that is not a DC unit reads it
+as its main: only the own graphs of the units that are not flat, and
+the basis graphs of the units that are not DC units, are coarsened (in
+partition mode, given to their units as they are).  The rule is exact,
+from three facts: contraction keeps a connected graph connected (a
 coarsening of a connected graph never takes the edgeless-residue
 branch); the eigen stage gives a connected graph the exact column
-``1/sqrt(n)``, through :func:`spectral.dc_basis` or through the spectrum
-rule of :func:`spectral.eigendecompose_all` (n below 6 * 10**4, whose
-dense Laplacian alone would take 28 GB); and with only ``d[0]`` nonzero,
-``V @ d`` gains only signed zeros from the other columns, as for the
-column masks below.
+``1/sqrt(n)``, through the spectrum rule of
+:func:`spectral.eigendecompose_all` (n below 6 * 10**4, whose dense
+Laplacian alone would take 28 GB); and with only ``d[0]`` nonzero, ``V @
+d`` gains only signed zeros from the other columns, as for the column
+masks below.
 
 The encoder has its own flat rule (:func:`_flat_super_rays`), decided
 before any coarsening: a super-ray is flat when its pixel samples are one
@@ -76,18 +79,18 @@ graph with local vertex ids.  A graph is its vertex count and edge list;
 a unit's vertex i is row i of its pixels, where the encoder reads its
 samples and the decoder writes them.  Units often repeat whole graphs, so
 units with one vertex count and edge list share a Laplacian and a
-bit-equal basis.  Each side coarsens each distinct pixel graph that its
-units that are not flat read once, keeps only the coarse graph and
+bit-equal basis.  Each side coarsens once each distinct pixel graph
+that the rules above leave to coarsen, keeps only the coarse graph and
 ``fine_to_coarse`` of each unit, and runs its eigen stage once per
 stream, as one batched :func:`spectral.eigendecompose_all` call over the
 distinct graphs its units read; every unit that reads a graph shares its
 result.  The decoder passes column masks to that call: a basis column is
 needed when a dequantized coefficient of any channel at its index is
-nonzero, for any unit that reads the basis, so degenerate eigenvalue
-clusters that no nonzero coefficient reads are never canonicalized and
-come back as zeros.  The samples are those of full bases: the inverse
-GFT ``V @ c`` gains only signed zeros from those columns, and rounding
-maps a zero sum of either sign to 0.  The encoder passes probes instead:
+nonzero, for any unit that is not a DC unit and reads the basis, so
+degenerate eigenvalue clusters that no nonzero coefficient reads are
+never canonicalized and come back as zeros.  The samples are those of
+full bases: the inverse GFT ``V @ c`` gains only signed zeros from those
+columns, and rounding maps a zero sum of either sign to 0.  The encoder passes probes instead:
 every unit that is not flat hands the eigen stage its channel signals
 and quantizer steps, and the clusters in which every one of them must
 quantize to level 0 are dropped the same way.  Their levels are 0 in the
@@ -97,11 +100,12 @@ coefficients, which the main's probe does not see: after grouping, each
 main with a dropped column that such a member reads is solved again,
 whole, in one more eigen-stage call without probes, so the residuals,
 and the stream, are those of full bases.  A connected graph's basis has
-the exact constant DC column, and a connected graph whose mask (decoder)
-or probe (encoder) shows that nothing past that column is read takes it
-alone, with no Laplacian and no solve (:func:`spectral.dc_only`); a
-member reading past its main's DC column has the main re-solved as
-above.  The reports' ``eig_count``
+the exact constant DC column.  On the encoder a connected graph whose
+probe shows that nothing past that column is read takes it alone, with
+no Laplacian and no solve (:func:`spectral.dc_only`), and a member
+reading past its main's DC column has the main re-solved as above; on
+the decoder the DC rule gives that column to every such unit before the
+eigen stage.  The reports' ``eig_count``
 stays the paper's count (every unit on the encoder, ungrouped units plus
 one main per group on the decoder) and ``eig_solved`` counts the
 distinct graphs sent to LAPACK behind it, the encoder's re-solved mains
@@ -196,10 +200,11 @@ class CodingUnit:
     (``fine_to_coarse`` set, each pixel's vertex of ``graph``) or a
     partition part (``graph`` is its own pixel graph).  ``pixels`` are the
     (view, y, x) rows of the super-ray or part, shared with it.  A flat
-    unit, of the encoder (:func:`_flat_super_rays`) or of the decoder
-    (:func:`_flat_units`), has neither ``graph`` nor ``fine_to_coarse``,
-    unless it is the main of a member that reads it past column 0 (the
-    encoder) or that is not flat (the decoder)."""
+    unit, of the encoder (:func:`_flat_super_rays`, a coarsened unit) or
+    of the decoder (:func:`_dc_units`, in both modes), has neither
+    ``graph`` nor ``fine_to_coarse``, unless it is the main of a member
+    that reads it past column 0 (the encoder) or that is not a DC unit
+    (the decoder)."""
 
     n: int
     pixels: np.ndarray
@@ -269,8 +274,8 @@ class DecodeReport:
     coarsened: int = 0        # distinct pixel graphs coarsened: none of a flat unit
     # seconds per stage: "entropy" first, the entropy decoding of every
     # section, then the rest in pipeline order without it; "graphs" as in
-    # EncodeReport, "coarsen" the flat rule and the coarsening after the
-    # groups are read
+    # EncodeReport, "coarsen" the DC and flat rule and the coarsening
+    # after the groups are read
     times: dict = field(default_factory=dict)
     debug: object = None
 
@@ -354,7 +359,7 @@ def _eigenbases(graphs, needed=None, probes=None):
     mask is the OR of its graphs' masks.  ``probes`` is None or one probe
     (signals, steps) per graph; a distinct graph's probe stacks its
     graphs' signals under the smallest of their steps.  A distinct graph
-    that :func:`dc_only` passes takes :func:`dc_basis`, one per size, with
+    that :func:`dc_only` passes on its probe takes :func:`dc_basis`, with
     no Laplacian built, and the Laplacians of the others are built once
     and solved in one :func:`eigendecompose_all` call."""
     distinct, which = _distinct_graphs(graphs)
@@ -372,16 +377,22 @@ def _eigenbases(graphs, needed=None, probes=None):
             (np.concatenate([s for s, _ in ps]), np.minimum.reduce([q for _, q in ps]))
             for ps in shared
         ]
-    closed = dc_only(distinct, masks, merged)
+    closed = dc_only(distinct, merged)
     solve = np.flatnonzero(~closed).tolist()
-    solved = iter(eigendecompose_all(
+    bases = _with_dc_bases([g.n for g in distinct], closed, eigendecompose_all(
         (laplacian(distinct[i]) for i in solve),
         None if masks is None else [masks[i] for i in solve],
         None if merged is None else [merged[i] for i in solve],
     ))
-    dc = {n: dc_basis(n) for n in {g.n for g, c in zip(distinct, closed.tolist()) if c}}
-    bases = [dc[g.n] if c else next(solved) for g, c in zip(distinct, closed.tolist())]
     return [bases[i] for i in which], len(solve)
+
+
+def _with_dc_bases(sizes, dc, solved):
+    """One basis per entry of ``sizes``: :func:`dc_basis` where ``dc`` is
+    set, one shared per size, and otherwise the next of ``solved``."""
+    closed = {n: dc_basis(n) for n in {n for n, d in zip(sizes, dc) if d}}
+    solved = iter(solved)
+    return [closed[n] if d else next(solved) for n, d in zip(sizes, dc)]
 
 
 def _vector_sizes(sizes, n_channels):
@@ -722,9 +733,7 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
     solved, eig_solved = _eigenbases(
         [units[i].graph for i in live], probes=[(units[i].signals, unit_steps[i]) for i in live]
     )
-    dc = {n: dc_basis(n) for n in {u.n for u, f in zip(units, flat) if f}}
-    solved = iter(solved)
-    bases = [dc[u.n] if f else next(solved) for u, f in zip(units, flat)]
+    bases = _with_dc_bases(sizes, flat, solved)
     coeffs = _transform_units(
         gft, bases, np.concatenate([u.signals.ravel() for u in units]),
         starts[::n_channels], n_channels, np.float64,
@@ -832,23 +841,23 @@ def encode(lf: LightField, dmap: DisparityMap, cfg: CodecConfig, debug=False):
 # Decoder
 # ---------------------------------------------------------------------------
 
-def _flat_units(fines, deq, predicted, residuals):
-    """Which units are flat, as a bool array: every channel's dequantized
-    vector ``deq[i]`` is zero past index 0, the pixel graph of the basis
-    the unit reads (``fines[i]``, a grouped member's main's) is connected,
-    and a grouped member's ``residuals[i]`` is one value per channel.  A
-    flat unit's samples are :func:`predict_signal` on :func:`dc_basis`
+def _dc_units(fines, masks, predicted, residuals):
+    """(which units are DC units, which of them are flat), as bool arrays.
+    A unit is a DC unit when its column mask ``masks[i]`` reads nothing
+    past column 0 and the pixel graph of the basis it reads (``fines[i]``,
+    a grouped member's main's) is connected.  A DC unit is flat unless it
+    is a grouped member whose ``residuals[i]`` is not one value per
+    channel.  A DC unit's samples are :func:`predict_signal` on :func:`dc_basis`
     plus its residual, exactly those of its coarsening and eigen-stage
     basis, by the three facts of the module docstring."""
-    candidates = [
-        i for i, d in enumerate(deq)
-        if not d[:, 1:].any()
-        and (i not in residuals or (residuals[i] == residuals[i][:, :1]).all())
-    ]
+    candidates = [i for i, mask in enumerate(masks) if not mask[1:].any()]
     distinct, which = _distinct_graphs([fines[predicted.get(i, i)] for i in candidates])
-    flat = np.zeros(len(deq), dtype=bool)
-    flat[candidates] = connected_graphs(distinct)[which]
-    return flat
+    dc = np.zeros(len(masks), dtype=bool)
+    dc[candidates] = connected_graphs(distinct)[which]
+    flat = dc.copy()
+    for i, residual in residuals.items():
+        flat[i] &= (residual == residual[:, :1]).all()
+    return dc, flat
 
 
 def decode(stream: Bitstream, threads=1, debug=False):
@@ -941,17 +950,19 @@ def decode(stream: Bitstream, threads=1, debug=False):
     }
     watch.lap("grouping")
 
-    # every section is read: only now is a pixel graph coarsened, and only
-    # one that a non-flat unit reads, its own or a member's main's; a
-    # partition part has no coarsening to skip, and the eigen stage gives a
-    # connected one that reads only its DC column the closed form once per
-    # distinct graph
-    flat = [False] * len(sizes)
-    if mode == "coarse":
-        deq_units = _unit_blocks(deq, starts, n_channels)
-        flat = _flat_units(fines, deq_units, predicted, residuals).tolist()
-    live = [i for i, f in enumerate(flat) if not f]
-    need = sorted({*live, *(predicted[i] for i in live if i in predicted)})
+    # every section is read: only now is each unit's basis decided, before
+    # any coarsening.  A unit reads the basis of its own graph, a member
+    # its main's, at the columns of its nonzero coefficients in any
+    # channel; a DC unit takes the closed form, and only the own graphs of
+    # the units that are not flat and the basis graphs of the units that
+    # are not DC units are coarsened
+    unit_starts = starts[::n_channels]
+    channels = np.arange(n_channels)[:, None] * np.repeat(sizes, sizes)
+    reads = (levels[ranges(unit_starts, sizes) + channels] != 0).any(axis=0)
+    masks = [reads[lo : lo + n] for lo, n in zip((np.cumsum(sizes) - sizes).tolist(), sizes)]
+    dc, flat = _dc_units(fines, masks, predicted, residuals)
+    live = np.flatnonzero(~dc).tolist()
+    need = sorted({*np.flatnonzero(~flat).tolist(), *(predicted.get(i, i) for i in live)})
     pairs, coarsened = (
         _coarsen_graphs([fines[i] for i in need], hdr.n_target) if mode == "coarse"
         else ([(fines[i], None) for i in need], 0)
@@ -962,21 +973,12 @@ def decode(stream: Bitstream, threads=1, debug=False):
     del fines, pairs
     watch.lap("coarsen")
 
-    # each non-flat unit reads the basis of its own graph, a member its
-    # main's, at the columns of its nonzero coefficients in any channel; a
-    # member's graph is its main's, so the eigen stage solves its main
+    # a member's graph is its main's, so the eigen stage solves its main
     # once, at the OR of their columns
-    vertex_starts = np.cumsum(sizes) - sizes
-    unit_starts = starts[::n_channels]
-    channels = np.arange(n_channels)[:, None] * np.repeat(sizes, sizes)
-    reads = (levels[ranges(unit_starts, sizes) + channels] != 0).any(axis=0)
     solved, eig_solved = _eigenbases(
-        [units[predicted.get(i, i)].graph for i in live],
-        [reads[vertex_starts[i] : vertex_starts[i] + sizes[i]] for i in live],
+        [units[predicted.get(i, i)].graph for i in live], [masks[i] for i in live]
     )
-    dc = {n: dc_basis(n) for n in {n for n, f in zip(sizes, flat) if f}}
-    solved = iter(solved)
-    bases = [dc[n] if f else next(solved) for n, f in zip(sizes, flat)]
+    bases = _with_dc_bases(sizes, dc, solved)
     eig_count = len(units) - len(predicted)
     watch.lap("eigen")
 

@@ -27,9 +27,9 @@ Laplacian means a connected graph (:func:`eigendecompose_all` gives the
 bound), it is exactly the constant unit vector ``1 / sqrt(n)``, the null
 space of the Laplacian: LAPACK's own column 0 is off by rounding noise,
 which would move DC levels that sit on a rounding tie.
-:func:`dc_basis` is that column alone, and :func:`dc_only` says when it
-is all a caller reads, so the graph needs no LAPACK solve at all; the
-codec's ``eig_solved`` counts LAPACK solves only.
+:func:`dc_basis` is that column alone, and :func:`dc_only` says from a
+probe when it is all a caller reads, so the graph needs no LAPACK solve
+at all; the codec's ``eig_solved`` counts LAPACK solves only.
 :func:`eigendecompose_all` runs the whole stage batched: one
 stacked LAPACK call per size n (per 256 KiB of matrices), one stacked
 Gram-Schmidt per stack and cluster size over all such clusters, and one
@@ -250,12 +250,11 @@ def dc_basis(n) -> EigenBasis:
     return EigenBasis(eigenvalues=eigenvalues, vectors=vectors)
 
 
-def dc_only(graphs, needed=None, probes=None) -> np.ndarray:
+def dc_only(graphs, probes=None) -> np.ndarray:
     """Which of ``graphs`` take :func:`dc_basis` instead of a solve, given,
-    as for :func:`eigendecompose_all`, each one's column mask or its probe
-    (neither: none, and no connectivity pass).  A graph qualifies when it
-    is connected (:func:`connected_graphs`) and its mask reads nothing
-    beyond column 0, or when for every signal f of its probe
+    as for :func:`eigendecompose_all`, each one's probe (None: none, and
+    no connectivity pass).  A graph qualifies when it is connected
+    (:func:`connected_graphs`) and for every signal f of its probe
 
         ||f - mean(f)|| * (1 + 1e-6) + (1e-8 + 1e-9) * ||f|| < q / 2,
 
@@ -271,19 +270,16 @@ def dc_only(graphs, needed=None, probes=None) -> np.ndarray:
     plus, as in :func:`eigendecompose_all`'s probe rule, the rounding of
     b^T f and of the mean, at most about n * 2**-53 * ||f|| each.  This is
     that rule with the whole non-DC subspace as one cluster."""
-    if needed is not None:
-        reads = [mask[1:].any() for mask in needed]
-    elif probes is not None:
-        reads = []
-        for signals, steps in probes:
-            g = np.linalg.norm(signals - signals.mean(axis=1, keepdims=True), axis=1)
-            bound = g * (1 + _PROBE_REL) + (_EIG_ORTHO_TOL + _PROBE_ABS) * np.linalg.norm(
-                signals, axis=1
-            )
-            half = 0.5 * steps[1:].min(initial=np.inf)
-            reads.append(not (bound < half).all())
-    else:
+    if probes is None:
         return np.zeros(len(graphs), dtype=bool)
+    reads = []
+    for signals, steps in probes:
+        g = np.linalg.norm(signals - signals.mean(axis=1, keepdims=True), axis=1)
+        bound = g * (1 + _PROBE_REL) + (_EIG_ORTHO_TOL + _PROBE_ABS) * np.linalg.norm(
+            signals, axis=1
+        )
+        half = 0.5 * steps[1:].min(initial=np.inf)
+        reads.append(not (bound < half).all())
     return connected_graphs(graphs) & ~np.array(reads, dtype=bool)
 
 
@@ -392,8 +388,12 @@ def eigendecompose_all(laplacians, needed=None, probes=None) -> list:
     the pass decided.  A pass takes stacks until they hold 256 KiB of
     matrices, as much as one stack may: it holds them and their
     eigenvectors, so scratch memory does not grow with the call, and its
-    fixed cost is small beside the LAPACK time of that much.  Each basis
-    is bit-equal to the one its Laplacian gets alone.
+    fixed cost is small beside the LAPACK time of that much.  The pass
+    stays because a pass per stack, with the same bits, measured 1.2
+    times as long on the 22 matrices in 17 stacks of the ``partition``
+    bench scene (8.4 against 6.9 ms per decoder call, one thread of a
+    2-core Xeon), and no faster on one-stack calls.  Each basis is
+    bit-equal to the one its Laplacian gets alone.
 
     Column 0 is exactly ``np.full(n, 1 / np.sqrt(n))`` when it is a
     cluster of its own.  A Laplacian's zero eigenvalue is simple exactly

@@ -1280,8 +1280,8 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     ``eigendecompose(laplacian(graph))`` of its graph gives on
     every column its side reads, on both sides.  The encoder's call holds
     one entry per unit that is not flat (``codec._flat_super_rays``; here
-    every unit), the decoder's one per unit that is not flat
-    (``codec._flat_units``); on the decoder a member predicted from a
+    every unit), the decoder's one per unit that is not a DC unit
+    (``codec._dc_units``); on the decoder a member predicted from a
     group's main names that main's graph object and, when the main has an
     entry, gets the main's basis object, so the paper's count, ungrouped
     units plus one main per group, comes from the stage's graph reuse.  A
@@ -1289,13 +1289,14 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     it, or when the encoder's probe rule (``probe_mask_oracle``) keeps it;
     every encoder unit probes.  A
     shared basis keeps the OR of its units' columns, and a degenerate
-    cluster with no kept column is zero.  A distinct graph that takes the
-    closed-form DC basis (column 0 of the lone solve, every other column
-    and eigenvalue zero and NaN) is connected (flood fill), and its side
-    reads nothing past column 0: the decoder's mask needs none of those
-    columns (and every connected graph whose mask needs none takes it),
-    and on the encoder each of its units' signals has level 0 there under
-    the lone solve.  Only the other graphs count as solved.  On the
+    cluster with no kept column is zero.  Only the encoder's stage gives
+    a distinct graph the closed-form DC basis (column 0 of the lone
+    solve, every other column and eigenvalue zero and NaN): the graph is
+    connected (flood fill), and each of its units' signals has level 0
+    past column 0 under the lone solve.  Only the other graphs count as
+    solved.  The decoder gives a DC unit the closed form before its
+    stage, so every graph there is disconnected or has a mask that needs
+    a column past 0.  On the
     encoder, every dropped column of a unit has level 0 in every channel
     under the lone solve, and a main whose dropped column a member
     predicted from it reads is solved again in one more call, whole: in
@@ -1317,20 +1318,19 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
         return eigendecompose(laplacian(graph)), connected
 
     monkeypatch.setattr(codec, "_eigenbases", spy)
-    flats = _record_flat_units(monkeypatch)
+    rules = _record_flat_units(monkeypatch)
     stream, enc = encode(lf, dmap, cfg, debug=True)
     _, dec = decode(deserialize(serialize(stream)), debug=True)
     predicted = codec._predicted_members(dec.debug.group_set.groups, dec.debug.groupable)
     want_units = (enc.debug.units, dec.debug.units)
     # the units behind each side's entries, in order
-    assert len(flats) == (case != "partition")
-    live = np.flatnonzero(~flats[0]).tolist() if flats else list(range(len(dec.debug.units)))
-    entries = (list(range(len(enc.debug.units))), live)
+    ((dc, _),) = rules
+    entries = (list(range(len(enc.debug.units))), np.flatnonzero(~dc).tolist())
     probed, *resolved, masked = solved
     assert len(resolved) == (case == "small")
     assert probed[1] is None and len(probed[2]) == len(want_units[0])
     assert all(p is not None for p in probed[2])
-    assert masked[2] is None and len(masked[1]) == len(live)
+    assert masked[2] is None and len(masked[1]) == len(entries[1])
     assert enc.eig_solved == probed[4] + sum(count for *_, count in resolved)
     if case == "small":
         assert (enc.eig_count, probed[4], enc.eig_solved) == (7, 6, 7)
@@ -1380,7 +1380,7 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
                 assert np.array_equal(basis.vectors, want.vectors)
                 kept = masks[i]
             if needed is not None:
-                assert closed[i] == (connected[i] and not masks[i][1:].any())
+                assert not closed[i] and (masks[i][1:].any() or not connected[i])
             else:
                 signals, steps = probes[j]
                 for f in signals:
@@ -1390,10 +1390,10 @@ def test_every_unit_basis_equals_a_lone_solve(case, monkeypatch):
     assert dec.eig_solved == masked[4]
     assert (dropped_levels > 0) == (case != "rgb_all")
     # distinct graphs that take the closed form on the encoder and the
-    # decoder; on the decoder, the unit of ``no_grouping`` that takes it is
-    # flat and has no entry
+    # decoder; on the decoder, every unit that takes it is a DC unit and
+    # has no entry
     assert tuple(closed_counts) == {
-        "explicit": (1, 0), "gate": (0, 0), "no_grouping": (1, 0), "partition": (23, 23),
+        "explicit": (1, 0), "gate": (0, 0), "no_grouping": (1, 0), "partition": (23, 0),
         "rgb_all": (0, 0), "small": (1, 0),
     }[case]
     if case == "rgb_all":
@@ -1416,7 +1416,8 @@ def _main_clusters_read_only_by_members(dec):
     for member, main in predicted.items():
         if dec.debug.units[main].graph is None:
             # a flat main, coarsened for no member: every member predicted
-            # from it is flat and reads column 0 alone, a cluster of its own
+            # from it is a DC unit and reads column 0 alone, a cluster of
+            # its own
             continue
         own = np.any(np.asarray(deq[main]) != 0, axis=0)
         read = np.any(np.asarray(deq[member]) != 0, axis=0)
@@ -1427,10 +1428,21 @@ def _main_clusters_read_only_by_members(dec):
     return found
 
 
-def _no_flat_units(fines, deq, predicted, residuals):
-    """``codec._flat_units`` marking no unit flat: every unit is coarsened
-    and reads a basis from the eigen stage."""
-    return np.zeros(len(deq), dtype=bool)
+_DC_UNITS = codec._dc_units
+
+
+def _no_flat_units(fines, masks, predicted, residuals):
+    """``codec._dc_units`` marking the same DC units but none flat: every
+    unit is coarsened, and a DC unit still reads the closed-form DC
+    basis."""
+    dc, _ = _DC_UNITS(fines, masks, predicted, residuals)
+    return dc, np.zeros_like(dc)
+
+
+def _no_dc_units(fines, masks, predicted, residuals):
+    """``codec._dc_units`` marking no unit a DC unit: every unit is
+    coarsened and reads a basis from the eigen stage."""
+    return (np.zeros(len(masks), dtype=bool),) * 2
 
 
 def _no_flat_super_rays(fines, samples, steps):
@@ -1439,9 +1451,10 @@ def _no_flat_super_rays(fines, samples, steps):
     return np.zeros(len(samples), dtype=bool)
 
 
-def _record_flat_units(monkeypatch, rule="_flat_units"):
-    """Record the mask of every call of the flat rule ``codec.<rule>``
-    (the decoder's, or the encoder's ``_flat_super_rays``), as it runs."""
+def _record_flat_units(monkeypatch, rule="_dc_units"):
+    """Record what every call of the rule ``codec.<rule>`` returns as it
+    runs: the decoder's (DC units, flat units), or the encoder's flat
+    units (``_flat_super_rays``)."""
     flats = []
     flat_units = getattr(codec, rule)
 
@@ -1504,8 +1517,8 @@ def test_decoder_derives_no_groups(case, monkeypatch):
 @pytest.mark.parametrize("case", _MASK_CASES)
 def test_column_masks_keep_decoded_samples(case, monkeypatch):
     """Decoding with the column masks gives the samples of decoding with
-    full bases (masks forced to None, and no unit flat, so every unit
-    reads a full basis).  In ``small`` grouped members read
+    full bases (masks forced to None, and no DC unit, so every unit reads
+    a full basis).  In ``small`` grouped members read
     13 clusters of their main's basis that the main's own coefficients
     leave at zero, so a mask taken from the main alone would zero columns
     a member reads."""
@@ -1522,7 +1535,7 @@ def test_column_masks_keep_decoded_samples(case, monkeypatch):
         return eigenbases(graphs)
 
     monkeypatch.setattr(codec, "_eigenbases", full)
-    monkeypatch.setattr(codec, "_flat_units", _no_flat_units)
+    monkeypatch.setattr(codec, "_dc_units", _no_dc_units)
     want, _ = decode(stream)
     assert len(masks) == 1 and masks[0] is not None
     assert lf_equal(rec, want)
@@ -1580,11 +1593,9 @@ def test_encoder_probes_keep_stream_bytes(case, monkeypatch):
 def test_closed_form_dc_keeps_bytes_and_samples(case, monkeypatch):
     """Encoding and decoding with the closed-form DC basis give the stream
     bytes and the decoded samples of solving every distinct graph
-    (``dc_only`` patched to pass none), on each side with no more LAPACK
-    solves; on every bench scene the encoder skips some.  The decoder
-    skips some on ``partition`` only: on ``gate`` and ``parallax`` every
-    unit that reads only its DC coefficient is flat and never reaches the
-    eigen stage."""
+    (``dc_only`` and the decoder's ``_dc_units`` patched to pass none), on
+    each side with no more LAPACK solves; on every bench scene each side
+    skips some."""
     lf, dmap, cfg = _mask_case(case)
 
     def round_trip():
@@ -1594,15 +1605,15 @@ def test_closed_form_dc_keeps_bytes_and_samples(case, monkeypatch):
         return data, rec, (enc.eig_solved, dec.eig_solved)
 
     data, rec, solved = round_trip()
-    monkeypatch.setattr(codec, "dc_only", lambda graphs, needed=None, probes=None:
+    monkeypatch.setattr(codec, "dc_only", lambda graphs, probes=None:
                         np.zeros(len(graphs), dtype=bool))
+    monkeypatch.setattr(codec, "_dc_units", _no_dc_units)
     want_data, want_rec, want_solved = round_trip()
     assert data == want_data
     assert lf_equal(rec, want_rec)
     assert solved[0] <= want_solved[0] and solved[1] <= want_solved[1]
     if case.startswith("bench_"):
-        assert solved[0] < want_solved[0]
-        assert (solved[1] < want_solved[1]) == case.startswith("bench_partition")
+        assert solved[0] < want_solved[0] and solved[1] < want_solved[1]
 
 
 @pytest.mark.parametrize("case", [
@@ -1611,36 +1622,78 @@ def test_closed_form_dc_keeps_bytes_and_samples(case, monkeypatch):
       for seed in (1, 5, 17, 23)),
 ])
 def test_flat_units_keep_samples_and_counts(case, monkeypatch):
-    """Decoding flat units without coarsening or an eigen-stage entry gives
-    the samples, ``eig_count`` and ``eig_solved`` of coarsening and solving
-    every unit (``_flat_units`` patched to mark none flat), and coarsens
-    no more pixel graphs.  Only coarse mode asks for flat units: at seed
-    1, 12 of the 16 units of ``gate`` are flat and 6 of the 9 of
-    ``parallax``."""
+    """Decoding flat units without coarsening gives the samples,
+    ``eig_count`` and ``eig_solved`` of coarsening every unit and writing
+    its samples through its own graph (``_dc_units`` patched to mark the
+    same DC units, none flat), and coarsens no more pixel graphs.  Both
+    modes ask for flat units, which are DC units: at seed 1, 12 of the 16
+    units of ``gate`` are flat, 6 of the 9 of ``parallax`` and 98 of the
+    129 parts of ``partition``, which has no coarsening to skip."""
     lf, dmap, cfg = _mask_case(case)
     stream = deserialize(serialize(encode(lf, dmap, cfg)[0]))
-    flats = _record_flat_units(monkeypatch)
+    rules = _record_flat_units(monkeypatch)
     rec, dec = decode(stream)
-    monkeypatch.setattr(codec, "_flat_units", _no_flat_units)
+    monkeypatch.setattr(codec, "_dc_units", _no_flat_units)
     want, full = decode(stream)
     assert lf_equal(rec, want)
     assert (dec.eig_count, dec.eig_solved) == (full.eig_count, full.eig_solved)
     assert dec.coarsened <= full.coarsened
-    assert len(flats) == (cfg.q_gft >= cfg.q_switch)
-    shares = {"bench_gate_1": (12, 16), "bench_parallax_1": (6, 9)}
+    ((dc, flat),) = rules
+    assert not (flat & ~dc).any()
+    shares = {"bench_gate_1": (12, 16), "bench_parallax_1": (6, 9), "bench_partition_1": (98, 129)}
     if case in shares:
-        (flat,) = flats
         assert (int(flat.sum()), flat.size) == shares[case]
-        assert dec.coarsened < full.coarsened
+        assert (dec.coarsened < full.coarsened) == (cfg.q_gft >= cfg.q_switch)
+
+
+@pytest.mark.parametrize("case", [
+    *sorted(ORACLE_CASES),
+    *(f"bench_{name}_{seed}" for name in ("gate", "parallax", "partition") for seed in (1, 5)),
+])
+def test_decoder_eigen_stage_sees_no_dc_reader(case, monkeypatch):
+    """The decoder decides its DC units before its eigen stage: its
+    ``_eigenbases`` call gets exactly the units that are not DC units (31
+    of the 129 parts of ``partition`` at seed 1), and every Laplacian its
+    ``eigendecompose_all`` call gets is of a disconnected graph or has a
+    column mask that reads past column 0."""
+    lf, dmap, cfg = _mask_case(case)
+    stream = deserialize(serialize(encode(lf, dmap, cfg)[0]))
+    rules = _record_flat_units(monkeypatch)
+    eigenbases, solve_all = codec._eigenbases, codec.eigendecompose_all
+    entries, solves = [], []
+
+    def spy_bases(graphs, needed=None, probes=None):
+        entries.append(len(graphs))
+        return eigenbases(graphs, needed, probes)
+
+    def spy_solve(laps, needed=None, probes=None):
+        laps = list(laps)
+        solves.append((laps, needed))
+        return solve_all(laps, needed, probes)
+
+    monkeypatch.setattr(codec, "_eigenbases", spy_bases)
+    monkeypatch.setattr(codec, "eigendecompose_all", spy_solve)
+    _, dec = decode(stream)
+    ((dc, _),) = rules
+    assert entries == [int((~dc).sum())]
+    if case == "bench_partition_1":
+        assert (entries[0], dc.size) == (31, 129)
+    ((laps, masks),) = solves
+    assert len(laps) == len(masks) == dec.eig_solved
+    for lap, mask in zip(laps, masks):
+        n = lap.matrix.shape[0]
+        edges = np.argwhere(np.triu(lap.matrix < 0))
+        assert mask[1:].any() or connected_components(n, edges)[1] > 1
 
 
 def test_flat_rule_reads_the_basis_graph_and_the_residual():
-    """A unit that reads only its DC coefficient is flat when the pixel
-    graph of the basis it reads is connected and, for a grouped member,
-    its residual is one value per channel.  On a graph of two components
-    the eigen stage gives component indicators, not the constant column,
-    so such a unit is not flat, nor is a member that reads that graph as
-    its main's, nor a member whose residual varies."""
+    """A unit that reads only its DC coefficient is a DC unit when the
+    pixel graph of the basis it reads is connected, and flat when, for a
+    grouped member, its residual is also one value per channel.  On a
+    graph of two components the eigen stage gives component indicators,
+    not the constant column, so such a unit is not a DC unit, nor is a
+    member that reads that graph as its main's; a member whose residual
+    varies is a DC unit that is not flat."""
     path = LocalGraph(n=4, edges=np.array([[0, 1], [1, 2], [2, 3]], dtype=np.int64))
     halves = LocalGraph(n=4, edges=np.array([[0, 1], [2, 3]], dtype=np.int64))
     dc = np.array([[8.0, 0.0, 0.0, 0.0], [-3.0, 0.0, 0.0, 0.0]])
@@ -1654,7 +1707,9 @@ def test_flat_rule_reads_the_basis_graph_and_the_residual():
         3: np.array([[2, 2, 2, 2], [-1, -1, -1, -1]]),
         4: np.array([[2, 2, 2, 3], [0, 0, 0, 0]]),
     }
-    flat = codec._flat_units(fines, deq, predicted, residuals)
+    masks = [(d != 0).any(axis=0) for d in deq]
+    dc, flat = codec._dc_units(fines, masks, predicted, residuals)
+    assert dc.tolist() == [True, False, False, True, True, False]
     assert flat.tolist() == [True, False, False, True, False, False]
 
 
@@ -2019,20 +2074,24 @@ def test_super_ray_rows_are_the_graph_vertices(case, monkeypatch):
     # one split per side, each handing out every unit's graph
     assert len(assembled) == 2 and len(built) == 2
     assert len(built[0]) == len(built[1]) > 0
+    coarse = cfg.q_gft >= cfg.q_switch
     for side, report in zip(built, (enc, dec)):
         assert len(report.debug.units) == len(side)
         for u, (sr, g) in zip(report.debug.units, side):
             assert u.pixels is sr.pixels and g.n == sr.total_pixels
             if u.graph is None:
-                # a flat unit: sized from its pixel graph, never coarsened
+                # a flat unit: sized from its pixel graph, never coarsened;
+                # the decoder's partition parts can be flat too
                 assert u.fine_to_coarse is None
-                assert u.n == min(cfg.n_target, g.n) and cfg.q_gft >= cfg.q_switch
+                assert u.n == (min(cfg.n_target, g.n) if coarse else g.n)
                 if report is enc:
-                    assert (u.signals == u.signals[:, :1]).all()
+                    assert coarse and (u.signals == u.signals[:, :1]).all()
             elif u.fine_to_coarse is None:
                 assert u.graph is g
             else:
                 assert u.fine_to_coarse.shape == (g.n,)
+    if case == "bench_partition":
+        assert sum(u.graph is None for u in dec.debug.units) == 98
     for seg, disparities, rays in assembled:
         want = assemble_super_rays_oracle(seg, disparities)
         assert len(rays) == len(want) == seg.label_count

@@ -205,7 +205,7 @@ def _bench_laplacians(name, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(codec, "eigendecompose_all", record)
-        m.setattr(codec, "dc_only", lambda graphs, needed=None, probes=None:
+        m.setattr(codec, "dc_only", lambda graphs, probes=None:
                   np.zeros(len(graphs), dtype=bool))
         codec.encode(lf, dmap, workload.config)
     assert laps, "the encoder no longer calls codec.eigendecompose_all"
@@ -990,16 +990,19 @@ class TestClosedFormDC:
         assert np.array_equal(spectral.dc_basis(1).vectors, [[1.0]])
 
     def test_mask_rule(self):
-        """A column mask lets a graph take the closed form when it reads
-        nothing past column 0 and the graph is connected."""
+        """The decoder gives a unit the closed form (``codec._dc_units``)
+        when its column mask reads nothing past column 0 and its graph is
+        connected, before the eigen stage, which takes no closed form from
+        a mask."""
         path, split = path_graph(6), _pairs_graph(6, [(0, 1), (2, 3), (4, 5)])
         dc = np.arange(6) == 0
         masks = [dc, np.zeros(5, dtype=bool), dc | (np.arange(6) == 3), dc]
-        bases, solved = codec._eigenbases([path, path_graph(5), path, split], masks)
+        closed, flat = codec._dc_units([path, path_graph(5), path, split], masks, {}, {})
+        assert closed.tolist() == flat.tolist() == [True, True, False, False]
+        bases, solved = codec._eigenbases([path, path, split], [dc, masks[2], dc])
         assert solved == 2  # the path, which a mask reads at column 3, and the split graph
-        assert bases[0] is bases[2] and not np.isnan(bases[0].eigenvalues).any()
-        assert np.array_equal(bases[1].vectors, spectral.dc_basis(5).vectors)
-        assert not np.isnan(bases[3].eigenvalues).any()
+        assert bases[0] is bases[1]
+        assert not any(np.isnan(basis.eigenvalues).any() for basis in bases)
         assert spectral.dc_only([path, split]).tolist() == [False, False]
 
     @pytest.mark.parametrize("dc", [0.0, 1000.0])
@@ -1142,7 +1145,7 @@ class TestCoarsen:
             _assert_same_coarsening(g, target)
 
     def test_connected_graphs_stay_connected_on_random_graphs(self, monkeypatch):
-        """The premise of the decoder's flat rule (``codec._flat_units``):
+        """The premise of the decoder's DC rule (``codec._dc_units``):
         coarsening a connected graph gives a connected graph, and every
         heavy-edge matching round on the way matches a pair, so the
         edgeless-residue branch never runs.  On a disconnected graph it
